@@ -14,7 +14,8 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use serde::value::{DeError, Value};
+use serde::de::{DeError, Source};
+use serde::ser::Sink;
 use serde::{Deserialize, Serialize};
 
 /// A cheaply cloneable immutable byte buffer (reference counted).
@@ -94,19 +95,17 @@ impl fmt::Debug for Bytes {
 }
 
 impl Serialize for Bytes {
-    fn serialize_value(&self) -> Value {
-        Value::Seq(
-            self.data
-                .iter()
-                .map(|&b| Value::U64(u64::from(b)))
-                .collect(),
-        )
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.bytes(&self.data);
     }
 }
 
 impl Deserialize for Bytes {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<u8>::deserialize_value(v).map(Bytes::from)
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        match src.bytes()? {
+            Some(bytes) => Ok(Bytes::copy_from_slice(bytes)),
+            None => Vec::<u8>::deserialize(src).map(Bytes::from),
+        }
     }
 }
 

@@ -1,20 +1,149 @@
-//! Deserialisation: rebuilding Rust values from the [`Value`] data model.
+//! Deserialisation: Rust values pull the events of the self-describing data
+//! model from a [`Source`], one call per scalar and container boundary.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::fmt;
 use std::hash::Hash;
 use std::time::Duration;
 
-use crate::value::{map_get, DeError, Value};
+/// The kind of the next value in a [`Source`], as seen by [`Source::peek`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// A boolean.
+    Bool,
+    /// A signed or unsigned integer.
+    Int,
+    /// A floating-point number.
+    Float,
+    /// A string.
+    Str,
+    /// A sequence.
+    Seq,
+    /// A map.
+    Map,
+}
 
-/// A type that can rebuild itself from the self-describing [`Value`] model.
+impl fmt::Display for Kind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Int => "integer",
+            Kind::Float => "float",
+            Kind::Str => "string",
+            Kind::Seq => "sequence",
+            Kind::Map => "map",
+        })
+    }
+}
+
+/// An error produced while deserialising into a Rust type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeError {
+    message: String,
+}
+
+impl DeError {
+    /// Creates an error with the given message.
+    pub fn new(message: impl Into<String>) -> Self {
+        DeError {
+            message: message.into(),
+        }
+    }
+
+    /// Creates a "wrong kind" error naming what was expected and found.
+    pub fn expected(what: &str, found: Kind) -> Self {
+        DeError::new(format!("expected {what}, found {found}"))
+    }
+}
+
+impl fmt::Display for DeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.message)
+    }
+}
+
+impl std::error::Error for DeError {}
+
+/// The providing end of a deserialisation: a data format (the binary codec
+/// reads frame bytes directly) or a cursor over a
+/// [`Value`](crate::value::Value) tree parsed from JSON.
+///
+/// Every reading method consumes exactly one value and fails, consuming
+/// nothing it can be relied on for, when the next value has another kind.
+/// Strings and keys borrow from the input (`'de`); nothing is allocated to
+/// hand them out.
+pub trait Source<'de> {
+    /// The kind of the next value, without consuming it.
+    fn peek(&mut self) -> Result<Kind, DeError>;
+    /// Consumes a `null`.
+    fn null(&mut self) -> Result<(), DeError>;
+    /// Consumes a boolean.
+    fn bool(&mut self) -> Result<bool, DeError>;
+    /// Consumes an integer of either sign.
+    fn int(&mut self) -> Result<i128, DeError>;
+    /// Consumes a number; integers convert to the nearest float.
+    fn f64(&mut self) -> Result<f64, DeError>;
+    /// Consumes a string.
+    fn str(&mut self) -> Result<&'de str, DeError>;
+    /// Consumes a whole sequence of `u8`s if the input holds the next value
+    /// in a packed byte form; `Ok(None)` (nothing consumed) if it does not,
+    /// in which case the caller reads it as an ordinary sequence.
+    fn bytes(&mut self) -> Result<Option<&'de [u8]>, DeError>;
+    /// Opens a sequence and returns its element count; the caller reads
+    /// exactly that many values, then calls [`Source::end_seq`].
+    fn begin_seq(&mut self) -> Result<usize, DeError>;
+    /// Closes the innermost open sequence.
+    fn end_seq(&mut self);
+    /// Opens a map and returns its entry count; the caller reads exactly that
+    /// many [`Source::key`] + value pairs, then calls [`Source::end_map`].
+    fn begin_map(&mut self) -> Result<usize, DeError>;
+    /// The key of the next map entry.
+    fn key(&mut self) -> Result<&'de str, DeError>;
+    /// Closes the innermost open map.
+    fn end_map(&mut self);
+    /// Consumes one value of any kind (an unknown field), still validating it.
+    fn skip(&mut self) -> Result<(), DeError>;
+    /// Reads a `T` for a map entry the input does not have, as if it held
+    /// `null` there: `Option` fields become `None`, required ones fail.
+    fn absent<T: Deserialize>(&mut self) -> Result<T, DeError>;
+}
+
+/// A type that can rebuild itself from a [`Source`].
 ///
 /// Implemented by `#[derive(Deserialize)]` for structs and (externally
 /// tagged) enums, and manually for primitives and standard containers below.
-/// Unlike real serde there is no `'de` lifetime: this shim always produces
-/// owned values, which is all the workspace needs.
+/// Unlike real serde the `'de` lifetime stays on the method: this shim always
+/// produces owned values, which is all the workspace needs.
 pub trait Deserialize: Sized {
-    /// Rebuilds a value of this type from a [`Value`] tree.
-    fn deserialize_value(v: &Value) -> Result<Self, DeError>;
+    /// Reads exactly one value from `src` as `Self`.
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError>;
+
+    /// Reads one sequence as a `Vec<Self>`. Stable Rust has no
+    /// specialisation, so this hook is how `u8` takes a packed byte sequence
+    /// in one copy ([`Source::bytes`]); nothing else overrides it.
+    fn deserialize_vec<'de, S: Source<'de>>(src: &mut S) -> Result<Vec<Self>, DeError> {
+        read_vec(src)
+    }
+}
+
+/// Most bytes a sequence reserves ahead of reading its elements.
+const MAX_PREALLOC: usize = 64 * 1024;
+
+/// Reads one sequence element by element.
+fn read_vec<'de, S: Source<'de>, T: Deserialize>(src: &mut S) -> Result<Vec<T>, DeError> {
+    let len = src.begin_seq()?;
+    // `len` comes from the input and a source bounds it only by the bytes
+    // left, so cap what is reserved before any element has been read.
+    let cap = MAX_PREALLOC / std::mem::size_of::<T>().max(1);
+    let mut items = Vec::with_capacity(len.min(cap));
+    for _ in 0..len {
+        items.push(T::deserialize(src)?);
+    }
+    src.end_seq();
+    Ok(items)
 }
 
 /// Marker for deserialisable types without borrowed data.
@@ -24,59 +153,62 @@ pub trait Deserialize: Sized {
 pub trait DeserializeOwned: Deserialize {}
 impl<T: Deserialize> DeserializeOwned for T {}
 
-fn int_from_value(v: &Value) -> Result<i128, DeError> {
-    match v {
-        Value::I64(n) => Ok(i128::from(*n)),
-        Value::U64(n) => Ok(i128::from(*n)),
-        _ => Err(DeError::expected("integer", v)),
-    }
+/// Reads an integer of either sign into `T`, refusing what does not fit.
+fn read_int<'de, S: Source<'de>, T: TryFrom<i128>>(src: &mut S) -> Result<T, DeError> {
+    let n = src.int()?;
+    T::try_from(n).map_err(|_| {
+        DeError::new(format!(
+            "integer {n} out of range for {}",
+            std::any::type_name::<T>()
+        ))
+    })
 }
 
 macro_rules! impl_de_int {
     ($($t:ty),*) => {$(
         impl Deserialize for $t {
-            fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-                let n = int_from_value(v)?;
-                <$t>::try_from(n)
-                    .map_err(|_| DeError::new(format!(
-                        "integer {n} out of range for {}", stringify!($t)
-                    )))
+            fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+                read_int(src)
             }
         }
     )*};
 }
-impl_de_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_de_int!(u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+impl Deserialize for u8 {
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        read_int(src)
+    }
+
+    fn deserialize_vec<'de, S: Source<'de>>(src: &mut S) -> Result<Vec<u8>, DeError> {
+        match src.bytes()? {
+            Some(bytes) => Ok(bytes.to_vec()),
+            None => read_vec(src),
+        }
+    }
+}
 
 impl Deserialize for bool {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::expected("bool", v)),
-        }
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        src.bool()
     }
 }
 
 impl Deserialize for f64 {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::F64(x) => Ok(*x),
-            Value::I64(n) => Ok(*n as f64),
-            Value::U64(n) => Ok(*n as f64),
-            _ => Err(DeError::expected("number", v)),
-        }
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        src.f64()
     }
 }
 
 impl Deserialize for f32 {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        f64::deserialize_value(v).map(|x| x as f32)
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        src.f64().map(|x| x as f32)
     }
 }
 
 impl Deserialize for char {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let s = v.as_str().ok_or_else(|| DeError::expected("string", v))?;
-        let mut chars = s.chars();
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        let mut chars = src.str()?.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
             _ => Err(DeError::new("expected single-character string")),
@@ -85,130 +217,118 @@ impl Deserialize for char {
 }
 
 impl Deserialize for String {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| DeError::expected("string", v))
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        src.str().map(str::to_string)
     }
 }
 
 impl Deserialize for () {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(()),
-            _ => Err(DeError::expected("null", v)),
-        }
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        src.null()
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        T::deserialize_value(v).map(Box::new)
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        T::deserialize(src).map(Box::new)
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::deserialize_value(other).map(Some),
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        if src.peek()? == Kind::Null {
+            src.null()?;
+            Ok(None)
+        } else {
+            T::deserialize(src).map(Some)
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let items = v.as_seq().ok_or_else(|| DeError::expected("sequence", v))?;
-        items.iter().map(T::deserialize_value).collect()
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        T::deserialize_vec(src)
     }
 }
 
 impl<T: Deserialize> Deserialize for VecDeque<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<T>::deserialize_value(v).map(VecDeque::from)
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        T::deserialize_vec(src).map(VecDeque::from)
     }
 }
 
 macro_rules! impl_de_tuple {
-    ($n:expr, $($name:ident : $idx:tt),+) => {
+    ($n:expr, $($name:ident),+) => {
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-                let items = v.as_seq().ok_or_else(|| DeError::expected("sequence", v))?;
-                if items.len() != $n {
+            fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+                let len = src.begin_seq()?;
+                if len != $n {
                     return Err(DeError::new(format!(
-                        "expected {}-tuple, found sequence of {}", $n, items.len()
+                        "expected {}-tuple, found sequence of {len}", $n
                     )));
                 }
-                Ok(($($name::deserialize_value(&items[$idx])?,)+))
+                let tuple = ($($name::deserialize(src)?,)+);
+                src.end_seq();
+                Ok(tuple)
             }
         }
     };
 }
-impl_de_tuple!(2, A: 0, B: 1);
-impl_de_tuple!(3, A: 0, B: 1, C: 2);
-impl_de_tuple!(4, A: 0, B: 1, C: 2, D: 3);
+impl_de_tuple!(2, A, B);
+impl_de_tuple!(3, A, B, C);
+impl_de_tuple!(4, A, B, C, D);
 
-fn pairs_from_value(v: &Value) -> Result<Vec<(&Value, &Value)>, DeError> {
-    let items = v
-        .as_seq()
-        .ok_or_else(|| DeError::expected("sequence of pairs", v))?;
-    items
-        .iter()
-        .map(|item| {
-            let pair = item
-                .as_seq()
-                .ok_or_else(|| DeError::expected("[key, value] pair", item))?;
-            if pair.len() != 2 {
-                return Err(DeError::new("expected [key, value] pair"));
-            }
-            Ok((&pair[0], &pair[1]))
-        })
-        .collect()
+/// Reads one sequence into any collection, element by element.
+fn collect_seq<'de, S: Source<'de>, T: Deserialize, C: FromIterator<T>>(
+    src: &mut S,
+) -> Result<C, DeError> {
+    let len = src.begin_seq()?;
+    let items = (0..len)
+        .map(|_| T::deserialize(src))
+        .collect::<Result<C, DeError>>()?;
+    src.end_seq();
+    Ok(items)
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        pairs_from_value(v)?
-            .into_iter()
-            .map(|(k, val)| Ok((K::deserialize_value(k)?, V::deserialize_value(val)?)))
-            .collect()
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        collect_seq::<S, (K, V), Self>(src)
     }
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        pairs_from_value(v)?
-            .into_iter()
-            .map(|(k, val)| Ok((K::deserialize_value(k)?, V::deserialize_value(val)?)))
-            .collect()
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        collect_seq::<S, (K, V), Self>(src)
     }
 }
 
 impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let items = v.as_seq().ok_or_else(|| DeError::expected("sequence", v))?;
-        items.iter().map(T::deserialize_value).collect()
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        collect_seq::<S, T, Self>(src)
     }
 }
 
 impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let items = v.as_seq().ok_or_else(|| DeError::expected("sequence", v))?;
-        items.iter().map(T::deserialize_value).collect()
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        collect_seq::<S, T, Self>(src)
     }
 }
 
 impl Deserialize for Duration {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| DeError::expected("duration map", v))?;
-        let secs = map_get(entries, "secs")
-            .ok_or_else(|| DeError::new("duration missing `secs`"))
-            .and_then(u64::deserialize_value)?;
-        let nanos = map_get(entries, "nanos")
-            .ok_or_else(|| DeError::new("duration missing `nanos`"))
-            .and_then(u32::deserialize_value)?;
-        Ok(Duration::new(secs, nanos))
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        let (mut secs, mut nanos) = (None, None);
+        for _ in 0..src.begin_map()? {
+            match src.key()? {
+                "secs" if secs.is_none() => secs = Some(u64::deserialize(src)?),
+                "nanos" if nanos.is_none() => nanos = Some(u32::deserialize(src)?),
+                _ => src.skip()?,
+            }
+        }
+        src.end_map();
+        match (secs, nanos) {
+            (Some(secs), Some(nanos)) => Ok(Duration::new(secs, nanos)),
+            (None, _) => Err(DeError::new("duration missing `secs`")),
+            (_, None) => Err(DeError::new("duration missing `nanos`")),
+        }
     }
 }

@@ -4,8 +4,13 @@
 //! The workspace builds hermetically (no network, no crates.io); this crate
 //! provides the `Serialize` / `Deserialize` traits, the `DeserializeOwned`
 //! marker and the `#[derive(Serialize, Deserialize)]` macros against a small
-//! self-describing [`value::Value`] data model. `serde_json` (the sibling
-//! shim) converts that model to and from JSON text.
+//! self-describing data model (null, bool, integer, float, string, sequence,
+//! map with string keys). The model is streamed, not materialised:
+//! `Serialize` pushes its events into a [`ser::Sink`], `Deserialize` pulls
+//! them from a [`de::Source`], and a data format implements the pair. The
+//! binary codec (`serde_binary`) does so directly over frame bytes; JSON
+//! (`serde_json`) goes through the [`value::Value`] tree, itself one more
+//! sink and source.
 //!
 //! The surface is intentionally small: no zero-copy deserialisation, no
 //! custom field attributes, externally tagged enums only. That covers every

@@ -1,202 +1,270 @@
-//! Serialisation: lowering Rust values into the [`Value`] data model.
+//! Serialisation: Rust values drive a [`Sink`] with the events of the
+//! self-describing data model, one call per scalar and container boundary.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::time::Duration;
 
-use crate::value::Value;
+/// The receiving end of a serialisation: a data format (the binary codec
+/// writes frame bytes directly) or the [`Value`](crate::value::Value) tree
+/// builder behind JSON.
+///
+/// Callers must emit well-formed streams: exactly `len` values between
+/// `begin_seq(len)` and `end_seq`, and exactly `len` `key` + value pairs
+/// between `begin_map(len)` and `end_map`.
+pub trait Sink {
+    /// `null`; also the encoding of `None` and of unit types.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, v: bool);
+    /// A non-negative integer.
+    fn u64(&mut self, v: u64);
+    /// A negative integer (non-negative ones always go through [`Sink::u64`]).
+    fn i64(&mut self, v: i64);
+    /// A floating-point number.
+    fn f64(&mut self, v: f64);
+    /// A string.
+    fn str(&mut self, v: &str);
+    /// A sequence of `u8`s: exactly `begin_seq(v.len())`, one `u64` per byte,
+    /// `end_seq`, which formats with a packed byte form can write in one copy.
+    fn bytes(&mut self, v: &[u8]) {
+        self.begin_seq(v.len());
+        for &b in v {
+            self.u64(u64::from(b));
+        }
+        self.end_seq();
+    }
+    /// Opens a sequence of `len` values.
+    fn begin_seq(&mut self, len: usize);
+    /// Closes the innermost open sequence.
+    fn end_seq(&mut self);
+    /// Opens a map of `len` entries.
+    fn begin_map(&mut self, len: usize);
+    /// The key of the next map entry (a struct field or enum variant name).
+    fn key(&mut self, key: &'static str);
+    /// Closes the innermost open map.
+    fn end_map(&mut self);
+}
 
-/// A type that can lower itself into the self-describing [`Value`] model.
+/// A type that can stream itself into a [`Sink`].
 ///
 /// Implemented by `#[derive(Serialize)]` for structs and (externally tagged)
 /// enums, and manually for primitives and standard containers below.
 pub trait Serialize {
-    /// Lowers `self` into a [`Value`] tree.
-    fn serialize_value(&self) -> Value;
+    /// Streams `self` into `sink` as exactly one value.
+    fn serialize<S: Sink>(&self, sink: &mut S);
+
+    /// Streams a slice of `Self` as one sequence. Stable Rust has no
+    /// specialisation, so this hook is how `u8` routes `Vec<u8>` and `[u8]`
+    /// to [`Sink::bytes`]; nothing else overrides it.
+    fn serialize_slice<S: Sink>(items: &[Self], sink: &mut S)
+    where
+        Self: Sized,
+    {
+        serialize_iter(items.len(), items, sink);
+    }
+}
+
+fn serialize_iter<'a, T: Serialize + 'a, S: Sink>(
+    len: usize,
+    items: impl IntoIterator<Item = &'a T>,
+    sink: &mut S,
+) {
+    sink.begin_seq(len);
+    for item in items {
+        item.serialize(sink);
+    }
+    sink.end_seq();
 }
 
 impl Serialize for bool {
-    fn serialize_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.bool(*self);
+    }
+}
+
+impl Serialize for u8 {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.u64(u64::from(*self));
+    }
+
+    fn serialize_slice<S: Sink>(items: &[u8], sink: &mut S) {
+        sink.bytes(items);
     }
 }
 
 macro_rules! impl_ser_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize_value(&self) -> Value {
-                Value::U64(u64::from(*self))
+            fn serialize<S: Sink>(&self, sink: &mut S) {
+                sink.u64(*self as u64);
             }
         }
     )*};
 }
-impl_ser_unsigned!(u8, u16, u32, u64);
-
-impl Serialize for usize {
-    fn serialize_value(&self) -> Value {
-        Value::U64(*self as u64)
-    }
-}
+impl_ser_unsigned!(u16, u32, u64, usize);
 
 macro_rules! impl_ser_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize_value(&self) -> Value {
-                let v = i64::from(*self);
+            fn serialize<S: Sink>(&self, sink: &mut S) {
+                let v = *self as i64;
                 if v >= 0 {
-                    Value::U64(v as u64)
+                    sink.u64(v as u64);
                 } else {
-                    Value::I64(v)
+                    sink.i64(v);
                 }
             }
         }
     )*};
 }
-impl_ser_signed!(i8, i16, i32, i64);
-
-impl Serialize for isize {
-    fn serialize_value(&self) -> Value {
-        (*self as i64).serialize_value()
-    }
-}
+impl_ser_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for f32 {
-    fn serialize_value(&self) -> Value {
-        Value::F64(f64::from(*self))
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.f64(f64::from(*self));
     }
 }
 
 impl Serialize for f64 {
-    fn serialize_value(&self) -> Value {
-        Value::F64(*self)
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.f64(*self);
     }
 }
 
 impl Serialize for char {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl Serialize for String {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.str(self);
     }
 }
 
 impl Serialize for str {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.str(self);
     }
 }
 
 impl Serialize for () {
-    fn serialize_value(&self) -> Value {
-        Value::Null
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.null();
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize_value(&self) -> Value {
-        (**self).serialize_value()
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        (**self).serialize(sink);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize_value(&self) -> Value {
-        (**self).serialize_value()
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        (**self).serialize(sink);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize_value(&self) -> Value {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
         match self {
-            None => Value::Null,
-            Some(v) => v.serialize_value(),
+            None => sink.null(),
+            Some(v) => v.serialize(sink),
         }
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize_value).collect())
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        T::serialize_slice(self, sink);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize_value(&self) -> Value {
-        self.as_slice().serialize_value()
-    }
-}
-
-impl<T: Serialize> Serialize for VecDeque<T> {
-    fn serialize_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize_value).collect())
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        T::serialize_slice(self, sink);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize_value(&self) -> Value {
-        self.as_slice().serialize_value()
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        T::serialize_slice(self, sink);
+    }
+}
+
+impl<T: Serialize> Serialize for VecDeque<T> {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        serialize_iter(self.len(), self, sink);
     }
 }
 
 macro_rules! impl_ser_tuple {
-    ($($name:ident : $idx:tt),+) => {
+    ($n:expr, $($name:ident : $idx:tt),+) => {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.serialize_value()),+])
+            fn serialize<S: Sink>(&self, sink: &mut S) {
+                sink.begin_seq($n);
+                $(self.$idx.serialize(sink);)+
+                sink.end_seq();
             }
         }
     };
 }
-impl_ser_tuple!(A: 0, B: 1);
-impl_ser_tuple!(A: 0, B: 1, C: 2);
-impl_ser_tuple!(A: 0, B: 1, C: 2, D: 3);
+impl_ser_tuple!(2, A: 0, B: 1);
+impl_ser_tuple!(3, A: 0, B: 1, C: 2);
+impl_ser_tuple!(4, A: 0, B: 1, C: 2, D: 3);
+
+fn serialize_pairs<'a, K: Serialize + 'a, V: Serialize + 'a, S: Sink>(
+    len: usize,
+    pairs: impl IntoIterator<Item = (&'a K, &'a V)>,
+    sink: &mut S,
+) {
+    sink.begin_seq(len);
+    for (k, v) in pairs {
+        sink.begin_seq(2);
+        k.serialize(sink);
+        v.serialize(sink);
+        sink.end_seq();
+    }
+    sink.end_seq();
+}
 
 /// Maps and sets are encoded as sequences (of `[key, value]` pairs for maps),
 /// which sidesteps JSON's string-only object keys and round-trips any
 /// `Serialize` key type.
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn serialize_value(&self) -> Value {
-        Value::Seq(
-            self.iter()
-                .map(|(k, v)| Value::Seq(vec![k.serialize_value(), v.serialize_value()]))
-                .collect(),
-        )
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        serialize_pairs(self.len(), self, sink);
     }
 }
 
 impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
-    fn serialize_value(&self) -> Value {
-        Value::Seq(
-            self.iter()
-                .map(|(k, v)| Value::Seq(vec![k.serialize_value(), v.serialize_value()]))
-                .collect(),
-        )
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        serialize_pairs(self.len(), self, sink);
     }
 }
 
 impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn serialize_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize_value).collect())
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        serialize_iter(self.len(), self, sink);
     }
 }
 
 impl<T: Serialize> Serialize for HashSet<T> {
-    fn serialize_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize_value).collect())
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        serialize_iter(self.len(), self, sink);
     }
 }
 
 /// Durations use serde's standard `{secs, nanos}` object encoding.
 impl Serialize for Duration {
-    fn serialize_value(&self) -> Value {
-        Value::Map(vec![
-            ("secs".to_string(), Value::U64(self.as_secs())),
-            (
-                "nanos".to_string(),
-                Value::U64(u64::from(self.subsec_nanos())),
-            ),
-        ])
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_map(2);
+        sink.key("secs");
+        sink.u64(self.as_secs());
+        sink.key("nanos");
+        sink.u64(u64::from(self.subsec_nanos()));
+        sink.end_map();
     }
 }

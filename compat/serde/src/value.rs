@@ -1,16 +1,19 @@
-//! The self-describing data model shared by `Serialize` and `Deserialize`.
+//! The self-describing data model as a tree.
 //!
-//! Serialisable types lower themselves to a [`Value`] tree; data formats
-//! (in this workspace, the `serde_json` shim) render and parse that tree.
+//! [`Value`] is what the JSON shim prints and parses: [`to_value`] is one
+//! more [`Sink`] that builds the tree from a serialisation, [`from_value`]
+//! one more [`Source`] that walks it. The binary codec never builds one on
+//! its typed path; its tree encoder and decoder are the reference the
+//! property tests compare the streaming ones against.
 
-use std::fmt;
+use crate::de::{DeError, Deserialize, Kind, Source};
+use crate::ser::{Serialize, Sink};
 
 /// A self-describing serialised value.
 ///
-/// This is the intermediate representation between Rust types and concrete
-/// data formats. It maps one-to-one onto the JSON data model, with integers
-/// kept in distinct signed/unsigned variants so that the full `u64`/`i64`
-/// ranges round-trip exactly.
+/// It maps one-to-one onto the JSON data model, with integers kept in
+/// distinct signed/unsigned variants so that the full `u64`/`i64` ranges
+/// round-trip exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`; also the encoding of `None` and of unit types.
@@ -33,73 +36,251 @@ pub enum Value {
 }
 
 impl Value {
-    /// Views this value as a map, if it is one.
-    pub fn as_map(&self) -> Option<&[(String, Value)]> {
+    /// The value's kind, as a [`Source`] over it reports it.
+    pub fn kind(&self) -> Kind {
         match self {
-            Value::Map(entries) => Some(entries),
+            Value::Null => Kind::Null,
+            Value::Bool(_) => Kind::Bool,
+            Value::I64(_) | Value::U64(_) => Kind::Int,
+            Value::F64(_) => Kind::Float,
+            Value::Str(_) => Kind::Str,
+            Value::Seq(_) => Kind::Seq,
+            Value::Map(_) => Kind::Map,
+        }
+    }
+}
+
+/// Serialises `value` into a [`Value`] tree.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
+    let mut sink = TreeSink {
+        open: Vec::new(),
+        root: None,
+    };
+    value.serialize(&mut sink);
+    sink.root.expect("a serialisation emits exactly one value")
+}
+
+/// Deserialises a `T` from a [`Value`] tree.
+///
+/// # Errors
+///
+/// Returns an error when the tree's shape does not match `T`.
+pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, DeError> {
+    T::deserialize(&mut TreeSource {
+        next: Some(value),
+        open: Vec::new(),
+    })
+}
+
+/// A container under construction in a [`TreeSink`].
+enum Open {
+    Seq(Vec<Value>),
+    Map(Vec<(String, Value)>, Option<&'static str>),
+}
+
+struct TreeSink {
+    open: Vec<Open>,
+    root: Option<Value>,
+}
+
+impl TreeSink {
+    fn put(&mut self, value: Value) {
+        match self.open.last_mut() {
+            None => self.root = Some(value),
+            Some(Open::Seq(items)) => items.push(value),
+            Some(Open::Map(entries, key)) => {
+                let key = key.take().expect("a map value follows its key");
+                entries.push((key.to_string(), value));
+            }
+        }
+    }
+}
+
+impl Sink for TreeSink {
+    fn null(&mut self) {
+        self.put(Value::Null);
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.put(Value::Bool(v));
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.put(Value::U64(v));
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.put(Value::I64(v));
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.put(Value::F64(v));
+    }
+
+    fn str(&mut self, v: &str) {
+        self.put(Value::Str(v.to_string()));
+    }
+
+    fn begin_seq(&mut self, len: usize) {
+        self.open.push(Open::Seq(Vec::with_capacity(len)));
+    }
+
+    fn end_seq(&mut self) {
+        match self.open.pop() {
+            Some(Open::Seq(items)) => self.put(Value::Seq(items)),
+            _ => panic!("end_seq without a matching begin_seq"),
+        }
+    }
+
+    fn begin_map(&mut self, len: usize) {
+        self.open.push(Open::Map(Vec::with_capacity(len), None));
+    }
+
+    fn key(&mut self, key: &'static str) {
+        match self.open.last_mut() {
+            Some(Open::Map(_, slot)) => *slot = Some(key),
+            _ => panic!("key outside a map"),
+        }
+    }
+
+    fn end_map(&mut self) {
+        match self.open.pop() {
+            Some(Open::Map(entries, _)) => self.put(Value::Map(entries)),
+            _ => panic!("end_map without a matching begin_map"),
+        }
+    }
+}
+
+/// A container being read by a [`TreeSource`].
+enum Cursor<'v> {
+    Seq(std::slice::Iter<'v, Value>),
+    Map(std::slice::Iter<'v, (String, Value)>),
+}
+
+struct TreeSource<'v> {
+    /// The value to read next when it is not the innermost sequence's next
+    /// element: the root, a map entry's value after its key, or the `null`
+    /// of an absent field.
+    next: Option<&'v Value>,
+    open: Vec<Cursor<'v>>,
+}
+
+const END: &str = "value tree read past its end";
+
+impl<'v> TreeSource<'v> {
+    fn peek_value(&self) -> Result<&'v Value, DeError> {
+        match (self.next, self.open.last()) {
+            (Some(value), _) => Some(value),
+            (None, Some(Cursor::Seq(items))) => items.as_slice().first(),
+            (None, _) => None,
+        }
+        .ok_or_else(|| DeError::new(END))
+    }
+
+    fn take(&mut self) -> Result<&'v Value, DeError> {
+        match (self.next.take(), self.open.last_mut()) {
+            (Some(value), _) => Some(value),
+            (None, Some(Cursor::Seq(items))) => items.next(),
+            (None, _) => None,
+        }
+        .ok_or_else(|| DeError::new(END))
+    }
+}
+
+impl<'v> Source<'v> for TreeSource<'v> {
+    fn peek(&mut self) -> Result<Kind, DeError> {
+        self.peek_value().map(Value::kind)
+    }
+
+    fn null(&mut self) -> Result<(), DeError> {
+        match self.take()? {
+            Value::Null => Ok(()),
+            other => Err(DeError::expected("null", other.kind())),
+        }
+    }
+
+    fn bool(&mut self) -> Result<bool, DeError> {
+        match self.take()? {
+            Value::Bool(b) => Ok(*b),
+            other => Err(DeError::expected("bool", other.kind())),
+        }
+    }
+
+    fn int(&mut self) -> Result<i128, DeError> {
+        match self.take()? {
+            Value::I64(n) => Ok(i128::from(*n)),
+            Value::U64(n) => Ok(i128::from(*n)),
+            other => Err(DeError::expected("integer", other.kind())),
+        }
+    }
+
+    fn f64(&mut self) -> Result<f64, DeError> {
+        match self.take()? {
+            Value::F64(x) => Ok(*x),
+            Value::I64(n) => Ok(*n as f64),
+            Value::U64(n) => Ok(*n as f64),
+            other => Err(DeError::expected("number", other.kind())),
+        }
+    }
+
+    fn str(&mut self) -> Result<&'v str, DeError> {
+        match self.take()? {
+            Value::Str(s) => Ok(s),
+            other => Err(DeError::expected("string", other.kind())),
+        }
+    }
+
+    fn bytes(&mut self) -> Result<Option<&'v [u8]>, DeError> {
+        Ok(None)
+    }
+
+    fn begin_seq(&mut self) -> Result<usize, DeError> {
+        match self.take()? {
+            Value::Seq(items) => {
+                self.open.push(Cursor::Seq(items.iter()));
+                Ok(items.len())
+            }
+            other => Err(DeError::expected("sequence", other.kind())),
+        }
+    }
+
+    fn end_seq(&mut self) {
+        self.open.pop();
+    }
+
+    fn begin_map(&mut self) -> Result<usize, DeError> {
+        match self.take()? {
+            Value::Map(entries) => {
+                self.open.push(Cursor::Map(entries.iter()));
+                Ok(entries.len())
+            }
+            other => Err(DeError::expected("map", other.kind())),
+        }
+    }
+
+    fn key(&mut self) -> Result<&'v str, DeError> {
+        match self.open.last_mut() {
+            Some(Cursor::Map(entries)) => entries.next(),
             _ => None,
         }
+        .map(|(key, value)| {
+            self.next = Some(value);
+            key.as_str()
+        })
+        .ok_or_else(|| DeError::new(END))
     }
 
-    /// Views this value as a sequence, if it is one.
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(items) => Some(items),
-            _ => None,
-        }
+    fn end_map(&mut self) {
+        self.open.pop();
     }
 
-    /// Views this value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
+    fn skip(&mut self) -> Result<(), DeError> {
+        self.take().map(drop)
     }
 
-    /// A short human-readable description of the value's kind, for errors.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::I64(_) | Value::U64(_) => "integer",
-            Value::F64(_) => "float",
-            Value::Str(_) => "string",
-            Value::Seq(_) => "sequence",
-            Value::Map(_) => "map",
-        }
+    fn absent<T: Deserialize>(&mut self) -> Result<T, DeError> {
+        static NULL: Value = Value::Null;
+        self.next = Some(&NULL);
+        T::deserialize(self)
     }
 }
-
-/// Looks up `key` in a map's entry list (first match wins).
-pub fn map_get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// An error produced while deserialising a [`Value`] into a Rust type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeError {
-    message: String,
-}
-
-impl DeError {
-    /// Creates an error with the given message.
-    pub fn new(message: impl Into<String>) -> Self {
-        DeError {
-            message: message.into(),
-        }
-    }
-
-    /// Creates a "wrong kind" error naming what was expected and found.
-    pub fn expected(what: &str, found: &Value) -> Self {
-        DeError::new(format!("expected {what}, found {}", found.kind()))
-    }
-}
-
-impl fmt::Display for DeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl std::error::Error for DeError {}

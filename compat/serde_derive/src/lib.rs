@@ -321,9 +321,15 @@ fn parse_variants(group: &proc_macro::Group) -> Vec<(String, Fields)> {
 // ---------------------------------------------------------------------------
 // Code generation
 // ---------------------------------------------------------------------------
+//
+// Generated methods name their own generics `__S` / `'__de` and their locals
+// `__*`, so they cannot collide with the item's type parameters or fields.
 
-const VALUE: &str = "::serde::value::Value";
-const DE_ERROR: &str = "::serde::value::DeError";
+const SINK: &str = "::serde::ser::Sink";
+const SOURCE: &str = "::serde::de::Source";
+const DE_ERROR: &str = "::serde::de::DeError";
+const OK: &str = "::std::result::Result::Ok";
+const ERR: &str = "::std::result::Result::Err";
 
 fn impl_header(item: &Item, trait_bound: &str) -> (String, String) {
     if item.generics.is_empty() {
@@ -347,85 +353,62 @@ fn impl_header(item: &Item, trait_bound: &str) -> (String, String) {
     )
 }
 
-fn ser_fields_named(prefix: &str, names: &[String]) -> String {
-    let entries: Vec<String> = names
-        .iter()
-        .map(|f| {
+/// Statements streaming `fields` (whose values are the expressions
+/// `{prefix}{name}`, or `{prefix}{index}` for tuple fields) as one value.
+fn ser_fields(prefix: &str, fields: &Fields) -> String {
+    let value =
+        |f: &dyn std::fmt::Display| format!("::serde::Serialize::serialize({prefix}{f}, __s);");
+    match fields {
+        Fields::Unit => format!("{SINK}::null(__s);"),
+        Fields::Tuple(1) => value(&0),
+        Fields::Tuple(n) => {
+            let items: String = (0..*n).map(|k| value(&k)).collect();
+            format!("{SINK}::begin_seq(__s, {n}); {items} {SINK}::end_seq(__s);")
+        }
+        Fields::Named(names) => {
+            let entries: String = names
+                .iter()
+                .map(|f| format!("{SINK}::key(__s, \"{f}\"); {}", value(f)))
+                .collect();
             format!(
-                "(::std::string::String::from(\"{f}\"), \
-                 ::serde::Serialize::serialize_value({prefix}{f}))"
+                "{SINK}::begin_map(__s, {}); {entries} {SINK}::end_map(__s);",
+                names.len()
             )
-        })
-        .collect();
-    format!("{VALUE}::Map(::std::vec![{}])", entries.join(", "))
-}
-
-// A missing field deserialises from `Null` (so `Option` fields tolerate
-// absence, as with real serde); required fields then fail with the field
-// name attached for diagnosability.
-fn de_fields_named(ty_path: &str, names: &[String], entries_var: &str) -> String {
-    let fields: Vec<String> = names
-        .iter()
-        .map(|f| {
-            format!(
-                "{f}: ::serde::Deserialize::deserialize_value(\
-                 ::serde::value::map_get({entries_var}, \"{f}\")\
-                 .unwrap_or(&{VALUE}::Null))\
-                 .map_err(|e| {DE_ERROR}::new(\
-                 ::std::format!(\"field `{f}` of {ty_path}: {{e}}\")))?"
-            )
-        })
-        .collect();
-    format!("{ty_path} {{ {} }}", fields.join(", "))
+        }
+    }
 }
 
 fn gen_serialize(item: &Item) -> String {
     let (impl_generics, ty_generics) = impl_header(item, "::serde::Serialize");
     let name = &item.name;
     let body = match &item.body {
-        Body::Struct(Fields::Unit) => format!("{VALUE}::Null"),
-        Body::Struct(Fields::Tuple(1)) => {
-            "::serde::Serialize::serialize_value(&self.0)".to_string()
-        }
-        Body::Struct(Fields::Tuple(n)) => {
-            let items: Vec<String> = (0..*n)
-                .map(|idx| format!("::serde::Serialize::serialize_value(&self.{idx})"))
-                .collect();
-            format!("{VALUE}::Seq(::std::vec![{}])", items.join(", "))
-        }
-        Body::Struct(Fields::Named(names)) => ser_fields_named("&self.", names),
+        Body::Struct(fields) => ser_fields("&self.", fields),
         Body::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|(vname, fields)| match fields {
-                    Fields::Unit => format!(
-                        "{name}::{vname} => {VALUE}::Str(::std::string::String::from(\"{vname}\")),"
-                    ),
-                    Fields::Tuple(n) => {
-                        let binders: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
-                        let payload = if *n == 1 {
-                            "::serde::Serialize::serialize_value(f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binders
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::serialize_value({b})"))
-                                .collect();
-                            format!("{VALUE}::Seq(::std::vec![{}])", items.join(", "))
-                        };
-                        format!(
-                            "{name}::{vname}({}) => {VALUE}::Map(::std::vec![\
-                             (::std::string::String::from(\"{vname}\"), {payload})]),",
-                            binders.join(", ")
-                        )
-                    }
-                    Fields::Named(fnames) => {
-                        let payload = ser_fields_named("", fnames);
-                        format!(
-                            "{name}::{vname} {{ {} }} => {VALUE}::Map(::std::vec![\
-                             (::std::string::String::from(\"{vname}\"), {payload})]),",
-                            fnames.join(", ")
-                        )
-                    }
+                .map(|(vname, fields)| {
+                    let pattern = match fields {
+                        Fields::Unit => {
+                            return format!("{name}::{vname} => {SINK}::str(__s, \"{vname}\"),")
+                        }
+                        Fields::Tuple(n) => {
+                            let binders: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
+                            format!("({})", binders.join(", "))
+                        }
+                        Fields::Named(fnames) => format!("{{ {} }}", fnames.join(", ")),
+                    };
+                    let prefix = if matches!(fields, Fields::Tuple(_)) {
+                        "__f"
+                    } else {
+                        ""
+                    };
+                    format!(
+                        "{name}::{vname} {pattern} => {{\
+                             {SINK}::begin_map(__s, 1); {SINK}::key(__s, \"{vname}\");\
+                             {} {SINK}::end_map(__s);\
+                         }}",
+                        ser_fields(prefix, fields)
+                    )
                 })
                 .collect();
             format!("match self {{ {} }}", arms.join(" "))
@@ -433,113 +416,133 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "impl{impl_generics} ::serde::Serialize for {name}{ty_generics} {{\
-            fn serialize_value(&self) -> {VALUE} {{ {body} }}\
+            fn serialize<__S: {SINK}>(&self, __s: &mut __S) {{ {body} }}\
          }}"
     )
+}
+
+/// Statements reading one value from `__src` as `fields`, ending in an
+/// `Ok({ty_path} ...)` expression. Named fields may arrive in any order; the
+/// first entry per field wins, unknown entries are skipped (still validated),
+/// and a field the input lacks reads as `null`, so `Option` fields tolerate
+/// absence as with real serde while required ones fail with the field named.
+fn de_fields(ty_path: &str, fields: &Fields) -> String {
+    match fields {
+        Fields::Unit => format!("{SOURCE}::skip(__src)?; {OK}({ty_path})"),
+        Fields::Tuple(1) => {
+            format!("{OK}({ty_path}(::serde::Deserialize::deserialize(__src)?))")
+        }
+        Fields::Tuple(n) => {
+            let items = vec!["::serde::Deserialize::deserialize(__src)?"; *n];
+            format!(
+                "if {SOURCE}::begin_seq(__src)? != {n} {{\
+                     return {ERR}({DE_ERROR}::new(\"wrong number of fields for {ty_path}\"));\
+                 }}\
+                 let __v = {ty_path}({});\
+                 {SOURCE}::end_seq(__src);\
+                 {OK}(__v)",
+                items.join(", ")
+            )
+        }
+        Fields::Named(names) => {
+            let context = |f: &str| {
+                format!(
+                    ".map_err(|e| {DE_ERROR}::new(\
+                     ::std::format!(\"field `{f}` of {ty_path}: {{e}}\")))?"
+                )
+            };
+            let slots: String = (0..names.len())
+                .map(|k| format!("let mut __f{k} = ::std::option::Option::None;"))
+                .collect();
+            let arms: String = names
+                .iter()
+                .enumerate()
+                .map(|(k, f)| {
+                    format!(
+                        "\"{f}\" if __f{k}.is_none() => __f{k} = ::std::option::Option::Some(\
+                         ::serde::Deserialize::deserialize(__src){}),",
+                        context(f)
+                    )
+                })
+                .collect();
+            let build: String = names
+                .iter()
+                .enumerate()
+                .map(|(k, f)| {
+                    format!(
+                        "{f}: match __f{k} {{\
+                             ::std::option::Option::Some(__v) => __v,\
+                             ::std::option::Option::None => {SOURCE}::absent(__src){},\
+                         }},",
+                        context(f)
+                    )
+                })
+                .collect();
+            format!(
+                "{slots}\
+                 for _ in 0..{SOURCE}::begin_map(__src)? {{\
+                     match {SOURCE}::key(__src)? {{ {arms} _ => {SOURCE}::skip(__src)?, }}\
+                 }}\
+                 {SOURCE}::end_map(__src);\
+                 {OK}({ty_path} {{ {build} }})"
+            )
+        }
+    }
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let (impl_generics, ty_generics) = impl_header(item, "::serde::Deserialize");
     let name = &item.name;
     let body = match &item.body {
-        Body::Struct(Fields::Unit) => {
-            format!("::std::result::Result::Ok({name})")
-        }
-        Body::Struct(Fields::Tuple(1)) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::deserialize_value(v)?))"
-        ),
-        Body::Struct(Fields::Tuple(n)) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Deserialize::deserialize_value(&items[{k}])?"))
-                .collect();
-            format!(
-                "let items = v.as_seq().ok_or_else(|| {DE_ERROR}::expected(\"tuple struct {name}\", v))?;\
-                 if items.len() != {n} {{\
-                     return ::std::result::Result::Err({DE_ERROR}::new(\
-                         \"wrong number of fields for tuple struct {name}\"));\
-                 }}\
-                 ::std::result::Result::Ok({name}({}))",
-                items.join(", ")
-            )
-        }
-        Body::Struct(Fields::Named(names)) => {
-            let build = de_fields_named(name, names, "entries");
-            format!(
-                "let entries = v.as_map().ok_or_else(|| {DE_ERROR}::expected(\"struct {name}\", v))?;\
-                 ::std::result::Result::Ok({build})"
-            )
-        }
+        Body::Struct(fields) => de_fields(name, fields),
         Body::Enum(variants) => gen_deserialize_enum(name, variants),
     };
     format!(
         "impl{impl_generics} ::serde::Deserialize for {name}{ty_generics} {{\
-            fn deserialize_value(v: &{VALUE}) -> ::std::result::Result<Self, {DE_ERROR}> {{ {body} }}\
+            fn deserialize<'__de, __S: {SOURCE}<'__de>>(__src: &mut __S) \
+                -> ::std::result::Result<Self, {DE_ERROR}> {{ {body} }}\
          }}"
     )
 }
 
+/// Externally tagged: a unit variant is its name as a string, any other a
+/// one-entry map from its name to its fields.
 fn gen_deserialize_enum(name: &str, variants: &[(String, Fields)]) -> String {
-    let unit_arms: Vec<String> = variants
+    let unit_arms: String = variants
         .iter()
         .filter(|(_, f)| matches!(f, Fields::Unit))
-        .map(|(vname, _)| format!("\"{vname}\" => ::std::result::Result::Ok({name}::{vname}),"))
+        .map(|(vname, _)| format!("\"{vname}\" => {OK}({name}::{vname}),"))
         .collect();
-    let tagged_arms: Vec<String> = variants
+    let tagged_arms: String = variants
         .iter()
         .filter(|(_, f)| !matches!(f, Fields::Unit))
-        .map(|(vname, fields)| match fields {
-            Fields::Unit => unreachable!(),
-            Fields::Tuple(1) => format!(
-                "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}(\
-                 ::serde::Deserialize::deserialize_value(payload)?)),"
-            ),
-            Fields::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|k| format!("::serde::Deserialize::deserialize_value(&items[{k}])?"))
-                    .collect();
-                format!(
-                    "\"{vname}\" => {{\
-                         let items = payload.as_seq().ok_or_else(|| \
-                             {DE_ERROR}::expected(\"fields of {name}::{vname}\", payload))?;\
-                         if items.len() != {n} {{\
-                             return ::std::result::Result::Err({DE_ERROR}::new(\
-                                 \"wrong number of fields for {name}::{vname}\"));\
-                         }}\
-                         ::std::result::Result::Ok({name}::{vname}({}))\
-                     }}",
-                    items.join(", ")
-                )
-            }
-            Fields::Named(fnames) => {
-                let build = de_fields_named(&format!("{name}::{vname}"), fnames, "inner");
-                format!(
-                    "\"{vname}\" => {{\
-                         let inner = payload.as_map().ok_or_else(|| \
-                             {DE_ERROR}::expected(\"fields of {name}::{vname}\", payload))?;\
-                         ::std::result::Result::Ok({build})\
-                     }}"
-                )
-            }
+        .map(|(vname, fields)| {
+            format!(
+                "\"{vname}\" => {{ {} }}",
+                de_fields(&format!("{name}::{vname}"), fields)
+            )
         })
         .collect();
     format!(
-        "match v {{\
-             {VALUE}::Str(tag) => match tag.as_str() {{\
+        "match {SOURCE}::peek(__src)? {{\
+             ::serde::de::Kind::Str => match {SOURCE}::str(__src)? {{\
                  {unit_arms}\
-                 other => ::std::result::Result::Err({DE_ERROR}::new(::std::format!(\
+                 other => {ERR}({DE_ERROR}::new(::std::format!(\
                      \"unknown unit variant `{{other}}` of enum {name}\"))),\
              }},\
-             {VALUE}::Map(entries) if entries.len() == 1 => {{\
-                 let (tag, payload) = &entries[0];\
-                 match tag.as_str() {{\
-                     {tagged_arms}\
-                     other => ::std::result::Result::Err({DE_ERROR}::new(::std::format!(\
-                         \"unknown variant `{{other}}` of enum {name}\"))),\
+             ::serde::de::Kind::Map => {{\
+                 if {SOURCE}::begin_map(__src)? != 1 {{\
+                     return {ERR}({DE_ERROR}::new(\"expected enum {name}, found map\"));\
                  }}\
+                 let __v: Self = match {SOURCE}::key(__src)? {{\
+                     {tagged_arms}\
+                     other => {ERR}({DE_ERROR}::new(::std::format!(\
+                         \"unknown variant `{{other}}` of enum {name}\"))),\
+                 }}?;\
+                 {SOURCE}::end_map(__src);\
+                 {OK}(__v)\
              }}\
-             other => ::std::result::Result::Err({DE_ERROR}::expected(\"enum {name}\", other)),\
-         }}",
-        unit_arms = unit_arms.join(" "),
-        tagged_arms = tagged_arms.join(" "),
+             other => {ERR}({DE_ERROR}::expected(\"enum {name}\", other)),\
+         }}"
     )
 }

@@ -3,7 +3,10 @@
 //! Provides the four entry points the WBAM workspace uses —
 //! [`to_string`], [`to_vec`], [`from_str`], [`from_slice`] — implemented as a
 //! plain recursive-descent JSON parser and printer over the shim's
-//! [`serde::value::Value`] model. Full round-trip fidelity is guaranteed for
+//! [`serde::value::Value`] tree, which typed values reach through
+//! [`serde::value::to_value`] / [`serde::value::from_value`]. JSON carries
+//! `DeploySpec`s, delivery logs and `--wire json` debugging, none of them
+//! hot, so it keeps the tree. Full round-trip fidelity is guaranteed for
 //! everything the shim can represent: `u64`/`i64` exactly, `f64` via Rust's
 //! shortest round-trip formatting, strings with standard JSON escapes.
 
@@ -49,7 +52,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// cannot represent.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.serialize_value())?;
+    write_value(&mut out, &serde::value::to_value(value))?;
     Ok(out)
 }
 
@@ -75,7 +78,7 @@ pub fn from_str<T: DeserializeOwned>(input: &str) -> Result<T> {
     if !parser.at_end() {
         return Err(Error::new("trailing characters after JSON value"));
     }
-    T::deserialize_value(&value).map_err(|e| Error::new(e.to_string()))
+    serde::value::from_value(&value).map_err(|e| Error::new(e.to_string()))
 }
 
 /// Deserialises a value from JSON bytes.

@@ -205,9 +205,17 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// A line-buffered JSONL sink; `None` path writes nowhere.
+/// A JSONL sink; `None` path writes nowhere. Records are [`push`]ed into a
+/// reused buffer and reach the file on [`flush`], one `write(2)` per burst
+/// instead of one per record. The run loops flush every burst of deliveries
+/// they drain before they wait again, so a delivery handed out is in the log
+/// before the next one can be, and a SIGKILL tears at most the last line.
+///
+/// [`push`]: JsonlSink::push
+/// [`flush`]: JsonlSink::flush
 struct JsonlSink {
     file: Option<std::fs::File>,
+    pending: Vec<u8>,
 }
 
 impl JsonlSink {
@@ -222,16 +230,26 @@ impl JsonlSink {
                     .map_err(WbamError::from)?,
             ),
         };
-        Ok(JsonlSink { file })
+        Ok(JsonlSink {
+            file,
+            pending: Vec::new(),
+        })
     }
 
-    fn write<T: Serialize>(&mut self, record: &T) -> Result<(), WbamError> {
-        let Some(file) = self.file.as_mut() else {
-            return Ok(());
-        };
-        let line = to_json(record)?;
-        writeln!(file, "{line}").map_err(WbamError::from)?;
-        file.flush().map_err(WbamError::from)
+    fn push<T: Serialize>(&mut self, record: &T) -> Result<(), WbamError> {
+        if self.file.is_some() {
+            self.pending.extend_from_slice(to_json(record)?.as_bytes());
+            self.pending.push(b'\n');
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), WbamError> {
+        if let Some(file) = self.file.as_mut() {
+            file.write_all(&self.pending).map_err(WbamError::from)?;
+            self.pending.clear();
+        }
+        Ok(())
     }
 }
 
@@ -305,20 +323,25 @@ where
     let id = node.id();
     let mut seen = 0u64;
     let mut reported_drops = 0u64;
-    let reason = loop {
-        if let Some(reason) = stop.stopped() {
-            break reason;
-        }
-        node.wait_for_total(seen + 1, Duration::from_millis(250))?;
+    // Logs whatever has been delivered since the last call, as one write.
+    let mut log_deliveries = |seen: &mut u64| -> Result<(), WbamError> {
         for d in node.drain_deliveries()? {
-            seen += 1;
-            sink.write(&DeliveryLine::new(
+            *seen += 1;
+            sink.push(&DeliveryLine::new(
                 id,
                 d.delivery.msg.id,
                 d.delivery.global_ts,
                 d.elapsed,
             ))?;
         }
+        sink.flush()
+    };
+    let reason = loop {
+        if let Some(reason) = stop.stopped() {
+            break reason;
+        }
+        node.wait_for_total(seen + 1, Duration::from_millis(250))?;
+        log_deliveries(&mut seen)?;
         let dropped = node.dropped_frames();
         if dropped > reported_drops {
             eprintln!(
@@ -331,15 +354,7 @@ where
     };
     // Final drain: deliveries the protocol completed between the last wait
     // and the stop request still reach the log before the process exits.
-    for d in node.drain_deliveries()? {
-        seen += 1;
-        sink.write(&DeliveryLine::new(
-            id,
-            d.delivery.msg.id,
-            d.delivery.global_ts,
-            d.elapsed,
-        ))?;
-    }
+    log_deliveries(&mut seen)?;
     let dropped = node.dropped_frames();
     eprintln!(
         "wbamd: p{} graceful stop ({reason}): delivered={seen} dropped_frames={dropped} by_peer={:?}",
@@ -429,7 +444,7 @@ where
             for d in completions {
                 let msg_id = d.delivery.msg.id;
                 if measured {
-                    sink.write(&DeliveryLine::new(
+                    sink.push(&DeliveryLine::new(
                         id,
                         msg_id,
                         d.delivery.global_ts,
@@ -449,6 +464,7 @@ where
                     submitted += 1;
                 }
             }
+            sink.flush()?;
         }
     }
 

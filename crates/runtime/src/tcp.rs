@@ -188,9 +188,10 @@ impl PollerWaker {
 /// frame loss that the fair-lossy model would otherwise hide completely.
 #[derive(Debug, Default)]
 pub struct TransportStats {
-    /// Frames dropped at [`OUTBUF_CAP`], per destination peer. The peer set
-    /// is fixed at spawn, so the map itself is never mutated — only the
-    /// counters — and reads need no lock.
+    /// Frames dropped at [`OUTBUF_CAP`], or before that for not fitting a
+    /// frame at all ([`MAX_FRAME_LEN`](wbam_types::wire::MAX_FRAME_LEN)), per
+    /// destination peer. The peer set is fixed at spawn, so the map itself
+    /// is never mutated — only the counters — and reads need no lock.
     dropped: BTreeMap<ProcessId, AtomicU64>,
 }
 
@@ -207,8 +208,8 @@ impl TransportStats {
         }
     }
 
-    /// Total frames dropped at the output-buffer cap, across all peers.
-    /// Zero in any run where no peer stayed down long enough to fill 8 MiB.
+    /// Total frames dropped, across all peers. Zero in any run where no peer
+    /// stayed down long enough to fill 8 MiB and no message outgrew a frame.
     pub fn dropped_frames(&self) -> u64 {
         self.dropped
             .values()
@@ -216,8 +217,8 @@ impl TransportStats {
             .sum()
     }
 
-    /// Frames dropped at the output-buffer cap, by destination peer (peers
-    /// with zero drops are omitted).
+    /// Frames dropped, by destination peer (peers with zero drops are
+    /// omitted).
     pub fn dropped_frames_by_peer(&self) -> BTreeMap<ProcessId, u64> {
         self.dropped
             .iter()
@@ -248,6 +249,7 @@ pub struct TcpTransport<M> {
     cmd_tx: Sender<PollerCmd>,
     waker: PollerWaker,
     peers: HashSet<ProcessId>,
+    stats: Arc<TransportStats>,
 }
 
 impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
@@ -299,7 +301,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
         let handle = PollerHandle {
             cmd_tx: cmd_tx.clone(),
             waker: waker.clone(),
-            stats,
+            stats: Arc::clone(&stats),
             thread,
         };
         Ok((
@@ -310,16 +312,28 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
                 cmd_tx,
                 waker,
                 peers,
+                stats,
             },
             handle,
         ))
     }
+}
 
-    fn encode(&self, msg: M) -> Option<Bytes> {
-        // An unencodable message (e.g. over MAX_FRAME_LEN) is dropped: it
-        // could never reach the peer, and retrying cannot help.
-        encode_frame_with(self.codec, &WireFrame::Protocol(msg)).ok()
+/// Encodes `msg` as a protocol frame for `to`. An unencodable message (over
+/// `MAX_FRAME_LEN`, e.g. an oversized state transfer) is dropped — it could
+/// never reach the peer, and retrying cannot help — but like every dropped
+/// frame it is counted against the peer, never lost silently.
+fn encode_for<M: Serialize>(
+    codec: WireCodec,
+    to: ProcessId,
+    msg: M,
+    stats: &TransportStats,
+) -> Option<Bytes> {
+    let frame = encode_frame_with(codec, &WireFrame::Protocol(msg)).ok();
+    if frame.is_none() {
+        stats.record_drop(to);
     }
+    frame
 }
 
 impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpTransport<M> {
@@ -336,7 +350,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpTrans
                     msg,
                 });
             } else if self.peers.contains(&to) {
-                if let Some(frame) = self.encode(msg) {
+                if let Some(frame) = encode_for(self.codec, to, msg, &self.stats) {
                     frames.push((to, frame));
                 }
             }
@@ -1081,8 +1095,8 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         self.stats.dropped_frames()
     }
 
-    /// Frames dropped at the output-buffer cap, by destination peer (peers
-    /// with zero drops are omitted).
+    /// Frames dropped, by destination peer (peers with zero drops are
+    /// omitted).
     pub fn dropped_frames_by_peer(&self) -> BTreeMap<ProcessId, u64> {
         self.stats.dropped_frames_by_peer()
     }
@@ -1452,6 +1466,21 @@ mod tests {
         );
         assert_eq!(stats.dropped_frames(), 2);
         assert_eq!(peers[&ProcessId(7)].queued(), OUTBUF_CAP - 10);
+    }
+
+    /// A message too large for any frame never reaches the poller, so the
+    /// transport itself must count it: same counter, same per-peer view.
+    #[test]
+    fn unencodable_frames_are_dropped_and_counted() {
+        let stats = TransportStats::for_peers([ProcessId(7)]);
+        let fits = encode_for(WireCodec::Binary, ProcessId(7), vec![3u8; 64], &stats);
+        assert!(fits.is_some());
+        assert_eq!(stats.dropped_frames(), 0);
+
+        let oversized = vec![3u8; wbam_types::wire::MAX_FRAME_LEN];
+        assert!(encode_for(WireCodec::Binary, ProcessId(7), oversized, &stats).is_none());
+        assert_eq!(stats.dropped_frames(), 1);
+        assert_eq!(stats.dropped_frames_by_peer()[&ProcessId(7)], 1);
     }
 
     /// Regression for split reads on the accept path: the 4-byte preamble,

@@ -7,7 +7,8 @@
 //! [`WireCodec`]:
 //!
 //! * [`WireCodec::Binary`] (the default) — the compact `serde_binary` format:
-//!   varint integers, interned map keys, packed byte payloads. This is the
+//!   varint integers, interned map keys, packed byte payloads, streamed
+//!   straight between the typed message and the frame's bytes. This is the
 //!   deployed runtime's codec; `WIRE.md` at the repo root specifies it
 //!   byte-for-byte.
 //! * [`WireCodec::Json`] — self-describing `serde_json` bodies, kept for
@@ -18,7 +19,7 @@
 //! cluster fails fast with a clear error instead of surfacing as garbled
 //! frame decodes. See [`encode_preamble`] / [`check_preamble`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -144,22 +145,23 @@ pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result
 /// corrupt length prefix the peer cannot resync from, and any frame longer
 /// than [`MAX_FRAME_LEN`] would be rejected by the receiving decode anyway.
 pub fn encode_frame_with<M: Serialize>(codec: WireCodec, msg: &M) -> Result<Bytes, WbamError> {
-    let body = match codec {
-        WireCodec::Json => serde_json::to_vec(msg).map_err(|e| WbamError::Codec(e.to_string()))?,
-        WireCodec::Binary => {
-            serde_binary::to_vec(msg).map_err(|e| WbamError::Codec(e.to_string()))?
-        }
-    };
-    if body.len() > MAX_FRAME_LEN {
+    // One buffer: the body is written behind a placeholder for its length.
+    let mut frame = Vec::with_capacity(256);
+    frame.extend_from_slice(&[0; 4]);
+    match codec {
+        WireCodec::Json => frame.extend_from_slice(
+            &serde_json::to_vec(msg).map_err(|e| WbamError::Codec(e.to_string()))?,
+        ),
+        WireCodec::Binary => serde_binary::encode_into(msg, &mut frame),
+    }
+    let body_len = frame.len() - 4;
+    if body_len > MAX_FRAME_LEN {
         return Err(WbamError::Codec(format!(
-            "frame body of {} bytes exceeds maximum {MAX_FRAME_LEN}",
-            body.len()
+            "frame body of {body_len} bytes exceeds maximum {MAX_FRAME_LEN}"
         )));
     }
-    let mut buf = BytesMut::with_capacity(4 + body.len());
-    buf.put_u32(body.len() as u32);
-    buf.put_slice(&body);
-    Ok(buf.freeze())
+    frame[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
+    Ok(Bytes::from(frame))
 }
 
 /// Attempts to decode one frame from the front of the byte slice `input`.
@@ -268,6 +270,7 @@ pub fn from_json<M: DeserializeOwned>(json: &str) -> Result<M, WbamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use serde::Deserialize;
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

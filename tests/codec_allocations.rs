@@ -1,0 +1,57 @@
+//! Allocation gate for the binary wire codec: encoding a frame and decoding
+//! it back stream between the typed message and the frame's bytes, so each
+//! costs a handful of allocator calls and a small multiple of the frame's
+//! length, whatever the payload size. A codec that lowers messages to a
+//! `Value` tree first allocates a `String` per field name and 32 bytes per
+//! payload byte, and fails this on both counts.
+
+mod common;
+
+use common::{measure, CountingAlloc};
+use wbam_core::WhiteBoxMsg;
+use wbam_types::wire::{decode_frame_slice, encode_frame_with, WireCodec};
+use wbam_types::{AppMessage, Ballot, Destination, GroupId, MsgId, Payload, ProcessId, Timestamp};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const MAX_CALLS: usize = 16;
+
+fn accept(payload_len: usize) -> WhiteBoxMsg {
+    WhiteBoxMsg::Accept {
+        msg: AppMessage::new(
+            MsgId::new(ProcessId(6), 41),
+            Destination::new(vec![GroupId(0), GroupId(1)]).expect("non-empty destination"),
+            Payload::from(vec![0xA5u8; payload_len]),
+        ),
+        group: GroupId(0),
+        ballot: Ballot::new(1, ProcessId(0)),
+        local_ts: Timestamp::new(77, GroupId(0)),
+    }
+}
+
+#[test]
+fn binary_frames_encode_and_decode_within_an_allocation_budget() {
+    for payload_len in [20, 4096] {
+        let msg = accept(payload_len);
+        let (frame, encode) = measure(|| encode_frame_with(WireCodec::Binary, &msg));
+        let frame = frame.expect("encode");
+        let (decoded, decode) =
+            measure(|| decode_frame_slice::<WhiteBoxMsg>(WireCodec::Binary, &frame));
+        let (back, consumed) = decoded.expect("decode").expect("full frame");
+        assert_eq!(back, msg);
+        assert_eq!(consumed, frame.len());
+
+        let max_bytes = 4 * frame.len() + 1024;
+        for (what, made) in [("encode", encode), ("decode", decode)] {
+            assert!(
+                made.calls <= MAX_CALLS && made.bytes <= max_bytes,
+                "{what} of a {}-byte frame ({payload_len} B payload) made {} allocator calls \
+                 for {} bytes; the budget is {MAX_CALLS} calls and {max_bytes} bytes",
+                frame.len(),
+                made.calls,
+                made.bytes,
+            );
+        }
+    }
+}

@@ -7,7 +7,14 @@
 //! as a single frame and as concatenated frames fed to the decoder at
 //! randomized split points (the way a TCP reader actually sees them). The
 //! preamble handshake that keeps mixed-codec clusters from ever exchanging
-//! frames is regression-tested at the bottom.
+//! frames is regression-tested below that.
+//!
+//! The last section holds the binary codec's streaming encoder and decoder
+//! (typed value <-> frame bytes, what the runtime runs) to its reference
+//! tree encoder and decoder (`Value` <-> bytes): same bytes out, same value
+//! or an error from both on any input, hostile input included.
+
+mod common;
 
 use std::collections::BTreeMap;
 
@@ -16,17 +23,23 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::de::DeserializeOwned;
-use serde::Serialize;
+use serde::value::{from_value, to_value, Value};
+use serde::{Deserialize, Serialize};
 use wbam_baselines::{BaselineMsg, Command};
 use wbam_consensus::{PaxosMsg, Slot};
 use wbam_core::{AcceptEntry, DeliverEntry, RecordSnapshot, StateSnapshot, WhiteBoxMsg};
+use wbam_harness::{DeliveryLine, DeploySpec};
 use wbam_types::wire::{
-    check_preamble, decode_frame_with, encode_frame_with, encode_preamble, WireCodec,
+    check_preamble, decode_frame_with, encode_frame_with, encode_preamble, from_json, to_json,
+    WireCodec,
 };
 use wbam_types::{
     AppMessage, Ballot, Checkpoint, DeliveredFilter, Destination, GroupId, MsgId, Payload, Phase,
     ProcessId, Timestamp,
 };
+
+#[global_allocator]
+static ALLOC: common::CountingAlloc = common::CountingAlloc;
 
 // --- random builders -------------------------------------------------------
 
@@ -529,6 +542,322 @@ fn json_and_binary_handshakes_reject_each_other() {
                 !matches!(&result, Ok(Some(m)) if m == &msg),
                 "{enc} frame of variant {variant} decoded identically under {dec}"
             );
+        }
+    }
+}
+
+// --- streaming codec vs reference tree codec -------------------------------
+
+/// The streaming encoder writes exactly the bytes the reference encoder
+/// writes for the value's tree (WIRE.md §5), framed or not.
+fn assert_encodes_like_tree<T: Serialize>(value: &T) {
+    let reference = serde_binary::value_to_vec(&to_value(value));
+    assert_eq!(serde_binary::to_vec(value).expect("encode"), reference);
+    let frame = encode_frame_with(WireCodec::Binary, value).expect("encode frame");
+    assert_eq!(frame[..4], (reference.len() as u32).to_be_bytes());
+    assert_eq!(frame[4..], reference[..]);
+}
+
+/// The streaming decoder and the reference path (bytes -> tree -> `T`) give
+/// the same value, or both refuse. Returns the value if there is one.
+fn assert_decodes_like_tree<T>(bytes: &[u8]) -> Option<T>
+where
+    T: DeserializeOwned + PartialEq + std::fmt::Debug,
+{
+    let streamed = serde_binary::from_slice::<T>(bytes);
+    let reference = serde_binary::value_from_slice(bytes)
+        .and_then(|tree| from_value::<T>(&tree).map_err(Into::into));
+    match (streamed, reference) {
+        (Ok(streamed), Ok(reference)) => {
+            assert_eq!(streamed, reference);
+            Some(streamed)
+        }
+        (Err(_), Err(_)) => None,
+        (streamed, reference) => {
+            panic!("decoders disagree on {bytes:?}: streamed {streamed:?}, reference {reference:?}")
+        }
+    }
+}
+
+fn assert_codecs_agree<T>(value: &T)
+where
+    T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug,
+{
+    assert_encodes_like_tree(value);
+    let bytes = serde_binary::to_vec(value).expect("encode");
+    assert_eq!(assert_decodes_like_tree::<T>(&bytes).as_ref(), Some(value));
+}
+
+fn app_message_with_payload(len: usize) -> AppMessage {
+    AppMessage::new(
+        MsgId::new(ProcessId(6), 300),
+        Destination::new(vec![GroupId(0), GroupId(200)]).expect("non-empty destination"),
+        Payload::from((0..len).map(|i| (i * 7) as u8).collect::<Vec<u8>>()),
+    )
+}
+
+/// §5.4 packing is decided by the values, not the types: any non-empty
+/// sequence of integers `<= 255` is `Bytes`, whatever Rust type it came
+/// from, and nothing else is.
+#[test]
+fn small_integer_sequences_and_payloads_match_the_reference() {
+    for ints in [
+        vec![],
+        vec![0],
+        vec![127],
+        vec![128],
+        vec![255],
+        vec![256],
+        vec![1, 2, 300],
+        vec![300, 1, 2],
+        vec![0, 127, 128, 255],
+        (0..=255).collect(),
+        (0..=256).collect(),
+    ] {
+        assert_codecs_agree::<Vec<u64>>(&ints);
+        let packed = !ints.is_empty() && ints.iter().all(|&n| n <= 255);
+        let tag = serde_binary::to_vec(&ints).unwrap()[0];
+        assert_eq!(tag, if packed { 0x09 } else { 0x07 }, "{ints:?}");
+    }
+    assert_codecs_agree(&vec![-1i64, 1, 2]);
+    assert_codecs_agree(&(200u8, 7u32));
+    assert_codecs_agree(&(1u8, "x".to_string(), 2u8));
+    assert_codecs_agree(&vec![(1u32, 2u32), (3, 400)]);
+    assert_codecs_agree(&vec![vec![1u64, 2], vec![], vec![3, 1000]]);
+    assert_codecs_agree(&vec![Some(1u8), None, Some(3)]);
+    assert_codecs_agree(&vec![vec![vec![9u8; 3]; 2]; 2]);
+    assert_codecs_agree(&BTreeMap::from([(1u8, 2u8), (3, 4)]));
+    assert_codecs_agree(&BTreeMap::from([
+        (GroupId(1), vec![0u8; 0]),
+        (GroupId(2), vec![1]),
+    ]));
+    assert_codecs_agree(&std::time::Duration::new(3, 999_999_999));
+    assert_codecs_agree(&(1.5f64, 'é', (), true));
+    for len in [0, 1, 20, 4096] {
+        assert_codecs_agree(&app_message_with_payload(len));
+        assert_codecs_agree(&WhiteBoxMsg::Multicast {
+            msg: app_message_with_payload(len),
+        });
+    }
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Probe {
+    a: u64,
+    b: Option<u32>,
+    c: Vec<u8>,
+    d: (),
+}
+
+fn map(entries: Vec<(&str, Value)>) -> Value {
+    Value::Map(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// Struct decoding rules both paths share: entries in any order, unknown
+/// entries skipped — including the keys they intern, which later entries
+/// refer to by index — the first of a repeated entry wins, and an absent
+/// entry reads as `null` (`None`, `()`) or fails if the field needs a value.
+#[test]
+fn unknown_repeated_and_absent_fields_decode_like_the_reference() {
+    let tree = map(vec![
+        (
+            "unknown",
+            Value::Seq(vec![
+                Value::Null,
+                Value::Str("skipped".into()),
+                map(vec![("a", Value::F64(0.5)), ("inner", Value::I64(-3))]),
+                Value::Seq((0..4).map(Value::U64).collect()),
+            ]),
+        ),
+        ("c", Value::Seq(vec![Value::U64(1), Value::U64(300 - 45)])),
+        ("a", Value::U64(7)),
+        ("a", Value::U64(9)),
+        ("inner", Value::Bool(true)),
+    ]);
+    let bytes = serde_binary::value_to_vec(&tree);
+    let probe = assert_decodes_like_tree::<Probe>(&bytes).expect("decodes");
+    assert_eq!(
+        probe,
+        Probe {
+            a: 7,
+            b: None,
+            c: vec![1, 255],
+            d: (),
+        }
+    );
+
+    // A `Vec<u8>` also arrives unpacked (a foreign encoder may not pack).
+    let unpacked = [
+        0x08, 2, 0, 1, b'a', 0x81, 0, 1, b'c', 0x07, 2, 0x81, 0x03, 0xFF, 0x01,
+    ];
+    let probe = assert_decodes_like_tree::<Probe>(&unpacked).expect("decodes");
+    assert_eq!((probe.a, probe.c), (1, vec![1, 255]));
+
+    // A required field that is absent, a wrong kind, an out-of-range byte.
+    for tree in [
+        map(vec![("c", Value::Seq(vec![]))]),
+        map(vec![
+            ("a", Value::Str("7".into())),
+            ("c", Value::Seq(vec![])),
+        ]),
+        map(vec![
+            ("a", Value::U64(7)),
+            ("c", Value::Seq(vec![Value::U64(256)])),
+        ]),
+        Value::Seq(vec![]),
+    ] {
+        let bytes = serde_binary::value_to_vec(&tree);
+        assert_eq!(assert_decodes_like_tree::<Probe>(&bytes), None, "{tree:?}");
+    }
+}
+
+/// JSON goes through the `Value` tree as before; its text is pinned to what
+/// the tree-lowering serde shim printed for the same values.
+#[test]
+fn json_text_is_unchanged() {
+    let spec = DeploySpec {
+        protocol: "WbCast".into(),
+        num_groups: 2,
+        group_size: 3,
+        num_clients: 1,
+        addrs: vec!["127.0.0.1:7000".into(), "127.0.0.1:7001".into()],
+        max_batch: 1,
+        batch_delay_ms: 0,
+        compaction_interval: 256,
+        compaction_lag: 64,
+        heartbeat_ms: 50,
+        election_timeout_ms: 400,
+        retry_timeout_ms: 1000,
+        wire: None,
+        routes: Some(vec![vec!["a\"b".into()], vec![]]),
+    };
+    let spec_json = concat!(
+        r#"{"protocol":"WbCast","num_groups":2,"group_size":3,"num_clients":1,"#,
+        r#""addrs":["127.0.0.1:7000","127.0.0.1:7001"],"max_batch":1,"batch_delay_ms":0,"#,
+        r#""compaction_interval":256,"compaction_lag":64,"heartbeat_ms":50,"#,
+        r#""election_timeout_ms":400,"retry_timeout_ms":1000,"wire":null,"#,
+        r#""routes":[["a\"b"],[]]}"#
+    );
+    assert_eq!(to_json(&spec).unwrap(), spec_json);
+    assert_eq!(from_json::<DeploySpec>(spec_json).unwrap(), spec);
+    // `wire` and `routes` are optional in a hand-written spec.
+    let terse = spec_json.replace(r#","wire":null,"routes":[["a\"b"],[]]"#, "");
+    assert_eq!(
+        from_json::<DeploySpec>(&terse).unwrap(),
+        DeploySpec {
+            routes: None,
+            ..spec
+        }
+    );
+
+    let line = DeliveryLine {
+        process: 1,
+        sender: 6,
+        seq: 300,
+        gts_time: 12_345_678_901,
+        gts_group: u32::MAX,
+        elapsed_ms: 12.5,
+    };
+    assert_eq!(
+        to_json(&line).unwrap(),
+        r#"{"process":1,"sender":6,"seq":300,"gts_time":12345678901,"gts_group":4294967295,"elapsed_ms":12.5}"#
+    );
+
+    let accept = WhiteBoxMsg::Accept {
+        msg: AppMessage::new(
+            MsgId::new(ProcessId(6), 9),
+            Destination::new(vec![GroupId(0), GroupId(200)]).unwrap(),
+            Payload::from(vec![0u8, 127, 128, 255]),
+        ),
+        group: GroupId(1),
+        ballot: Ballot::new(3, ProcessId(2)),
+        local_ts: Timestamp::BOTTOM,
+    };
+    assert_eq!(
+        to_json(&accept).unwrap(),
+        concat!(
+            r#"{"Accept":{"msg":{"id":{"sender":6,"seq":9},"dest":[0,200],"#,
+            r#""payload":[0,127,128,255]},"group":1,"#,
+            r#""ballot":{"Proper":{"round":3,"leader":2}},"local_ts":"Bottom"}}"#
+        )
+    );
+}
+
+/// One hostile edit of a valid body: cut it short, flip one byte, or replace
+/// one byte with the varint of a huge length or count.
+fn mutate(body: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let at = rng.gen_range(0..body.len());
+    match rng.gen_range(0..3) {
+        0 => body[..at].to_vec(),
+        1 => {
+            let mut flipped = body.to_vec();
+            flipped[at] ^= rng.gen_range(1..=255) as u8;
+            flipped
+        }
+        _ => {
+            let huge: &[u8] = if rng.gen_bool(0.5) {
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F] // u32::MAX
+            } else {
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F] // i64::MAX
+            };
+            [&body[..at], huge, &body[at + 1..]].concat()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every variant of all three message enums: same bytes from both
+    /// encoders, same value back from both decoders.
+    #[test]
+    fn streaming_codec_matches_the_reference_on_every_variant(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for variant in 0..WHITEBOX_VARIANTS {
+            assert_codecs_agree(&arb_whitebox(&mut rng, variant));
+        }
+        for variant in 0..BASELINE_VARIANTS {
+            assert_codecs_agree(&arb_baseline(&mut rng, variant));
+        }
+        for variant in 0..PAXOS_VARIANTS {
+            assert_codecs_agree(&arb_paxos(&mut rng, variant));
+        }
+    }
+
+    /// Hostile input (WIRE.md §5.5): the typed decoder answers a mutated
+    /// frame with an error or a value — the same as the reference — without
+    /// panicking, and without allocating beyond what the input's length can
+    /// account for: a spliced-in length of 2^32 or 2^63 must be refused
+    /// before anything is reserved for it.
+    #[test]
+    fn mutated_frames_are_refused_or_decoded_without_over_allocation(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for variant in 0..WHITEBOX_VARIANTS {
+            let body = serde_binary::to_vec(&arb_whitebox(&mut rng, variant)).expect("encode");
+            for _ in 0..8 {
+                let mutated = mutate(&body, &mut rng);
+                let (_, made) =
+                    common::measure(|| serde_binary::from_slice::<WhiteBoxMsg>(&mutated).ok());
+                // Decoded data is a small multiple of the input (the worst
+                // case is a one-entry `BTreeMap<MsgId, RecordSnapshot>`, whose
+                // first insertion allocates an 11-slot node); the constant
+                // covers the key table and an error message.
+                let allowed = 64 * mutated.len() + 4096;
+                prop_assert!(
+                    made.bytes <= allowed && made.calls <= mutated.len() + 8,
+                    "{} allocator calls for {} bytes on {} bytes of input {:?}",
+                    made.calls,
+                    made.bytes,
+                    mutated.len(),
+                    mutated
+                );
+                assert_decodes_like_tree::<WhiteBoxMsg>(&mutated);
+            }
         }
     }
 }
