@@ -3,12 +3,12 @@
 //! `libc`/`mio`/`signal-hook` crates, in keeping with the workspace's
 //! hermetic `compat/` policy (see README.md).
 //!
-//! The poll half exists for exactly one consumer: the single poller thread of
-//! the TCP transport in `wbam-runtime`. The poller multiplexes its listener,
-//! every peer socket and a [`WakePipe`] through [`poll`], so inbound bytes
-//! wake it the instant the kernel marks a socket readable and the node thread
-//! wakes it explicitly (one byte down the pipe) when it queues outbound
-//! frames — no timed parking on either path.
+//! The poll half exists for exactly one consumer: the reactor thread of a
+//! `wbam-runtime` `TcpNode`. The reactor multiplexes its listener, every peer
+//! socket and a [`WakePipe`] through [`poll`], so inbound bytes wake it the
+//! instant the kernel marks a socket readable, the node's next timer deadline
+//! rides on the `poll` timeout, and another thread (a `submit`, a finished
+//! dial) wakes it explicitly with one byte down the pipe.
 //!
 //! The signal half ([`send_signal`], [`Signal`], [`termination_flag`]) exists
 //! for the deployed fault-injection harness in `wbam-harness`: the `net_chaos`
@@ -22,8 +22,7 @@
 //! POSIX, and the handful of constants baked in below are identical across
 //! the Unixes this workspace builds on (Linux values, with the Darwin/BSD
 //! `O_NONBLOCK` difference handled explicitly). On non-Unix targets the
-//! crate compiles to nothing and the transport falls back to its portable
-//! spin-then-park loop.
+//! crate compiles to nothing, and `wbam-runtime` refuses to build.
 //!
 //! The API is safe: all `unsafe` is contained in this crate, behind
 //! bounds-checked wrappers, so consumers keep their `#![forbid(unsafe_code)]`.
@@ -142,18 +141,15 @@ mod unix {
     }
 
     /// Converts a timeout to `poll(2)` milliseconds: `None` blocks
-    /// indefinitely; sub-millisecond non-zero waits round *up* so a caller
-    /// asking for "a little while" never gets a busy-spinning zero.
-    fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    /// indefinitely, and every other wait rounds *up* to the next whole
+    /// millisecond. A caller sleeping until a deadline therefore never wakes
+    /// before it (a floored 1.9 ms would wake at 1 ms, find nothing due and
+    /// poll again) and a non-zero wait is never a busy-spinning zero; the
+    /// price is waking up to 1 ms late.
+    pub(crate) fn timeout_ms(timeout: Option<Duration>) -> i32 {
         match timeout {
             None => -1,
-            Some(d) => {
-                if d.is_zero() {
-                    0
-                } else {
-                    d.as_millis().clamp(1, i32::MAX as u128) as i32
-                }
-            }
+            Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
         }
     }
 
@@ -181,9 +177,9 @@ mod unix {
     }
 
     /// A self-pipe: any thread calls [`wake`](Self::wake) to make the read
-    /// end readable, unparking a poller blocked in [`poll`]. Both ends are
+    /// end readable, unparking a thread blocked in [`poll`]. Both ends are
     /// nonblocking — a wake while the pipe is full is a no-op, which is
-    /// exactly right: the poller is already guaranteed to wake and drain.
+    /// exactly right: the reader is already guaranteed to wake and drain.
     #[derive(Debug)]
     pub struct WakePipe {
         read_fd: RawFd,
@@ -236,7 +232,7 @@ mod unix {
         }
 
         /// Makes the read end readable. Never blocks: a full pipe means the
-        /// poller already has a pending wake, so the dropped byte is free.
+        /// reader already has a pending wake, so the dropped byte is free.
         pub fn wake(&self) {
             // SAFETY: `write_fd` is owned and open for the lifetime of
             // `&self`; the 1-byte buffer is valid.
@@ -245,16 +241,19 @@ mod unix {
             }
         }
 
-        /// Empties the read end, consuming every pending wake. Call once per
-        /// poller iteration before draining the work the wakes announced.
+        /// Empties the read end, consuming every pending wake. Call it when
+        /// [`poll`] reports the read end readable, before looking at the work
+        /// the wakes announced. A short read means the pipe is empty, so the
+        /// usual handful of pending bytes costs one `read`, not a second one
+        /// that only returns `EAGAIN`.
         pub fn drain(&self) {
             let mut buf = [0u8; 64];
             loop {
                 // SAFETY: `read_fd` is owned and open; the buffer is valid
                 // for its full length.
                 let n = unsafe { c::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-                if n <= 0 {
-                    return; // empty (EAGAIN), EOF or a transient error
+                if n < buf.len() as isize {
+                    return; // drained, empty (EAGAIN), EOF or a transient error
                 }
             }
         }
@@ -371,6 +370,20 @@ mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
     use std::time::{Duration, Instant};
+
+    /// A wait rounds up to whole milliseconds: never shorter than asked (so
+    /// a sleeper does not wake before its deadline), zero only for zero.
+    #[test]
+    fn timeouts_round_up_to_the_next_millisecond() {
+        let ms = |d| unix::timeout_ms(Some(d));
+        assert_eq!(unix::timeout_ms(None), -1);
+        assert_eq!(ms(Duration::ZERO), 0);
+        assert_eq!(ms(Duration::from_nanos(1)), 1);
+        assert_eq!(ms(Duration::from_micros(999)), 1);
+        assert_eq!(ms(Duration::from_millis(1)), 1);
+        assert_eq!(ms(Duration::from_micros(1_900)), 2);
+        assert_eq!(ms(Duration::MAX), i32::MAX);
+    }
 
     #[test]
     fn poll_times_out_when_nothing_is_ready() {

@@ -33,8 +33,8 @@
 //! three attempts. Best-of-N is deliberate — on a shared CI core, scheduler
 //! preemption can add ~0.1 ms to a ~0.2 ms path in any one run, but noise
 //! does not reproduce across runs, while the regression this gate guards
-//! against (a timed-park poller) is a *floor* that every attempt hits. Only
-//! the best attempt's record is kept.
+//! against (a timed park, or a thread hand-off back on every hop) is a
+//! *floor* that every attempt hits. Only the best attempt's record is kept.
 //!
 //! The `wbamd` binary is expected next to this one in the target directory:
 //! build it first with `cargo build --release -p wbam-harness --bin wbamd`.
@@ -56,7 +56,7 @@ struct Config {
 
 /// The dedicated idle-path latency point: a depth-1 closed loop into one
 /// group with no batching, so every recorded latency is one unpipelined
-/// 3-delay fast path — exactly what the wake-on-ready poller is for.
+/// 3-delay fast path — exactly what the wake-on-ready reactor is for.
 const LATENCY_CONFIG: Config = Config {
     label: "latency: 1-group, 1 outstanding",
     dest_groups: 1,

@@ -264,7 +264,6 @@ struct StopSignal {
 
 impl StopSignal {
     fn install(stdin_stop: bool) -> StopSignal {
-        #[cfg(unix)]
         let term = match netpoll::termination_flag() {
             Ok(flag) => Some(flag),
             Err(e) => {
@@ -272,8 +271,6 @@ impl StopSignal {
                 None
             }
         };
-        #[cfg(not(unix))]
-        let term = None;
 
         let stdin_eof = Arc::new(AtomicBool::new(false));
         if stdin_stop {

@@ -1,9 +1,11 @@
 //! The single time source every runtime layer consumes.
 //!
-//! The node event loop, the TCP poller and the in-process cluster all take
+//! The node event loop, the TCP reactor and the in-process cluster all take
 //! their notion of "now", their timer deadlines and their envelope waits
 //! through the [`Clock`] trait instead of calling `Instant::now()` or
-//! `recv_timeout` directly. Two implementations exist:
+//! `recv_timeout` directly (the reactor's one wait is `poll(2)`, whose
+//! timeout it computes from this clock's deadlines). Two implementations
+//! exist:
 //!
 //! * [`WallClock`] — production: zero-cost `#[inline]` wrappers over
 //!   [`Instant`] and [`Receiver::recv_timeout`], so the deployed hot path

@@ -216,7 +216,7 @@ struct DetPeer<M> {
 }
 
 impl<M: Clone + Send + 'static> Transport<M> for DetTransport<M> {
-    fn send(&self, to: ProcessId, msg: M) {
+    fn send(&mut self, to: ProcessId, msg: M) {
         if let Some(peer) = self.peers.get(&to) {
             self.sent.lock().unwrap().push(SentRecord {
                 from: self.from,

@@ -5,19 +5,21 @@
 //! threads and real sockets. This crate provides both deployment shapes
 //! around one shared, transport-independent node event loop
 //! (crate-internal `node_loop`): every sans-IO [`Node`](wbam_types::Node) runs on
-//! its own OS thread, timers are served from the node thread's own timer
-//! heap, application deliveries land in a shared [`DeliveryLog`], and sends
-//! go through a [`Transport`]:
+//! one OS thread, timers are served from the loop's own timer heap,
+//! application deliveries land in a shared [`DeliveryLog`], and sends go
+//! through the [`Transport`] the loop owns:
 //!
 //! * [`InProcessCluster`] — every node is a thread in this process and the
 //!   transport is an in-process channel per node ([`ChannelTransport`]).
 //!   Ideal for embedding a whole cluster in one service or test.
 //! * [`TcpNode`] — one node per OS process, the transport is real TCP with
 //!   `wbam_types::wire` framing (compact binary by default, JSON behind
-//!   `--wire json`), driven by a single nonblocking poller thread with
-//!   coalesced writes and reconnect-with-backoff ([`tcp::TcpTransport`]).
-//!   This is what the `wbamd` deployment binary (in `wbam-harness`) runs; see
-//!   `crates/harness` for the cluster topology spec.
+//!   `--wire json`). The node's one thread is a reactor: it runs the node
+//!   loop between `poll(2)` calls, reads and writes every socket itself, and
+//!   encodes each send straight into its peer's output buffer
+//!   ([`tcp::TcpTransport`]; coalesced writes, reconnect with backoff). Unix
+//!   only. This is what the `wbamd` deployment binary (in `wbam-harness`)
+//!   runs; see `crates/harness` for the cluster topology spec.
 //! * [`DeterministicRuntime`] — the same node loop and a channel transport,
 //!   but driven single-threaded by a seeded scheduler over a
 //!   [`VirtualClock`]: every interleaving of mailbox delivery, timer firing
@@ -63,6 +65,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+#[cfg(not(unix))]
+compile_error!(
+    "wbam-runtime needs a Unix target: a TcpNode is one reactor thread blocked in poll(2) \
+     (compat/netpoll), and there is no portable fallback"
+);
 
 pub mod clock;
 mod deterministic;

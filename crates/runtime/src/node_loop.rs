@@ -1,16 +1,18 @@
 //! The transport-independent node event loop.
 //!
 //! One sans-IO [`Node`](wbam_types::Node) runs in one event loop: the loop
-//! fires due timers from the node's own timer heap, waits for the next
-//! envelope (peer message or control event) and executes the actions the node
-//! returns — sends through the [`Transport`], deliveries into the shared
-//! [`DeliveryLog`]. The in-process cluster and the per-process TCP runtime
-//! run this exact loop on a dedicated OS thread with a [`WallClock`]; the
-//! [`DeterministicRuntime`](crate::DeterministicRuntime) runs the same loop
-//! *stepped* — one scheduler decision at a time — under a
-//! [`VirtualClock`](crate::VirtualClock), so a protocol behaves identically
-//! under either deployment and every deployed-code interleaving is
-//! replayable.
+//! fires due timers from the node's own timer heap, takes the next envelopes
+//! (peer messages or control events) and executes the actions the node
+//! returns — sends through the [`Transport`] it owns, deliveries into the
+//! shared [`DeliveryLog`]. [`NodeLoop`] is that loop as an explicit state
+//! machine with a stepping API, and it has three drivers: the in-process
+//! cluster gives it a thread that blocks on the mailbox
+//! ([`run`](NodeLoop::run)); a [`TcpNode`](crate::TcpNode)'s reactor thread
+//! steps it between `poll(2)` calls, feeding it the frames it just decoded;
+//! and the [`DeterministicRuntime`](crate::DeterministicRuntime) steps it one
+//! scheduler decision at a time under a [`VirtualClock`](crate::VirtualClock).
+//! A protocol therefore behaves identically under every deployment, and
+//! every deployed-code interleaving is replayable.
 //!
 //! All time flows through the [`Clock`] abstraction: the loop never reads
 //! `Instant::now()` and never calls `recv_timeout` directly, which is what
@@ -27,7 +29,7 @@ use crate::clock::{Clock, WaitError};
 use crate::transport::Transport;
 use crate::{BoxedNode, DeliveryLog, RuntimeDelivery};
 
-/// A unit of input for a node thread: either a protocol message from a peer
+/// A unit of input for a node loop: either a protocol message from a peer
 /// or a control event injected by the embedding application.
 pub(crate) enum Envelope<M> {
     /// A protocol message from another process.
@@ -44,13 +46,14 @@ pub(crate) enum Envelope<M> {
     /// Tell the node it restarted after a crash ([`Event::Restart`]): volatile
     /// context is gone, timers must be re-armed, the protocol rejoined.
     Restart,
-    /// Stop the node thread.
+    /// Stop the node loop.
     Shutdown,
 }
 
 /// Upper bound on envelopes coalesced into one pass of the node loop: large
-/// enough to amortize the transport handoff across a busy burst, small enough
-/// that due timers (checked between passes) never wait long.
+/// enough to amortize the per-pass costs (one delivery-log lock, one socket
+/// flush) across a busy burst, small enough that due timers (checked between
+/// passes) never wait long.
 pub(crate) const MAX_ENVELOPE_BATCH: usize = 256;
 
 /// A queued timer deadline. Ordered by the full `(deadline, id, generation)`
@@ -94,9 +97,11 @@ struct TimerGen {
 
 /// The event loop of one node, factored as an explicit state machine so it
 /// can be driven two ways: [`run`](Self::run) owns a thread and blocks
-/// through its [`Clock`] (the production shape), while the deterministic
-/// runtime calls the stepping methods ([`fire_due_timers`](Self::fire_due_timers),
-/// [`step_deliver`](Self::step_deliver), …) one scheduler decision at a time.
+/// through its [`Clock`] (the in-process cluster), while the TCP reactor and
+/// the deterministic runtime call the stepping methods ([`init`](Self::init),
+/// [`process_batch`](Self::process_batch) / [`step_deliver`](Self::step_deliver),
+/// [`fire_due_timers`](Self::fire_due_timers),
+/// [`next_deadline`](Self::next_deadline)) between their own waits.
 pub(crate) struct NodeLoop<M, T, C> {
     node: BoxedNode<M>,
     my_id: ProcessId,
@@ -144,17 +149,14 @@ where
         self.execute(actions);
     }
 
-    /// Executes one batch of node actions: sends are batched into a single
-    /// `Transport::send_many` call (for the TCP transport, one command into
-    /// the poller thread's channel) and deliveries into a single
-    /// `DeliveryLog::push_many` (one mutex acquisition), so the hot path is
-    /// one queue handoff per event instead of one per message.
+    /// Executes one batch of node actions: sends go to the transport in
+    /// order, deliveries are batched into a single `DeliveryLog::push_many`
+    /// (one mutex acquisition, one waiter wake-up per batch).
     fn execute(&mut self, actions: Vec<Action<M>>) {
-        let mut sends: Vec<(ProcessId, M)> = Vec::new();
         let mut delivered: Vec<RuntimeDelivery> = Vec::new();
         for action in actions {
             match action {
-                Action::Send { to, msg } => sends.push((to, msg)),
+                Action::Send { to, msg } => self.transport.send(to, msg),
                 Action::Deliver(delivery) => {
                     delivered.push(RuntimeDelivery {
                         process: self.my_id,
@@ -185,9 +187,6 @@ where
                     }
                 }
             }
-        }
-        if !sends.is_empty() {
-            self.transport.send_many(sends);
         }
         self.deliveries.push_many(delivered);
     }
@@ -245,23 +244,25 @@ where
         }
     }
 
-    /// Processes one already-received envelope plus everything queued behind
-    /// it, bounded by [`MAX_ENVELOPE_BATCH`]: one busy stretch costs one
-    /// `send_many` handoff (one poller wakeup) and one `push_many` instead of
-    /// paying both per message. Bounded so timers never starve.
-    fn process_burst(&mut self, first: Envelope<M>) {
-        let mut batch = Vec::with_capacity(8);
-        batch.push(first);
-        while batch.len() < MAX_ENVELOPE_BATCH {
+    /// Moves already-queued envelopes from the mailbox to the back of
+    /// `batch` (never blocking) until the batch holds `limit`; returns how
+    /// many were moved.
+    pub(crate) fn take_mail(&mut self, batch: &mut Vec<Envelope<M>>, limit: usize) -> usize {
+        let before = batch.len();
+        while batch.len() < limit {
             match self.rx.try_recv() {
                 Ok(e) => batch.push(e),
                 Err(_) => break,
             }
         }
-        self.process_batch(batch);
+        batch.len() - before
     }
 
-    fn process_batch(&mut self, batch: Vec<Envelope<M>>) {
+    /// Runs the node over a batch of envelopes and executes everything it
+    /// answered as one action batch, so a busy stretch pays the per-batch
+    /// costs (the delivery-log lock, the driver's socket flush) once. Callers
+    /// bound the batch by [`MAX_ENVELOPE_BATCH`] so timers never starve.
+    pub(crate) fn process_batch(&mut self, batch: impl IntoIterator<Item = Envelope<M>>) {
         let mut actions = Vec::new();
         for envelope in batch {
             let elapsed = self.clock.now();
@@ -293,6 +294,17 @@ where
         &*self.node
     }
 
+    /// The transport this loop sends through, for a driver that also owns
+    /// the transport's IO (the TCP reactor flushes sockets through this).
+    pub(crate) fn transport_mut(&mut self) -> &mut T {
+        &mut self.transport
+    }
+
+    /// Whether an [`Envelope::Shutdown`] has been processed.
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.stopped
+    }
+
     /// Consumes up to `limit` already-queued envelopes (never blocking) and
     /// processes them as one batch; returns how many were consumed. This is
     /// the deterministic runtime's "let this node run" step — the same batch
@@ -300,13 +312,7 @@ where
     /// under the scheduler and in production.
     pub(crate) fn step_deliver(&mut self, limit: usize) -> usize {
         let mut batch = Vec::new();
-        while batch.len() < limit.min(MAX_ENVELOPE_BATCH) {
-            match self.rx.try_recv() {
-                Ok(e) => batch.push(e),
-                Err(_) => break,
-            }
-        }
-        let consumed = batch.len();
+        let consumed = self.take_mail(&mut batch, limit.min(MAX_ENVELOPE_BATCH));
         if consumed > 0 {
             self.process_batch(batch);
         }
@@ -337,8 +343,10 @@ where
     }
 
     /// Runs the loop until an [`Envelope::Shutdown`] arrives or every
-    /// envelope sender disconnects. This is the production driver: it blocks
-    /// in [`Clock::recv_deadline`] between events.
+    /// envelope sender disconnects. This is the in-process cluster's driver:
+    /// it blocks in [`Clock::recv_deadline`] between events, then processes
+    /// the envelope that woke it plus everything queued behind it, bounded by
+    /// [`MAX_ENVELOPE_BATCH`].
     pub(crate) fn run(mut self) {
         self.init();
         while !self.stopped {
@@ -350,7 +358,11 @@ where
             // state.
             let deadline = self.next_deadline();
             match self.clock.recv_deadline(&self.rx, deadline) {
-                Ok(envelope) => self.process_burst(envelope),
+                Ok(envelope) => {
+                    let mut batch = vec![envelope];
+                    self.take_mail(&mut batch, MAX_ENVELOPE_BATCH);
+                    self.process_batch(batch);
+                }
                 Err(WaitError::Timeout) => continue,
                 Err(WaitError::Disconnected) => break,
             }
@@ -383,7 +395,7 @@ mod tests {
     /// Discards every send; the tests below only observe deliveries/timers.
     struct NullTransport;
     impl<M: Send + 'static> Transport<M> for NullTransport {
-        fn send(&self, _to: ProcessId, _msg: M) {}
+        fn send(&mut self, _to: ProcessId, _msg: M) {}
     }
 
     /// Records the order its timers fire in; re-arms nothing.

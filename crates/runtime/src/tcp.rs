@@ -8,23 +8,29 @@
 //! at the cost of one extra socket per pair — irrelevant at the cluster sizes
 //! atomic multicast targets.
 //!
-//! All of a process's network IO is driven by **one nonblocking poller
-//! thread** (see `WIRE.md` and DESIGN.md): it accepts inbound connections,
-//! drains readable sockets, dials peers with exponential backoff, and flushes
-//! per-peer output buffers with coalesced writes — a whole burst of frames
-//! queued by the node thread goes out in one `write` call, so protocol
-//! batches stay batched on the socket. The poller is **wake-on-ready**: on
-//! Unix it multiplexes every socket plus a self-pipe wake fd through
-//! `poll(2)` (the in-tree `netpoll` shim), so inbound bytes wake it the
-//! instant the kernel marks a socket readable and the node thread wakes it
-//! explicitly — one byte down the pipe per [`Transport::send_many`] burst —
-//! when it queues outbound frames. The only timeout `poll` ever carries is
-//! the next dial-backoff deadline; an idle process sleeps indefinitely and a
-//! busy one never waits out a park. (Non-Unix targets keep the previous
-//! portable fallback: a `recv_timeout` park on the command channel with an
-//! adaptive 50 µs–50 ms idle, which woke instantly on *sends* but taxed
-//! *inbound* bytes with the park latency — the regression the wake-on-ready
-//! poller removes.)
+//! A [`TcpNode`] is **one reactor thread**. It owns the listener, every
+//! socket and the node loop, and the only call it ever blocks in is
+//! `poll(2)` (the in-tree `netpoll` shim). One iteration: `recv` from the
+//! sockets the kernel marked readable and decode their frames into a batch;
+//! run the node over the batch plus whatever other threads put in the
+//! mailbox; fire due timers; each message the node sent was encoded straight
+//! into its destination's output buffer, and each buffer now leaves in one
+//! coalesced `send`; then `poll` again, with the earlier of the node's next
+//! timer deadline and the next re-dial deadline as the timeout. A message
+//! therefore crosses a process in three syscalls — `poll`, `recv`, `send` —
+//! with no thread hand-off, and an idle process sleeps until a socket, a
+//! timer or another thread needs it. DESIGN.md ("The reactor") has the
+//! iteration in full, its fairness bounds and the timer lateness `poll`'s
+//! millisecond timeout implies.
+//!
+//! Other threads reach the reactor only through [`TcpNode::submit`],
+//! [`TcpNode::become_leader`] and [`TcpNode::shutdown`]: an envelope in the
+//! mailbox, then a byte down the reactor's self-pipe *only if* the reactor
+//! announced it was going to sleep, so a caller of a busy reactor pays no
+//! syscall and no wake is lost. Dialling a peer is the one
+//! operation that can block for long (an unreachable host on a real LAN), so
+//! each attempt runs on a short-lived thread of its own and hands the reactor
+//! the connected stream or the failure.
 //!
 //! Framing is `wbam_types::wire`: each connection opens with the 4-byte
 //! preamble (`"WB"` magic, wire version, codec byte) and a `Hello` frame
@@ -92,43 +98,52 @@
 //! c.shutdown();
 //! ```
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{ErrorKind, Read, Write};
+use std::collections::BTreeMap;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam_channel::{unbounded, Sender};
+use netpoll::{poll, PollFd, WakePipe, POLLIN, POLLOUT};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use wbam_types::wire::{
-    check_preamble, decode_frame_slice, encode_frame_with, encode_preamble, WireCodec, PREAMBLE_LEN,
+    check_preamble, decode_frame_slice, encode_frame_into, encode_preamble, WireCodec, PREAMBLE_LEN,
 };
 use wbam_types::{AppMessage, ProcessId, WbamError};
 
 use crate::clock::{Clock, WallClock};
-use crate::node_loop::{run_node, Envelope};
+use crate::node_loop::{Envelope, NodeLoop, MAX_ENVELOPE_BATCH};
 use crate::transport::Transport;
 use crate::{BoxedNode, DeliveryLog, RuntimeDelivery};
 
 /// First re-dial delay after a failed or lost connection.
 const BACKOFF_INITIAL: Duration = Duration::from_millis(10);
-/// Backoff cap: the poller re-dials a down peer at least this often.
+/// Backoff cap: a down peer with queued frames is re-dialled at least this
+/// often.
 const BACKOFF_MAX: Duration = Duration::from_millis(500);
-/// Upper bound on one (blocking) dial attempt from the poller thread.
-/// Loopback dials resolve instantly (connect or refuse); this only matters on
-/// a real LAN with an unreachable peer.
+/// Upper bound on one dial attempt. Loopback dials resolve instantly
+/// (connect or refuse); this only matters on a real LAN with an unreachable
+/// peer, and it is spent on a dial thread, never on the reactor.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(250);
 /// Cap on a peer's output buffer. When it is full, new frames are dropped
 /// (fair-lossy: the protocols' retry timers recover) — this bounds memory
 /// while a peer is down without ever cutting a queued frame in half. Every
 /// drop is counted in [`TransportStats`].
 const OUTBUF_CAP: usize = 8 * 1024 * 1024;
-/// Read granularity of the poller.
+/// The most one `recv` takes from a connection; the reactor does one `recv`
+/// per readable connection per iteration.
 const READ_CHUNK: usize = 64 * 1024;
+/// How many times one reactor iteration runs the node before it goes back to
+/// the sockets. A node's messages to itself are the next round's mail, so a
+/// leader's ACCEPT → own ACCEPT_ACK chain finishes inside the iteration that
+/// started it; the bound is what keeps a chain that never ends, or another
+/// thread submitting without pause, from starving the sockets.
+const MAX_ROUNDS: usize = 4;
 
 /// What travels inside a TCP frame: a connection handshake or a protocol
 /// message, encoded with the connection's negotiated [`WireCodec`].
@@ -145,45 +160,55 @@ enum WireFrame<M> {
     Protocol(M),
 }
 
-/// A batch of already-encoded frames from the node thread to the poller.
-pub(crate) enum PollerCmd {
-    /// Frames to append to the named peers' output buffers, in order.
-    Frames(Vec<(ProcessId, Bytes)>),
-    /// Stop the poller and drop all connections.
-    Shutdown,
+/// How another thread gets the reactor out of `poll(2)`: a self-pipe behind
+/// a `sleeping` flag, so that waking a reactor that is not asleep — the
+/// common case under load — costs the caller no syscall.
+///
+/// The protocol is the store-buffering handshake. The reactor, before it
+/// blocks: `sleeping = true`, fence, look at the mailbox once more, `poll`.
+/// A caller, after it enqueued: fence, `sleeping.swap(false)`, and a byte
+/// down the pipe if that returned `true`. The two fences are totally ordered.
+/// If the caller's comes first, the reactor's last look sees the envelope
+/// and it does not block; if the reactor's comes first, the caller's swap
+/// sees `true` and the pipe byte ends the `poll`. Either way no envelope is
+/// left in the mailbox of a sleeping reactor. Only one caller per sleep wins
+/// the swap, so a sleep costs at most one pipe write and one pipe read.
+struct Waker {
+    pipe: WakePipe,
+    sleeping: AtomicBool,
 }
 
-/// Wakes the poller thread out of its readiness wait. On Unix this is the
-/// write end of the poller's self-pipe ([`netpoll::WakePipe`]): one byte per
-/// call, coalesced by the kernel, drained once per poller iteration. On
-/// other targets it is a no-op — the fallback poller parks in `recv_timeout`
-/// on the command channel, which its senders wake directly.
-#[derive(Clone)]
-pub(crate) struct PollerWaker {
-    #[cfg(unix)]
-    pipe: Arc<netpoll::WakePipe>,
-}
-
-impl PollerWaker {
-    fn new() -> Result<Self, WbamError> {
-        #[cfg(unix)]
-        {
-            let pipe = netpoll::WakePipe::new().map_err(WbamError::from)?;
-            Ok(PollerWaker {
-                pipe: Arc::new(pipe),
-            })
-        }
-        #[cfg(not(unix))]
-        Ok(PollerWaker {})
+impl Waker {
+    fn new() -> io::Result<Self> {
+        Ok(Waker {
+            pipe: WakePipe::new()?,
+            sleeping: AtomicBool::new(false),
+        })
     }
 
+    /// Wakes the reactor if it is (about to be) asleep. Call after putting
+    /// something in its mailbox.
     fn wake(&self) {
-        #[cfg(unix)]
-        self.pipe.wake();
+        fence(Ordering::SeqCst);
+        if self.sleeping.swap(false, Ordering::SeqCst) {
+            self.pipe.wake();
+        }
+    }
+
+    /// The reactor announces it is about to block; it must look at its
+    /// mailbox after this and before `poll`.
+    fn prepare_sleep(&self) {
+        self.sleeping.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+    }
+
+    /// The reactor is running again: callers need not wake it.
+    fn awake(&self) {
+        self.sleeping.store(false, Ordering::SeqCst);
     }
 }
 
-/// Transport liveness counters the poller publishes, shared with the
+/// Transport liveness counters the transport publishes, shared with the
 /// [`TcpNode`] handle so embedders (and the `wbamd` stats line) can observe
 /// frame loss that the fair-lossy model would otherwise hide completely.
 #[derive(Debug, Default)]
@@ -228,144 +253,15 @@ impl TransportStats {
     }
 }
 
-/// Everything the spawning side needs to control a running poller thread.
-pub(crate) struct PollerHandle {
-    pub(crate) cmd_tx: Sender<PollerCmd>,
-    pub(crate) waker: PollerWaker,
-    pub(crate) stats: Arc<TransportStats>,
-    pub(crate) thread: JoinHandle<()>,
-}
+/// Opens the outbound connection to a peer. Runs on a short-lived dial
+/// thread, so it may block; tests substitute a slow or failing one.
+type Dialler = Arc<dyn Fn(SocketAddr) -> io::Result<TcpStream> + Send + Sync>;
 
-/// TCP transport: encodes messages into wire frames on the node thread and
-/// hands them — a whole protocol step per handoff — to the process's poller
-/// thread, which owns every socket. Messages a node sends to *itself* (a
-/// leader is a member of its own group and ACCEPTs to every member)
-/// short-circuit into the local envelope channel instead of crossing the
-/// network stack.
-pub struct TcpTransport<M> {
-    local: ProcessId,
-    codec: WireCodec,
-    loopback: Sender<Envelope<M>>,
-    cmd_tx: Sender<PollerCmd>,
-    waker: PollerWaker,
-    peers: HashSet<ProcessId>,
-    stats: Arc<TransportStats>,
-}
+/// Where dial threads leave their results for the reactor.
+type Dialled = Arc<Mutex<Vec<(ProcessId, io::Result<TcpStream>)>>>;
 
-impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
-    /// Creates the transport used by `local` to reach every other process in
-    /// `addrs` and spawns the poller thread that owns `listener` and all
-    /// peer connections. Returns the transport and the poller's control
-    /// handle (command channel, waker, stats, join handle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WbamError::Io`] when the wake pipe cannot be created.
-    pub(crate) fn new(
-        local: ProcessId,
-        codec: WireCodec,
-        listener: TcpListener,
-        loopback: Sender<Envelope<M>>,
-        addrs: &BTreeMap<ProcessId, SocketAddr>,
-        shutdown: Arc<AtomicBool>,
-        clock: WallClock,
-    ) -> Result<(Self, PollerHandle), WbamError> {
-        let (cmd_tx, cmd_rx) = unbounded();
-        let waker = PollerWaker::new()?;
-        // Preamble + Hello, sent as the first bytes of every outbound
-        // connection. Encoded once here (where `M: Serialize` is in scope);
-        // the poller itself only needs to decode.
-        let mut hello = encode_preamble(codec).to_vec();
-        let hello_frame = encode_frame_with(codec, &WireFrame::<M>::Hello { from: local })
-            .expect("Hello frame serialisation cannot fail");
-        hello.extend_from_slice(&hello_frame);
-
-        let peer_addrs: Vec<(ProcessId, SocketAddr)> = addrs
-            .iter()
-            .filter(|(&p, _)| p != local)
-            .map(|(&p, &a)| (p, a))
-            .collect();
-        let peers: HashSet<ProcessId> = peer_addrs.iter().map(|&(p, _)| p).collect();
-        let stats = Arc::new(TransportStats::for_peers(peers.iter().copied()));
-        let env_tx = loopback.clone();
-        let thread = {
-            let waker = waker.clone();
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                poller_loop::<M, _>(
-                    codec, listener, peer_addrs, hello, cmd_rx, env_tx, shutdown, waker, stats,
-                    clock,
-                );
-            })
-        };
-        let handle = PollerHandle {
-            cmd_tx: cmd_tx.clone(),
-            waker: waker.clone(),
-            stats: Arc::clone(&stats),
-            thread,
-        };
-        Ok((
-            TcpTransport {
-                local,
-                codec,
-                loopback,
-                cmd_tx,
-                waker,
-                peers,
-                stats,
-            },
-            handle,
-        ))
-    }
-}
-
-/// Encodes `msg` as a protocol frame for `to`. An unencodable message (over
-/// `MAX_FRAME_LEN`, e.g. an oversized state transfer) is dropped — it could
-/// never reach the peer, and retrying cannot help — but like every dropped
-/// frame it is counted against the peer, never lost silently.
-fn encode_for<M: Serialize>(
-    codec: WireCodec,
-    to: ProcessId,
-    msg: M,
-    stats: &TransportStats,
-) -> Option<Bytes> {
-    let frame = encode_frame_with(codec, &WireFrame::Protocol(msg)).ok();
-    if frame.is_none() {
-        stats.record_drop(to);
-    }
-    frame
-}
-
-impl<M: Serialize + DeserializeOwned + Send + 'static> Transport<M> for TcpTransport<M> {
-    fn send(&self, to: ProcessId, msg: M) {
-        self.send_many(vec![(to, msg)]);
-    }
-
-    fn send_many(&self, msgs: Vec<(ProcessId, M)>) {
-        let mut frames = Vec::with_capacity(msgs.len());
-        for (to, msg) in msgs {
-            if to == self.local {
-                let _ = self.loopback.send(Envelope::FromPeer {
-                    from: self.local,
-                    msg,
-                });
-            } else if self.peers.contains(&to) {
-                if let Some(frame) = encode_for(self.codec, to, msg, &self.stats) {
-                    frames.push((to, frame));
-                }
-            }
-        }
-        if !frames.is_empty() {
-            let _ = self.cmd_tx.send(PollerCmd::Frames(frames));
-            // One wake per burst: the poller drains the whole channel (and
-            // every other pending wake) in a single iteration.
-            self.waker.wake();
-        }
-    }
-}
-
-/// Outbound state for one peer, owned by the poller: the (re)dialled
-/// connection and the coalescing output buffer.
+/// Outbound state for one peer: the (re)dialled connection and the
+/// coalescing output buffer frames are encoded into.
 struct PeerOut {
     addr: SocketAddr,
     conn: Option<TcpStream>,
@@ -375,9 +271,11 @@ struct PeerOut {
     offset: usize,
     /// Earliest [`Clock`] time (elapsed since runtime start) the next dial
     /// may be attempted — all backoff arithmetic is pure `Duration` math on
-    /// the poller's clock, never a direct `Instant` read.
+    /// the reactor's clock, never a direct `Instant` read.
     next_dial: Duration,
     backoff: Duration,
+    /// The dial attempt in flight, if any; joined when its result arrives.
+    dialling: Option<JoinHandle<()>>,
 }
 
 impl PeerOut {
@@ -389,6 +287,7 @@ impl PeerOut {
             offset: 0,
             next_dial: Duration::ZERO,
             backoff: BACKOFF_INITIAL,
+            dialling: None,
         }
     }
 
@@ -396,17 +295,22 @@ impl PeerOut {
         self.outbuf.len() - self.offset
     }
 
-    /// Appends one frame, dropping it when the buffer is full (fair-lossy —
-    /// dropping the *new* frame, never truncating the buffer, keeps the byte
-    /// stream cut at frame boundaries even mid-flush). Returns whether the
-    /// frame was queued; the caller counts drops in [`TransportStats`].
+    /// Encodes one frame behind everything already queued. A frame that
+    /// cannot be encoded (over `MAX_FRAME_LEN`, e.g. an oversized state
+    /// transfer — it could never reach the peer, and retrying cannot help) or
+    /// that would take the buffer over [`OUTBUF_CAP`] is dropped whole: the
+    /// buffer is truncated back to where the frame started, so the byte
+    /// stream stays cut at frame boundaries even mid-flush. Returns whether
+    /// the frame was queued; the caller counts drops in [`TransportStats`].
     #[must_use]
-    fn queue(&mut self, frame: &[u8]) -> bool {
-        if self.queued() + frame.len() > OUTBUF_CAP {
-            return false;
+    fn push_frame<T: Serialize>(&mut self, codec: WireCodec, frame: &T) -> bool {
+        let start = self.outbuf.len();
+        let fits = encode_frame_into(codec, frame, &mut self.outbuf).is_ok()
+            && self.queued() <= OUTBUF_CAP;
+        if !fits {
+            self.outbuf.truncate(start);
         }
-        self.outbuf.extend_from_slice(frame);
-        true
+        fits
     }
 
     /// Drops the connection and everything queued behind it: a partial frame
@@ -420,28 +324,234 @@ impl PeerOut {
         self.backoff = (BACKOFF_INITIAL * 2).min(BACKOFF_MAX);
     }
 
-    /// Records a failed dial attempt: the next attempt waits out the current
-    /// backoff, which then doubles toward [`BACKOFF_MAX`].
-    fn note_dial_failure(&mut self, now: Duration) {
-        self.next_dial = now + self.backoff;
-        self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
+    /// Whether a dial should start now. Dialling is lazy: only a peer there
+    /// are bytes for is worth a connection.
+    fn dial_due(&self, now: Duration) -> bool {
+        self.conn.is_none() && self.dialling.is_none() && self.queued() > 0 && now >= self.next_dial
     }
 
-    /// Adopts a freshly dialled connection, prepending `hello` (preamble +
-    /// Hello frame) to whatever queued up while the peer was down, and —
-    /// crucially — resets the dial backoff to [`BACKOFF_INITIAL`] so the
-    /// *next* outage starts from a fast re-dial instead of inheriting this
-    /// outage's climbed-up delay.
-    fn adopt_connection(&mut self, stream: TcpStream, hello: &[u8]) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_nonblocking(true);
-        let mut buf = Vec::with_capacity(hello.len() + self.queued());
-        buf.extend_from_slice(hello);
-        buf.extend_from_slice(&self.outbuf[self.offset..]);
-        self.outbuf = buf;
-        self.offset = 0;
-        self.conn = Some(stream);
-        self.backoff = BACKOFF_INITIAL;
+    /// Takes a dial attempt's result. A fresh connection starts with `hello`
+    /// (preamble + Hello frame), then whatever queued up while the peer was
+    /// down, and — crucially — resets the dial backoff to
+    /// [`BACKOFF_INITIAL`], so the *next* outage starts from a fast re-dial
+    /// instead of inheriting this outage's climbed-up delay. After a failed
+    /// attempt the next one waits out the current backoff, which then doubles
+    /// toward [`BACKOFF_MAX`].
+    fn dial_finished(&mut self, result: io::Result<TcpStream>, hello: &[u8], now: Duration) {
+        match result {
+            Ok(stream) => {
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_nonblocking(true);
+                let mut buf = Vec::with_capacity(hello.len() + self.queued());
+                buf.extend_from_slice(hello);
+                buf.extend_from_slice(&self.outbuf[self.offset..]);
+                self.outbuf = buf;
+                self.offset = 0;
+                self.conn = Some(stream);
+                self.backoff = BACKOFF_INITIAL;
+            }
+            Err(_) => {
+                self.next_dial = now + self.backoff;
+                self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
+            }
+        }
+    }
+
+    /// Sends the queued bytes — every frame of this iteration in one `send`
+    /// when the socket buffer takes them. A short write means the socket
+    /// buffer is full: the rest waits for `POLLOUT`.
+    fn flush(&mut self, now: Duration) {
+        let Some(stream) = self.conn.as_mut() else {
+            return;
+        };
+        if self.offset == self.outbuf.len() {
+            return;
+        }
+        match retry_interrupted(|| stream.write(&self.outbuf[self.offset..])) {
+            Ok(0) => return self.disconnect(now),
+            Ok(n) => self.offset += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(_) => return self.disconnect(now),
+        }
+        if self.offset == self.outbuf.len() {
+            self.outbuf.clear();
+            self.offset = 0;
+        } else if self.offset > READ_CHUNK {
+            self.outbuf.drain(..self.offset);
+            self.offset = 0;
+        }
+    }
+}
+
+/// One nonblocking socket call, repeated while a signal interrupts it.
+fn retry_interrupted<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    loop {
+        match call() {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            result => return result,
+        }
+    }
+}
+
+/// Preamble + `Hello`: the first bytes of every connection `from` dials.
+fn hello_bytes<M: Serialize>(codec: WireCodec, from: ProcessId) -> Vec<u8> {
+    let mut hello = encode_preamble(codec).to_vec();
+    encode_frame_into(codec, &WireFrame::<M>::Hello { from }, &mut hello)
+        .expect("Hello frame serialisation cannot fail");
+    hello
+}
+
+/// TCP transport: owns the outbound connection and output buffer of every
+/// peer. A send encodes the message straight into the destination's buffer;
+/// the [`TcpNode`] reactor, which owns the node loop that owns this
+/// transport, services it once per round to flush the buffers and keep the
+/// connections dialled. Messages a node sends to *itself* (a leader is a member of its own group and ACCEPTs to every
+/// member) short-circuit into the node's own mailbox instead of crossing the
+/// network stack.
+pub struct TcpTransport<M> {
+    local: ProcessId,
+    codec: WireCodec,
+    loopback: Sender<Envelope<M>>,
+    peers: BTreeMap<ProcessId, PeerOut>,
+    /// Preamble + Hello, the first bytes of every outbound connection.
+    hello: Vec<u8>,
+    stats: Arc<TransportStats>,
+    dialler: Dialler,
+    dialled: Dialled,
+    waker: Arc<Waker>,
+}
+
+impl<M: Serialize + Send + 'static> TcpTransport<M> {
+    /// Creates the transport `local` uses to reach every other process in
+    /// `addrs`. Nothing is dialled until there is a frame to send.
+    fn new(
+        local: ProcessId,
+        codec: WireCodec,
+        loopback: Sender<Envelope<M>>,
+        addrs: &BTreeMap<ProcessId, SocketAddr>,
+        dialler: Dialler,
+        waker: Arc<Waker>,
+    ) -> Self {
+        let peers: BTreeMap<ProcessId, PeerOut> = addrs
+            .iter()
+            .filter(|(&p, _)| p != local)
+            .map(|(&p, &a)| (p, PeerOut::new(a)))
+            .collect();
+        let stats = Arc::new(TransportStats::for_peers(peers.keys().copied()));
+        TcpTransport {
+            local,
+            codec,
+            loopback,
+            peers,
+            hello: hello_bytes::<M>(codec, local),
+            stats,
+            dialler,
+            dialled: Arc::default(),
+            waker,
+        }
+    }
+}
+
+impl<M> TcpTransport<M> {
+    /// One pass over the peers: adopt finished dials, flush what is queued,
+    /// start the dials that are due. Nothing here blocks — dialling happens
+    /// on a short-lived thread per attempt, which leaves its result in
+    /// `dialled` and writes the wake pipe (unconditionally: a dial is rare,
+    /// and a byte in the pipe cannot be lost to the `sleeping` flag).
+    fn service(&mut self, now: Duration) {
+        if self.peers.values().any(|p| p.dialling.is_some()) {
+            let finished =
+                std::mem::take(&mut *self.dialled.lock().unwrap_or_else(PoisonError::into_inner));
+            for (id, result) in finished {
+                let peer = self.peers.get_mut(&id).expect("only peers are dialled");
+                if let Some(thread) = peer.dialling.take() {
+                    let _ = thread.join(); // it posted its result: it is returning
+                }
+                peer.dial_finished(result, &self.hello, now);
+            }
+        }
+        for (&id, peer) in &mut self.peers {
+            peer.flush(now);
+            if !peer.dial_due(now) {
+                continue;
+            }
+            let (addr, dialler) = (peer.addr, Arc::clone(&self.dialler));
+            let (dialled, waker) = (Arc::clone(&self.dialled), Arc::clone(&self.waker));
+            let spawned = std::thread::Builder::new()
+                .name("wbam-dial".to_string())
+                .spawn(move || {
+                    let result = dialler(addr);
+                    dialled
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((id, result));
+                    waker.pipe.wake();
+                });
+            match spawned {
+                Ok(thread) => peer.dialling = Some(thread),
+                Err(e) => peer.dial_finished(Err(e), &self.hello, now),
+            }
+        }
+    }
+
+    /// The earliest time a down peer with queued bytes may be re-dialled.
+    fn next_dial(&self) -> Option<Duration> {
+        self.peers
+            .values()
+            .filter(|p| p.conn.is_none() && p.dialling.is_none() && p.queued() > 0)
+            .map(|p| p.next_dial)
+            .min()
+    }
+
+    /// Appends one poll entry per connected peer: writable only while bytes
+    /// are queued; error/hangup conditions report regardless, so a dead
+    /// outbound connection is noticed without writing to it.
+    fn poll_set(&self, fds: &mut Vec<PollFd>) {
+        for peer in self.peers.values() {
+            if let Some(conn) = &peer.conn {
+                let events = if peer.queued() > 0 { POLLOUT } else { 0 };
+                fds.push(PollFd::new(conn.as_raw_fd(), events));
+            }
+        }
+    }
+
+    /// Takes the poll results for the entries [`poll_set`](Self::poll_set)
+    /// appended: an RST/FIN on a write-only connection drops it now instead
+    /// of discovering the corpse on the next write.
+    fn note_hangups(&mut self, fds: &[PollFd], now: Duration) {
+        let connected = self.peers.values_mut().filter(|p| p.conn.is_some());
+        for (peer, fd) in connected.zip(fds) {
+            if fd.has_error() {
+                peer.disconnect(now);
+            }
+        }
+    }
+
+    /// Waits for the dial threads still running (at most [`DIAL_TIMEOUT`]
+    /// with the stock dialler), so a stopped node leaves no thread behind.
+    fn join_dials(&mut self) {
+        for peer in self.peers.values_mut() {
+            if let Some(thread) = peer.dialling.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+}
+
+impl<M: Serialize + Send + 'static> Transport<M> for TcpTransport<M> {
+    fn send(&mut self, to: ProcessId, msg: M) {
+        if to == self.local {
+            let _ = self.loopback.send(Envelope::FromPeer {
+                from: self.local,
+                msg,
+            });
+        } else if let Some(peer) = self.peers.get_mut(&to) {
+            // Like every dropped frame, one that does not fit is counted
+            // against the peer, never lost silently.
+            if !peer.push_frame(self.codec, &WireFrame::Protocol(msg)) {
+                self.stats.record_drop(to);
+            }
+        }
     }
 }
 
@@ -453,457 +563,256 @@ struct InConn {
     buf: Vec<u8>,
     preamble_ok: bool,
     from: Option<ProcessId>,
-    /// Whether the last readiness wait marked this connection readable (set
+    /// Whether the last `poll` marked this connection readable (set
     /// optimistically on accept, so a connection whose preamble is already
     /// in flight is serviced without waiting for another poll round).
-    ready: bool,
+    readable: bool,
+    /// Whether `buf` may still hold complete frames: the last pass stopped at
+    /// its envelope budget. The connection is serviced again without waiting
+    /// for the kernel, and not read from until the backlog is decoded — which
+    /// is what bounds `buf` under a flood.
+    backlog: bool,
 }
 
-/// Appends a command batch's frames to the peers' output buffers, counting
-/// frames dropped at the cap.
-fn queue_frames(
-    frames: Vec<(ProcessId, Bytes)>,
-    peers: &mut HashMap<ProcessId, PeerOut>,
-    stats: &TransportStats,
-) {
-    for (to, frame) in frames {
-        if let Some(peer) = peers.get_mut(&to) {
-            if !peer.queue(&frame) {
-                stats.record_drop(to);
+impl InConn {
+    fn needs_service(&self) -> bool {
+        self.readable || self.backlog
+    }
+
+    /// One pass over the connection: at most one `recv` (level-triggered
+    /// `poll` re-reports what is left in the kernel, so there is no second
+    /// call just to be told `EAGAIN`), then up to `budget` complete frames
+    /// decoded with a cursor into `batch`, then one compaction of the buffer.
+    /// Returns `false` when the connection should be dropped (EOF, IO error,
+    /// bad preamble, undecodable frame — a corrupt length prefix cannot be
+    /// resynced from; the peer re-dials).
+    fn service<M: DeserializeOwned>(
+        &mut self,
+        codec: WireCodec,
+        budget: usize,
+        batch: &mut Vec<Envelope<M>>,
+        chunk: &mut [u8],
+    ) -> bool {
+        if std::mem::take(&mut self.readable) && !self.backlog {
+            match retry_interrupted(|| self.stream.read(chunk)) {
+                Ok(0) => return false,
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(_) => return false,
             }
         }
-    }
-}
-
-/// The single IO thread of a [`TcpNode`] process: accepts, reads, dials and
-/// writes every socket, nonblocking throughout. Dispatches to the
-/// wake-on-ready implementation on Unix and the portable parked fallback
-/// elsewhere; see the module docs for the scheduling discipline.
-#[allow(clippy::too_many_arguments)]
-fn poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
-    codec: WireCodec,
-    listener: TcpListener,
-    peer_addrs: Vec<(ProcessId, SocketAddr)>,
-    hello: Vec<u8>,
-    cmd_rx: Receiver<PollerCmd>,
-    env_tx: Sender<Envelope<M>>,
-    shutdown: Arc<AtomicBool>,
-    waker: PollerWaker,
-    stats: Arc<TransportStats>,
-    clock: C,
-) {
-    #[cfg(unix)]
-    ready_poller_loop::<M, C>(
-        codec, listener, peer_addrs, hello, cmd_rx, env_tx, shutdown, waker, stats, clock,
-    );
-    #[cfg(not(unix))]
-    {
-        let _ = waker;
-        parked_poller_loop::<M, C>(
-            codec, listener, peer_addrs, hello, cmd_rx, env_tx, shutdown, stats, clock,
-        );
-    }
-}
-
-/// The wake-on-ready poller (Unix): every socket plus the wake pipe is
-/// multiplexed through `poll(2)`, so the loop runs only when the kernel has
-/// something for it — readable bytes, a writable once-full socket, a dead
-/// connection — or the node thread queued frames (self-pipe wake). The only
-/// timeout ever passed to `poll` is the nearest dial-backoff deadline of a
-/// down peer with queued bytes; an idle process sleeps indefinitely.
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn ready_poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
-    codec: WireCodec,
-    listener: TcpListener,
-    peer_addrs: Vec<(ProcessId, SocketAddr)>,
-    hello: Vec<u8>,
-    cmd_rx: Receiver<PollerCmd>,
-    env_tx: Sender<Envelope<M>>,
-    shutdown: Arc<AtomicBool>,
-    waker: PollerWaker,
-    stats: Arc<TransportStats>,
-    clock: C,
-) {
-    use std::os::unix::io::AsRawFd;
-
-    use netpoll::{poll, PollFd, POLLIN, POLLOUT};
-
-    let mut peers: HashMap<ProcessId, PeerOut> = peer_addrs
-        .into_iter()
-        .map(|(p, a)| (p, PeerOut::new(a)))
-        .collect();
-    // Stable iteration order for aligning peers with poll-set entries.
-    let peer_ids: Vec<ProcessId> = peers.keys().copied().collect();
-    let mut inbound: Vec<InConn> = Vec::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut listener_ready = true; // service everything on the first pass
-    let mut fds: Vec<PollFd> = Vec::new();
-
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
+        let mut pos = 0usize;
+        if !self.preamble_ok {
+            if self.buf.len() < PREAMBLE_LEN {
+                return true; // need more bytes
+            }
+            let mut preamble = [0u8; PREAMBLE_LEN];
+            preamble.copy_from_slice(&self.buf[..PREAMBLE_LEN]);
+            if let Err(e) = check_preamble(&preamble, codec) {
+                eprintln!("wbam-runtime: rejecting connection from {}: {e}", self.desc);
+                return false;
+            }
+            self.preamble_ok = true;
+            pos = PREAMBLE_LEN;
         }
-
-        // 1. Consume pending wakes, *then* drain the channel: a wake racing
-        // in after the drain leaves the pipe readable, so the next poll
-        // returns immediately and no queued command is ever stranded.
-        waker.pipe.drain();
+        let limit = batch.len() + budget;
         loop {
-            match cmd_rx.try_recv() {
-                Ok(PollerCmd::Frames(frames)) => queue_frames(frames, &mut peers, &stats),
-                Ok(PollerCmd::Shutdown) | Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => break,
+            self.backlog = batch.len() == limit;
+            if self.backlog {
+                break;
             }
-        }
-
-        // 2. Accept new inbound connections when the listener polled ready.
-        if listener_ready {
-            loop {
-                match listener.accept() {
-                    Ok((stream, addr)) => {
-                        let _ = stream.set_nonblocking(true);
-                        let _ = stream.set_nodelay(true);
-                        inbound.push(InConn {
-                            stream,
-                            desc: addr.to_string(),
-                            buf: Vec::new(),
-                            preamble_ok: false,
-                            from: None,
-                            ready: true,
-                        });
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break, // transient accept error; retry next poll
+            match decode_frame_slice::<WireFrame<M>>(codec, &self.buf[pos..]) {
+                Ok(Some((WireFrame::Hello { from }, used))) => {
+                    self.from = Some(from);
+                    pos += used;
+                }
+                Ok(Some((WireFrame::Protocol(msg), used))) => {
+                    pos += used;
+                    let Some(from) = self.from else {
+                        eprintln!(
+                            "wbam-runtime: dropping connection from {}: protocol frame before Hello",
+                            self.desc
+                        );
+                        return false;
+                    };
+                    batch.push(Envelope::FromPeer { from, msg });
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    eprintln!("wbam-runtime: dropping connection from {}: {e}", self.desc);
+                    return false;
                 }
             }
         }
-
-        // 3. Read and decode from every inbound connection the kernel marked
-        // readable (level-triggered: unread bytes re-report next poll).
-        inbound.retain_mut(|conn| {
-            !std::mem::take(&mut conn.ready) || service_inbound(conn, codec, &env_tx, &mut chunk)
-        });
-
-        // 4. Dial due peers and flush queued output. Writes are attempted
-        // whenever bytes are queued — at worst one spurious `WouldBlock` per
-        // wake — so a frame queued in step 1 reaches the kernel in the same
-        // iteration, without waiting for a POLLOUT round-trip.
-        let now = clock.now();
-        for peer in peers.values_mut() {
-            service_peer(peer, &hello, now);
+        if pos > 0 {
+            self.buf.drain(..pos);
         }
+        true
+    }
+}
 
-        // 5. Build the poll set: wake pipe, listener, inbound sockets
-        // (readable), connected peers (writable only while bytes are
-        // queued; error/hangup conditions report regardless, so a dead
-        // outbound connection is noticed without writing to it).
-        fds.clear();
-        fds.push(PollFd::new(waker.pipe.read_fd(), POLLIN));
-        fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-        for conn in &inbound {
-            fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
+/// The one thread of a [`TcpNode`]: it owns the listener, every socket and
+/// the node loop, and nothing it calls blocks except `poll(2)`. See the
+/// module docs for what one iteration does.
+struct Reactor<M> {
+    nl: NodeLoop<M, TcpTransport<M>, WallClock>,
+    codec: WireCodec,
+    listener: TcpListener,
+    inbound: Vec<InConn>,
+    waker: Arc<Waker>,
+    clock: WallClock,
+}
+
+impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
+    fn run(mut self, restart: bool) {
+        // Init, then Restart, before the first accept: connections parked in
+        // the kernel backlog are only read once the loop below starts, so a
+        // redeployed node rejoins before it sees any peer traffic.
+        self.nl.init();
+        if restart {
+            self.nl.apply_restart();
         }
-        let peer_base = fds.len();
-        let mut polled_peers: Vec<ProcessId> = Vec::with_capacity(peer_ids.len());
-        for &id in &peer_ids {
-            let peer = &peers[&id];
-            if let Some(conn) = &peer.conn {
-                let events = if peer.queued() > 0 { POLLOUT } else { 0 };
-                fds.push(PollFd::new(conn.as_raw_fd(), events));
-                polled_peers.push(id);
+        let mut batch: Vec<Envelope<M>> = Vec::new();
+        let mut chunk = vec![0u8; READ_CHUNK];
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut listener_ready = true; // service everything on the first pass
+
+        loop {
+            // 1. Accept, then read and decode every connection the kernel
+            // marked readable. The iteration's envelope budget is split
+            // evenly over the connections that want service, so one that
+            // streams frames as fast as it can gets its share and no more.
+            if listener_ready {
+                self.accept_ready();
             }
-        }
+            let wanting = self.inbound.iter().filter(|c| c.needs_service()).count();
+            let budget = (MAX_ENVELOPE_BATCH / wanting.max(1)).max(1);
+            let codec = self.codec;
+            self.inbound.retain_mut(|conn| {
+                !conn.needs_service() || conn.service(codec, budget, &mut batch, &mut chunk)
+            });
 
-        // 6. The sole timeout: the nearest re-dial deadline among down peers
-        // that have bytes to deliver. With none, block until readiness or an
-        // explicit wake — there is nothing else the poller could usefully do.
-        let timeout = peers
-            .values()
-            .filter(|p| p.conn.is_none() && p.queued() > 0)
-            .map(|p| p.next_dial.saturating_sub(now))
-            .min();
-        match poll(&mut fds, timeout) {
-            Ok(_) => {}
-            Err(e) => {
+            // 2. Run the node over what was decoded plus what is in the
+            // mailbox (other threads' submits, its own messages to itself),
+            // fire due timers, and flush: every send of a round was encoded
+            // straight into its peer's outbuf and leaves in one `send` per
+            // peer. The first round always runs — a timer or a writable
+            // socket may be why `poll` returned.
+            for round in 0..MAX_ROUNDS {
+                self.nl.take_mail(&mut batch, MAX_ENVELOPE_BATCH);
+                if batch.is_empty() && round > 0 {
+                    break;
+                }
+                self.nl.process_batch(batch.drain(..));
+                self.nl.fire_due_timers();
+                self.nl.transport_mut().service(self.clock.now());
+            }
+            if self.nl.is_stopped() {
+                self.nl.transport_mut().join_dials();
+                return;
+            }
+
+            // 3. The poll set: wake pipe, listener, inbound sockets
+            // (readable), connected peers.
+            fds.clear();
+            fds.push(PollFd::new(self.waker.pipe.read_fd(), POLLIN));
+            fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            for conn in &self.inbound {
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
+            }
+            let peer_base = fds.len();
+            self.nl.transport_mut().poll_set(&mut fds);
+
+            // 4. Sleep until the next live timer or re-dial deadline — not
+            // at all while decoded-but-unprocessed frames or mail are
+            // waiting. `Waker` explains why the last look at the mailbox
+            // sits between `prepare_sleep` and `poll`.
+            let deadline = match (self.nl.next_deadline(), self.nl.transport_mut().next_dial()) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            let mut timeout = deadline.map(|d| d.saturating_sub(self.clock.now()));
+            if self.inbound.iter().any(|c| c.backlog) {
+                timeout = Some(Duration::ZERO);
+            }
+            if timeout != Some(Duration::ZERO) {
+                self.waker.prepare_sleep();
+                if self.nl.take_mail(&mut batch, MAX_ENVELOPE_BATCH) > 0 {
+                    timeout = Some(Duration::ZERO);
+                }
+            }
+            let polled = poll(&mut fds, timeout);
+            self.waker.awake();
+            if let Err(e) = polled {
                 // A failing poll (EINVAL/ENOMEM — none expected at this fd
                 // count) must not hot-loop; degrade to a short sleep and
                 // retry rather than killing the process's networking.
                 eprintln!("wbam-runtime: poll failed: {e}");
                 std::thread::sleep(Duration::from_millis(5));
                 listener_ready = true;
-                for conn in &mut inbound {
-                    conn.ready = true;
+                for conn in &mut self.inbound {
+                    conn.readable = true;
                 }
                 continue;
             }
-        }
 
-        // 7. Record readiness for the next iteration's servicing passes.
-        listener_ready = fds[1].readable();
-        for (conn, fd) in inbound.iter_mut().zip(&fds[2..peer_base]) {
-            conn.ready = fd.readable();
-        }
-        let now = clock.now();
-        for (&id, fd) in polled_peers.iter().zip(&fds[peer_base..]) {
-            if fd.has_error() {
-                // RST/FIN on a write-only connection: drop it now instead of
-                // discovering the corpse on the next write.
-                peers
-                    .get_mut(&id)
-                    .expect("polled peer exists")
-                    .disconnect(now);
+            // 5. Record readiness for the next iteration.
+            if fds[0].readable() {
+                self.waker.pipe.drain();
             }
+            listener_ready = fds[1].readable();
+            for (conn, fd) in self.inbound.iter_mut().zip(&fds[2..peer_base]) {
+                conn.readable = fd.readable();
+            }
+            let now = self.clock.now();
+            self.nl.transport_mut().note_hangups(&fds[peer_base..], now);
         }
     }
-}
 
-/// The portable fallback poller (non-Unix): parks in a short `recv_timeout`
-/// on the command channel, so outbound sends wake it instantly but inbound
-/// socket bytes wait out the park — an adaptive 50 µs–50 ms idle that backs
-/// off while the process is quiet. Kept only where `poll(2)` is unavailable.
-#[cfg(not(unix))]
-#[allow(clippy::too_many_arguments)]
-fn parked_poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
-    codec: WireCodec,
-    listener: TcpListener,
-    peer_addrs: Vec<(ProcessId, SocketAddr)>,
-    hello: Vec<u8>,
-    cmd_rx: Receiver<PollerCmd>,
-    env_tx: Sender<Envelope<M>>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-    clock: C,
-) {
-    /// Shortest idle wait between iterations; yields the core to the node
-    /// thread instead of spinning.
-    const IDLE_MIN: Duration = Duration::from_micros(50);
-    /// Longest idle wait once the process has been quiet for a while; also
-    /// bounds how stale the shutdown flag can get on this fallback path.
-    const IDLE_MAX: Duration = Duration::from_millis(50);
-    /// How long after the last activity the wait stays at `IDLE_MIN` before
-    /// backing off exponentially toward `IDLE_MAX`.
-    const HOT_WINDOW: Duration = Duration::from_millis(5);
-
-    use crate::clock::WaitError;
-
-    let mut peers: HashMap<ProcessId, PeerOut> = peer_addrs
-        .into_iter()
-        .map(|(p, a)| (p, PeerOut::new(a)))
-        .collect();
-    let mut inbound: Vec<InConn> = Vec::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut idle = IDLE_MIN;
-    let mut last_progress = clock.now();
-
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut progress = false;
-
+    fn accept_ready(&mut self) {
         loop {
-            match cmd_rx.try_recv() {
-                Ok(PollerCmd::Frames(frames)) => {
-                    progress = true;
-                    queue_frames(frames, &mut peers, &stats);
-                }
-                Ok(PollerCmd::Shutdown) | Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-
-        loop {
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, addr)) => {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    inbound.push(InConn {
+                    self.inbound.push(InConn {
                         stream,
                         desc: addr.to_string(),
                         buf: Vec::new(),
                         preamble_ok: false,
                         from: None,
-                        ready: true,
+                        readable: true,
+                        backlog: false,
                     });
-                    progress = true;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-
-        inbound.retain_mut(|conn| {
-            let had = conn.buf.len();
-            let keep = service_inbound(conn, codec, &env_tx, &mut chunk);
-            progress |= conn.buf.len() != had || !keep;
-            keep
-        });
-
-        let now = clock.now();
-        for peer in peers.values_mut() {
-            progress |= service_peer(peer, &hello, now);
-        }
-
-        if progress {
-            last_progress = clock.now();
-            idle = IDLE_MIN;
-        } else if clock.now().saturating_sub(last_progress) > HOT_WINDOW {
-            idle = (idle * 2).min(IDLE_MAX);
-        }
-        match clock.recv_deadline(&cmd_rx, Some(clock.now() + idle)) {
-            Ok(PollerCmd::Frames(frames)) => {
-                last_progress = clock.now();
-                idle = IDLE_MIN;
-                queue_frames(frames, &mut peers, &stats);
-            }
-            Ok(PollerCmd::Shutdown) => return,
-            Err(WaitError::Timeout) => {}
-            Err(WaitError::Disconnected) => return,
-        }
-    }
-}
-
-/// Drains one inbound connection: reads until `WouldBlock`, then decodes
-/// every complete frame with a cursor and compacts the buffer once. Returns
-/// `false` when the connection should be dropped (EOF, IO error, bad
-/// preamble, undecodable frame — a corrupt length prefix cannot be resynced
-/// from; the peer's poller re-dials).
-fn service_inbound<M: DeserializeOwned>(
-    conn: &mut InConn,
-    codec: WireCodec,
-    env_tx: &Sender<Envelope<M>>,
-    chunk: &mut [u8],
-) -> bool {
-    loop {
-        match conn.stream.read(chunk) {
-            Ok(0) => return false,
-            Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    let mut pos = 0usize;
-    if !conn.preamble_ok {
-        if conn.buf.len() < PREAMBLE_LEN {
-            return true; // need more bytes
-        }
-        let mut preamble = [0u8; PREAMBLE_LEN];
-        preamble.copy_from_slice(&conn.buf[..PREAMBLE_LEN]);
-        if let Err(e) = check_preamble(&preamble, codec) {
-            eprintln!("wbam-runtime: rejecting connection from {}: {e}", conn.desc);
-            return false;
-        }
-        conn.preamble_ok = true;
-        pos = PREAMBLE_LEN;
-    }
-    loop {
-        match decode_frame_slice::<WireFrame<M>>(codec, &conn.buf[pos..]) {
-            Ok(Some((WireFrame::Hello { from }, used))) => {
-                conn.from = Some(from);
-                pos += used;
-            }
-            Ok(Some((WireFrame::Protocol(msg), used))) => {
-                pos += used;
-                let Some(from) = conn.from else {
-                    eprintln!(
-                        "wbam-runtime: dropping connection from {}: protocol frame before Hello",
-                        conn.desc
-                    );
-                    return false;
-                };
-                if env_tx.send(Envelope::FromPeer { from, msg }).is_err() {
-                    return false; // node thread gone
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                eprintln!("wbam-runtime: dropping connection from {}: {e}", conn.desc);
-                return false;
+                // WouldBlock: the backlog is empty. Anything else is a
+                // transient accept error; the next poll retries.
+                Err(_) => return,
             }
         }
     }
-    if pos > 0 {
-        conn.buf.drain(..pos);
-    }
-    true
-}
-
-/// Dials a peer if due and flushes its output buffer with coalesced writes:
-/// everything queued goes to the kernel in as few `write` calls as the
-/// socket buffer allows. Returns whether any progress (dial or bytes
-/// written) was made. `now` is the poller's clock reading (elapsed since
-/// runtime start).
-fn service_peer(peer: &mut PeerOut, hello: &[u8], now: Duration) -> bool {
-    let mut progress = false;
-    if peer.conn.is_none() {
-        // Dial lazily: only a peer we have bytes for is worth a connection.
-        if peer.queued() == 0 || now < peer.next_dial {
-            return false;
-        }
-        match TcpStream::connect_timeout(&peer.addr, DIAL_TIMEOUT) {
-            Ok(stream) => {
-                // The fresh connection starts with preamble + Hello, then
-                // whatever queued up while the peer was down.
-                peer.adopt_connection(stream, hello);
-                progress = true;
-            }
-            Err(_) => {
-                peer.note_dial_failure(now);
-                return false;
-            }
-        }
-    }
-    let stream = peer.conn.as_mut().expect("connected above");
-    while peer.offset < peer.outbuf.len() {
-        match stream.write(&peer.outbuf[peer.offset..]) {
-            Ok(0) => {
-                peer.disconnect(now);
-                return true;
-            }
-            Ok(n) => {
-                peer.offset += n;
-                progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break, // socket buffer full
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                peer.disconnect(now);
-                return true;
-            }
-        }
-    }
-    if peer.offset == peer.outbuf.len() {
-        peer.outbuf.clear();
-        peer.offset = 0;
-    } else if peer.offset > READ_CHUNK {
-        peer.outbuf.drain(..peer.offset);
-        peer.offset = 0;
-    }
-    progress
 }
 
 /// One protocol node running over real TCP: the per-process runtime behind
-/// the `wbamd` deployment binary (one OS process = one [`TcpNode`]).
+/// the `wbamd` deployment binary (one OS process = one [`TcpNode`] = one
+/// reactor thread).
 ///
 /// The node runs the same event loop as [`InProcessCluster`](crate::InProcessCluster)
-/// — only the transport differs — so a protocol that is correct under the
-/// simulator and the in-process runtime behaves identically here.
+/// — only the driver and the transport differ — so a protocol that is
+/// correct under the simulator and the in-process runtime behaves
+/// identically here.
 ///
-/// The delivery accessors return [`WbamError::NotReady`] when the node
+/// The delivery accessors return [`WbamError::NotReady`] when the reactor
 /// thread has panicked while publishing deliveries (a poisoned delivery
-/// log): one dead node thread must surface as an error to the embedder, not
-/// as a panic cascade through every thread that touches the log.
+/// log): one dead node must surface as an error to the embedder, not as a
+/// panic cascade through every thread that touches the log.
 pub struct TcpNode<M> {
     id: ProcessId,
-    env_tx: Sender<Envelope<M>>,
-    cmd_tx: Sender<PollerCmd>,
-    waker: PollerWaker,
+    mailbox: Sender<Envelope<M>>,
+    waker: Arc<Waker>,
     stats: Arc<TransportStats>,
     deliveries: Arc<DeliveryLog>,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
     clock: WallClock,
 }
 
@@ -922,10 +831,10 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         Self::spawn_with_codec(node, addrs, restart, WireCodec::default())
     }
 
-    /// Binds `addrs[node.id()]`, spawns the poller thread and the node
-    /// thread, and starts the node with `Event::Init`. All connections use
-    /// `codec` for their frame bodies; the preamble handshake rejects peers
-    /// running a different codec (or wire version) with a clear error.
+    /// Binds `addrs[node.id()]`, spawns the reactor thread and starts the
+    /// node with `Event::Init`. All connections use `codec` for their frame
+    /// bodies; the preamble handshake rejects peers running a different
+    /// codec (or wire version) with a clear error.
     ///
     /// With `restart = true` the node additionally receives `Event::Restart`
     /// before any peer traffic — the flag a redeployed `wbamd` process passes
@@ -936,13 +845,24 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     /// # Errors
     ///
     /// Returns [`WbamError::UnknownProcess`] when `addrs` has no entry for
-    /// the node, or [`WbamError::Io`] when binding its listen address (or
-    /// creating the poller's wake pipe) fails.
+    /// the node, or [`WbamError::Io`] when binding its listen address,
+    /// creating the wake pipe or spawning the thread fails.
     pub fn spawn_with_codec(
         node: BoxedNode<M>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         restart: bool,
         codec: WireCodec,
+    ) -> Result<Self, WbamError> {
+        let dialler: Dialler = Arc::new(|addr| TcpStream::connect_timeout(&addr, DIAL_TIMEOUT));
+        Self::spawn_with_dialler(node, addrs, restart, codec, dialler)
+    }
+
+    fn spawn_with_dialler(
+        node: BoxedNode<M>,
+        addrs: &BTreeMap<ProcessId, SocketAddr>,
+        restart: bool,
+        codec: WireCodec,
+        dialler: Dialler,
     ) -> Result<Self, WbamError> {
         let id = node.id();
         let listen = *addrs.get(&id).ok_or(WbamError::UnknownProcess(id))?;
@@ -951,48 +871,35 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
 
         let clock = WallClock::new();
         let deliveries = Arc::new(DeliveryLog::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (env_tx, env_rx) = unbounded();
-        let mut threads = Vec::new();
-
-        if restart {
-            // Enqueued before the poller thread exists, so the node is
-            // guaranteed to process Event::Init then Event::Restart before
-            // any peer traffic (connections parked in the kernel backlog are
-            // only read once the poller starts accepting).
-            let _ = env_tx.send(Envelope::Restart);
-        }
-        let (transport, poller) = TcpTransport::new(
+        let waker = Arc::new(Waker::new()?);
+        let (mailbox, rx) = unbounded();
+        let transport = TcpTransport::new(
             id,
             codec,
-            listener,
-            env_tx.clone(),
+            mailbox.clone(),
             addrs,
-            Arc::clone(&shutdown),
+            dialler,
+            Arc::clone(&waker),
+        );
+        let stats = Arc::clone(&transport.stats);
+        let reactor = Reactor {
+            nl: NodeLoop::new(node, rx, transport, Arc::clone(&deliveries), clock),
+            codec,
+            listener,
+            inbound: Vec::new(),
+            waker: Arc::clone(&waker),
             clock,
-        )?;
-        let PollerHandle {
-            cmd_tx,
-            waker,
-            stats,
-            thread,
-        } = poller;
-        threads.push(thread);
-        {
-            let deliveries = Arc::clone(&deliveries);
-            threads.push(std::thread::spawn(move || {
-                run_node(node, env_rx, transport, deliveries, clock);
-            }));
-        }
+        };
+        let reactor = std::thread::Builder::new()
+            .name(format!("wbam-reactor-{id}"))
+            .spawn(move || reactor.run(restart))?;
         Ok(TcpNode {
             id,
-            env_tx,
-            cmd_tx,
+            mailbox,
             waker,
             stats,
             deliveries,
-            shutdown,
-            threads,
+            reactor: Some(reactor),
             clock,
         })
     }
@@ -1007,7 +914,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`WbamError::NotReady`] when the node thread has exited.
+    /// Returns [`WbamError::NotReady`] when the reactor thread has exited.
     pub fn submit(&self, msg: AppMessage) -> Result<(), WbamError> {
         self.control(Envelope::Submit(msg))
     }
@@ -1016,19 +923,23 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`WbamError::NotReady`] when the node thread has exited.
+    /// Returns [`WbamError::NotReady`] when the reactor thread has exited.
     pub fn become_leader(&self) -> Result<(), WbamError> {
         self.control(Envelope::BecomeLeader)
     }
 
     fn control(&self, envelope: Envelope<M>) -> Result<(), WbamError> {
-        self.env_tx.send(envelope).map_err(|_| WbamError::NotReady {
-            process: self.id,
-            reason: "node thread has exited".to_string(),
-        })
+        self.mailbox
+            .send(envelope)
+            .map_err(|_| WbamError::NotReady {
+                process: self.id,
+                reason: "node thread has exited".to_string(),
+            })?;
+        self.waker.wake();
+        Ok(())
     }
 
-    /// Errors out when the node thread has panicked while holding the
+    /// Errors out when the reactor thread has panicked while holding the
     /// delivery log, so embedders get a typed error instead of a cascade.
     fn check_log(&self) -> Result<(), WbamError> {
         if self.deliveries.is_poisoned() {
@@ -1046,7 +957,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`WbamError::NotReady`] when the node thread has panicked
+    /// Returns [`WbamError::NotReady`] when the reactor thread has panicked
     /// while publishing deliveries.
     pub fn deliveries(&self) -> Result<Vec<RuntimeDelivery>, WbamError> {
         self.check_log()?;
@@ -1079,8 +990,9 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::deliveries`] — a node thread that panicked
-    /// before or during the wait surfaces as the error, not a stuck `false`.
+    /// Same contract as [`Self::deliveries`] — a reactor thread that
+    /// panicked before or during the wait surfaces as the error, not a stuck
+    /// `false`.
     pub fn wait_for_total(&self, count: u64, timeout: Duration) -> Result<bool, WbamError> {
         let reached = self.deliveries.wait_for_total(count, timeout);
         self.check_log()?;
@@ -1106,16 +1018,21 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         self.clock.now()
     }
 
-    /// Stops the node and its poller thread and waits for them to exit. The
-    /// explicit wake means the poller observes the shutdown immediately,
-    /// even when it is parked with no timeout.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        let _ = self.env_tx.send(Envelope::Shutdown);
-        let _ = self.cmd_tx.send(PollerCmd::Shutdown);
+    /// Stops the node and waits for its reactor thread to exit (dropping the
+    /// handle does the same). The stop request travels like any other
+    /// control event — an envelope plus a wake — so a reactor asleep in
+    /// `poll` with no timeout observes it immediately.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl<M> Drop for TcpNode<M> {
+    fn drop(&mut self) {
+        let _ = self.mailbox.send(Envelope::Shutdown);
         self.waker.wake();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(reactor) = self.reactor.take() {
+            let _ = reactor.join();
         }
     }
 }
@@ -1123,9 +1040,13 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
     use std::time::Instant;
     use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxMsg, WhiteBoxReplica};
-    use wbam_types::{ClusterConfig, Destination, GroupId, MsgId, Payload};
+    use wbam_types::wire::{encode_frame_with, MAX_FRAME_LEN};
+    use wbam_types::{
+        Action, ClusterConfig, Destination, Event, GroupId, MsgId, Node, Payload, TimerId,
+    };
 
     /// Reserves one free loopback port per process by briefly binding port 0.
     fn reserve_addrs(cluster: &ClusterConfig) -> BTreeMap<ProcessId, SocketAddr> {
@@ -1310,7 +1231,7 @@ mod tests {
 
     /// Killing a follower's process and spawning a fresh one on the same
     /// address (the `wbamd --restart` path) rejoins it to the group: peers'
-    /// pollers reconnect with backoff, the fresh node's `Event::Restart`
+    /// reactors reconnect with backoff, the fresh node's `Event::Restart`
     /// pulls the group state via the NEW_LEADER handshake, and it ends up
     /// with the same delivery order as the survivors.
     #[test]
@@ -1389,11 +1310,11 @@ mod tests {
     }
 
     /// Regression for the dial-backoff state machine, exercised directly on
-    /// [`PeerOut`] (the poller runs these exact transitions): repeated dial
-    /// failures climb the backoff exponentially to its cap, and a successful
-    /// (re)connect resets it to [`BACKOFF_INITIAL`] — a later outage must
-    /// start from the fast 10 ms re-dial, not inherit a stale half-second
-    /// delay from an earlier one.
+    /// [`PeerOut`] (the reactor runs these exact transitions, with the dial
+    /// itself on a thread): repeated dial failures climb the backoff
+    /// exponentially to its cap, and a successful (re)connect resets it to
+    /// [`BACKOFF_INITIAL`] — a later outage must start from the fast 10 ms
+    /// re-dial, not inherit a stale half-second delay from an earlier one.
     #[test]
     fn dial_backoff_resets_after_successful_reconnect() {
         // A port that was bound and released: dials are refused immediately.
@@ -1401,19 +1322,37 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
             l.local_addr().expect("local addr")
         };
-        // The backoff state machine is pure Duration math on the poller's
+        // The backoff state machine is pure Duration math on the reactor's
         // clock, so the test drives it with explicit times.
         let mut peer = PeerOut::new(addr);
-        assert!(peer.queue(b"frame"), "empty buffer accepts a frame");
+        assert!(
+            !peer.dial_due(Duration::ZERO),
+            "nothing queued, nothing to dial for"
+        );
+        assert!(
+            peer.push_frame(WireCodec::Binary, &7u64),
+            "empty buffer accepts a frame"
+        );
         assert_eq!(peer.next_dial, Duration::ZERO, "first dial is due at once");
+        let dial = |peer: &mut PeerOut, now: Duration| {
+            assert!(peer.dial_due(now), "a dial is due at its deadline");
+            let result = TcpStream::connect_timeout(&peer.addr, DIAL_TIMEOUT);
+            peer.dial_finished(result, b"hello", now);
+        };
 
         // Fail enough dials to saturate the backoff at its cap. Each attempt
-        // is made exactly when due, as the poller's timeout handling does.
+        // is made exactly when due, as the reactor's poll timeout does.
         let mut expected = BACKOFF_INITIAL;
         for _ in 0..10 {
             let now = peer.next_dial;
-            assert!(!service_peer(&mut peer, b"hello", now), "dial must fail");
-            assert!(peer.conn.is_none());
+            if !now.is_zero() {
+                assert!(
+                    !peer.dial_due(now - Duration::from_nanos(1)),
+                    "dialled early"
+                );
+            }
+            dial(&mut peer, now);
+            assert!(peer.conn.is_none(), "dial must fail");
             assert_eq!(peer.next_dial, now + expected, "wrong re-dial deadline");
             expected = (expected * 2).min(BACKOFF_MAX);
         }
@@ -1423,8 +1362,12 @@ mod tests {
         // backoff so the *next* outage re-dials fast.
         let listener = TcpListener::bind(addr).expect("rebind victim port");
         let due = peer.next_dial;
-        assert!(service_peer(&mut peer, b"hello", due));
+        dial(&mut peer, due);
         assert!(peer.conn.is_some(), "reconnected");
+        assert!(
+            peer.outbuf.starts_with(b"hello"),
+            "hello precedes the queue"
+        );
         assert_eq!(
             peer.backoff, BACKOFF_INITIAL,
             "stale backoff survived the reconnect"
@@ -1437,50 +1380,74 @@ mod tests {
         drop(listener);
     }
 
-    /// Frames beyond [`OUTBUF_CAP`] are dropped (never truncated) and the
-    /// drop is counted per peer through [`TransportStats`].
-    #[test]
-    fn outbuf_overflow_drops_whole_frames_and_counts_them() {
-        let addr = "127.0.0.1:9".parse().unwrap(); // never dialled here
-        let mut peers = HashMap::new();
-        peers.insert(ProcessId(7), PeerOut::new(addr));
-        let stats = TransportStats::for_peers([ProcessId(7)]);
-
-        let big = Bytes::from(vec![0u8; OUTBUF_CAP - 10]);
-        let small = Bytes::from(vec![1u8; 64]);
-        queue_frames(vec![(ProcessId(7), big)], &mut peers, &stats);
-        assert_eq!(stats.dropped_frames(), 0);
-        // The next frame would cross the cap: dropped whole, counted.
-        queue_frames(
-            vec![(ProcessId(7), small.clone()), (ProcessId(7), small)],
-            &mut peers,
-            &stats,
-        );
-        assert_eq!(stats.dropped_frames(), 2);
-        assert_eq!(stats.dropped_frames_by_peer()[&ProcessId(7)], 2);
-        // Unknown destinations are ignored, not counted against anyone.
-        queue_frames(
-            vec![(ProcessId(99), Bytes::from(vec![2u8; 8]))],
-            &mut peers,
-            &stats,
-        );
-        assert_eq!(stats.dropped_frames(), 2);
-        assert_eq!(peers[&ProcessId(7)].queued(), OUTBUF_CAP - 10);
+    /// A transport for `p0` with one peer that is never dialled (nothing
+    /// calls `service`), for driving the send path alone.
+    fn undialled_transport(peer: ProcessId) -> TcpTransport<Vec<u8>> {
+        let nowhere: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let addrs = BTreeMap::from([(ProcessId(0), nowhere), (peer, nowhere)]);
+        let (loopback, _) = unbounded();
+        TcpTransport::new(
+            ProcessId(0),
+            WireCodec::Binary,
+            loopback,
+            &addrs,
+            Arc::new(|_| Err(io::Error::other("never dialled"))),
+            Arc::new(Waker::new().expect("wake pipe")),
+        )
     }
 
-    /// A message too large for any frame never reaches the poller, so the
-    /// transport itself must count it: same counter, same per-peer view.
+    /// Frames beyond [`OUTBUF_CAP`] are dropped (never truncated) and the
+    /// drop is counted per peer through [`TransportStats`]: the send path
+    /// encodes into the outbuf itself, so a dropped frame must leave the
+    /// outbuf byte for byte as it was.
+    #[test]
+    fn outbuf_overflow_drops_whole_frames_and_counts_them() {
+        let peer = ProcessId(7);
+        let mut transport = undialled_transport(peer);
+        // Fills the buffer to within 64 bytes of the cap (a frame adds under
+        // twenty bytes of length prefix and headers to its payload).
+        transport.send(peer, vec![0u8; OUTBUF_CAP - 64]);
+        assert_eq!(transport.stats.dropped_frames(), 0);
+        let queued = transport.peers[&peer].outbuf.clone();
+        assert!(queued.len() > OUTBUF_CAP - 64 && queued.len() <= OUTBUF_CAP - 32);
+
+        // The next frames would cross the cap: dropped whole, counted.
+        transport.send(peer, vec![1u8; 64]);
+        transport.send(peer, vec![1u8; 64]);
+        assert_eq!(transport.stats.dropped_frames(), 2);
+        assert_eq!(transport.stats.dropped_frames_by_peer()[&peer], 2);
+        assert!(
+            transport.peers[&peer].outbuf == queued,
+            "a drop altered the outbuf"
+        );
+        // Unknown destinations are ignored, not counted against anyone.
+        transport.send(ProcessId(99), vec![2u8; 8]);
+        assert_eq!(transport.stats.dropped_frames(), 2);
+        // A frame that still fits is queued behind the first, intact.
+        transport.send(peer, vec![3u8; 4]);
+        assert_eq!(transport.stats.dropped_frames(), 2);
+        let outbuf = &transport.peers[&peer].outbuf;
+        assert!(outbuf.len() > queued.len() && outbuf.starts_with(&queued));
+    }
+
+    /// A message too large for any frame can never reach the peer: it is
+    /// counted like every other drop and leaves no partial frame behind.
     #[test]
     fn unencodable_frames_are_dropped_and_counted() {
-        let stats = TransportStats::for_peers([ProcessId(7)]);
-        let fits = encode_for(WireCodec::Binary, ProcessId(7), vec![3u8; 64], &stats);
-        assert!(fits.is_some());
-        assert_eq!(stats.dropped_frames(), 0);
+        let peer = ProcessId(7);
+        let mut transport = undialled_transport(peer);
+        transport.send(peer, vec![3u8; 64]);
+        assert_eq!(transport.stats.dropped_frames(), 0);
+        let queued = transport.peers[&peer].outbuf.clone();
+        assert!(!queued.is_empty());
 
-        let oversized = vec![3u8; wbam_types::wire::MAX_FRAME_LEN];
-        assert!(encode_for(WireCodec::Binary, ProcessId(7), oversized, &stats).is_none());
-        assert_eq!(stats.dropped_frames(), 1);
-        assert_eq!(stats.dropped_frames_by_peer()[&ProcessId(7)], 1);
+        transport.send(peer, vec![3u8; MAX_FRAME_LEN]);
+        assert_eq!(transport.stats.dropped_frames(), 1);
+        assert_eq!(transport.stats.dropped_frames_by_peer()[&peer], 1);
+        assert!(
+            transport.peers[&peer].outbuf == queued,
+            "a drop altered the outbuf"
+        );
     }
 
     /// Regression for split reads on the accept path: the 4-byte preamble,
@@ -1497,14 +1464,7 @@ mod tests {
         let client_id = cluster.clients()[0];
         let node = spawn_replica(&cluster, &addrs, replica, false, WireCodec::Binary);
 
-        let mut bytes = encode_preamble(WireCodec::Binary).to_vec();
-        bytes.extend_from_slice(
-            &encode_frame_with(
-                WireCodec::Binary,
-                &WireFrame::<WhiteBoxMsg>::Hello { from: client_id },
-            )
-            .expect("encode Hello"),
-        );
+        let mut bytes = hello_bytes::<WhiteBoxMsg>(WireCodec::Binary, client_id);
         bytes.extend_from_slice(
             &encode_frame_with(
                 WireCodec::Binary,
@@ -1539,8 +1499,8 @@ mod tests {
     /// Regression for shutdown racing an in-flight reconnect: a node whose
     /// peers are unreachable sits in the dial-backoff cycle (queued bytes,
     /// climbing `next_dial`), and `shutdown()` landing in that state must
-    /// join the poller promptly — no panic from the backoff machinery, no
-    /// poller thread left dialling dead addresses after the join returns.
+    /// join the reactor promptly — no panic from the backoff machinery, no
+    /// thread left dialling dead addresses after the join returns.
     #[test]
     fn shutdown_during_dial_backoff_joins_promptly() {
         let cluster = ClusterConfig::builder().groups(1, 3).clients(0).build();
@@ -1558,7 +1518,7 @@ mod tests {
         // members, arming the dial/backoff cycle with real queued bytes.
         node.become_leader().unwrap();
         // Let the backoff climb so the shutdown lands mid-cycle, with the
-        // poller parked on a re-dial deadline rather than idle.
+        // reactor asleep until a re-dial deadline rather than idle.
         std::thread::sleep(Duration::from_millis(600));
 
         let begin = Instant::now();
@@ -1566,7 +1526,376 @@ mod tests {
         let took = begin.elapsed();
         assert!(
             took < Duration::from_secs(2),
-            "shutdown under dial backoff took {took:?}: poller missed the wake"
+            "shutdown under dial backoff took {took:?}: reactor missed the wake"
+        );
+    }
+
+    /// What the [`Probe`] node below observed.
+    #[derive(Default)]
+    struct ProbeLog {
+        /// How late each firing of the periodic timer was.
+        lateness: Vec<Duration>,
+        /// Messages received, by sender.
+        received: BTreeMap<ProcessId, u64>,
+        /// When each message other than [`FLOOD`] arrived.
+        arrivals: Vec<Duration>,
+    }
+
+    /// The message a flooding connection repeats; counted, not timestamped.
+    const FLOOD: u64 = u64::MAX;
+
+    /// A node for the reactor tests: re-arms one timer every `period`,
+    /// sending a beat to each of `beats_to` when it fires, and logs how late
+    /// each firing was and what it received.
+    struct Probe {
+        id: ProcessId,
+        period: Duration,
+        beats_to: Vec<ProcessId>,
+        deadline: Duration,
+        log: Arc<Mutex<ProbeLog>>,
+    }
+
+    impl Probe {
+        fn boxed(
+            id: ProcessId,
+            period: Duration,
+            beats_to: Vec<ProcessId>,
+        ) -> (BoxedNode<u64>, Arc<Mutex<ProbeLog>>) {
+            let log = Arc::new(Mutex::new(ProbeLog::default()));
+            let probe = Probe {
+                id,
+                period,
+                beats_to,
+                deadline: Duration::ZERO,
+                log: Arc::clone(&log),
+            };
+            (Box::new(probe), log)
+        }
+
+        fn arm(&mut self, now: Duration) -> Action<u64> {
+            self.deadline = now + self.period;
+            Action::SetTimer {
+                id: TimerId(1),
+                delay: self.period,
+            }
+        }
+    }
+
+    impl Node for Probe {
+        type Msg = u64;
+
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+
+        fn on_event(&mut self, now: Duration, event: Event<u64>) -> Vec<Action<u64>> {
+            let log = Arc::clone(&self.log);
+            let mut log = log.lock().unwrap();
+            match event {
+                Event::Init => vec![self.arm(now)],
+                Event::Timer { .. } => {
+                    log.lateness.push(now.saturating_sub(self.deadline));
+                    let beat = log.lateness.len() as u64;
+                    let mut actions: Vec<_> = self
+                        .beats_to
+                        .iter()
+                        .map(|&to| Action::Send { to, msg: beat })
+                        .collect();
+                    actions.push(self.arm(now));
+                    actions
+                }
+                Event::Message { from, msg } => {
+                    *log.received.entry(from).or_default() += 1;
+                    if msg != FLOOD {
+                        log.arrivals.push(now);
+                    }
+                    Vec::new()
+                }
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    /// Polls `done` every few milliseconds for up to 30 s.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let begin = Instant::now();
+        while !done() {
+            assert!(
+                begin.elapsed() < Duration::from_secs(30),
+                "timed out: {what}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn median(samples: &[Duration]) -> Duration {
+        let mut sorted = samples.to_vec();
+        sorted.sort();
+        sorted[sorted.len() / 2]
+    }
+
+    fn loopback_addr() -> SocketAddr {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+        l.local_addr().expect("local addr")
+    }
+
+    /// Node timers ride on the `poll` timeout: with no socket and no mailbox
+    /// activity at all, an idle reactor still fires a timer within 5 ms of
+    /// its deadline (the period is not a whole number of milliseconds, so a
+    /// timeout rounded down would wake early, find nothing due and sleep
+    /// again). The median is asserted, not the maximum: the test shares its
+    /// CPUs with every other test of the crate.
+    #[test]
+    fn idle_reactor_fires_node_timers_on_time() {
+        let id = ProcessId(0);
+        let (probe, log) = Probe::boxed(id, Duration::from_micros(10_400), Vec::new());
+        let addrs = BTreeMap::from([(id, loopback_addr())]);
+        let node = TcpNode::spawn(probe, &addrs, false).expect("spawn");
+        eventually("20 timer firings", || {
+            log.lock().unwrap().lateness.len() >= 20
+        });
+        node.shutdown();
+        let lateness = log.lock().unwrap().lateness.clone();
+        assert!(
+            median(&lateness) < Duration::from_millis(5),
+            "timers fired late: {lateness:?}"
+        );
+    }
+
+    /// A client whose replica is not up yet keeps the multicast queued,
+    /// re-dials on the backoff deadlines and re-sends on its retry timer —
+    /// all of it driven by `poll` timeouts on an otherwise idle reactor — and
+    /// completes once the replica appears.
+    #[test]
+    fn client_retries_reach_a_replica_that_starts_late() {
+        let cluster = ClusterConfig::builder().groups(1, 1).clients(1).build();
+        let addrs = reserve_addrs(&cluster);
+        let client_id = cluster.clients()[0];
+        let config = ClientConfig::new(client_id, cluster.clone())
+            .with_retry_timeout(Duration::from_millis(50));
+        let client = TcpNode::spawn(Box::new(MulticastClient::new(config)), &addrs, false)
+            .expect("spawn client");
+        client
+            .submit(AppMessage::new(
+                MsgId::new(client_id, 0),
+                Destination::single(GroupId(0)),
+                Payload::from("early"),
+            ))
+            .unwrap();
+        // Several retry periods and re-dials pass with nobody listening.
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(client.total_deliveries().unwrap(), 0);
+
+        let replica_id = cluster.groups()[0].members()[0];
+        let replica = spawn_replica(&cluster, &addrs, replica_id, false, WireCodec::Binary);
+        assert!(client.wait_for_total(1, Duration::from_secs(30)).unwrap());
+        assert_eq!(order_of(&replica), vec![MsgId::new(client_id, 0)]);
+        replica.shutdown();
+        client.shutdown();
+    }
+
+    /// Lost-wake stress for the `sleeping`-flag protocol: four threads
+    /// submit 5 000 multicasts each to a 1 × 1 cluster in 250 short bursts,
+    /// and the reactor drains every burst and goes back to sleep before the
+    /// next one starts — so every burst ends with submits racing a reactor
+    /// that is deciding to block. The client's retry timer is an hour away:
+    /// nothing but a submit's own wake can get a stranded envelope out of
+    /// the mailbox, and a lost wake shows as a burst that never completes.
+    #[test]
+    fn concurrent_submits_never_lose_a_wake() {
+        const THREADS: u64 = 4;
+        const BURSTS: u64 = 250;
+        const PER_BURST: u64 = 20;
+
+        let cluster = ClusterConfig::builder().groups(1, 1).clients(1).build();
+        let addrs = reserve_addrs(&cluster);
+        let replica_id = cluster.groups()[0].members()[0];
+        let replica = spawn_replica(&cluster, &addrs, replica_id, false, WireCodec::Binary);
+        let client_id = cluster.clients()[0];
+        let config = ClientConfig::new(client_id, cluster.clone())
+            .with_retry_timeout(Duration::from_secs(3600));
+        let client = TcpNode::spawn(Box::new(MulticastClient::new(config)), &addrs, false)
+            .expect("spawn client");
+
+        // Both ends of a burst are barriers, so the interleaving under test
+        // — the last submits of a burst against the reactor going idle — is
+        // forced 250 times rather than hoped for. After a lost wake the
+        // workers skip their remaining submits, so the test fails instead of
+        // waiting out one timeout per burst.
+        let barrier = Barrier::new(THREADS as usize + 1);
+        let lost = Mutex::new(None);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (client, barrier, lost) = (&client, &barrier, &lost);
+                scope.spawn(move || {
+                    for burst in 0..BURSTS {
+                        barrier.wait();
+                        for i in 0..PER_BURST {
+                            if lost.lock().unwrap().is_some() {
+                                break;
+                            }
+                            let seq = (t * BURSTS + burst) * PER_BURST + i;
+                            client
+                                .submit(AppMessage::new(
+                                    MsgId::new(client_id, seq),
+                                    Destination::single(GroupId(0)),
+                                    Payload::from("x"),
+                                ))
+                                .unwrap();
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+            for burst in 1..=BURSTS {
+                barrier.wait();
+                barrier.wait();
+                let submitted = burst * THREADS * PER_BURST;
+                if lost.lock().unwrap().is_none()
+                    && !client
+                        .wait_for_total(submitted, Duration::from_secs(10))
+                        .unwrap()
+                {
+                    *lost.lock().unwrap() = Some((burst, submitted));
+                }
+            }
+        });
+        assert_eq!(
+            *lost.lock().unwrap(),
+            None,
+            "a submit's wake was lost: (burst, submitted), with {} completed",
+            client.total_deliveries().unwrap()
+        );
+        assert_eq!(
+            replica.total_deliveries().unwrap(),
+            THREADS * BURSTS * PER_BURST
+        );
+        replica.shutdown();
+        client.shutdown();
+    }
+
+    /// Fairness: a raw socket streaming valid frames as fast as it can gets
+    /// its share of each iteration's envelope budget and no more. While it
+    /// floods, the node's 10 ms timer is not delayed by more than 10 ms
+    /// (median over the flood, as above) and a second connection sending a
+    /// frame every few milliseconds is read in step, not starved.
+    #[test]
+    fn a_flooding_connection_starves_neither_timers_nor_other_links() {
+        let id = ProcessId(0);
+        let (flooder, trickler) = (ProcessId(7), ProcessId(8));
+        let (probe, log) = Probe::boxed(id, Duration::from_millis(10), Vec::new());
+        let addrs = BTreeMap::from([(id, loopback_addr())]);
+        let node = TcpNode::spawn(probe, &addrs, false).expect("spawn");
+
+        /// Ends the flood when the test body returns or panics.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let _stop = StopOnDrop(&stop);
+            scope.spawn(|| {
+                let mut stream = TcpStream::connect(addrs[&id]).expect("dial node");
+                stream
+                    .write_all(&hello_bytes::<u64>(WireCodec::Binary, flooder))
+                    .expect("hello");
+                let frame = encode_frame_with(WireCodec::Binary, &WireFrame::Protocol(FLOOD))
+                    .expect("encode");
+                let burst = frame.repeat(READ_CHUNK / frame.len());
+                // Whole frames back to back; a write that times out against a
+                // full socket only re-checks the stop flag.
+                stream
+                    .set_write_timeout(Some(Duration::from_millis(50)))
+                    .unwrap();
+                let mut sent = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    if let Ok(n) = stream.write(&burst[sent..]) {
+                        sent = (sent + n) % burst.len();
+                    }
+                }
+            });
+            eventually("the flood arrives", || {
+                log.lock().unwrap().received.get(&flooder).copied() > Some(10_000)
+            });
+            let fired_before = log.lock().unwrap().lateness.len();
+
+            let mut stream = TcpStream::connect(addrs[&id]).expect("dial node");
+            stream.set_nodelay(true).unwrap();
+            stream
+                .write_all(&hello_bytes::<u64>(WireCodec::Binary, trickler))
+                .expect("hello");
+            for seq in 0..40u64 {
+                let frame = encode_frame_with(WireCodec::Binary, &WireFrame::Protocol(seq))
+                    .expect("encode");
+                stream.write_all(&frame).expect("trickle");
+                std::thread::sleep(Duration::from_millis(5));
+                // In step: at most a few frames behind at any point.
+                let read = log.lock().unwrap().received.get(&trickler).copied();
+                assert!(
+                    read.unwrap_or(0) + 10 > seq,
+                    "second connection starved: {read:?} of {seq} frames read"
+                );
+            }
+            eventually("the trickle is read in full", || {
+                log.lock().unwrap().received.get(&trickler) == Some(&40)
+            });
+            let lateness = log.lock().unwrap().lateness[fired_before..].to_vec();
+            assert!(lateness.len() >= 10, "timer starved: {lateness:?}");
+            assert!(
+                median(&lateness) <= Duration::from_millis(10),
+                "timer delayed by the flood: {lateness:?}"
+            );
+        });
+        node.shutdown();
+    }
+
+    /// Dialling never runs on the reactor. With an injected dialler that
+    /// takes 300 ms to fail for one (dead) peer, heartbeats to a live peer
+    /// keep their 10 ms period: the dial used to be a blocking
+    /// `connect_timeout` on the IO thread, which would now stall `on_event`
+    /// and every timer for its whole duration, attempt after attempt.
+    #[test]
+    fn a_slow_dial_does_not_stall_heartbeats_to_live_peers() {
+        let (a, live, dead) = (ProcessId(0), ProcessId(1), ProcessId(2));
+        let addrs = BTreeMap::from([
+            (a, loopback_addr()),
+            (live, loopback_addr()),
+            (dead, loopback_addr()),
+        ]);
+        let (receiver, received) = Probe::boxed(live, Duration::from_secs(3600), Vec::new());
+        let receiver = TcpNode::spawn(receiver, &addrs, false).expect("spawn live peer");
+
+        let dead_addr = addrs[&dead];
+        let dialler: Dialler = Arc::new(move |addr| {
+            if addr == dead_addr {
+                std::thread::sleep(Duration::from_millis(300));
+                return Err(io::Error::other("black-holed"));
+            }
+            TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)
+        });
+        let (sender, _) = Probe::boxed(a, Duration::from_millis(10), vec![live, dead]);
+        let sender = TcpNode::spawn_with_dialler(sender, &addrs, false, WireCodec::Binary, dialler)
+            .expect("spawn sender");
+
+        // Long enough for two whole slow dials of the dead peer.
+        eventually("60 heartbeats", || {
+            received.lock().unwrap().arrivals.len() >= 60
+        });
+        let begin = Instant::now();
+        sender.shutdown();
+        assert!(
+            begin.elapsed() < Duration::from_secs(2),
+            "shutdown waits for at most the dial in flight"
+        );
+        receiver.shutdown();
+        let arrivals = received.lock().unwrap().arrivals.clone();
+        let longest_gap = arrivals.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+        assert!(
+            longest_gap < Duration::from_millis(150),
+            "heartbeats stalled for {longest_gap:?} behind a dial"
         );
     }
 }

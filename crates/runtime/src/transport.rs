@@ -2,19 +2,19 @@
 //! carriage.
 //!
 //! The (crate-internal) node event loop executes
-//! [`Action::Send`](wbam_types::Action::Send) by handing the message to a
-//! [`Transport`]; everything else about running a node (timers, deliveries,
-//! control events) is transport-independent. Two transports exist:
+//! [`Action::Send`](wbam_types::Action::Send) by handing the message to the
+//! [`Transport`] it owns; everything else about running a node (timers,
+//! deliveries, control events) is transport-independent. Two transports
+//! exist:
 //!
 //! * [`ChannelTransport`] — in-process crossbeam channels, one per node
 //!   (used by [`InProcessCluster`](crate::InProcessCluster)); and
 //! * [`TcpTransport`](crate::tcp::TcpTransport) — real TCP sockets with
-//!   `wbam_types::wire` framing, driven by a single nonblocking
-//!   wake-on-ready poller thread (every socket plus a self-pipe wake fd
-//!   multiplexed through `poll(2)`; a `send_many` burst wakes the poller
-//!   with one byte down the pipe), used by the per-process
-//!   [`TcpNode`](crate::tcp::TcpNode) runtime and the `wbamd` deployment
-//!   binary.
+//!   `wbam_types::wire` framing. It owns the per-peer connections and output
+//!   buffers, and a send encodes the message straight into the destination's
+//!   buffer; the [`TcpNode`](crate::tcp::TcpNode) reactor — the thread that
+//!   runs the node loop — reaches the sockets through the loop it owns and
+//!   flushes each buffer with one coalesced `send` per iteration.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,21 +31,13 @@ use crate::node_loop::Envelope;
 /// dropped (or queued for a reconnecting peer) and the protocols' retry
 /// timers recover. A transport must preserve per-sender FIFO order for the
 /// messages it does deliver.
+///
+/// A transport belongs to exactly one node loop, which is why sending takes
+/// `&mut self`: an implementation keeps its connection state in plain fields,
+/// with no lock between it and the loop that drives it.
 pub trait Transport<M>: Send + 'static {
     /// Sends `msg` to process `to`. Never blocks on the peer.
-    fn send(&self, to: ProcessId, msg: M);
-
-    /// Sends a batch of messages, preserving per-destination order.
-    ///
-    /// The node event loop hands over all sends of one protocol step through
-    /// this, so a transport with per-handoff cost (the TCP poller's command
-    /// channel) pays it once per event instead of once per message. The
-    /// default just loops over [`send`](Self::send).
-    fn send_many(&self, msgs: Vec<(ProcessId, M)>) {
-        for (to, msg) in msgs {
-            self.send(to, msg);
-        }
-    }
+    fn send(&mut self, to: ProcessId, msg: M);
 }
 
 /// In-process transport: peers are threads in this process, each owning an
@@ -66,7 +58,7 @@ impl<M> ChannelTransport<M> {
 }
 
 impl<M: Send + 'static> Transport<M> for ChannelTransport<M> {
-    fn send(&self, to: ProcessId, msg: M) {
+    fn send(&mut self, to: ProcessId, msg: M) {
         if let Some(tx) = self.peers.get(&to) {
             let _ = tx.send(Envelope::FromPeer {
                 from: self.from,

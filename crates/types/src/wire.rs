@@ -145,23 +145,49 @@ pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result
 /// corrupt length prefix the peer cannot resync from, and any frame longer
 /// than [`MAX_FRAME_LEN`] would be rejected by the receiving decode anyway.
 pub fn encode_frame_with<M: Serialize>(codec: WireCodec, msg: &M) -> Result<Bytes, WbamError> {
-    // One buffer: the body is written behind a placeholder for its length.
     let mut frame = Vec::with_capacity(256);
-    frame.extend_from_slice(&[0; 4]);
-    match codec {
-        WireCodec::Json => frame.extend_from_slice(
-            &serde_json::to_vec(msg).map_err(|e| WbamError::Codec(e.to_string()))?,
-        ),
-        WireCodec::Binary => serde_binary::encode_into(msg, &mut frame),
-    }
-    let body_len = frame.len() - 4;
-    if body_len > MAX_FRAME_LEN {
-        return Err(WbamError::Codec(format!(
-            "frame body of {body_len} bytes exceeds maximum {MAX_FRAME_LEN}"
-        )));
-    }
-    frame[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
+    encode_frame_into(codec, msg, &mut frame)?;
     Ok(Bytes::from(frame))
+}
+
+/// Appends a message as one length-prefixed frame to `out` — the body is
+/// written behind a placeholder for its length, straight into the caller's
+/// buffer (a transport's output buffer), so a frame costs no allocation and
+/// no copy of its own.
+///
+/// # Errors
+///
+/// Same conditions as [`encode_frame_with`]. On error `out` is truncated back
+/// to its length on entry, so a byte stream being assembled in it stays cut
+/// at a frame boundary.
+pub fn encode_frame_into<M: Serialize>(
+    codec: WireCodec,
+    msg: &M,
+    out: &mut Vec<u8>,
+) -> Result<(), WbamError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let written = match codec {
+        WireCodec::Json => serde_json::to_vec(msg)
+            .map(|body| out.extend_from_slice(&body))
+            .map_err(|e| WbamError::Codec(e.to_string())),
+        WireCodec::Binary => {
+            serde_binary::encode_into(msg, out);
+            Ok(())
+        }
+    };
+    let body_len = out.len() - start - 4;
+    let result = match written {
+        Ok(()) if body_len > MAX_FRAME_LEN => Err(WbamError::Codec(format!(
+            "frame body of {body_len} bytes exceeds maximum {MAX_FRAME_LEN}"
+        ))),
+        other => other,
+    };
+    match result {
+        Ok(()) => out[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes()),
+        Err(_) => out.truncate(start),
+    }
+    result
 }
 
 /// Attempts to decode one frame from the front of the byte slice `input`.
@@ -408,6 +434,32 @@ mod tests {
         let mut buf = BytesMut::from(&frame[..]);
         let back: Ping = decode_frame(&mut buf).unwrap().unwrap();
         assert_eq!(back, at_limit);
+    }
+
+    /// Encoding into a caller's buffer appends exactly the bytes
+    /// `encode_frame_with` produces, and a failed encode leaves the buffer as
+    /// it found it.
+    #[test]
+    fn encode_into_appends_whole_frames_or_nothing() {
+        for codec in BOTH {
+            let msg = Ping {
+                seq: 7,
+                note: "hello".to_string(),
+            };
+            let mut out = b"earlier frames".to_vec();
+            encode_frame_into(codec, &msg, &mut out).unwrap();
+            encode_frame_into(codec, &msg, &mut out).unwrap();
+            let frame = encode_frame_with(codec, &msg).unwrap();
+            assert_eq!(out, [b"earlier frames", &frame[..], &frame[..]].concat());
+
+            let before = out.clone();
+            let over = Ping {
+                seq: 7,
+                note: "x".repeat(MAX_FRAME_LEN + 1),
+            };
+            assert!(encode_frame_into(codec, &over, &mut out).is_err());
+            assert_eq!(out, before);
+        }
     }
 
     #[test]
