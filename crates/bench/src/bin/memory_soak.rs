@@ -13,7 +13,15 @@
 //! * `restart_recovery_wall_ms`: the *host* wall-clock cost of draining a
 //!   follower crash/restart scheduled after the load — the recovery
 //!   handshake ships and merges the resident history, so this is the
-//!   O(history) → O(suffix) restart-work measurement.
+//!   O(history) → O(suffix) restart-work measurement, and
+//! * `resident_bytes_per_record`: what one resident record costs in memory —
+//!   the growth of this process's `VmRSS` over the load, divided by the
+//!   records resident across all replicas at its end. The simulator's own
+//!   per-message bookkeeping (delivery logs, metrics) is in the numerator, so
+//!   read it as a difference between two commits, not as an absolute. Only
+//!   the process's first run (WbCast, compaction off) reports it: later runs
+//!   reuse memory the earlier ones freed, and a compacted run holds too few
+//!   records for the quotient to mean anything.
 //!
 //! Usage:
 //!
@@ -50,6 +58,9 @@ struct MemoryRecord {
     resident_records_final: usize,
     pruned_total: u64,
     restart_recovery_wall_ms: f64,
+    /// Absent in rows older than the field and in all but a process's first
+    /// run (see the module docs).
+    resident_bytes_per_record: Option<f64>,
 }
 
 struct RunOutcome {
@@ -57,6 +68,8 @@ struct RunOutcome {
     resident_final: usize,
     pruned: u64,
     restart_wall: Duration,
+    /// `VmRSS` growth over the load per record resident at its end.
+    bytes_per_record: Option<f64>,
 }
 
 fn spec(compaction: bool) -> ClusterSpec {
@@ -82,20 +95,36 @@ fn spec(compaction: bool) -> ClusterSpec {
     spec
 }
 
-fn max_resident(sim: &ProtocolSim) -> usize {
+/// Every replica's resident record count.
+fn resident(sim: &ProtocolSim) -> impl Iterator<Item = usize> + '_ {
     sim.cluster()
         .groups()
         .iter()
         .flat_map(|g| g.members())
         .filter_map(|m| sim.live_records(*m))
-        .max()
-        .unwrap_or(0)
+}
+
+fn max_resident(sim: &ProtocolSim) -> usize {
+    resident(sim).max().unwrap_or(0)
+}
+
+/// This process's resident set size in bytes (`VmRSS` in
+/// `/proc/self/status`); `None` where there is no such file.
+fn vm_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))?
+        .trim()
+        .strip_suffix("kB")?;
+    Some(kb.trim().parse::<u64>().ok()? * 1024)
 }
 
 /// Drives `messages` paced multicasts (70% single-group, 30% two-group),
 /// sampling the peak resident record count, then crashes and restarts a
 /// group-0 follower and measures the wall-clock cost of draining recovery.
 fn run(protocol: Protocol, messages: usize, compaction: bool) -> RunOutcome {
+    let rss_before = vm_rss_bytes();
     let mut sim = ProtocolSim::build(protocol, &spec(compaction));
     let pace = Duration::from_micros(250);
     for i in 0..messages {
@@ -118,6 +147,12 @@ fn run(protocol: Protocol, messages: usize, compaction: bool) -> RunOutcome {
     }
     sim.run_until_quiescent(total + Duration::from_secs(5));
     resident_max = resident_max.max(max_resident(&sim));
+    let bytes_per_record = match (rss_before, vm_rss_bytes(), resident(&sim).sum::<usize>()) {
+        (Some(before), Some(after), records) if records > 0 => {
+            Some(after.saturating_sub(before) as f64 / records as f64)
+        }
+        _ => None,
+    };
 
     // Crash + restart a follower of group 0 after the load; the wall-clock
     // cost of the drain is dominated by the recovery handshake shipping and
@@ -137,6 +172,7 @@ fn run(protocol: Protocol, messages: usize, compaction: bool) -> RunOutcome {
         resident_final: max_resident(&sim),
         pruned: metrics.gauge("pruned_total").unwrap_or(0.0) as u64,
         restart_wall,
+        bytes_per_record,
     }
 }
 
@@ -178,9 +214,13 @@ fn main() -> ExitCode {
     // Generous smoke bound: the lag window plus a few STABLE intervals of
     // not-yet-stable deliveries plus the in-flight window.
     let bound = LAG + 8 * INTERVAL as usize + 64;
+    let mut first_run = true;
     for protocol in Protocol::evaluated() {
         for compaction in [false, true] {
             let outcome = run(protocol, messages, compaction);
+            // The first run is WbCast with compaction off.
+            let resident_bytes_per_record = outcome.bytes_per_record.filter(|_| first_run);
+            first_run = false;
             println!(
                 "{:<10} {:>11} {:>13} {:>13} {:>11} {:>14.2}",
                 protocol.label(),
@@ -190,6 +230,9 @@ fn main() -> ExitCode {
                 outcome.pruned,
                 outcome.restart_wall.as_secs_f64() * 1e3,
             );
+            if let Some(bytes) = resident_bytes_per_record {
+                println!("{:<10} resident bytes per record: {bytes:.0}", "");
+            }
             append_record(&MemoryRecord {
                 bench: "memory_soak".to_string(),
                 protocol: protocol.label().to_string(),
@@ -200,6 +243,7 @@ fn main() -> ExitCode {
                 resident_records_final: outcome.resident_final,
                 pruned_total: outcome.pruned,
                 restart_recovery_wall_ms: outcome.restart_wall.as_secs_f64() * 1e3,
+                resident_bytes_per_record,
             });
             if compaction && (outcome.resident_max > bound || outcome.pruned == 0) {
                 eprintln!(
@@ -218,5 +262,21 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_older_than_resident_bytes_per_record_still_parse() {
+        let old = r#"{"bench":"memory_soak","protocol":"WbCast","messages":30000,"compaction_interval":0,"compaction_lag":0,"resident_records_max":13000,"resident_records_final":13000,"pruned_total":0,"restart_recovery_wall_ms":746.30332}"#;
+        let row: MemoryRecord = serde_json::from_str(old).expect("old row parses");
+        assert_eq!(row.resident_records_max, 13000);
+        assert_eq!(row.resident_bytes_per_record, None);
+        let new = old.replace('}', r#","resident_bytes_per_record":812.5}"#);
+        let row: MemoryRecord = serde_json::from_str(&new).expect("new row parses");
+        assert_eq!(row.resident_bytes_per_record, Some(812.5));
     }
 }

@@ -150,19 +150,13 @@ impl MulticastClient {
     }
 
     fn handle_retry(&mut self, timer: TimerId) -> Vec<Action<WhiteBoxMsg>> {
-        let msg_id = self
-            .pending
-            .keys()
-            .copied()
-            .find(|id| Self::timer_for(*id) == timer);
-        let Some(msg_id) = msg_id else {
+        // The inverse of `timer_for`: this client's own sequence number.
+        let msg_id = MsgId::new(self.config.id, timer.0);
+        let Some(pending) = self.pending.get_mut(&msg_id) else {
             return Vec::new();
         };
-        let (attempts, msg) = {
-            let pending = self.pending.get_mut(&msg_id).expect("pending entry exists");
-            pending.attempts += 1;
-            (pending.attempts, pending.msg.clone())
-        };
+        pending.attempts += 1;
+        let (attempts, msg) = (pending.attempts, pending.msg.clone());
         let mut actions = if attempts == 1 {
             // First retry: the leaders may simply not have received it.
             self.send_to_leaders(&msg)

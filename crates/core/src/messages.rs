@@ -326,12 +326,6 @@ impl WhiteBoxMsg {
     }
 }
 
-/// Builds the ballot vector carried by `ACCEPT_ACK` from the per-group accepts
-/// a process has received.
-pub fn ballot_vector(accepts: &BTreeMap<GroupId, (Ballot, Timestamp)>) -> BallotVector {
-    accepts.iter().map(|(g, (b, _))| (*g, *b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,23 +372,6 @@ mod tests {
             .kind(),
             "NEWLEADER"
         );
-    }
-
-    #[test]
-    fn ballot_vector_from_accepts() {
-        let mut accepts = BTreeMap::new();
-        accepts.insert(
-            GroupId(0),
-            (Ballot::new(1, ProcessId(0)), Timestamp::new(4, GroupId(0))),
-        );
-        accepts.insert(
-            GroupId(1),
-            (Ballot::new(3, ProcessId(4)), Timestamp::new(2, GroupId(1))),
-        );
-        let v = ballot_vector(&accepts);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[&GroupId(0)], Ballot::new(1, ProcessId(0)));
-        assert_eq!(v[&GroupId(1)], Ballot::new(3, ProcessId(4)));
     }
 
     #[test]

@@ -5,12 +5,33 @@
 //! `Delivered` arrays of Figure 3, plus the transient bookkeeping needed to
 //! drive the handlers of Figure 4 (which `ACCEPT`s and `ACCEPT_ACK`s have been
 //! received so far).
+//!
+//! A replica keeps one record per message for as long as the message is
+//! resident, so the record is flat: a message has one to a handful of
+//! destination groups, and the accept and ack bookkeeping are short vectors
+//! searched in place rather than maps. What only the commit decision reads
+//! (the acks) is released at commit.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use wbam_types::{AppMessage, Ballot, GroupId, MsgId, Phase, ProcessId, Timestamp};
 
 use crate::messages::{AcceptEntry, BallotVector, RecordSnapshot};
+
+/// The `ACCEPT_ACK`s gathered under one ballot vector.
+#[derive(Debug, Clone, PartialEq)]
+struct AckCandidate {
+    vector: BallotVector,
+    /// The distinct acknowledging processes, each with its group.
+    ackers: Vec<(GroupId, ProcessId)>,
+}
+
+impl AckCandidate {
+    /// Number of distinct acknowledging processes of `group`.
+    fn acked_in(&self, group: GroupId) -> usize {
+        self.ackers.iter().filter(|(g, _)| *g == group).count()
+    }
+}
 
 /// Everything a replica knows about one application message.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,12 +46,15 @@ pub struct MessageRecord {
     pub global_ts: Timestamp,
     /// `Delivered[m]` — whether the *leader* has already initiated delivery.
     pub delivered: bool,
-    /// The most recent `ACCEPT` received from each destination group's leader:
-    /// the ballot of the proposal and the proposed local timestamp.
-    pub accepts: BTreeMap<GroupId, (Ballot, Timestamp)>,
-    /// `ACCEPT_ACK`s received so far, grouped by the ballot vector they carry:
-    /// for each vector, the set of acknowledging processes per group.
-    pub acks: BTreeMap<BallotVector, BTreeMap<GroupId, BTreeSet<ProcessId>>>,
+    /// The most recent `ACCEPT` received from each destination group's leader
+    /// — proposing group, ballot of the proposal, proposed local timestamp —
+    /// sorted by group. Kept for as long as the record lives: a re-sent
+    /// `ACCEPT` (message recovery) is re-acknowledged from it.
+    accepts: Vec<(GroupId, Ballot, Timestamp)>,
+    /// `ACCEPT_ACK`s received so far, one candidate per distinct ballot vector
+    /// in order of first arrival. Only the commit decision reads them, so
+    /// [`commit`](Self::commit) releases them.
+    acks: Vec<AckCandidate>,
 }
 
 impl MessageRecord {
@@ -42,8 +66,8 @@ impl MessageRecord {
             local_ts: Timestamp::BOTTOM,
             global_ts: Timestamp::BOTTOM,
             delivered: false,
-            accepts: BTreeMap::new(),
-            acks: BTreeMap::new(),
+            accepts: Vec::new(),
+            acks: Vec::new(),
         }
     }
 
@@ -56,33 +80,54 @@ impl MessageRecord {
     /// the same group (higher ballot) supersedes an earlier one; stale
     /// proposals with lower ballots are ignored.
     pub fn record_accept(&mut self, group: GroupId, ballot: Ballot, local_ts: Timestamp) {
-        match self.accepts.get(&group) {
-            Some((existing, _)) if *existing > ballot => {}
-            _ => {
-                self.accepts.insert(group, (ballot, local_ts));
+        match self.accepts.binary_search_by_key(&group, |a| a.0) {
+            Ok(at) => {
+                if self.accepts[at].1 <= ballot {
+                    self.accepts[at] = (group, ballot, local_ts);
+                }
+            }
+            Err(at) => {
+                if self.accepts.is_empty() {
+                    // One proposal per destination group is all there will be.
+                    self.accepts.reserve_exact(self.msg.dest.len());
+                }
+                self.accepts.insert(at, (group, ballot, local_ts));
             }
         }
+    }
+
+    /// The `ACCEPT` currently recorded for `group`: the proposal's ballot and
+    /// local timestamp.
+    pub fn accept_of(&self, group: GroupId) -> Option<(Ballot, Timestamp)> {
+        self.accepts
+            .binary_search_by_key(&group, |a| a.0)
+            .ok()
+            .map(|at| (self.accepts[at].1, self.accepts[at].2))
     }
 
     /// Whether `ACCEPT`s from the leaders of all destination groups have been
     /// received.
     pub fn has_all_accepts(&self) -> bool {
-        self.msg.dest.iter().all(|g| self.accepts.contains_key(&g))
-    }
-
-    /// The local timestamps proposed by each destination group, if complete.
-    pub fn proposal_set(&self) -> Option<BTreeMap<GroupId, Timestamp>> {
-        if !self.has_all_accepts() {
-            return None;
-        }
-        Some(self.accepts.iter().map(|(g, (_, ts))| (*g, *ts)).collect())
+        self.msg.dest.iter().all(|g| self.accept_of(g).is_some())
     }
 
     /// The global timestamp implied by the currently known proposals (max of
     /// the local timestamps), if all proposals are known.
     pub fn implied_global_ts(&self) -> Option<Timestamp> {
-        self.proposal_set()
-            .map(|props| Timestamp::global_of(props.into_values()))
+        self.has_all_accepts()
+            .then(|| Timestamp::global_of(self.accepts.iter().map(|a| a.2)))
+    }
+
+    /// The ballot vector an `ACCEPT_ACK` for this message carries: the ballot
+    /// of the `ACCEPT` recorded for each group.
+    pub fn ballot_vector(&self) -> BallotVector {
+        self.accepts.iter().map(|a| (a.0, a.1)).collect()
+    }
+
+    /// The leaders that made the recorded proposals, in group order — the
+    /// recipients of this process's `ACCEPT_ACK`.
+    pub fn accept_leaders(&self) -> Vec<ProcessId> {
+        self.accepts.iter().filter_map(|a| a.1.leader()).collect()
     }
 
     /// Records an `ACCEPT_ACK` from `process` (a member of `group`) carrying
@@ -94,10 +139,21 @@ impl MessageRecord {
         group: GroupId,
         process: ProcessId,
     ) -> usize {
-        let per_group = self.acks.entry(vector).or_default();
-        let set = per_group.entry(group).or_default();
-        set.insert(process);
-        set.len()
+        let at = match self.acks.iter().position(|c| c.vector == vector) {
+            Some(at) => at,
+            None => {
+                self.acks.push(AckCandidate {
+                    vector,
+                    ackers: Vec::new(),
+                });
+                self.acks.len() - 1
+            }
+        };
+        let candidate = &mut self.acks[at];
+        if !candidate.ackers.contains(&(group, process)) {
+            candidate.ackers.push((group, process));
+        }
+        candidate.acked_in(group)
     }
 
     /// Whether, for some ballot vector, a quorum of acknowledgements has been
@@ -119,36 +175,35 @@ impl MessageRecord {
         &self,
         quorum_size: &BTreeMap<GroupId, usize>,
         must_include: Option<(GroupId, ProcessId)>,
-    ) -> Option<BallotVector> {
-        'vectors: for (vector, per_group) in &self.acks {
-            // The vector must cover exactly the destination groups, and must
-            // agree with the ACCEPT currently recorded for each of them
-            // (Figure 4 line 17: the acks and the accepts name the same
-            // ballots).
-            for g in self.msg.dest.iter() {
-                match (self.accepts.get(&g), vector.get(&g)) {
-                    (Some((accepted, _)), Some(acked)) if accepted == acked => {}
-                    _ => continue 'vectors,
-                }
-                let Some(q) = quorum_size.get(&g) else {
-                    continue 'vectors;
-                };
-                let Some(ackers) = per_group.get(&g) else {
-                    continue 'vectors;
-                };
-                if ackers.len() < *q {
-                    continue 'vectors;
-                }
-            }
-            if let Some((g, p)) = must_include {
-                match per_group.get(&g) {
-                    Some(ackers) if ackers.contains(&p) => {}
-                    _ => continue 'vectors,
-                }
-            }
-            return Some(vector.clone());
-        }
-        None
+    ) -> Option<&BallotVector> {
+        self.acks
+            .iter()
+            .find(|candidate| {
+                // The vector must cover the destination groups and agree with
+                // the ACCEPT currently recorded for each of them (Figure 4
+                // line 17: the acks and the accepts name the same ballots).
+                self.msg.dest.iter().all(|g| {
+                    let same_ballot = match (self.accept_of(g), candidate.vector.get(&g)) {
+                        (Some((accepted, _)), Some(acked)) => accepted == *acked,
+                        _ => false,
+                    };
+                    same_ballot
+                        && quorum_size
+                            .get(&g)
+                            .is_some_and(|q| candidate.acked_in(g) >= *q)
+                }) && must_include.map_or(true, |acker| candidate.ackers.contains(&acker))
+            })
+            .map(|candidate| &candidate.vector)
+    }
+
+    /// Figure 4, lines 19–20 and 26–28: the message is `COMMITTED` with
+    /// `global_ts`. Releases the ack bookkeeping — acks exist to reach this
+    /// decision, a committed record ignores further `ACCEPT_ACK`s, and
+    /// recovery rebuilds records from snapshots that never carried them.
+    pub fn commit(&mut self, global_ts: Timestamp) {
+        self.phase = Phase::Committed;
+        self.global_ts = global_ts;
+        self.acks = Vec::new();
     }
 
     /// The entry this record contributes to a batched `ACCEPT`
@@ -182,13 +237,10 @@ impl MessageRecord {
     /// bookkeeping (accept/ack sets).
     pub fn from_snapshot(snap: RecordSnapshot) -> Self {
         MessageRecord {
-            msg: snap.msg,
             phase: snap.phase,
             local_ts: snap.local_ts,
             global_ts: snap.global_ts,
-            delivered: false,
-            accepts: BTreeMap::new(),
-            acks: BTreeMap::new(),
+            ..MessageRecord::new(snap.msg)
         }
     }
 }
@@ -232,7 +284,7 @@ mod tests {
             Timestamp::new(3, GroupId(0)),
         );
         assert!(!r.has_all_accepts());
-        assert_eq!(r.proposal_set(), None);
+        assert_eq!(r.implied_global_ts(), None);
         r.record_accept(
             GroupId(1),
             Ballot::new(1, ProcessId(3)),
@@ -256,8 +308,8 @@ mod tests {
             Timestamp::new(9, GroupId(0)),
         );
         assert_eq!(
-            r.accepts[&GroupId(0)],
-            (Ballot::new(2, ProcessId(1)), Timestamp::new(9, GroupId(0)))
+            r.accept_of(GroupId(0)),
+            Some((Ballot::new(2, ProcessId(1)), Timestamp::new(9, GroupId(0))))
         );
         // A stale lower-ballot proposal does not overwrite.
         r.record_accept(
@@ -266,8 +318,8 @@ mod tests {
             Timestamp::new(1, GroupId(0)),
         );
         assert_eq!(
-            r.accepts[&GroupId(0)],
-            (Ballot::new(2, ProcessId(1)), Timestamp::new(9, GroupId(0)))
+            r.accept_of(GroupId(0)),
+            Some((Ballot::new(2, ProcessId(1)), Timestamp::new(9, GroupId(0))))
         );
     }
 
@@ -295,7 +347,7 @@ mod tests {
         r.record_ack(vector.clone(), GroupId(1), ProcessId(3));
         assert_eq!(r.quorum_acked(&quorums(), None), None);
         r.record_ack(vector.clone(), GroupId(1), ProcessId(4));
-        assert_eq!(r.quorum_acked(&quorums(), None), Some(vector.clone()));
+        assert_eq!(r.quorum_acked(&quorums(), None), Some(&vector));
 
         // Requiring a specific acker filters vectors that lack it.
         assert_eq!(
@@ -304,7 +356,7 @@ mod tests {
         );
         assert_eq!(
             r.quorum_acked(&quorums(), Some((GroupId(0), ProcessId(0)))),
-            Some(vector)
+            Some(&vector)
         );
     }
 
@@ -338,10 +390,11 @@ mod tests {
     #[test]
     fn stale_ack_quorum_does_not_shadow_the_live_one() {
         // A destination group changed leaders mid-round: a full quorum of
-        // acks exists under the old vector (sorts first in the ack map) and
-        // another under the current one. The old vector no longer matches
-        // the recorded ACCEPTs, so the current vector must win — returning
-        // the stale one would make the caller conclude "no quorum" forever.
+        // acks exists under the old vector (it arrived first, so it is the
+        // first candidate examined) and another under the current one. The
+        // old vector no longer matches the recorded ACCEPTs, so the current
+        // vector must win — returning the stale one would make the caller
+        // conclude "no quorum" forever.
         let mut r = MessageRecord::new(app_msg());
         let mut stale = BallotVector::new();
         stale.insert(GroupId(0), Ballot::new(1, ProcessId(0)));
@@ -349,7 +402,6 @@ mod tests {
         let mut live = BallotVector::new();
         live.insert(GroupId(0), Ballot::new(1, ProcessId(1)));
         live.insert(GroupId(1), Ballot::new(1, ProcessId(3)));
-        assert!(stale < live, "the stale vector must sort first to shadow");
 
         // Accepts reflect the new group-0 leader.
         r.record_accept(
@@ -373,7 +425,88 @@ mod tests {
         r.record_ack(live.clone(), GroupId(1), ProcessId(3));
         r.record_ack(live.clone(), GroupId(1), ProcessId(4));
 
-        assert_eq!(r.quorum_acked(&quorums(), None), Some(live));
+        assert_eq!(
+            r.acks[0].vector, stale,
+            "the stale candidate is examined first"
+        );
+        assert_eq!(r.quorum_acked(&quorums(), None), Some(&live));
+
+        // The same holds while the live vector's quorum is still one ack
+        // short: the stale quorum must not stand in for it.
+        let mut short = MessageRecord::new(app_msg());
+        short.record_accept(
+            GroupId(0),
+            Ballot::new(1, ProcessId(1)),
+            Timestamp::new(5, GroupId(0)),
+        );
+        short.record_accept(
+            GroupId(1),
+            Ballot::new(1, ProcessId(3)),
+            Timestamp::new(8, GroupId(1)),
+        );
+        for (g, p) in [(0, 0), (0, 2), (1, 3), (1, 4)] {
+            short.record_ack(stale.clone(), GroupId(g), ProcessId(p));
+        }
+        for (g, p) in [(0, 0), (0, 1), (1, 3)] {
+            short.record_ack(live.clone(), GroupId(g), ProcessId(p));
+        }
+        assert_eq!(short.quorum_acked(&quorums(), None), None);
+        short.record_ack(live.clone(), GroupId(1), ProcessId(4));
+        assert_eq!(short.quorum_acked(&quorums(), None), Some(&live));
+    }
+
+    #[test]
+    fn a_committed_record_holds_no_ack_state() {
+        let mut r = MessageRecord::new(app_msg());
+        let mut v = BallotVector::new();
+        v.insert(GroupId(0), Ballot::new(1, ProcessId(0)));
+        v.insert(GroupId(1), Ballot::new(1, ProcessId(3)));
+        r.record_accept(
+            GroupId(0),
+            Ballot::new(1, ProcessId(0)),
+            Timestamp::new(3, GroupId(0)),
+        );
+        r.record_accept(
+            GroupId(1),
+            Ballot::new(1, ProcessId(3)),
+            Timestamp::new(5, GroupId(1)),
+        );
+        for (g, p) in [(0, 0), (0, 1), (1, 3), (1, 4)] {
+            r.record_ack(v.clone(), GroupId(g), ProcessId(p));
+        }
+        assert!(r.quorum_acked(&quorums(), None).is_some());
+        let gts = r.implied_global_ts().unwrap();
+
+        r.commit(gts);
+        assert_eq!(r.phase, Phase::Committed);
+        assert_eq!(r.global_ts, Timestamp::new(5, GroupId(1)));
+        assert!(r.acks.is_empty());
+        assert_eq!(r.acks.capacity(), 0, "the ack storage is released");
+        // The accepts stay: a re-sent ACCEPT is re-acknowledged from them.
+        assert!(r.has_all_accepts());
+        assert_eq!(r.ballot_vector(), v);
+    }
+
+    #[test]
+    fn accepts_are_kept_in_group_order_whatever_the_arrival_order() {
+        let mut r = MessageRecord::new(app_msg());
+        r.record_accept(
+            GroupId(1),
+            Ballot::new(3, ProcessId(4)),
+            Timestamp::new(2, GroupId(1)),
+        );
+        assert_eq!(r.accepts.capacity(), 2, "sized for the destination set");
+        r.record_accept(
+            GroupId(0),
+            Ballot::new(1, ProcessId(0)),
+            Timestamp::new(4, GroupId(0)),
+        );
+        let v = r.ballot_vector();
+        assert_eq!(v.len(), 2);
+        assert_eq!(v[&GroupId(0)], Ballot::new(1, ProcessId(0)));
+        assert_eq!(v[&GroupId(1)], Ballot::new(3, ProcessId(4)));
+        assert_eq!(r.accept_leaders(), vec![ProcessId(0), ProcessId(4)]);
+        assert_eq!(r.implied_global_ts(), Some(Timestamp::new(4, GroupId(0))));
     }
 
     #[test]

@@ -24,9 +24,7 @@ use wbam_types::{
 };
 
 use crate::config::ReplicaConfig;
-use crate::messages::{
-    ballot_vector, AcceptEntry, BallotVector, DeliverEntry, StateSnapshot, WhiteBoxMsg,
-};
+use crate::messages::{AcceptEntry, BallotVector, DeliverEntry, StateSnapshot, WhiteBoxMsg};
 use crate::record::MessageRecord;
 
 /// Timer used by a leader to send heartbeats to its followers.
@@ -653,17 +651,14 @@ impl WhiteBoxReplica {
         let own_group = self.own_group();
         match self.process_accept(msg, group, ballot, local_ts) {
             None => Vec::new(),
-            Some((msg_id, ballots, leaders)) => {
-                let ack = WhiteBoxMsg::AcceptAck {
+            Some((msg_id, ballots, leaders)) => Action::send_to_all(
+                leaders,
+                WhiteBoxMsg::AcceptAck {
                     msg_id,
                     group: own_group,
                     ballots,
-                };
-                leaders
-                    .into_iter()
-                    .map(|to| Action::send(to, ack.clone()))
-                    .collect()
-            }
+                },
+            ),
         }
     }
 
@@ -732,23 +727,22 @@ impl WhiteBoxReplica {
         let own_group = self.own_group();
         let cballot = self.cballot;
         let speculative = self.config.speculative_clock_update;
-        let (all_accepts, own_accept, implied_gts) = {
-            let record = self.record_entry(&msg);
+        let msg_id = msg.id;
+        let (own_accept, implied_gts) = {
+            let record = self
+                .records
+                .entry(msg_id)
+                .or_insert_with(|| MessageRecord::new(msg));
             record.record_accept(group, ballot, local_ts);
-            (
-                record.has_all_accepts(),
-                record.accepts.get(&own_group).copied(),
-                record.implied_global_ts(),
-            )
+            (record.accept_of(own_group), record.implied_global_ts())
         };
 
-        // Line 11 precondition: we must not be recovering, and the proposal of
-        // our own group must have been made in the ballot we are synchronised
-        // with. Proposals from remote groups are deliberately *not* checked
+        // Line 11 precondition: the proposals of all destination groups are
+        // in, we must not be recovering, and the proposal of our own group
+        // must have been made in the ballot we are synchronised with.
+        // Proposals from remote groups are deliberately *not* checked
         // against any ballot (§IV, "Discussion of normal operation").
-        if !all_accepts {
-            return None;
-        }
+        let implied_gts = implied_gts?;
         if self.status == Status::Recovering {
             return None;
         }
@@ -757,14 +751,13 @@ impl WhiteBoxReplica {
             return None;
         }
         // Lines 12–14 (state update is guarded; the acknowledgement is not).
-        let implied_gts = implied_gts.expect("all accepts present implies a global timestamp");
-        let record = self.records.get_mut(&msg.id).expect("record just created");
+        let record = self.records.get_mut(&msg_id).expect("record just created");
         if matches!(record.phase, Phase::Start | Phase::Proposed) {
-            let old_pending = (record.local_ts, msg.id);
+            let old_pending = (record.local_ts, msg_id);
             record.phase = Phase::Accepted;
             record.local_ts = own_lts;
             self.pending_lts.remove(&old_pending);
-            self.pending_lts.insert((own_lts, msg.id));
+            self.pending_lts.insert((own_lts, msg_id));
             if speculative {
                 // The speculative clock update: advance the clock past the
                 // *future* global timestamp before it is known to be durable.
@@ -772,14 +765,8 @@ impl WhiteBoxReplica {
             }
         }
         // Lines 15–16: acknowledge to the leader of every destination group.
-        let record = &self.records[&msg.id];
-        let vector = ballot_vector(&record.accepts);
-        let leaders = record
-            .accepts
-            .values()
-            .filter_map(|(b, _)| b.leader())
-            .collect();
-        Some((msg.id, vector, leaders))
+        let record = &self.records[&msg_id];
+        Some((msg_id, record.ballot_vector(), record.accept_leaders()))
     }
 
     /// Figure 4, lines 17–23: the leader handles `ACCEPT_ACK`s and commits.
@@ -841,7 +828,6 @@ impl WhiteBoxReplica {
         }
         let own_group = self.own_group();
         let own_id = self.config.id;
-        let quorum_sizes = self.quorum_sizes.clone();
         let Some(record) = self.records.get_mut(&msg_id) else {
             // We have not proposed this message yet; the ack will be re-sent
             // when the proposal eventually reaches the sender again.
@@ -856,7 +842,7 @@ impl WhiteBoxReplica {
         // per candidate vector, so stale pre-leader-change ack quorums cannot
         // shadow the live one).
         if record
-            .quorum_acked(&quorum_sizes, Some((own_group, own_id)))
+            .quorum_acked(&self.quorum_sizes, Some((own_group, own_id)))
             .is_none()
         {
             return false;
@@ -865,8 +851,7 @@ impl WhiteBoxReplica {
         let gts = record
             .implied_global_ts()
             .expect("accepts complete for committed message");
-        record.global_ts = gts;
-        record.phase = Phase::Committed;
+        record.commit(gts);
         self.pending_lts.remove(&(record.local_ts, msg_id));
         self.committed_undelivered.insert((gts, msg_id));
         true
@@ -967,9 +952,8 @@ impl WhiteBoxReplica {
             if let Some(record) = self.records.get_mut(&msg.id) {
                 let old_local = record.local_ts;
                 let old_global = record.global_ts;
-                record.phase = Phase::Committed;
                 record.local_ts = local_ts;
-                record.global_ts = global_ts;
+                record.commit(global_ts);
                 record.delivered = true;
                 self.pending_lts.remove(&(old_local, msg_id));
                 self.committed_undelivered.remove(&(old_global, msg_id));
@@ -989,9 +973,8 @@ impl WhiteBoxReplica {
         let old_local_ts = record.local_ts;
         let old_global_ts = record.global_ts;
         // Lines 26–30.
-        record.phase = Phase::Committed;
         record.local_ts = local_ts;
-        record.global_ts = global_ts;
+        record.commit(global_ts);
         record.delivered = true;
         self.pending_lts.remove(&(old_local_ts, msg_id));
         self.committed_undelivered.remove(&(old_global_ts, msg_id));

@@ -205,9 +205,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// A JSONL sink; `None` path writes nowhere. Records are [`push`]ed into a
-/// reused buffer and reach the file on [`flush`], one `write(2)` per burst
-/// instead of one per record. The run loops flush every burst of deliveries
+/// The delivery log, as JSONL; `None` path writes nowhere. Lines are
+/// [`push`]ed into a reused buffer and reach the file on [`flush`], one
+/// `write(2)` per burst instead of one per line. The run loops flush every burst of deliveries
 /// they drain before they wait again, so a delivery handed out is in the log
 /// before the next one can be, and a SIGKILL tears at most the last line.
 ///
@@ -236,12 +236,11 @@ impl JsonlSink {
         })
     }
 
-    fn push<T: Serialize>(&mut self, record: &T) -> Result<(), WbamError> {
+    fn push(&mut self, line: &DeliveryLine) {
         if self.file.is_some() {
-            self.pending.extend_from_slice(to_json(record)?.as_bytes());
+            line.write_json(&mut self.pending);
             self.pending.push(b'\n');
         }
-        Ok(())
     }
 
     fn flush(&mut self) -> Result<(), WbamError> {
@@ -329,7 +328,7 @@ where
                 d.delivery.msg.id,
                 d.delivery.global_ts,
                 d.elapsed,
-            ))?;
+            ));
         }
         sink.flush()
     };
@@ -446,7 +445,7 @@ where
                         msg_id,
                         d.delivery.global_ts,
                         d.elapsed,
-                    ))?;
+                    ));
                 }
                 let Some(at) = submit_times.remove(&msg_id) else {
                     continue; // duplicate completion

@@ -550,6 +550,23 @@ impl DeliveryLine {
     pub fn msg_id(&self) -> wbam_types::MsgId {
         wbam_types::MsgId::new(ProcessId(self.sender), self.seq)
     }
+
+    /// Appends the line to `out` as the JSON object [`to_json`] prints for
+    /// it, byte for byte, without the intermediate value tree: a replica
+    /// writes one line per delivery. `elapsed_ms` must be finite, as it is
+    /// when the line comes from [`DeliveryLine::new`]; JSON has no other
+    /// floats.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        use std::io::Write as _;
+        // `{:?}` is how the JSON printer writes an `f64`: shortest form that
+        // round-trips, always with a fractional part or an exponent.
+        write!(
+            out,
+            r#"{{"process":{},"sender":{},"seq":{},"gts_time":{},"gts_group":{},"elapsed_ms":{:?}}}"#,
+            self.process, self.sender, self.seq, self.gts_time, self.gts_group, self.elapsed_ms
+        )
+        .expect("writing to a Vec cannot fail");
+    }
 }
 
 /// Final statistics a `wbamd` client process writes (one JSON object) when
@@ -831,5 +848,56 @@ mod tests {
         assert_eq!(back, line);
         assert_eq!(back.msg_id(), wbam_types::MsgId::new(ProcessId(6), 41));
         assert_eq!(back.gts_time, 17);
+    }
+
+    #[test]
+    fn written_delivery_lines_equal_the_json_printer_output() {
+        let mut lines = vec![
+            DeliveryLine {
+                process: 0,
+                sender: 0,
+                seq: 0,
+                gts_time: 0,
+                gts_group: 0,
+                elapsed_ms: 0.0,
+            },
+            DeliveryLine {
+                process: u32::MAX,
+                sender: u32::MAX,
+                seq: u64::MAX,
+                gts_time: u64::MAX,
+                gts_group: u32::MAX,
+                elapsed_ms: 1e21,
+            },
+        ];
+        // Elapsed times with and without a fractional part, tiny and large.
+        for (i, elapsed_ms) in [1500.0, 12.5, 0.001, 2.5e-9, 86_400_000.0, 0.1 + 0.2]
+            .into_iter()
+            .enumerate()
+        {
+            lines.push(DeliveryLine {
+                process: i as u32,
+                sender: 6,
+                seq: 41 * i as u64,
+                gts_time: 12_345_678_901,
+                gts_group: if i % 2 == 0 { u32::MAX } else { 1 },
+                elapsed_ms,
+            });
+        }
+        lines.push(DeliveryLine::new(
+            ProcessId(2),
+            wbam_types::MsgId::new(ProcessId(6), 41),
+            None,
+            Duration::from_nanos(1_234_567),
+        ));
+        let mut out = Vec::new();
+        for line in &lines {
+            out.clear();
+            line.write_json(&mut out);
+            assert_eq!(
+                String::from_utf8(out.clone()).unwrap(),
+                to_json(line).unwrap()
+            );
+        }
     }
 }

@@ -76,20 +76,25 @@ impl<M> Action<M> {
         Action::Send { to, msg }
     }
 
-    /// Sends the same message to every process in `recipients`, cloning it as
-    /// needed. Used for the "send to dest(m)" broadcasts of the protocols.
+    /// Sends the same message to every process in `recipients`: a clone for
+    /// each but the last, which takes `msg` itself. Used for the "send to
+    /// dest(m)" broadcasts of the protocols.
     pub fn send_to_all<I>(recipients: I, msg: M) -> Vec<Self>
     where
         I: IntoIterator<Item = ProcessId>,
         M: Clone,
     {
-        recipients
-            .into_iter()
-            .map(|to| Action::Send {
-                to,
-                msg: msg.clone(),
-            })
-            .collect()
+        let mut recipients = recipients.into_iter();
+        let Some(mut to) = recipients.next() else {
+            return Vec::new();
+        };
+        let mut actions = Vec::with_capacity(recipients.size_hint().0 + 1);
+        for next in recipients {
+            actions.push(Action::send(to, msg.clone()));
+            to = next;
+        }
+        actions.push(Action::send(to, msg));
+        actions
     }
 
     /// Whether this action is a delivery.
@@ -134,6 +139,7 @@ mod tests {
                 _ => panic!("expected send"),
             }
         }
+        assert!(Action::<u32>::send_to_all(Vec::new(), 7).is_empty());
     }
 
     #[test]

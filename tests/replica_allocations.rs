@@ -1,0 +1,103 @@
+//! Allocation gate for the leader's ordering path: what `on_event` asks of
+//! the allocator to order one single-group multicast — `MULTICAST`, the
+//! leader's own `ACCEPT`, the three `ACCEPT_ACK`s, its own `DELIVER`.
+//!
+//! The per-message record is flat (short vectors for the accepts and the
+//! acks) and the handlers build no throw-away maps. A record that keeps its
+//! accepts and acks in nested B-trees, a `proposal_set` map per timestamp
+//! computation, a `quorum_sizes` clone per `ACCEPT_ACK` and a ballot-vector
+//! clone per acknowledged leader cost eight more allocator calls per
+//! multicast and fail this.
+
+mod common;
+
+use std::time::Duration;
+
+use common::{measure, CountingAlloc};
+use wbam_core::{ReplicaConfig, WhiteBoxMsg, WhiteBoxReplica};
+use wbam_types::{
+    Action, AppMessage, ClusterConfig, Destination, Event, GroupId, MsgId, Node, Payload, ProcessId,
+};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const LEADER: ProcessId = ProcessId(0);
+const CLIENT: ProcessId = ProcessId(3);
+const MULTICASTS: usize = 64;
+
+/// Allocator calls of the six `on_event`s, summed over [`MULTICASTS`]
+/// multicasts (a sum, so the B-tree node the record map allocates every few
+/// inserts is averaged in the same way on both sides). Measured with this
+/// file at the parent of the flat record (0b84430): 2 314, i.e. 36 per
+/// multicast; the flat record makes 1 546, i.e. 24.
+const PARENT_CALLS: usize = 2314;
+const MAX_CALLS: usize = PARENT_CALLS - 8 * MULTICASTS;
+
+/// The message among `actions` addressed to the leader itself and accepted
+/// by `pick`.
+fn to_self(actions: &[Action<WhiteBoxMsg>], pick: impl Fn(&WhiteBoxMsg) -> bool) -> WhiteBoxMsg {
+    actions
+        .iter()
+        .find_map(|a| match a {
+            Action::Send { to, msg } if *to == LEADER && pick(msg) => Some(msg.clone()),
+            _ => None,
+        })
+        .expect("the leader addresses itself")
+}
+
+/// Orders one multicast at the leader and returns the allocator calls its
+/// six `on_event`s made and the bytes they asked for. Events are built
+/// outside the measurement.
+fn order_one(leader: &mut WhiteBoxReplica, seq: u64) -> (usize, usize) {
+    let (mut calls, mut bytes) = (0, 0);
+    let mut handle = |from: ProcessId, msg: WhiteBoxMsg| {
+        let event = Event::message(from, msg);
+        let (actions, made) = measure(|| leader.on_event(Duration::ZERO, event));
+        calls += made.calls;
+        bytes += made.bytes;
+        actions
+    };
+    let msg = AppMessage::new(
+        MsgId::new(CLIENT, seq),
+        Destination::single(GroupId(0)),
+        Payload::from(vec![0u8; 20]),
+    );
+    let proposed = handle(CLIENT, WhiteBoxMsg::Multicast { msg });
+    let accept = to_self(&proposed, |m| matches!(m, WhiteBoxMsg::Accept { .. }));
+    let acked = handle(LEADER, accept);
+    let ack = to_self(&acked, |m| matches!(m, WhiteBoxMsg::AcceptAck { .. }));
+    handle(LEADER, ack.clone());
+    let committed = handle(ProcessId(1), ack.clone());
+    let deliver = to_self(&committed, |m| matches!(m, WhiteBoxMsg::Deliver { .. }));
+    handle(ProcessId(2), ack);
+    let delivered = handle(LEADER, deliver);
+    assert!(
+        delivered.iter().any(Action::is_delivery),
+        "seq {seq} delivered"
+    );
+    (calls, bytes)
+}
+
+#[test]
+fn ordering_one_multicast_at_the_leader_stays_within_its_allocation_budget() {
+    let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
+    let mut leader = WhiteBoxReplica::new(
+        ReplicaConfig::new(LEADER, GroupId(0), cluster).without_auto_election(),
+    );
+    // A few multicasts first: the replica's own maps get their first nodes.
+    for seq in 0..8 {
+        order_one(&mut leader, seq);
+    }
+    let (calls, bytes) = (8..8 + MULTICASTS as u64)
+        .map(|seq| order_one(&mut leader, seq))
+        .fold((0, 0), |sum, one| (sum.0 + one.0, sum.1 + one.1));
+    assert_eq!(leader.delivered_count(), 8 + MULTICASTS as u64);
+    assert!(
+        calls <= MAX_CALLS,
+        "ordering {MULTICASTS} single-group multicasts at the leader made {calls} allocator \
+         calls for {bytes} bytes ({:.1} calls per multicast); the budget is {MAX_CALLS} calls, \
+         8 per multicast under the {PARENT_CALLS} of nested-map records",
+        calls as f64 / MULTICASTS as f64,
+    );
+}
