@@ -16,13 +16,17 @@
 //! listening on its own `addrs` entry — how the `net_chaos` harness
 //! interposes its fault-injecting proxy on every link.
 //! Replica processes run until stopped, appending one
-//! [`DeliveryLine`] JSON line per delivery to
-//! `--deliveries` (flushed per line, so an orchestrator can tail it and a
-//! `SIGKILL` loses at most the in-flight line). `SIGTERM` — and stdin
-//! reaching EOF, when the orchestrator opts in with `--stdin-stop` — stops a
-//! replica *gracefully*: it drains the delivery log, writes a final
-//! `graceful stop` stats line to stderr and exits 0, so a chaos run can tell
-//! a clean stop from a crash. Re-deploying a killed replica
+//! [`DeliveryLine`] JSON line per delivery to `--deliveries`. The node's
+//! reactor thread writes them: one `write(2)` per reactor round that
+//! delivered, before any frame of that round — the client's reply included
+//! — leaves the process. An orchestrator can tail the file, every reply a
+//! client has seen has its line in it, and a `SIGKILL` tears at most the
+//! last line. `SIGTERM` — and stdin reaching EOF, when the orchestrator opts
+//! in with `--stdin-stop` — stops a replica *gracefully*: the reactor
+//! flushes once more, the process writes a final `graceful stop` stats line
+//! to stderr and exits 0, so a chaos run can tell a clean stop from a crash.
+//! A failed log write stops the replica with the error on stderr and a
+//! non-zero exit. Re-deploying a killed replica
 //! with `--restart` makes the fresh process rejoin its group through the
 //! protocol's `Event::Restart` path: a fresh ballot via the `NEW_LEADER`
 //! handshake, state re-synchronised from a quorum.
@@ -46,7 +50,7 @@ use std::time::{Duration, Instant};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use wbam_harness::{ClientSummary, DeliveryLine, DeployRole, DeploySpec, LatencyStats};
-use wbam_runtime::{BoxedNode, TcpNode};
+use wbam_runtime::{BoxedNode, DeliverySink, RuntimeDelivery, TcpNode};
 use wbam_types::wire::to_json;
 use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, ProcessId, WbamError};
 
@@ -56,6 +60,9 @@ const CLIENT_STALL_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How long startup retries a failing listener bind before giving up.
 const BIND_RETRY_WINDOW: Duration = Duration::from_secs(3);
+
+/// How often a replica's main thread looks at its stop conditions.
+const STOP_POLL: Duration = Duration::from_millis(250);
 
 /// Spawns the node's TCP runtime, retrying transient listener-bind failures.
 ///
@@ -69,15 +76,30 @@ const BIND_RETRY_WINDOW: Duration = Duration::from_secs(3);
 /// replica exiting 1 at startup with an empty delivery log). `spawn` only
 /// performs socket I/O while setting up the listener, so every `Io` error
 /// here is a bind-path failure and worth the brief retry.
+///
+/// A replica passes its delivery log as `sink`, and the node's reactor
+/// writes it; a failed attempt hands the sink back for the next one. A
+/// client passes `None` and keeps its completions in memory.
 fn spawn_with_bind_retry<M: Serialize + DeserializeOwned + Send + 'static>(
     make_node: impl Fn() -> Result<BoxedNode<M>, WbamError>,
     addrs: &std::collections::BTreeMap<ProcessId, std::net::SocketAddr>,
     restart: bool,
     codec: wbam_types::wire::WireCodec,
+    mut sink: Option<JsonlSink>,
 ) -> Result<TcpNode<M>, WbamError> {
     let begin = Instant::now();
     loop {
-        match TcpNode::spawn_with_codec(make_node()?, addrs, restart, codec) {
+        let node = make_node()?;
+        let spawned = match sink.take() {
+            None => TcpNode::spawn_with_codec(node, addrs, restart, codec),
+            Some(log) => {
+                TcpNode::spawn_with_sink(node, addrs, restart, codec, log).map_err(|(e, unused)| {
+                    sink = Some(unused);
+                    e
+                })
+            }
+        };
+        match spawned {
             Ok(node) => return Ok(node),
             Err(WbamError::Io(e)) if begin.elapsed() < BIND_RETRY_WINDOW => {
                 eprintln!("wbamd: listener bind failed ({e}); retrying");
@@ -206,13 +228,15 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// The delivery log, as JSONL; `None` path writes nowhere. Lines are
-/// [`push`]ed into a reused buffer and reach the file on [`flush`], one
-/// `write(2)` per burst instead of one per line. The run loops flush every burst of deliveries
-/// they drain before they wait again, so a delivery handed out is in the log
-/// before the next one can be, and a SIGKILL tears at most the last line.
+/// [`push`]ed into a reused buffer and reach the file on
+/// [`flush`](DeliverySink::flush), one `write(2)` per burst instead of one
+/// per line. A replica's reactor owns it as the node's [`DeliverySink`] and
+/// flushes it once per round, before that round's frames leave, so a reply
+/// never overtakes its delivery's line; the client loop flushes each burst
+/// of completions it drains. Either way a SIGKILL tears at most the last
+/// line.
 ///
 /// [`push`]: JsonlSink::push
-/// [`flush`]: JsonlSink::flush
 struct JsonlSink {
     file: Option<std::fs::File>,
     pending: Vec<u8>,
@@ -241,6 +265,17 @@ impl JsonlSink {
             line.write_json(&mut self.pending);
             self.pending.push(b'\n');
         }
+    }
+}
+
+impl DeliverySink for JsonlSink {
+    fn deliver(&mut self, d: RuntimeDelivery) {
+        self.push(&DeliveryLine::new(
+            d.process,
+            d.delivery.msg.id,
+            d.delivery.global_ts,
+            d.elapsed,
+        ));
     }
 
     fn flush(&mut self) -> Result<(), WbamError> {
@@ -304,60 +339,46 @@ impl StopSignal {
     }
 }
 
-/// Runs a replica process: drain deliveries until asked to stop, blocking on
-/// the delivery log's condvar between batches (the short timeout only bounds
-/// how often the stop flags are checked). Transport frame drops (a peer down
-/// long enough to fill its output buffer) are surfaced on stderr as they
-/// grow — a deployed replica must never lose frames silently. A graceful
-/// stop performs one final drain, writes a `graceful stop` stats line and
-/// returns `Ok`, so orchestrators can tell it from a crash by the exit
-/// status alone.
-fn run_replica<M>(node: TcpNode<M>, mut sink: JsonlSink, stop: &StopSignal) -> Result<(), WbamError>
+/// Runs a replica process until it is asked to stop. The node's reactor
+/// writes the delivery log, so this thread only watches: every
+/// [`STOP_POLL`] it checks the stop conditions and the log writer, and
+/// surfaces transport frame drops (a peer down long enough to fill its
+/// output buffer) on stderr as they grow — a deployed replica must never
+/// lose frames silently. A graceful stop lets the reactor flush one last
+/// time, writes a `graceful stop` stats line and returns `Ok`, so
+/// orchestrators can tell it from a crash by the exit status alone. A failed
+/// log write returns its error, which exits non-zero.
+fn run_replica<M>(mut node: TcpNode<M>, stop: &StopSignal) -> Result<(), WbamError>
 where
     M: Serialize + DeserializeOwned + Send + 'static,
 {
     let id = node.id();
-    let mut seen = 0u64;
     let mut reported_drops = 0u64;
-    // Logs whatever has been delivered since the last call, as one write.
-    let mut log_deliveries = |seen: &mut u64| -> Result<(), WbamError> {
-        for d in node.drain_deliveries()? {
-            *seen += 1;
-            sink.push(&DeliveryLine::new(
-                id,
-                d.delivery.msg.id,
-                d.delivery.global_ts,
-                d.elapsed,
-            ));
-        }
-        sink.flush()
-    };
     let reason = loop {
         if let Some(reason) = stop.stopped() {
             break reason;
         }
-        node.wait_for_total(seen + 1, Duration::from_millis(250))?;
-        log_deliveries(&mut seen)?;
+        node.sink_status()?;
+        std::thread::sleep(STOP_POLL);
         let dropped = node.dropped_frames();
         if dropped > reported_drops {
             eprintln!(
-                "wbamd: p{} stats: delivered={seen} dropped_frames={dropped} by_peer={:?}",
+                "wbamd: p{} stats: delivered={} dropped_frames={dropped} by_peer={:?}",
                 id.0,
+                node.total_deliveries()?,
                 node.dropped_frames_by_peer()
             );
             reported_drops = dropped;
         }
     };
-    // Final drain: deliveries the protocol completed between the last wait
-    // and the stop request still reach the log before the process exits.
-    log_deliveries(&mut seen)?;
-    let dropped = node.dropped_frames();
+    node.stop()?;
     eprintln!(
-        "wbamd: p{} graceful stop ({reason}): delivered={seen} dropped_frames={dropped} by_peer={:?}",
+        "wbamd: p{} graceful stop ({reason}): delivered={} dropped_frames={} by_peer={:?}",
         id.0,
+        node.total_deliveries()?,
+        node.dropped_frames(),
         node.dropped_frames_by_peer()
     );
-    node.shutdown();
     Ok(())
 }
 
@@ -533,8 +554,8 @@ fn run() -> Result<(), WbamError> {
                         &addrs,
                         args.restart,
                         codec,
+                        Some(sink),
                     )?,
-                    sink,
                     &stop,
                 ),
                 _ => run_replica(
@@ -543,8 +564,8 @@ fn run() -> Result<(), WbamError> {
                         &addrs,
                         args.restart,
                         codec,
+                        Some(sink),
                     )?,
-                    sink,
                     &stop,
                 ),
             }
@@ -557,6 +578,7 @@ fn run() -> Result<(), WbamError> {
                         &addrs,
                         args.restart,
                         codec,
+                        None,
                     )?,
                     &args,
                     dest,
@@ -568,6 +590,7 @@ fn run() -> Result<(), WbamError> {
                         &addrs,
                         args.restart,
                         codec,
+                        None,
                     )?,
                     &args,
                     dest,

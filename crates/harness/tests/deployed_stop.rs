@@ -1,14 +1,18 @@
-//! Deployed lifecycle regressions for `wbamd`: graceful stop and startup
-//! robustness.
+//! Deployed lifecycle regressions for `wbamd`: graceful stop, startup
+//! robustness and the delivery log's guarantees.
 //!
 //! A chaos orchestrator needs to tell a *clean* stop from a crash: `SIGTERM`
 //! (and stdin-EOF with `--stdin-stop`) must drain the delivery log, write a
 //! `graceful stop` stats line and exit 0, while a replica whose listener
 //! bind races an ephemeral-port squatter must retry instead of dying with an
-//! empty log (both were found by the seeded net-chaos sweep).
+//! empty log (both were found by the seeded net-chaos sweep). The replica's
+//! reactor writes each round's lines before that round's replies leave, so
+//! a `SIGKILL` loses no line a client has seen answered, and a log that
+//! cannot be written stops the replica loudly.
 
 #![cfg(unix)]
 
+use std::collections::BTreeSet;
 use std::io::Read as _;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -51,7 +55,7 @@ impl Rig {
             .arg("--id")
             .arg("0")
             .arg("--deliveries")
-            .arg(self.dir.join("p0.jsonl"))
+            .arg(self.log_path())
             .args(extra)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -81,8 +85,12 @@ impl Rig {
         from_json(&json).expect("parse client summary")
     }
 
+    fn log_path(&self) -> PathBuf {
+        self.dir.join("p0.jsonl")
+    }
+
     fn log_lines(&self) -> Vec<DeliveryLine> {
-        std::fs::read_to_string(self.dir.join("p0.jsonl"))
+        std::fs::read_to_string(self.log_path())
             .unwrap_or_default()
             .lines()
             .filter(|l| !l.trim().is_empty())
@@ -159,7 +167,7 @@ fn stdin_eof_stops_a_replica_gracefully() {
         .arg("--id")
         .arg("0")
         .arg("--deliveries")
-        .arg(rig.dir.join("p0.jsonl"))
+        .arg(rig.log_path())
         .arg("--stdin-stop")
         .stdin(Stdio::piped())
         .stdout(Stdio::null())
@@ -217,6 +225,94 @@ fn startup_bind_retry_survives_a_squatted_port() {
         "missing graceful-stop line in stderr: {stderr:?}"
     );
     assert_eq!(rig.log_lines().len(), 3, "delivery log not fully drained");
+}
+
+/// The write-before-reply guarantee: the reactor writes a round's delivery
+/// lines before any frame of that round leaves the process, so every
+/// multicast a client has seen completed is in the replica's log even when
+/// the replica is SIGKILLed the moment the client is done — no waiting for
+/// the log to catch up. When a second thread wrote the log, the reply could
+/// leave first and the kill could lose the last lines.
+#[test]
+fn every_answered_multicast_is_logged_before_a_sigkill() {
+    const COUNT: u64 = 200;
+    let rig = Rig::new("write-before-reply");
+    let mut guard = rig.spawn_replica(&[]);
+
+    let summary = rig.run_client(COUNT);
+    assert_eq!(summary.completed, COUNT);
+    guard.0.kill().expect("SIGKILL the replica");
+    let _ = guard.0.wait();
+
+    let log = std::fs::read_to_string(rig.log_path()).expect("read the delivery log");
+    let mut lines: Vec<&str> = log.lines().collect();
+    if !log.ends_with('\n') {
+        lines.pop(); // a torn last line is allowed, nothing before it is
+    }
+    let logged: BTreeSet<u64> = lines
+        .iter()
+        .map(|l| from_json::<DeliveryLine>(l).expect("every whole line parses"))
+        .filter(|line| line.sender == 1)
+        .map(|line| line.seq)
+        .collect();
+    let missing: Vec<u64> = (0..COUNT).filter(|seq| !logged.contains(seq)).collect();
+    assert!(
+        missing.is_empty(),
+        "answered multicasts missing from the log: {missing:?}"
+    );
+}
+
+/// A replica that cannot write its delivery log must not run on without it.
+/// `/dev/full` fails every write: the reactor stops at the first flush,
+/// before the round's reply leaves, and the process exits non-zero with the
+/// error on stderr.
+#[test]
+fn a_failed_log_write_stops_the_replica_with_an_error() {
+    let rig = Rig::new("dev-full");
+    let mut cmd = wbamd();
+    cmd.arg("--spec")
+        .arg(&rig.spec_path)
+        .arg("--id")
+        .arg("0")
+        .arg("--deliveries")
+        .arg("/dev/full")
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped());
+    let mut replica = ChildGuard(cmd.spawn().expect("spawn wbamd replica"));
+    let mut client = ChildGuard(
+        wbamd()
+            .arg("--spec")
+            .arg(&rig.spec_path)
+            .arg("--id")
+            .arg("1")
+            .arg("--multicast")
+            .arg("1")
+            .arg("--dest")
+            .arg("0")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn wbamd client"),
+    );
+
+    let (status, stderr) = wait_exit(&mut replica.0, Duration::from_secs(30));
+    assert!(
+        !status.success(),
+        "a replica with an unwritable log exited 0"
+    );
+    assert!(
+        stderr.contains("delivery sink failed") && stderr.contains("wbamd: io error"),
+        "the write error is not on stderr: {stderr:?}"
+    );
+    assert!(
+        !stderr.contains("graceful stop"),
+        "a failed write is not a graceful stop: {stderr:?}"
+    );
+    assert!(
+        client.0.try_wait().expect("try_wait").is_none(),
+        "the client got a reply whose delivery was never logged"
+    );
 }
 
 fn listen_addr(spec: &DeploySpec) -> &str {

@@ -2,7 +2,7 @@
 //!
 //! [`DeterministicRuntime`] runs N real node event loops (the exact
 //! `node_loop` code `wbamd` and [`InProcessCluster`](crate::InProcessCluster)
-//! ship — burst coalescing, timer generations, [`DeliveryLog`] batching and
+//! ship — burst coalescing, timer generations, delivery-sink flushes and
 //! all) over an in-process channel transport, but single-threaded under a
 //! [`VirtualClock`]: a seed-derived scheduler chooses which mailbox delivers
 //! next, how large the delivery burst is, when virtual time advances (and so
@@ -29,7 +29,7 @@ use wbam_types::{AppMessage, ProcessId};
 use crate::clock::{Clock, VirtualClock};
 use crate::node_loop::{Envelope, NodeLoop, MAX_ENVELOPE_BATCH};
 use crate::transport::Transport;
-use crate::{BoxedNode, DeliveryLog, RuntimeDelivery};
+use crate::{BoxedNode, DeliveryLog, LogSink, RuntimeDelivery};
 
 /// Probability (percent) that a busy scheduler step advances virtual time to
 /// the next timer/script deadline instead of delivering more mail — this is
@@ -301,7 +301,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                 node,
                 rx,
                 transport,
-                Arc::clone(&deliveries),
+                Box::new(LogSink::new(Arc::clone(&deliveries))),
                 clock.clone(),
             ));
         }
@@ -414,6 +414,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                         self.pending[i].fetch_sub(discarded, Ordering::Relaxed);
                         self.up[i] = true;
                         self.loops[i].apply_restart();
+                        self.flush(i);
                         self.trace.push(TraceEvent::Restart { node, at });
                     } else if self.senders[i].send(Envelope::Restart).is_ok() {
                         // A restart without a preceding crash mirrors
@@ -433,8 +434,9 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
     pub fn run(&mut self, horizon: Duration) {
         if !self.initialized {
             self.initialized = true;
-            for nl in &mut self.loops {
-                nl.init();
+            for i in 0..self.loops.len() {
+                self.loops[i].init();
+                self.flush(i);
             }
         }
         // Stable sort: equal-time events keep their scheduled order.
@@ -460,6 +462,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
             for i in 0..self.loops.len() {
                 if self.up[i] {
                     self.loops[i].fire_due_timers();
+                    self.flush(i);
                 }
             }
             // 3. Which nodes have mail?
@@ -498,6 +501,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                 1 + (self.next_u64() % 8) as usize
             };
             let consumed = self.loops[pick].step_deliver(limit);
+            self.flush(pick);
             self.pending[pick].fetch_sub(consumed, Ordering::Relaxed);
             self.trace.push(TraceEvent::Deliver {
                 node: self.ids[pick],
@@ -510,6 +514,13 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
             let micro = 1 + self.next_u64() % 100;
             self.clock.advance_to(now + Duration::from_micros(micro));
         }
+    }
+
+    /// Publishes what node `i` delivered in the step it just took, before
+    /// any other node steps, so the shared log holds every delivery in the
+    /// order the scheduler made it. The in-memory log's flush cannot fail.
+    fn flush(&mut self, i: usize) {
+        let _ = self.loops[i].flush_deliveries();
     }
 
     /// Current virtual time.

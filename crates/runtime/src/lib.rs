@@ -6,8 +6,9 @@
 //! around one shared, transport-independent node event loop
 //! (crate-internal `node_loop`): every sans-IO [`Node`](wbam_types::Node) runs on
 //! one OS thread, timers are served from the loop's own timer heap,
-//! application deliveries land in a shared [`DeliveryLog`], and sends go
-//! through the [`Transport`] the loop owns:
+//! application deliveries go to the loop's [`DeliverySink`] (by default a
+//! shared in-memory [`DeliveryLog`]), and sends go through the [`Transport`]
+//! the loop owns:
 //!
 //! * [`InProcessCluster`] — every node is a thread in this process and the
 //!   transport is an in-process channel per node ([`ChannelTransport`]).
@@ -26,7 +27,7 @@
 //!   and crash/restart is chosen by a seed and byte-for-byte replayable.
 //!   This is the runtime analogue of the `wbam-simnet` schedule explorer,
 //!   exercising the *deployed* code path (burst coalescing, timer
-//!   generations, `DeliveryLog`) instead of the simulator's.
+//!   generations, delivery flushes) instead of the simulator's.
 //!
 //! All three consume time exclusively through the [`Clock`] trait —
 //! [`WallClock`] (zero-cost `Instant`/`recv_timeout` wrappers) in the two
@@ -106,15 +107,72 @@ pub struct RuntimeDelivery {
     pub elapsed: Duration,
 }
 
-/// The shared application-delivery log of a runtime: a buffer of
+/// Where a node loop puts the deliveries its node makes.
+///
+/// The loop hands over each delivery with [`deliver`](Self::deliver), in
+/// delivery order, and its driver calls [`flush`](Self::flush) once it has
+/// finished a step: after the node's events and due timers of a round, and
+/// — on a [`TcpNode`] — before any frame those events produced leaves the
+/// process. A sink may keep deliveries private until the flush.
+///
+/// Two sinks exist. The default is the in-memory [`DeliveryLog`]: a flush
+/// appends the step's deliveries under one lock and wakes its waiters once.
+/// A [`TcpNode`] can be spawned with any other sink instead
+/// ([`TcpNode::spawn_with_sink`]); `wbamd`'s replicas install one that
+/// appends a JSON line per delivery to a file, so the line is written by
+/// the reactor thread, and no thread is woken to write it.
+pub trait DeliverySink: Send + 'static {
+    /// Takes one delivery.
+    fn deliver(&mut self, delivery: RuntimeDelivery);
+
+    /// Makes every delivery taken since the last flush visible to the sink's
+    /// consumer.
+    ///
+    /// # Errors
+    ///
+    /// Whatever stopped the deliveries from reaching the consumer, such as a
+    /// failed write. A [`TcpNode`] stops on the error: its reactor sends
+    /// nothing more, and the error is reported by [`TcpNode::sink_status`].
+    fn flush(&mut self) -> Result<(), WbamError>;
+}
+
+/// One node loop's handle on a shared [`DeliveryLog`]: it collects a step's
+/// deliveries and publishes them in one [`DeliveryLog::push_many`].
+pub(crate) struct LogSink {
+    log: Arc<DeliveryLog>,
+    pending: Vec<RuntimeDelivery>,
+}
+
+impl LogSink {
+    pub(crate) fn new(log: Arc<DeliveryLog>) -> Self {
+        LogSink {
+            log,
+            pending: Vec::new(),
+        }
+    }
+}
+
+impl DeliverySink for LogSink {
+    fn deliver(&mut self, delivery: RuntimeDelivery) {
+        self.pending.push(delivery);
+    }
+
+    fn flush(&mut self) -> Result<(), WbamError> {
+        self.log.push_many(&mut self.pending);
+        Ok(())
+    }
+}
+
+/// The in-memory application-delivery log of a runtime: a buffer of
 /// [`RuntimeDelivery`] records plus a cumulative counter, with condvar-based
 /// waiting instead of polling.
 ///
-/// Node threads [`push`](Self::push) into it; the embedding application reads
-/// a [`snapshot`](Self::snapshot) or [`drain`](Self::drain)s the buffer (so a
+/// Node loops publish into it when their driver flushes (see
+/// [`DeliverySink`]); the embedding application reads a
+/// [`snapshot`](Self::snapshot) or [`drain`](Self::drain)s the buffer (so a
 /// long-running cluster does not grow the log without bound). Waiters block
-/// on a condition variable signalled by every push — no busy-polling, no
-/// per-iteration clone of the log.
+/// on a condition variable signalled once per flush that delivered — no
+/// busy-polling, no per-iteration clone of the log.
 ///
 /// The log never panics on a poisoned mutex: a node thread that panics while
 /// holding the lock (every mutation is append-only, so the state stays
@@ -173,17 +231,19 @@ impl DeliveryLog {
         self.newly_delivered.notify_all();
     }
 
-    /// Appends a batch of deliveries under a single lock acquisition, waking
-    /// waiters once. The node event loop hands over all deliveries of one
-    /// protocol step through this, so the hot path takes the log mutex at
-    /// most once per event instead of once per delivery.
-    pub fn push_many(&self, deliveries: Vec<RuntimeDelivery>) {
+    /// Moves a batch of deliveries into the log under a single lock
+    /// acquisition, waking waiters once, and leaves `deliveries` empty with
+    /// its capacity. A node loop's flush hands over all deliveries of one
+    /// step through this, so the hot path takes the log mutex at most once
+    /// per step instead of once per delivery, and not at all for a step that
+    /// delivered nothing.
+    pub fn push_many(&self, deliveries: &mut Vec<RuntimeDelivery>) {
         if deliveries.is_empty() {
             return;
         }
         let mut state = self.state();
         state.total += deliveries.len() as u64;
-        state.buffered.extend(deliveries);
+        state.buffered.append(deliveries);
         self.newly_delivered.notify_all();
     }
 
@@ -264,9 +324,9 @@ impl<M: Send + 'static> InProcessCluster<M> {
         let mut threads = Vec::new();
         for (node, rx) in receivers {
             let transport = ChannelTransport::new(node.id(), Arc::clone(&senders));
-            let deliveries = Arc::clone(&deliveries);
+            let sink = Box::new(LogSink::new(Arc::clone(&deliveries)));
             threads.push(std::thread::spawn(move || {
-                run_node(node, rx, transport, deliveries, clock);
+                run_node(node, rx, transport, sink, clock);
             }));
         }
         InProcessCluster {
@@ -340,9 +400,9 @@ impl<M: Send + 'static> InProcessCluster<M> {
     /// drained ones) or the timeout expires; returns the deliveries currently
     /// buffered.
     ///
-    /// Waiting blocks on a condition variable signalled by every delivery —
-    /// it no longer busy-polls with a sleep, nor clones the entire log once
-    /// per millisecond while waiting.
+    /// Waiting blocks on a condition variable signalled by every flush that
+    /// delivered — it no longer busy-polls with a sleep, nor clones the
+    /// entire log once per millisecond while waiting.
     pub fn wait_for_deliveries(&self, count: usize, timeout: Duration) -> Vec<RuntimeDelivery> {
         self.deliveries.wait_for(count as u64, timeout)
     }

@@ -3,14 +3,15 @@
 //! One sans-IO [`Node`](wbam_types::Node) runs in one event loop: the loop
 //! fires due timers from the node's own timer heap, takes the next envelopes
 //! (peer messages or control events) and executes the actions the node
-//! returns — sends through the [`Transport`] it owns, deliveries into the
-//! shared [`DeliveryLog`]. [`NodeLoop`] is that loop as an explicit state
-//! machine with a stepping API, and it has three drivers: the in-process
-//! cluster gives it a thread that blocks on the mailbox
-//! ([`run`](NodeLoop::run)); a [`TcpNode`](crate::TcpNode)'s reactor thread
-//! steps it between `poll(2)` calls, feeding it the frames it just decoded;
-//! and the [`DeterministicRuntime`](crate::DeterministicRuntime) steps it one
-//! scheduler decision at a time under a [`VirtualClock`](crate::VirtualClock).
+//! returns — sends through the [`Transport`] it owns, deliveries into its
+//! [`DeliverySink`], which the driver flushes once per step. [`NodeLoop`] is
+//! that loop as an explicit state machine with a stepping API, and it has
+//! three drivers: the in-process cluster gives it a thread that blocks on
+//! the mailbox ([`run`](NodeLoop::run)); a [`TcpNode`](crate::TcpNode)'s
+//! reactor thread steps it between `poll(2)` calls, feeding it the frames it
+//! just decoded; and the [`DeterministicRuntime`](crate::DeterministicRuntime)
+//! steps it one scheduler decision at a time under a
+//! [`VirtualClock`](crate::VirtualClock).
 //! A protocol therefore behaves identically under every deployment, and
 //! every deployed-code interleaving is replayable.
 //!
@@ -19,15 +20,14 @@
 //! makes the virtual-clock execution a pure function of scheduler decisions.
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam_channel::Receiver;
-use wbam_types::{Action, AppMessage, Event, Node, ProcessId, TimerId};
+use wbam_types::{Action, AppMessage, Event, Node, ProcessId, TimerId, WbamError};
 
 use crate::clock::{Clock, WaitError};
 use crate::transport::Transport;
-use crate::{BoxedNode, DeliveryLog, RuntimeDelivery};
+use crate::{BoxedNode, DeliverySink, RuntimeDelivery};
 
 /// A unit of input for a node loop: either a protocol message from a peer
 /// or a control event injected by the embedding application.
@@ -51,7 +51,7 @@ pub(crate) enum Envelope<M> {
 }
 
 /// Upper bound on envelopes coalesced into one pass of the node loop: large
-/// enough to amortize the per-pass costs (one delivery-log lock, one socket
+/// enough to amortize the per-pass costs (one delivery flush, one socket
 /// flush) across a busy burst, small enough that due timers (checked between
 /// passes) never wait long.
 pub(crate) const MAX_ENVELOPE_BATCH: usize = 256;
@@ -107,7 +107,9 @@ pub(crate) struct NodeLoop<M, T, C> {
     my_id: ProcessId,
     rx: Receiver<Envelope<M>>,
     transport: T,
-    deliveries: Arc<DeliveryLog>,
+    sink: Box<dyn DeliverySink>,
+    /// Deliveries handed to `sink` since the loop was created.
+    delivered: u64,
     clock: C,
     timers: BinaryHeap<PendingTimer>,
     generations: HashMap<TimerId, TimerGen>,
@@ -124,7 +126,7 @@ where
         node: BoxedNode<M>,
         rx: Receiver<Envelope<M>>,
         transport: T,
-        deliveries: Arc<DeliveryLog>,
+        sink: Box<dyn DeliverySink>,
         clock: C,
     ) -> Self {
         let my_id = node.id();
@@ -133,7 +135,8 @@ where
             my_id,
             rx,
             transport,
-            deliveries,
+            sink,
+            delivered: 0,
             clock,
             timers: BinaryHeap::new(),
             generations: HashMap::new(),
@@ -149,16 +152,16 @@ where
         self.execute(actions);
     }
 
-    /// Executes one batch of node actions: sends go to the transport in
-    /// order, deliveries are batched into a single `DeliveryLog::push_many`
-    /// (one mutex acquisition, one waiter wake-up per batch).
+    /// Executes one batch of node actions: sends go to the transport and
+    /// deliveries to the sink, each in order. Nothing is flushed here; see
+    /// [`flush_deliveries`](Self::flush_deliveries).
     fn execute(&mut self, actions: Vec<Action<M>>) {
-        let mut delivered: Vec<RuntimeDelivery> = Vec::new();
         for action in actions {
             match action {
                 Action::Send { to, msg } => self.transport.send(to, msg),
                 Action::Deliver(delivery) => {
-                    delivered.push(RuntimeDelivery {
+                    self.delivered += 1;
+                    self.sink.deliver(RuntimeDelivery {
                         process: self.my_id,
                         delivery,
                         elapsed: self.clock.now(),
@@ -188,7 +191,20 @@ where
                 }
             }
         }
-        self.deliveries.push_many(delivered);
+    }
+
+    /// Flushes the sink: every delivery made since the last flush becomes
+    /// visible to its consumer. Drivers call this at the end of each step —
+    /// the reactor before it services its sockets, so a delivery is in the
+    /// sink before any frame of the same round leaves the process.
+    pub(crate) fn flush_deliveries(&mut self) -> Result<(), WbamError> {
+        self.sink.flush()
+    }
+
+    /// Deliveries handed to the sink since the loop was created (flushed or
+    /// not).
+    pub(crate) fn delivered(&self) -> u64 {
+        self.delivered
     }
 
     /// Removes a popped heap entry's claim on its id's bookkeeping; returns
@@ -260,7 +276,7 @@ where
 
     /// Runs the node over a batch of envelopes and executes everything it
     /// answered as one action batch, so a busy stretch pays the per-batch
-    /// costs (the delivery-log lock, the driver's socket flush) once. Callers
+    /// costs (the delivery flush, the driver's socket flush) once. Callers
     /// bound the batch by [`MAX_ENVELOPE_BATCH`] so timers never starve.
     pub(crate) fn process_batch(&mut self, batch: impl IntoIterator<Item = Envelope<M>>) {
         let mut actions = Vec::new();
@@ -342,15 +358,19 @@ where
         self.execute(actions);
     }
 
-    /// Runs the loop until an [`Envelope::Shutdown`] arrives or every
-    /// envelope sender disconnects. This is the in-process cluster's driver:
-    /// it blocks in [`Clock::recv_deadline`] between events, then processes
-    /// the envelope that woke it plus everything queued behind it, bounded by
-    /// [`MAX_ENVELOPE_BATCH`].
+    /// Runs the loop until an [`Envelope::Shutdown`] arrives, every
+    /// envelope sender disconnects or the sink fails. This is the in-process
+    /// cluster's driver: it blocks in [`Clock::recv_deadline`] between
+    /// events, then processes the envelope that woke it plus everything
+    /// queued behind it, bounded by [`MAX_ENVELOPE_BATCH`], and flushes the
+    /// sink before it blocks again and once more on the way out.
     pub(crate) fn run(mut self) {
         self.init();
         while !self.stopped {
             self.fire_due_timers();
+            if self.flush_deliveries().is_err() {
+                return;
+            }
             // Wait for the next message or the next timer deadline. With no
             // timer pending there is nothing to wake for except an envelope,
             // so block indefinitely — shutdown arrives as an envelope too,
@@ -367,6 +387,7 @@ where
                 Err(WaitError::Disconnected) => break,
             }
         }
+        let _ = self.flush_deliveries();
     }
 }
 
@@ -376,21 +397,23 @@ pub(crate) fn run_node<M, T, C>(
     node: BoxedNode<M>,
     rx: Receiver<Envelope<M>>,
     transport: T,
-    deliveries: Arc<DeliveryLog>,
+    sink: Box<dyn DeliverySink>,
     clock: C,
 ) where
     M: Send + 'static,
     T: Transport<M>,
     C: Clock,
 {
-    NodeLoop::new(node, rx, transport, deliveries, clock).run();
+    NodeLoop::new(node, rx, transport, sink, clock).run();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+    use crate::{DeliveryLog, LogSink};
     use crossbeam_channel::unbounded;
+    use std::sync::Arc;
 
     /// Discards every send; the tests below only observe deliveries/timers.
     struct NullTransport;
@@ -455,7 +478,7 @@ mod tests {
             Box::new(node),
             rx,
             NullTransport,
-            Arc::new(DeliveryLog::new()),
+            Box::new(LogSink::new(Arc::new(DeliveryLog::new()))),
             clock.clone(),
         );
         ProbeLoop {

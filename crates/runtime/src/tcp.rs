@@ -13,15 +13,18 @@
 //! `poll(2)` (the in-tree `netpoll` shim). One iteration: `recv` from the
 //! sockets the kernel marked readable and decode their frames into a batch;
 //! run the node over the batch plus whatever other threads put in the
-//! mailbox; fire due timers; each message the node sent was encoded straight
-//! into its destination's output buffer, and each buffer now leaves in one
-//! coalesced `send`; then `poll` again, with the earlier of the node's next
-//! timer deadline and the next re-dial deadline as the timeout. A message
-//! therefore crosses a process in three syscalls — `poll`, `recv`, `send` —
-//! with no thread hand-off, and an idle process sleeps until a socket, a
-//! timer or another thread needs it. DESIGN.md ("The reactor") has the
-//! iteration in full, its fairness bounds and the timer lateness `poll`'s
-//! millisecond timeout implies.
+//! mailbox; fire due timers; flush the node's [`DeliverySink`]; each message
+//! the node sent was encoded straight into its destination's output buffer,
+//! and each buffer now leaves in one coalesced `send`; then `poll` again,
+//! with the earlier of the node's next timer deadline and the next re-dial
+//! deadline as the timeout. A message therefore crosses a process in three
+//! syscalls — `poll`, `recv`, `send` — with no thread hand-off, and an idle
+//! process sleeps until a socket, a timer or another thread needs it.
+//! Because the sink is flushed before the sockets are serviced, whatever a
+//! round delivered has reached the sink before any frame of that round — a
+//! reply to a client, say — leaves the process. DESIGN.md ("The reactor")
+//! has the iteration in full, its fairness bounds and the timer lateness
+//! `poll`'s millisecond timeout implies.
 //!
 //! Other threads reach the reactor only through [`TcpNode::submit`],
 //! [`TcpNode::become_leader`] and [`TcpNode::shutdown`]: an envelope in the
@@ -119,7 +122,7 @@ use wbam_types::{AppMessage, ProcessId, WbamError};
 use crate::clock::{Clock, WallClock};
 use crate::node_loop::{Envelope, NodeLoop, MAX_ENVELOPE_BATCH};
 use crate::transport::Transport;
-use crate::{BoxedNode, DeliveryLog, RuntimeDelivery};
+use crate::{BoxedNode, DeliveryLog, DeliverySink, LogSink, RuntimeDelivery};
 
 /// First re-dial delay after a failed or lost connection.
 const BACKOFF_INITIAL: Duration = Duration::from_millis(10);
@@ -251,6 +254,14 @@ impl TransportStats {
             .filter(|&(_, n)| n > 0)
             .collect()
     }
+}
+
+/// What the reactor publishes about its [`DeliverySink`]: how many
+/// deliveries it has flushed, and the error that stopped it, if one did.
+#[derive(Default)]
+struct SinkStatus {
+    flushed: AtomicU64,
+    failed: Mutex<Option<WbamError>>,
 }
 
 /// Opens the outbound connection to a peer. Runs on a short-lived dial
@@ -660,11 +671,37 @@ struct Reactor<M> {
     listener: TcpListener,
     inbound: Vec<InConn>,
     waker: Arc<Waker>,
+    status: Arc<SinkStatus>,
     clock: WallClock,
 }
 
 impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
+    /// Serves the node until it is shut down or its sink fails. A failed
+    /// flush stops the reactor before it services the sockets again, so no
+    /// frame of the round whose deliveries were lost ever leaves.
     fn run(mut self, restart: bool) {
+        let served = self.serve(restart);
+        self.nl.transport_mut().join_dials();
+        if let Err(e) = served {
+            eprintln!("wbam-runtime: delivery sink failed, stopping the node: {e}");
+            *self
+                .status
+                .failed
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some(e);
+        }
+    }
+
+    /// Flushes the node's sink and publishes how many deliveries it holds.
+    fn flush_deliveries(&mut self) -> Result<(), WbamError> {
+        self.nl.flush_deliveries()?;
+        self.status
+            .flushed
+            .store(self.nl.delivered(), Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn serve(&mut self, restart: bool) -> Result<(), WbamError> {
         // Init, then Restart, before the first accept: connections parked in
         // the kernel backlog are only read once the loop below starts, so a
         // redeployed node rejoins before it sees any peer traffic.
@@ -694,7 +731,8 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
 
             // 2. Run the node over what was decoded plus what is in the
             // mailbox (other threads' submits, its own messages to itself),
-            // fire due timers, and flush: every send of a round was encoded
+            // fire due timers, flush the round's deliveries to the sink, and
+            // only then the sockets: every send of a round was encoded
             // straight into its peer's outbuf and leaves in one `send` per
             // peer. The first round always runs — a timer or a writable
             // socket may be why `poll` returned.
@@ -705,11 +743,11 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
                 }
                 self.nl.process_batch(batch.drain(..));
                 self.nl.fire_due_timers();
+                self.flush_deliveries()?;
                 self.nl.transport_mut().service(self.clock.now());
             }
             if self.nl.is_stopped() {
-                self.nl.transport_mut().join_dials();
-                return;
+                return self.flush_deliveries();
             }
 
             // 3. The poll set: wake pipe, listener, inbound sockets
@@ -802,16 +840,26 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
 /// correct under the simulator and the in-process runtime behaves
 /// identically here.
 ///
-/// The delivery accessors return [`WbamError::NotReady`] when the reactor
-/// thread has panicked while publishing deliveries (a poisoned delivery
-/// log): one dead node must surface as an error to the embedder, not as a
-/// panic cascade through every thread that touches the log.
+/// Its deliveries go to an in-memory [`DeliveryLog`], read through
+/// [`deliveries`](Self::deliveries), [`drain_deliveries`](Self::drain_deliveries)
+/// and [`wait_for_total`](Self::wait_for_total), unless the node was spawned
+/// with a sink of its own ([`spawn_with_sink`](Self::spawn_with_sink)); then
+/// those accessors return [`WbamError::NotReady`], and
+/// [`total_deliveries`](Self::total_deliveries) still counts. Either way the
+/// reactor flushes the sink once per round, before the round's frames leave.
+///
+/// The delivery accessors also return [`WbamError::NotReady`] when the
+/// reactor thread has panicked while publishing deliveries (a poisoned
+/// delivery log): one dead node must surface as an error to the embedder,
+/// not as a panic cascade through every thread that touches the log.
 pub struct TcpNode<M> {
     id: ProcessId,
     mailbox: Sender<Envelope<M>>,
     waker: Arc<Waker>,
     stats: Arc<TransportStats>,
-    deliveries: Arc<DeliveryLog>,
+    /// The in-memory log, unless the node was spawned with its own sink.
+    deliveries: Option<Arc<DeliveryLog>>,
+    status: Arc<SinkStatus>,
     reactor: Option<JoinHandle<()>>,
     clock: WallClock,
 }
@@ -853,8 +901,28 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         restart: bool,
         codec: WireCodec,
     ) -> Result<Self, WbamError> {
-        let dialler: Dialler = Arc::new(|addr| TcpStream::connect_timeout(&addr, DIAL_TIMEOUT));
-        Self::spawn_with_dialler(node, addrs, restart, codec, dialler)
+        Self::spawn_with_dialler(node, addrs, restart, codec, stock_dialler())
+    }
+
+    /// Like [`Self::spawn_with_codec`], but the node's deliveries go to
+    /// `sink` instead of an in-memory log. The reactor thread hands it each
+    /// delivery and flushes it once per round, before it sends any frame of
+    /// that round, so no reply can overtake the delivery it answers; a
+    /// failed flush stops the node ([`Self::sink_status`]).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::spawn_with_codec`]; the error comes back
+    /// together with the unused `sink`, so a caller can retry (a listen port
+    /// still held by a closing connection, say) with the same one.
+    pub fn spawn_with_sink<S: DeliverySink>(
+        node: BoxedNode<M>,
+        addrs: &BTreeMap<ProcessId, SocketAddr>,
+        restart: bool,
+        codec: WireCodec,
+        sink: S,
+    ) -> Result<Self, (WbamError, S)> {
+        Self::start(node, addrs, restart, codec, stock_dialler(), sink, None)
     }
 
     fn spawn_with_dialler(
@@ -864,14 +932,49 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         codec: WireCodec,
         dialler: Dialler,
     ) -> Result<Self, WbamError> {
+        let log = Arc::new(DeliveryLog::new());
+        let sink = LogSink::new(Arc::clone(&log));
+        Self::start(node, addrs, restart, codec, dialler, sink, Some(log)).map_err(|(e, _)| e)
+    }
+
+    fn start<S: DeliverySink>(
+        node: BoxedNode<M>,
+        addrs: &BTreeMap<ProcessId, SocketAddr>,
+        restart: bool,
+        codec: WireCodec,
+        dialler: Dialler,
+        sink: S,
+        deliveries: Option<Arc<DeliveryLog>>,
+    ) -> Result<Self, (WbamError, S)> {
         let id = node.id();
-        let listen = *addrs.get(&id).ok_or(WbamError::UnknownProcess(id))?;
-        let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
+        let setup = || -> Result<(TcpListener, Waker), WbamError> {
+            let listen = *addrs.get(&id).ok_or(WbamError::UnknownProcess(id))?;
+            let listener = TcpListener::bind(listen)?;
+            listener.set_nonblocking(true)?;
+            Ok((listener, Waker::new()?))
+        };
+        let (listener, waker) = match setup() {
+            Ok(done) => done,
+            Err(e) => return Err((e, sink)),
+        };
+        // The thread starts before it is handed its reactor, so that a
+        // failed spawn, too, leaves the sink with the caller.
+        let (handoff, takeover) = std::sync::mpsc::sync_channel::<Reactor<M>>(1);
+        let spawned = std::thread::Builder::new()
+            .name(format!("wbam-reactor-{id}"))
+            .spawn(move || {
+                if let Ok(reactor) = takeover.recv() {
+                    reactor.run(restart);
+                }
+            });
+        let thread = match spawned {
+            Ok(thread) => thread,
+            Err(e) => return Err((e.into(), sink)),
+        };
 
         let clock = WallClock::new();
-        let deliveries = Arc::new(DeliveryLog::new());
-        let waker = Arc::new(Waker::new()?);
+        let waker = Arc::new(waker);
+        let status = Arc::new(SinkStatus::default());
         let (mailbox, rx) = unbounded();
         let transport = TcpTransport::new(
             id,
@@ -883,23 +986,25 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         );
         let stats = Arc::clone(&transport.stats);
         let reactor = Reactor {
-            nl: NodeLoop::new(node, rx, transport, Arc::clone(&deliveries), clock),
+            nl: NodeLoop::new(node, rx, transport, Box::new(sink), clock),
             codec,
             listener,
             inbound: Vec::new(),
             waker: Arc::clone(&waker),
+            status: Arc::clone(&status),
             clock,
         };
-        let reactor = std::thread::Builder::new()
-            .name(format!("wbam-reactor-{id}"))
-            .spawn(move || reactor.run(restart))?;
+        handoff
+            .send(reactor)
+            .unwrap_or_else(|_| unreachable!("the reactor thread waits for its reactor"));
         Ok(TcpNode {
             id,
             mailbox,
             waker,
             stats,
             deliveries,
-            reactor: Some(reactor),
+            status,
+            reactor: Some(thread),
             clock,
         })
     }
@@ -939,29 +1044,36 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         Ok(())
     }
 
-    /// Errors out when the reactor thread has panicked while holding the
-    /// delivery log, so embedders get a typed error instead of a cascade.
-    fn check_log(&self) -> Result<(), WbamError> {
-        if self.deliveries.is_poisoned() {
-            return Err(WbamError::NotReady {
-                process: self.id,
-                reason: "node thread panicked while publishing deliveries; \
-                         the delivery log may be incomplete"
-                    .to_string(),
-            });
+    /// The in-memory delivery log, or a typed error: the node was spawned
+    /// with its own sink, or the reactor thread has panicked while holding
+    /// the log (so embedders get an error instead of a cascade).
+    fn log(&self) -> Result<&DeliveryLog, WbamError> {
+        let not_ready = |reason: &str| WbamError::NotReady {
+            process: self.id,
+            reason: reason.to_string(),
+        };
+        let log = self
+            .deliveries
+            .as_deref()
+            .ok_or_else(|| not_ready("deliveries go to the sink the node was spawned with"))?;
+        if log.is_poisoned() {
+            return Err(not_ready(
+                "node thread panicked while publishing deliveries; \
+                 the delivery log may be incomplete",
+            ));
         }
-        Ok(())
+        Ok(log)
     }
 
     /// A snapshot of the deliveries currently buffered.
     ///
     /// # Errors
     ///
-    /// Returns [`WbamError::NotReady`] when the reactor thread has panicked
-    /// while publishing deliveries.
+    /// Returns [`WbamError::NotReady`] when the node was spawned with its own
+    /// sink, or when the reactor thread has panicked while publishing
+    /// deliveries.
     pub fn deliveries(&self) -> Result<Vec<RuntimeDelivery>, WbamError> {
-        self.check_log()?;
-        Ok(self.deliveries.snapshot())
+        Ok(self.log()?.snapshot())
     }
 
     /// Removes and returns all buffered deliveries (see
@@ -971,18 +1083,22 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     ///
     /// Same contract as [`Self::deliveries`].
     pub fn drain_deliveries(&self) -> Result<Vec<RuntimeDelivery>, WbamError> {
-        self.check_log()?;
-        Ok(self.deliveries.drain())
+        Ok(self.log()?.drain())
     }
 
-    /// Total number of deliveries observed since spawn, including drained ones.
+    /// Total number of deliveries since spawn that have reached the sink,
+    /// including drained ones. A node with its own sink counts the
+    /// deliveries the reactor has flushed to it.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::deliveries`].
+    /// Returns [`WbamError::NotReady`] when the reactor thread has panicked
+    /// while publishing to the in-memory log.
     pub fn total_deliveries(&self) -> Result<u64, WbamError> {
-        self.check_log()?;
-        Ok(self.deliveries.total())
+        match &self.deliveries {
+            Some(_) => Ok(self.log()?.total()),
+            None => Ok(self.status.flushed.load(Ordering::Relaxed)),
+        }
     }
 
     /// Blocks until the cumulative delivery count reaches `count` or the
@@ -994,8 +1110,8 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     /// panicked before or during the wait surfaces as the error, not a stuck
     /// `false`.
     pub fn wait_for_total(&self, count: u64, timeout: Duration) -> Result<bool, WbamError> {
-        let reached = self.deliveries.wait_for_total(count, timeout);
-        self.check_log()?;
+        let reached = self.log()?.wait_for_total(count, timeout);
+        self.log()?;
         Ok(reached)
     }
 
@@ -1018,23 +1134,62 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         self.clock.now()
     }
 
-    /// Stops the node and waits for its reactor thread to exit (dropping the
-    /// handle does the same). The stop request travels like any other
-    /// control event — an envelope plus a wake — so a reactor asleep in
-    /// `poll` with no timeout observes it immediately.
+    /// Stops the node and waits for its reactor thread to exit, ignoring how
+    /// its sink fared (dropping the handle does the same; [`Self::stop`]
+    /// reports it).
     pub fn shutdown(self) {
         drop(self);
     }
 }
 
-impl<M> Drop for TcpNode<M> {
-    fn drop(&mut self) {
+impl<M> TcpNode<M> {
+    /// Stops the node and waits for its reactor thread to exit. The stop
+    /// request travels like any other control event — an envelope plus a
+    /// wake — so a reactor asleep in `poll` with no timeout observes it
+    /// immediately. The reactor flushes its sink one last time on the way
+    /// out.
+    ///
+    /// # Errors
+    ///
+    /// The sink's error, when a flush failed (see [`Self::sink_status`]).
+    pub fn stop(&mut self) -> Result<(), WbamError> {
         let _ = self.mailbox.send(Envelope::Shutdown);
         self.waker.wake();
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
         }
+        self.sink_status()
     }
+
+    /// Whether the node's deliveries still reach its sink.
+    ///
+    /// # Errors
+    ///
+    /// The error of the flush that failed. The reactor stopped at that
+    /// flush, before it sent any frame of the same round, and serves
+    /// nothing more.
+    pub fn sink_status(&self) -> Result<(), WbamError> {
+        match &*self
+            .status
+            .failed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
+    }
+}
+
+impl<M> Drop for TcpNode<M> {
+    fn drop(&mut self) {
+        let _ = self.stop();
+    }
+}
+
+/// Dials with [`DIAL_TIMEOUT`]; tests inject slower or failing diallers.
+fn stock_dialler() -> Dialler {
+    Arc::new(|addr| TcpStream::connect_timeout(&addr, DIAL_TIMEOUT))
 }
 
 #[cfg(test)]
