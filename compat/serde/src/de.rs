@@ -1,5 +1,5 @@
-//! Deserialisation: Rust values pull the events of the self-describing data
-//! model from a [`Source`], one call per scalar and container boundary.
+//! Deserialisation: Rust values pull the events of the data model from a
+//! [`Source`], one call per scalar and container boundary.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -21,8 +21,10 @@ pub enum Kind {
     Str,
     /// A sequence.
     Seq,
-    /// A map.
+    /// A map (a struct or a variant with data, in a format that names them).
     Map,
+    /// An enum variant with data, in a format that numbers variants.
+    Variant,
 }
 
 impl fmt::Display for Kind {
@@ -35,6 +37,7 @@ impl fmt::Display for Kind {
             Kind::Str => "string",
             Kind::Seq => "sequence",
             Kind::Map => "map",
+            Kind::Variant => "variant",
         })
     }
 }
@@ -67,13 +70,25 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
+/// Which struct field or enum variant the input holds next: its declaration
+/// position, from a format that writes positions, or its name, from one that
+/// writes names. `#[derive(Deserialize)]` maps a name to the position with a
+/// generated `match`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Key<'de> {
+    /// The field's or variant's declaration index.
+    Index(usize),
+    /// The field's or variant's name.
+    Name(&'de str),
+}
+
 /// The providing end of a deserialisation: a data format (the binary codec
 /// reads frame bytes directly) or a cursor over a
 /// [`Value`](crate::value::Value) tree parsed from JSON.
 ///
 /// Every reading method consumes exactly one value and fails, consuming
 /// nothing it can be relied on for, when the next value has another kind.
-/// Strings and keys borrow from the input (`'de`); nothing is allocated to
+/// Strings and names borrow from the input (`'de`); nothing is allocated to
 /// hand them out.
 pub trait Source<'de> {
     /// The kind of the next value, without consuming it.
@@ -97,16 +112,24 @@ pub trait Source<'de> {
     fn begin_seq(&mut self) -> Result<usize, DeError>;
     /// Closes the innermost open sequence.
     fn end_seq(&mut self);
-    /// Opens a map and returns its entry count; the caller reads exactly that
-    /// many [`Source::key`] + value pairs, then calls [`Source::end_map`].
-    fn begin_map(&mut self) -> Result<usize, DeError>;
-    /// The key of the next map entry.
-    fn key(&mut self) -> Result<&'de str, DeError>;
-    /// Closes the innermost open map.
-    fn end_map(&mut self);
+    /// Opens a struct and returns its entry count; the caller reads exactly
+    /// that many [`Source::field`] + value pairs, then calls
+    /// [`Source::end_struct`].
+    fn begin_struct(&mut self) -> Result<usize, DeError>;
+    /// Which field the entry at `position` (counted from 0 in this struct)
+    /// holds.
+    fn field(&mut self, position: usize) -> Result<Key<'de>, DeError>;
+    /// Closes the innermost open struct.
+    fn end_struct(&mut self);
+    /// Reads which variant of the enum `name` comes next, and whether its
+    /// data follows; if it does, the caller reads exactly one value, then
+    /// calls [`Source::end_variant`].
+    fn begin_enum(&mut self, name: &'static str) -> Result<(Key<'de>, bool), DeError>;
+    /// Closes the innermost open variant.
+    fn end_variant(&mut self);
     /// Consumes one value of any kind (an unknown field), still validating it.
     fn skip(&mut self) -> Result<(), DeError>;
-    /// Reads a `T` for a map entry the input does not have, as if it held
+    /// Reads a `T` for a struct field the input does not have, as if it held
     /// `null` there: `Option` fields become `None`, required ones fail.
     fn absent<T: Deserialize>(&mut self) -> Result<T, DeError>;
 }
@@ -317,14 +340,18 @@ impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
 impl Deserialize for Duration {
     fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
         let (mut secs, mut nanos) = (None, None);
-        for _ in 0..src.begin_map()? {
-            match src.key()? {
-                "secs" if secs.is_none() => secs = Some(u64::deserialize(src)?),
-                "nanos" if nanos.is_none() => nanos = Some(u32::deserialize(src)?),
+        for position in 0..src.begin_struct()? {
+            match src.field(position)? {
+                Key::Index(0) | Key::Name("secs") if secs.is_none() => {
+                    secs = Some(u64::deserialize(src)?)
+                }
+                Key::Index(1) | Key::Name("nanos") if nanos.is_none() => {
+                    nanos = Some(u32::deserialize(src)?)
+                }
                 _ => src.skip()?,
             }
         }
-        src.end_map();
+        src.end_struct();
         match (secs, nanos) {
             (Some(secs), Some(nanos)) => Ok(Duration::new(secs, nanos)),
             (None, _) => Err(DeError::new("duration missing `secs`")),

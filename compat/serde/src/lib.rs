@@ -4,13 +4,15 @@
 //! The workspace builds hermetically (no network, no crates.io); this crate
 //! provides the `Serialize` / `Deserialize` traits, the `DeserializeOwned`
 //! marker and the `#[derive(Serialize, Deserialize)]` macros against a small
-//! self-describing data model (null, bool, integer, float, string, sequence,
-//! map with string keys). The model is streamed, not materialised:
-//! `Serialize` pushes its events into a [`ser::Sink`], `Deserialize` pulls
-//! them from a [`de::Source`], and a data format implements the pair. The
-//! binary codec (`serde_binary`) does so directly over frame bytes; JSON
-//! (`serde_json`) goes through the [`value::Value`] tree, itself one more
-//! sink and source.
+//! data model (null, bool, integer, float, string, sequence, struct, enum
+//! variant). The model is streamed, not materialised: `Serialize` pushes its
+//! events into a [`ser::Sink`], `Deserialize` pulls them from a
+//! [`de::Source`], and a data format implements the pair. Structs and enums
+//! reach a format with both their names and their declaration positions, so
+//! the format picks: the binary codec (`serde_binary`) writes positions
+//! straight into frame bytes, JSON (`serde_json`) goes through the
+//! [`value::Value`] tree, itself one more sink and source, which keeps the
+//! names.
 //!
 //! The surface is intentionally small: no zero-copy deserialisation, no
 //! custom field attributes, externally tagged enums only. That covers every

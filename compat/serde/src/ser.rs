@@ -1,5 +1,5 @@
-//! Serialisation: Rust values drive a [`Sink`] with the events of the
-//! self-describing data model, one call per scalar and container boundary.
+//! Serialisation: Rust values drive a [`Sink`] with the events of the data
+//! model, one call per scalar and container boundary.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::time::Duration;
@@ -9,8 +9,13 @@ use std::time::Duration;
 /// builder behind JSON.
 ///
 /// Callers must emit well-formed streams: exactly `len` values between
-/// `begin_seq(len)` and `end_seq`, and exactly `len` `key` + value pairs
-/// between `begin_map(len)` and `end_map`.
+/// `begin_seq(len)` and `end_seq`, exactly `len` `field` + value pairs
+/// between `begin_struct(len)` and `end_struct`, and exactly one value
+/// between `begin_variant` and `end_variant`.
+///
+/// Structs and enums carry both their names and their positions (field
+/// declaration order, variant index), and each format keeps the half it
+/// needs: JSON prints the names, the binary codec only the positions.
 pub trait Sink {
     /// `null`; also the encoding of `None` and of unit types.
     fn null(&mut self);
@@ -37,12 +42,19 @@ pub trait Sink {
     fn begin_seq(&mut self, len: usize);
     /// Closes the innermost open sequence.
     fn end_seq(&mut self);
-    /// Opens a map of `len` entries.
-    fn begin_map(&mut self, len: usize);
-    /// The key of the next map entry (a struct field or enum variant name).
-    fn key(&mut self, key: &'static str);
-    /// Closes the innermost open map.
-    fn end_map(&mut self);
+    /// Opens a struct of `len` fields, which follow in declaration order.
+    fn begin_struct(&mut self, len: usize);
+    /// The name of the struct field whose value comes next.
+    fn field(&mut self, name: &'static str);
+    /// Closes the innermost open struct.
+    fn end_struct(&mut self);
+    /// An enum variant without data: its declaration index and its name.
+    fn unit_variant(&mut self, index: u32, name: &'static str);
+    /// Opens an enum variant with data (its declaration index and its name),
+    /// which follows as exactly one value.
+    fn begin_variant(&mut self, index: u32, name: &'static str);
+    /// Closes the innermost open variant.
+    fn end_variant(&mut self);
 }
 
 /// A type that can stream itself into a [`Sink`].
@@ -257,14 +269,14 @@ impl<T: Serialize> Serialize for HashSet<T> {
     }
 }
 
-/// Durations use serde's standard `{secs, nanos}` object encoding.
+/// Durations use serde's standard `{secs, nanos}` struct encoding.
 impl Serialize for Duration {
     fn serialize<S: Sink>(&self, sink: &mut S) {
-        sink.begin_map(2);
-        sink.key("secs");
+        sink.begin_struct(2);
+        sink.field("secs");
         sink.u64(self.as_secs());
-        sink.key("nanos");
+        sink.field("nanos");
         sink.u64(u64::from(self.subsec_nanos()));
-        sink.end_map();
+        sink.end_struct();
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! [`Value`] is what the JSON shim prints and parses: [`to_value`] is one
 //! more [`Sink`] that builds the tree from a serialisation, [`from_value`]
-//! one more [`Source`] that walks it. The binary codec never builds one on
-//! its typed path; its tree encoder and decoder are the reference the
-//! property tests compare the streaming ones against.
+//! one more [`Source`] that walks it. The tree keeps names, not positions: a
+//! struct is a map from field name to value, a unit variant its name as a
+//! string, any other variant a one-entry map from its name to its data
+//! (serde's external tagging). The binary codec never builds one.
 
-use crate::de::{DeError, Deserialize, Kind, Source};
+use crate::de::{DeError, Deserialize, Key, Kind, Source};
 use crate::ser::{Serialize, Sink};
 
 /// A self-describing serialised value.
@@ -132,22 +133,35 @@ impl Sink for TreeSink {
         }
     }
 
-    fn begin_map(&mut self, len: usize) {
+    fn begin_struct(&mut self, len: usize) {
         self.open.push(Open::Map(Vec::with_capacity(len), None));
     }
 
-    fn key(&mut self, key: &'static str) {
+    fn field(&mut self, name: &'static str) {
         match self.open.last_mut() {
-            Some(Open::Map(_, slot)) => *slot = Some(key),
-            _ => panic!("key outside a map"),
+            Some(Open::Map(_, slot)) => *slot = Some(name),
+            _ => panic!("field outside a struct"),
         }
     }
 
-    fn end_map(&mut self) {
+    fn end_struct(&mut self) {
         match self.open.pop() {
             Some(Open::Map(entries, _)) => self.put(Value::Map(entries)),
-            _ => panic!("end_map without a matching begin_map"),
+            _ => panic!("end_struct without a matching begin_struct"),
         }
+    }
+
+    fn unit_variant(&mut self, _index: u32, name: &'static str) {
+        self.put(Value::Str(name.to_string()));
+    }
+
+    fn begin_variant(&mut self, _index: u32, name: &'static str) {
+        self.begin_struct(1);
+        self.field(name);
+    }
+
+    fn end_variant(&mut self) {
+        self.end_struct();
     }
 }
 
@@ -248,7 +262,7 @@ impl<'v> Source<'v> for TreeSource<'v> {
         self.open.pop();
     }
 
-    fn begin_map(&mut self) -> Result<usize, DeError> {
+    fn begin_struct(&mut self) -> Result<usize, DeError> {
         match self.take()? {
             Value::Map(entries) => {
                 self.open.push(Cursor::Map(entries.iter()));
@@ -258,20 +272,36 @@ impl<'v> Source<'v> for TreeSource<'v> {
         }
     }
 
-    fn key(&mut self) -> Result<&'v str, DeError> {
+    fn field(&mut self, _position: usize) -> Result<Key<'v>, DeError> {
         match self.open.last_mut() {
             Some(Cursor::Map(entries)) => entries.next(),
             _ => None,
         }
         .map(|(key, value)| {
             self.next = Some(value);
-            key.as_str()
+            Key::Name(key)
         })
         .ok_or_else(|| DeError::new(END))
     }
 
-    fn end_map(&mut self) {
+    fn end_struct(&mut self) {
         self.open.pop();
+    }
+
+    fn begin_enum(&mut self, name: &'static str) -> Result<(Key<'v>, bool), DeError> {
+        match self.peek_value()? {
+            Value::Str(_) => self.str().map(|variant| (Key::Name(variant), false)),
+            Value::Map(entries) if entries.len() == 1 => {
+                self.begin_struct()?;
+                self.field(0).map(|variant| (variant, true))
+            }
+            Value::Map(_) => Err(DeError::new(format!("expected enum {name}, found map"))),
+            other => Err(DeError::expected(&format!("enum {name}"), other.kind())),
+        }
+    }
+
+    fn end_variant(&mut self) {
+        self.end_struct();
     }
 
     fn skip(&mut self) -> Result<(), DeError> {

@@ -1,37 +1,36 @@
 //! In-tree compact binary data format for the serde compatibility shim.
 //!
 //! This is the deployed runtime's wire codec (see `WIRE.md` at the repo root
-//! for the byte-for-byte specification): a length-delimited, self-describing
-//! encoding of the shim's data model built for small frames and cheap
-//! encode/decode:
+//! for the byte-for-byte specification): a length-delimited encoding of the
+//! shim's data model, directed by the Rust types on both ends and built for
+//! small frames and cheap encode/decode:
 //!
+//! * a struct is a sequence of its fields in declaration order, an enum
+//!   variant its declaration index — no field or variant name is ever
+//!   written, and the decoder dispatches on integers, not strings;
 //! * all lengths and unsigned integers are LEB128 varints; signed integers
 //!   are zigzag-mapped first;
-//! * unsigned integers `0..=127` are a single byte (the tag itself);
-//! * map keys (struct field names, enum variant names) are interned per
-//!   message: each distinct key is transmitted once, then referenced by a
-//!   varint index, so batches of repeated structs carry near-zero name
-//!   overhead;
+//! * unsigned integers `0..=127` are a single byte (the tag itself), and so
+//!   is the header of a variant with data whose index is below 64;
 //! * non-empty sequences whose elements are all unsigned integers `<= 255` —
-//!   `Vec<u8>`/`Bytes` payloads, but also short lists of small ids — are
-//!   packed as raw bytes.
+//!   `Vec<u8>`/`Bytes` payloads, but also short lists of small ids and
+//!   structs of small integers — are packed as raw bytes.
+//!
+//! Every value still starts with a type tag, so a decoder can validate and
+//! skip a value it has no field for without knowing its type.
 //!
 //! [`to_vec`] / [`encode_into`] and [`from_slice`] stream typed values
 //! straight to and from those bytes (a `serde` sink and source; no
-//! intermediate tree). [`value_to_vec`] / [`value_from_slice`] encode and
-//! decode [`Value`] trees with separate code: they are the reference the
-//! property tests hold the streaming pair to, byte for byte.
+//! intermediate tree).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
 use std::fmt;
 
-use serde::de::{DeError, DeserializeOwned, Kind, Source};
+use serde::de::{DeError, DeserializeOwned, Key, Kind, Source};
 use serde::ser::Sink;
-use serde::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Type tag for null.
 const TAG_NULL: u8 = 0x00;
@@ -48,25 +47,25 @@ const TAG_I64: u8 = 0x04;
 const TAG_F64: u8 = 0x05;
 /// Type tag for a string; payload is a varint byte length + UTF-8.
 const TAG_STR: u8 = 0x06;
-/// Type tag for a sequence; payload is a varint count + elements.
+/// Type tag for a sequence (and a struct); payload is a varint count +
+/// elements.
 const TAG_SEQ: u8 = 0x07;
-/// Type tag for a map; payload is a varint count + interned-key entries.
-const TAG_MAP: u8 = 0x08;
 /// Type tag for a packed byte sequence: a non-empty sequence whose elements
 /// are all unsigned integers `<= 255`, stored as a varint count + raw bytes.
 const TAG_BYTES: u8 = 0x09;
+/// Type tag for an enum variant with data whose index is 64 or more; payload
+/// is the varint index + the data as one value.
+const TAG_VARIANT: u8 = 0x0A;
+/// Tags `0x40..=0x7F` open the variant `i <= 63` with data as `0x40 | i`;
+/// the data follows as one value.
+const TAG_SMALL_VARIANT: u8 = 0x40;
 /// Tags `0x80..=0xFF` encode the unsigned integer `n <= 127` inline as
 /// `0x80 | n`.
 const TAG_SMALL_U64: u8 = 0x80;
 
-/// Maximum nesting depth accepted by the decoders, guarding the stack against
+/// Maximum nesting depth accepted by the decoder, guarding the stack against
 /// adversarial input from the network.
 const MAX_DEPTH: usize = 128;
-
-/// Initial capacity of the streaming codec's per-message key tables: the
-/// distinct field and variant names of a typical protocol frame, so that the
-/// table is one allocation.
-const KEYS_HINT: usize = 16;
 
 /// An error produced while encoding to or decoding from the binary format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +92,7 @@ impl From<DeError> for Error {
 /// A specialised `Result` for binary conversions.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// What the decoders return internally: the serde shim's error, which
+/// What the decoder returns internally: the serde shim's error, which
 /// [`Error`] wraps at the entry points.
 type De<T> = std::result::Result<T, DeError>;
 
@@ -115,7 +114,6 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
 pub fn encode_into<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
     value.serialize(&mut Encoder {
         out,
-        keys: Vec::with_capacity(KEYS_HINT),
         small_seq: None,
     });
 }
@@ -132,41 +130,10 @@ pub fn from_slice<T: DeserializeOwned>(input: &[u8]) -> Result<T> {
             bytes: input,
             pos: 0,
         },
-        keys: Vec::with_capacity(KEYS_HINT),
         packed: 0,
         depth: 0,
     };
     let value = T::deserialize(&mut dec)?;
-    dec.input.expect_end()?;
-    Ok(value)
-}
-
-/// Encodes a raw [`Value`] tree (the reference encoder).
-pub fn value_to_vec(value: &Value) -> Vec<u8> {
-    let mut enc = TreeEncoder {
-        out: Vec::with_capacity(64),
-        keys: HashMap::new(),
-    };
-    enc.write_value(value);
-    enc.out
-}
-
-/// Decodes a raw [`Value`] tree, rejecting trailing bytes (the reference
-/// decoder).
-///
-/// # Errors
-///
-/// Returns an error on truncated or malformed input, on nesting deeper than
-/// an internal limit, or if bytes remain after the value.
-pub fn value_from_slice(input: &[u8]) -> Result<Value> {
-    let mut dec = TreeDecoder {
-        input: Reader {
-            bytes: input,
-            pos: 0,
-        },
-        keys: Vec::new(),
-    };
-    let value = dec.read_value(0)?;
     dec.input.expect_end()?;
     Ok(value)
 }
@@ -195,15 +162,11 @@ fn unzigzag(n: u64) -> i64 {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming encoder
+// Encoder
 // ---------------------------------------------------------------------------
 
 struct Encoder<'o> {
     out: &'o mut Vec<u8>,
-    /// Per-message key dictionary in first-use order: index + 1 is the wire
-    /// reference. Frames hold a dozen-odd distinct keys, so a linear scan of
-    /// `&'static str`s beats hashing and owns nothing.
-    keys: Vec<&'static str>,
     /// `(tag offset, first element offset)` of the innermost open sequence
     /// while everything written into it so far is an unsigned integer
     /// `<= 255`, i.e. while it may still have to be packed as `Bytes`. Any
@@ -302,28 +265,35 @@ impl Sink for Encoder<'_> {
         self.out.truncate(write);
     }
 
-    fn begin_map(&mut self, len: usize) {
-        self.tag(TAG_MAP);
-        self.len(len);
+    /// A struct is the sequence of its fields, in declaration order.
+    fn begin_struct(&mut self, len: usize) {
+        self.begin_seq(len);
     }
 
-    fn key(&mut self, key: &'static str) {
-        match self.keys.iter().position(|k| *k == key) {
-            Some(index) => self.len(index + 1),
-            None => {
-                self.keys.push(key);
-                self.out.push(0);
-                self.len(key.len());
-                self.out.extend_from_slice(key.as_bytes());
-            }
+    fn field(&mut self, _name: &'static str) {}
+
+    fn end_struct(&mut self) {
+        self.end_seq();
+    }
+
+    fn unit_variant(&mut self, index: u32, _name: &'static str) {
+        self.u64(u64::from(index));
+    }
+
+    fn begin_variant(&mut self, index: u32, _name: &'static str) {
+        if index < 0x40 {
+            self.tag(TAG_SMALL_VARIANT | index as u8);
+        } else {
+            self.tag(TAG_VARIANT);
+            write_varint(self.out, u64::from(index));
         }
     }
 
-    fn end_map(&mut self) {}
+    fn end_variant(&mut self) {}
 }
 
 // ---------------------------------------------------------------------------
-// Reading primitives shared by both decoders (WIRE.md §5.5 limits)
+// Reading primitives (WIRE.md §5.5 limits)
 // ---------------------------------------------------------------------------
 
 const END_OF_INPUT: &str = "unexpected end of binary input";
@@ -391,10 +361,10 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn str(&mut self, what: &str) -> De<&'a str> {
-        let len = self.len(what)?;
+    fn str(&mut self) -> De<&'a str> {
+        let len = self.len("string")?;
         std::str::from_utf8(self.exact(len)?)
-            .map_err(|e| DeError::new(format!("invalid UTF-8 in {what}: {e}")))
+            .map_err(|e| DeError::new(format!("invalid UTF-8 in string: {e}")))
     }
 
     fn f64(&mut self) -> De<f64> {
@@ -403,24 +373,13 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(bits))
     }
 
-    /// Reads a map entry's key: inline on first use (and added to `keys`),
-    /// a 1-based reference into `keys` after that.
-    fn key(&mut self, keys: &mut Vec<&'a str>) -> De<&'a str> {
-        let key_ref = self.varint()?;
-        if key_ref == 0 {
-            let key = self.str("map key")?;
-            keys.push(key);
-            return Ok(key);
+    /// The index of a variant with data, whose tag was just consumed.
+    fn variant_index(&mut self, tag: u8) -> De<u64> {
+        if tag == TAG_VARIANT {
+            self.varint()
+        } else {
+            Ok(u64::from(tag & !TAG_SMALL_VARIANT))
         }
-        usize::try_from(key_ref - 1)
-            .ok()
-            .and_then(|index| keys.get(index).copied())
-            .ok_or_else(|| {
-                DeError::new(format!(
-                    "map key reference {key_ref} out of range ({} interned)",
-                    keys.len()
-                ))
-            })
     }
 
     /// Children of a non-empty container opened at `depth` sit at
@@ -450,18 +409,15 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming decoder
+// Decoder
 // ---------------------------------------------------------------------------
 
 struct Decoder<'de> {
     input: Reader<'de>,
-    /// Per-message key dictionary, in first-transmission order; the entries
-    /// borrow the input.
-    keys: Vec<&'de str>,
     /// Raw bytes still to hand out as integers from the `Bytes` sequence
     /// opened by `begin_seq` (it holds nothing else, so nothing nests in it).
     packed: usize,
-    /// Containers currently open.
+    /// Containers (and variants with data) currently open.
     depth: usize,
 }
 
@@ -483,15 +439,15 @@ impl<'de> Decoder<'de> {
         }
     }
 
-    fn open(&mut self, what: &str) -> De<usize> {
-        let count = self.input.len(what)?;
+    /// Enters a container of `count` children (a variant with data has one).
+    fn open(&mut self, count: usize) -> De<()> {
         Reader::check_depth(self.depth, count)?;
         self.depth += 1;
-        Ok(count)
+        Ok(())
     }
 
     /// Validates and discards one value whose enclosing containers number
-    /// `depth`, still recording the keys it introduces.
+    /// `depth`.
     fn skip_value(&mut self, depth: usize) -> De<()> {
         let tag = self.input.bump()?;
         if tag & TAG_SMALL_U64 != 0 {
@@ -501,7 +457,7 @@ impl<'de> Decoder<'de> {
             TAG_NULL | TAG_FALSE | TAG_TRUE => {}
             TAG_U64 | TAG_I64 => drop(self.input.varint()?),
             TAG_F64 => drop(self.input.f64()?),
-            TAG_STR => drop(self.input.str("string")?),
+            TAG_STR => drop(self.input.str()?),
             TAG_BYTES => {
                 let count = self.input.len("byte sequence")?;
                 self.input.exact(count)?;
@@ -513,13 +469,10 @@ impl<'de> Decoder<'de> {
                     self.skip_value(depth + 1)?;
                 }
             }
-            TAG_MAP => {
-                let count = self.input.len("map")?;
-                Reader::check_depth(depth, count)?;
-                for _ in 0..count {
-                    self.input.key(&mut self.keys)?;
-                    self.skip_value(depth + 1)?;
-                }
+            TAG_VARIANT | TAG_SMALL_VARIANT..=0x7F => {
+                self.input.variant_index(tag)?;
+                Reader::check_depth(depth, 1)?;
+                self.skip_value(depth + 1)?;
             }
             other => return Err(self.input.unknown_tag(other)),
         }
@@ -535,7 +488,7 @@ fn kind_of(tag: u8) -> Option<Kind> {
         TAG_F64 => Kind::Float,
         TAG_STR => Kind::Str,
         TAG_SEQ | TAG_BYTES => Kind::Seq,
-        TAG_MAP => Kind::Map,
+        TAG_VARIANT | TAG_SMALL_VARIANT..=0x7F => Kind::Variant,
         _ => return None,
     })
 }
@@ -591,7 +544,7 @@ impl<'de> Source<'de> for Decoder<'de> {
 
     fn str(&mut self) -> De<&'de str> {
         match self.tag("string")? {
-            TAG_STR => self.input.str("string"),
+            TAG_STR => self.input.str(),
             other => Err(self.mismatch("string", other)),
         }
     }
@@ -607,7 +560,11 @@ impl<'de> Source<'de> for Decoder<'de> {
 
     fn begin_seq(&mut self) -> De<usize> {
         match self.tag("sequence")? {
-            TAG_SEQ => self.open("sequence"),
+            TAG_SEQ => {
+                let count = self.input.len("sequence")?;
+                self.open(count)?;
+                Ok(count)
+            }
             TAG_BYTES => {
                 self.packed = self.input.len("byte sequence")?;
                 self.depth += 1;
@@ -621,18 +578,39 @@ impl<'de> Source<'de> for Decoder<'de> {
         self.depth -= 1;
     }
 
-    fn begin_map(&mut self) -> De<usize> {
-        match self.tag("map")? {
-            TAG_MAP => self.open("map"),
-            other => Err(self.mismatch("map", other)),
+    fn begin_struct(&mut self) -> De<usize> {
+        self.begin_seq()
+    }
+
+    fn field(&mut self, position: usize) -> De<Key<'de>> {
+        Ok(Key::Index(position))
+    }
+
+    fn end_struct(&mut self) {
+        self.end_seq();
+    }
+
+    /// A variant with data has its own tag; a unit variant is its index as
+    /// an integer. An index beyond `usize` reads as `usize::MAX`, which no
+    /// enum has, so the type reports it as out of range.
+    fn begin_enum(&mut self, name: &'static str) -> De<(Key<'de>, bool)> {
+        let index = |n: u64| Key::Index(usize::try_from(n).unwrap_or(usize::MAX));
+        match self.peek()? {
+            Kind::Variant => {
+                let tag = self.input.bump()?;
+                let variant = self.input.variant_index(tag)?;
+                self.open(1)?;
+                Ok((index(variant), true))
+            }
+            Kind::Int => {
+                let variant = self.int()?;
+                Ok((index(u64::try_from(variant).unwrap_or(u64::MAX)), false))
+            }
+            other => Err(DeError::expected(&format!("enum {name}"), other)),
         }
     }
 
-    fn key(&mut self) -> De<&'de str> {
-        self.input.key(&mut self.keys)
-    }
-
-    fn end_map(&mut self) {
+    fn end_variant(&mut self) {
         self.depth -= 1;
     }
 
@@ -644,7 +622,7 @@ impl<'de> Source<'de> for Decoder<'de> {
         self.skip_value(self.depth)
     }
 
-    fn absent<T: Deserialize>(&mut self) -> De<T> {
+    fn absent<T: serde::Deserialize>(&mut self) -> De<T> {
         let resume = std::mem::replace(
             &mut self.input,
             Reader {
@@ -658,220 +636,138 @@ impl<'de> Source<'de> for Decoder<'de> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reference tree encoder and decoder
-// ---------------------------------------------------------------------------
-
-struct TreeEncoder {
-    out: Vec<u8>,
-    /// Per-message key dictionary: key string -> 1-based index.
-    keys: HashMap<String, u64>,
-}
-
-impl TreeEncoder {
-    fn write_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.out.push(TAG_NULL),
-            Value::Bool(false) => self.out.push(TAG_FALSE),
-            Value::Bool(true) => self.out.push(TAG_TRUE),
-            Value::U64(n) if *n <= 0x7F => self.out.push(TAG_SMALL_U64 | *n as u8),
-            Value::U64(n) => {
-                self.out.push(TAG_U64);
-                write_varint(&mut self.out, *n);
-            }
-            Value::I64(n) => {
-                self.out.push(TAG_I64);
-                write_varint(&mut self.out, zigzag(*n));
-            }
-            Value::F64(x) => {
-                self.out.push(TAG_F64);
-                self.out.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                self.out.push(TAG_STR);
-                write_varint(&mut self.out, s.len() as u64);
-                self.out.extend_from_slice(s.as_bytes());
-            }
-            Value::Seq(items) => {
-                if !items.is_empty()
-                    && items
-                        .iter()
-                        .all(|i| matches!(i, Value::U64(n) if *n <= 0xFF))
-                {
-                    self.out.push(TAG_BYTES);
-                    write_varint(&mut self.out, items.len() as u64);
-                    for item in items {
-                        match item {
-                            Value::U64(n) => self.out.push(*n as u8),
-                            _ => unreachable!("checked above"),
-                        }
-                    }
-                } else {
-                    self.out.push(TAG_SEQ);
-                    write_varint(&mut self.out, items.len() as u64);
-                    for item in items {
-                        self.write_value(item);
-                    }
-                }
-            }
-            Value::Map(entries) => {
-                self.out.push(TAG_MAP);
-                write_varint(&mut self.out, entries.len() as u64);
-                for (key, value) in entries {
-                    match self.keys.get(key) {
-                        Some(&idx) => write_varint(&mut self.out, idx),
-                        None => {
-                            let idx = self.keys.len() as u64 + 1;
-                            self.keys.insert(key.clone(), idx);
-                            write_varint(&mut self.out, 0);
-                            write_varint(&mut self.out, key.len() as u64);
-                            self.out.extend_from_slice(key.as_bytes());
-                        }
-                    }
-                    self.write_value(value);
-                }
-            }
-        }
-    }
-}
-
-struct TreeDecoder<'a> {
-    input: Reader<'a>,
-    /// Per-message key dictionary, in first-transmission order.
-    keys: Vec<&'a str>,
-}
-
-impl TreeDecoder<'_> {
-    fn read_value(&mut self, depth: usize) -> De<Value> {
-        let tag = self.input.bump()?;
-        if tag & TAG_SMALL_U64 != 0 {
-            return Ok(Value::U64(u64::from(tag & 0x7F)));
-        }
-        match tag {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
-            TAG_U64 => self.input.varint().map(Value::U64),
-            TAG_I64 => self.input.varint().map(|n| Value::I64(unzigzag(n))),
-            TAG_F64 => self.input.f64().map(Value::F64),
-            TAG_STR => self.input.str("string").map(|s| Value::Str(s.to_string())),
-            TAG_SEQ => {
-                let count = self.input.len("sequence")?;
-                Reader::check_depth(depth, count)?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(self.read_value(depth + 1)?);
-                }
-                Ok(Value::Seq(items))
-            }
-            TAG_BYTES => {
-                let count = self.input.len("byte sequence")?;
-                let bytes = self.input.exact(count)?;
-                Ok(Value::Seq(
-                    bytes.iter().map(|&b| Value::U64(u64::from(b))).collect(),
-                ))
-            }
-            TAG_MAP => {
-                let count = self.input.len("map")?;
-                Reader::check_depth(depth, count)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = self.input.key(&mut self.keys)?.to_string();
-                    entries.push((key, self.read_value(depth + 1)?));
-                }
-                Ok(Value::Map(entries))
-            }
-            other => Err(self.input.unknown_tag(other)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::de::DeserializeOwned;
+    use serde::{Deserialize, Serialize};
+    use std::time::Duration;
 
-    fn round_trip_value(v: &Value) {
-        let bytes = value_to_vec(v);
-        let back = value_from_slice(&bytes).expect("decode");
+    fn round_trip<T: Serialize + DeserializeOwned + PartialEq + fmt::Debug>(v: &T) {
+        let bytes = to_vec(v).expect("encode");
+        let back: T = from_slice(&bytes).expect("decode");
         assert_eq!(&back, v, "round-trip mismatch for encoding {bytes:?}");
     }
 
     #[test]
     fn scalars_round_trip() {
-        for v in [
-            Value::Null,
-            Value::Bool(false),
-            Value::Bool(true),
-            Value::U64(0),
-            Value::U64(127),
-            Value::U64(128),
-            Value::U64(u64::MAX),
-            Value::I64(0),
-            Value::I64(-1),
-            Value::I64(i64::MIN),
-            Value::I64(i64::MAX),
-            Value::F64(0.1),
-            Value::F64(-1.5e300),
-            Value::Str(String::new()),
-            Value::Str("unicode ✓ épée 😀".into()),
-        ] {
-            round_trip_value(&v);
+        round_trip(&());
+        round_trip(&false);
+        round_trip(&true);
+        for n in [0u64, 127, 128, u64::MAX] {
+            round_trip(&n);
         }
+        for n in [0i64, -1, i64::MIN, i64::MAX] {
+            round_trip(&n);
+        }
+        for x in [0.1f64, -1.5e300] {
+            round_trip(&x);
+        }
+        round_trip(&String::new());
+        round_trip(&"unicode ✓ épée 😀".to_string());
     }
 
     #[test]
     fn small_ints_are_one_byte() {
-        assert_eq!(value_to_vec(&Value::U64(0)), vec![0x80]);
-        assert_eq!(value_to_vec(&Value::U64(127)), vec![0xFF]);
-        assert_eq!(value_to_vec(&Value::U64(128)), vec![TAG_U64, 0x80, 0x01]);
+        assert_eq!(to_vec(&0u64).unwrap(), vec![0x80]);
+        assert_eq!(to_vec(&127u64).unwrap(), vec![0xFF]);
+        assert_eq!(to_vec(&128u64).unwrap(), vec![TAG_U64, 0x80, 0x01]);
     }
 
     #[test]
     fn byte_seqs_are_packed() {
-        let v = Value::Seq((0..=255u64).map(Value::U64).collect());
-        let bytes = value_to_vec(&v);
+        let v: Vec<u64> = (0..=255).collect();
+        let bytes = to_vec(&v).unwrap();
         assert_eq!(bytes[0], TAG_BYTES);
         // tag + 2-byte varint count + 256 raw bytes.
         assert_eq!(bytes.len(), 1 + 2 + 256);
-        round_trip_value(&v);
+        round_trip(&v);
         // A 256-valued element forces the general Seq encoding.
-        let v = Value::Seq(vec![Value::U64(256)]);
-        assert_eq!(value_to_vec(&v)[0], TAG_SEQ);
-        round_trip_value(&v);
+        assert_eq!(to_vec(&vec![256u64]).unwrap()[0], TAG_SEQ);
+        round_trip(&vec![256u64]);
         // The empty Seq stays a Seq.
-        let v = Value::Seq(vec![]);
-        assert_eq!(value_to_vec(&v), vec![TAG_SEQ, 0]);
-        round_trip_value(&v);
+        assert_eq!(to_vec(&Vec::<u64>::new()).unwrap(), vec![TAG_SEQ, 0]);
+        round_trip(&Vec::<u64>::new());
     }
 
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct Entry {
+        alpha: u64,
+        beta: Option<String>,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    enum Shape {
+        Empty,
+        Point(u64, u64),
+        Labelled { label: String, entries: Vec<Entry> },
+    }
+
+    /// A struct is its fields in declaration order and a variant its index:
+    /// no name reaches the bytes, however often the type repeats.
     #[test]
-    fn repeated_map_keys_are_interned() {
-        let entry = Value::Map(vec![
-            ("alpha".into(), Value::U64(1)),
-            ("beta".into(), Value::U64(2)),
-        ]);
-        let seq = Value::Seq(vec![entry.clone(); 10]);
-        let bytes = value_to_vec(&seq);
-        // Each key's bytes appear exactly once in the encoding.
-        let count = |needle: &[u8]| bytes.windows(needle.len()).filter(|w| *w == needle).count();
-        assert_eq!(count(b"alpha"), 1);
-        assert_eq!(count(b"beta"), 1);
-        round_trip_value(&seq);
+    fn struct_and_variant_names_are_not_written() {
+        let entry = Entry {
+            alpha: 1,
+            beta: None,
+        };
+        assert_eq!(to_vec(&entry).unwrap(), [TAG_SEQ, 2, 0x81, TAG_NULL]);
+        assert_eq!(to_vec(&Shape::Empty).unwrap(), [0x80]);
+        assert_eq!(
+            to_vec(&Shape::Point(1, 300)).unwrap(),
+            [0x41, TAG_SEQ, 2, 0x81, TAG_U64, 0xAC, 0x02]
+        );
+        let shape = Shape::Labelled {
+            label: "x".into(),
+            entries: vec![entry; 10],
+        };
+        let bytes = to_vec(&shape).unwrap();
+        for name in ["alpha", "beta", "label", "entries", "Labelled", "Entry"] {
+            let found = bytes.windows(name.len()).any(|w| w == name.as_bytes());
+            assert!(!found, "{name} on the wire: {bytes:?}");
+        }
+        assert_eq!(bytes[..3], [0x42, TAG_SEQ, 2]);
+        round_trip(&shape);
+    }
+
+    /// Variant 200 of some enum, with `null` as its data.
+    struct FarVariant;
+
+    impl Serialize for FarVariant {
+        fn serialize<S: Sink>(&self, sink: &mut S) {
+            sink.begin_variant(200, "FarVariant");
+            sink.null();
+            sink.end_variant();
+        }
+    }
+
+    /// Indices up to 63 ride in the header byte; from 64 on the header is
+    /// `0x0A` and a varint, and a decoder skips either form.
+    #[test]
+    fn large_variant_indices_take_the_varint_form() {
+        let bytes = to_vec(&FarVariant).unwrap();
+        assert_eq!(bytes, [TAG_VARIANT, 0xC8, 0x01, TAG_NULL]);
+        let trailing = [&[TAG_SEQ, 3, 0x81, 0x82][..], &bytes].concat();
+        assert_eq!(
+            from_slice::<Duration>(&trailing).unwrap(),
+            Duration::new(1, 2)
+        );
     }
 
     #[test]
     fn nested_containers_round_trip() {
-        let v = Value::Map(vec![
-            (
-                "seq".into(),
-                Value::Seq(vec![Value::Null, Value::Bool(true), Value::I64(-7)]),
-            ),
-            (
-                "map".into(),
-                Value::Map(vec![("seq".into(), Value::Str("shared key".into()))]),
-            ),
+        round_trip(&vec![
+            Shape::Empty,
+            Shape::Point(0, u64::MAX),
+            Shape::Labelled {
+                label: "shared".into(),
+                entries: vec![Entry {
+                    alpha: 7,
+                    beta: Some("inner".into()),
+                }],
+            },
         ]);
-        round_trip_value(&v);
+        round_trip(&(vec![None, Some(-7i64)], Duration::new(3, 999_999_999)));
     }
 
     #[test]
@@ -884,34 +780,34 @@ mod tests {
         assert_eq!(from_slice::<Option<String>>(&bytes).unwrap(), o);
     }
 
-    /// The same malformed bytes through the typed entry point and through the
-    /// reference decoder: both must refuse.
     fn assert_rejected<T: DeserializeOwned + fmt::Debug>(input: &[u8]) {
-        assert!(from_slice::<T>(input).is_err(), "typed: {input:?}");
-        assert!(value_from_slice(input).is_err(), "tree: {input:?}");
+        assert!(from_slice::<T>(input).is_err(), "{input:?}");
     }
 
     #[test]
     fn malformed_input_is_rejected() {
-        use std::time::Duration;
         // Truncated varint.
         assert_rejected::<u64>(&[TAG_U64, 0x80]);
         // Truncated string.
         assert_rejected::<String>(&[TAG_STR, 5, b'a']);
-        // Length exceeding input: sequence, packed bytes, map.
+        // Length exceeding input: sequence, packed bytes, struct.
         assert_rejected::<Vec<u64>>(&[TAG_SEQ, 0xFF, 0x7F]);
         assert_rejected::<Vec<u8>>(&[TAG_BYTES, 0xFF, 0x7F]);
-        assert_rejected::<Duration>(&[TAG_MAP, 0xFF, 0x7F]);
-        // Unknown tag, where a value is read, peeked at and skipped.
-        assert_rejected::<u64>(&[0x0A]);
-        assert_rejected::<Option<u64>>(&[0x0A]);
-        assert_rejected::<Duration>(&[TAG_MAP, 1, 0, 1, b'x', 0x0A]);
-        // Bad key reference.
-        assert_rejected::<Duration>(&[TAG_MAP, 1, 2, TAG_NULL]);
-        // Invalid UTF-8 in a string, a key, and a skipped string.
+        assert_rejected::<Duration>(&[TAG_SEQ, 0xFF, 0x7F]);
+        // Unknown tags (0x08 was the map tag of the self-describing codec),
+        // where a value is read, peeked at and skipped.
+        assert_rejected::<u64>(&[0x08]);
+        assert_rejected::<Option<u64>>(&[0x0B]);
+        assert_rejected::<Duration>(&[TAG_SEQ, 3, 0x81, 0x82, 0x3F]);
+        // A variant that is truncated, out of range, or of the wrong shape.
+        assert_rejected::<Shape>(&[0x42]);
+        assert_rejected::<Shape>(&[0x83]);
+        assert_rejected::<Shape>(&[TAG_VARIANT, 0x80, 0x01, TAG_NULL]);
+        assert_rejected::<Shape>(&[0x40, TAG_NULL]);
+        assert_rejected::<Shape>(&[0x81]);
+        // Invalid UTF-8 in a string and in a skipped string.
         assert_rejected::<String>(&[TAG_STR, 1, 0xFF]);
-        assert_rejected::<Duration>(&[TAG_MAP, 1, 0, 1, 0xFF, TAG_NULL]);
-        assert_rejected::<Duration>(&[TAG_MAP, 1, 0, 1, b'x', TAG_STR, 1, 0xFF]);
+        assert_rejected::<Duration>(&[TAG_SEQ, 3, 0x81, 0x82, TAG_STR, 1, 0xFF]);
         // Trailing bytes.
         assert_rejected::<()>(&[TAG_NULL, TAG_NULL]);
         // Empty input.
@@ -920,21 +816,15 @@ mod tests {
         let mut buf = vec![TAG_U64];
         buf.extend_from_slice(&[0xFF; 11]);
         assert_rejected::<u64>(&buf);
-        // Well-formed, but not the type asked for (typed entry point only).
-        assert!(from_slice::<bool>(&[TAG_NULL]).is_err());
-        assert!(from_slice::<(u8, u8)>(&[TAG_BYTES, 3, 1, 2, 3]).is_err());
-        assert!(from_slice::<Vec<bool>>(&[TAG_BYTES, 1, 1]).is_err());
+        // Well-formed, but not the type asked for.
+        assert_rejected::<bool>(&[TAG_NULL]);
+        assert_rejected::<(u8, u8)>(&[TAG_BYTES, 3, 1, 2, 3]);
+        assert_rejected::<Vec<bool>>(&[TAG_BYTES, 1, 1]);
     }
 
     /// A recursive type, so that typed decoding can nest as deep as its input.
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Nest(Vec<Nest>);
-
-    impl Deserialize for Nest {
-        fn deserialize<'de, S: Source<'de>>(src: &mut S) -> De<Self> {
-            Vec::deserialize(src).map(Nest)
-        }
-    }
 
     fn nested_seqs(levels: usize) -> Vec<u8> {
         let mut bytes = [TAG_SEQ, 1].repeat(levels - 1);
@@ -945,24 +835,21 @@ mod tests {
     #[test]
     fn deep_nesting_is_rejected() {
         // The innermost of `n` sequences sits at depth `n - 1`.
-        let deepest_allowed = nested_seqs(MAX_DEPTH + 1);
-        assert!(from_slice::<Nest>(&deepest_allowed).is_ok());
-        assert!(value_from_slice(&deepest_allowed).is_ok());
+        assert!(from_slice::<Nest>(&nested_seqs(MAX_DEPTH + 1)).is_ok());
         assert_rejected::<Nest>(&nested_seqs(MAX_DEPTH + 2));
         assert_rejected::<Nest>(&nested_seqs(200));
-        // Depth also counts inside a field the type does not know and skips:
-        // `{x: <nested>, secs: 1, nanos: 2}` puts the nest one level down.
-        let with_unknown_field = |levels: usize| {
-            let mut bytes = vec![TAG_MAP, 3, 0, 1, b'x'];
+        // Depth also counts inside an element the type does not know and
+        // skips: `[1, 2, <nested>]` puts the nest one level down.
+        let with_extra_element = |levels: usize| {
+            let mut bytes = vec![TAG_SEQ, 3, 0x81, 0x82];
             bytes.extend_from_slice(&nested_seqs(levels));
-            bytes.extend_from_slice(b"\x00\x04secs\x81\x00\x05nanos\x82");
             bytes
         };
         assert_eq!(
-            from_slice::<std::time::Duration>(&with_unknown_field(MAX_DEPTH)).unwrap(),
-            std::time::Duration::new(1, 2)
+            from_slice::<Duration>(&with_extra_element(MAX_DEPTH)).unwrap(),
+            Duration::new(1, 2)
         );
-        assert_rejected::<std::time::Duration>(&with_unknown_field(MAX_DEPTH + 1));
+        assert_rejected::<Duration>(&with_extra_element(MAX_DEPTH + 1));
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //!
 //! * structs with named fields, tuple structs (newtype included), unit
 //!   structs;
-//! * enums with unit, tuple and struct variants, encoded with serde's
-//!   default external tagging;
+//! * enums with unit, tuple and struct variants;
 //! * plain type parameters (`Action<M>`), which receive a
 //!   `Serialize`/`Deserialize` bound on the generated impl.
+//!
+//! Struct fields and enum variants reach the data format with both their
+//! name and their declaration position, so reordering either changes the
+//! binary encoding (`WIRE.md` §5).
 //!
 //! Field attributes (`#[serde(...)]`), lifetimes and `where` clauses are not
 //! supported and fail with a compile error naming the limitation.
@@ -327,6 +330,7 @@ fn parse_variants(group: &proc_macro::Group) -> Vec<(String, Fields)> {
 
 const SINK: &str = "::serde::ser::Sink";
 const SOURCE: &str = "::serde::de::Source";
+const KEY: &str = "::serde::de::Key";
 const DE_ERROR: &str = "::serde::de::DeError";
 const OK: &str = "::std::result::Result::Ok";
 const ERR: &str = "::std::result::Result::Err";
@@ -368,10 +372,10 @@ fn ser_fields(prefix: &str, fields: &Fields) -> String {
         Fields::Named(names) => {
             let entries: String = names
                 .iter()
-                .map(|f| format!("{SINK}::key(__s, \"{f}\"); {}", value(f)))
+                .map(|f| format!("{SINK}::field(__s, \"{f}\"); {}", value(f)))
                 .collect();
             format!(
-                "{SINK}::begin_map(__s, {}); {entries} {SINK}::end_map(__s);",
+                "{SINK}::begin_struct(__s, {}); {entries} {SINK}::end_struct(__s);",
                 names.len()
             )
         }
@@ -386,10 +390,13 @@ fn gen_serialize(item: &Item) -> String {
         Body::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|(vname, fields)| {
+                .enumerate()
+                .map(|(index, (vname, fields))| {
                     let pattern = match fields {
                         Fields::Unit => {
-                            return format!("{name}::{vname} => {SINK}::str(__s, \"{vname}\"),")
+                            return format!(
+                            "{name}::{vname} => {SINK}::unit_variant(__s, {index}, \"{vname}\"),"
+                        )
                         }
                         Fields::Tuple(n) => {
                             let binders: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
@@ -404,8 +411,8 @@ fn gen_serialize(item: &Item) -> String {
                     };
                     format!(
                         "{name}::{vname} {pattern} => {{\
-                             {SINK}::begin_map(__s, 1); {SINK}::key(__s, \"{vname}\");\
-                             {} {SINK}::end_map(__s);\
+                             {SINK}::begin_variant(__s, {index}, \"{vname}\");\
+                             {} {SINK}::end_variant(__s);\
                          }}",
                         ser_fields(prefix, fields)
                     )
@@ -422,10 +429,12 @@ fn gen_serialize(item: &Item) -> String {
 }
 
 /// Statements reading one value from `__src` as `fields`, ending in an
-/// `Ok({ty_path} ...)` expression. Named fields may arrive in any order; the
-/// first entry per field wins, unknown entries are skipped (still validated),
-/// and a field the input lacks reads as `null`, so `Option` fields tolerate
-/// absence as with real serde while required ones fail with the field named.
+/// `Ok({ty_path} ...)` expression. A named field is matched by its position
+/// or by its name, whichever the format supplies; entries may come in any
+/// order, the first entry per field wins, unknown entries are skipped (still
+/// validated), and a field the input lacks reads as `null`, so `Option`
+/// fields tolerate absence as with real serde while required ones fail with
+/// the field named.
 fn de_fields(ty_path: &str, fields: &Fields) -> String {
     match fields {
         Fields::Unit => format!("{SOURCE}::skip(__src)?; {OK}({ty_path})"),
@@ -459,7 +468,8 @@ fn de_fields(ty_path: &str, fields: &Fields) -> String {
                 .enumerate()
                 .map(|(k, f)| {
                     format!(
-                        "\"{f}\" if __f{k}.is_none() => __f{k} = ::std::option::Option::Some(\
+                        "{KEY}::Index({k}) | {KEY}::Name(\"{f}\") if __f{k}.is_none() => \
+                         __f{k} = ::std::option::Option::Some(\
                          ::serde::Deserialize::deserialize(__src){}),",
                         context(f)
                     )
@@ -480,10 +490,10 @@ fn de_fields(ty_path: &str, fields: &Fields) -> String {
                 .collect();
             format!(
                 "{slots}\
-                 for _ in 0..{SOURCE}::begin_map(__src)? {{\
-                     match {SOURCE}::key(__src)? {{ {arms} _ => {SOURCE}::skip(__src)?, }}\
+                 for __p in 0..{SOURCE}::begin_struct(__src)? {{\
+                     match {SOURCE}::field(__src, __p)? {{ {arms} _ => {SOURCE}::skip(__src)?, }}\
                  }}\
-                 {SOURCE}::end_map(__src);\
+                 {SOURCE}::end_struct(__src);\
                  {OK}({ty_path} {{ {build} }})"
             )
         }
@@ -505,44 +515,55 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
-/// Externally tagged: a unit variant is its name as a string, any other a
-/// one-entry map from its name to its fields.
+/// The source names the variant by its index or by its name (mapped to the
+/// index here), and says whether data follows; a unit variant must have
+/// none, any other must have some.
 fn gen_deserialize_enum(name: &str, variants: &[(String, Fields)]) -> String {
-    let unit_arms: String = variants
+    let count = variants.len();
+    let name_arms: String = variants
         .iter()
-        .filter(|(_, f)| matches!(f, Fields::Unit))
-        .map(|(vname, _)| format!("\"{vname}\" => {OK}({name}::{vname}),"))
+        .enumerate()
+        .map(|(index, (vname, _))| format!("\"{vname}\" => {index},"))
         .collect();
-    let tagged_arms: String = variants
+    let arms: String = variants
         .iter()
-        .filter(|(_, f)| !matches!(f, Fields::Unit))
-        .map(|(vname, fields)| {
-            format!(
-                "\"{vname}\" => {{ {} }}",
-                de_fields(&format!("{name}::{vname}"), fields)
-            )
+        .enumerate()
+        .map(|(index, (vname, fields))| {
+            let wrong = |what: &str| {
+                format!(
+                    "({index}, _) => {ERR}({DE_ERROR}::new(\
+                     \"variant `{vname}` of enum {name} {what}\")),"
+                )
+            };
+            match fields {
+                Fields::Unit => format!(
+                    "({index}, false) => {OK}({name}::{vname}), {}",
+                    wrong("carries data")
+                ),
+                _ => format!(
+                    "({index}, true) => {{ {} }} {}",
+                    de_fields(&format!("{name}::{vname}"), fields),
+                    wrong("carries no data")
+                ),
+            }
         })
         .collect();
     format!(
-        "match {SOURCE}::peek(__src)? {{\
-             ::serde::de::Kind::Str => match {SOURCE}::str(__src)? {{\
-                 {unit_arms}\
-                 other => {ERR}({DE_ERROR}::new(::std::format!(\
-                     \"unknown unit variant `{{other}}` of enum {name}\"))),\
+        "let (__key, __data) = {SOURCE}::begin_enum(__src, \"{name}\")?;\
+         let __index = match __key {{\
+             {KEY}::Index(__i) => __i,\
+             {KEY}::Name(__n) => match __n {{\
+                 {name_arms}\
+                 other => return {ERR}({DE_ERROR}::new(::std::format!(\
+                     \"unknown variant `{{other}}` of enum {name}\"))),\
              }},\
-             ::serde::de::Kind::Map => {{\
-                 if {SOURCE}::begin_map(__src)? != 1 {{\
-                     return {ERR}({DE_ERROR}::new(\"expected enum {name}, found map\"));\
-                 }}\
-                 let __v: Self = match {SOURCE}::key(__src)? {{\
-                     {tagged_arms}\
-                     other => {ERR}({DE_ERROR}::new(::std::format!(\
-                         \"unknown variant `{{other}}` of enum {name}\"))),\
-                 }}?;\
-                 {SOURCE}::end_map(__src);\
-                 {OK}(__v)\
-             }}\
-             other => {ERR}({DE_ERROR}::expected(\"enum {name}\", other)),\
-         }}"
+         }};\
+         let __v: Self = match (__index, __data) {{\
+             {arms}\
+             (other, _) => {ERR}({DE_ERROR}::new(::std::format!(\
+                 \"variant index {{other}} out of range for enum {name} ({count} variants)\"))),\
+         }}?;\
+         if __data {{ {SOURCE}::end_variant(__src); }}\
+         {OK}(__v)"
     )
 }

@@ -1198,10 +1198,244 @@ mod tests {
     use std::sync::Barrier;
     use std::time::Instant;
     use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxMsg, WhiteBoxReplica};
-    use wbam_types::wire::{encode_frame_with, MAX_FRAME_LEN};
+    use wbam_types::wire::{decode_frame_slice, encode_frame_with, MAX_FRAME_LEN};
     use wbam_types::{
         Action, ClusterConfig, Destination, Event, GroupId, MsgId, Node, Payload, TimerId,
     };
+
+    /// One fixed instance of each `WhiteBoxMsg` variant, in declaration
+    /// order, small enough to read in hex.
+    fn golden_messages() -> Vec<WhiteBoxMsg> {
+        use wbam_core::{AcceptEntry, DeliverEntry, RecordSnapshot, StateSnapshot};
+        use wbam_types::{AppMessage, Ballot, Checkpoint, Phase, Timestamp};
+        let id = MsgId::new(ProcessId(6), 41);
+        let msg = AppMessage::new(
+            id,
+            Destination::new(vec![GroupId(0), GroupId(1)]).expect("non-empty destination"),
+            Payload::from(b"hi".to_vec()),
+        );
+        let ballot = Ballot::new(1, ProcessId(0));
+        let lts = Timestamp::new(77, GroupId(0));
+        let gts = Timestamp::new(300, GroupId(1));
+        let ballots = BTreeMap::from([(GroupId(0), ballot), (GroupId(1), Ballot::BOTTOM)]);
+        let watermarks = BTreeMap::from([(GroupId(1), gts)]);
+        let mut checkpoint = Checkpoint {
+            group: GroupId(0),
+            ballot,
+            clock: 300,
+            watermarks: watermarks.clone(),
+            max_delivered_gts: gts,
+            delivered_count: 2,
+            app_state: vec![7],
+            ..Checkpoint::default()
+        };
+        checkpoint.dedup.insert(id);
+        let mut snapshot = StateSnapshot::new();
+        snapshot.records.insert(
+            id,
+            RecordSnapshot {
+                msg: msg.clone(),
+                phase: Phase::Accepted,
+                local_ts: lts,
+                global_ts: Timestamp::BOTTOM,
+            },
+        );
+        let group = GroupId(1);
+        vec![
+            WhiteBoxMsg::Multicast { msg: msg.clone() },
+            WhiteBoxMsg::Accept {
+                msg: msg.clone(),
+                group,
+                ballot,
+                local_ts: lts,
+            },
+            WhiteBoxMsg::AcceptAck {
+                msg_id: id,
+                group,
+                ballots: ballots.clone(),
+            },
+            WhiteBoxMsg::AcceptBatch {
+                group,
+                ballot,
+                entries: vec![AcceptEntry {
+                    msg: msg.clone(),
+                    local_ts: lts,
+                }],
+            },
+            WhiteBoxMsg::AcceptAckBatch {
+                group,
+                entries: vec![(id, ballots)],
+            },
+            WhiteBoxMsg::Deliver {
+                msg: msg.clone(),
+                ballot,
+                local_ts: lts,
+                global_ts: gts,
+            },
+            WhiteBoxMsg::DeliverBatch {
+                ballot,
+                entries: vec![DeliverEntry {
+                    msg,
+                    local_ts: lts,
+                    global_ts: gts,
+                }],
+            },
+            WhiteBoxMsg::NewLeader { ballot },
+            WhiteBoxMsg::NewLeaderAck {
+                ballot,
+                cballot: Ballot::BOTTOM,
+                checkpoint: checkpoint.clone(),
+                snapshot: snapshot.clone(),
+            },
+            WhiteBoxMsg::NewState {
+                ballot,
+                checkpoint,
+                snapshot,
+            },
+            WhiteBoxMsg::NewStateAck { ballot },
+            WhiteBoxMsg::Heartbeat { ballot },
+            WhiteBoxMsg::StableReport {
+                group,
+                delivered_gts: gts,
+            },
+            WhiteBoxMsg::StableAdvance {
+                watermarks: watermarks.clone(),
+            },
+            WhiteBoxMsg::StablePruned {
+                msg_id: id,
+                watermarks,
+            },
+            WhiteBoxMsg::ClientReply {
+                msg_id: id,
+                group,
+                global_ts: gts,
+            },
+        ]
+    }
+
+    /// The exact binary frames — length prefix included — of `Hello` and of
+    /// one `Protocol` frame per `WhiteBoxMsg` variant. The binary codec writes
+    /// positions, not names (WIRE.md §5), so reordering a field or a variant
+    /// of any type in these frames changes the wire without a compile error;
+    /// this test is what catches it. WIRE.md §6 walks through the first two.
+    #[test]
+    fn binary_frames_match_their_golden_bytes() {
+        let hello = WireFrame::Hello { from: ProcessId(3) };
+        let frames: Vec<(&str, WireFrame<WhiteBoxMsg>)> = std::iter::once(("HELLO", hello))
+            .chain(
+                golden_messages()
+                    .into_iter()
+                    .map(|m| (m.kind(), WireFrame::Protocol(m))),
+            )
+            .collect();
+        let golden = [
+            ("HELLO", "00 00 00 04 40 09 01 03"),
+            (
+                "MULTICAST",
+                concat!(
+                    "00 00 00 12 41 40 07 01 07 03 09 02 06 29 09 02 00 01 09 02 ",
+                    "68 69",
+                ),
+            ),
+            (
+                "ACCEPT",
+                concat!(
+                    "00 00 00 1d 41 41 07 04 07 03 09 02 06 29 09 02 00 01 09 02 ",
+                    "68 69 81 41 09 02 01 00 41 09 02 4d 00",
+                ),
+            ),
+            (
+                "ACCEPT_ACK",
+                concat!(
+                    "00 00 00 17 41 42 07 03 09 02 06 29 81 07 02 07 02 80 41 09 ",
+                    "02 01 00 09 02 01 00",
+                ),
+            ),
+            (
+                "ACCEPT_BATCH",
+                concat!(
+                    "00 00 00 21 41 43 07 03 81 41 09 02 01 00 07 01 07 02 07 03 ",
+                    "09 02 06 29 09 02 00 01 09 02 68 69 41 09 02 4d 00",
+                ),
+            ),
+            (
+                "ACCEPT_ACK_BATCH",
+                concat!(
+                    "00 00 00 1b 41 44 07 02 81 07 01 07 02 09 02 06 29 07 02 07 ",
+                    "02 80 41 09 02 01 00 09 02 01 00",
+                ),
+            ),
+            (
+                "DELIVER",
+                concat!(
+                    "00 00 00 23 41 45 07 04 07 03 09 02 06 29 09 02 00 01 09 02 ",
+                    "68 69 41 09 02 01 00 41 09 02 4d 00 41 07 02 03 ac 02 81",
+                ),
+            ),
+            (
+                "DELIVER_BATCH",
+                concat!(
+                    "00 00 00 27 41 46 07 02 41 09 02 01 00 07 01 07 03 07 03 09 ",
+                    "02 06 29 09 02 00 01 09 02 68 69 41 09 02 4d 00 41 07 02 03 ",
+                    "ac 02 81",
+                ),
+            ),
+            ("NEWLEADER", "00 00 00 09 41 47 07 01 41 09 02 01 00"),
+            (
+                "NEWLEADER_ACK",
+                concat!(
+                    "00 00 00 5a 41 48 07 04 41 09 02 01 00 80 07 08 80 41 09 02 ",
+                    "01 00 03 ac 02 07 01 07 02 81 41 07 02 03 ac 02 81 41 07 02 ",
+                    "03 ac 02 81 82 07 01 07 01 07 02 86 07 01 09 02 29 29 09 01 ",
+                    "07 07 01 07 01 07 02 09 02 06 29 07 04 07 03 09 02 06 29 09 ",
+                    "02 00 01 09 02 68 69 82 41 09 02 4d 00 80",
+                ),
+            ),
+            (
+                "NEW_STATE",
+                concat!(
+                    "00 00 00 59 41 49 07 03 41 09 02 01 00 07 08 80 41 09 02 01 ",
+                    "00 03 ac 02 07 01 07 02 81 41 07 02 03 ac 02 81 41 07 02 03 ",
+                    "ac 02 81 82 07 01 07 01 07 02 86 07 01 09 02 29 29 09 01 07 ",
+                    "07 01 07 01 07 02 09 02 06 29 07 04 07 03 09 02 06 29 09 02 ",
+                    "00 01 09 02 68 69 82 41 09 02 4d 00 80",
+                ),
+            ),
+            ("NEWSTATE_ACK", "00 00 00 09 41 4a 07 01 41 09 02 01 00"),
+            ("HEARTBEAT", "00 00 00 09 41 4b 07 01 41 09 02 01 00"),
+            (
+                "STABLE_REPORT",
+                "00 00 00 0c 41 4c 07 02 81 41 07 02 03 ac 02 81",
+            ),
+            (
+                "STABLE_ADVANCE",
+                "00 00 00 10 41 4d 07 01 07 01 07 02 81 41 07 02 03 ac 02 81",
+            ),
+            (
+                "STABLE_PRUNED",
+                concat!(
+                    "00 00 00 14 41 4e 07 02 09 02 06 29 07 01 07 02 81 41 07 02 ",
+                    "03 ac 02 81",
+                ),
+            ),
+            (
+                "CLIENT_REPLY",
+                "00 00 00 10 41 4f 07 03 09 02 06 29 81 41 07 02 03 ac 02 81",
+            ),
+        ];
+        assert_eq!(frames.len(), golden.len());
+        for ((kind, frame), (want_kind, want)) in frames.iter().zip(golden) {
+            assert_eq!(*kind, want_kind);
+            let bytes = encode_frame_with(WireCodec::Binary, frame).expect("encode");
+            let hex: Vec<String> = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex.join(" "), want, "{kind} frame");
+            let (back, used) =
+                decode_frame_slice::<WireFrame<WhiteBoxMsg>>(WireCodec::Binary, &bytes)
+                    .expect("decode")
+                    .expect("whole frame");
+            assert_eq!((&back, used), (frame, bytes.len()), "{kind} frame");
+        }
+    }
 
     /// Reserves one free loopback port per process by briefly binding port 0.
     fn reserve_addrs(cluster: &ClusterConfig) -> BTreeMap<ProcessId, SocketAddr> {

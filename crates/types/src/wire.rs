@@ -7,10 +7,10 @@
 //! [`WireCodec`]:
 //!
 //! * [`WireCodec::Binary`] (the default) — the compact `serde_binary` format:
-//!   varint integers, interned map keys, packed byte payloads, streamed
-//!   straight between the typed message and the frame's bytes. This is the
-//!   deployed runtime's codec; `WIRE.md` at the repo root specifies it
-//!   byte-for-byte.
+//!   structs as their fields in declaration order, enum variants as their
+//!   index, varint integers, packed byte payloads, streamed straight between
+//!   the typed message and the frame's bytes. This is the deployed runtime's
+//!   codec; `WIRE.md` at the repo root specifies it byte-for-byte.
 //! * [`WireCodec::Json`] — self-describing `serde_json` bodies, kept for
 //!   debuggable traces and as a compatibility flag (`wbamd --wire json`).
 //!
@@ -38,6 +38,11 @@ pub const WIRE_VERSION: u8 = 1;
 /// Length of the connection preamble in bytes.
 pub const PREAMBLE_LEN: usize = 4;
 
+/// The codec byte of the retired self-describing binary codec, which wrote
+/// every struct field and enum variant name into the frame. A peer that
+/// still sends it is refused by name.
+const RETIRED_SELF_DESCRIBING_BINARY: u8 = 2;
+
 /// The serialisation format used for frame bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireCodec {
@@ -53,7 +58,7 @@ impl WireCodec {
     pub const fn wire_byte(self) -> u8 {
         match self {
             WireCodec::Json => 1,
-            WireCodec::Binary => 2,
+            WireCodec::Binary => 3,
         }
     }
 
@@ -61,7 +66,7 @@ impl WireCodec {
     pub fn from_wire_byte(byte: u8) -> Option<Self> {
         match byte {
             1 => Some(WireCodec::Json),
-            2 => Some(WireCodec::Binary),
+            3 => Some(WireCodec::Binary),
             _ => None,
         }
     }
@@ -106,9 +111,10 @@ pub const fn encode_preamble(codec: WireCodec) -> [u8; PREAMBLE_LEN] {
 /// # Errors
 ///
 /// Returns [`WbamError::Codec`] with a message naming the exact mismatch —
-/// wrong magic (not a WBAM peer), unsupported version, unknown codec byte, or
-/// a codec disagreeing with `expected` (e.g. a `--wire json` process dialling
-/// a `--wire binary` cluster).
+/// wrong magic (not a WBAM peer), unsupported version, the retired
+/// self-describing binary codec, any other unknown codec byte, or a codec
+/// disagreeing with `expected` (e.g. a `--wire json` process dialling a
+/// `--wire binary` cluster).
 pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result<(), WbamError> {
     if bytes[..2] != WIRE_MAGIC {
         return Err(WbamError::Codec(format!(
@@ -123,6 +129,13 @@ pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result
         )));
     }
     match WireCodec::from_wire_byte(bytes[3]) {
+        None if bytes[3] == RETIRED_SELF_DESCRIBING_BINARY => Err(WbamError::Codec(format!(
+            "peer uses the retired self-describing binary codec (codec byte {}); \
+             this process speaks the schema-directed binary codec (codec byte {}): \
+             run every process of the cluster from the same release",
+            bytes[3],
+            WireCodec::Binary.wire_byte()
+        ))),
         None => Err(WbamError::Codec(format!(
             "peer sent unknown wire codec byte {}",
             bytes[3]
@@ -521,6 +534,18 @@ mod tests {
         // Unknown codec byte.
         let err = check_preamble(&[b'W', b'B', WIRE_VERSION, 7], WireCodec::Binary).unwrap_err();
         assert!(err.to_string().contains("codec byte 7"));
+        // The retired self-describing binary codec is refused by name, by
+        // binary and JSON processes alike.
+        assert_eq!(WireCodec::Binary.wire_byte(), 3);
+        assert_eq!(WireCodec::from_wire_byte(2), None);
+        for ours in BOTH {
+            let err = check_preamble(&[b'W', b'B', WIRE_VERSION, 2], ours).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("retired self-describing binary codec"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Allocation gate for the binary wire codec: encoding a frame and decoding
-//! it back stream between the typed message and the frame's bytes, so each
-//! costs a handful of allocator calls and a small multiple of the frame's
-//! length, whatever the payload size. A codec that lowers messages to a
-//! `Value` tree first allocates a `String` per field name and 32 bytes per
-//! payload byte, and fails this on both counts.
+//! Allocation and size gate for the binary wire codec: encoding a frame and
+//! decoding it back stream between the typed message and the frame's bytes,
+//! so each costs a handful of allocator calls and a small multiple of the
+//! frame's length, whatever the payload size. A codec that lowers messages to
+//! a `Value` tree first allocates a `String` per field name and 32 bytes per
+//! payload byte, and fails this on both counts. The frame itself carries no
+//! field or variant names, which bounds the size of a small `ACCEPT`.
 
 mod common;
 
@@ -15,7 +16,11 @@ use wbam_types::{AppMessage, Ballot, Destination, GroupId, MsgId, Payload, Proce
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-const MAX_CALLS: usize = 16;
+const MAX_CALLS: usize = 6;
+
+/// The largest a 20 B-payload `ACCEPT` frame may be, length prefix included:
+/// 50 bytes positionally, 154 when every frame named its fields and variants.
+const MAX_SMALL_ACCEPT_FRAME: usize = 56;
 
 fn accept(payload_len: usize) -> WhiteBoxMsg {
     WhiteBoxMsg::Accept {
@@ -41,6 +46,13 @@ fn binary_frames_encode_and_decode_within_an_allocation_budget() {
         let (back, consumed) = decoded.expect("decode").expect("full frame");
         assert_eq!(back, msg);
         assert_eq!(consumed, frame.len());
+        if payload_len == 20 {
+            assert!(
+                frame.len() <= MAX_SMALL_ACCEPT_FRAME,
+                "a 20 B-payload ACCEPT is a {}-byte frame; the bound is {MAX_SMALL_ACCEPT_FRAME}",
+                frame.len()
+            );
+        }
 
         let max_bytes = 4 * frame.len() + 1024;
         for (what, made) in [("encode", encode), ("decode", decode)] {

@@ -9,10 +9,12 @@
 //! preamble handshake that keeps mixed-codec clusters from ever exchanging
 //! frames is regression-tested below that.
 //!
-//! The last section holds the binary codec's streaming encoder and decoder
-//! (typed value <-> frame bytes, what the runtime runs) to its reference
-//! tree encoder and decoder (`Value` <-> bytes): same bytes out, same value
-//! or an error from both on any input, hostile input included.
+//! The last section pins the binary codec's positional rules (WIRE.md §5):
+//! every variant decodes under both codecs to the value it was encoded
+//! from, §5.4 packing follows the values, a struct sequence may be short or
+//! long, variants are bounded in range and depth, and hostile input is
+//! refused — or accepted as a value that re-encodes to itself — without a
+//! panic and within an allocation budget.
 
 mod common;
 
@@ -23,7 +25,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::de::DeserializeOwned;
-use serde::value::{from_value, to_value, Value};
 use serde::{Deserialize, Serialize};
 use wbam_baselines::{BaselineMsg, Command};
 use wbam_consensus::{PaxosMsg, Slot};
@@ -524,6 +525,19 @@ fn json_and_binary_handshakes_reject_each_other() {
             "error must name both codecs: {text}"
         );
     }
+    // A process of the release before the schema-directed binary codec
+    // sends codec byte 2; both codecs of this release refuse it by name.
+    assert_eq!(binary[3], 3, "the schema-directed binary codec is byte 3");
+    let retired = [json[0], json[1], json[2], 2];
+    for ours in CODECS {
+        let text = check_preamble(&retired, ours)
+            .expect_err("the retired binary codec must be rejected")
+            .to_string();
+        assert!(
+            text.contains("retired self-describing binary codec"),
+            "error must name the retired codec: {text}"
+        );
+    }
 
     // Frames of one codec are garbage to the other even if the preamble
     // check were bypassed: decoding fails instead of yielding a bogus value.
@@ -546,46 +560,23 @@ fn json_and_binary_handshakes_reject_each_other() {
     }
 }
 
-// --- streaming codec vs reference tree codec -------------------------------
+// --- the binary codec's positional rules ------------------------------------
 
-/// The streaming encoder writes exactly the bytes the reference encoder
-/// writes for the value's tree (WIRE.md §5), framed or not.
-fn assert_encodes_like_tree<T: Serialize>(value: &T) {
-    let reference = serde_binary::value_to_vec(&to_value(value));
-    assert_eq!(serde_binary::to_vec(value).expect("encode"), reference);
-    let frame = encode_frame_with(WireCodec::Binary, value).expect("encode frame");
-    assert_eq!(frame[..4], (reference.len() as u32).to_be_bytes());
-    assert_eq!(frame[4..], reference[..]);
-}
-
-/// The streaming decoder and the reference path (bytes -> tree -> `T`) give
-/// the same value, or both refuse. Returns the value if there is one.
-fn assert_decodes_like_tree<T>(bytes: &[u8]) -> Option<T>
-where
-    T: DeserializeOwned + PartialEq + std::fmt::Debug,
-{
-    let streamed = serde_binary::from_slice::<T>(bytes);
-    let reference = serde_binary::value_from_slice(bytes)
-        .and_then(|tree| from_value::<T>(&tree).map_err(Into::into));
-    match (streamed, reference) {
-        (Ok(streamed), Ok(reference)) => {
-            assert_eq!(streamed, reference);
-            Some(streamed)
-        }
-        (Err(_), Err(_)) => None,
-        (streamed, reference) => {
-            panic!("decoders disagree on {bytes:?}: streamed {streamed:?}, reference {reference:?}")
-        }
-    }
-}
-
+/// `value` survives both codecs, the two decodes agree, and the binary
+/// encoding is canonical: re-encoding what was decoded gives the same bytes.
 fn assert_codecs_agree<T>(value: &T)
 where
     T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug,
 {
-    assert_encodes_like_tree(value);
-    let bytes = serde_binary::to_vec(value).expect("encode");
-    assert_eq!(assert_decodes_like_tree::<T>(&bytes).as_ref(), Some(value));
+    let bytes = serde_binary::to_vec(value).expect("binary encode");
+    let from_binary: T = serde_binary::from_slice(&bytes).expect("binary decode");
+    let from_json: T = from_json(&to_json(value).expect("json encode")).expect("json decode");
+    assert_eq!(&from_binary, value);
+    assert_eq!(from_binary, from_json, "the two codecs decode differently");
+    assert_eq!(
+        serde_binary::to_vec(&from_binary).expect("re-encode"),
+        bytes
+    );
 }
 
 fn app_message_with_payload(len: usize) -> AppMessage {
@@ -598,9 +589,9 @@ fn app_message_with_payload(len: usize) -> AppMessage {
 
 /// §5.4 packing is decided by the values, not the types: any non-empty
 /// sequence of integers `<= 255` is `Bytes`, whatever Rust type it came
-/// from, and nothing else is.
+/// from — a struct of small integers included — and nothing else is.
 #[test]
-fn small_integer_sequences_and_payloads_match_the_reference() {
+fn small_integer_sequences_and_payloads_round_trip_packed() {
     for ints in [
         vec![],
         vec![0],
@@ -619,6 +610,10 @@ fn small_integer_sequences_and_payloads_match_the_reference() {
         let tag = serde_binary::to_vec(&ints).unwrap()[0];
         assert_eq!(tag, if packed { 0x09 } else { 0x07 }, "{ints:?}");
     }
+    assert_eq!(
+        serde_binary::to_vec(&MsgId::new(ProcessId(6), 200)).unwrap(),
+        [0x09, 2, 6, 200]
+    );
     assert_codecs_agree(&vec![-1i64, 1, 2]);
     assert_codecs_agree(&(200u8, 7u32));
     assert_codecs_agree(&(1u8, "x".to_string(), 2u8));
@@ -631,6 +626,7 @@ fn small_integer_sequences_and_payloads_match_the_reference() {
         (GroupId(1), vec![0u8; 0]),
         (GroupId(2), vec![1]),
     ]));
+    assert_codecs_agree(&vec![Phase::Start, Phase::Committed]);
     assert_codecs_agree(&std::time::Duration::new(3, 999_999_999));
     assert_codecs_agree(&(1.5f64, 'é', (), true));
     for len in [0, 1, 20, 4096] {
@@ -649,71 +645,112 @@ struct Probe {
     d: (),
 }
 
-fn map(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Struct decoding rules both paths share: entries in any order, unknown
-/// entries skipped — including the keys they intern, which later entries
-/// refer to by index — the first of a repeated entry wins, and an absent
-/// entry reads as `null` (`None`, `()`) or fails if the field needs a value.
+/// A struct arrives as the sequence of its fields in declaration order. A
+/// short sequence reads the missing fields as `null` — `None` and `()` for
+/// optional ones, an error naming the field for a required one — and
+/// elements past the last field are skipped, though still validated. JSON
+/// keeps the named rules: any order, unknown entries skipped, the first of
+/// a repeated entry wins.
 #[test]
-fn unknown_repeated_and_absent_fields_decode_like_the_reference() {
-    let tree = map(vec![
-        (
-            "unknown",
-            Value::Seq(vec![
-                Value::Null,
-                Value::Str("skipped".into()),
-                map(vec![("a", Value::F64(0.5)), ("inner", Value::I64(-3))]),
-                Value::Seq((0..4).map(Value::U64).collect()),
-            ]),
-        ),
-        ("c", Value::Seq(vec![Value::U64(1), Value::U64(300 - 45)])),
-        ("a", Value::U64(7)),
-        ("a", Value::U64(9)),
-        ("inner", Value::Bool(true)),
-    ]);
-    let bytes = serde_binary::value_to_vec(&tree);
-    let probe = assert_decodes_like_tree::<Probe>(&bytes).expect("decodes");
+fn struct_sequences_may_be_short_or_long() {
+    let decode = serde_binary::from_slice::<Probe>;
+    let probe = |a, c: Vec<u8>| Probe {
+        a,
+        b: None,
+        c,
+        d: (),
+    };
+    // All four fields; then a `Vec<u8>` arriving unpacked as a `Seq`.
     assert_eq!(
-        probe,
+        decode(&[0x07, 4, 0x81, 0x00, 0x09, 2, 1, 0xFF, 0x00]).unwrap(),
+        probe(1, vec![1, 255])
+    );
+    assert_eq!(
+        decode(&[0x07, 3, 0x81, 0x00, 0x07, 2, 0x81, 0x03, 0xFF, 0x01]).unwrap(),
+        probe(1, vec![1, 255])
+    );
+    // Short: `d` and then `b` may be absent, `c` and `a` may not.
+    assert_eq!(
+        decode(&[0x07, 3, 0x87, 0x81, 0x07, 0]).unwrap(),
         Probe {
-            a: 7,
-            b: None,
-            c: vec![1, 255],
-            d: (),
+            b: Some(1),
+            ..probe(7, vec![])
         }
     );
-
-    // A `Vec<u8>` also arrives unpacked (a foreign encoder may not pack).
-    let unpacked = [
-        0x08, 2, 0, 1, b'a', 0x81, 0, 1, b'c', 0x07, 2, 0x81, 0x03, 0xFF, 0x01,
+    let err = decode(&[0x09, 1, 7]).unwrap_err().to_string();
+    assert!(err.contains("field `c` of Probe"), "{err}");
+    let err = decode(&[0x07, 0]).unwrap_err().to_string();
+    assert!(err.contains("field `a` of Probe"), "{err}");
+    // Long: trailing elements of any kind are skipped once validated.
+    let long = [
+        0x07, 7, 0x81, 0x00, 0x07, 0, 0x00, 0x06, 1, b'x', 0x41, 0x80, 0x07, 1, 0x0A, 0x80, 0x01,
+        0x00,
     ];
-    let probe = assert_decodes_like_tree::<Probe>(&unpacked).expect("decodes");
-    assert_eq!((probe.a, probe.c), (1, vec![1, 255]));
-
-    // A required field that is absent, a wrong kind, an out-of-range byte.
-    for tree in [
-        map(vec![("c", Value::Seq(vec![]))]),
-        map(vec![
-            ("a", Value::Str("7".into())),
-            ("c", Value::Seq(vec![])),
-        ]),
-        map(vec![
-            ("a", Value::U64(7)),
-            ("c", Value::Seq(vec![Value::U64(256)])),
-        ]),
-        Value::Seq(vec![]),
-    ] {
-        let bytes = serde_binary::value_to_vec(&tree);
-        assert_eq!(assert_decodes_like_tree::<Probe>(&bytes), None, "{tree:?}");
+    assert_eq!(decode(&long).unwrap(), probe(1, vec![]));
+    for bad_extra in [&[0x06, 1, 0xFF][..], &[0x3F], &[0x41], &[0x07, 5, 0x81]] {
+        let bytes = [&[0x07, 5, 0x81, 0x00, 0x07, 0, 0x00][..], bad_extra].concat();
+        assert!(decode(&bytes).is_err(), "{bytes:?}");
     }
+    // A required field of the wrong kind, an out-of-range byte.
+    assert!(decode(&[0x07, 3, 0x06, 1, b'7', 0x00, 0x07, 0]).is_err());
+    assert!(decode(&[0x07, 3, 0x81, 0x00, 0x07, 1, 0x03, 0x80, 0x02]).is_err());
+
+    let json = r#"{"zz":[null,{"a":0.5}],"c":[1,255],"a":7,"a":9,"inner":true}"#;
+    assert_eq!(from_json::<Probe>(json).unwrap(), probe(7, vec![1, 255]));
+    assert!(from_json::<Probe>(r#"{"c":[]}"#).is_err());
+}
+
+/// A recursive enum whose variants nest without any sequence between them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Chain {
+    End,
+    Link(Box<Chain>),
+}
+
+fn chain(links: usize) -> Chain {
+    (0..links).fold(Chain::End, |inner, _| Chain::Link(Box::new(inner)))
+}
+
+/// A variant with data is one nesting level (WIRE.md §5.5), so a recursive
+/// enum cannot exhaust the stack through variants alone, in a value the type
+/// reads or in one it skips; and a variant index the enum does not have is
+/// an error that names the enum.
+#[test]
+fn variants_are_bounded_in_depth_and_range() {
+    // `n` links put the innermost `End` at depth `n`.
+    let deepest = serde_binary::to_vec(&chain(128)).unwrap();
+    assert_eq!(deepest, [[0x41].repeat(128), vec![0x80]].concat());
+    assert_eq!(
+        serde_binary::from_slice::<Chain>(&deepest).unwrap(),
+        chain(128)
+    );
+    let too_deep = serde_binary::to_vec(&chain(129)).unwrap();
+    let err = serde_binary::from_slice::<Chain>(&too_deep).unwrap_err();
+    assert!(err.to_string().contains("maximum depth"), "{err}");
+    // The same nest as a skipped trailing element of a `Duration` (which
+    // opens one level itself).
+    let skipped = |links| {
+        [
+            &[0x07, 3, 0x81, 0x82][..],
+            &serde_binary::to_vec(&chain(links)).unwrap(),
+        ]
+        .concat()
+    };
+    assert!(serde_binary::from_slice::<std::time::Duration>(&skipped(127)).is_ok());
+    assert!(serde_binary::from_slice::<std::time::Duration>(&skipped(128)).is_err());
+
+    // `WhiteBoxMsg` has 16 variants: index 16 is refused, unit or with data,
+    // in the one-byte form and in the varint form.
+    for bytes in [&[0x50, 0x00][..], &[0x90], &[0x0A, 0x10, 0x00]] {
+        let err = serde_binary::from_slice::<WhiteBoxMsg>(bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("enum WhiteBoxMsg"),
+            "{bytes:?}: {err}"
+        );
+    }
+    // A data variant sent bare, and a unit variant sent with data.
+    assert!(serde_binary::from_slice::<WhiteBoxMsg>(&[0x87]).is_err());
+    assert!(serde_binary::from_slice::<Chain>(&[0x40, 0x00]).is_err());
 }
 
 /// JSON goes through the `Value` tree as before; its text is pinned to what
@@ -813,10 +850,10 @@ fn mutate(body: &[u8], rng: &mut StdRng) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every variant of all three message enums: same bytes from both
-    /// encoders, same value back from both decoders.
+    /// Every variant of all three message enums survives both codecs, the
+    /// decodes agree, and the binary bytes are canonical.
     #[test]
-    fn streaming_codec_matches_the_reference_on_every_variant(seed in 0u64..1_000_000) {
+    fn every_variant_round_trips_and_both_codecs_agree(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         for variant in 0..WHITEBOX_VARIANTS {
             assert_codecs_agree(&arb_whitebox(&mut rng, variant));
@@ -829,11 +866,11 @@ proptest! {
         }
     }
 
-    /// Hostile input (WIRE.md §5.5): the typed decoder answers a mutated
-    /// frame with an error or a value — the same as the reference — without
-    /// panicking, and without allocating beyond what the input's length can
-    /// account for: a spliced-in length of 2^32 or 2^63 must be refused
-    /// before anything is reserved for it.
+    /// Hostile input (WIRE.md §5.5): the decoder answers a mutated frame with
+    /// an error or a value without panicking, and without allocating beyond
+    /// what the input's length can account for: a spliced-in length of 2^32
+    /// or 2^63 must be refused before anything is reserved for it. A value
+    /// it does accept re-encodes to bytes that decode to that same value.
     #[test]
     fn mutated_frames_are_refused_or_decoded_without_over_allocation(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -841,12 +878,12 @@ proptest! {
             let body = serde_binary::to_vec(&arb_whitebox(&mut rng, variant)).expect("encode");
             for _ in 0..8 {
                 let mutated = mutate(&body, &mut rng);
-                let (_, made) =
+                let (decoded, made) =
                     common::measure(|| serde_binary::from_slice::<WhiteBoxMsg>(&mutated).ok());
                 // Decoded data is a small multiple of the input (the worst
                 // case is a one-entry `BTreeMap<MsgId, RecordSnapshot>`, whose
                 // first insertion allocates an 11-slot node); the constant
-                // covers the key table and an error message.
+                // covers an error message.
                 let allowed = 64 * mutated.len() + 4096;
                 prop_assert!(
                     made.bytes <= allowed && made.calls <= mutated.len() + 8,
@@ -856,7 +893,11 @@ proptest! {
                     mutated.len(),
                     mutated
                 );
-                assert_decodes_like_tree::<WhiteBoxMsg>(&mutated);
+                if let Some(value) = decoded {
+                    let again = serde_binary::to_vec(&value).expect("re-encode");
+                    let back = serde_binary::from_slice::<WhiteBoxMsg>(&again);
+                    prop_assert_eq!(back.as_ref(), Ok(&value), "accepted {:?}", mutated);
+                }
             }
         }
     }
