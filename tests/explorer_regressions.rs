@@ -3,39 +3,92 @@
 //!
 //! Every token in the corpus once reproduced a real bug (see the comments in
 //! the corpus file); replaying them on every test run keeps those bugs fixed.
+//! Every replay also matches its digest pinned in
+//! `tests/regressions/digests.golden`, so a change to what a token derives
+//! or how a schedule runs cannot go unnoticed.
 
+use wbam_harness::chaos::{generate_net_plan, NetSeedToken};
 use wbam_harness::explorer::{run_token, SeedToken};
 
-/// Parses the corpus file, skipping comments and blank lines.
-fn corpus() -> Vec<SeedToken> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/regressions/corpus.tokens"
-    );
-    let text = std::fs::read_to_string(path).expect("corpus file exists");
+/// Reads a token file, skipping comments and blank lines.
+fn lines(name: &str) -> Vec<String> {
+    let path = format!("{}/tests/regressions/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_string)
+        .collect()
+}
+
+fn corpus() -> Vec<SeedToken> {
+    lines("corpus.tokens")
+        .iter()
         .map(|l| SeedToken::parse(l).unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}")))
         .collect()
 }
 
+/// The pinned `(token, digest)` pairs whose token starts with `prefix`.
+fn golden(prefix: &str) -> Vec<(String, u64)> {
+    lines("digests.golden")
+        .iter()
+        .filter(|l| l.starts_with(prefix))
+        .map(|l| {
+            let (token, digest) = l.split_once(' ').expect("`<token> <digest>`");
+            let digest = u64::from_str_radix(digest.trim(), 16).expect("hex digest");
+            (token.to_string(), digest)
+        })
+        .collect()
+}
+
+/// Replays every pinned simulator token — the whole corpus plus the first
+/// sweep tokens of base seed 42 — and requires each to run clean and to
+/// reproduce its pinned digest.
 #[test]
 fn regression_corpus_replays_clean() {
-    let tokens = corpus();
-    assert!(!tokens.is_empty(), "corpus must not be empty");
+    let pinned = golden("v");
+    for token in corpus() {
+        let bare = token.to_string().replace("WBAM_SEED=", "");
+        assert!(
+            pinned.iter().any(|(t, _)| *t == bare),
+            "corpus token {bare} has no pinned digest"
+        );
+    }
     let mut failures = Vec::new();
-    for token in &tokens {
-        let report = run_token(token);
+    for (line, digest) in &pinned {
+        let token = SeedToken::parse(line).expect("pinned token parses");
+        let report = run_token(&token);
         if let Some(violation) = report.violation {
             failures.push(format!("{token}: {violation}"));
+        }
+        if report.digest != *digest {
+            failures.push(format!(
+                "{token}: digest {:016x}, pinned {digest:016x}",
+                report.digest
+            ));
         }
     }
     assert!(
         failures.is_empty(),
-        "previously fixed bugs reappeared:\n{}",
+        "previously fixed bugs reappeared or behaviour changed:\n{}",
         failures.join("\n")
     );
+}
+
+/// The deployed sweep's plans are a pure function of their tokens: each
+/// pinned `n1:` plan digest is reproduced.
+#[test]
+fn pinned_net_plans_keep_their_digests() {
+    let pinned = golden("n1:");
+    assert_eq!(pinned.len(), 6);
+    for (line, digest) in pinned {
+        let token = NetSeedToken::parse(&line).expect("pinned token parses");
+        assert_eq!(
+            generate_net_plan(&token, Some(24)).digest(),
+            digest,
+            "{token}: plan digest moved"
+        );
+    }
 }
 
 /// The acceptance contract of the seed tokens: re-running a token reproduces

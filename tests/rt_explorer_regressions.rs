@@ -12,26 +12,55 @@ use proptest::prelude::*;
 use wbam::harness::rt::{generate_rt_plan, run_rt_artifacts, run_rt_token, RtSeedToken};
 use wbam::harness::Protocol;
 
-/// Parses the corpus file, skipping comments and blank lines.
-fn corpus() -> Vec<RtSeedToken> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/regressions/rt_corpus.tokens"
-    );
-    let text = std::fs::read_to_string(path).expect("corpus file exists");
+/// Reads a token file, skipping comments and blank lines.
+fn lines(name: &str) -> Vec<String> {
+    let path = format!("{}/tests/regressions/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_string)
+        .collect()
+}
+
+fn corpus() -> Vec<RtSeedToken> {
+    lines("rt_corpus.tokens")
+        .iter()
         .map(|l| RtSeedToken::parse(l).unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}")))
         .collect()
 }
 
+/// The pinned `(token, digest)` pairs of `tests/regressions/digests.golden`
+/// for this engine.
+fn golden() -> Vec<(RtSeedToken, u64)> {
+    lines("digests.golden")
+        .iter()
+        .filter(|l| l.starts_with("rt1:"))
+        .map(|l| {
+            let (token, digest) = l.split_once(' ').expect("`<token> <digest>`");
+            let digest = u64::from_str_radix(digest.trim(), 16).expect("hex digest");
+            (
+                RtSeedToken::parse(token).expect("pinned token parses"),
+                digest,
+            )
+        })
+        .collect()
+}
+
+/// Replays every pinned runtime token — the whole corpus plus the first
+/// sweep tokens of base seed 42 — and requires each to run clean, complete
+/// every operation and reproduce its pinned digest.
 #[test]
 fn rt_regression_corpus_replays_clean() {
-    let tokens = corpus();
-    assert!(!tokens.is_empty(), "corpus must not be empty");
+    let pinned = golden();
+    for token in corpus() {
+        assert!(
+            pinned.iter().any(|(t, _)| *t == token),
+            "corpus token {token} has no pinned digest"
+        );
+    }
     let mut failures = Vec::new();
-    for token in &tokens {
+    for (token, digest) in &pinned {
         let report = run_rt_token(token);
         if let Some(violation) = report.violation {
             failures.push(format!("{token}: {violation}"));
@@ -42,10 +71,16 @@ fn rt_regression_corpus_replays_clean() {
                 report.completed, report.ops
             ));
         }
+        if report.digest != *digest {
+            failures.push(format!(
+                "{token}: digest {:016x}, pinned {digest:016x}",
+                report.digest
+            ));
+        }
     }
     assert!(
         failures.is_empty(),
-        "previously fixed deployed-loop bugs reappeared:\n{}",
+        "previously fixed deployed-loop bugs reappeared or behaviour changed:\n{}",
         failures.join("\n")
     );
 }
