@@ -1,4 +1,4 @@
-//! Shared helpers for the figure-reproduction binaries and Criterion benches.
+//! Shared helpers for the figure-reproduction binaries.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding binary
 //! in `src/bin/` (see `DESIGN.md` for the experiment index and

@@ -1,27 +1,19 @@
-//! The deployed chaos driver: seeded fault plans against a *live* `wbamd`
-//! cluster.
+//! The deployed engine of the schedule [explorer](crate::explore): seeded
+//! fault plans against a *live* `wbamd` cluster.
 //!
-//! This is the deployment-side counterpart of the [`explorer`](crate::explorer):
-//! one 64-bit seed derives a complete experiment — a [`NemesisPlan`] of link
-//! drops/duplicates/delays and a partition window, process-level faults
-//! (SIGKILL with `--restart` redeploy, SIGSTOP/SIGCONT pauses) and a
-//! key-value workload — which [`run_net_token`] then executes against six
-//! real `wbamd` OS processes whose every TCP link runs through a
-//! [`NemesisProxy`]. When the dust settles the driver
-//! stops the cluster gracefully (SIGTERM — exercising the daemons' drain
-//! path), parses the drained delivery logs, and checks:
-//!
-//! * global-timestamp **agreement** per message and the Figure 6 **total
-//!   order** over every observer's delivery log
-//!   (`wbam_core::invariants::check_total_order`),
-//! * the key-value store **linearizability oracle**
-//!   ([`KvHistory::check_excusing`]) over replayed per-replica applies and
-//!   the client's invocations/completions, with the PR 3/4 excusals: crash
-//!   victims are `faulty`, drop-bearing plans are `lossy`, and a restarted
-//!   incarnation gets a state-transfer watermark excusal at its first logged
-//!   timestamp, and
-//! * **termination** — the white-box protocol's retry machinery must
-//!   complete every submitted operation despite the chaos.
+//! One `n1` [`Token`] derives a complete experiment — a [`NemesisPlan`] of
+//! link drops/duplicates/delays and a partition window, process-level
+//! faults (SIGKILL with `--restart` redeploy, SIGSTOP/SIGCONT pauses) and a
+//! key-value workload — which the engine then executes against six real
+//! `wbamd` OS processes whose every TCP link runs through a
+//! [`NemesisProxy`]. When the dust settles the engine stops the cluster
+//! gracefully (SIGTERM — exercising the daemons' drain path), parses the
+//! drained delivery logs, and hands them to the shared
+//! [`check_run`] with this engine's policy: crash victims are `faulty`,
+//! drop-bearing plans are `lossy`, and a restarted incarnation gets a
+//! state-transfer watermark excusal at its first logged timestamp.
+//! Termination is the live loop's own check: every submitted operation
+//! must complete at the client within the run deadline.
 //!
 //! # Replayability
 //!
@@ -45,26 +37,29 @@
 //! expresses.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use netpoll::{send_signal, Signal};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
-use wbam_core::invariants::check_total_order;
 use wbam_core::WhiteBoxMsg;
-use wbam_kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
+use wbam_kvstore::{KvCommand, Partitioner};
 use wbam_runtime::{BoxedNode, TcpNode};
+use wbam_simnet::DeliveryRecord;
 use wbam_types::wire::{from_json, WireCodec};
 use wbam_types::{
-    AppMessage, CrashSpec, GroupId, LinkFaults, MsgId, NemesisPlan, PartitionSpec, Payload,
-    ProcessId, Timestamp, WbamError,
+    ClusterConfig, CrashSpec, GroupId, LinkFaults, MsgId, NemesisPlan, PartitionSpec, ProcessId,
+    Timestamp, WbamError,
 };
 
 use crate::cluster::Protocol;
 use crate::deploy::{ChildGuard, DeliveryLine, DeploySpec};
-use crate::explorer::splitmix64;
-use crate::proxy::{NemesisProxy, ProxyStats};
+use crate::explore::{
+    check_run, draw_kv_command, kv_message, ms, CheckPolicy, Digest, ExploreConfig, Observed,
+    Report, Token,
+};
+use crate::proxy::NemesisProxy;
 
 /// Groups in the chaos topology.
 const NUM_GROUPS: usize = 2;
@@ -72,8 +67,6 @@ const NUM_GROUPS: usize = 2;
 const GROUP_SIZE: usize = 3;
 /// Replica process count; the driver's in-process client is the next id.
 const REPLICAS: u32 = (NUM_GROUPS * GROUP_SIZE) as u32;
-/// Keys the workload touches (small space maximises conflicts).
-const KEY_SPACE: u32 = 6;
 /// End of the probabilistic-fault window; scheduled faults all land inside.
 const CHAOS_END: Duration = Duration::from_secs(4);
 /// Gap between successive workload submissions.
@@ -90,74 +83,6 @@ pub const RESTART_OBSERVER_BASE: u32 = 1000;
 /// Salt for the plan/workload RNG, keeping it independent of the proxy's
 /// per-link streams (which hash the raw seed).
 const NET_PLAN_SALT: u64 = 0x0DD5_EED5_0FCA_A051;
-
-fn ms(v: u64) -> Duration {
-    Duration::from_millis(v)
-}
-
-/// A replayable deployed-chaos identifier, printed as
-/// `WBAM_NET_SEED=n1:<protocol>:<seed-hex>`. The `n` version namespace is
-/// deliberately distinct from the simulator's `v` tokens: the derivations
-/// share nothing, so neither corpus can be replayed under the wrong engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetSeedToken {
-    /// The protocol under test (currently always the white-box protocol —
-    /// the baselines assume reliable channels and simply stall under loss).
-    pub protocol: Protocol,
-    /// The seed every part of the plan and workload derives from.
-    pub seed: u64,
-}
-
-impl fmt::Display for NetSeedToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "WBAM_NET_SEED=n1:{}:{:016x}",
-            self.protocol.label(),
-            self.seed
-        )
-    }
-}
-
-impl NetSeedToken {
-    /// Parses a token previously printed by [`fmt::Display`] (the
-    /// `WBAM_NET_SEED=` prefix is optional on input).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem for malformed tokens.
-    pub fn parse(s: &str) -> Result<NetSeedToken, String> {
-        let body = s.trim().strip_prefix("WBAM_NET_SEED=").unwrap_or(s.trim());
-        let parts: Vec<&str> = body.split(':').collect();
-        let [version, label, seed_hex] = parts[..] else {
-            return Err(format!("expected n1:<protocol>:<seed>, got `{body}`"));
-        };
-        if version != "n1" {
-            return Err(format!("net token version `{version}` not supported (n1)"));
-        }
-        let protocol = match label {
-            "WbCast" => Protocol::WhiteBox,
-            other => {
-                return Err(format!(
-                    "protocol `{other}` is not net-chaos capable (WbCast only: the \
-                     baselines assume reliable channels)"
-                ))
-            }
-        };
-        let seed =
-            u64::from_str_radix(seed_hex, 16).map_err(|e| format!("bad seed `{seed_hex}`: {e}"))?;
-        Ok(NetSeedToken { protocol, seed })
-    }
-}
-
-/// The token of plan `index` in a sweep starting at `base_seed` — the same
-/// golden-ratio splitmix derivation the simulator explorer uses.
-pub fn net_schedule_token(base_seed: u64, index: usize) -> NetSeedToken {
-    NetSeedToken {
-        protocol: Protocol::WhiteBox,
-        seed: splitmix64(base_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    }
-}
 
 /// A scheduled SIGSTOP/SIGCONT pause of one replica process — the deployed
 /// fault the simulator cannot express (a *frozen* process keeps its sockets
@@ -191,44 +116,34 @@ impl NetChaosPlan {
     /// token derived byte-for-byte identical plans (the replayability
     /// contract — see the module docs for what live runs add on top).
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut write = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut d = Digest::new();
         let link = self.nemesis.link;
-        write(&u64::from(link.drop_per_mille).to_le_bytes());
-        write(&u64::from(link.duplicate_per_mille).to_le_bytes());
-        write(&u64::from(link.reorder_per_mille).to_le_bytes());
-        write(&(link.reorder_extra.as_nanos() as u64).to_le_bytes());
+        d.u64(u64::from(link.drop_per_mille));
+        d.u64(u64::from(link.duplicate_per_mille));
+        d.u64(u64::from(link.reorder_per_mille));
+        d.u64(link.reorder_extra.as_nanos() as u64);
         for p in &self.nemesis.partitions {
-            write(&(p.start.as_nanos() as u64).to_le_bytes());
-            write(&(p.heal.as_nanos() as u64).to_le_bytes());
-            write(&[u8::from(p.symmetric)]);
-            for side in [&p.side_a, &p.side_b] {
-                for proc in side {
-                    write(&proc.0.to_le_bytes());
-                }
+            d.u64(p.start.as_nanos() as u64);
+            d.u64(p.heal.as_nanos() as u64);
+            d.bytes(&[u8::from(p.symmetric)]);
+            for proc in p.side_a.iter().chain(&p.side_b) {
+                d.bytes(&proc.0.to_le_bytes());
             }
         }
         for c in &self.nemesis.crashes {
-            write(&(c.at.as_nanos() as u64).to_le_bytes());
-            write(&c.process.0.to_le_bytes());
-            let r = c.restart_at.map(|r| r.as_nanos() as u64 + 1).unwrap_or(0);
-            write(&r.to_le_bytes());
+            d.u64(c.at.as_nanos() as u64);
+            d.bytes(&c.process.0.to_le_bytes());
+            d.u64(c.restart_at.map(|r| r.as_nanos() as u64 + 1).unwrap_or(0));
         }
         for p in &self.pauses {
-            write(&(p.at.as_nanos() as u64).to_le_bytes());
-            write(&p.process.0.to_le_bytes());
-            write(&(p.resume.as_nanos() as u64).to_le_bytes());
+            d.u64(p.at.as_nanos() as u64);
+            d.bytes(&p.process.0.to_le_bytes());
+            d.u64(p.resume.as_nanos() as u64);
         }
         for op in &self.ops {
-            let enc = serde_json::to_vec(op).expect("commands encode");
-            write(&enc);
+            d.bytes(&serde_json::to_vec(op).expect("commands encode"));
         }
-        h
+        d.0
     }
 }
 
@@ -237,7 +152,7 @@ impl NetChaosPlan {
 /// the acceptance trifecta — link drops, one partition with heal, one
 /// SIGKILL with `--restart` redeploy — plus optional duplicates, delays and
 /// a SIGSTOP pause.
-pub fn generate_net_plan(token: &NetSeedToken, messages: Option<usize>) -> NetChaosPlan {
+pub fn generate_net_plan(token: &Token, messages: Option<usize>) -> NetChaosPlan {
     let mut rng = StdRng::seed_from_u64(token.seed ^ NET_PLAN_SALT);
     let mut nemesis = NemesisPlan {
         chaos_end: Some(CHAOS_END),
@@ -305,24 +220,7 @@ pub fn generate_net_plan(token: &NetSeedToken, messages: Option<usize>) -> NetCh
         messages.unwrap_or(derived) // the draw happens either way: the op
                                     // stream must not shift with the override
     };
-    let key = |rng: &mut StdRng| format!("k{}", rng.gen_range(0..KEY_SPACE));
-    let mut ops = Vec::with_capacity(count);
-    for _ in 0..count {
-        let cmd = match rng.gen_range(0..100u32) {
-            0..=29 => KvCommand::put(&key(&mut rng), rng.gen_range(0..1000i64)),
-            30..=54 => KvCommand::add(&key(&mut rng), rng.gen_range(-50..50i64)),
-            55..=74 => {
-                let from = key(&mut rng);
-                let mut to = key(&mut rng);
-                while to == from {
-                    to = key(&mut rng);
-                }
-                KvCommand::transfer(&from, &to, rng.gen_range(1..100i64))
-            }
-            _ => KvCommand::get(&key(&mut rng)),
-        };
-        ops.push(cmd);
-    }
+    let ops = (0..count).map(|_| draw_kv_command(&mut rng)).collect();
 
     NetChaosPlan {
         nemesis,
@@ -331,86 +229,13 @@ pub fn generate_net_plan(token: &NetSeedToken, messages: Option<usize>) -> NetCh
     }
 }
 
-/// Knobs of one [`run_net_token`] invocation.
-#[derive(Debug, Clone, Default)]
-pub struct NetChaosConfig {
-    /// Override the derived workload size (smaller for CI smokes). The same
-    /// token + the same override is the replay unit.
-    pub messages: Option<usize>,
-    /// Wire codec for the whole cluster (`None` → the deployed default,
-    /// binary).
-    pub wire: Option<WireCodec>,
-    /// Where to put the spec and delivery logs. `None` uses a fresh temp
-    /// directory that is removed again when the run passes and kept (and
-    /// named in the report) when it fails.
-    pub log_dir: Option<PathBuf>,
-    /// Path to the `wbamd` binary. `None` looks next to the current
-    /// executable (and in its parent, covering test binaries under
-    /// `target/*/deps/`), then at the `WBAMD_BIN` environment variable.
-    pub wbamd: Option<PathBuf>,
-}
-
-/// The outcome of one deployed chaos run.
-#[derive(Debug, Clone)]
-pub struct NetChaosReport {
-    /// The replay token.
-    pub token: NetSeedToken,
-    /// Digest of the derived plan+workload ([`NetChaosPlan::digest`]).
-    pub plan_digest: u64,
-    /// Operations submitted.
-    pub ops: usize,
-    /// Operations the client saw complete.
-    pub completed: usize,
-    /// Delivery-log lines drained across all incarnations.
-    pub delivery_lines: usize,
-    /// Reads the linearizability oracle actually checked (0 until the
-    /// oracle runs).
-    pub checked_reads: usize,
-    /// What the proxy did to the wire.
-    pub proxy: ProxyStats,
-    /// The first violation found, if any (prefixed with its category:
-    /// `invariant:`, `linearizability:`, `termination:`, `graceful-stop:`,
-    /// `log:` or `run:`).
-    pub violation: Option<String>,
-    /// Where the spec and delivery logs live (kept on violation).
-    pub log_dir: PathBuf,
-}
-
 /// Process-fault timeline entries, executed by the driver loop.
 #[derive(Debug, Clone, Copy)]
 enum NetEvent {
     Kill(u32),
     Restart(u32),
-    Stop(u32),
-    Cont(u32),
-}
-
-/// Signals the driver sends; a thin portability wrapper so non-Unix builds
-/// degrade to SIGKILL-only semantics instead of failing to compile.
-#[derive(Debug, Clone, Copy)]
-enum Sig {
-    Term,
-    Stop,
-    Cont,
-}
-
-/// Sends `sig` to `pid`; returns whether the signal was actually delivered
-/// (always `false` off-Unix, where callers fall back to hard kills).
-fn send(pid: u32, sig: Sig) -> bool {
-    #[cfg(unix)]
-    {
-        let sig = match sig {
-            Sig::Term => netpoll::Signal::Term,
-            Sig::Stop => netpoll::Signal::Stop,
-            Sig::Cont => netpoll::Signal::Cont,
-        };
-        netpoll::send_signal(pid, sig).is_ok()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (pid, sig);
-        false
-    }
+    /// SIGSTOP or SIGCONT.
+    Signal(u32, Signal),
 }
 
 fn build_events(plan: &NetChaosPlan) -> Vec<(Duration, NetEvent)> {
@@ -422,14 +247,14 @@ fn build_events(plan: &NetChaosPlan) -> Vec<(Duration, NetEvent)> {
         }
     }
     for p in &plan.pauses {
-        events.push((p.at, NetEvent::Stop(p.process.0)));
-        events.push((p.resume, NetEvent::Cont(p.process.0)));
+        events.push((p.at, NetEvent::Signal(p.process.0, Signal::Stop)));
+        events.push((p.resume, NetEvent::Signal(p.process.0, Signal::Cont)));
     }
     events.sort_by_key(|(at, _)| *at);
     events
 }
 
-fn resolve_wbamd(config: &NetChaosConfig) -> Result<PathBuf, WbamError> {
+fn resolve_wbamd(config: &ExploreConfig) -> Result<PathBuf, WbamError> {
     if let Some(p) = &config.wbamd {
         return Ok(p.clone());
     }
@@ -504,74 +329,60 @@ fn parse_log(path: &Path, tolerate_torn_tail: bool) -> Result<Vec<DeliveryLine>,
     Ok(out)
 }
 
-fn count_log_lines(path: &Path) -> usize {
-    std::fs::read_to_string(path)
-        .map(|t| t.lines().filter(|l| !l.trim().is_empty()).count())
-        .unwrap_or(0)
-}
-
-fn group_of(id: u32) -> GroupId {
-    GroupId(id / GROUP_SIZE as u32)
-}
-
-/// Runs the complete chaos schedule of a token against a live cluster. See
-/// the module docs for the pipeline; this returns `Err` only for *setup*
-/// failures (spawn, bind, I/O) — protocol misbehaviour lands in
-/// [`NetChaosReport::violation`] so a sweep can keep going and report every
-/// failing seed.
-///
-/// # Errors
-///
-/// Returns [`WbamError`] when the cluster cannot be brought up at all.
-pub fn run_net_token(
-    token: &NetSeedToken,
-    config: &NetChaosConfig,
-) -> Result<NetChaosReport, WbamError> {
-    let plan = generate_net_plan(token, config.messages);
-    let wire = config.wire.unwrap_or_default();
-    let (log_dir, ephemeral) = match &config.log_dir {
-        Some(d) => (d.clone(), false),
-        None => {
-            // One directory per *run*, not per seed: `wbamd` appends to its
-            // delivery log, so two runs of the same seed (one per wire
-            // codec, say) sharing a directory interleave their logs — a
-            // sweep once mis-reported exactly that as a duplicate delivery.
-            static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            (
-                std::env::temp_dir().join(format!(
-                    "wbam-net-chaos-{}-{:016x}-{}-r{run}",
-                    std::process::id(),
-                    token.seed,
-                    wire.name()
-                )),
-                true,
-            )
-        }
+/// Runs a deployed chaos plan against a live cluster under `wire` and
+/// checks it. See the module docs for the pipeline; a cluster that cannot
+/// be brought up at all is reported as a `run:` violation, so a sweep keeps
+/// going and reports every failing seed.
+pub(crate) fn run_net(
+    token: &Token,
+    plan: &NetChaosPlan,
+    config: &ExploreConfig,
+    wire: WireCodec,
+) -> Report {
+    let mut report = Report::new(token, plan.ops.len());
+    report.wire = Some(wire);
+    report.digest = plan.digest();
+    // One directory per *run*, not per seed: `wbamd` appends to its delivery
+    // log, so two runs of the same seed (one per wire codec, say) sharing a
+    // directory interleave their logs — a sweep once mis-reported exactly
+    // that as a duplicate delivery.
+    static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let (seed, wire_name) = (token.seed, wire.name());
+    let ephemeral = config.log_dir.is_none();
+    let log_dir = match &config.log_dir {
+        Some(dir) => dir.join(format!("{seed:016x}-{wire_name}")),
+        None => std::env::temp_dir().join(format!(
+            "wbam-net-chaos-{}-{seed:016x}-{wire_name}-r{}",
+            std::process::id(),
+            RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        )),
     };
     if ephemeral {
         // A kept directory from a crashed earlier process could collide
         // after pid reuse; never append into stale logs.
         let _ = std::fs::remove_dir_all(&log_dir);
     }
-    std::fs::create_dir_all(&log_dir).map_err(WbamError::from)?;
-    let mut report = NetChaosReport {
-        token: *token,
-        plan_digest: plan.digest(),
-        ops: plan.ops.len(),
-        completed: 0,
-        delivery_lines: 0,
-        checked_reads: 0,
-        proxy: ProxyStats {
-            forwarded: 0,
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
-            severed: 0,
-        },
-        violation: None,
-        log_dir: log_dir.clone(),
-    };
+    if let Err(e) = run_live(plan, config, wire, &log_dir, &mut report) {
+        report.violation = Some(format!("run: {e}"));
+    }
+    if report.violation.is_none() && ephemeral {
+        let _ = std::fs::remove_dir_all(&log_dir);
+    }
+    report.log_dir = Some(log_dir);
+    report
+}
+
+/// Brings the cluster up, drives workload and process faults, stops it and
+/// checks the drained logs. Protocol misbehaviour lands in
+/// `report.violation`; `Err` means the cluster could not be run at all.
+fn run_live(
+    plan: &NetChaosPlan,
+    config: &ExploreConfig,
+    wire: WireCodec,
+    log_dir: &Path,
+    report: &mut Report,
+) -> Result<(), WbamError> {
+    std::fs::create_dir_all(log_dir).map_err(WbamError::from)?;
 
     // --- Bring the cluster up, every link proxied -----------------------
     let mut spec = DeploySpec::loopback_free_ports(Protocol::WhiteBox, NUM_GROUPS, GROUP_SIZE, 1)?;
@@ -579,7 +390,7 @@ pub fn run_net_token(
     spec.heartbeat_ms = 100;
     spec.election_timeout_ms = 1500;
     let epoch = Instant::now();
-    let proxy = NemesisProxy::start(&spec, &plan.nemesis, token.seed, epoch)?;
+    let proxy = NemesisProxy::start(&spec, &plan.nemesis, report.token.seed, epoch)?;
     let routed = proxy.routed_spec().clone();
     let spec_path = log_dir.join("cluster.json");
     std::fs::write(&spec_path, routed.to_json()?).map_err(WbamError::from)?;
@@ -587,7 +398,7 @@ pub fn run_net_token(
     let wbamd = resolve_wbamd(config)?;
     let mut children: BTreeMap<u32, ChildGuard> = BTreeMap::new();
     for id in 0..REPLICAS {
-        children.insert(id, spawn_replica(&wbamd, &spec_path, &log_dir, id, false)?);
+        children.insert(id, spawn_replica(&wbamd, &spec_path, log_dir, id, false)?);
     }
     let client_id = ProcessId(REPLICAS);
     let node: BoxedNode<WhiteBoxMsg> = Box::new(spec.whitebox_client(client_id)?);
@@ -595,15 +406,11 @@ pub fn run_net_token(
 
     // --- Drive workload + process faults on one timeline ----------------
     let partitioner = Partitioner::new(NUM_GROUPS as u32);
-    let mut history = KvHistory {
-        partitions: NUM_GROUPS as u32,
-        ..KvHistory::default()
-    };
-    let events = build_events(&plan);
+    let events = build_events(plan);
     let mut next_event = 0usize;
     let mut restarted: BTreeSet<u32> = BTreeSet::new();
-    let mut submitted = 0usize;
-    let mut completed: BTreeSet<MsgId> = BTreeSet::new();
+    let mut invoked: Vec<(MsgId, KvCommand, Duration)> = Vec::new();
+    let mut completions: Vec<DeliveryRecord> = Vec::new();
     let mut seen = 0u64;
     loop {
         let now = epoch.elapsed();
@@ -614,17 +421,12 @@ pub fn run_net_token(
                     children.remove(&id);
                 }
                 NetEvent::Restart(id) => {
-                    children.insert(id, spawn_replica(&wbamd, &spec_path, &log_dir, id, true)?);
+                    children.insert(id, spawn_replica(&wbamd, &spec_path, log_dir, id, true)?);
                     restarted.insert(id);
                 }
-                NetEvent::Stop(id) => {
+                NetEvent::Signal(id, signal) => {
                     if let Some(child) = children.get(&id) {
-                        send(child.0.id(), Sig::Stop);
-                    }
-                }
-                NetEvent::Cont(id) => {
-                    if let Some(child) = children.get(&id) {
-                        send(child.0.id(), Sig::Cont);
+                        let _ = send_signal(child.0.id(), signal);
                     }
                 }
             }
@@ -634,42 +436,36 @@ pub fn run_net_token(
         // so any child observed exited here died *outside* the fault plan —
         // a real bug (a startup failure, a crash), reported as such instead
         // of surfacing later as a confusing graceful-stop failure.
-        let mut died: Option<(u32, std::process::ExitStatus)> = None;
-        for (id, child) in children.iter_mut() {
-            if let Ok(Some(status)) = child.0.try_wait() {
-                died = Some((*id, status));
-                break;
-            }
-        }
+        let died = children
+            .iter_mut()
+            .find_map(|(id, child)| Some((*id, child.0.try_wait().ok()??)));
         if let Some((id, status)) = died {
             children.remove(&id);
             report.violation = Some(format!("run: p{id} exited unexpectedly ({status}) mid-run"));
             break;
         }
-        while submitted < plan.ops.len() && now >= SUBMIT_PACE * submitted as u32 {
-            let cmd = &plan.ops[submitted];
-            let id = MsgId::new(client_id, submitted as u64);
-            let dest = partitioner.destination_of(cmd.keys())?;
-            history.invoke(id, cmd.clone(), now);
-            client.submit(AppMessage::new(
-                id,
-                dest,
-                Payload::from(
-                    serde_json::to_vec(cmd).map_err(|e| WbamError::Codec(e.to_string()))?,
-                ),
-            ))?;
-            submitted += 1;
+        while invoked.len() < plan.ops.len() && now >= SUBMIT_PACE * invoked.len() as u32 {
+            let cmd = &plan.ops[invoked.len()];
+            let id = MsgId::new(client_id, invoked.len() as u64);
+            client.submit(kv_message(&partitioner, id, cmd))?;
+            invoked.push((id, cmd.clone(), now));
         }
         client.wait_for_total(seen + 1, Duration::from_millis(25))?;
         let at = epoch.elapsed();
         for d in client.drain_deliveries()? {
             seen += 1;
-            if completed.insert(d.delivery.msg.id) {
-                history.complete(d.delivery.msg.id, at);
+            if !completions.iter().any(|c| c.msg_id == d.delivery.msg.id) {
+                completions.push(DeliveryRecord {
+                    time: at,
+                    process: client_id,
+                    group: None,
+                    msg_id: d.delivery.msg.id,
+                    global_ts: d.delivery.global_ts,
+                });
             }
         }
-        if submitted == plan.ops.len()
-            && completed.len() == plan.ops.len()
+        if invoked.len() == plan.ops.len()
+            && completions.len() == plan.ops.len()
             && next_event == events.len()
         {
             break;
@@ -677,13 +473,13 @@ pub fn run_net_token(
         if epoch.elapsed() > RUN_DEADLINE {
             report.violation = Some(format!(
                 "termination: {} of {} operations never completed within {RUN_DEADLINE:?}",
-                plan.ops.len() - completed.len(),
+                plan.ops.len() - completions.len(),
                 plan.ops.len()
             ));
             break;
         }
     }
-    report.completed = completed.len();
+    report.completed = completions.len();
 
     // --- Let the replica logs quiesce, then stop the cluster gracefully --
     //
@@ -696,22 +492,13 @@ pub fn run_net_token(
     // land before the SIGTERM drain.
     if report.violation.is_none() {
         let drain_start = Instant::now();
-        let mut last: BTreeMap<(u32, bool), usize> = BTreeMap::new();
+        let mut last: Vec<usize> = Vec::new();
         let mut stable_since = Instant::now();
         while drain_start.elapsed() < DRAIN_DEADLINE {
-            let mut counts: BTreeMap<(u32, bool), usize> = BTreeMap::new();
-            for id in 0..REPLICAS {
-                counts.insert(
-                    (id, false),
-                    count_log_lines(&log_dir.join(log_name(id, false))),
-                );
-                if restarted.contains(&id) {
-                    counts.insert(
-                        (id, true),
-                        count_log_lines(&log_dir.join(log_name(id, true))),
-                    );
-                }
-            }
+            let counts: Vec<usize> = (0..REPLICAS)
+                .flat_map(|id| [log_name(id, false), log_name(id, true)])
+                .map(|name| parse_log(&log_dir.join(name), true).map_or(0, |l| l.len()))
+                .collect();
             if counts != last {
                 last = counts;
                 stable_since = Instant::now();
@@ -723,43 +510,31 @@ pub fn run_net_token(
     }
     // SIGTERM every live replica and require a clean drain + exit 0: the
     // graceful-stop path is part of every chaos run's contract.
-    let mut stop_violation: Option<String> = None;
     for child in children.values() {
-        send(child.0.id(), Sig::Term);
+        let _ = send_signal(child.0.id(), Signal::Term);
     }
+    let mut stop_violation: Option<String> = None;
     for (id, child) in children.iter_mut() {
         let begin = Instant::now();
-        loop {
+        let failure = loop {
             match child.0.try_wait() {
-                Ok(Some(status)) => {
-                    if !status.success() && stop_violation.is_none() {
-                        stop_violation =
-                            Some(format!("graceful-stop: p{id} exited {status} on SIGTERM"));
-                    }
-                    break;
-                }
+                Ok(Some(status)) if status.success() => break None,
+                Ok(Some(status)) => break Some(format!("exited {status} on SIGTERM")),
                 Ok(None) if begin.elapsed() < STOP_DEADLINE => {
                     std::thread::sleep(Duration::from_millis(20))
                 }
-                Ok(None) => {
-                    if stop_violation.is_none() {
-                        stop_violation = Some(format!(
-                            "graceful-stop: p{id} still running {STOP_DEADLINE:?} after SIGTERM"
-                        ));
-                    }
-                    break;
-                }
-                Err(e) => {
-                    if stop_violation.is_none() {
-                        stop_violation = Some(format!("graceful-stop: p{id}: {e}"));
-                    }
-                    break;
-                }
+                Ok(None) => break Some(format!("still running {STOP_DEADLINE:?} after SIGTERM")),
+                Err(e) => break Some(e.to_string()),
             }
+        };
+        if let Some(failure) = failure {
+            stop_violation.get_or_insert(format!("graceful-stop: p{id} {failure}"));
         }
     }
     children.clear(); // reaps anything the graceful stop left behind
-    report.proxy = proxy.stats();
+    let stats = proxy.stats();
+    (report.dropped, report.duplicated) = (stats.dropped, stats.duplicated);
+    report.proxy = Some(stats);
     client.shutdown();
     proxy.shutdown();
     if report.violation.is_none() {
@@ -768,165 +543,83 @@ pub fn run_net_token(
 
     // --- Drained-log checks ---------------------------------------------
     if report.violation.is_none() {
-        report.violation = check_drained_logs(
-            &plan,
-            &log_dir,
-            &restarted,
-            &completed,
-            &mut history,
-            &mut report,
-        );
+        let (records, transfer_excusals) = match drained_logs(plan, log_dir, &restarted) {
+            Ok(drained) => drained,
+            Err(e) => {
+                report.violation = Some(e);
+                return Ok(());
+            }
+        };
+        report.deliveries = records.len();
+        let policy = CheckPolicy {
+            transfer_excusals,
+            require_termination: true,
+            ..CheckPolicy::for_plan(&plan.nemesis)
+        };
+        let observed = Observed {
+            cluster: ClusterConfig::builder()
+                .groups(NUM_GROUPS, GROUP_SIZE)
+                .clients(1)
+                .build(),
+            ops: invoked,
+            deliveries: records.into_iter().chain(completions).collect(),
+            trace: None,
+        };
+        report.record(check_run(&observed, &policy));
     }
-
-    if report.violation.is_none() && ephemeral {
-        let _ = std::fs::remove_dir_all(&log_dir);
-    }
-    Ok(report)
+    Ok(())
 }
 
-/// Parses every incarnation's delivery log and runs the Figure 6 agreement
-/// checks plus the linearizability oracle. Returns the first violation.
-fn check_drained_logs(
+/// Parses every incarnation's delivery log into delivery records: every
+/// original incarnation, plus a synthetic observer per restarted one. A
+/// restarted incarnation's history begins wherever checkpoint state transfer
+/// put it, so it also gets a watermark excusal at its first logged
+/// timestamp.
+fn drained_logs(
     plan: &NetChaosPlan,
     log_dir: &Path,
     restarted: &BTreeSet<u32>,
-    completed: &BTreeSet<MsgId>,
-    history: &mut KvHistory,
-    report: &mut NetChaosReport,
-) -> Option<String> {
-    let client_id = ProcessId(REPLICAS);
-    let faulty_ids: BTreeSet<u32> = plan.nemesis.crashes.iter().map(|c| c.process.0).collect();
-
-    // Observers: every original incarnation, plus a synthetic observer per
-    // restarted incarnation.
-    let mut observers: Vec<(ProcessId, GroupId, Vec<DeliveryLine>)> = Vec::new();
+) -> Result<(Vec<DeliveryRecord>, BTreeMap<ProcessId, Timestamp>), String> {
+    let killed: BTreeSet<ProcessId> = plan.nemesis.faulty_processes().into_iter().collect();
+    let (mut records, mut excusals) = (Vec::new(), BTreeMap::new());
     for id in 0..REPLICAS {
-        let torn_ok = faulty_ids.contains(&id); // SIGKILL may tear the tail
-        match parse_log(&log_dir.join(log_name(id, false)), torn_ok) {
-            Ok(lines) => observers.push((ProcessId(id), group_of(id), lines)),
-            Err(e) => return Some(e),
-        }
-        if restarted.contains(&id) {
-            match parse_log(&log_dir.join(log_name(id, true)), false) {
-                Ok(lines) => {
-                    observers.push((ProcessId(RESTART_OBSERVER_BASE + id), group_of(id), lines))
+        for restart in [false, true] {
+            if restart && !restarted.contains(&id) {
+                continue;
+            }
+            let observer = ProcessId(id + if restart { RESTART_OBSERVER_BASE } else { 0 });
+            // A SIGKILL may tear the original incarnation's tail.
+            let torn_ok = !restart && killed.contains(&observer);
+            for line in parse_log(&log_dir.join(log_name(id, restart)), torn_ok)? {
+                let global_ts = (line.gts_group != u32::MAX)
+                    .then(|| Timestamp::new(line.gts_time, GroupId(line.gts_group)));
+                if let (true, Some(gts)) = (restart, global_ts) {
+                    excusals.entry(observer).or_insert(gts);
                 }
-                Err(e) => return Some(e),
+                records.push(DeliveryRecord {
+                    time: Duration::try_from_secs_f64(line.elapsed_ms / 1e3).unwrap_or_default(),
+                    process: observer,
+                    group: Some(GroupId(id / GROUP_SIZE as u32)),
+                    msg_id: line.msg_id(),
+                    global_ts,
+                });
             }
         }
     }
-    report.delivery_lines = observers.iter().map(|(_, _, l)| l.len()).sum();
-
-    // Figure 6 agreement: every delivery carries a global timestamp, all
-    // observers agree on each message's timestamp, and the per-observer
-    // delivery orders embed into one total order.
-    let mut gts_of: BTreeMap<MsgId, Timestamp> = BTreeMap::new();
-    let mut per_observer: BTreeMap<ProcessId, Vec<(MsgId, Timestamp)>> = BTreeMap::new();
-    for (observer, _, lines) in &observers {
-        for line in lines {
-            let msg_id = line.msg_id();
-            if msg_id.sender != client_id || (msg_id.seq as usize) >= plan.ops.len() {
-                return Some(format!(
-                    "invariant: {observer} delivered {msg_id} which was never submitted"
-                ));
-            }
-            if line.gts_group == u32::MAX {
-                return Some(format!(
-                    "invariant: {observer} delivered {msg_id} without a global timestamp"
-                ));
-            }
-            let gts = Timestamp::new(line.gts_time, GroupId(line.gts_group));
-            if let Some(prev) = gts_of.insert(msg_id, gts) {
-                if prev != gts {
-                    return Some(format!(
-                        "invariant: observers disagree on the global timestamp of {msg_id} \
-                         ({prev} vs {gts})"
-                    ));
-                }
-            }
-            per_observer
-                .entry(*observer)
-                .or_default()
-                .push((msg_id, gts));
-        }
-    }
-    if let Err(v) = check_total_order(&per_observer) {
-        return Some(format!("invariant: {v}"));
-    }
-
-    // Individual replicas may carry loss-excused gaps, but an operation the
-    // client saw *complete* was by definition delivered somewhere: a
-    // completed op absent from every drained log means a delivery was lost
-    // outright, which no excusal covers.
-    for id in completed {
-        if !gts_of.contains_key(id) {
-            return Some(format!(
-                "invariant: op {id} completed at the client but appears in no delivery log"
-            ));
-        }
-    }
-
-    // Linearizability oracle: replay every observer's log against a fresh
-    // partitioned store, in log (= apply) order.
-    let partitioner = Partitioner::new(NUM_GROUPS as u32);
-    for (observer, group, lines) in &observers {
-        let mut store = KvStore::with_partitioner(*group, partitioner);
-        for line in lines {
-            let msg_id = line.msg_id();
-            let cmd = &plan.ops[msg_id.seq as usize];
-            let gts = Timestamp::new(line.gts_time, GroupId(line.gts_group));
-            let read = store.apply_read(cmd);
-            history.applied(msg_id, *observer, *group, gts, read);
-        }
-    }
-    let faulty: BTreeSet<ProcessId> = faulty_ids.iter().map(|id| ProcessId(*id)).collect();
-    // A restarted incarnation's history begins wherever checkpoint state
-    // transfer put it: excuse everything below its first logged timestamp.
-    let mut excusals: BTreeMap<ProcessId, Timestamp> = BTreeMap::new();
-    for (observer, _, lines) in &observers {
-        if observer.0 >= RESTART_OBSERVER_BASE {
-            if let Some(first) = lines.first() {
-                excusals.insert(
-                    *observer,
-                    Timestamp::new(first.gts_time, GroupId(first.gts_group)),
-                );
-            }
-        }
-    }
-    match history.check_excusing(&faulty, plan.nemesis.lossy(), &excusals, &BTreeMap::new()) {
-        Ok(oracle) => report.checked_reads = oracle.checked_reads,
-        Err(v) => return Some(format!("linearizability: {v}")),
-    }
-    None
+    Ok((records, excusals))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn net_tokens_round_trip_and_reject_foreign_formats() {
-        let token = NetSeedToken {
-            protocol: Protocol::WhiteBox,
-            seed: 0xfeed_f00d_dead_beef,
-        };
-        let s = token.to_string();
-        assert!(s.starts_with("WBAM_NET_SEED=n1:WbCast:"));
-        assert_eq!(NetSeedToken::parse(&s).unwrap(), token);
-        let bare = s.strip_prefix("WBAM_NET_SEED=").unwrap();
-        assert_eq!(NetSeedToken::parse(bare).unwrap(), token);
-        // Simulator tokens and baseline protocols are refused outright.
-        assert!(NetSeedToken::parse("v2:WbCast:1").is_err());
-        assert!(NetSeedToken::parse("n1:FastCast:1").is_err());
-        assert!(NetSeedToken::parse("n1:WbCast:zz").is_err());
-    }
+    use crate::explore::{schedule_token, Engine};
 
     /// The replayability contract: the same token always derives the same
     /// plan (digest-equal), the message override changes only the op count,
     /// and different seeds diverge.
     #[test]
     fn plans_are_deterministic_and_seed_sensitive() {
-        let token = net_schedule_token(42, 3);
+        let token = schedule_token(Engine::Net, 42, 3);
         let a = generate_net_plan(&token, None);
         let b = generate_net_plan(&token, None);
         assert_eq!(a, b);
@@ -939,7 +632,7 @@ mod tests {
             a.ops[..5],
             "override must not shift the op stream"
         );
-        let other = generate_net_plan(&net_schedule_token(42, 4), None);
+        let other = generate_net_plan(&schedule_token(Engine::Net, 42, 4), None);
         assert_ne!(a.digest(), other.digest());
     }
 
@@ -948,7 +641,7 @@ mod tests {
     #[test]
     fn every_plan_has_drops_partition_heal_and_restarting_crash() {
         for index in 0..32 {
-            let plan = generate_net_plan(&net_schedule_token(7, index), None);
+            let plan = generate_net_plan(&schedule_token(Engine::Net, 7, index), None);
             assert!(plan.nemesis.link.drop_per_mille > 0);
             assert!(plan.nemesis.lossy());
             assert_eq!(plan.nemesis.partitions.len(), 1);
@@ -971,7 +664,7 @@ mod tests {
     /// The fault timeline is sorted and pairs every kill with its restart.
     #[test]
     fn event_timelines_are_ordered() {
-        let plan = generate_net_plan(&net_schedule_token(11, 0), None);
+        let plan = generate_net_plan(&schedule_token(Engine::Net, 11, 0), None);
         let events = build_events(&plan);
         assert!(events.windows(2).all(|w| w[0].0 <= w[1].0));
         let kills = events

@@ -15,9 +15,12 @@
 //!   the message-flow/convoy figures.
 //! * [`mod@sweep`] — parameter sweeps over client counts and destination-group
 //!   counts, producing the rows of Figures 7 and 8.
-//! * [`explorer`] — the seeded schedule explorer: randomized workloads and
-//!   nemesis fault plans, checked against the Figure 6 invariants and the
-//!   key-value store linearizability oracle, with replayable failure seeds.
+//! * [`explore`] — the seeded schedule explorer behind the `explore`
+//!   binary: one token grammar, one checker (Figure 6 invariants and the
+//!   key-value linearizability oracle), one minimizer and one sweep loop
+//!   over three engines — [`explorer`] (the simulator), [`rt`] (the
+//!   deployed node loop under a virtual clock) and [`chaos`] (live `wbamd`
+//!   clusters behind the [`NemesisProxy`]).
 //! * [`deploy`] — topology specs for *deployed* clusters (one OS process per
 //!   replica or client over the TCP transport of `wbam-runtime`), consumed
 //!   by the `wbamd` binary, plus the JSONL log formats it emits.
@@ -25,15 +28,6 @@
 //!   that executes seeded [`NemesisPlan`](wbam_types::nemesis::NemesisPlan)s
 //!   (drops, duplicates, delays, asymmetric partitions with heal) on every
 //!   link of a deployed cluster.
-//! * [`chaos`] — the deployed chaos driver behind the `net_chaos` binary:
-//!   seeded plan + workload generation, live-cluster orchestration with
-//!   process faults (SIGKILL/redeploy, SIGSTOP/SIGCONT), delivery-log
-//!   draining, and the Figure 6 / linearizability checks over the result.
-//! * [`rt`] — the deterministic-runtime explorer behind the `rt_explorer`
-//!   binary: seeded interleavings of the *deployed* node loop
-//!   ([`DeterministicRuntime`](wbam_runtime::DeterministicRuntime) under a
-//!   virtual clock), with replayable `rt1` tokens, the same Figure 6 /
-//!   linearizability checks, and greedy crash-schedule minimization.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,6 +35,7 @@
 pub mod chaos;
 pub mod cluster;
 pub mod deploy;
+pub mod explore;
 pub mod explorer;
 pub mod probe;
 pub mod proxy;
@@ -48,18 +43,13 @@ pub mod rt;
 pub mod sweep;
 pub mod workload;
 
-pub use chaos::{run_net_token, NetChaosConfig, NetChaosReport, NetSeedToken};
 pub use cluster::{ClusterSpec, Protocol, ProtocolSim};
 pub use deploy::{ChildGuard, ClientSummary, DeliveryLine, DeployRole, DeploySpec, LatencyStats};
-pub use explorer::{
-    explore, generate_schedule, minimize, run_token, ExplorationReport, ExplorerConfig, Finding,
-    ScheduleReport, SeedToken, TokenVersion,
+pub use explore::{
+    check_run, explore, run_plan, run_token, schedule_token, CheckPolicy, Checked, Engine,
+    Exploration, ExploreConfig, Finding, Observed, Plan, Report, Token, TokenVersion,
 };
 pub use probe::{convoy_probe, latency_probe, LatencyProbeResult};
 pub use proxy::{FrameFate, LinkScheduler, NemesisProxy, ProxyStats};
-pub use rt::{
-    explore_rt, generate_rt_plan, minimize_rt, run_rt_token, RtExplorationReport, RtExplorerConfig,
-    RtFinding, RtPlan, RtReport, RtSeedToken,
-};
 pub use sweep::{sweep, BenchRecord, SweepPoint, SweepResult, SweepSpec};
 pub use workload::{run_closed_loop, ClosedLoopWorkload, WorkloadResult};

@@ -72,7 +72,7 @@ use wbam_types::wire::{MAX_FRAME_LEN, PREAMBLE_LEN};
 use wbam_types::{ProcessId, WbamError};
 
 use crate::deploy::DeploySpec;
-use crate::explorer::splitmix64;
+use crate::explore::splitmix64;
 
 /// Salt mixed into per-link seed derivation so link RNG streams are
 /// independent of the plan/workload streams derived from the same seed.

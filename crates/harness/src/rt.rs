@@ -1,171 +1,56 @@
-//! Deterministic-runtime schedule explorer: seeded interleavings of the
-//! *deployed* node loop, with replayable `rt1` failure tokens.
+//! The deterministic-runtime engine of the schedule [explorer](crate::explore):
+//! seeded interleavings of the *deployed* node loop, with replayable `rt1`
+//! tokens.
 //!
-//! The simulator explorer ([`crate::explorer`]) schedules sans-IO protocol
-//! state machines inside `wbam-simnet`; the net-chaos driver
-//! ([`crate::chaos`]) shakes real OS processes but cannot replay an
-//! interleaving byte for byte. This module covers the gap: it drives the
-//! exact event-loop code `wbamd` ships (`wbam_runtime::node_loop` — burst
-//! coalescing, timer generations, delivery-log batching) through
+//! The simulator engine schedules sans-IO protocol state machines inside
+//! `wbam-simnet`; the deployed engine shakes real OS processes but cannot
+//! replay an interleaving byte for byte. This engine covers the gap: it
+//! drives the exact event-loop code `wbamd` ships (`wbam_runtime::node_loop`
+//! — burst coalescing, timer generations, delivery-log batching) through
 //! [`DeterministicRuntime`], where a seed-derived scheduler chooses which
 //! mailbox delivers next, how large each burst is, when virtual time advances
 //! (and so when retry, heartbeat and election timers fire), and where
 //! crash/restart lands.
 //!
-//! From one 64-bit seed the module derives a complete experiment — topology,
-//! key-value workload, crash/restart schedule and the scheduler's decision
-//! stream — and checks every run against:
-//!
-//! * the Figure 6 protocol invariants (`wbam_core::invariants`) on the full
-//!   message trace the deterministic transport records (white-box protocol)
-//!   and on the per-process delivery logs (every protocol),
-//! * the key-value store linearizability oracle
-//!   ([`KvHistory::check_excusing`]), and
-//! * a termination check (always for the white-box protocol, whose retry
-//!   machinery recovers from crash-lost mail; for the baselines on their
-//!   crash-free schedules, where the channel transport really is reliable).
-//!
-//! A failing run is reported as a single `WBAM_SEED=rt1:<protocol>:<seed>`
-//! token; replaying the token reproduces the identical interleaving byte for
-//! byte ([`RtReport::digest`] covers every delivery record *and* the
-//! scheduler's decision trace). The `rt` version namespace is deliberately
-//! distinct from the simulator's `v` tokens and the deployed chaos driver's
-//! `n` tokens: the derivations share nothing, so no corpus can be replayed
-//! under the wrong engine.
+//! From one `rt1` [`Token`] the engine derives topology, key-value workload,
+//! crash/restart schedule and the scheduler's decision stream; replaying the
+//! token reproduces the identical interleaving byte for byte
+//! ([`Report::digest`] covers every delivery record *and* the scheduler's
+//! decision trace). The channel transport is reliable, so the only loss is
+//! mail addressed to a down process: the check policy excuses crashed
+//! replicas only, and requires termination — the white-box retry machinery
+//! recovers crash-lost mail, and the baselines run crash-free plans.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wbam_baselines::common::{BaselineClient, BaselineMsg, BaselineReplica, Mode};
-use wbam_core::invariants::{
-    check_deliver_agreement, check_deliver_local_ts_per_group, check_total_order,
-    check_unique_proposals, SentMessage,
-};
-use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
-use wbam_kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
+use wbam_baselines::common::BaselineMsg;
+use wbam_core::invariants::SentMessage;
+use wbam_core::WhiteBoxMsg;
+use wbam_kvstore::Partitioner;
 use wbam_runtime::{BoxedNode, DeterministicRuntime, RuntimeDelivery};
-use wbam_types::{AppMessage, ClusterConfig, MsgId, Payload, ProcessId, Timestamp};
+use wbam_simnet::DeliveryRecord;
+use wbam_types::{AppMessage, CrashSpec, MsgId, NemesisPlan, ProcessId, WbamError};
 
 use crate::cluster::Protocol;
-use crate::explorer::splitmix64;
+use crate::deploy::{DeployRole, DeploySpec};
+use crate::explore::{
+    check_run, delivery_digest, draw_kv_command, kv_message, ms, CheckPolicy, Observed, PlannedOp,
+    Report, Token,
+};
+
+/// Replicas per group (`2f + 1` with `f = 1`).
+pub const GROUP_SIZE: usize = 3;
 
 /// Virtual-time horizon of one run: the crash window closes by ~7 s, leaving
 /// ample calm for the 2 s client retry fallbacks to converge.
 const HORIZON: Duration = Duration::from_secs(30);
 
-/// Keys the generated workload touches (a small space maximises conflicts).
-const KEY_SPACE: u32 = 6;
-
 /// Salt for the plan RNG, keeping the derivation independent of the
 /// scheduler's decision stream (which splitmix-es the raw seed).
 const RT_PLAN_SALT: u64 = 0xDE7E_C7ED_C10C_55ED;
-
-/// Heartbeat interval for white-box replicas (same as the deployed default).
-const HEARTBEAT: Duration = Duration::from_millis(100);
-
-/// Election timeout for white-box replicas.
-const ELECTION_TIMEOUT: Duration = Duration::from_millis(1500);
-
-/// Client retry fallback (both protocol families).
-const RETRY_TIMEOUT: Duration = Duration::from_millis(2000);
-
-fn ms(v: u64) -> Duration {
-    Duration::from_millis(v)
-}
-
-/// A replayable deterministic-runtime schedule identifier, printed as
-/// `WBAM_SEED=rt1:<protocol>:<seed-hex>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtSeedToken {
-    /// The protocol under test (any of [`Protocol::evaluated`]; the sim-only
-    /// singleton Skeen has no deployed node loop to schedule).
-    pub protocol: Protocol,
-    /// The seed the plan and the scheduler's decisions derive from.
-    pub seed: u64,
-}
-
-impl fmt::Display for RtSeedToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "WBAM_SEED=rt1:{}:{:016x}",
-            self.protocol.label(),
-            self.seed
-        )
-    }
-}
-
-impl RtSeedToken {
-    /// Parses a token previously printed by [`fmt::Display`] (the
-    /// `WBAM_SEED=` prefix is optional on input).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem for malformed tokens, including
-    /// tokens of the other engines (`v*`, `n*`), which must never replay
-    /// here.
-    pub fn parse(s: &str) -> Result<RtSeedToken, String> {
-        let body = s.trim().strip_prefix("WBAM_SEED=").unwrap_or(s.trim());
-        let parts: Vec<&str> = body.split(':').collect();
-        let [version, label, seed_hex] = parts[..] else {
-            return Err(format!("expected rt1:<protocol>:<seed>, got `{body}`"));
-        };
-        if version != "rt1" {
-            return Err(format!(
-                "runtime token version `{version}` not supported (rt1; `v*` tokens \
-                 belong to the simulator explorer, `n*` to the net-chaos driver)"
-            ));
-        }
-        let protocol = match label {
-            "WbCast" => Protocol::WhiteBox,
-            "FastCast" => Protocol::FastCast,
-            "Skeen" => Protocol::FtSkeen,
-            other => {
-                return Err(format!(
-                    "protocol `{other}` has no deployed node loop to schedule \
-                     (WbCast, FastCast, Skeen)"
-                ))
-            }
-        };
-        let seed =
-            u64::from_str_radix(seed_hex, 16).map_err(|e| format!("bad seed `{seed_hex}`: {e}"))?;
-        Ok(RtSeedToken { protocol, seed })
-    }
-}
-
-/// The token of run `index` in a sweep starting at `base_seed` — the same
-/// golden-ratio splitmix derivation the other explorers use.
-pub fn rt_schedule_token(base_seed: u64, index: usize, protocols: &[Protocol]) -> RtSeedToken {
-    RtSeedToken {
-        protocol: protocols[index % protocols.len()],
-        seed: splitmix64(base_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    }
-}
-
-/// One planned crash/restart of a replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtCrash {
-    /// Virtual time of the crash.
-    pub at: Duration,
-    /// The crashed replica.
-    pub node: ProcessId,
-    /// How long the replica stays down before restarting.
-    pub down_for: Duration,
-}
-
-/// One planned workload operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RtPlannedOp {
-    /// Virtual submission time.
-    pub at: Duration,
-    /// Index of the submitting client.
-    pub client_index: usize,
-    /// The key-value command.
-    pub cmd: KvCommand,
-}
 
 /// A fully generated run plan: topology, workload and crash schedule.
 /// Everything here is a pure function of the token.
@@ -173,32 +58,28 @@ pub struct RtPlannedOp {
 pub struct RtPlan {
     /// Number of multicast groups.
     pub num_groups: usize,
-    /// Replicas per group (`2f + 1`).
-    pub group_size: usize,
     /// Number of client processes.
     pub num_clients: usize,
     /// The workload.
-    pub ops: Vec<RtPlannedOp>,
-    /// Replica crash/restart schedule (always empty for the baselines,
-    /// which assume reliable channels: mail lost while a process is down
-    /// would stall them by design, not by bug).
-    pub crashes: Vec<RtCrash>,
-    /// Virtual-time horizon.
-    pub horizon: Duration,
+    pub ops: Vec<PlannedOp>,
+    /// The faults: replica crashes, each with a restart (always none for
+    /// the baselines, which assume reliable channels: mail lost while a
+    /// process is down would stall them by design, not by bug). The
+    /// runtime executes no other kind of fault.
+    pub nemesis: NemesisPlan,
 }
 
 /// Generates the complete plan of a token. Pure: the same token always
 /// produces the same plan, and the workload stream is shared across
 /// protocols for a given seed (the crash draws happen either way and are
 /// only *kept* for the white-box protocol).
-pub fn generate_rt_plan(token: &RtSeedToken) -> RtPlan {
+pub fn generate_rt_plan(token: &Token) -> RtPlan {
     let mut rng = StdRng::seed_from_u64(token.seed ^ RT_PLAN_SALT);
 
     // --- Topology -------------------------------------------------------
     let num_groups = rng.gen_range(2..=3usize);
-    let group_size = 3usize;
     let num_clients = rng.gen_range(1..=2usize);
-    let replicas: Vec<ProcessId> = (0..(num_groups * group_size) as u32)
+    let replicas: Vec<ProcessId> = (0..(num_groups * GROUP_SIZE) as u32)
         .map(ProcessId)
         .collect();
 
@@ -208,96 +89,44 @@ pub fn generate_rt_plan(token: &RtSeedToken) -> RtPlan {
     // timers lost, mail-while-down lost, retry machinery recovering both)
     // is the interesting one. Drawn before the workload so the op stream is
     // identical across protocols for a given seed.
-    let mut drawn: Vec<RtCrash> = Vec::new();
+    let mut nemesis = NemesisPlan::quiet();
     let mut crashed_groups: BTreeSet<usize> = BTreeSet::new();
     for _ in 0..rng.gen_range(0..=2u32) {
         let victim = replicas[rng.gen_range(0..replicas.len())];
-        let group = victim.0 as usize / group_size;
+        let group = victim.0 as usize / GROUP_SIZE;
         if !crashed_groups.insert(group) {
             continue;
         }
-        drawn.push(RtCrash {
-            at: ms(rng.gen_range(500..4000)),
-            node: victim,
-            down_for: ms(rng.gen_range(500..3000)),
+        let at = ms(rng.gen_range(500..4000));
+        nemesis.crashes.push(CrashSpec {
+            at,
+            process: victim,
+            restart_at: Some(at + ms(rng.gen_range(500..3000))),
         });
     }
-    let crashes = if token.protocol == Protocol::WhiteBox {
-        drawn
-    } else {
-        Vec::new()
-    };
+    if token.protocol != Protocol::WhiteBox {
+        nemesis.crashes.clear();
+    }
 
     // --- Workload -------------------------------------------------------
-    // Same command mix and key space as the simulator explorer.
-    let key = |rng: &mut StdRng| format!("k{}", rng.gen_range(0..KEY_SPACE));
     let num_ops = rng.gen_range(10..=25usize);
     let mut ops = Vec::with_capacity(num_ops);
     for _ in 0..num_ops {
         let client_index = rng.gen_range(0..num_clients);
         let at = ms(rng.gen_range(0..5000));
-        let cmd = match rng.gen_range(0..100u32) {
-            0..=29 => KvCommand::put(&key(&mut rng), rng.gen_range(0..1000i64)),
-            30..=54 => KvCommand::add(&key(&mut rng), rng.gen_range(-50..50i64)),
-            55..=74 => {
-                let from = key(&mut rng);
-                let mut to = key(&mut rng);
-                while to == from {
-                    to = key(&mut rng);
-                }
-                KvCommand::transfer(&from, &to, rng.gen_range(1..100i64))
-            }
-            _ => KvCommand::get(&key(&mut rng)),
-        };
-        ops.push(RtPlannedOp {
+        ops.push(PlannedOp {
             at,
             client_index,
-            cmd,
+            cmd: draw_kv_command(&mut rng),
         });
     }
 
     RtPlan {
         num_groups,
-        group_size,
         num_clients,
         ops,
-        crashes,
-        horizon: HORIZON,
+        nemesis,
     }
-}
-
-/// The result of running one plan.
-#[derive(Debug, Clone)]
-pub struct RtReport {
-    /// The run's replay token.
-    pub token: RtSeedToken,
-    /// Stable digest of the run: every delivery record in log order plus the
-    /// scheduler's decision-trace digest. Equal digests mean byte-for-byte
-    /// identical interleavings.
-    pub digest: u64,
-    /// Operations submitted.
-    pub ops: usize,
-    /// Operations that completed at their client.
-    pub completed: usize,
-    /// Total delivery records (replica applies + client completions).
-    pub deliveries: usize,
-    /// The first violation found, if any (prefixed with its category:
-    /// `config:`, `invariant:`, `linearizability:` or `termination:`).
-    pub violation: Option<String>,
-}
-
-/// One delivery record in a comparable form, for twin-run equality checks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RtDeliveryRecord {
-    /// The delivering process.
-    pub process: ProcessId,
-    /// The delivered message.
-    pub msg: MsgId,
-    /// The agreed global timestamp (`None` for client completions that
-    /// carry none).
-    pub global_ts: Option<Timestamp>,
-    /// Virtual time of the delivery.
-    pub at: Duration,
 }
 
 /// A report plus the raw observables it was computed from, for tests that
@@ -305,27 +134,11 @@ pub struct RtDeliveryRecord {
 #[derive(Debug, Clone)]
 pub struct RtArtifacts {
     /// The checked report.
-    pub report: RtReport,
+    pub report: Report,
     /// Every delivery record, in global log order.
-    pub deliveries: Vec<RtDeliveryRecord>,
+    pub deliveries: Vec<DeliveryRecord>,
     /// FNV-1a digest of the scheduler's decision trace alone.
     pub trace_digest: u64,
-}
-
-/// FNV-1a over the run's observable behaviour (the same construction the
-/// simulator explorer uses for its digests).
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
 }
 
 /// What one deterministic run produced, before checking.
@@ -338,160 +151,105 @@ struct RawRun {
     whitebox_trace: Option<Vec<SentMessage>>,
 }
 
+/// Runs `nodes` — replicas in group order (matching their process-id
+/// order), then clients, which is the runtime's tie-break order — through
+/// the plan's submissions and crashes.
 fn drive<M: Clone + Send + 'static>(
-    mut rt: DeterministicRuntime<M>,
+    nodes: Vec<BoxedNode<M>>,
+    token: &Token,
     plan: &RtPlan,
     submissions: Vec<(Duration, ProcessId, AppMessage)>,
-) -> DeterministicRuntime<M> {
+    whitebox_trace: impl FnOnce(&DeterministicRuntime<M>) -> Option<Vec<SentMessage>>,
+) -> RawRun {
+    let mut rt = DeterministicRuntime::new(nodes, token.seed);
     for (at, client, msg) in submissions {
         rt.schedule_submit(at, client, msg);
     }
-    for crash in &plan.crashes {
-        rt.schedule_crash(crash.at, crash.node, crash.down_for);
+    for crash in &plan.nemesis.crashes {
+        let restart_at = crash.restart_at.expect("runtime crashes always restart");
+        rt.schedule_crash(crash.at, crash.process, restart_at - crash.at);
     }
-    rt.run(plan.horizon);
-    rt
+    rt.run(HORIZON);
+    RawRun {
+        deliveries: rt.deliveries(),
+        trace_digest: rt.trace_digest(),
+        whitebox_trace: whitebox_trace(&rt),
+    }
 }
 
+/// Builds the nodes with the constructors `wbamd` uses for `spec` and
+/// drives them through the plan.
 fn run_raw(
-    token: &RtSeedToken,
+    token: &Token,
     plan: &RtPlan,
-    cluster: &ClusterConfig,
+    spec: &DeploySpec,
     submissions: Vec<(Duration, ProcessId, AppMessage)>,
-) -> Result<RawRun, String> {
-    match token.protocol {
-        Protocol::WhiteBox => {
-            // Node order is the runtime's tie-break order: replicas in group
-            // order (matching their process-id order), then clients.
-            let mut nodes: Vec<BoxedNode<wbam_core::WhiteBoxMsg>> = Vec::new();
-            for gc in cluster.groups() {
-                for member in gc.members() {
-                    let cfg = ReplicaConfig::new(*member, gc.id(), cluster.clone())
-                        .with_election_timeouts(HEARTBEAT, ELECTION_TIMEOUT)
-                        .with_retry_timeout(RETRY_TIMEOUT);
-                    nodes.push(Box::new(
-                        WhiteBoxReplica::try_new(cfg).map_err(|e| e.to_string())?,
-                    ));
-                }
-            }
-            for client in cluster.clients() {
-                nodes.push(Box::new(MulticastClient::new(
-                    ClientConfig::new(*client, cluster.clone()).with_retry_timeout(RETRY_TIMEOUT),
-                )));
-            }
-            let rt = drive(
-                DeterministicRuntime::new(nodes, token.seed),
-                plan,
-                submissions,
-            );
-            let trace = rt
-                .sent_messages()
-                .into_iter()
-                .map(|r| SentMessage {
+) -> Result<RawRun, WbamError> {
+    let ids = (0..spec.addrs.len() as u32).map(ProcessId);
+    if spec.protocol()? == Protocol::WhiteBox {
+        let nodes = ids
+            .map(|id| -> Result<BoxedNode<WhiteBoxMsg>, WbamError> {
+                Ok(match spec.role_of(id)? {
+                    DeployRole::Replica(_) => Box::new(spec.whitebox_replica(id)?),
+                    DeployRole::Client => Box::new(spec.whitebox_client(id)?),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        return Ok(drive(nodes, token, plan, submissions, |rt| {
+            let sent = rt.sent_messages().into_iter();
+            Some(
+                sent.map(|r| SentMessage {
                     from: r.from,
                     to: r.to,
                     msg: r.msg,
                 })
-                .collect();
-            Ok(RawRun {
-                deliveries: rt.deliveries(),
-                trace_digest: rt.trace_digest(),
-                whitebox_trace: Some(trace),
-            })
-        }
-        Protocol::FastCast | Protocol::FtSkeen => {
-            let mode = if token.protocol == Protocol::FastCast {
-                Mode::FastCast
-            } else {
-                Mode::FtSkeen
-            };
-            let mut nodes: Vec<BoxedNode<BaselineMsg>> = Vec::new();
-            for gc in cluster.groups() {
-                for member in gc.members() {
-                    nodes.push(Box::new(
-                        BaselineReplica::try_new(*member, gc.id(), cluster.clone(), mode)
-                            .map_err(|e| e.to_string())?,
-                    ));
-                }
-            }
-            for client in cluster.clients() {
-                nodes.push(Box::new(BaselineClient::new(
-                    *client,
-                    cluster.clone(),
-                    RETRY_TIMEOUT,
-                )));
-            }
-            let rt = drive(
-                DeterministicRuntime::new(nodes, token.seed),
-                plan,
-                submissions,
-            );
-            Ok(RawRun {
-                deliveries: rt.deliveries(),
-                trace_digest: rt.trace_digest(),
-                whitebox_trace: None,
-            })
-        }
-        Protocol::Skeen => Err(format!(
-            "{} has no deployed node loop to schedule",
-            token.protocol.label()
-        )),
+                .collect(),
+            )
+        }));
     }
+    let nodes = ids
+        .map(|id| -> Result<BoxedNode<BaselineMsg>, WbamError> {
+            Ok(match spec.role_of(id)? {
+                DeployRole::Replica(_) => Box::new(spec.baseline_replica(id)?),
+                DeployRole::Client => Box::new(spec.baseline_client(id)?),
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(drive(nodes, token, plan, submissions, |_| None))
 }
 
-/// Runs a generated plan and checks it (used directly by [`minimize_rt`]
-/// with a modified crash list; use [`run_rt_token`] for the canonical plan
-/// of a token).
-pub fn run_rt_plan(token: &RtSeedToken, plan: &RtPlan) -> RtReport {
-    run_rt_artifacts(token, plan).report
-}
-
-/// Like [`run_rt_plan`], also returning the raw delivery records and trace
-/// digest for element-by-element twin-run comparison.
-pub fn run_rt_artifacts(token: &RtSeedToken, plan: &RtPlan) -> RtArtifacts {
-    let mut report = RtReport {
-        token: *token,
-        digest: 0,
-        ops: plan.ops.len(),
-        completed: 0,
-        deliveries: 0,
-        violation: None,
-    };
-
-    let cluster = ClusterConfig::builder()
-        .groups(plan.num_groups, plan.group_size)
-        .clients(plan.num_clients)
-        .build();
+/// Runs a generated plan and checks it, also returning the raw delivery
+/// records and trace digest for element-by-element twin-run comparison.
+pub fn run_rt_artifacts(token: &Token, plan: &RtPlan) -> RtArtifacts {
+    let mut report = Report::new(token, plan.ops.len());
+    let mut spec = DeploySpec::loopback(
+        token.protocol,
+        plan.num_groups,
+        GROUP_SIZE,
+        plan.num_clients,
+        0,
+    );
+    // The deployed heartbeat and election timeout; a 2 s client retry
+    // fallback for both protocol families.
+    (spec.heartbeat_ms, spec.election_timeout_ms) = (100, 1500);
+    spec.retry_timeout_ms = 2000;
+    let cluster = spec.cluster_config();
     let partitioner = Partitioner::new(plan.num_groups as u32);
-    let mut history = KvHistory {
-        partitions: plan.num_groups as u32,
-        ..KvHistory::default()
-    };
 
-    // Build the submission stream: one AppMessage per op, ids unique per
-    // client, invocation recorded in the oracle history.
+    // One AppMessage per op, ids unique per client.
     let mut next_seq: BTreeMap<ProcessId, u64> = BTreeMap::new();
     let mut submissions = Vec::with_capacity(plan.ops.len());
-    let mut op_cmds: BTreeMap<MsgId, &KvCommand> = BTreeMap::new();
+    let mut ops = Vec::with_capacity(plan.ops.len());
     for op in &plan.ops {
         let client = cluster.clients()[op.client_index % cluster.clients().len()];
         let seq = next_seq.entry(client).or_insert(0);
         let id = MsgId::new(client, *seq);
         *seq += 1;
-        let dest = partitioner
-            .destination_of(op.cmd.keys())
-            .expect("generated commands have keys");
-        let payload = serde_json::to_vec(&op.cmd).expect("commands encode");
-        submissions.push((
-            op.at,
-            client,
-            AppMessage::new(id, dest, Payload::from(payload)),
-        ));
-        history.invoke(id, op.cmd.clone(), op.at);
-        op_cmds.insert(id, &op.cmd);
+        submissions.push((op.at, client, kv_message(&partitioner, id, &op.cmd)));
+        ops.push((id, op.cmd.clone(), op.at));
     }
 
-    let raw = match run_raw(token, plan, &cluster, submissions) {
+    let raw = match run_raw(token, plan, &spec, submissions) {
         Ok(raw) => raw,
         Err(e) => {
             report.violation = Some(format!("config: {e}"));
@@ -502,296 +260,63 @@ pub fn run_rt_artifacts(token: &RtSeedToken, plan: &RtPlan) -> RtArtifacts {
             };
         }
     };
-    report.deliveries = raw.deliveries.len();
-
-    // Digest: every delivery record in log order, then the scheduler trace.
-    let mut digest = Digest::new();
-    let mut records = Vec::with_capacity(raw.deliveries.len());
-    for d in &raw.deliveries {
-        digest.write(d.elapsed.as_nanos() as u64);
-        digest.write(u64::from(d.process.0));
-        digest.write(u64::from(d.delivery.msg.id.sender.0));
-        digest.write(d.delivery.msg.id.seq);
-        let gts = d.delivery.global_ts.unwrap_or(Timestamp::BOTTOM);
-        digest.write(gts.time());
-        digest.write(gts.group().map(|g| u64::from(g.0) + 1).unwrap_or(0));
-        records.push(RtDeliveryRecord {
+    let deliveries: Vec<DeliveryRecord> = raw
+        .deliveries
+        .iter()
+        .map(|d| DeliveryRecord {
+            time: d.elapsed,
             process: d.process,
-            msg: d.delivery.msg.id,
+            group: cluster.group_of(d.process),
+            msg_id: d.delivery.msg.id,
             global_ts: d.delivery.global_ts,
-            at: d.elapsed,
-        });
-    }
-    digest.write(raw.trace_digest);
-    report.digest = digest.0;
-
-    // --- Figure 6 invariants (white-box message trace) ------------------
-    if let Some(trace) = &raw.whitebox_trace {
-        let result = check_unique_proposals(trace)
-            .and_then(|()| check_deliver_agreement(trace))
-            .and_then(|()| check_deliver_local_ts_per_group(trace, |p| cluster.group_of(p)));
-        if let Err(v) = result {
-            report.violation = Some(format!("invariant: {v}"));
-            return RtArtifacts {
-                report,
-                deliveries: records,
-                trace_digest: raw.trace_digest,
-            };
-        }
-    }
-
-    // --- Delivery-log invariants (all protocols) ------------------------
-    let mut per_process: BTreeMap<ProcessId, Vec<(MsgId, Timestamp)>> = BTreeMap::new();
-    let mut violation = None;
-    for d in &raw.deliveries {
-        if cluster.group_of(d.process).is_some() {
-            let Some(gts) = d.delivery.global_ts else {
-                violation = Some(format!(
-                    "invariant: {} delivered {} without a global timestamp",
-                    d.process, d.delivery.msg.id
-                ));
-                break;
-            };
-            per_process
-                .entry(d.process)
-                .or_default()
-                .push((d.delivery.msg.id, gts));
-        }
-    }
-    if violation.is_none() {
-        if let Err(v) = check_total_order(&per_process) {
-            violation = Some(format!("invariant: {v}"));
-        }
-    }
-
-    // --- Linearizability oracle -----------------------------------------
-    if violation.is_none() {
-        let mut replica_stores: BTreeMap<ProcessId, KvStore> = BTreeMap::new();
-        for d in &raw.deliveries {
-            match cluster.group_of(d.process) {
-                None => {
-                    history.complete(d.delivery.msg.id, d.elapsed);
-                }
-                Some(group) => {
-                    let Some(cmd) = op_cmds.get(&d.delivery.msg.id) else {
-                        violation = Some(format!(
-                            "invariant: {} delivered {} which was never submitted",
-                            d.process, d.delivery.msg.id
-                        ));
-                        break;
-                    };
-                    let gts = d
-                        .delivery
-                        .global_ts
-                        .expect("replica deliveries checked above");
-                    let store = replica_stores
-                        .entry(d.process)
-                        .or_insert_with(|| KvStore::with_partitioner(group, partitioner));
-                    let read = store.apply_read(cmd);
-                    history.applied(d.delivery.msg.id, d.process, group, gts, read);
-                }
-            }
-        }
-        report.completed = history
-            .ops
-            .iter()
-            .filter(|o| o.completed_at.is_some())
-            .count();
-        if violation.is_none() {
-            // The channel transport is reliable; the only loss is mail
-            // addressed to a down process, so only crashed replicas may
-            // carry gaps or truncated suffixes.
-            let faulty: BTreeSet<ProcessId> = plan.crashes.iter().map(|c| c.node).collect();
-            if let Err(v) =
-                history.check_excusing(&faulty, false, &BTreeMap::new(), &BTreeMap::new())
-            {
-                violation = Some(format!("linearizability: {v}"));
-            }
-        }
-    }
-
-    // --- Termination ------------------------------------------------------
-    // The white-box retry machinery recovers crash-lost mail; the baselines
-    // only run crash-free plans, where nothing is ever lost.
-    if violation.is_none() {
-        let undelivered: Vec<MsgId> = history
-            .ops
-            .iter()
-            .filter(|o| o.completed_at.is_none())
-            .map(|o| o.id)
-            .collect();
-        if !undelivered.is_empty() {
-            violation = Some(format!(
-                "termination: {} of {} operations never completed (first: {})",
-                undelivered.len(),
-                plan.ops.len(),
-                undelivered[0]
-            ));
-        }
-    }
-
-    report.violation = violation;
+        })
+        .collect();
+    report.digest = delivery_digest(&deliveries, raw.trace_digest);
+    report.deliveries = deliveries.len();
+    let policy = CheckPolicy {
+        require_termination: true,
+        ..CheckPolicy::for_plan(&plan.nemesis)
+    };
+    let observed = Observed {
+        cluster,
+        ops,
+        deliveries,
+        trace: raw.whitebox_trace,
+    };
+    report.record(check_run(&observed, &policy));
     RtArtifacts {
         report,
-        deliveries: records,
+        deliveries: observed.deliveries,
         trace_digest: raw.trace_digest,
     }
-}
-
-/// Runs the canonical plan of a token.
-pub fn run_rt_token(token: &RtSeedToken) -> RtReport {
-    let plan = generate_rt_plan(token);
-    run_rt_plan(token, &plan)
-}
-
-/// Greedily minimizes the crash schedule of a failing run: repeatedly
-/// removes individual crashes, keeping each removal whose run still fails.
-/// Returns the smallest still-failing crash list.
-pub fn minimize_rt(token: &RtSeedToken) -> Vec<RtCrash> {
-    let base = generate_rt_plan(token);
-    let still_fails = |crashes: &[RtCrash]| -> bool {
-        let mut plan = base.clone();
-        plan.crashes = crashes.to_vec();
-        run_rt_plan(token, &plan).violation.is_some()
-    };
-    let mut crashes = base.crashes.clone();
-    loop {
-        let mut changed = false;
-        for idx in (0..crashes.len()).rev() {
-            let mut candidate = crashes.clone();
-            candidate.remove(idx);
-            if still_fails(&candidate) {
-                crashes = candidate;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    crashes
-}
-
-/// A failing run, with its minimized crash schedule.
-#[derive(Debug, Clone)]
-pub struct RtFinding {
-    /// Replay token reproducing the failure.
-    pub token: RtSeedToken,
-    /// The violation.
-    pub description: String,
-    /// The greedily minimized crash list (still failing), if minimization
-    /// was enabled.
-    pub minimized_crashes: Option<Vec<RtCrash>>,
-}
-
-/// Aggregate results of a deterministic-runtime exploration.
-#[derive(Debug, Clone, Default)]
-pub struct RtExplorationReport {
-    /// Runs executed.
-    pub schedules: usize,
-    /// Failing runs.
-    pub findings: Vec<RtFinding>,
-    /// Total operations submitted.
-    pub total_ops: usize,
-    /// Total operations completed.
-    pub total_completed: usize,
-    /// Total crashes scheduled.
-    pub crashes: usize,
-}
-
-/// Configuration of an exploration sweep.
-#[derive(Debug, Clone)]
-pub struct RtExplorerConfig {
-    /// Number of runs; run `i` uses `protocols[i % protocols.len()]` with a
-    /// seed derived from `base_seed` and `i`.
-    pub schedules: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Protocols to rotate through.
-    pub protocols: Vec<Protocol>,
-    /// Minimize the crash schedule of failing runs before reporting.
-    pub minimize: bool,
-}
-
-impl Default for RtExplorerConfig {
-    fn default() -> Self {
-        RtExplorerConfig {
-            schedules: 60,
-            base_seed: 42,
-            protocols: Protocol::evaluated().to_vec(),
-            minimize: true,
-        }
-    }
-}
-
-/// Runs an exploration sweep, collecting findings (with minimized crash
-/// schedules) and aggregate statistics.
-pub fn explore_rt(config: &RtExplorerConfig) -> RtExplorationReport {
-    let mut report = RtExplorationReport::default();
-    for index in 0..config.schedules {
-        let token = rt_schedule_token(config.base_seed, index, &config.protocols);
-        let plan = generate_rt_plan(&token);
-        report.crashes += plan.crashes.len();
-        let run = run_rt_plan(&token, &plan);
-        report.schedules += 1;
-        report.total_ops += run.ops;
-        report.total_completed += run.completed;
-        if let Some(description) = run.violation {
-            let minimized_crashes = config.minimize.then(|| minimize_rt(&token));
-            report.findings.push(RtFinding {
-                token,
-                description,
-                minimized_crashes,
-            });
-        }
-    }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tokens_round_trip_through_display_and_parse() {
-        for protocol in Protocol::evaluated() {
-            let token = RtSeedToken {
-                protocol,
-                seed: 0xdead_beef_1234_5678,
-            };
-            let s = token.to_string();
-            assert!(s.starts_with("WBAM_SEED=rt1:"));
-            assert_eq!(RtSeedToken::parse(&s).unwrap(), token);
-            let bare = s.strip_prefix("WBAM_SEED=").unwrap();
-            assert_eq!(RtSeedToken::parse(bare).unwrap(), token);
-        }
-        // Other engines' tokens and the sim-only protocol are rejected.
-        assert!(RtSeedToken::parse("v2:WbCast:1").is_err());
-        assert!(RtSeedToken::parse("n1:WbCast:1").is_err());
-        assert!(RtSeedToken::parse("rt1:Skeen1:1").is_err());
-        assert!(RtSeedToken::parse("rt1:WbCast:zz").is_err());
-    }
+    use crate::explore::{explore, schedule_token, Engine, ExploreConfig, TokenVersion};
 
     #[test]
     fn plans_are_deterministic_and_share_the_workload_across_protocols() {
         let seed = 7u64;
-        let wb = RtSeedToken {
+        let wb = Token {
+            version: TokenVersion::Rt1,
             protocol: Protocol::WhiteBox,
             seed,
         };
-        assert_eq!(generate_rt_plan(&wb), generate_rt_plan(&wb));
-        let fc = generate_rt_plan(&RtSeedToken {
-            protocol: Protocol::FastCast,
-            seed,
-        });
         let wb_plan = generate_rt_plan(&wb);
+        assert_eq!(wb_plan, generate_rt_plan(&wb));
+        let fc = generate_rt_plan(&Token {
+            protocol: Protocol::FastCast,
+            ..wb
+        });
         assert_eq!(wb_plan.ops, fc.ops, "op stream must not shift per protocol");
-        assert!(fc.crashes.is_empty(), "baselines run crash-free");
+        assert!(fc.nemesis.is_quiet(), "baselines run crash-free");
     }
 
     #[test]
     fn replaying_a_token_reproduces_the_run_byte_for_byte() {
-        let token = rt_schedule_token(1, 0, &Protocol::evaluated());
+        let token = schedule_token(Engine::Rt, 1, 0);
         let plan = generate_rt_plan(&token);
         let a = run_rt_artifacts(&token, &plan);
         let b = run_rt_artifacts(&token, &plan);
@@ -803,12 +328,14 @@ mod tests {
 
     #[test]
     fn a_small_rt_exploration_passes_cleanly() {
-        let report = explore_rt(&RtExplorerConfig {
+        let config = ExploreConfig {
+            engine: Engine::Rt,
             schedules: 3,
             base_seed: 3,
-            protocols: Protocol::evaluated().to_vec(),
             minimize: false,
-        });
+            ..ExploreConfig::default()
+        };
+        let report = explore(&config, |_| {});
         assert_eq!(report.schedules, 3);
         assert!(report.total_ops > 0);
         assert_eq!(
@@ -817,9 +344,8 @@ mod tests {
         );
         assert!(
             report.findings.is_empty(),
-            "unexpected finding {}: {}",
-            report.findings[0].token,
-            report.findings[0].description
+            "unexpected findings: {:?}",
+            report.findings
         );
     }
 }

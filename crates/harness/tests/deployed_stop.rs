@@ -10,8 +10,6 @@
 //! a `SIGKILL` loses no line a client has seen answered, and a log that
 //! cannot be written stops the replica loudly.
 
-#![cfg(unix)]
-
 use std::collections::BTreeSet;
 use std::io::Read as _;
 use std::net::TcpListener;

@@ -7,8 +7,7 @@
 //! `tests/regressions/digests.golden`, so a change to what a token derives
 //! or how a schedule runs cannot go unnoticed.
 
-use wbam_harness::chaos::{generate_net_plan, NetSeedToken};
-use wbam_harness::explorer::{run_token, SeedToken};
+use wbam_harness::{run_token, Engine, Plan, Token};
 
 /// Reads a token file, skipping comments and blank lines.
 fn lines(name: &str) -> Vec<String> {
@@ -21,23 +20,27 @@ fn lines(name: &str) -> Vec<String> {
         .collect()
 }
 
-fn corpus() -> Vec<SeedToken> {
+fn corpus() -> Vec<Token> {
     lines("corpus.tokens")
         .iter()
-        .map(|l| SeedToken::parse(l).unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}")))
+        .map(|l| {
+            Token::parse_for(Engine::Sim, l)
+                .unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}"))
+        })
         .collect()
 }
 
-/// The pinned `(token, digest)` pairs whose token starts with `prefix`.
-fn golden(prefix: &str) -> Vec<(String, u64)> {
+/// The pinned `(token, digest)` pairs of one engine.
+fn golden(engine: Engine) -> Vec<(Token, u64)> {
     lines("digests.golden")
         .iter()
-        .filter(|l| l.starts_with(prefix))
         .map(|l| {
             let (token, digest) = l.split_once(' ').expect("`<token> <digest>`");
+            let token = Token::parse(token).expect("pinned token parses");
             let digest = u64::from_str_radix(digest.trim(), 16).expect("hex digest");
-            (token.to_string(), digest)
+            (token, digest)
         })
+        .filter(|(token, _)| token.engine() == engine)
         .collect()
 }
 
@@ -46,18 +49,16 @@ fn golden(prefix: &str) -> Vec<(String, u64)> {
 /// reproduce its pinned digest.
 #[test]
 fn regression_corpus_replays_clean() {
-    let pinned = golden("v");
+    let pinned = golden(Engine::Sim);
     for token in corpus() {
-        let bare = token.to_string().replace("WBAM_SEED=", "");
         assert!(
-            pinned.iter().any(|(t, _)| *t == bare),
-            "corpus token {bare} has no pinned digest"
+            pinned.iter().any(|(t, _)| *t == token),
+            "corpus token {token} has no pinned digest"
         );
     }
     let mut failures = Vec::new();
-    for (line, digest) in &pinned {
-        let token = SeedToken::parse(line).expect("pinned token parses");
-        let report = run_token(&token);
+    for (token, digest) in &pinned {
+        let report = run_token(token);
         if let Some(violation) = report.violation {
             failures.push(format!("{token}: {violation}"));
         }
@@ -79,15 +80,13 @@ fn regression_corpus_replays_clean() {
 /// pinned `n1:` plan digest is reproduced.
 #[test]
 fn pinned_net_plans_keep_their_digests() {
-    let pinned = golden("n1:");
+    let pinned = golden(Engine::Net);
     assert_eq!(pinned.len(), 6);
-    for (line, digest) in pinned {
-        let token = NetSeedToken::parse(&line).expect("pinned token parses");
-        assert_eq!(
-            generate_net_plan(&token, Some(24)).digest(),
-            digest,
-            "{token}: plan digest moved"
-        );
+    for (token, digest) in pinned {
+        let Plan::Net(plan) = Plan::generate(&token, Some(24)) else {
+            panic!("{token} derives a deployed plan");
+        };
+        assert_eq!(plan.digest(), digest, "{token}: plan digest moved");
     }
 }
 

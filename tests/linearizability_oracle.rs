@@ -8,14 +8,14 @@
 //! direction (no false positives on healthy end-to-end runs).
 
 use proptest::prelude::*;
-use wbam_harness::explorer::{generate_schedule, run_generated, SeedToken, TokenVersion};
-use wbam_harness::Protocol;
+use wbam_harness::explorer::{generate_schedule, run_generated};
+use wbam_harness::{Protocol, Token, TokenVersion};
 use wbam_types::NemesisPlan;
 
 fn run_fault_free(protocol: Protocol, seed: u64) {
     // V2 derivation: fault-free runs must stay clean with the seed-derived
     // compaction cadence active.
-    let token = SeedToken {
+    let token = Token {
         version: TokenVersion::V2,
         protocol,
         seed,

@@ -9,8 +9,8 @@
 //! those bugs fixed at the layer they were found.
 
 use proptest::prelude::*;
-use wbam::harness::rt::{generate_rt_plan, run_rt_artifacts, run_rt_token, RtSeedToken};
-use wbam::harness::Protocol;
+use wbam::harness::rt::{generate_rt_plan, run_rt_artifacts};
+use wbam::harness::{run_token, Engine, Protocol, Token, TokenVersion};
 
 /// Reads a token file, skipping comments and blank lines.
 fn lines(name: &str) -> Vec<String> {
@@ -23,27 +23,28 @@ fn lines(name: &str) -> Vec<String> {
         .collect()
 }
 
-fn corpus() -> Vec<RtSeedToken> {
+fn corpus() -> Vec<Token> {
     lines("rt_corpus.tokens")
         .iter()
-        .map(|l| RtSeedToken::parse(l).unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}")))
+        .map(|l| {
+            Token::parse_for(Engine::Rt, l)
+                .unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}"))
+        })
         .collect()
 }
 
 /// The pinned `(token, digest)` pairs of `tests/regressions/digests.golden`
 /// for this engine.
-fn golden() -> Vec<(RtSeedToken, u64)> {
+fn golden() -> Vec<(Token, u64)> {
     lines("digests.golden")
         .iter()
-        .filter(|l| l.starts_with("rt1:"))
         .map(|l| {
             let (token, digest) = l.split_once(' ').expect("`<token> <digest>`");
+            let token = Token::parse(token).expect("pinned token parses");
             let digest = u64::from_str_radix(digest.trim(), 16).expect("hex digest");
-            (
-                RtSeedToken::parse(token).expect("pinned token parses"),
-                digest,
-            )
+            (token, digest)
         })
+        .filter(|(token, _)| token.engine() == Engine::Rt)
         .collect()
 }
 
@@ -61,7 +62,7 @@ fn rt_regression_corpus_replays_clean() {
     }
     let mut failures = Vec::new();
     for (token, digest) in &pinned {
-        let report = run_rt_token(token);
+        let report = run_token(token);
         if let Some(violation) = report.violation {
             failures.push(format!("{token}: {violation}"));
         }
@@ -121,7 +122,8 @@ proptest! {
     /// hypothetical future failing seed, or its token would be unreplayable.
     #[test]
     fn rt_tokens_are_deterministic(seed in 0u64..u64::MAX, proto in 0usize..3) {
-        let token = RtSeedToken {
+        let token = Token {
+            version: TokenVersion::Rt1,
             protocol: Protocol::evaluated()[proto],
             seed,
         };

@@ -15,14 +15,13 @@
 //! linearizability oracle (taught to excuse the installed history below the
 //! transfer watermark) holding over the whole run.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
-use wbam::core::invariants::check_total_order;
-use wbam::harness::{ClusterSpec, Protocol, ProtocolSim};
-use wbam::kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
+use wbam::harness::{explore, CheckPolicy, ClusterSpec, Observed, Protocol, ProtocolSim};
+use wbam::kvstore::{KvCommand, Partitioner};
 use wbam::simnet::LatencyModel;
-use wbam::types::{GroupId, MsgId, ProcessId, Timestamp};
+use wbam::types::{GroupId, MsgId, ProcessId};
 
 const NUM_GROUPS: usize = 3;
 const GROUP_SIZE: usize = 3;
@@ -99,9 +98,8 @@ fn assert_bounded(sim: &ProtocolSim, label: &str, when: &str) {
 
 struct SoakRun {
     sim: ProtocolSim,
-    history: KvHistory,
-    op_cmds: BTreeMap<MsgId, KvCommand>,
-    submitted: usize,
+    /// Every submitted operation: id, command and invocation time.
+    ops: Vec<(MsgId, KvCommand, Duration)>,
 }
 
 /// Drives `messages` multicasts through `protocol`, pacing submissions so the
@@ -111,11 +109,7 @@ fn drive_soak(protocol: Protocol, messages: usize, seed: u64) -> SoakRun {
     let spec = soak_spec(seed);
     let mut sim = ProtocolSim::build(protocol, &spec);
     let partitioner = Partitioner::new(NUM_GROUPS as u32);
-    let mut history = KvHistory {
-        partitions: NUM_GROUPS as u32,
-        ..KvHistory::default()
-    };
-    let mut op_cmds = BTreeMap::new();
+    let mut ops = Vec::with_capacity(messages);
     // Pace: one submission per client per 250 µs, checked every few thousand.
     let pace = Duration::from_micros(250);
     let chunk = 2_000usize;
@@ -132,8 +126,7 @@ fn drive_soak(protocol: Protocol, messages: usize, seed: u64) -> SoakRun {
                 .expect("commands have keys");
             let payload = wbam::types::wire::to_json(&cmd).expect("commands encode");
             let id = sim.submit_with_payload(at, client, dest.groups(), payload.into_bytes());
-            history.invoke(id, cmd.clone(), at);
-            op_cmds.insert(id, cmd);
+            ops.push((id, cmd, at));
         }
         submitted += n;
         // Run until this chunk's submissions (plus their protocol traffic) is
@@ -147,68 +140,36 @@ fn drive_soak(protocol: Protocol, messages: usize, seed: u64) -> SoakRun {
         );
     }
     sim.run_until_quiescent(Duration::from_secs(3_600));
-    SoakRun {
-        sim,
-        history,
-        op_cmds,
-        submitted,
-    }
+    SoakRun { sim, ops }
 }
 
-/// Feeds the run's deliveries through the per-process invariants and the
-/// linearizability oracle (with watermark excusals for state transfers).
-fn check_run(run: &mut SoakRun, faulty: &BTreeSet<ProcessId>, label: &str) {
-    let deliveries = run.sim.deliveries().to_vec();
-    let partitioner = Partitioner::new(NUM_GROUPS as u32);
-    let mut per_process: BTreeMap<ProcessId, Vec<(MsgId, Timestamp)>> = BTreeMap::new();
-    let mut replica_stores: BTreeMap<ProcessId, KvStore> = BTreeMap::new();
-    for record in &deliveries {
-        match record.group {
-            None => run.history.complete(record.msg_id, record.time),
-            Some(group) => {
-                let gts = record
-                    .global_ts
-                    .unwrap_or_else(|| panic!("{label}: delivery without global timestamp"));
-                per_process
-                    .entry(record.process)
-                    .or_default()
-                    .push((record.msg_id, gts));
-                let cmd = run
-                    .op_cmds
-                    .get(&record.msg_id)
-                    .unwrap_or_else(|| panic!("{label}: delivered unknown {}", record.msg_id));
-                let store = replica_stores
-                    .entry(record.process)
-                    .or_insert_with(|| KvStore::with_partitioner(group, partitioner));
-                let read = store.apply_read(cmd);
-                run.history
-                    .applied(record.msg_id, record.process, group, gts, read);
-            }
-        }
+/// Feeds the run's deliveries through the shared checker, as strict as a
+/// loss-free run allows: every delivery carries a global timestamp of a
+/// submitted operation, the per-process delivery invariants and the
+/// linearizability oracle hold (only the `faulty` processes and watermark
+/// excusals for state transfers may show gaps), and every operation
+/// completes.
+fn check_run(run: &SoakRun, faulty: &BTreeSet<ProcessId>, label: &str) {
+    let observed = Observed {
+        cluster: run.sim.cluster().clone(),
+        ops: run.ops.clone(),
+        deliveries: run.sim.deliveries().to_vec(),
+        trace: None,
+    };
+    let policy = CheckPolicy {
+        faulty: faulty.clone(),
+        lossy: false,
+        transfer_excusals: run.sim.transfer_excusals(),
+        drop_excusals: run.sim.drop_excusals(),
+        require_termination: true,
+    };
+    if let Err(violation) = explore::check_run(&observed, &policy) {
+        panic!("{label}: {violation}");
     }
-    check_total_order(&per_process)
-        .unwrap_or_else(|v| panic!("{label}: total-order invariant violated: {v}"));
-    let excusals = run.sim.transfer_excusals();
-    let drop_excusals = run.sim.drop_excusals();
-    run.history
-        .check_excusing(faulty, false, &excusals, &drop_excusals)
-        .unwrap_or_else(|v| panic!("{label}: linearizability violated: {v}"));
-    // Every operation completed at its client.
-    let incomplete = run
-        .history
-        .ops
-        .iter()
-        .filter(|o| o.completed_at.is_none())
-        .count();
-    assert_eq!(
-        incomplete, 0,
-        "{label}: {incomplete} of {} operations never completed",
-        run.submitted
-    );
 }
 
 fn soak(protocol: Protocol, messages: usize) {
-    let mut run = drive_soak(protocol, messages, 0xC0FFEE);
+    let run = drive_soak(protocol, messages, 0xC0FFEE);
     let label = protocol.label();
     assert_bounded(&run.sim, label, "at the end of the soak");
     // The bound is meaningful: far more was delivered than is resident.
@@ -224,7 +185,7 @@ fn soak(protocol: Protocol, messages: usize) {
         "{label}: live-record gauge {max_live} exceeds bound {}",
         live_bound()
     );
-    check_run(&mut run, &BTreeSet::new(), label);
+    check_run(&run, &BTreeSet::new(), label);
 }
 
 #[test]
@@ -261,11 +222,7 @@ fn restart_recovers_via_state_transfer(protocol: Protocol, messages: usize) {
     let spec = soak_spec(0xBEEF);
     let mut sim = ProtocolSim::build(protocol, &spec);
     let partitioner = Partitioner::new(NUM_GROUPS as u32);
-    let mut history = KvHistory {
-        partitions: NUM_GROUPS as u32,
-        ..KvHistory::default()
-    };
-    let mut op_cmds = BTreeMap::new();
+    let mut ops = Vec::with_capacity(messages);
     let pace = Duration::from_micros(250);
     for idx in 0..messages {
         let cmd = command(idx);
@@ -275,8 +232,7 @@ fn restart_recovers_via_state_transfer(protocol: Protocol, messages: usize) {
             .expect("commands have keys");
         let payload = wbam::types::wire::to_json(&cmd).expect("commands encode");
         let id = sim.submit_with_payload(at, idx % 2, dest.groups(), payload.into_bytes());
-        history.invoke(id, cmd.clone(), at);
-        op_cmds.insert(id, cmd);
+        ops.push((id, cmd, at));
     }
     let total = pace * (messages as u32 / 2);
     // The victim: a follower of group 0. Down for the middle ~40% of the run
@@ -323,14 +279,8 @@ fn restart_recovers_via_state_transfer(protocol: Protocol, messages: usize) {
     assert_bounded(&sim, label, "after the restart recovery");
 
     // Whole-run invariants + oracle, excusing the victim's installed history.
-    let mut run = SoakRun {
-        sim,
-        history,
-        op_cmds,
-        submitted: messages,
-    };
     let faulty: BTreeSet<ProcessId> = [victim].into_iter().collect();
-    check_run(&mut run, &faulty, label);
+    check_run(&SoakRun { sim, ops }, &faulty, label);
 }
 
 #[test]
