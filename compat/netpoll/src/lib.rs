@@ -11,7 +11,7 @@
 //! dial) wakes it explicitly with one byte down the pipe.
 //!
 //! The signal half ([`send_signal`], [`Signal`], [`termination_flag`]) exists
-//! for the deployed fault-injection harness in `wbam-harness`: the `net_chaos`
+//! for the deployed fault-injection harness in `wbam-harness`: its `explore`
 //! driver pauses and resumes live `wbamd` processes with SIGSTOP/SIGCONT, and
 //! `wbamd` itself installs a SIGTERM flag so an orchestrator's terminate
 //! request drains the delivery log instead of killing the process mid-write.

@@ -13,7 +13,7 @@
 //! frames); all processes must agree or the connection preamble rejects the
 //! mismatch with a clear error. When the spec carries a `routes` matrix the
 //! process dials its peers through those (proxied) addresses while still
-//! listening on its own `addrs` entry — how the `net_chaos` harness
+//! listening on its own `addrs` entry — how the explorer's deployed engine
 //! interposes its fault-injecting proxy on every link.
 //! Replica processes run until stopped, appending one
 //! [`DeliveryLine`] JSON line per delivery to `--deliveries`. The node's

@@ -1,4 +1,4 @@
-//! The deployed engine of the schedule [explorer](crate::explore): seeded
+//! The deployed engine of the schedule [explorer](mod@crate::explore): seeded
 //! fault plans against a *live* `wbamd` cluster.
 //!
 //! One `n1` [`Token`] derives a complete experiment — a [`NemesisPlan`] of

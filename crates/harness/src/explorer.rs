@@ -1,4 +1,4 @@
-//! The simulator engine of the schedule [explorer](crate::explore): derives
+//! The simulator engine of the schedule [explorer](mod@crate::explore): derives
 //! a complete experiment from a `v1:`/`v2:` [`Token`] — cluster topology,
 //! key-value workload and a [`NemesisPlan`] of drops, duplication,
 //! partitions, crash/restarts and timer jitter — and runs it in the

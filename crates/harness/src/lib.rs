@@ -15,7 +15,7 @@
 //!   the message-flow/convoy figures.
 //! * [`mod@sweep`] — parameter sweeps over client counts and destination-group
 //!   counts, producing the rows of Figures 7 and 8.
-//! * [`explore`] — the seeded schedule explorer behind the `explore`
+//! * [`mod@explore`] — the seeded schedule explorer behind the `explore`
 //!   binary: one token grammar, one checker (Figure 6 invariants and the
 //!   key-value linearizability oracle), one minimizer and one sweep loop
 //!   over three engines — [`explorer`] (the simulator), [`rt`] (the

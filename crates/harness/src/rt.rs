@@ -1,4 +1,4 @@
-//! The deterministic-runtime engine of the schedule [explorer](crate::explore):
+//! The deterministic-runtime engine of the schedule [explorer](mod@crate::explore):
 //! seeded interleavings of the *deployed* node loop, with replayable `rt1`
 //! tokens.
 //!
@@ -222,17 +222,20 @@ fn run_raw(
 /// records and trace digest for element-by-element twin-run comparison.
 pub fn run_rt_artifacts(token: &Token, plan: &RtPlan) -> RtArtifacts {
     let mut report = Report::new(token, plan.ops.len());
-    let mut spec = DeploySpec::loopback(
-        token.protocol,
-        plan.num_groups,
-        GROUP_SIZE,
-        plan.num_clients,
-        0,
-    );
     // The deployed heartbeat and election timeout; a 2 s client retry
-    // fallback for both protocol families.
-    (spec.heartbeat_ms, spec.election_timeout_ms) = (100, 1500);
-    spec.retry_timeout_ms = 2000;
+    // fallback for both protocol families. The addresses are never bound.
+    let spec = DeploySpec {
+        heartbeat_ms: 100,
+        election_timeout_ms: 1500,
+        retry_timeout_ms: 2000,
+        ..DeploySpec::loopback(
+            token.protocol,
+            plan.num_groups,
+            GROUP_SIZE,
+            plan.num_clients,
+            0,
+        )
+    };
     let cluster = spec.cluster_config();
     let partitioner = Partitioner::new(plan.num_groups as u32);
 
