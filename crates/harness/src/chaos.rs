@@ -49,8 +49,8 @@ use wbam_runtime::{BoxedNode, TcpNode};
 use wbam_simnet::DeliveryRecord;
 use wbam_types::wire::{from_json, WireCodec};
 use wbam_types::{
-    ClusterConfig, CrashSpec, GroupId, LinkFaults, MsgId, NemesisPlan, PartitionSpec, ProcessId,
-    Timestamp, WbamError,
+    CrashSpec, GroupId, LinkFaults, MsgId, NemesisPlan, PartitionSpec, ProcessId, Timestamp,
+    WbamError,
 };
 
 use crate::cluster::Protocol;
@@ -557,10 +557,7 @@ fn run_live(
             ..CheckPolicy::for_plan(&plan.nemesis)
         };
         let observed = Observed {
-            cluster: ClusterConfig::builder()
-                .groups(NUM_GROUPS, GROUP_SIZE)
-                .clients(1)
-                .build(),
+            cluster: spec.cluster_config(),
             ops: invoked,
             deliveries: records.into_iter().chain(completions).collect(),
             trace: None,
