@@ -609,7 +609,25 @@ fn drained_logs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{schedule_token, Engine};
+    use crate::explore::{schedule_token, Engine, TokenVersion};
+
+    #[test]
+    fn net_tokens_round_trip_and_reject_foreign_formats() {
+        let token = Token {
+            version: TokenVersion::N1,
+            protocol: Protocol::WhiteBox,
+            seed: 0xfeed_f00d_dead_beef,
+        };
+        let s = token.to_string();
+        assert!(s.starts_with("WBAM_NET_SEED=n1:WbCast:"));
+        assert_eq!(Token::parse_for(Engine::Net, &s).unwrap(), token);
+        let bare = s.strip_prefix("WBAM_NET_SEED=").unwrap();
+        assert_eq!(Token::parse_for(Engine::Net, bare).unwrap(), token);
+        // Simulator tokens and baseline protocols are refused outright.
+        assert!(Token::parse_for(Engine::Net, "v2:WbCast:1").is_err());
+        assert!(Token::parse_for(Engine::Net, "n1:FastCast:1").is_err());
+        assert!(Token::parse_for(Engine::Net, "n1:WbCast:zz").is_err());
+    }
 
     /// The replayability contract: the same token always derives the same
     /// plan (digest-equal), the message override changes only the op count,

@@ -290,6 +290,35 @@ mod tests {
     use crate::explore::{explore, run_token, schedule_token, Engine, ExploreConfig};
 
     #[test]
+    fn tokens_round_trip_through_display_and_parse() {
+        for (version, label) in [(TokenVersion::V1, "v1"), (TokenVersion::V2, "v2")] {
+            for protocol in Protocol::evaluated() {
+                let token = Token {
+                    version,
+                    protocol,
+                    seed: 0xdead_beef_1234_5678,
+                };
+                let s = token.to_string();
+                assert!(s.starts_with(&format!("WBAM_SEED={label}:")));
+                assert_eq!(Token::parse_for(Engine::Sim, &s).unwrap(), token);
+                // The prefix is optional on input.
+                let bare = s.strip_prefix("WBAM_SEED=").unwrap();
+                assert_eq!(Token::parse_for(Engine::Sim, bare).unwrap(), token);
+            }
+        }
+        // Malformed tokens and other engines' tokens are rejected.
+        for text in [
+            "v0:WbCast:1",
+            "v1:NoSuch:1",
+            "v1:WbCast:zz",
+            "rt1:WbCast:1",
+            "n1:WbCast:1",
+        ] {
+            assert!(Token::parse_for(Engine::Sim, text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
     fn schedules_are_deterministic() {
         let token = Token {
             version: TokenVersion::V2,

@@ -300,6 +300,27 @@ mod tests {
     use crate::explore::{explore, schedule_token, Engine, ExploreConfig, TokenVersion};
 
     #[test]
+    fn tokens_round_trip_through_display_and_parse() {
+        for &protocol in Engine::Rt.protocols() {
+            let token = Token {
+                version: TokenVersion::Rt1,
+                protocol,
+                seed: 0xdead_beef_1234_5678,
+            };
+            let s = token.to_string();
+            assert!(s.starts_with("WBAM_SEED=rt1:"));
+            assert_eq!(Token::parse_for(Engine::Rt, &s).unwrap(), token);
+            let bare = s.strip_prefix("WBAM_SEED=").unwrap();
+            assert_eq!(Token::parse_for(Engine::Rt, bare).unwrap(), token);
+        }
+        // Other engines' tokens and the sim-only protocol are rejected.
+        assert!(Token::parse_for(Engine::Rt, "v2:WbCast:1").is_err());
+        assert!(Token::parse_for(Engine::Rt, "n1:WbCast:1").is_err());
+        assert!(Token::parse_for(Engine::Rt, "rt1:Skeen1:1").is_err());
+        assert!(Token::parse_for(Engine::Rt, "rt1:WbCast:zz").is_err());
+    }
+
+    #[test]
     fn plans_are_deterministic_and_share_the_workload_across_protocols() {
         let seed = 7u64;
         let wb = Token {
