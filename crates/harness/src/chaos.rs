@@ -9,9 +9,10 @@
 //! [`NemesisProxy`]. When the dust settles the engine stops the cluster
 //! gracefully (SIGTERM — exercising the daemons' drain path), parses the
 //! drained delivery logs, and hands them to the shared
-//! [`check_run`] with this engine's policy: crash victims are `faulty`,
-//! drop-bearing plans are `lossy`, and a restarted incarnation gets a
-//! state-transfer watermark excusal at its first logged timestamp.
+//! [`check_run`](crate::explore::check_run) with this engine's policy:
+//! crash victims are `faulty`, drop-bearing plans are `lossy`, and a
+//! restarted incarnation gets a state-transfer watermark excusal at its
+//! first logged timestamp.
 //! Termination is the live loop's own check: every submitted operation
 //! must complete at the client within the run deadline.
 //!
@@ -56,8 +57,7 @@ use wbam_types::{
 use crate::cluster::Protocol;
 use crate::deploy::{ChildGuard, DeliveryLine, DeploySpec};
 use crate::explore::{
-    check_run, draw_kv_command, kv_message, ms, CheckPolicy, Digest, ExploreConfig, Observed,
-    Report, Token,
+    draw_kv_command, kv_message, ms, CheckPolicy, Digest, ExploreConfig, Observed, Report, Token,
 };
 use crate::proxy::NemesisProxy;
 
@@ -562,7 +562,7 @@ fn run_live(
             deliveries: records.into_iter().chain(completions).collect(),
             trace: None,
         };
-        report.record(check_run(&observed, &policy));
+        report.check(&observed, &policy);
     }
     Ok(())
 }
@@ -613,20 +613,24 @@ mod tests {
 
     #[test]
     fn net_tokens_round_trip_and_reject_foreign_formats() {
-        let token = Token {
-            version: TokenVersion::N1,
-            protocol: Protocol::WhiteBox,
-            seed: 0xfeed_f00d_dead_beef,
-        };
-        let s = token.to_string();
-        assert!(s.starts_with("WBAM_NET_SEED=n1:WbCast:"));
-        assert_eq!(Token::parse_for(Engine::Net, &s).unwrap(), token);
-        let bare = s.strip_prefix("WBAM_NET_SEED=").unwrap();
-        assert_eq!(Token::parse_for(Engine::Net, bare).unwrap(), token);
-        // Simulator tokens and baseline protocols are refused outright.
-        assert!(Token::parse_for(Engine::Net, "v2:WbCast:1").is_err());
-        assert!(Token::parse_for(Engine::Net, "n1:FastCast:1").is_err());
-        assert!(Token::parse_for(Engine::Net, "n1:WbCast:zz").is_err());
+        // Simulator and runtime tokens and baseline protocols are refused
+        // outright.
+        crate::explore::tests::check_token_grammar(
+            Engine::Net,
+            &[(
+                TokenVersion::N1,
+                Protocol::WhiteBox,
+                "WBAM_NET_SEED=n1:WbCast:",
+            )],
+            &[
+                "v2:WbCast:1",
+                "rt1:WbCast:1",
+                "n1:FastCast:1",
+                "n1:Skeen:1",
+                "n1:WbCast:zz",
+                "WBAM_SEED=n1:WbCast:1",
+            ],
+        );
     }
 
     /// The replayability contract: the same token always derives the same

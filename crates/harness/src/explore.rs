@@ -397,24 +397,16 @@ impl CheckPolicy {
     }
 }
 
-/// What [`check_run`] counted on a run that passed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Checked {
-    /// Operations that completed at their client.
-    pub completed: usize,
-    /// Reads the linearizability oracle checked.
-    pub checked_reads: usize,
-}
-
 /// Checks one run: the Figure 6 invariants, delivery-log agreement and total
 /// order, that every completed operation was delivered somewhere, the
 /// linearizability oracle, and termination where the policy requires it.
+/// Returns the number of reads the oracle checked.
 ///
 /// # Errors
 ///
 /// Returns the first violation found, prefixed with its category:
 /// `invariant:`, `linearizability:` or `termination:`.
-pub fn check_run(observed: &Observed, policy: &CheckPolicy) -> Result<Checked, String> {
+pub fn check_run(observed: &Observed, policy: &CheckPolicy) -> Result<usize, String> {
     let cluster = &observed.cluster;
     if let Some(trace) = &observed.trace {
         check_unique_proposals(trace)
@@ -497,10 +489,7 @@ pub fn check_run(observed: &Observed, policy: &CheckPolicy) -> Result<Checked, S
             undelivered.len(),
             history.ops.len(),
         )),
-        _ => Ok(Checked {
-            completed: history.ops.len() - undelivered.len(),
-            checked_reads: oracle.checked_reads,
-        }),
+        _ => Ok(oracle.checked_reads),
     }
 }
 
@@ -722,9 +711,18 @@ impl Report {
         }
     }
 
-    pub(crate) fn record(&mut self, checked: Result<Checked, String>) {
-        match checked {
-            Ok(c) => (self.completed, self.checked_reads) = (c.completed, c.checked_reads),
+    /// Counts the run's completions, then checks it with [`check_run`].
+    pub(crate) fn check(&mut self, observed: &Observed, policy: &CheckPolicy) {
+        let submitted: BTreeSet<MsgId> = observed.ops.iter().map(|(id, ..)| *id).collect();
+        let completed: BTreeSet<MsgId> = observed
+            .deliveries
+            .iter()
+            .filter(|r| r.group.is_none() && submitted.contains(&r.msg_id))
+            .map(|r| r.msg_id)
+            .collect();
+        self.completed = completed.len();
+        match check_run(observed, policy) {
+            Ok(checked_reads) => self.checked_reads = checked_reads,
             Err(violation) => self.violation = Some(violation),
         }
     }
@@ -830,24 +828,20 @@ pub fn explore(config: &ExploreConfig, mut progress: impl FnMut(&Report)) -> Exp
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Every version round-trips through `Display` and `parse`, with and
-    /// without its prefix; every malformed or misplaced token is refused.
-    #[test]
-    fn tokens_round_trip_and_reject_foreign_formats() {
-        use TokenVersion::*;
-        let accepted = [
-            (V1, Protocol::WhiteBox, "WBAM_SEED=v1:WbCast:"),
-            (V1, Protocol::Skeen, "WBAM_SEED=v1:Skeen1:"),
-            (V2, Protocol::FastCast, "WBAM_SEED=v2:FastCast:"),
-            (V2, Protocol::FtSkeen, "WBAM_SEED=v2:Skeen:"),
-            (Rt1, Protocol::WhiteBox, "WBAM_SEED=rt1:WbCast:"),
-            (Rt1, Protocol::FtSkeen, "WBAM_SEED=rt1:Skeen:"),
-            (N1, Protocol::WhiteBox, "WBAM_NET_SEED=n1:WbCast:"),
-        ];
-        for (version, protocol, prefix) in accepted {
+    /// Checks the token grammar of `engine`: each `accepted` token, with seed
+    /// `0xdead_beef_1234_5678`, prints as `prefix` plus the seed in hex and
+    /// parses back through [`Token::parse`] and [`Token::parse_for`], with
+    /// or without its `WBAM_*=` prefix; each of `rejected` is refused by
+    /// `parse_for`.
+    pub(crate) fn check_token_grammar(
+        engine: Engine,
+        accepted: &[(TokenVersion, Protocol, &str)],
+        rejected: &[&str],
+    ) {
+        for &(version, protocol, prefix) in accepted {
             let token = Token {
                 version,
                 protocol,
@@ -858,35 +852,56 @@ mod tests {
             let bare = printed.split_once('=').unwrap().1;
             for text in [printed.as_str(), bare, &format!("  {bare}\n")] {
                 assert_eq!(Token::parse(text), Ok(token), "{text}");
-                assert_eq!(Token::parse_for(version.engine(), text), Ok(token));
+                assert_eq!(Token::parse_for(engine, text), Ok(token));
             }
         }
-        let rejected = [
-            (None, "v0:WbCast:1"),
-            (None, "v1:NoSuch:1"),
-            (None, "v1:WbCast:zz"),
-            (None, "rt1:WbCast:zz"),
-            (None, "n1:WbCast:zz"),
-            (None, "rt1:Skeen1:1"),
-            (None, "n1:FastCast:1"),
-            (None, "n1:Skeen:1"),
-            (None, "v1:WbCast"),
-            (None, "WBAM_NET_SEED=v1:WbCast:1"),
-            (None, "WBAM_SEED=n1:WbCast:1"),
-            (Some(Engine::Rt), "v1:WbCast:1"),
-            (Some(Engine::Rt), "WBAM_SEED=v2:WbCast:1"),
-            (Some(Engine::Rt), "n1:WbCast:1"),
-            (Some(Engine::Net), "v2:WbCast:1"),
-            (Some(Engine::Net), "rt1:WbCast:1"),
-            (Some(Engine::Sim), "rt1:WbCast:1"),
-        ];
-        for (engine, text) in rejected {
-            let result = match engine {
-                None => Token::parse(text),
-                Some(engine) => Token::parse_for(engine, text),
-            };
-            assert!(result.is_err(), "{text} accepted for {engine:?}");
+        for text in rejected {
+            assert!(
+                Token::parse_for(engine, text).is_err(),
+                "{text} accepted by the {engine} engine"
+            );
         }
+    }
+
+    /// A run that fails its checks still reports how many of its
+    /// operations completed.
+    #[test]
+    fn a_failing_run_still_counts_its_completions() {
+        use wbam_types::GroupId;
+        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
+        let client = cluster.clients()[0];
+        let (done, lost) = (MsgId::new(client, 1), MsgId::new(client, 2));
+        let ops = [done, lost]
+            .map(|id| (id, KvCommand::put("k", 1), Duration::ZERO))
+            .to_vec();
+        let record = |process, group, global_ts| DeliveryRecord {
+            time: Duration::from_millis(1),
+            process,
+            group,
+            msg_id: done,
+            global_ts,
+        };
+        let mut deliveries: Vec<DeliveryRecord> = cluster.groups()[0]
+            .members()
+            .iter()
+            .map(|&p| record(p, Some(GroupId(0)), Some(Timestamp::new(1, GroupId(0)))))
+            .collect();
+        deliveries.push(record(client, None, None));
+        let observed = Observed {
+            cluster,
+            ops,
+            deliveries,
+            trace: None,
+        };
+        let policy = CheckPolicy {
+            require_termination: true,
+            ..CheckPolicy::default()
+        };
+        let mut report = Report::new(&schedule_token(Engine::Sim, 0, 0), 2);
+        report.check(&observed, &policy);
+        let violation = report.violation.expect("the lost op fails termination");
+        assert!(violation.starts_with("termination: 1 of 2"), "{violation}");
+        assert_eq!(report.completed, 1);
     }
 
     #[test]

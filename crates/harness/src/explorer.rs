@@ -19,8 +19,8 @@ use wbam_types::{CrashSpec, GroupId, NemesisPlan, PartitionSpec, ProcessId};
 
 use crate::cluster::{ClusterSpec, Protocol, ProtocolSim};
 use crate::explore::{
-    check_run, delivery_digest, draw_kv_command, ms, CheckPolicy, Observed, PlannedOp, Report,
-    Token, TokenVersion,
+    delivery_digest, draw_kv_command, ms, CheckPolicy, Observed, PlannedOp, Report, Token,
+    TokenVersion,
 };
 
 /// End of the chaos window: probabilistic link faults and timer jitter stop
@@ -280,7 +280,7 @@ pub fn run_generated(token: &Token, schedule: &GeneratedSchedule) -> Report {
             || (!nemesis.lossy() && nemesis.crashes.iter().all(|c| clients.contains(&c.process))),
         ..CheckPolicy::for_plan(nemesis)
     };
-    report.record(check_run(&observed, &policy));
+    report.check(&observed, &policy);
     report
 }
 
@@ -291,31 +291,32 @@ mod tests {
 
     #[test]
     fn tokens_round_trip_through_display_and_parse() {
-        for (version, label) in [(TokenVersion::V1, "v1"), (TokenVersion::V2, "v2")] {
-            for protocol in Protocol::evaluated() {
-                let token = Token {
-                    version,
-                    protocol,
-                    seed: 0xdead_beef_1234_5678,
-                };
-                let s = token.to_string();
-                assert!(s.starts_with(&format!("WBAM_SEED={label}:")));
-                assert_eq!(Token::parse_for(Engine::Sim, &s).unwrap(), token);
-                // The prefix is optional on input.
-                let bare = s.strip_prefix("WBAM_SEED=").unwrap();
-                assert_eq!(Token::parse_for(Engine::Sim, bare).unwrap(), token);
-            }
-        }
-        // Malformed tokens and other engines' tokens are rejected.
-        for text in [
-            "v0:WbCast:1",
-            "v1:NoSuch:1",
-            "v1:WbCast:zz",
-            "rt1:WbCast:1",
-            "n1:WbCast:1",
-        ] {
-            assert!(Token::parse_for(Engine::Sim, text).is_err(), "{text}");
-        }
+        use Protocol::{FastCast, FtSkeen, Skeen, WhiteBox};
+        use TokenVersion::{V1, V2};
+        // Malformed tokens, a foreign prefix and other engines' tokens are
+        // rejected.
+        crate::explore::tests::check_token_grammar(
+            Engine::Sim,
+            &[
+                (V1, WhiteBox, "WBAM_SEED=v1:WbCast:"),
+                (V1, FastCast, "WBAM_SEED=v1:FastCast:"),
+                (V1, FtSkeen, "WBAM_SEED=v1:Skeen:"),
+                (V1, Skeen, "WBAM_SEED=v1:Skeen1:"),
+                (V2, WhiteBox, "WBAM_SEED=v2:WbCast:"),
+                (V2, FastCast, "WBAM_SEED=v2:FastCast:"),
+                (V2, FtSkeen, "WBAM_SEED=v2:Skeen:"),
+                (V2, Skeen, "WBAM_SEED=v2:Skeen1:"),
+            ],
+            &[
+                "v0:WbCast:1",
+                "v1:NoSuch:1",
+                "v1:WbCast:zz",
+                "v1:WbCast",
+                "WBAM_NET_SEED=v1:WbCast:1",
+                "rt1:WbCast:1",
+                "n1:WbCast:1",
+            ],
+        );
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub mod workload;
 pub use cluster::{ClusterSpec, Protocol, ProtocolSim};
 pub use deploy::{ChildGuard, ClientSummary, DeliveryLine, DeployRole, DeploySpec, LatencyStats};
 pub use explore::{
-    check_run, explore, run_plan, run_token, schedule_token, CheckPolicy, Checked, Engine,
-    Exploration, ExploreConfig, Finding, Observed, Plan, Report, Token, TokenVersion,
+    check_run, explore, run_plan, run_token, schedule_token, CheckPolicy, Engine, Exploration,
+    ExploreConfig, Finding, Observed, Plan, Report, Token, TokenVersion,
 };
 pub use probe::{convoy_probe, latency_probe, LatencyProbeResult};
 pub use proxy::{FrameFate, LinkScheduler, NemesisProxy, ProxyStats};

@@ -37,8 +37,8 @@ use wbam_types::{AppMessage, CrashSpec, MsgId, NemesisPlan, ProcessId, WbamError
 use crate::cluster::Protocol;
 use crate::deploy::{DeployRole, DeploySpec};
 use crate::explore::{
-    check_run, delivery_digest, draw_kv_command, kv_message, ms, CheckPolicy, Observed, PlannedOp,
-    Report, Token,
+    delivery_digest, draw_kv_command, kv_message, ms, CheckPolicy, Observed, PlannedOp, Report,
+    Token,
 };
 
 /// Replicas per group (`2f + 1` with `f = 1`).
@@ -286,7 +286,7 @@ pub fn run_rt_artifacts(token: &Token, plan: &RtPlan) -> RtArtifacts {
         deliveries,
         trace: raw.whitebox_trace,
     };
-    report.record(check_run(&observed, &policy));
+    report.check(&observed, &policy);
     RtArtifacts {
         report,
         deliveries: observed.deliveries,
@@ -301,23 +301,24 @@ mod tests {
 
     #[test]
     fn tokens_round_trip_through_display_and_parse() {
-        for &protocol in Engine::Rt.protocols() {
-            let token = Token {
-                version: TokenVersion::Rt1,
-                protocol,
-                seed: 0xdead_beef_1234_5678,
-            };
-            let s = token.to_string();
-            assert!(s.starts_with("WBAM_SEED=rt1:"));
-            assert_eq!(Token::parse_for(Engine::Rt, &s).unwrap(), token);
-            let bare = s.strip_prefix("WBAM_SEED=").unwrap();
-            assert_eq!(Token::parse_for(Engine::Rt, bare).unwrap(), token);
-        }
+        use TokenVersion::Rt1;
         // Other engines' tokens and the sim-only protocol are rejected.
-        assert!(Token::parse_for(Engine::Rt, "v2:WbCast:1").is_err());
-        assert!(Token::parse_for(Engine::Rt, "n1:WbCast:1").is_err());
-        assert!(Token::parse_for(Engine::Rt, "rt1:Skeen1:1").is_err());
-        assert!(Token::parse_for(Engine::Rt, "rt1:WbCast:zz").is_err());
+        crate::explore::tests::check_token_grammar(
+            Engine::Rt,
+            &[
+                (Rt1, Protocol::WhiteBox, "WBAM_SEED=rt1:WbCast:"),
+                (Rt1, Protocol::FastCast, "WBAM_SEED=rt1:FastCast:"),
+                (Rt1, Protocol::FtSkeen, "WBAM_SEED=rt1:Skeen:"),
+            ],
+            &[
+                "v1:WbCast:1",
+                "WBAM_SEED=v2:WbCast:1",
+                "n1:WbCast:1",
+                "rt1:Skeen1:1",
+                "rt1:WbCast:zz",
+                "WBAM_NET_SEED=rt1:WbCast:1",
+            ],
+        );
     }
 
     #[test]

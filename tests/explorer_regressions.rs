@@ -7,73 +7,18 @@
 //! `tests/regressions/digests.golden`, so a change to what a token derives
 //! or how a schedule runs cannot go unnoticed.
 
-use wbam_harness::{run_token, Engine, Plan, Token};
+#[path = "common/pinned.rs"]
+mod pinned;
 
-/// Reads a token file, skipping comments and blank lines.
-fn lines(name: &str) -> Vec<String> {
-    let path = format!("{}/tests/regressions/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
-}
-
-fn corpus() -> Vec<Token> {
-    lines("corpus.tokens")
-        .iter()
-        .map(|l| {
-            Token::parse_for(Engine::Sim, l)
-                .unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}"))
-        })
-        .collect()
-}
-
-/// The pinned `(token, digest)` pairs of one engine.
-fn golden(engine: Engine) -> Vec<(Token, u64)> {
-    lines("digests.golden")
-        .iter()
-        .map(|l| {
-            let (token, digest) = l.split_once(' ').expect("`<token> <digest>`");
-            let token = Token::parse(token).expect("pinned token parses");
-            let digest = u64::from_str_radix(digest.trim(), 16).expect("hex digest");
-            (token, digest)
-        })
-        .filter(|(token, _)| token.engine() == engine)
-        .collect()
-}
+use pinned::{corpus, golden, replay_pinned};
+use wbam_harness::{run_token, Engine, Plan};
 
 /// Replays every pinned simulator token — the whole corpus plus the first
 /// sweep tokens of base seed 42 — and requires each to run clean and to
 /// reproduce its pinned digest.
 #[test]
 fn regression_corpus_replays_clean() {
-    let pinned = golden(Engine::Sim);
-    for token in corpus() {
-        assert!(
-            pinned.iter().any(|(t, _)| *t == token),
-            "corpus token {token} has no pinned digest"
-        );
-    }
-    let mut failures = Vec::new();
-    for (token, digest) in &pinned {
-        let report = run_token(token);
-        if let Some(violation) = report.violation {
-            failures.push(format!("{token}: {violation}"));
-        }
-        if report.digest != *digest {
-            failures.push(format!(
-                "{token}: digest {:016x}, pinned {digest:016x}",
-                report.digest
-            ));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "previously fixed bugs reappeared or behaviour changed:\n{}",
-        failures.join("\n")
-    );
+    replay_pinned(Engine::Sim, "corpus.tokens", 16);
 }
 
 /// The deployed sweep's plans are a pure function of their tokens: each
@@ -98,7 +43,7 @@ fn corpus_tokens_replay_byte_for_byte() {
     // One token per protocol is enough to pin the determinism contract; the
     // clean-replay test above already runs every schedule once.
     let mut seen = std::collections::BTreeSet::new();
-    for token in corpus() {
+    for token in corpus("corpus.tokens", Engine::Sim) {
         if !seen.insert(token.protocol.label()) {
             continue;
         }

@@ -8,82 +8,20 @@
 //! comments in the corpus file). Replaying them on every test run keeps
 //! those bugs fixed at the layer they were found.
 
+#[path = "common/pinned.rs"]
+mod pinned;
+
+use pinned::{corpus, replay_pinned};
 use proptest::prelude::*;
 use wbam::harness::rt::{generate_rt_plan, run_rt_artifacts};
-use wbam::harness::{run_token, Engine, Protocol, Token, TokenVersion};
-
-/// Reads a token file, skipping comments and blank lines.
-fn lines(name: &str) -> Vec<String> {
-    let path = format!("{}/tests/regressions/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
-}
-
-fn corpus() -> Vec<Token> {
-    lines("rt_corpus.tokens")
-        .iter()
-        .map(|l| {
-            Token::parse_for(Engine::Rt, l)
-                .unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}"))
-        })
-        .collect()
-}
-
-/// The pinned `(token, digest)` pairs of `tests/regressions/digests.golden`
-/// for this engine.
-fn golden() -> Vec<(Token, u64)> {
-    lines("digests.golden")
-        .iter()
-        .map(|l| {
-            let (token, digest) = l.split_once(' ').expect("`<token> <digest>`");
-            let token = Token::parse(token).expect("pinned token parses");
-            let digest = u64::from_str_radix(digest.trim(), 16).expect("hex digest");
-            (token, digest)
-        })
-        .filter(|(token, _)| token.engine() == Engine::Rt)
-        .collect()
-}
+use wbam::harness::{Engine, Protocol, Token, TokenVersion};
 
 /// Replays every pinned runtime token — the whole corpus plus the first
 /// sweep tokens of base seed 42 — and requires each to run clean, complete
 /// every operation and reproduce its pinned digest.
 #[test]
 fn rt_regression_corpus_replays_clean() {
-    let pinned = golden();
-    for token in corpus() {
-        assert!(
-            pinned.iter().any(|(t, _)| *t == token),
-            "corpus token {token} has no pinned digest"
-        );
-    }
-    let mut failures = Vec::new();
-    for (token, digest) in &pinned {
-        let report = run_token(token);
-        if let Some(violation) = report.violation {
-            failures.push(format!("{token}: {violation}"));
-        }
-        if report.completed != report.ops {
-            failures.push(format!(
-                "{token}: only {} of {} operations completed",
-                report.completed, report.ops
-            ));
-        }
-        if report.digest != *digest {
-            failures.push(format!(
-                "{token}: digest {:016x}, pinned {digest:016x}",
-                report.digest
-            ));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "previously fixed deployed-loop bugs reappeared or behaviour changed:\n{}",
-        failures.join("\n")
-    );
+    replay_pinned(Engine::Rt, "rt_corpus.tokens", 9);
 }
 
 /// The acceptance contract of `rt1` tokens: re-running a token reproduces
@@ -94,7 +32,7 @@ fn rt_corpus_tokens_replay_byte_for_byte() {
     // One token per protocol is enough to pin the determinism contract; the
     // clean-replay test above already runs every token once.
     let mut seen = std::collections::BTreeSet::new();
-    for token in corpus() {
+    for token in corpus("rt_corpus.tokens", Engine::Rt) {
         if !seen.insert(token.protocol.label()) {
             continue;
         }
