@@ -1894,6 +1894,12 @@ impl Node for WhiteBoxReplica {
         Some(self)
     }
 
+    /// Runs of `ACCEPT`, `ACCEPT_ACK` and `DELIVER` to one peer travel as
+    /// one batch: every handler treats a batch as its entries in order.
+    fn send_fold(&self) -> Option<fn(&mut Vec<WhiteBoxMsg>)> {
+        Some(WhiteBoxMsg::coalesce)
+    }
+
     fn on_event(&mut self, now: Duration, event: Event<WhiteBoxMsg>) -> Vec<Action<WhiteBoxMsg>> {
         match event {
             Event::Init => self.handle_init(now),

@@ -344,10 +344,13 @@ impl StopSignal {
 /// [`STOP_POLL`] it checks the stop conditions and the log writer, and
 /// surfaces transport frame drops (a peer down long enough to fill its
 /// output buffer) on stderr as they grow — a deployed replica must never
-/// lose frames silently. A graceful stop lets the reactor flush one last
-/// time, writes a `graceful stop` stats line and returns `Ok`, so
-/// orchestrators can tell it from a crash by the exit status alone. A failed
-/// log write returns its error, which exits non-zero.
+/// lose frames silently. Each stats line ends with the transport's
+/// `frames_sent` and `messages_sent`, so how far the send fold packed
+/// messages into frames is on record for every deployed run. A graceful
+/// stop lets the reactor flush one last time, writes a `graceful stop`
+/// stats line and returns `Ok`, so orchestrators can tell it from a crash
+/// by the exit status alone. A failed log write returns its error, which
+/// exits non-zero.
 fn run_replica<M>(mut node: TcpNode<M>, stop: &StopSignal) -> Result<(), WbamError>
 where
     M: Serialize + DeserializeOwned + Send + 'static,
@@ -362,24 +365,32 @@ where
         std::thread::sleep(STOP_POLL);
         let dropped = node.dropped_frames();
         if dropped > reported_drops {
-            eprintln!(
-                "wbamd: p{} stats: delivered={} dropped_frames={dropped} by_peer={:?}",
-                id.0,
-                node.total_deliveries()?,
-                node.dropped_frames_by_peer()
-            );
+            eprintln!("wbamd: p{} stats: {}", id.0, counters(&node)?);
             reported_drops = dropped;
         }
     };
     node.stop()?;
     eprintln!(
-        "wbamd: p{} graceful stop ({reason}): delivered={} dropped_frames={} by_peer={:?}",
+        "wbamd: p{} graceful stop ({reason}): {}",
         id.0,
-        node.total_deliveries()?,
-        node.dropped_frames(),
-        node.dropped_frames_by_peer()
+        counters(&node)?
     );
     Ok(())
+}
+
+/// The counters a replica's stats lines report.
+fn counters<M>(node: &TcpNode<M>) -> Result<String, WbamError>
+where
+    M: Serialize + DeserializeOwned + Send + 'static,
+{
+    Ok(format!(
+        "delivered={} dropped_frames={} by_peer={:?} frames_sent={} messages_sent={}",
+        node.total_deliveries()?,
+        node.dropped_frames(),
+        node.dropped_frames_by_peer(),
+        node.frames_sent(),
+        node.messages_sent()
+    ))
 }
 
 /// Runs a client process closed-loop and returns its summary.

@@ -76,8 +76,9 @@ impl Engine {
             .find(|e| e.to_string() == name)
     }
 
-    /// The protocols a sweep rotates through. The singleton Skeen runs only
-    /// in the simulator (and only from an explicit token); the deployed
+    /// The protocols a sweep rotates through, and the only ones a token of
+    /// the engine may name. Plain (singleton) Skeen is in no list: no
+    /// engine's schedules build the singleton groups it needs. The deployed
     /// chaos runs only the white-box protocol, because the baselines assume
     /// reliable channels and stall under loss by design.
     pub fn protocols(self) -> &'static [Protocol] {
@@ -213,12 +214,19 @@ impl Token {
             ));
         }
         let engine = version.engine();
-        let protocol = Protocol::evaluated()
-            .into_iter()
-            .chain([Protocol::Skeen])
+        let protocol = engine
+            .protocols()
+            .iter()
+            .copied()
             .find(|p| p.label() == label)
-            .filter(|p| engine == Engine::Sim || engine.protocols().contains(p))
-            .ok_or_else(|| format!("protocol `{label}` cannot run on the {engine} engine"))?;
+            .ok_or_else(|| {
+                let why = if label == Protocol::Skeen.label() {
+                    " (plain Skeen needs singleton groups, which no schedule builds)"
+                } else {
+                    ""
+                };
+                format!("protocol `{label}` cannot run on the {engine} engine{why}")
+            })?;
         let seed =
             u64::from_str_radix(seed_hex, 16).map_err(|e| format!("bad seed `{seed_hex}`: {e}"))?;
         Ok(Token {

@@ -291,9 +291,10 @@ mod tests {
 
     #[test]
     fn tokens_round_trip_through_display_and_parse() {
-        use Protocol::{FastCast, FtSkeen, Skeen, WhiteBox};
+        use Protocol::{FastCast, FtSkeen, WhiteBox};
         use TokenVersion::{V1, V2};
-        // Malformed tokens, a foreign prefix and other engines' tokens are
+        // Malformed tokens, a foreign prefix, other engines' tokens and
+        // plain Skeen (whose singleton groups no schedule builds) are
         // rejected.
         crate::explore::tests::check_token_grammar(
             Engine::Sim,
@@ -301,11 +302,9 @@ mod tests {
                 (V1, WhiteBox, "WBAM_SEED=v1:WbCast:"),
                 (V1, FastCast, "WBAM_SEED=v1:FastCast:"),
                 (V1, FtSkeen, "WBAM_SEED=v1:Skeen:"),
-                (V1, Skeen, "WBAM_SEED=v1:Skeen1:"),
                 (V2, WhiteBox, "WBAM_SEED=v2:WbCast:"),
                 (V2, FastCast, "WBAM_SEED=v2:FastCast:"),
                 (V2, FtSkeen, "WBAM_SEED=v2:Skeen:"),
-                (V2, Skeen, "WBAM_SEED=v2:Skeen1:"),
             ],
             &[
                 "v0:WbCast:1",
@@ -315,8 +314,12 @@ mod tests {
                 "WBAM_NET_SEED=v1:WbCast:1",
                 "rt1:WbCast:1",
                 "n1:WbCast:1",
+                "v1:Skeen1:00000000000000ab",
+                "v2:Skeen1:00000000000000ab",
             ],
         );
+        let refused = Token::parse("v1:Skeen1:00000000000000ab").unwrap_err();
+        assert!(refused.contains("`Skeen1`"), "{refused}");
     }
 
     #[test]

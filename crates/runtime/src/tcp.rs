@@ -13,8 +13,8 @@
 //! `poll(2)` (the in-tree `netpoll` shim). One iteration: `recv` from the
 //! sockets the kernel marked readable and decode their frames into a batch;
 //! run the node over the batch plus whatever other threads put in the
-//! mailbox; fire due timers; flush the node's [`DeliverySink`]; each message
-//! the node sent was encoded straight into its destination's output buffer,
+//! mailbox; fire due timers; flush the node's [`DeliverySink`]; fold what
+//! the round sent each peer and encode it into that peer's output buffer,
 //! and each buffer now leaves in one coalesced `send`; then `poll` again,
 //! with the earlier of the node's next timer deadline and the next re-dial
 //! deadline as the timeout. A message therefore crosses a process in three
@@ -25,6 +25,15 @@
 //! reply to a client, say — leaves the process. DESIGN.md ("The reactor")
 //! has the iteration in full, its fairness bounds and the timer lateness
 //! `poll`'s millisecond timeout implies.
+//!
+//! The fold is the node's own ([`Node::send_fold`](wbam_types::Node::send_fold)),
+//! read once at spawn. The white-box replica's merges each run of `ACCEPT`,
+//! `ACCEPT_ACK` or `DELIVER` to one peer into the batch variant the protocol
+//! already has, so a busy round sends a peer a few frames instead of one per
+//! message, with no timer and no knob; a node without a fold (a client, a
+//! baseline) sends one frame per message. The transport counts the
+//! frames it built and the messages they carry ([`TcpNode::frames_sent`],
+//! [`TcpNode::messages_sent`]).
 //!
 //! Other threads reach the reactor only through [`TcpNode::submit`],
 //! [`TcpNode::become_leader`] and [`TcpNode::shutdown`]: an envelope in the
@@ -211,9 +220,17 @@ impl Waker {
     }
 }
 
-/// Transport liveness counters the transport publishes, shared with the
-/// [`TcpNode`] handle so embedders (and the `wbamd` stats line) can observe
-/// frame loss that the fair-lossy model would otherwise hide completely.
+/// Transport counters, shared with the [`TcpNode`] handle so embedders (and
+/// the `wbamd` stats line) can observe frame loss that the fair-lossy model
+/// would otherwise hide completely, and how far the send fold packs
+/// messages into frames.
+///
+/// A frame is what [`MAX_FRAME_LEN`](wbam_types::wire::MAX_FRAME_LEN) and
+/// the 8 MiB output-buffer cap act on, so drops are counted in frames: a
+/// dropped batch counts as one dropped frame, however many messages it
+/// carries. The frame and message counts include dropped frames, so their
+/// ratio is exactly the fold's, and `frames_sent - dropped_frames` frames
+/// reached the outbufs.
 #[derive(Debug, Default)]
 pub struct TransportStats {
     /// Frames dropped at [`OUTBUF_CAP`], or before that for not fitting a
@@ -221,12 +238,17 @@ pub struct TransportStats {
     /// destination peer. The peer set is fixed at spawn, so the map itself
     /// is never mutated — only the counters — and reads need no lock.
     dropped: BTreeMap<ProcessId, AtomicU64>,
+    /// Frames built for peers (self-sends never become frames).
+    frames: AtomicU64,
+    /// Protocol messages the node sent to peers, which those frames carry.
+    messages: AtomicU64,
 }
 
 impl TransportStats {
     fn for_peers(peers: impl IntoIterator<Item = ProcessId>) -> Self {
         TransportStats {
             dropped: peers.into_iter().map(|p| (p, AtomicU64::new(0))).collect(),
+            ..TransportStats::default()
         }
     }
 
@@ -234,6 +256,22 @@ impl TransportStats {
         if let Some(counter) = self.dropped.get(&peer) {
             counter.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    fn record_sent(&self, frames: usize, messages: usize) {
+        self.frames.fetch_add(frames as u64, Ordering::Relaxed);
+        self.messages.fetch_add(messages as u64, Ordering::Relaxed);
+    }
+
+    /// Frames built for peers since spawn, dropped ones included.
+    pub fn frames_sent(&self) -> u64 {
+        self.frames.load(Ordering::Relaxed)
+    }
+
+    /// Protocol messages sent to peers since spawn; with a send fold this
+    /// exceeds [`frames_sent`](Self::frames_sent) by what the fold merged.
+    pub fn messages_sent(&self) -> u64 {
+        self.messages.load(Ordering::Relaxed)
     }
 
     /// Total frames dropped, across all peers. Zero in any run where no peer
@@ -413,17 +451,24 @@ fn hello_bytes<M: Serialize>(codec: WireCodec, from: ProcessId) -> Vec<u8> {
 }
 
 /// TCP transport: owns the outbound connection and output buffer of every
-/// peer. A send encodes the message straight into the destination's buffer;
-/// the [`TcpNode`] reactor, which owns the node loop that owns this
-/// transport, services it once per round to flush the buffers and keep the
-/// connections dialled. Messages a node sends to *itself* (a leader is a member of its own group and ACCEPTs to every
-/// member) short-circuit into the node's own mailbox instead of crossing the
-/// network stack.
+/// peer. A send to a peer is held until the end of the round; the
+/// [`TcpNode`] reactor, which owns the node loop that owns this transport,
+/// then folds each peer's messages with the node's send fold
+/// ([`Node::send_fold`](wbam_types::Node::send_fold)), if it has one,
+/// encodes them into that peer's buffer, and services the transport to
+/// flush the buffers and keep the connections dialled. Messages a node
+/// sends to *itself* (a leader is a member of its own group and ACCEPTs to
+/// every member) short-circuit into the node's own mailbox instead of
+/// crossing the network stack.
 pub struct TcpTransport<M> {
     local: ProcessId,
     codec: WireCodec,
     loopback: Sender<Envelope<M>>,
     peers: BTreeMap<ProcessId, PeerOut>,
+    /// The node's send fold, applied to each peer's messages of a round.
+    fold: Option<fn(&mut Vec<M>)>,
+    /// Per peer, what this round sent it, not yet encoded.
+    pending: BTreeMap<ProcessId, Vec<M>>,
     /// Preamble + Hello, the first bytes of every outbound connection.
     hello: Vec<u8>,
     stats: Arc<TransportStats>,
@@ -442,6 +487,7 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         dialler: Dialler,
         waker: Arc<Waker>,
+        fold: Option<fn(&mut Vec<M>)>,
     ) -> Self {
         let peers: BTreeMap<ProcessId, PeerOut> = addrs
             .iter()
@@ -449,16 +495,44 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
             .map(|(&p, &a)| (p, PeerOut::new(a)))
             .collect();
         let stats = Arc::new(TransportStats::for_peers(peers.keys().copied()));
+        let pending = peers.keys().map(|&p| (p, Vec::new())).collect();
         TcpTransport {
             local,
             codec,
             loopback,
             peers,
+            fold,
+            pending,
             hello: hello_bytes::<M>(codec, local),
             stats,
             dialler,
             dialled: Arc::default(),
             waker,
+        }
+    }
+
+    /// Folds what this round sent each peer, if the node has a send fold,
+    /// and encodes the result behind that peer's buffered bytes. The reactor
+    /// calls this once per round, after the round's deliveries are flushed
+    /// and before the sockets are serviced.
+    fn encode_pending(&mut self) {
+        for (&to, msgs) in &mut self.pending {
+            if msgs.is_empty() {
+                continue;
+            }
+            let messages = msgs.len();
+            if let Some(fold) = self.fold {
+                fold(msgs);
+            }
+            self.stats.record_sent(msgs.len(), messages);
+            let peer = self.peers.get_mut(&to).expect("a pending list per peer");
+            for msg in msgs.drain(..) {
+                // Like every dropped frame, one that does not fit is counted
+                // against the peer, never lost silently.
+                if !peer.push_frame(self.codec, &WireFrame::Protocol(msg)) {
+                    self.stats.record_drop(to);
+                }
+            }
         }
     }
 }
@@ -556,12 +630,8 @@ impl<M: Serialize + Send + 'static> Transport<M> for TcpTransport<M> {
                 from: self.local,
                 msg,
             });
-        } else if let Some(peer) = self.peers.get_mut(&to) {
-            // Like every dropped frame, one that does not fit is counted
-            // against the peer, never lost silently.
-            if !peer.push_frame(self.codec, &WireFrame::Protocol(msg)) {
-                self.stats.record_drop(to);
-            }
+        } else if let Some(msgs) = self.pending.get_mut(&to) {
+            msgs.push(msg);
         }
     }
 }
@@ -732,10 +802,11 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
             // 2. Run the node over what was decoded plus what is in the
             // mailbox (other threads' submits, its own messages to itself),
             // fire due timers, flush the round's deliveries to the sink, and
-            // only then the sockets: every send of a round was encoded
-            // straight into its peer's outbuf and leaves in one `send` per
-            // peer. The first round always runs — a timer or a writable
-            // socket may be why `poll` returned.
+            // only then the sockets: the round's sends to each peer are
+            // folded (when the node has a send fold), encoded into that
+            // peer's outbuf, and leave in one `send` per peer. The first
+            // round always runs — a timer or a writable socket may be why
+            // `poll` returned.
             for round in 0..MAX_ROUNDS {
                 self.nl.take_mail(&mut batch, MAX_ENVELOPE_BATCH);
                 if batch.is_empty() && round > 0 {
@@ -744,7 +815,9 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
                 self.nl.process_batch(batch.drain(..));
                 self.nl.fire_due_timers();
                 self.flush_deliveries()?;
-                self.nl.transport_mut().service(self.clock.now());
+                let transport = self.nl.transport_mut();
+                transport.encode_pending();
+                transport.service(self.clock.now());
             }
             if self.nl.is_stopped() {
                 return self.flush_deliveries();
@@ -983,6 +1056,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
             addrs,
             dialler,
             Arc::clone(&waker),
+            node.send_fold(),
         );
         let stats = Arc::clone(&transport.stats);
         let reactor = Reactor {
@@ -1127,6 +1201,19 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     /// omitted).
     pub fn dropped_frames_by_peer(&self) -> BTreeMap<ProcessId, u64> {
         self.stats.dropped_frames_by_peer()
+    }
+
+    /// Frames this node's transport built for peers since spawn, dropped
+    /// ones included ([`TransportStats::frames_sent`]).
+    pub fn frames_sent(&self) -> u64 {
+        self.stats.frames_sent()
+    }
+
+    /// Protocol messages this node sent to peers since spawn; over
+    /// [`frames_sent`](Self::frames_sent) it is how many messages a frame
+    /// carried on average ([`TransportStats::messages_sent`]).
+    pub fn messages_sent(&self) -> u64 {
+        self.stats.messages_sent()
     }
 
     /// Time since the node was spawned.
@@ -1575,6 +1662,112 @@ mod tests {
         client.shutdown();
     }
 
+    /// A 1-group × 3-replica cluster on the binary codec plus its client;
+    /// `replicas[0]` is the leader. A reserved port can be taken before it
+    /// is bound (another test's outgoing connection may get it as its
+    /// source port), so a cluster that fails to bind is built again on
+    /// fresh ports.
+    fn one_group_cluster() -> (Vec<TcpNode<WhiteBoxMsg>>, TcpNode<WhiteBoxMsg>) {
+        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
+        let client_id = cluster.clients()[0];
+        for _ in 0..5 {
+            let addrs = reserve_addrs(&cluster);
+            let replicas: Result<Vec<_>, _> = cluster.groups()[0]
+                .members()
+                .iter()
+                .map(|&m| {
+                    let cfg =
+                        ReplicaConfig::new(m, GroupId(0), cluster.clone()).without_auto_election();
+                    TcpNode::spawn(Box::new(WhiteBoxReplica::new(cfg)), &addrs, false)
+                })
+                .collect();
+            let client = MulticastClient::new(ClientConfig::new(client_id, cluster.clone()));
+            let client = TcpNode::spawn(Box::new(client), &addrs, false);
+            if let (Ok(replicas), Ok(client)) = (replicas, client) {
+                return (replicas, client);
+            }
+        }
+        panic!("no free loopback ports for the cluster");
+    }
+
+    fn submit_to_g0(client: &TcpNode<WhiteBoxMsg>, seq: u64) {
+        let id = MsgId::new(client.id(), seq);
+        let payload = Payload::from(format!("op-{seq}").as_str());
+        client
+            .submit(AppMessage::new(
+                id,
+                Destination::single(GroupId(0)),
+                payload,
+            ))
+            .unwrap();
+    }
+
+    /// Sixty-four multicasts submitted at once reach the leader in a few
+    /// rounds, so what it sends each follower in a round folds into batches:
+    /// it writes fewer frames than messages, drops none, and every replica
+    /// still delivers the same order.
+    #[test]
+    fn a_burst_of_multicasts_folds_into_fewer_frames() {
+        let (replicas, client) = one_group_cluster();
+        for seq in 0..64 {
+            submit_to_g0(&client, seq);
+        }
+        assert!(client.wait_for_total(64, Duration::from_secs(30)).unwrap());
+        for r in &replicas {
+            assert!(r.wait_for_total(64, Duration::from_secs(30)).unwrap());
+            assert_eq!(r.dropped_frames(), 0, "replica {} dropped frames", r.id());
+        }
+        let reference = order_of(&replicas[0]);
+        for r in &replicas[1..] {
+            assert_eq!(order_of(r), reference, "replica {} order differs", r.id());
+        }
+        let leader = &replicas[0];
+        assert!(
+            leader.frames_sent() < leader.messages_sent(),
+            "the leader wrote {} frames for {} messages",
+            leader.frames_sent(),
+            leader.messages_sent()
+        );
+        for r in replicas {
+            r.shutdown();
+        }
+        client.shutdown();
+    }
+
+    /// With one multicast in flight the leader never sends a peer two
+    /// messages of a kind in one round, so nothing folds: it writes exactly
+    /// one frame per message, as does the client, which has no fold.
+    #[test]
+    fn one_multicast_in_flight_writes_one_frame_per_message() {
+        let (replicas, client) = one_group_cluster();
+        for seq in 0..8 {
+            submit_to_g0(&client, seq);
+            assert!(client
+                .wait_for_total(seq + 1, Duration::from_secs(30))
+                .unwrap());
+        }
+        for r in &replicas {
+            assert!(r.wait_for_total(8, Duration::from_secs(30)).unwrap());
+        }
+        for node in [&replicas[0], &client] {
+            assert!(
+                node.messages_sent() >= 8,
+                "node {} sent too little",
+                node.id()
+            );
+            assert_eq!(
+                node.frames_sent(),
+                node.messages_sent(),
+                "node {} folded",
+                node.id()
+            );
+        }
+        for r in replicas {
+            r.shutdown();
+        }
+        client.shutdown();
+    }
+
     /// Regression for the handshake version/codec negotiation: a peer whose
     /// preamble announces the wrong codec (or garbage) is disconnected
     /// promptly — the accepting side closes the socket instead of trying to
@@ -1782,27 +1975,36 @@ mod tests {
             &addrs,
             Arc::new(|_| Err(io::Error::other("never dialled"))),
             Arc::new(Waker::new().expect("wake pipe")),
+            None,
         )
     }
 
+    /// One send in a round of its own: sent, then encoded as the reactor
+    /// does at the end of a round.
+    fn send_round(transport: &mut TcpTransport<Vec<u8>>, to: ProcessId, msg: Vec<u8>) {
+        transport.send(to, msg);
+        transport.encode_pending();
+    }
+
     /// Frames beyond [`OUTBUF_CAP`] are dropped (never truncated) and the
-    /// drop is counted per peer through [`TransportStats`]: the send path
-    /// encodes into the outbuf itself, so a dropped frame must leave the
+    /// drop is counted per peer through [`TransportStats`]: frames are
+    /// encoded into the outbuf itself, so a dropped frame must leave the
     /// outbuf byte for byte as it was.
     #[test]
     fn outbuf_overflow_drops_whole_frames_and_counts_them() {
         let peer = ProcessId(7);
         let mut transport = undialled_transport(peer);
+        let transport = &mut transport;
         // Fills the buffer to within 64 bytes of the cap (a frame adds under
         // twenty bytes of length prefix and headers to its payload).
-        transport.send(peer, vec![0u8; OUTBUF_CAP - 64]);
+        send_round(transport, peer, vec![0u8; OUTBUF_CAP - 64]);
         assert_eq!(transport.stats.dropped_frames(), 0);
         let queued = transport.peers[&peer].outbuf.clone();
         assert!(queued.len() > OUTBUF_CAP - 64 && queued.len() <= OUTBUF_CAP - 32);
 
         // The next frames would cross the cap: dropped whole, counted.
-        transport.send(peer, vec![1u8; 64]);
-        transport.send(peer, vec![1u8; 64]);
+        send_round(transport, peer, vec![1u8; 64]);
+        send_round(transport, peer, vec![1u8; 64]);
         assert_eq!(transport.stats.dropped_frames(), 2);
         assert_eq!(transport.stats.dropped_frames_by_peer()[&peer], 2);
         assert!(
@@ -1810,13 +2012,34 @@ mod tests {
             "a drop altered the outbuf"
         );
         // Unknown destinations are ignored, not counted against anyone.
-        transport.send(ProcessId(99), vec![2u8; 8]);
+        send_round(transport, ProcessId(99), vec![2u8; 8]);
         assert_eq!(transport.stats.dropped_frames(), 2);
         // A frame that still fits is queued behind the first, intact.
-        transport.send(peer, vec![3u8; 4]);
+        send_round(transport, peer, vec![3u8; 4]);
         assert_eq!(transport.stats.dropped_frames(), 2);
         let outbuf = &transport.peers[&peer].outbuf;
         assert!(outbuf.len() > queued.len() && outbuf.starts_with(&queued));
+        // Without a fold every message is a frame, dropped ones included.
+        assert_eq!(transport.stats.frames_sent(), 4);
+        assert_eq!(transport.stats.messages_sent(), 4);
+    }
+
+    /// A fold that merges a round into one message too large for a frame
+    /// drops one frame, however many messages went into it. The sent
+    /// counters keep both, so their ratio stays the fold's.
+    #[test]
+    fn a_dropped_batch_counts_as_one_frame() {
+        let peer = ProcessId(7);
+        let mut transport = undialled_transport(peer);
+        transport.fold = Some(|msgs: &mut Vec<Vec<u8>>| *msgs = vec![msgs.concat()]);
+        for _ in 0..4 {
+            transport.send(peer, vec![5u8; MAX_FRAME_LEN / 4 + 1]);
+        }
+        transport.encode_pending();
+        assert_eq!(transport.stats.dropped_frames(), 1);
+        assert_eq!(transport.stats.frames_sent(), 1);
+        assert_eq!(transport.stats.messages_sent(), 4);
+        assert!(transport.peers[&peer].outbuf.is_empty());
     }
 
     /// A message too large for any frame can never reach the peer: it is
@@ -1825,12 +2048,12 @@ mod tests {
     fn unencodable_frames_are_dropped_and_counted() {
         let peer = ProcessId(7);
         let mut transport = undialled_transport(peer);
-        transport.send(peer, vec![3u8; 64]);
+        send_round(&mut transport, peer, vec![3u8; 64]);
         assert_eq!(transport.stats.dropped_frames(), 0);
         let queued = transport.peers[&peer].outbuf.clone();
         assert!(!queued.is_empty());
 
-        transport.send(peer, vec![3u8; MAX_FRAME_LEN]);
+        send_round(&mut transport, peer, vec![3u8; MAX_FRAME_LEN]);
         assert_eq!(transport.stats.dropped_frames(), 1);
         assert_eq!(transport.stats.dropped_frames_by_peer()[&peer], 1);
         assert!(

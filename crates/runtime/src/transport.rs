@@ -11,9 +11,10 @@
 //!   (used by [`InProcessCluster`](crate::InProcessCluster)); and
 //! * [`TcpTransport`](crate::tcp::TcpTransport) — real TCP sockets with
 //!   `wbam_types::wire` framing. It owns the per-peer connections and output
-//!   buffers, and a send encodes the message straight into the destination's
-//!   buffer; the [`TcpNode`](crate::tcp::TcpNode) reactor — the thread that
-//!   runs the node loop — reaches the sockets through the loop it owns and
+//!   buffers. The [`TcpNode`](crate::tcp::TcpNode) reactor — the thread
+//!   that runs the node loop — encodes each round's sends to a peer into
+//!   its buffer at the end of the round, folded first by the node's send
+//!   fold if it has one, reaches the sockets through the loop it owns and
 //!   flushes each buffer with one coalesced `send` per iteration.
 
 use std::collections::HashMap;

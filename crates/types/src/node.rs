@@ -55,6 +55,16 @@ pub trait Node {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }
+
+    /// The fold a runtime with a wire may apply to the messages one round
+    /// sends to one peer before it encodes them. The fold may only merge
+    /// neighbouring messages into a message the receiver handles exactly as
+    /// their sequence; it must not reorder them. A runtime reads this once,
+    /// when it starts the node. The default, `None`, sends every message as
+    /// it is; runtimes without a wire ignore the hook.
+    fn send_fold(&self) -> Option<fn(&mut Vec<Self::Msg>)> {
+        None
+    }
 }
 
 #[cfg(test)]
