@@ -15,8 +15,9 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use wbam_consensus::{PaxosConfig, PaxosMsg, PaxosOutput, PaxosReplica, Slot};
 use wbam_types::{
-    Action, AppMessage, Ballot, Checkpoint, ClusterConfig, ConfigError, DeliveredFilter,
-    DeliveredMessage, Event, GroupId, MsgId, Node, Phase, ProcessId, TimerId, Timestamp,
+    Action, AppMessage, Ballot, Checkpoint, ClusterConfig, Compaction, ConfigError,
+    DeliveredFilter, DeliveredMessage, DeliveryQueue, Event, GroupId, MsgId, Node, Phase,
+    ProcessId, TimerId, Timestamp,
 };
 
 /// Timer used by a batching baseline leader to flush a partial batch.
@@ -195,7 +196,27 @@ impl BaselineRecord {
             commit_decided: false,
         }
     }
+
+    /// The record's entries in the delivery queue: the local timestamp it is
+    /// pending at, and the global timestamp it is a delivery candidate at.
+    /// A message is pending — and so blocks the delivery of committed
+    /// messages with higher global timestamps — from the moment the leader
+    /// assigns it a tentative local timestamp, not only once consensus on
+    /// that assignment completes.
+    fn queue_keys(&self) -> QueueKeys {
+        let pending = match self.phase {
+            Phase::Proposed => Some(self.local_ts),
+            Phase::Start if self.assign_proposed => Some(self.tentative_lts),
+            _ => None,
+        };
+        let candidate = (self.phase == Phase::Committed && self.commit_decided && !self.delivered)
+            .then_some(self.global_ts);
+        (pending, candidate)
+    }
 }
+
+/// A record's `(pending, candidate)` entries in the delivery queue.
+type QueueKeys = (Option<Timestamp>, Option<Timestamp>);
 
 /// A replica of one of the baseline protocols (see [`Mode`]).
 pub struct BaselineReplica {
@@ -231,29 +252,15 @@ pub struct BaselineReplica {
     batch_buffer: Vec<MsgId>,
     /// Whether the batch-flush timer is armed.
     batch_timer_armed: bool,
-    /// Compaction: deliveries between `STABLE` rounds (zero disables).
-    compaction_interval: u64,
-    /// Compaction: recently delivered records retained below the watermark.
-    compaction_lag: usize,
-    /// Compaction: per-group delivery watermarks as currently known.
-    stable_watermarks: BTreeMap<GroupId, Timestamp>,
-    /// Compaction (leader): latest reported delivery progress per member.
-    member_delivered: BTreeMap<ProcessId, Timestamp>,
-    /// Compaction: deliveries since the last report/recompute.
-    deliveries_since_stable: u64,
-    /// Compaction: delivered-but-not-pruned records in timestamp order.
-    delivered_index: BTreeSet<(Timestamp, MsgId)>,
+    /// Skeen's delivery rule over the records (see [`BaselineRecord::queue_keys`]).
+    delivery: DeliveryQueue,
+    /// The `STABLE` exchange: watermarks, member progress and the prune scan.
+    compaction: Compaction,
     /// Compaction: bounded filter of delivered message identifiers.
     dedup: DeliveredFilter,
     /// Compaction: decided consensus slots and the message each concerns —
     /// the map that lets record pruning advance the consensus-log frontier.
     slot_msgs: BTreeMap<Slot, MsgId>,
-    /// Records pruned so far.
-    pruned_count: u64,
-    /// Catch-ups that jumped this replica's progress over pruned history.
-    transfer_recoveries: u64,
-    /// Highest watermark a catch-up jumped this replica's progress to.
-    transfer_excused_below: Timestamp,
     /// Whether a catch-up request is outstanding (retried on
     /// [`CATCHUP_TIMER`] until a `STATE_TRANSFER` lands).
     catchup_pending: bool,
@@ -308,17 +315,10 @@ impl BaselineReplica {
             batch_delay: Duration::ZERO,
             batch_buffer: Vec::new(),
             batch_timer_armed: false,
-            compaction_interval: 0,
-            compaction_lag: 0,
-            stable_watermarks: BTreeMap::new(),
-            member_delivered: BTreeMap::new(),
-            deliveries_since_stable: 0,
-            delivered_index: BTreeSet::new(),
+            delivery: DeliveryQueue::new(),
+            compaction: Compaction::new(0, 0),
             dedup: DeliveredFilter::new(),
             slot_msgs: BTreeMap::new(),
-            pruned_count: 0,
-            transfer_recoveries: 0,
-            transfer_excused_below: Timestamp::BOTTOM,
             catchup_pending: false,
             cluster,
         })
@@ -351,14 +351,8 @@ impl BaselineReplica {
     /// `ReplicaConfig::with_compaction` of the white-box protocol so the
     /// baselines stay comparable on long runs. A zero `interval` disables it.
     pub fn with_compaction(mut self, interval: u64, lag: usize) -> Self {
-        self.compaction_interval = interval;
-        self.compaction_lag = lag;
+        self.compaction = Compaction::new(interval, lag);
         self
-    }
-
-    /// Whether compaction is enabled.
-    pub fn compaction_enabled(&self) -> bool {
-        self.compaction_interval > 0
     }
 
     /// Number of message records currently resident.
@@ -371,29 +365,10 @@ impl BaselineReplica {
         self.paxos.log_len()
     }
 
-    /// This replica's own group's delivery watermark.
-    pub fn watermark(&self) -> Timestamp {
-        self.stable_watermarks
-            .get(&self.group)
-            .copied()
-            .unwrap_or(Timestamp::BOTTOM)
-    }
-
-    /// Records pruned by compaction so far.
-    pub fn pruned_count(&self) -> u64 {
-        self.pruned_count
-    }
-
-    /// Catch-ups that jumped this replica's delivery progress over pruned
-    /// history.
-    pub fn transfer_recoveries(&self) -> u64 {
-        self.transfer_recoveries
-    }
-
-    /// The highest watermark a catch-up jumped this replica's progress to
-    /// (deliveries at or below it were installed, not replayed).
-    pub fn transfer_excused_below(&self) -> Timestamp {
-        self.transfer_excused_below
+    /// The replica's compaction state: watermarks, pruned and catch-up
+    /// counters.
+    pub fn compaction(&self) -> &Compaction {
+        &self.compaction
     }
 
     /// The replica's ordering-layer checkpoint (the baselines have no
@@ -403,7 +378,7 @@ impl BaselineReplica {
             group: self.group,
             ballot: Ballot::BOTTOM,
             clock: self.clock,
-            watermarks: self.stable_watermarks.clone(),
+            watermarks: self.compaction.watermarks().clone(),
             max_delivered_gts: self.max_delivered_gts,
             delivered_count: self.delivered_count,
             dedup: self.dedup.clone(),
@@ -451,6 +426,28 @@ impl BaselineReplica {
             .or_insert_with(|| BaselineRecord::new(msg.clone()))
     }
 
+    /// Moves `id`'s delivery-queue entries from the keys its record had
+    /// before a change to the keys it has now. Every change to a record's
+    /// phase, timestamps or delivered flag goes through here.
+    fn refile(&mut self, id: MsgId, (was_pending, was_candidate): QueueKeys) {
+        let (pending, candidate) = self
+            .records
+            .get(&id)
+            .map_or((None, None), BaselineRecord::queue_keys);
+        if let Some(lts) = was_pending {
+            self.delivery.unpend(lts, id);
+        }
+        if let Some(gts) = was_candidate {
+            self.delivery.forget(gts, id);
+        }
+        if let Some(lts) = pending {
+            self.delivery.pend(lts, id);
+        }
+        if let Some(gts) = candidate {
+            self.delivery.commit(gts, id);
+        }
+    }
+
     fn convert_paxos(&mut self, out: PaxosOutput<Command>) -> Vec<Action<BaselineMsg>> {
         let mut actions = Vec::new();
         for (to, msg) in out.outgoing {
@@ -460,7 +457,7 @@ impl BaselineReplica {
             // Remember which message each decided slot concerns, so pruning a
             // record can advance the consensus-log compaction frontier once
             // every slot below it belongs to pruned history.
-            if self.compaction_enabled() {
+            if self.compaction.enabled() {
                 let subject = match &cmd {
                     Command::AssignLocal { msg, .. } => msg.id,
                     Command::CommitGlobal { msg_id, .. } => *msg_id,
@@ -558,10 +555,12 @@ impl BaselineReplica {
             }
             return actions;
         }
+        let before = record.queue_keys();
         record.assign_proposed = true;
         *clock += 1;
         let local_ts = Timestamp::new(*clock, group);
         record.tentative_lts = local_ts;
+        self.refile(msg.id, before);
         if self.batching_enabled() {
             // Buffer the assignment; it is persisted through one batched
             // consensus round when the buffer fills or the timer fires. The
@@ -608,7 +607,9 @@ impl BaselineReplica {
             // (by the new leader, or by us if re-elected).
             for id in std::mem::take(&mut self.batch_buffer) {
                 if let Some(record) = self.records.get_mut(&id) {
+                    let before = record.queue_keys();
                     record.assign_proposed = false;
+                    self.refile(id, before);
                 }
             }
             return actions;
@@ -712,13 +713,13 @@ impl BaselineReplica {
             Command::AssignLocal { msg, local_ts } => {
                 let is_leader = self.paxos.is_leader();
                 let group = self.group;
-                {
-                    let record = self.record_entry(&msg);
-                    if record.phase == Phase::Start {
-                        record.phase = Phase::Proposed;
-                        record.local_ts = local_ts;
-                    }
+                let record = self.record_entry(&msg);
+                let before = record.queue_keys();
+                if record.phase == Phase::Start {
+                    record.phase = Phase::Proposed;
+                    record.local_ts = local_ts;
                 }
+                self.refile(msg.id, before);
                 self.clock = self.clock.max(local_ts.time());
                 if is_leader {
                     match self.mode {
@@ -749,11 +750,13 @@ impl BaselineReplica {
             }
             Command::CommitGlobal { msg_id, global_ts } => {
                 if let Some(record) = self.records.get_mut(&msg_id) {
+                    let before = record.queue_keys();
                     record.commit_decided = true;
                     record.global_ts = global_ts;
                     if record.phase < Phase::Committed {
                         record.phase = Phase::Committed;
                     }
+                    self.refile(msg_id, before);
                 }
                 // The clock advances past the global timestamp only here, i.e.
                 // only after the second consensus — the source of the 2×
@@ -796,52 +799,25 @@ impl BaselineReplica {
         if !self.paxos.is_leader() {
             return actions;
         }
-        // A message is "pending" — and thus blocks the delivery of committed
-        // messages with higher global timestamps — from the moment the leader
-        // assigns it a (tentative) local timestamp, not only once consensus on
-        // that assignment completes.
-        let min_pending = self
-            .records
-            .values()
-            .filter_map(|r| {
-                if r.phase == Phase::Proposed {
-                    Some(r.local_ts)
-                } else if r.phase == Phase::Start && r.assign_proposed {
-                    Some(r.tentative_lts)
-                } else {
-                    None
-                }
-            })
-            .min();
-        let mode = self.mode;
-        let mut candidates: Vec<(Timestamp, MsgId)> = self
-            .records
-            .values()
-            .filter(|r| r.phase == Phase::Committed && r.commit_decided && !r.delivered)
-            .map(|r| (r.global_ts, r.msg.id))
-            .collect();
-        candidates.sort();
-        for (gts, id) in candidates {
-            if let Some(pending) = min_pending {
-                if pending <= gts {
-                    break;
-                }
+        // FastCast: the leader must also have confirmations from every
+        // destination group before acting on the speculative order. An
+        // unconfirmed message also blocks everything ordered after it —
+        // otherwise a higher-timestamped message could overtake it and the
+        // group would deliver out of timestamp order.
+        let (mode, records) = (self.mode, &self.records);
+        let confirmed = |id: MsgId| {
+            mode == Mode::FtSkeen || {
+                let r = &records[&id];
+                r.msg.dest.iter().all(|g| r.confirms.contains(&g))
             }
-            // FastCast: the leader must also have confirmations from every
-            // destination group before acting on the speculative order. An
-            // unconfirmed message also blocks everything ordered after it —
-            // otherwise a higher-timestamped message could overtake it and the
-            // group would deliver out of timestamp order.
-            if mode == Mode::FastCast {
-                let confirmed = {
-                    let r = &self.records[&id];
-                    r.msg.dest.iter().all(|g| r.confirms.contains(&g))
-                };
-                if !confirmed {
-                    break;
-                }
-            }
+        };
+        let deliverable: Vec<(Timestamp, MsgId)> =
+            self.delivery.pop_deliverable(confirmed).collect();
+        for (gts, id) in deliverable {
             actions.extend(self.deliver_one(id, gts));
+            // The entry left the queue; one the duplicate filter kept from
+            // delivering is still a candidate.
+            self.refile(id, (None, None));
             // Tell the followers.
             for member in self.group_members.clone() {
                 if member != self.id {
@@ -862,18 +838,9 @@ impl BaselineReplica {
     // Compaction: the STABLE exchange, pruning and catch-up
     // ------------------------------------------------------------------
 
-    /// Counts a local delivery towards the next `STABLE` round; every
-    /// `compaction_interval` deliveries followers report their progress and
-    /// the leader recomputes the group watermark.
-    fn note_delivery(&mut self) -> Vec<Action<BaselineMsg>> {
-        if !self.compaction_enabled() {
-            return Vec::new();
-        }
-        self.deliveries_since_stable += 1;
-        if self.deliveries_since_stable < self.compaction_interval {
-            return Vec::new();
-        }
-        self.deliveries_since_stable = 0;
+    /// Every `compaction_interval` local deliveries: followers report their
+    /// progress and the leader recomputes the group watermark.
+    fn stable_round(&mut self) -> Vec<Action<BaselineMsg>> {
         if self.paxos.is_leader() {
             return self.recompute_watermark();
         }
@@ -899,71 +866,46 @@ impl BaselineReplica {
         if !self.paxos.is_leader() || group != self.group || !self.group_members.contains(&from) {
             return Vec::new();
         }
-        let entry = self
-            .member_delivered
-            .entry(from)
-            .or_insert(Timestamp::BOTTOM);
-        if delivered_gts > *entry {
-            *entry = delivered_gts;
-        }
+        self.compaction.record_progress(from, delivered_gts);
         self.recompute_watermark()
     }
 
-    /// Recomputes the own-group watermark as the quorum-th highest delivery
-    /// progress (see the white-box replica for why quorum-based trimming is
-    /// both safe — quorum intersection — and live under a crashed member).
+    /// Recomputes the own-group watermark (see [`Compaction::recompute`]);
+    /// on an advance, prunes and disseminates the updated watermark map.
     fn recompute_watermark(&mut self) -> Vec<Action<BaselineMsg>> {
-        self.member_delivered
-            .insert(self.id, self.max_delivered_gts);
-        let mut progress: Vec<Timestamp> = self
-            .group_members
-            .iter()
-            .map(|m| {
-                self.member_delivered
-                    .get(m)
-                    .copied()
-                    .unwrap_or(Timestamp::BOTTOM)
-            })
-            .collect();
-        progress.sort_unstable_by(|a, b| b.cmp(a));
+        self.compaction
+            .record_progress(self.id, self.max_delivered_gts);
         let quorum = self.group_members.len() / 2 + 1;
-        let watermark = progress[quorum - 1];
-        let current = self.watermark();
-        if watermark <= current {
+        if !self
+            .compaction
+            .recompute(self.group, &self.group_members, quorum)
+        {
             return Vec::new();
         }
-        self.stable_watermarks.insert(self.group, watermark);
         self.prune();
         self.broadcast_watermarks()
     }
 
     /// Sends the watermark map to the group's followers and remote leaders.
-    fn broadcast_watermarks(&mut self) -> Vec<Action<BaselineMsg>> {
+    fn broadcast_watermarks(&self) -> Vec<Action<BaselineMsg>> {
         let advance = BaselineMsg::StableAdvance {
-            watermarks: self.stable_watermarks.clone(),
+            watermarks: self.compaction.watermarks().clone(),
         };
-        let mut actions = Vec::new();
-        for member in &self.group_members {
-            if *member != self.id {
-                actions.push(Action::send(*member, advance.clone()));
-            }
-        }
-        for gc in self.cluster.groups() {
-            let g = gc.id();
-            if g != self.group && gc.initial_leader() != self.id {
-                actions.push(Action::send(gc.initial_leader(), advance.clone()));
-            }
-        }
-        actions
+        let groups = self.cluster.groups().iter();
+        let remote_leaders = groups
+            .filter(|gc| gc.id() != self.group)
+            .map(|gc| gc.initial_leader());
+        let to = self.group_members.iter().copied().chain(remote_leaders);
+        Action::send_to_all(to.filter(|p| *p != self.id), advance)
     }
 
-    /// Merges a received watermark map (pointwise maximum) and prunes;
-    /// leaders re-broadcast new knowledge so it reaches their followers.
+    /// Merges a received watermark map and prunes; leaders re-broadcast new
+    /// knowledge so it reaches their followers.
     fn handle_stable_advance(
         &mut self,
         watermarks: BTreeMap<GroupId, Timestamp>,
     ) -> Vec<Action<BaselineMsg>> {
-        if !wbam_types::checkpoint::merge_watermarks(&mut self.stable_watermarks, &watermarks) {
+        if !self.compaction.merge(&watermarks) {
             return Vec::new();
         }
         self.prune();
@@ -975,31 +917,13 @@ impl BaselineReplica {
     }
 
     /// Prunes delivered records covered by every destination group's
-    /// watermark (keeping the `compaction_lag` most recent ones) and advances
-    /// the consensus-log frontier over slots whose messages are pruned.
+    /// watermark (see [`Compaction::prune`]) and advances the consensus-log
+    /// frontier over slots whose messages are pruned.
     fn prune(&mut self) {
-        if !self.compaction_enabled() {
+        if !self.compaction.enabled() {
             return;
         }
-        while self.delivered_index.len() > self.compaction_lag {
-            let &(gts, id) = self.delivered_index.first().expect("len checked");
-            let covered = match self.records.get(&id) {
-                None => true,
-                Some(record) => record.msg.dest.iter().all(|g| {
-                    self.stable_watermarks
-                        .get(&g)
-                        .map(|w| gts <= *w)
-                        .unwrap_or(false)
-                }),
-            };
-            if !covered {
-                break;
-            }
-            self.delivered_index.pop_first();
-            if self.records.remove(&id).is_some() {
-                self.pruned_count += 1;
-            }
-        }
+        self.compaction.prune(&mut self.records, |r| &r.msg.dest);
         // The log prefix whose every slot concerns pruned history can go.
         let mut frontier = self.paxos.compacted_below();
         while let Some((&slot, &mid)) = self.slot_msgs.iter().next() {
@@ -1082,31 +1006,19 @@ impl BaselineReplica {
             actions.push(Action::CancelTimer(CATCHUP_TIMER));
         }
         self.dedup.merge(&checkpoint.dedup);
-        wbam_types::checkpoint::merge_watermarks(
-            &mut self.stable_watermarks,
-            &checkpoint.watermarks,
-        );
-        let own_watermark = self.watermark();
-        if self.max_delivered_gts < own_watermark {
-            self.transfer_recoveries += 1;
-            self.transfer_excused_below = self.transfer_excused_below.max(own_watermark);
-            self.max_delivered_gts = own_watermark;
-        }
+        self.compaction.merge(&checkpoint.watermarks);
+        self.compaction
+            .jump(self.group, &mut self.max_delivered_gts);
         let out = self.paxos.install_snapshot(frontier, log);
         actions.extend(self.convert_paxos(out));
-        // Re-deliver what the leader already delivered: committed records at
-        // or below the leader's progress, in timestamp order (deliver_one
-        // filters anything at or below our own progress).
+        // Re-deliver what the leader already delivered: the delivery
+        // candidates at or below the leader's progress, in timestamp order
+        // (deliver_one filters anything at or below our own progress).
         let deliverable: Vec<(Timestamp, MsgId)> = self
-            .records
-            .values()
-            .filter(|r| {
-                r.commit_decided && !r.delivered && r.global_ts <= checkpoint.max_delivered_gts
-            })
-            .map(|r| (r.global_ts, r.msg.id))
+            .delivery
+            .committed()
+            .take_while(|&(gts, _)| gts <= checkpoint.max_delivered_gts)
             .collect();
-        let mut deliverable = deliverable;
-        deliverable.sort_unstable();
         for (gts, id) in deliverable {
             actions.extend(self.deliver_one(id, gts));
         }
@@ -1129,16 +1041,15 @@ impl BaselineReplica {
         if record.delivered {
             return actions;
         }
+        let before = record.queue_keys();
         record.delivered = true;
         record.phase = Phase::Committed;
         record.global_ts = gts;
         let msg = record.msg.clone();
+        self.refile(id, before);
         self.max_delivered_gts = gts;
         self.delivered_count += 1;
         self.dedup.insert(id);
-        if self.compaction_enabled() {
-            self.delivered_index.insert((gts, id));
-        }
         actions.push(Action::Deliver(DeliveredMessage::with_timestamp(msg, gts)));
         let sender = id.sender;
         if notify && !self.group_members.contains(&sender) {
@@ -1151,7 +1062,9 @@ impl BaselineReplica {
                 },
             ));
         }
-        actions.extend(self.note_delivery());
+        if self.compaction.note_delivery(gts, id) {
+            actions.extend(self.stable_round());
+        }
         actions
     }
 }
@@ -1190,7 +1103,7 @@ impl Node for BaselineReplica {
                 if self.paxos.is_leader() {
                     let out = self.paxos.campaign();
                     actions.extend(self.convert_paxos(out));
-                } else if self.compaction_enabled() {
+                } else if self.compaction.enabled() {
                     // A restarted follower asks its leader for a catch-up:
                     // with compaction on, the decisions (and DELIVER
                     // instructions) it slept through may be trimmed from the

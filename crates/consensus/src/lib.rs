@@ -16,10 +16,7 @@
 //!   newly *decided* (chosen and contiguous in the log), in log order.
 //!
 //! The baselines embed a `PaxosReplica<Command>` per group inside their own
-//! protocol nodes; the crate also ships a standalone [`PaxosNode`] that turns
-//! the core into a self-contained atomic-broadcast node for one group, which
-//! is used by this crate's tests and can serve as a minimal replication
-//! building block on its own.
+//! protocol nodes.
 //!
 //! # Example
 //!
@@ -638,9 +635,6 @@ impl<C: Clone + PartialEq> PaxosReplica<C> {
         out
     }
 }
-
-mod node;
-pub use node::{PaxosNode, PaxosNodeMsg};
 
 #[cfg(test)]
 mod tests {

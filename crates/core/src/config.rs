@@ -98,11 +98,6 @@ impl ReplicaConfig {
         self
     }
 
-    /// Whether record compaction is enabled.
-    pub fn compaction_enabled(&self) -> bool {
-        self.compaction_interval > 0
-    }
-
     /// Enables batched ordering: the leader accumulates up to `max_batch`
     /// multicasts (flushing earlier after `batch_delay`) and runs a single
     /// `ACCEPT`/`ACCEPT_ACK` round for the whole batch. Passing a zero

@@ -19,8 +19,9 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use wbam_types::{
-    Action, AppMessage, Ballot, Checkpoint, ConfigError, DeliveredFilter, DeliveredMessage, Event,
-    GroupId, MsgId, Node, Phase, ProcessId, TimerId, Timestamp,
+    Action, AppMessage, Ballot, Checkpoint, Compaction, ConfigError, DeliveredFilter,
+    DeliveredMessage, DeliveryQueue, Event, GroupId, MsgId, Node, Phase, ProcessId, TimerId,
+    Timestamp,
 };
 
 use crate::config::ReplicaConfig;
@@ -105,41 +106,16 @@ pub struct WhiteBoxReplica {
     batch_buffer: Vec<MsgId>,
     /// Whether the batch-flush timer is currently armed.
     batch_timer_armed: bool,
-    /// Delivery-condition index: the local timestamps of records whose phase
-    /// is `PROPOSED` or `ACCEPTED`, ordered. Its minimum is the `min pending`
-    /// bound of Figure 4 line 21; keeping it incrementally avoids a full
-    /// record scan on every commit (O(log n) instead of O(n)).
-    pending_lts: BTreeSet<(Timestamp, MsgId)>,
-    /// Delivery-condition index: global timestamps of committed-but-not-yet
-    /// delivered records, ordered — the delivery candidates of Figure 4
-    /// line 21.
-    committed_undelivered: BTreeSet<(Timestamp, MsgId)>,
-    /// Compaction: every group's delivery watermark as currently known (all
-    /// records with `global_ts <= stable_watermarks[g]` are delivered at
-    /// every member of `g`). Advanced monotonically by the `STABLE` exchange.
-    stable_watermarks: BTreeMap<GroupId, Timestamp>,
-    /// Compaction (leader only): the latest delivery progress reported by
-    /// each group member via `STABLE_REPORT` (own entry updated inline).
-    member_delivered: BTreeMap<ProcessId, Timestamp>,
-    /// Compaction: deliveries since the last `STABLE_REPORT` / recompute.
-    deliveries_since_stable: u64,
-    /// Compaction: delivered-but-not-yet-pruned records in global-timestamp
-    /// order — the prune scan order, and the lag-window boundary.
-    delivered_index: BTreeSet<(Timestamp, MsgId)>,
+    /// Delivery-condition index (Figure 4 line 21): the local timestamps of
+    /// records whose phase is `PROPOSED` or `ACCEPTED`, and the global
+    /// timestamps of committed-but-undelivered records.
+    delivery: DeliveryQueue,
+    /// The `STABLE` exchange: watermarks, member progress and the prune scan.
+    compaction: Compaction,
     /// Compaction: bounded filter of every delivered message identifier,
     /// answering duplicate `MULTICAST`s (and fencing stale `ACCEPT`s) for
     /// records that have been pruned from the record map.
     dedup: DeliveredFilter,
-    /// Total records pruned by compaction at this replica.
-    pruned_count: u64,
-    /// Number of recoveries in which this replica's delivery progress was
-    /// jumped forward over pruned history by an installed checkpoint.
-    transfer_recoveries: u64,
-    /// The highest watermark this replica's progress was ever jumped to by a
-    /// state transfer: deliveries at or below it were installed from a
-    /// checkpoint rather than replayed (the linearizability oracle excuses
-    /// this pruned history; see `KvHistory::check_excusing`).
-    transfer_excused_below: Timestamp,
     /// Number of records examined by the most recent restart re-arm scan
     /// (regression guard: restart work must be proportional to the pending
     /// suffix, not the whole record history).
@@ -222,16 +198,9 @@ impl WhiteBoxReplica {
             delivered_count: 0,
             batch_buffer: Vec::new(),
             batch_timer_armed: false,
-            pending_lts: BTreeSet::new(),
-            committed_undelivered: BTreeSet::new(),
-            stable_watermarks: BTreeMap::new(),
-            member_delivered: BTreeMap::new(),
-            deliveries_since_stable: 0,
-            delivered_index: BTreeSet::new(),
+            delivery: DeliveryQueue::new(),
+            compaction: Compaction::new(config.compaction_interval, config.compaction_lag),
             dedup: DeliveredFilter::new(),
-            pruned_count: 0,
-            transfer_recoveries: 0,
-            transfer_excused_below: Timestamp::BOTTOM,
             last_restart_scan: 0,
             pruned_dropped: BTreeSet::new(),
             config,
@@ -243,29 +212,17 @@ impl WhiteBoxReplica {
     /// recovery); with compaction enabled the replaced map holds only the
     /// suffix above the watermark, so this costs O(suffix), not O(history).
     fn rebuild_delivery_index(&mut self) {
-        self.pending_lts = self
-            .records
-            .values()
-            .filter(|r| r.is_pending())
-            .map(|r| (r.local_ts, r.id()))
-            .collect();
-        self.committed_undelivered = self
-            .records
-            .values()
-            .filter(|r| r.phase == Phase::Committed && !r.delivered)
-            .map(|r| (r.global_ts, r.id()))
-            .collect();
-        self.delivered_index = if self.config.compaction_enabled() {
-            self.records
-                .values()
-                .filter(|r| r.delivered)
-                .map(|r| (r.global_ts, r.id()))
-                .collect()
-        } else {
-            // Nothing reads the prune-scan index without compaction; don't
-            // pay a second O(history) structure for it.
-            BTreeSet::new()
-        };
+        self.delivery = DeliveryQueue::new();
+        for r in self.records.values() {
+            if r.is_pending() {
+                self.delivery.pend(r.local_ts, r.id());
+            } else if r.phase == Phase::Committed && !r.delivered {
+                self.delivery.commit(r.global_ts, r.id());
+            }
+        }
+        let delivered = self.records.values().filter(|r| r.delivered);
+        self.compaction
+            .reindex(delivered.map(|r| (r.global_ts, r.id())));
     }
 
     /// The replica's current role.
@@ -326,37 +283,10 @@ impl WhiteBoxReplica {
         self.records.len()
     }
 
-    /// This replica's own group's delivery watermark
-    /// ([`Timestamp::BOTTOM`] until the first `STABLE` exchange completes).
-    pub fn watermark(&self) -> Timestamp {
-        self.stable_watermarks
-            .get(&self.config.group)
-            .copied()
-            .unwrap_or(Timestamp::BOTTOM)
-    }
-
-    /// Every group's delivery watermark as currently known to this replica.
-    pub fn watermarks(&self) -> &BTreeMap<GroupId, Timestamp> {
-        &self.stable_watermarks
-    }
-
-    /// Total records pruned by compaction at this replica.
-    pub fn pruned_count(&self) -> u64 {
-        self.pruned_count
-    }
-
-    /// Number of recoveries that jumped this replica's delivery progress over
-    /// pruned history via an installed checkpoint (state transfer).
-    pub fn transfer_recoveries(&self) -> u64 {
-        self.transfer_recoveries
-    }
-
-    /// The highest watermark a state transfer ever jumped this replica's
-    /// delivery progress to. Deliveries at or below it were installed from a
-    /// checkpoint, not replayed — test oracles excuse (rather than flag) the
-    /// corresponding gap in the replica's apply sequence.
-    pub fn transfer_excused_below(&self) -> Timestamp {
-        self.transfer_excused_below
+    /// The replica's compaction state: watermarks, pruned and state-transfer
+    /// counters.
+    pub fn compaction(&self) -> &Compaction {
+        &self.compaction
     }
 
     /// Number of records examined by the most recent restart re-arm scan
@@ -381,7 +311,7 @@ impl WhiteBoxReplica {
             group: self.config.group,
             ballot: self.cballot,
             clock: self.clock,
-            watermarks: self.stable_watermarks.clone(),
+            watermarks: self.compaction.watermarks().clone(),
             max_delivered_gts: self.max_delivered_gts,
             delivered_count: self.delivered_count,
             dedup: self.dedup.clone(),
@@ -419,12 +349,6 @@ impl WhiteBoxReplica {
             .iter()
             .filter_map(|g| self.cur_leader.get(&g).copied())
             .collect()
-    }
-
-    fn record_entry(&mut self, msg: &AppMessage) -> &mut MessageRecord {
-        self.records
-            .entry(msg.id)
-            .or_insert_with(|| MessageRecord::new(msg.clone()))
     }
 
     // ------------------------------------------------------------------
@@ -494,7 +418,7 @@ impl WhiteBoxReplica {
                         peer,
                         WhiteBoxMsg::StablePruned {
                             msg_id: msg.id,
-                            watermarks: self.stable_watermarks.clone(),
+                            watermarks: self.compaction.watermarks().clone(),
                         },
                     ));
                 }
@@ -513,8 +437,7 @@ impl WhiteBoxReplica {
             *clock += 1;
             record.local_ts = Timestamp::new(*clock, group);
             record.phase = Phase::Proposed;
-            let pending_entry = (record.local_ts, msg.id);
-            self.pending_lts.insert(pending_entry);
+            self.delivery.pend(record.local_ts, msg.id);
         }
         if !fresh && self.records[&msg.id].phase == Phase::Committed {
             // A duplicate MULTICAST for a record that already committed here
@@ -753,11 +676,10 @@ impl WhiteBoxReplica {
         // Lines 12–14 (state update is guarded; the acknowledgement is not).
         let record = self.records.get_mut(&msg_id).expect("record just created");
         if matches!(record.phase, Phase::Start | Phase::Proposed) {
-            let old_pending = (record.local_ts, msg_id);
+            self.delivery.unpend(record.local_ts, msg_id);
             record.phase = Phase::Accepted;
             record.local_ts = own_lts;
-            self.pending_lts.remove(&old_pending);
-            self.pending_lts.insert((own_lts, msg_id));
+            self.delivery.pend(own_lts, msg_id);
             if speculative {
                 // The speculative clock update: advance the clock past the
                 // *future* global timestamp before it is known to be durable.
@@ -852,8 +774,8 @@ impl WhiteBoxReplica {
             .implied_global_ts()
             .expect("accepts complete for committed message");
         record.commit(gts);
-        self.pending_lts.remove(&(record.local_ts, msg_id));
-        self.committed_undelivered.insert((gts, msg_id));
+        self.delivery.unpend(record.local_ts, msg_id);
+        self.delivery.commit(gts, msg_id);
         true
     }
 
@@ -865,20 +787,11 @@ impl WhiteBoxReplica {
         if self.status != Status::Leader {
             return actions;
         }
-        // The smallest local timestamp of any message that is still PROPOSED or
-        // ACCEPTED; committed messages with a global timestamp above it must
-        // wait (the pending message might end up ordered before them). Both
-        // bounds come from the incrementally maintained indexes, so a commit
-        // costs O(log n) rather than a scan of every record.
-        let min_pending_lts = self.pending_lts.first().map(|(ts, _)| *ts);
+        // Committed messages with a global timestamp at or above the smallest
+        // local timestamp of a PROPOSED or ACCEPTED message must wait: the
+        // pending message might end up ordered before them.
         let mut deliverable: Vec<DeliverEntry> = Vec::new();
-        while let Some(&(gts, id)) = self.committed_undelivered.first() {
-            if let Some(pending) = min_pending_lts {
-                if pending <= gts {
-                    break;
-                }
-            }
-            self.committed_undelivered.pop_first();
+        for (gts, id) in self.delivery.pop_deliverable(|_| true) {
             let record = self.records.get_mut(&id).expect("candidate exists");
             record.delivered = true;
             deliverable.push(DeliverEntry {
@@ -948,49 +861,25 @@ impl WhiteBoxReplica {
             // (at a leader) and caps the stable watermark. It also restores
             // the `delivered` flag — and with it prune eligibility — after a
             // leader change re-broadcast resets it.
-            let msg_id = msg.id;
-            if let Some(record) = self.records.get_mut(&msg.id) {
-                let old_local = record.local_ts;
-                let old_global = record.global_ts;
-                record.local_ts = local_ts;
-                record.commit(global_ts);
-                record.delivered = true;
-                self.pending_lts.remove(&(old_local, msg_id));
-                self.committed_undelivered.remove(&(old_global, msg_id));
-                self.committed_undelivered.remove(&(global_ts, msg_id));
-                self.clock = self.clock.max(global_ts.time());
-                self.dedup.insert(msg_id);
-                if self.config.compaction_enabled() {
-                    self.delivered_index.insert((global_ts, msg_id));
-                }
-                actions.extend(self.cancel_retry_timer(msg_id));
+            if self.records.contains_key(&msg.id) {
+                self.install_delivered(&msg, local_ts, global_ts);
+                self.compaction.index_delivered(global_ts, msg.id);
+                actions.extend(self.cancel_retry_timer(msg.id));
             }
             return actions;
         }
         let msg_id = msg.id;
         let sender = msg.id.sender;
-        let record = self.record_entry(&msg);
-        let old_local_ts = record.local_ts;
-        let old_global_ts = record.global_ts;
-        // Lines 26–30.
-        record.local_ts = local_ts;
-        record.commit(global_ts);
-        record.delivered = true;
-        self.pending_lts.remove(&(old_local_ts, msg_id));
-        self.committed_undelivered.remove(&(old_global_ts, msg_id));
-        self.committed_undelivered.remove(&(global_ts, msg_id));
-        self.clock = self.clock.max(global_ts.time());
+        self.install_delivered(&msg, local_ts, global_ts);
         self.max_delivered_gts = global_ts;
         self.delivered_count += 1;
-        self.dedup.insert(msg_id);
-        if self.config.compaction_enabled() {
-            self.delivered_index.insert((global_ts, msg_id));
-        }
         // Line 31: deliver to the application.
         actions.push(Action::Deliver(DeliveredMessage::with_timestamp(
             msg, global_ts,
         )));
-        actions.extend(self.note_delivery());
+        if self.compaction.note_delivery(global_ts, msg_id) {
+            actions.extend(self.stable_round());
+        }
         if self.config.notify_sender && !self.group_members.contains(&sender) {
             actions.push(Action::send(
                 sender,
@@ -1002,6 +891,23 @@ impl WhiteBoxReplica {
             ));
         }
         actions
+    }
+
+    /// Figure 4, lines 26–30: installs the leader's decision on `msg`'s
+    /// record — its timestamps, committed and delivered.
+    fn install_delivered(&mut self, msg: &AppMessage, local_ts: Timestamp, global_ts: Timestamp) {
+        let record = self
+            .records
+            .entry(msg.id)
+            .or_insert_with(|| MessageRecord::new(msg.clone()));
+        self.delivery.unpend(record.local_ts, msg.id);
+        self.delivery.forget(record.global_ts, msg.id);
+        self.delivery.forget(global_ts, msg.id);
+        record.local_ts = local_ts;
+        record.commit(global_ts);
+        record.delivered = true;
+        self.clock = self.clock.max(global_ts.time());
+        self.dedup.insert(msg.id);
     }
 
     /// A batched `DELIVER`: handle the entries in order (they are sorted by
@@ -1087,38 +993,23 @@ impl WhiteBoxReplica {
     // Compaction: the STABLE exchange, watermarks and pruning
     // ------------------------------------------------------------------
 
-    /// Called after every local delivery: counts towards the next `STABLE`
-    /// round. Every `compaction_interval` deliveries a follower reports its
+    /// Every `compaction_interval` local deliveries: a follower reports its
     /// progress to the leader; the leader folds its own progress in and
-    /// recomputes the group watermark.
-    fn note_delivery(&mut self) -> Vec<Action<WhiteBoxMsg>> {
-        if !self.config.compaction_enabled() {
-            return Vec::new();
-        }
-        self.deliveries_since_stable += 1;
-        if self.deliveries_since_stable < self.config.compaction_interval {
-            return Vec::new();
-        }
-        self.deliveries_since_stable = 0;
+    /// recomputes the group watermark. A recovering replica reports nothing;
+    /// the next interval after the recovery completes will.
+    fn stable_round(&mut self) -> Vec<Action<WhiteBoxMsg>> {
         match self.status {
             Status::Leader => self.recompute_watermark(),
-            Status::Follower => {
-                let Some(leader) = self.cur_leader.get(&self.own_group()).copied() else {
-                    return Vec::new();
-                };
-                if leader == self.config.id {
-                    return Vec::new();
-                }
-                vec![Action::send(
+            Status::Follower => match self.cur_leader.get(&self.own_group()) {
+                Some(&leader) if leader != self.config.id => vec![Action::send(
                     leader,
                     WhiteBoxMsg::StableReport {
                         group: self.own_group(),
                         delivered_gts: self.max_delivered_gts,
                     },
-                )]
-            }
-            // A recovering replica reports nothing; the next interval after
-            // the recovery completes will.
+                )],
+                _ => Vec::new(),
+            },
             Status::Recovering => Vec::new(),
         }
     }
@@ -1137,51 +1028,22 @@ impl WhiteBoxReplica {
         {
             return Vec::new();
         }
-        let entry = self
-            .member_delivered
-            .entry(from)
-            .or_insert(Timestamp::BOTTOM);
-        if delivered_gts > *entry {
-            *entry = delivered_gts;
-        }
+        self.compaction.record_progress(from, delivered_gts);
         self.recompute_watermark()
     }
 
-    /// Recomputes the own-group watermark as the *quorum-th highest* delivery
-    /// progress over the group members: a quorum has delivered everything at
-    /// or below it (delivery is in timestamp order, so progress is
-    /// prefix-complete). Waiting for every member instead would let a single
-    /// crashed replica stall compaction forever; a minority member below the
-    /// watermark catches up via checkpoint state transfer, and because any
-    /// recovery quorum intersects the watermark quorum, everything pruned
-    /// under the watermark is always known (as a committed record or through
-    /// the delivered filter) to any future leader. On an advance, prunes and
-    /// disseminates the updated watermark map.
+    /// Recomputes the own-group watermark (see [`Compaction::recompute`]);
+    /// on an advance, prunes and disseminates the updated watermark map.
     fn recompute_watermark(&mut self) -> Vec<Action<WhiteBoxMsg>> {
-        let own_id = self.config.id;
-        self.member_delivered.insert(own_id, self.max_delivered_gts);
-        let mut progress: Vec<Timestamp> = self
-            .group_members
-            .iter()
-            .map(|m| {
-                self.member_delivered
-                    .get(m)
-                    .copied()
-                    .unwrap_or(Timestamp::BOTTOM)
-            })
-            .collect();
-        progress.sort_unstable_by(|a, b| b.cmp(a));
-        let watermark = progress[self.own_quorum() - 1];
-        let own_group = self.own_group();
-        let current = self
-            .stable_watermarks
-            .get(&own_group)
-            .copied()
-            .unwrap_or(Timestamp::BOTTOM);
-        if watermark <= current {
+        self.compaction
+            .record_progress(self.config.id, self.max_delivered_gts);
+        let quorum = self.own_quorum();
+        if !self
+            .compaction
+            .recompute(self.own_group(), &self.group_members, quorum)
+        {
             return Vec::new();
         }
-        self.stable_watermarks.insert(own_group, watermark);
         self.prune_records();
         self.broadcast_watermarks()
     }
@@ -1189,34 +1051,27 @@ impl WhiteBoxReplica {
     /// Sends the current watermark map to the group's followers (who prune
     /// with it) and to the other groups' leaders (cross-group dissemination;
     /// multi-group records need every destination group's watermark).
-    fn broadcast_watermarks(&mut self) -> Vec<Action<WhiteBoxMsg>> {
+    fn broadcast_watermarks(&self) -> Vec<Action<WhiteBoxMsg>> {
         let advance = WhiteBoxMsg::StableAdvance {
-            watermarks: self.stable_watermarks.clone(),
+            watermarks: self.compaction.watermarks().clone(),
         };
-        let mut actions = Vec::new();
-        for member in &self.group_members {
-            if *member != self.config.id {
-                actions.push(Action::send(*member, advance.clone()));
-            }
-        }
         let own_group = self.own_group();
-        for (group, leader) in &self.cur_leader {
-            if *group != own_group && *leader != self.config.id {
-                actions.push(Action::send(*leader, advance.clone()));
-            }
-        }
-        actions
+        let remote_leaders = self.cur_leader.iter().filter(|(g, _)| **g != own_group);
+        let to = self
+            .group_members
+            .iter()
+            .chain(remote_leaders.map(|(_, l)| l));
+        Action::send_to_all(to.copied().filter(|p| *p != self.config.id), advance)
     }
 
-    /// Merges a received watermark map (pointwise maximum — watermarks only
-    /// advance) and prunes. A leader that learnt something new re-broadcasts,
-    /// so cross-group knowledge reaches its followers; the merge is monotone
-    /// over a finite lattice, so re-broadcasts terminate.
+    /// Merges a received watermark map and prunes. A leader that learnt
+    /// something new re-broadcasts, so cross-group knowledge reaches its
+    /// followers.
     fn handle_stable_advance(
         &mut self,
         watermarks: BTreeMap<GroupId, Timestamp>,
     ) -> Vec<Action<WhiteBoxMsg>> {
-        if !wbam_types::checkpoint::merge_watermarks(&mut self.stable_watermarks, &watermarks) {
+        if !self.compaction.merge(&watermarks) {
             return Vec::new();
         }
         self.prune_records();
@@ -1240,19 +1095,16 @@ impl WhiteBoxReplica {
         watermarks: BTreeMap<GroupId, Timestamp>,
     ) -> Vec<Action<WhiteBoxMsg>> {
         let mut actions = self.handle_stable_advance(watermarks);
-        let is_pending = self
+        if !self
             .records
             .get(&msg_id)
-            .map(|r| r.is_pending())
-            .unwrap_or(false);
-        if !is_pending {
+            .is_some_and(MessageRecord::is_pending)
+        {
             return actions;
         }
-        if let Some(record) = self.records.remove(&msg_id) {
-            self.pending_lts.remove(&(record.local_ts, msg_id));
-            self.committed_undelivered
-                .remove(&(record.global_ts, msg_id));
-        }
+        let record = self.records.remove(&msg_id).expect("pending record");
+        self.delivery.unpend(record.local_ts, msg_id);
+        self.delivery.forget(record.global_ts, msg_id);
         self.dedup.insert(msg_id);
         self.pruned_dropped.insert(msg_id);
         actions.extend(self.cancel_retry_timer(msg_id));
@@ -1260,37 +1112,10 @@ impl WhiteBoxReplica {
         actions
     }
 
-    /// Prunes delivered records covered by the watermark of *every* one of
-    /// their destination groups, keeping the most recent `compaction_lag`
-    /// delivered records as a duplicate-service window. The scan walks the
-    /// delivered index in global-timestamp order and stops at the first
-    /// record some destination group's watermark does not yet cover, so each
-    /// call costs O(pruned), not O(resident).
+    /// Prunes delivered records covered by every destination group's
+    /// watermark.
     fn prune_records(&mut self) {
-        if !self.config.compaction_enabled() {
-            return;
-        }
-        while self.delivered_index.len() > self.config.compaction_lag {
-            let &(gts, id) = self.delivered_index.first().expect("len checked above");
-            let covered = match self.records.get(&id) {
-                // The record vanished in a wholesale state replacement; drop
-                // the stale index entry.
-                None => true,
-                Some(record) => record.msg.dest.iter().all(|g| {
-                    self.stable_watermarks
-                        .get(&g)
-                        .map(|w| gts <= *w)
-                        .unwrap_or(false)
-                }),
-            };
-            if !covered {
-                break;
-            }
-            self.delivered_index.pop_first();
-            if self.records.remove(&id).is_some() {
-                self.pruned_count += 1;
-            }
-        }
+        self.compaction.prune(&mut self.records, |r| &r.msg.dest);
     }
 
     // ------------------------------------------------------------------
@@ -1465,18 +1290,11 @@ impl WhiteBoxReplica {
         // history below it is pruned at a quorum, so it can never be
         // re-delivered to us; it is installed, not missing.
         let mut merged_dedup = self.dedup.clone();
-        let mut merged_watermarks: BTreeMap<GroupId, Timestamp> = self.stable_watermarks.clone();
         for data in recovery.acks.values() {
             merged_dedup.merge(&data.checkpoint.dedup);
-            wbam_types::checkpoint::merge_watermarks(
-                &mut merged_watermarks,
-                &data.checkpoint.watermarks,
-            );
+            self.compaction.merge(&data.checkpoint.watermarks);
         }
-        let merged_own_watermark = merged_watermarks
-            .get(&self.config.group)
-            .copied()
-            .unwrap_or(Timestamp::BOTTOM);
+        let merged_own_watermark = self.compaction.watermark(self.config.group);
         // Reconcile the merged records with the merged compaction state:
         //
         // * A record the delivered filter knows but no snapshot reports
@@ -1507,13 +1325,8 @@ impl WhiteBoxReplica {
 
         self.records = new_records;
         self.dedup = merged_dedup;
-        self.stable_watermarks = merged_watermarks;
-        let own_watermark = self.watermark();
-        if self.max_delivered_gts < own_watermark {
-            self.transfer_recoveries += 1;
-            self.transfer_excused_below = self.transfer_excused_below.max(own_watermark);
-            self.max_delivered_gts = own_watermark;
-        }
+        self.compaction
+            .jump(self.config.group, &mut self.max_delivered_gts);
         self.rebuild_delivery_index();
         self.prune_records();
         self.clock = new_clock;
@@ -1521,7 +1334,7 @@ impl WhiteBoxReplica {
         self.cballot = new_ballot;
         // A fresh leadership starts member progress tracking from scratch;
         // members re-report within one compaction interval.
-        self.member_delivered.clear();
+        self.compaction.reset_progress();
 
         // Line 56: install the state at the followers — as checkpoint +
         // suffix, which doubles as catch-up state transfer for any member
@@ -1580,17 +1393,10 @@ impl WhiteBoxReplica {
         // forward: the history between is pruned (delivered at a quorum and
         // discarded), arrives as installed checkpoint state rather than
         // per-message replay, and is excused (not missing) to the oracles.
-        wbam_types::checkpoint::merge_watermarks(
-            &mut self.stable_watermarks,
-            &checkpoint.watermarks,
-        );
+        self.compaction.merge(&checkpoint.watermarks);
         self.dedup.merge(&checkpoint.dedup);
-        let own_watermark = self.watermark();
-        if self.max_delivered_gts < own_watermark {
-            self.transfer_recoveries += 1;
-            self.transfer_excused_below = self.transfer_excused_below.max(own_watermark);
-            self.max_delivered_gts = own_watermark;
-        }
+        self.compaction
+            .jump(self.config.group, &mut self.max_delivered_gts);
         self.records = snapshot
             .records
             .into_iter()
@@ -1662,7 +1468,7 @@ impl WhiteBoxReplica {
         // The pending set is read off the incrementally maintained
         // delivery-condition index, not a scan of the record map, so this
         // costs O(pending suffix) even with a long resident history.
-        let pending: Vec<MsgId> = self.pending_lts.iter().map(|(_, id)| *id).collect();
+        let pending: Vec<MsgId> = self.delivery.pending().collect();
         for id in pending {
             let record = &self.records[&id];
             let multicast = WhiteBoxMsg::Multicast {
@@ -1848,7 +1654,7 @@ impl WhiteBoxReplica {
         // from the delivery-condition index — restart work is proportional
         // to the in-flight suffix, not the delivered history (a replica
         // restarted after 50k deliveries re-arms only what is still open).
-        let pending: Vec<MsgId> = self.pending_lts.iter().map(|(_, id)| *id).collect();
+        let pending: Vec<MsgId> = self.delivery.pending().collect();
         self.last_restart_scan = pending.len();
         for id in pending {
             actions.extend(self.arm_retry_timer(id));

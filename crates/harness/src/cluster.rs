@@ -440,10 +440,10 @@ impl ProtocolSim {
 
     fn replica_gauges(&self, p: ProcessId) -> Option<(usize, u64)> {
         if let Some(replica) = self.whitebox_replica(p) {
-            return Some((replica.live_records(), replica.pruned_count()));
+            return Some((replica.live_records(), replica.compaction().pruned_count()));
         }
         if let Some(replica) = self.baseline_replica(p) {
-            return Some((replica.live_records(), replica.pruned_count()));
+            return Some((replica.live_records(), replica.compaction().pruned_count()));
         }
         None
     }
@@ -466,9 +466,9 @@ impl ProtocolSim {
         for gc in self.cluster.groups() {
             for member in gc.members() {
                 let excused = if let Some(r) = self.whitebox_replica(*member) {
-                    r.transfer_excused_below()
+                    r.compaction().transfer_excused_below()
                 } else if let Some(r) = self.baseline_replica(*member) {
-                    r.transfer_excused_below()
+                    r.compaction().transfer_excused_below()
                 } else {
                     continue;
                 };

@@ -194,4 +194,27 @@ mod tests {
             "expected WbCast < FastCast < FT-Skeen under collisions, got {wb:.2} / {fc:.2} / {fts:.2}"
         );
     }
+
+    /// Table 1 as `table1_latency` prints it, to two decimals. The tests
+    /// above accept ±0.35δ, which would hide a delivery-rule change that
+    /// moves a convoy value by a third of a delay; this one hides nothing.
+    #[test]
+    fn table1_values_are_pinned_exactly() {
+        let rows = [
+            (Protocol::Skeen, "2.00", "3.00"),
+            (Protocol::WhiteBox, "3.00", "3.99"),
+            (Protocol::FastCast, "4.00", "7.00"),
+            (Protocol::FtSkeen, "6.00", "11.00"),
+        ];
+        for (protocol, collision_free, convoy) in rows {
+            let cf = latency_probe(protocol, 2, DELTA).delta_multiples;
+            let ff = convoy_probe(protocol, DELTA).delta_multiples;
+            assert_eq!(
+                (format!("{cf:.2}"), format!("{ff:.2}")),
+                (collision_free.to_string(), convoy.to_string()),
+                "{} (collision-free, convoy)",
+                protocol.label()
+            );
+        }
+    }
 }

@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
-use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, ProcessId, WbamError};
+use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, WbamError};
 
 /// Maps keys to partitions (groups) by hashing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -415,38 +415,10 @@ impl KvStore {
     }
 }
 
-/// Helper that assigns message identifiers for a client issuing KV commands.
-#[derive(Debug, Clone)]
-pub struct KvClient {
-    id: ProcessId,
-    next_seq: u64,
-    partitioner: Partitioner,
-}
-
-impl KvClient {
-    /// Creates a client.
-    pub fn new(id: ProcessId, partitioner: Partitioner) -> Self {
-        KvClient {
-            id,
-            next_seq: 0,
-            partitioner,
-        }
-    }
-
-    /// Encodes the next command as a multicast message.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the command cannot be encoded.
-    pub fn encode(&mut self, cmd: &KvCommand) -> Result<AppMessage, WbamError> {
-        let id = MsgId::new(self.id, self.next_seq);
-        self.next_seq += 1;
-        cmd.to_message(id, &self.partitioner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use wbam_types::ProcessId;
+
     use super::*;
 
     #[test]
@@ -523,14 +495,19 @@ mod tests {
     #[test]
     fn commands_round_trip_through_app_messages() {
         let p = Partitioner::new(4);
-        let mut client = KvClient::new(ProcessId(30), p);
         let cmd = KvCommand::transfer("alice", "bob", 42);
-        let msg = client.encode(&cmd).unwrap();
+        let msg = cmd.to_message(MsgId::new(ProcessId(30), 0), &p).unwrap();
         assert_eq!(msg.id, MsgId::new(ProcessId(30), 0));
         let decoded = KvCommand::from_message(&msg).unwrap();
         assert_eq!(decoded, cmd);
-        let msg2 = client.encode(&KvCommand::put("alice", 1)).unwrap();
+        let msg2 = KvCommand::put("alice", 1)
+            .to_message(MsgId::new(ProcessId(30), 1), &p)
+            .unwrap();
         assert_eq!(msg2.id.seq, 1);
+        assert_eq!(
+            KvCommand::from_message(&msg2).unwrap(),
+            KvCommand::put("alice", 1)
+        );
     }
 
     #[test]

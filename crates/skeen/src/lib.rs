@@ -51,7 +51,8 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use wbam_types::{
-    Action, AppMessage, DeliveredMessage, Event, GroupId, MsgId, Node, Phase, ProcessId, Timestamp,
+    Action, AppMessage, DeliveredMessage, DeliveryQueue, Event, GroupId, MsgId, Node, Phase,
+    ProcessId, Timestamp,
 };
 
 /// Wire messages of Skeen's protocol.
@@ -95,6 +96,19 @@ struct SkeenRecord {
     proposals: BTreeMap<GroupId, Timestamp>,
 }
 
+impl SkeenRecord {
+    fn new(msg: AppMessage) -> Self {
+        SkeenRecord {
+            msg,
+            phase: Phase::Start,
+            local_ts: Timestamp::BOTTOM,
+            global_ts: Timestamp::BOTTOM,
+            delivered: false,
+            proposals: BTreeMap::new(),
+        }
+    }
+}
+
 /// One process of Skeen's protocol, playing a whole (singleton) group.
 ///
 /// The process is a sans-IO [`Node`]; drive it with a simulator or runtime.
@@ -105,6 +119,9 @@ pub struct SkeenProcess {
     group_processes: BTreeMap<GroupId, ProcessId>,
     clock: u64,
     records: BTreeMap<MsgId, SkeenRecord>,
+    /// Delivery-condition index: `PROPOSED` local timestamps and committed,
+    /// undelivered global timestamps.
+    delivery: DeliveryQueue,
     delivered_count: u64,
     notify_sender: bool,
 }
@@ -123,6 +140,7 @@ impl SkeenProcess {
             group_processes: groups.into_iter().collect(),
             clock: 0,
             records: BTreeMap::new(),
+            delivery: DeliveryQueue::new(),
             delivered_count: 0,
             notify_sender: true,
         }
@@ -157,17 +175,6 @@ impl SkeenProcess {
             .map(|r| r.global_ts)
     }
 
-    fn record_entry(&mut self, msg: &AppMessage) -> &mut SkeenRecord {
-        self.records.entry(msg.id).or_insert_with(|| SkeenRecord {
-            msg: msg.clone(),
-            phase: Phase::Start,
-            local_ts: Timestamp::BOTTOM,
-            global_ts: Timestamp::BOTTOM,
-            delivered: false,
-            proposals: BTreeMap::new(),
-        })
-    }
-
     /// Figure 1, lines 8–12: assign a local timestamp and send `PROPOSE` to
     /// all destinations.
     fn handle_multicast(&mut self, msg: AppMessage) -> Vec<Action<SkeenMsg>> {
@@ -177,18 +184,15 @@ impl SkeenProcess {
         }
         let group = self.group;
         let clock = &mut self.clock;
-        let record = self.records.entry(msg.id).or_insert_with(|| SkeenRecord {
-            msg: msg.clone(),
-            phase: Phase::Start,
-            local_ts: Timestamp::BOTTOM,
-            global_ts: Timestamp::BOTTOM,
-            delivered: false,
-            proposals: BTreeMap::new(),
-        });
+        let record = self
+            .records
+            .entry(msg.id)
+            .or_insert_with(|| SkeenRecord::new(msg.clone()));
         if record.phase == Phase::Start {
             *clock += 1;
             record.local_ts = Timestamp::new(*clock, group);
             record.phase = Phase::Proposed;
+            self.delivery.pend(record.local_ts, msg.id);
         }
         let propose = SkeenMsg::Propose {
             msg: record.msg.clone(),
@@ -215,7 +219,10 @@ impl SkeenProcess {
         if !msg.dest.contains(self.group) {
             return actions;
         }
-        let record = self.record_entry(&msg);
+        let record = self
+            .records
+            .entry(msg.id)
+            .or_insert_with(|| SkeenRecord::new(msg.clone()));
         record.proposals.insert(group, local_ts);
         let complete = msg.dest.iter().all(|g| record.proposals.contains_key(&g));
         if !complete || record.phase == Phase::Committed {
@@ -223,8 +230,12 @@ impl SkeenProcess {
         }
         // Lines 14–16.
         let gts = Timestamp::global_of(record.proposals.values().copied());
+        if record.phase == Phase::Proposed {
+            self.delivery.unpend(record.local_ts, msg.id);
+        }
         record.global_ts = gts;
         record.phase = Phase::Committed;
+        self.delivery.commit(gts, msg.id);
         self.clock = self.clock.max(gts.time());
         // Line 17: deliver committed messages not blocked by pending proposals.
         actions.extend(self.try_deliver());
@@ -233,27 +244,7 @@ impl SkeenProcess {
 
     fn try_deliver(&mut self) -> Vec<Action<SkeenMsg>> {
         let mut actions = Vec::new();
-        let min_pending = self
-            .records
-            .values()
-            .filter(|r| r.phase == Phase::Proposed)
-            .map(|r| r.local_ts)
-            .min();
-        let mut candidates: Vec<(Timestamp, MsgId)> = self
-            .records
-            .values()
-            .filter(|r| r.phase == Phase::Committed && !r.delivered)
-            .map(|r| (r.global_ts, r.msg.id))
-            .collect();
-        candidates.sort();
-        for (gts, id) in candidates {
-            if let Some(pending) = min_pending {
-                if pending <= gts {
-                    break;
-                }
-            }
-            let notify = self.notify_sender;
-            let group = self.group;
+        for (gts, id) in self.delivery.pop_deliverable(|_| true) {
             let record = self.records.get_mut(&id).expect("candidate exists");
             record.delivered = true;
             self.delivered_count += 1;
@@ -261,14 +252,14 @@ impl SkeenProcess {
                 record.msg.clone(),
                 gts,
             )));
-            if notify {
+            if self.notify_sender {
                 let sender = record.msg.id.sender;
                 if !self.group_processes.values().any(|p| *p == sender) {
                     actions.push(Action::send(
                         sender,
                         SkeenMsg::ClientReply {
                             msg_id: id,
-                            group,
+                            group: self.group,
                             global_ts: gts,
                         },
                     ));

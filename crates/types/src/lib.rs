@@ -15,6 +15,8 @@
 //!   groups of `2f + 1` processes each.
 //! * [`Event`], [`Action`], [`Node`] — the sans-IO protocol interface shared by
 //!   the simulator (`wbam-simnet`) and the real runtime.
+//! * [`DeliveryQueue`], [`Compaction`] — the delivery rule and the `STABLE`
+//!   compaction engine every protocol shares.
 //!
 //! # Example
 //!
@@ -42,7 +44,9 @@
 pub mod action;
 pub mod ballot;
 pub mod checkpoint;
+pub mod compaction;
 pub mod config;
+pub mod delivery;
 pub mod error;
 pub mod event;
 pub mod ids;
@@ -56,7 +60,9 @@ pub mod wire;
 pub use action::{Action, DeliveredMessage};
 pub use ballot::Ballot;
 pub use checkpoint::{Checkpoint, DeliveredFilter};
+pub use compaction::Compaction;
 pub use config::{ClusterConfig, ClusterConfigBuilder, GroupConfig, SiteId};
+pub use delivery::DeliveryQueue;
 pub use error::{ConfigError, WbamError};
 pub use event::Event;
 pub use ids::{ClientId, GroupId, MsgId, ProcessId};

@@ -250,16 +250,16 @@ fn restart_recovers_via_state_transfer(protocol: Protocol, messages: usize) {
         Protocol::WhiteBox => {
             let r = sim.whitebox_replica(victim).unwrap();
             (
-                r.transfer_recoveries(),
-                r.transfer_excused_below(),
+                r.compaction().transfer_recoveries(),
+                r.compaction().transfer_excused_below(),
                 r.max_delivered_gts(),
             )
         }
         _ => {
             let r = sim.baseline_replica(victim).unwrap();
             (
-                r.transfer_recoveries(),
-                r.transfer_excused_below(),
+                r.compaction().transfer_recoveries(),
+                r.compaction().transfer_excused_below(),
                 r.max_delivered_gts(),
             )
         }
