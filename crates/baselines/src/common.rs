@@ -17,7 +17,7 @@ use wbam_consensus::{PaxosConfig, PaxosMsg, PaxosOutput, PaxosReplica, Slot};
 use wbam_types::{
     Action, AppMessage, Ballot, Checkpoint, ClusterConfig, Compaction, ConfigError,
     DeliveredFilter, DeliveredMessage, DeliveryQueue, Event, GroupId, MsgId, Node, Phase,
-    ProcessId, TimerId, Timestamp,
+    ProcessId, RecordMap, TimerId, Timestamp,
 };
 
 /// Timer used by a batching baseline leader to flush a partial batch.
@@ -231,7 +231,7 @@ pub struct BaselineReplica {
     /// consensus (`CommitGlobal`) completes — this is what gives both
     /// baselines their ~2× failure-free latency degradation (paper §VI).
     clock: u64,
-    records: BTreeMap<MsgId, BaselineRecord>,
+    records: RecordMap<BaselineRecord>,
     notify_sender: bool,
     delivered_count: u64,
     /// Highest global timestamp delivered at this replica (duplicate filter
@@ -306,7 +306,7 @@ impl BaselineReplica {
             paxos: PaxosReplica::new(PaxosConfig::new(id, members.clone())),
             group_members: members,
             clock: 0,
-            records: BTreeMap::new(),
+            records: RecordMap::new(),
             notify_sender: true,
             delivered_count: 0,
             max_delivered_gts: Timestamp::BOTTOM,
@@ -358,6 +358,12 @@ impl BaselineReplica {
     /// Number of message records currently resident.
     pub fn live_records(&self) -> usize {
         self.records.len()
+    }
+
+    /// Window slots the record store has allocated (see
+    /// [`RecordMap::slot_capacity`]).
+    pub fn record_slots(&self) -> usize {
+        self.records.slot_capacity()
     }
 
     /// Number of consensus-log entries currently resident.
@@ -422,8 +428,7 @@ impl BaselineReplica {
 
     fn record_entry(&mut self, msg: &AppMessage) -> &mut BaselineRecord {
         self.records
-            .entry(msg.id)
-            .or_insert_with(|| BaselineRecord::new(msg.clone()))
+            .get_or_insert_with(msg.id, || BaselineRecord::new(msg.clone()))
     }
 
     /// Moves `id`'s delivery-queue entries from the keys its record had
@@ -519,8 +524,7 @@ impl BaselineReplica {
         let clock = &mut self.clock;
         let record = self
             .records
-            .entry(msg.id)
-            .or_insert_with(|| BaselineRecord::new(msg.clone()));
+            .get_or_insert_with(msg.id, || BaselineRecord::new(msg.clone()));
         if let Some(confirms) = stashed_confirms {
             record.confirms.extend(confirms);
         }
@@ -1176,8 +1180,7 @@ pub struct BaselineClient {
     id: ProcessId,
     cluster: ClusterConfig,
     retry_timeout: Duration,
-    pending: BTreeMap<MsgId, (AppMessage, Duration)>,
-    completed: Vec<(MsgId, Timestamp, Duration)>,
+    pending: RecordMap<AppMessage>,
 }
 
 impl BaselineClient {
@@ -1187,14 +1190,8 @@ impl BaselineClient {
             id,
             cluster,
             retry_timeout,
-            pending: BTreeMap::new(),
-            completed: Vec::new(),
+            pending: RecordMap::new(),
         }
-    }
-
-    /// Completed multicasts: message, global timestamp, client-side latency.
-    pub fn completed(&self) -> &[(MsgId, Timestamp, Duration)] {
-        &self.completed
     }
 
     /// Number of in-flight multicasts.
@@ -1218,7 +1215,7 @@ impl Node for BaselineClient {
         self.id
     }
 
-    fn on_event(&mut self, now: Duration, event: Event<BaselineMsg>) -> Vec<Action<BaselineMsg>> {
+    fn on_event(&mut self, _now: Duration, event: Event<BaselineMsg>) -> Vec<Action<BaselineMsg>> {
         match event {
             Event::Multicast(msg) => {
                 let mut actions = self.send_to_leaders(&msg);
@@ -1226,15 +1223,11 @@ impl Node for BaselineClient {
                     id: wbam_types::TimerId(msg.id.seq),
                     delay: self.retry_timeout,
                 });
-                self.pending.insert(msg.id, (msg, now));
+                self.pending.insert(msg.id, msg);
                 actions
             }
             Event::Timer { id, .. } => {
-                let msg = self
-                    .pending
-                    .values()
-                    .find(|(m, _)| m.id.seq == id.0)
-                    .map(|(m, _)| m.clone());
+                let msg = self.pending.values().find(|m| m.id.seq == id.0).cloned();
                 match msg {
                     Some(m) => {
                         let mut actions = self.send_to_leaders(&m);
@@ -1254,9 +1247,7 @@ impl Node for BaselineClient {
                     },
                 ..
             } => {
-                if let Some((msg, submitted)) = self.pending.remove(&msg_id) {
-                    let latency = now.saturating_sub(submitted);
-                    self.completed.push((msg_id, global_ts, latency));
+                if let Some(msg) = self.pending.remove(&msg_id) {
                     return vec![
                         Action::CancelTimer(wbam_types::TimerId(msg_id.seq)),
                         Action::Deliver(DeliveredMessage::with_timestamp(msg, global_ts)),
@@ -1270,8 +1261,7 @@ impl Node for BaselineClient {
             // messages with a fresh reply.
             Event::Restart => {
                 let mut actions = Vec::new();
-                let pending: Vec<AppMessage> =
-                    self.pending.values().map(|(m, _)| m.clone()).collect();
+                let pending: Vec<AppMessage> = self.pending.values().cloned().collect();
                 for msg in pending {
                     let id = msg.id;
                     actions.extend(self.send_to_leaders(&msg));
@@ -1498,9 +1488,10 @@ mod tests {
             Duration::from_millis(9),
             Event::message(ProcessId(3), reply),
         );
-        assert!(actions.iter().any(Action::is_delivery));
-        assert_eq!(c.completed().len(), 1);
-        assert_eq!(c.completed()[0].2, Duration::from_millis(9));
+        let delivered: Vec<_> = actions.iter().filter_map(Action::as_delivery).collect();
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].msg, m);
+        assert_eq!(delivered[0].global_ts, Some(Timestamp::new(2, GroupId(1))));
         assert_eq!(c.pending_count(), 0);
     }
 

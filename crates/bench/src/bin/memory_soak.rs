@@ -9,7 +9,10 @@
 //! records:
 //!
 //! * `resident_records_max` / `resident_records_final`: the peak / final
-//!   record count over all replicas (the quantity compaction bounds), and
+//!   record count over all replicas (the quantity compaction bounds),
+//! * `record_slots_max`: the peak record-store slots allocated at one
+//!   replica — its footprint beyond the records, one slot per sequence
+//!   number its windows span, resident or not,
 //! * `restart_recovery_wall_ms`: the *host* wall-clock cost of draining a
 //!   follower crash/restart scheduled after the load — the recovery
 //!   handshake ships and merges the resident history, so this is the
@@ -61,10 +64,13 @@ struct MemoryRecord {
     /// Absent in rows older than the field and in all but a process's first
     /// run (see the module docs).
     resident_bytes_per_record: Option<f64>,
+    /// Absent in rows older than the field.
+    record_slots_max: Option<usize>,
 }
 
 struct RunOutcome {
     resident_max: usize,
+    slots_max: usize,
     resident_final: usize,
     pruned: u64,
     restart_wall: Duration,
@@ -108,6 +114,15 @@ fn max_resident(sim: &ProtocolSim) -> usize {
     resident(sim).max().unwrap_or(0)
 }
 
+/// The most record-store slots any replica has allocated.
+fn max_slots(sim: &ProtocolSim) -> usize {
+    let replicas = sim.cluster().groups().iter().flat_map(|g| g.members());
+    replicas
+        .filter_map(|m| sim.record_slots(*m))
+        .max()
+        .unwrap_or(0)
+}
+
 /// This process's resident set size in bytes (`VmRSS` in
 /// `/proc/self/status`); `None` where there is no such file.
 fn vm_rss_bytes() -> Option<u64> {
@@ -137,16 +152,18 @@ fn run(protocol: Protocol, messages: usize, compaction: bool) -> RunOutcome {
     }
     // Sample the resident peak every ~4k submissions' worth of time.
     let total = pace * (messages as u32 / 2);
-    let mut resident_max = 0usize;
+    let (mut resident_max, mut slots_max) = (0usize, 0usize);
     let step = total / 8 + Duration::from_millis(1);
     let mut at = step;
     while at < total {
         sim.run_until_quiescent(at);
         resident_max = resident_max.max(max_resident(&sim));
+        slots_max = slots_max.max(max_slots(&sim));
         at += step;
     }
     sim.run_until_quiescent(total + Duration::from_secs(5));
     resident_max = resident_max.max(max_resident(&sim));
+    slots_max = slots_max.max(max_slots(&sim));
     let bytes_per_record = match (rss_before, vm_rss_bytes(), resident(&sim).sum::<usize>()) {
         (Some(before), Some(after), records) if records > 0 => {
             Some(after.saturating_sub(before) as f64 / records as f64)
@@ -169,6 +186,7 @@ fn run(protocol: Protocol, messages: usize, compaction: bool) -> RunOutcome {
     let metrics = sim.metrics();
     RunOutcome {
         resident_max,
+        slots_max,
         resident_final: max_resident(&sim),
         pruned: metrics.gauge("pruned_total").unwrap_or(0.0) as u64,
         restart_wall,
@@ -207,8 +225,14 @@ fn main() -> ExitCode {
          (interval {INTERVAL}, lag {LAG})"
     ));
     println!(
-        "{:<10} {:>11} {:>13} {:>13} {:>11} {:>14}",
-        "protocol", "compaction", "resident max", "resident end", "pruned", "restart (ms)"
+        "{:<10} {:>11} {:>13} {:>13} {:>11} {:>11} {:>14}",
+        "protocol",
+        "compaction",
+        "resident max",
+        "resident end",
+        "slots max",
+        "pruned",
+        "restart (ms)"
     );
     let mut gate_ok = true;
     // Generous smoke bound: the lag window plus a few STABLE intervals of
@@ -222,11 +246,12 @@ fn main() -> ExitCode {
             let resident_bytes_per_record = outcome.bytes_per_record.filter(|_| first_run);
             first_run = false;
             println!(
-                "{:<10} {:>11} {:>13} {:>13} {:>11} {:>14.2}",
+                "{:<10} {:>11} {:>13} {:>13} {:>11} {:>11} {:>14.2}",
                 protocol.label(),
                 if compaction { "on" } else { "off" },
                 outcome.resident_max,
                 outcome.resident_final,
+                outcome.slots_max,
                 outcome.pruned,
                 outcome.restart_wall.as_secs_f64() * 1e3,
             );
@@ -244,6 +269,7 @@ fn main() -> ExitCode {
                 pruned_total: outcome.pruned,
                 restart_recovery_wall_ms: outcome.restart_wall.as_secs_f64() * 1e3,
                 resident_bytes_per_record,
+                record_slots_max: Some(outcome.slots_max),
             });
             if compaction && (outcome.resident_max > bound || outcome.pruned == 0) {
                 eprintln!(
@@ -278,5 +304,9 @@ mod tests {
         let new = old.replace('}', r#","resident_bytes_per_record":812.5}"#);
         let row: MemoryRecord = serde_json::from_str(&new).expect("new row parses");
         assert_eq!(row.resident_bytes_per_record, Some(812.5));
+        assert_eq!(row.record_slots_max, None);
+        let newer = new.replace('}', r#","record_slots_max":960}"#);
+        let row: MemoryRecord = serde_json::from_str(&newer).expect("newest row parses");
+        assert_eq!(row.record_slots_max, Some(960));
     }
 }

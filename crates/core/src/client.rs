@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use wbam_types::{
-    Action, AppMessage, DeliveredMessage, Event, GroupId, MsgId, Node, ProcessId, TimerId,
-    Timestamp,
+    Action, AppMessage, DeliveredMessage, Event, GroupId, MsgId, Node, ProcessId, RecordMap,
+    TimerId, Timestamp,
 };
 
 use crate::config::ClientConfig;
@@ -26,20 +26,6 @@ use crate::messages::WhiteBoxMsg;
 struct PendingMulticast {
     msg: AppMessage,
     attempts: u32,
-    submitted_at: Duration,
-}
-
-/// Record of a completed multicast, for inspection by tests and the harness.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompletedMulticast {
-    /// The message identifier.
-    pub msg_id: MsgId,
-    /// The group of the first replica that replied.
-    pub first_reply_group: GroupId,
-    /// The global timestamp the message was delivered with.
-    pub global_ts: Timestamp,
-    /// Time from submission to the first reply, as observed by the client.
-    pub latency: Duration,
 }
 
 /// A client process that multicasts application messages and tracks replies.
@@ -47,8 +33,7 @@ pub struct MulticastClient {
     config: ClientConfig,
     cur_leader: BTreeMap<GroupId, ProcessId>,
     next_seq: u64,
-    pending: BTreeMap<MsgId, PendingMulticast>,
-    completed: Vec<CompletedMulticast>,
+    pending: RecordMap<PendingMulticast>,
 }
 
 impl MulticastClient {
@@ -59,8 +44,7 @@ impl MulticastClient {
             config,
             cur_leader,
             next_seq: 0,
-            pending: BTreeMap::new(),
-            completed: Vec::new(),
+            pending: RecordMap::new(),
         }
     }
 
@@ -72,11 +56,6 @@ impl MulticastClient {
     /// Number of multicasts still awaiting a reply.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Multicasts completed so far (first reply received), in completion order.
-    pub fn completed(&self) -> &[CompletedMulticast] {
-        &self.completed
     }
 
     fn timer_for(msg_id: MsgId) -> TimerId {
@@ -106,7 +85,7 @@ impl MulticastClient {
         actions
     }
 
-    fn handle_submit(&mut self, now: Duration, msg: AppMessage) -> Vec<Action<WhiteBoxMsg>> {
+    fn handle_submit(&mut self, msg: AppMessage) -> Vec<Action<WhiteBoxMsg>> {
         // Keep the per-client sequence counter ahead of any externally chosen id.
         self.next_seq = self.next_seq.max(msg.id.seq + 1);
         let mut actions = self.send_to_leaders(&msg);
@@ -114,34 +93,15 @@ impl MulticastClient {
             id: Self::timer_for(msg.id),
             delay: self.config.retry_timeout,
         });
-        self.pending.insert(
-            msg.id,
-            PendingMulticast {
-                msg,
-                attempts: 0,
-                submitted_at: now,
-            },
-        );
+        self.pending
+            .insert(msg.id, PendingMulticast { msg, attempts: 0 });
         actions
     }
 
-    fn handle_reply(
-        &mut self,
-        now: Duration,
-        msg_id: MsgId,
-        group: GroupId,
-        global_ts: Timestamp,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+    fn handle_reply(&mut self, msg_id: MsgId, global_ts: Timestamp) -> Vec<Action<WhiteBoxMsg>> {
         let Some(pending) = self.pending.remove(&msg_id) else {
             return Vec::new();
         };
-        let latency = now.saturating_sub(pending.submitted_at);
-        self.completed.push(CompletedMulticast {
-            msg_id,
-            first_reply_group: group,
-            global_ts,
-            latency,
-        });
         vec![
             Action::CancelTimer(Self::timer_for(msg_id)),
             // Surface the completion to the application driving this client.
@@ -179,16 +139,14 @@ impl Node for MulticastClient {
         self.config.id
     }
 
-    fn on_event(&mut self, now: Duration, event: Event<WhiteBoxMsg>) -> Vec<Action<WhiteBoxMsg>> {
+    fn on_event(&mut self, _now: Duration, event: Event<WhiteBoxMsg>) -> Vec<Action<WhiteBoxMsg>> {
         match event {
-            Event::Multicast(msg) => self.handle_submit(now, msg),
+            Event::Multicast(msg) => self.handle_submit(msg),
             Event::Timer { id, .. } => self.handle_retry(id),
             Event::Message { msg, .. } => match msg {
                 WhiteBoxMsg::ClientReply {
-                    msg_id,
-                    group,
-                    global_ts,
-                } => self.handle_reply(now, msg_id, group, global_ts),
+                    msg_id, global_ts, ..
+                } => self.handle_reply(msg_id, global_ts),
                 // Clients ignore protocol traffic that is not addressed to them
                 // semantically (e.g. a stray ACCEPT caused by misconfiguration).
                 _ => Vec::new(),
@@ -258,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn reply_completes_the_multicast_and_reports_latency() {
+    fn reply_completes_the_multicast_as_one_delivery() {
         let mut c = client();
         c.on_event(Duration::from_millis(5), Event::Multicast(msg(0, &[0])));
         let actions = c.on_event(
@@ -272,11 +230,12 @@ mod tests {
                 },
             ),
         );
-        assert!(actions.iter().any(Action::is_delivery));
+        let delivered: Vec<_> = actions.iter().filter_map(Action::as_delivery).collect();
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].msg, msg(0, &[0]));
+        assert_eq!(delivered[0].global_ts, Some(Timestamp::new(1, GroupId(0))));
+        assert!(actions.contains(&Action::CancelTimer(TimerId(0))));
         assert_eq!(c.pending_count(), 0);
-        assert_eq!(c.completed().len(), 1);
-        assert_eq!(c.completed()[0].latency, Duration::from_millis(12));
-        assert_eq!(c.completed()[0].first_reply_group, GroupId(0));
     }
 
     #[test]
@@ -288,16 +247,16 @@ mod tests {
             group: GroupId(0),
             global_ts: Timestamp::new(1, GroupId(0)),
         };
-        c.on_event(
+        let first = c.on_event(
             Duration::from_millis(1),
             Event::message(ProcessId(0), reply.clone()),
         );
+        assert_eq!(first.iter().filter(|a| a.is_delivery()).count(), 1);
         let actions = c.on_event(
             Duration::from_millis(2),
             Event::message(ProcessId(1), reply),
         );
         assert!(actions.is_empty());
-        assert_eq!(c.completed().len(), 1);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod messages;
 pub mod record;
 pub mod replica;
 
-pub use client::{CompletedMulticast, MulticastClient};
+pub use client::MulticastClient;
 pub use config::{ClientConfig, ReplicaConfig};
 pub use messages::{
     AcceptEntry, BallotVector, DeliverEntry, RecordSnapshot, StateSnapshot, WhiteBoxMsg,

@@ -20,8 +20,8 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use wbam_types::{
     Action, AppMessage, Ballot, Checkpoint, Compaction, ConfigError, DeliveredFilter,
-    DeliveredMessage, DeliveryQueue, Event, GroupId, MsgId, Node, Phase, ProcessId, TimerId,
-    Timestamp,
+    DeliveredMessage, DeliveryQueue, Event, GroupId, MsgId, Node, Phase, ProcessId, RecordMap,
+    TimerId, Timestamp,
 };
 
 use crate::config::ReplicaConfig;
@@ -86,7 +86,7 @@ pub struct WhiteBoxReplica {
     /// Highest global timestamp of a delivered message (`max_delivered_gts`).
     max_delivered_gts: Timestamp,
     /// Per-message protocol state.
-    records: BTreeMap<MsgId, MessageRecord>,
+    records: RecordMap<MessageRecord>,
     /// Members of this replica's group, in configuration order.
     group_members: Vec<ProcessId>,
     /// Quorum size of every group.
@@ -95,7 +95,7 @@ pub struct WhiteBoxReplica {
     recovery: Option<RecoveryState>,
     /// Retry timers: timer id → message, and message → timer id.
     retry_timer_msgs: BTreeMap<TimerId, MsgId>,
-    retry_timer_of: BTreeMap<MsgId, TimerId>,
+    retry_timer_of: RecordMap<TimerId>,
     next_retry_timer: u64,
     /// Last time we heard from our group's leader (heartbeat or any message).
     last_leader_activity: Duration,
@@ -187,12 +187,12 @@ impl WhiteBoxReplica {
             ballot: initial_ballot,
             cur_leader,
             max_delivered_gts: Timestamp::BOTTOM,
-            records: BTreeMap::new(),
+            records: RecordMap::new(),
             group_members,
             quorum_sizes,
             recovery: None,
             retry_timer_msgs: BTreeMap::new(),
-            retry_timer_of: BTreeMap::new(),
+            retry_timer_of: RecordMap::new(),
             next_retry_timer: 0,
             last_leader_activity: Duration::ZERO,
             delivered_count: 0,
@@ -281,6 +281,12 @@ impl WhiteBoxReplica {
     /// compaction (in-flight records plus the lag/interval window).
     pub fn live_records(&self) -> usize {
         self.records.len()
+    }
+
+    /// Window slots the record store has allocated (see
+    /// [`RecordMap::slot_capacity`]).
+    pub fn record_slots(&self) -> usize {
+        self.records.slot_capacity()
     }
 
     /// The replica's compaction state: watermarks, pruned and state-transfer
@@ -429,8 +435,7 @@ impl WhiteBoxReplica {
         let clock = &mut self.clock;
         let record = self
             .records
-            .entry(msg.id)
-            .or_insert_with(|| MessageRecord::new(msg.clone()));
+            .get_or_insert_with(msg.id, || MessageRecord::new(msg.clone()));
         let fresh = record.phase == Phase::Start;
         if fresh {
             // Lines 5–8: assign a fresh local timestamp.
@@ -654,8 +659,7 @@ impl WhiteBoxReplica {
         let (own_accept, implied_gts) = {
             let record = self
                 .records
-                .entry(msg_id)
-                .or_insert_with(|| MessageRecord::new(msg));
+                .get_or_insert_with(msg_id, || MessageRecord::new(msg));
             record.record_accept(group, ballot, local_ts);
             (record.accept_of(own_group), record.implied_global_ts())
         };
@@ -898,8 +902,7 @@ impl WhiteBoxReplica {
     fn install_delivered(&mut self, msg: &AppMessage, local_ts: Timestamp, global_ts: Timestamp) {
         let record = self
             .records
-            .entry(msg.id)
-            .or_insert_with(|| MessageRecord::new(msg.clone()));
+            .get_or_insert_with(msg.id, || MessageRecord::new(msg.clone()));
         self.delivery.unpend(record.local_ts, msg.id);
         self.delivery.forget(record.global_ts, msg.id);
         self.delivery.forget(global_ts, msg.id);
@@ -1237,7 +1240,7 @@ impl WhiteBoxReplica {
             .map(|a| a.cballot)
             .max()
             .unwrap_or(Ballot::BOTTOM);
-        let mut new_records: BTreeMap<MsgId, MessageRecord> = BTreeMap::new();
+        let mut new_records: RecordMap<MessageRecord> = RecordMap::new();
         for data in recovery.acks.values() {
             for (id, snap) in &data.snapshot.records {
                 match snap.phase {
@@ -1251,21 +1254,21 @@ impl WhiteBoxReplica {
                     // accepted, with its local timestamp (unless some other
                     // process reported it committed).
                     Phase::Accepted if data.cballot == max_cballot => {
-                        new_records
-                            .entry(*id)
-                            .and_modify(|existing| {
+                        match new_records.get_mut(id) {
+                            Some(existing) => {
                                 if existing.phase != Phase::Committed {
                                     existing.phase = Phase::Accepted;
                                     existing.local_ts = snap.local_ts;
                                 }
-                            })
-                            .or_insert_with(|| {
+                            }
+                            None => {
                                 let mut rec = MessageRecord::from_snapshot(snap.clone());
                                 rec.phase = Phase::Accepted;
                                 rec.global_ts = Timestamp::BOTTOM;
                                 rec.delivered = false;
-                                rec
-                            });
+                                new_records.insert(*id, rec);
+                            }
+                        }
                     }
                     // Proposed-only messages did not reach a quorum in any
                     // ballot and are dropped; the multicaster (or a remote
@@ -1645,7 +1648,7 @@ impl WhiteBoxReplica {
         self.batch_timer_armed = false;
         self.recovery = None;
         self.retry_timer_msgs.clear();
-        self.retry_timer_of.clear();
+        self.retry_timer_of = RecordMap::new();
         self.last_leader_activity = now;
         self.status = Status::Follower;
         let mut actions = self.start_recovery();

@@ -422,7 +422,7 @@ impl ProtocolSim {
         let mut seen_any = false;
         for gc in self.cluster.groups() {
             for member in gc.members() {
-                if let Some((live, p)) = self.replica_gauges(*member) {
+                if let Some((live, _, p)) = self.replica_gauges(*member) {
                     seen_any = true;
                     max = max.max(live);
                     total += live;
@@ -438,12 +438,21 @@ impl ProtocolSim {
         metrics
     }
 
-    fn replica_gauges(&self, p: ProcessId) -> Option<(usize, u64)> {
-        if let Some(replica) = self.whitebox_replica(p) {
-            return Some((replica.live_records(), replica.compaction().pruned_count()));
+    /// A replica's resident records, record-store slots and pruned count.
+    fn replica_gauges(&self, p: ProcessId) -> Option<(usize, usize, u64)> {
+        if let Some(r) = self.whitebox_replica(p) {
+            return Some((
+                r.live_records(),
+                r.record_slots(),
+                r.compaction().pruned_count(),
+            ));
         }
-        if let Some(replica) = self.baseline_replica(p) {
-            return Some((replica.live_records(), replica.compaction().pruned_count()));
+        if let Some(r) = self.baseline_replica(p) {
+            return Some((
+                r.live_records(),
+                r.record_slots(),
+                r.compaction().pruned_count(),
+            ));
         }
         None
     }
@@ -451,7 +460,14 @@ impl ProtocolSim {
     /// Number of message records resident at a replica (`None` for clients,
     /// unknown processes, or protocols without the inspection hook).
     pub fn live_records(&self, p: ProcessId) -> Option<usize> {
-        self.replica_gauges(p).map(|(live, _)| live)
+        self.replica_gauges(p).map(|(live, _, _)| live)
+    }
+
+    /// Window slots a replica's record store has allocated: its footprint
+    /// beyond the records themselves (`None` where
+    /// [`Self::live_records`] is).
+    pub fn record_slots(&self, p: ProcessId) -> Option<usize> {
+        self.replica_gauges(p).map(|(_, slots, _)| slots)
     }
 
     /// Per-replica excusal watermarks for the linearizability oracle: for

@@ -52,7 +52,7 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use wbam_types::{
     Action, AppMessage, DeliveredMessage, DeliveryQueue, Event, GroupId, MsgId, Node, Phase,
-    ProcessId, Timestamp,
+    ProcessId, RecordMap, Timestamp,
 };
 
 /// Wire messages of Skeen's protocol.
@@ -118,7 +118,7 @@ pub struct SkeenProcess {
     /// The single member of every group, in the system configuration.
     group_processes: BTreeMap<GroupId, ProcessId>,
     clock: u64,
-    records: BTreeMap<MsgId, SkeenRecord>,
+    records: RecordMap<SkeenRecord>,
     /// Delivery-condition index: `PROPOSED` local timestamps and committed,
     /// undelivered global timestamps.
     delivery: DeliveryQueue,
@@ -139,7 +139,7 @@ impl SkeenProcess {
             group,
             group_processes: groups.into_iter().collect(),
             clock: 0,
-            records: BTreeMap::new(),
+            records: RecordMap::new(),
             delivery: DeliveryQueue::new(),
             delivered_count: 0,
             notify_sender: true,
@@ -186,8 +186,7 @@ impl SkeenProcess {
         let clock = &mut self.clock;
         let record = self
             .records
-            .entry(msg.id)
-            .or_insert_with(|| SkeenRecord::new(msg.clone()));
+            .get_or_insert_with(msg.id, || SkeenRecord::new(msg.clone()));
         if record.phase == Phase::Start {
             *clock += 1;
             record.local_ts = Timestamp::new(*clock, group);
@@ -221,8 +220,7 @@ impl SkeenProcess {
         }
         let record = self
             .records
-            .entry(msg.id)
-            .or_insert_with(|| SkeenRecord::new(msg.clone()));
+            .get_or_insert_with(msg.id, || SkeenRecord::new(msg.clone()));
         record.proposals.insert(group, local_ts);
         let complete = msg.dest.iter().all(|g| record.proposals.contains_key(&g));
         if !complete || record.phase == Phase::Committed {
@@ -300,8 +298,7 @@ impl Node for SkeenProcess {
 pub struct SkeenClient {
     id: ProcessId,
     group_processes: BTreeMap<GroupId, ProcessId>,
-    completed: Vec<(MsgId, Timestamp, Duration)>,
-    pending: BTreeMap<MsgId, (AppMessage, Duration)>,
+    pending: RecordMap<AppMessage>,
 }
 
 impl SkeenClient {
@@ -313,14 +310,8 @@ impl SkeenClient {
         SkeenClient {
             id,
             group_processes: groups.into_iter().collect(),
-            completed: Vec::new(),
-            pending: BTreeMap::new(),
+            pending: RecordMap::new(),
         }
-    }
-
-    /// Completed multicasts: message, global timestamp and client-side latency.
-    pub fn completed(&self) -> &[(MsgId, Timestamp, Duration)] {
-        &self.completed
     }
 
     /// Number of multicasts still awaiting their first reply.
@@ -336,10 +327,10 @@ impl Node for SkeenClient {
         self.id
     }
 
-    fn on_event(&mut self, now: Duration, event: Event<SkeenMsg>) -> Vec<Action<SkeenMsg>> {
+    fn on_event(&mut self, _now: Duration, event: Event<SkeenMsg>) -> Vec<Action<SkeenMsg>> {
         match event {
             Event::Multicast(msg) => {
-                self.pending.insert(msg.id, (msg.clone(), now));
+                self.pending.insert(msg.id, msg.clone());
                 msg.dest
                     .iter()
                     .filter_map(|g| self.group_processes.get(&g).copied())
@@ -353,9 +344,7 @@ impl Node for SkeenClient {
                     },
                 ..
             } => {
-                if let Some((msg, submitted)) = self.pending.remove(&msg_id) {
-                    let latency = now.saturating_sub(submitted);
-                    self.completed.push((msg_id, global_ts, latency));
+                if let Some(msg) = self.pending.remove(&msg_id) {
                     // Surface completion to the application driving the client.
                     return vec![Action::Deliver(DeliveredMessage::with_timestamp(
                         msg, global_ts,
@@ -570,7 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn client_tracks_latency() {
+    fn client_surfaces_the_reply_as_a_delivery() {
         let mut c = SkeenClient::new(ProcessId(9), groups());
         let m = msg(0, &[0, 1]);
         let actions = c.on_event(Duration::from_millis(10), Event::Multicast(m.clone()));
@@ -585,9 +574,10 @@ mod tests {
             Duration::from_millis(35),
             Event::message(ProcessId(0), reply),
         );
-        assert!(actions.iter().any(Action::is_delivery));
-        assert_eq!(c.completed().len(), 1);
-        assert_eq!(c.completed()[0].2, Duration::from_millis(25));
+        let delivered: Vec<_> = actions.iter().filter_map(Action::as_delivery).collect();
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].msg, m);
+        assert_eq!(delivered[0].global_ts, Some(Timestamp::new(3, GroupId(1))));
         assert_eq!(c.pending_count(), 0);
     }
 
@@ -601,16 +591,16 @@ mod tests {
             group: GroupId(0),
             global_ts: Timestamp::new(1, GroupId(0)),
         };
-        c.on_event(
+        let first = c.on_event(
             Duration::from_millis(1),
             Event::message(ProcessId(0), reply.clone()),
         );
+        assert_eq!(first.iter().filter(|a| a.is_delivery()).count(), 1);
         let actions = c.on_event(
             Duration::from_millis(2),
             Event::message(ProcessId(1), reply),
         );
         assert!(actions.is_empty());
-        assert_eq!(c.completed().len(), 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::checkpoint::merge_watermarks;
 use crate::ids::{GroupId, MsgId, ProcessId};
 use crate::message::Destination;
+use crate::record_map::RecordMap;
 use crate::timestamp::Timestamp;
 
 /// One replica's compaction state: cadence, member progress, watermarks,
@@ -149,11 +150,7 @@ impl Compaction {
     /// watermark covers, keeping the `lag` most recent. The scan walks the
     /// delivered index in global-timestamp order and stops at the first
     /// record not covered yet, so a call costs O(pruned), not O(resident).
-    pub fn prune<R>(
-        &mut self,
-        records: &mut BTreeMap<MsgId, R>,
-        dest: impl Fn(&R) -> &Destination,
-    ) {
+    pub fn prune<R>(&mut self, records: &mut RecordMap<R>, dest: impl Fn(&R) -> &Destination) {
         if !self.enabled() {
             return;
         }
@@ -214,7 +211,7 @@ mod tests {
 
     /// `n` delivered records addressed to `groups`, at global timestamps
     /// `1..=n`, indexed for the prune scan.
-    fn delivered(c: &mut Compaction, n: u64, groups: &[u32]) -> BTreeMap<MsgId, Destination> {
+    fn delivered(c: &mut Compaction, n: u64, groups: &[u32]) -> RecordMap<Destination> {
         (1..=n)
             .map(|t| {
                 c.note_delivery(ts(t), id(t));
@@ -271,7 +268,7 @@ mod tests {
         c.merge(&[(GroupId(0), ts(4)), (GroupId(1), ts(2))].into());
         c.prune(&mut records, |d| d);
         assert_eq!(
-            records.keys().copied().collect::<Vec<_>>(),
+            records.iter().map(|(id, _)| id).collect::<Vec<_>>(),
             vec![id(3), id(4)]
         );
         assert_eq!(c.pruned_count(), 2);
@@ -289,7 +286,7 @@ mod tests {
         c.merge(&[(GroupId(0), ts(10))].into());
         c.prune(&mut records, |d| d);
         assert_eq!(
-            records.keys().copied().collect::<Vec<_>>(),
+            records.iter().map(|(id, _)| id).collect::<Vec<_>>(),
             vec![id(8), id(9), id(10)]
         );
         assert_eq!(c.pruned_count(), 7);

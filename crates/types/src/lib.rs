@@ -15,8 +15,9 @@
 //!   groups of `2f + 1` processes each.
 //! * [`Event`], [`Action`], [`Node`] — the sans-IO protocol interface shared by
 //!   the simulator (`wbam-simnet`) and the real runtime.
-//! * [`DeliveryQueue`], [`Compaction`] — the delivery rule and the `STABLE`
-//!   compaction engine every protocol shares.
+//! * [`RecordMap`], [`DeliveryQueue`], [`Compaction`] — the per-message
+//!   record store, the delivery rule and the `STABLE` compaction engine every
+//!   protocol shares.
 //!
 //! # Example
 //!
@@ -54,6 +55,7 @@ pub mod message;
 pub mod nemesis;
 pub mod node;
 pub mod phase;
+pub mod record_map;
 pub mod timestamp;
 pub mod wire;
 
@@ -70,4 +72,5 @@ pub use message::{AppMessage, Destination, Payload};
 pub use nemesis::{CrashSpec, LeaderNudge, LinkFaults, NemesisPlan, PartitionSpec};
 pub use node::{Node, TimerId};
 pub use phase::Phase;
+pub use record_map::RecordMap;
 pub use timestamp::Timestamp;

@@ -4,7 +4,8 @@
 //! The tier-1 (fast) profile drives a few thousand multicasts through every
 //! protocol with compaction on and asserts that each replica's live record
 //! count stays bounded by the in-flight window plus the compaction lag — the
-//! property that lets a replica serve unbounded traffic in bounded memory.
+//! property that lets a replica serve unbounded traffic in bounded memory —
+//! and that its record store's slots stay bounded with them.
 //! The `#[ignore]`d full profile raises the load to ≥100k multicasts per
 //! protocol (run it with `cargo test --release -- --ignored soak`).
 //!
@@ -25,6 +26,7 @@ use wbam::types::{GroupId, MsgId, ProcessId};
 
 const NUM_GROUPS: usize = 3;
 const GROUP_SIZE: usize = 3;
+const NUM_CLIENTS: usize = 2;
 const INTERVAL: u64 = 50;
 const LAG: usize = 100;
 
@@ -36,11 +38,21 @@ fn live_bound() -> usize {
     LAG + 8 * INTERVAL as usize + 64
 }
 
+/// The record-store slot bound asserted next to [`live_bound`]: four slots
+/// per bounded record plus one 64-slot minimum per client. A hole in a
+/// sender's id space costs a slot, and here each group sees about 40 % of
+/// a sender's ids, so a window spans about 2.5 slots per record; slot
+/// storage grows by doubling. A window pinned by a record that never leaves,
+/// or slot storage never released, outgrows it within the fast profile.
+fn slot_bound() -> usize {
+    4 * live_bound() + 64 * NUM_CLIENTS
+}
+
 fn soak_spec(seed: u64) -> ClusterSpec {
     ClusterSpec {
         num_groups: NUM_GROUPS,
         group_size: GROUP_SIZE,
-        num_clients: 2,
+        num_clients: NUM_CLIENTS,
         num_sites: 1,
         latency: LatencyModel::constant(Duration::from_micros(500)),
         service_time: Duration::ZERO,
@@ -92,6 +104,12 @@ fn assert_bounded(sim: &ProtocolSim, label: &str, when: &str) {
             live <= live_bound(),
             "{label}: {p} holds {live} live records {when} (bound {})",
             live_bound()
+        );
+        let slots = sim.record_slots(p).expect("replicas expose record_slots");
+        assert!(
+            slots <= slot_bound(),
+            "{label}: {p} holds {slots} record slots for {live} records {when} (bound {})",
+            slot_bound()
         );
     }
 }
