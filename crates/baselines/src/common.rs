@@ -20,9 +20,6 @@ use wbam_types::{
     ProcessId, RecordMap, TimerId, Timestamp,
 };
 
-/// Timer used by a batching baseline leader to flush a partial batch.
-const BATCH_TIMER: TimerId = TimerId(1);
-
 /// Timer pumping a restarted follower's catch-up request until the leader's
 /// `STATE_TRANSFER` arrives (either message may be lost; the slots the
 /// follower slept through can be below the leader's compacted log frontier,
@@ -241,17 +238,6 @@ pub struct BaselineReplica {
     /// message itself (possible with jittery links); merged into the record as
     /// soon as it is created.
     pending_confirms: BTreeMap<MsgId, BTreeSet<GroupId>>,
-    /// Maximum number of multicasts accumulated before a batched Paxos
-    /// proposal is flushed (see [`Self::with_batching`]).
-    max_batch: usize,
-    /// How long a partial batch waits for more multicasts before flushing.
-    /// Zero disables batching (per-message consensus, the paper's behaviour).
-    batch_delay: Duration,
-    /// Multicasts with assigned tentative timestamps awaiting the next
-    /// batched `AssignLocal` consensus round (leader only).
-    batch_buffer: Vec<MsgId>,
-    /// Whether the batch-flush timer is armed.
-    batch_timer_armed: bool,
     /// Skeen's delivery rule over the records (see [`BaselineRecord::queue_keys`]).
     delivery: DeliveryQueue,
     /// The `STABLE` exchange: watermarks, member progress and the prune scan.
@@ -311,10 +297,6 @@ impl BaselineReplica {
             delivered_count: 0,
             max_delivered_gts: Timestamp::BOTTOM,
             pending_confirms: BTreeMap::new(),
-            max_batch: 1,
-            batch_delay: Duration::ZERO,
-            batch_buffer: Vec::new(),
-            batch_timer_armed: false,
             delivery: DeliveryQueue::new(),
             compaction: Compaction::new(0, 0),
             dedup: DeliveredFilter::new(),
@@ -328,23 +310,6 @@ impl BaselineReplica {
     pub fn without_sender_notification(mut self) -> Self {
         self.notify_sender = false;
         self
-    }
-
-    /// Enables batched ordering: the leader accumulates up to `max_batch`
-    /// multicasts (flushing earlier after `batch_delay`) and persists their
-    /// local-timestamp assignments through a *single* batched Paxos proposal
-    /// ([`PaxosReplica::propose_all`]). The baselines' counterpart of the
-    /// white-box protocol's `ACCEPT_BATCH`, so throughput comparisons stay
-    /// apples-to-apples. A zero `batch_delay` disables batching.
-    pub fn with_batching(mut self, max_batch: usize, batch_delay: Duration) -> Self {
-        self.max_batch = max_batch.max(1);
-        self.batch_delay = batch_delay;
-        self
-    }
-
-    /// Whether batched ordering is enabled.
-    pub fn batching_enabled(&self) -> bool {
-        !self.batch_delay.is_zero() && self.max_batch > 1
     }
 
     /// Enables record + consensus-log compaction, mirroring
@@ -565,23 +530,6 @@ impl BaselineReplica {
         let local_ts = Timestamp::new(*clock, group);
         record.tentative_lts = local_ts;
         self.refile(msg.id, before);
-        if self.batching_enabled() {
-            // Buffer the assignment; it is persisted through one batched
-            // consensus round when the buffer fills or the timer fires. The
-            // tentative timestamp already blocks delivery of later messages,
-            // so buffering cannot reorder anything.
-            self.batch_buffer.push(msg.id);
-            if self.batch_buffer.len() >= self.max_batch {
-                actions.extend(self.flush_batch());
-            } else if !self.batch_timer_armed {
-                self.batch_timer_armed = true;
-                actions.push(Action::SetTimer {
-                    id: BATCH_TIMER,
-                    delay: self.batch_delay,
-                });
-            }
-            return actions;
-        }
         // Persist the assignment through consensus.
         let out = self.paxos.propose(Command::AssignLocal {
             msg: msg.clone(),
@@ -592,57 +540,6 @@ impl BaselineReplica {
             // Speculation: forward the (not yet durable) proposal right away.
             actions.extend(self.send_proposals(&msg, local_ts));
             actions.extend(self.note_proposal(&msg, self.group, local_ts));
-        }
-        actions
-    }
-
-    /// Flushes the batch buffer: one batched Paxos proposal covering every
-    /// buffered `AssignLocal`, plus (FastCast) the speculative cross-group
-    /// proposal exchange for each flushed message.
-    fn flush_batch(&mut self) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
-        if self.batch_timer_armed {
-            self.batch_timer_armed = false;
-            actions.push(Action::CancelTimer(BATCH_TIMER));
-        }
-        if !self.paxos.is_leader() {
-            // Deposed with a non-empty buffer: forget the tentative
-            // assignments so a retried MULTICAST can be proposed afresh
-            // (by the new leader, or by us if re-elected).
-            for id in std::mem::take(&mut self.batch_buffer) {
-                if let Some(record) = self.records.get_mut(&id) {
-                    let before = record.queue_keys();
-                    record.assign_proposed = false;
-                    self.refile(id, before);
-                }
-            }
-            return actions;
-        }
-        if self.batch_buffer.is_empty() {
-            return actions;
-        }
-        let ids = std::mem::take(&mut self.batch_buffer);
-        let mut flushed: Vec<(AppMessage, Timestamp)> = Vec::new();
-        let mut cmds = Vec::new();
-        for id in ids {
-            let Some(record) = self.records.get(&id) else {
-                continue;
-            };
-            let msg = record.msg.clone();
-            let local_ts = record.tentative_lts;
-            cmds.push(Command::AssignLocal {
-                msg: msg.clone(),
-                local_ts,
-            });
-            flushed.push((msg, local_ts));
-        }
-        let out = self.paxos.propose_all(cmds);
-        actions.extend(self.convert_paxos(out));
-        if self.mode == Mode::FastCast {
-            for (msg, local_ts) in flushed {
-                actions.extend(self.send_proposals(&msg, local_ts));
-                actions.extend(self.note_proposal(&msg, self.group, local_ts));
-            }
         }
         actions
     }
@@ -1087,23 +984,13 @@ impl Node for BaselineReplica {
                 let out = self.paxos.campaign();
                 self.convert_paxos(out)
             }
-            Event::Timer {
-                id: BATCH_TIMER, ..
-            } => {
-                self.batch_timer_armed = false;
-                self.flush_batch()
-            }
             // A restarted replica keeps its durable state (records, Paxos
-            // log, clock) but lost its volatile context: the batch buffer and
-            // its flush timer died with the process. Re-flush anything that
-            // was buffered — the records already carry tentative timestamps —
-            // and, if this replica led its group's consensus, re-establish
-            // the leadership through a fresh campaign so in-flight slots are
-            // re-learned from a quorum.
+            // log, clock) but lost its volatile context. If it led its
+            // group's consensus, it re-establishes the leadership through a
+            // fresh campaign so in-flight slots are re-learned from a quorum.
             Event::Restart => {
-                self.batch_timer_armed = false;
                 self.catchup_pending = false;
-                let mut actions = self.flush_batch();
+                let mut actions = Vec::new();
                 if self.paxos.is_leader() {
                     let out = self.paxos.campaign();
                     actions.extend(self.convert_paxos(out));
@@ -1364,77 +1251,6 @@ mod tests {
             proposes, 1,
             "the proposal to g1's leader goes out immediately"
         );
-    }
-
-    #[test]
-    fn batching_leader_buffers_and_flushes_one_paxos_batch() {
-        let mut leader = BaselineReplica::new(ProcessId(0), GroupId(0), cluster(), Mode::FtSkeen)
-            .with_batching(2, Duration::from_millis(5));
-        let m1 = msg(0, &[0]);
-        let m2 = msg(1, &[0]);
-        let actions = leader.on_event(
-            Duration::ZERO,
-            Event::message(ProcessId(6), BaselineMsg::Multicast { msg: m1 }),
-        );
-        // Buffered: no consensus traffic yet, only the flush timer.
-        assert!(!actions.iter().any(|a| matches!(a, Action::Send { .. })));
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::SetTimer {
-                id: BATCH_TIMER,
-                ..
-            }
-        )));
-        let actions = leader.on_event(
-            Duration::ZERO,
-            Event::message(ProcessId(6), BaselineMsg::Multicast { msg: m2 }),
-        );
-        // The full batch goes out as ONE AcceptMany per member (3 wire
-        // messages for 2 commands, instead of 6).
-        let batched = actions
-            .iter()
-            .filter(|a| {
-                matches!(
-                    a,
-                    Action::Send {
-                        msg: BaselineMsg::Paxos(PaxosMsg::AcceptMany { .. }),
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(batched, 3);
-        assert_eq!(leader.clock(), 2);
-    }
-
-    #[test]
-    fn batch_timer_flushes_partial_baseline_batch() {
-        let mut leader = BaselineReplica::new(ProcessId(0), GroupId(0), cluster(), Mode::FtSkeen)
-            .with_batching(8, Duration::from_millis(5));
-        leader.on_event(
-            Duration::ZERO,
-            Event::message(ProcessId(6), BaselineMsg::Multicast { msg: msg(0, &[0]) }),
-        );
-        let actions = leader.on_event(
-            Duration::from_millis(5),
-            Event::Timer {
-                id: BATCH_TIMER,
-                now: Duration::from_millis(5),
-            },
-        );
-        let batched = actions
-            .iter()
-            .filter(|a| {
-                matches!(
-                    a,
-                    Action::Send {
-                        msg: BaselineMsg::Paxos(PaxosMsg::AcceptMany { .. }),
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(batched, 3);
     }
 
     #[test]

@@ -21,8 +21,6 @@ fn run(num_groups: usize) -> f64 {
         latency: LatencyModel::constant(Duration::from_micros(100)),
         service_time: Duration::from_micros(10),
         seed: 5,
-        max_batch: 1,
-        batch_delay: Duration::ZERO,
         nemesis: wbam_types::NemesisPlan::quiet(),
         record_trace: false,
         auto_election: false,

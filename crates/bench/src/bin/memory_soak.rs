@@ -87,8 +87,6 @@ fn spec(compaction: bool) -> ClusterSpec {
         latency: LatencyModel::constant(Duration::from_micros(500)),
         service_time: Duration::ZERO,
         seed: 77,
-        max_batch: 1,
-        batch_delay: Duration::ZERO,
         nemesis: wbam_types::NemesisPlan::quiet(),
         record_trace: false,
         auto_election: false,

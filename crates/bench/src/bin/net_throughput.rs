@@ -1,6 +1,6 @@
 //! Closed-loop throughput/latency of a *deployed* loopback TCP cluster — the
-//! repo's first real-hardware numbers, sitting beside the simulated
-//! `BENCH_throughput.json` trajectory.
+//! repo's first real-hardware numbers, sitting beside the simulated (and now
+//! frozen) `BENCH_throughput.json` rows.
 //!
 //! ```text
 //! net_throughput [--smoke] [--messages N] [--wire binary|json|both] [--out FILE]
@@ -25,8 +25,8 @@
 //! CI and gates on basic sanity (every point completed, non-zero throughput).
 //!
 //! Idle-path latency is a first-class metric, not a by-product of the
-//! throughput sweep: a dedicated depth-1 point (1 group, 1 outstanding, no
-//! batching — the paper's 3-delay fast path with nothing queued behind it)
+//! throughput sweep: a dedicated depth-1 point (1 group, 1 outstanding — the
+//! paper's 3-delay fast path with nothing queued behind it)
 //! runs first for every codec and is recorded as bench `"net_latency"`.
 //! `--latency-gate P50_MS` turns it into a regression gate: the run fails if
 //! the *binary*-codec depth-1 p50 exceeds the bound on the best of up to
@@ -50,19 +50,15 @@ struct Config {
     label: &'static str,
     dest_groups: usize,
     outstanding: u64,
-    max_batch: usize,
-    batch_delay_ms: u64,
 }
 
 /// The dedicated idle-path latency point: a depth-1 closed loop into one
-/// group with no batching, so every recorded latency is one unpipelined
+/// group, so every recorded latency is one unpipelined
 /// 3-delay fast path — exactly what the wake-on-ready reactor is for.
 const LATENCY_CONFIG: Config = Config {
     label: "latency: 1-group, 1 outstanding",
     dest_groups: 1,
     outstanding: 1,
-    max_batch: 1,
-    batch_delay_ms: 0,
 };
 
 const CONFIGS: &[Config] = &[
@@ -70,53 +66,26 @@ const CONFIGS: &[Config] = &[
         label: "1-group, 1 outstanding",
         dest_groups: 1,
         outstanding: 1,
-        max_batch: 1,
-        batch_delay_ms: 0,
     },
     Config {
         label: "1-group, 16 outstanding",
         dest_groups: 1,
         outstanding: 16,
-        max_batch: 1,
-        batch_delay_ms: 0,
     },
     Config {
         label: "2-group, 1 outstanding",
         dest_groups: 2,
         outstanding: 1,
-        max_batch: 1,
-        batch_delay_ms: 0,
     },
     Config {
         label: "2-group, 16 outstanding",
         dest_groups: 2,
         outstanding: 16,
-        max_batch: 1,
-        batch_delay_ms: 0,
-    },
-    Config {
-        label: "2-group, 16 outstanding, batch 16",
-        dest_groups: 2,
-        outstanding: 16,
-        max_batch: 16,
-        batch_delay_ms: 1,
     },
     Config {
         label: "1-group, 64 outstanding",
         dest_groups: 1,
         outstanding: 64,
-        max_batch: 1,
-        batch_delay_ms: 0,
-    },
-    // The peak-throughput shape on a small host: a deep closed-loop pipeline
-    // with large protocol batches, so the per-message cost is almost entirely
-    // amortized (one coalesced handoff and one socket write per batch).
-    Config {
-        label: "1-group, 512 outstanding, batch 128",
-        dest_groups: 1,
-        outstanding: 512,
-        max_batch: 128,
-        batch_delay_ms: 1,
     },
 ];
 
@@ -141,8 +110,6 @@ fn run_point(
     let mut spec = DeploySpec::loopback_free_ports(Protocol::WhiteBox, 2, 3, 1)
         .expect("reserve loopback ports");
     spec.wire = Some(codec.name().to_string());
-    spec.max_batch = cfg.max_batch;
-    spec.batch_delay_ms = cfg.batch_delay_ms;
     // Benchmarks never kill processes; a conservatively long election timeout
     // keeps scheduler hiccups from triggering spurious failovers mid-run.
     spec.heartbeat_ms = 100;
@@ -285,7 +252,6 @@ fn main() {
             environment: "loopback-tcp".to_string(),
             wire: Some(codec.name().to_string()),
             protocol: Protocol::WhiteBox.label().to_string(),
-            max_batch: cfg.max_batch,
             clients: 1,
             dest_groups: cfg.dest_groups,
             throughput_msg_s: summary.throughput_msg_s,

@@ -84,33 +84,6 @@ pub enum PaxosMsg<C> {
         /// The chosen command.
         cmd: C,
     },
-    /// Batched phase 2a: the leader asks acceptors to accept a run of
-    /// commands in consecutive slots starting at `start_slot`, in one wire
-    /// message. Semantically equivalent to one [`PaxosMsg::Accept`] per
-    /// command; produced by [`PaxosReplica::propose_all`] to amortise the
-    /// per-command consensus cost under batched workloads.
-    AcceptMany {
-        /// The leader's ballot.
-        ballot: Ballot,
-        /// The first slot of the run.
-        start_slot: Slot,
-        /// The commands, occupying `start_slot..start_slot + cmds.len()`.
-        cmds: Vec<C>,
-    },
-    /// Batched phase 2b: the acceptor accepted the whole run.
-    AcceptedMany {
-        /// The acceptor's ballot.
-        ballot: Ballot,
-        /// The first slot of the accepted run.
-        start_slot: Slot,
-        /// Number of consecutive slots accepted.
-        count: u64,
-    },
-    /// Batched learn message: several `(slot, command)` decisions at once.
-    ChosenMany {
-        /// The chosen commands and their slots.
-        entries: Vec<(Slot, C)>,
-    },
 }
 
 /// Configuration of one Paxos replica.
@@ -360,43 +333,6 @@ impl<C: Clone + PartialEq> PaxosReplica<C> {
         }
     }
 
-    /// Proposes a run of commands for consecutive slots with a single
-    /// `ACCEPT_MANY` per member — the batched equivalent of calling
-    /// [`propose`](Self::propose) once per command, at a fraction of the wire
-    /// and CPU cost. Only meaningful at the leader; followers drop the batch.
-    pub fn propose_all(&mut self, cmds: Vec<C>) -> PaxosOutput<C> {
-        let Some(ballot) = self.leading else {
-            return PaxosOutput::default();
-        };
-        if cmds.is_empty() {
-            return PaxosOutput::default();
-        }
-        let start_slot = self.next_slot;
-        self.next_slot += cmds.len() as Slot;
-        for (i, cmd) in cmds.iter().enumerate() {
-            self.in_flight.insert(start_slot + i as Slot, cmd.clone());
-        }
-        let outgoing = self
-            .config
-            .members
-            .iter()
-            .map(|m| {
-                (
-                    *m,
-                    PaxosMsg::AcceptMany {
-                        ballot,
-                        start_slot,
-                        cmds: cmds.clone(),
-                    },
-                )
-            })
-            .collect();
-        PaxosOutput {
-            outgoing,
-            decided: Vec::new(),
-        }
-    }
-
     /// Handles a Paxos message from `from`.
     pub fn handle(&mut self, from: ProcessId, msg: PaxosMsg<C>) -> PaxosOutput<C> {
         match msg {
@@ -405,23 +341,6 @@ impl<C: Clone + PartialEq> PaxosReplica<C> {
             PaxosMsg::Accept { ballot, slot, cmd } => self.on_accept(from, ballot, slot, cmd),
             PaxosMsg::Accepted { ballot, slot } => self.on_accepted(from, ballot, slot),
             PaxosMsg::Chosen { slot, cmd } => self.on_chosen(slot, cmd),
-            PaxosMsg::AcceptMany {
-                ballot,
-                start_slot,
-                cmds,
-            } => self.on_accept_many(from, ballot, start_slot, cmds),
-            PaxosMsg::AcceptedMany {
-                ballot,
-                start_slot,
-                count,
-            } => self.on_accepted_many(from, ballot, start_slot, count),
-            PaxosMsg::ChosenMany { entries } => {
-                let mut out = PaxosOutput::default();
-                for (slot, cmd) in entries {
-                    out.merge(self.on_chosen(slot, cmd));
-                }
-                out
-            }
         }
     }
 
@@ -546,74 +465,6 @@ impl<C: Clone + PartialEq> PaxosReplica<C> {
                     PaxosMsg::Chosen {
                         slot,
                         cmd: cmd.clone(),
-                    },
-                ));
-            }
-        }
-        out
-    }
-
-    fn on_accept_many(
-        &mut self,
-        from: ProcessId,
-        ballot: Ballot,
-        start_slot: Slot,
-        cmds: Vec<C>,
-    ) -> PaxosOutput<C> {
-        let mut out = PaxosOutput::default();
-        if ballot < self.promised {
-            return out;
-        }
-        self.promised = ballot;
-        let count = cmds.len() as u64;
-        for (i, cmd) in cmds.into_iter().enumerate() {
-            let slot = start_slot + i as Slot;
-            if slot < self.compacted_below {
-                continue;
-            }
-            self.accepted.insert(slot, (ballot, cmd));
-        }
-        out.outgoing.push((
-            from,
-            PaxosMsg::AcceptedMany {
-                ballot,
-                start_slot,
-                count,
-            },
-        ));
-        out
-    }
-
-    fn on_accepted_many(
-        &mut self,
-        from: ProcessId,
-        ballot: Ballot,
-        start_slot: Slot,
-        count: u64,
-    ) -> PaxosOutput<C> {
-        let mut out = PaxosOutput::default();
-        let mut newly_chosen: Vec<(Slot, C)> = Vec::new();
-        for slot in start_slot..start_slot + count {
-            if let Some(chosen) = self.note_accepted(from, ballot, slot) {
-                newly_chosen.push(chosen);
-            }
-        }
-        if newly_chosen.is_empty() {
-            return out;
-        }
-        // Tell everyone about the whole run at once.
-        let members = self.config.members.clone();
-        let own_id = self.config.id;
-        for m in members {
-            if m == own_id {
-                for (slot, cmd) in &newly_chosen {
-                    out.merge(self.on_chosen(*slot, cmd.clone()));
-                }
-            } else {
-                out.outgoing.push((
-                    m,
-                    PaxosMsg::ChosenMany {
-                        entries: newly_chosen.clone(),
                     },
                 ));
             }
@@ -749,76 +600,6 @@ mod tests {
             let cmds: Vec<&str> = d.iter().map(|(_, c)| c.as_str()).collect();
             assert_eq!(cmds, vec!["a", "b"]);
         }
-    }
-
-    #[test]
-    fn batched_proposal_is_decided_everywhere_in_order() {
-        let (mut p0, mut p1, mut p2) = trio();
-        let out = p0.propose_all(vec!["a".to_string(), "b".to_string(), "c".to_string()]);
-        assert_eq!(out.outgoing.len(), 3, "one ACCEPT_MANY per member");
-        let mut pending = Vec::new();
-        for (to, msg) in out.outgoing {
-            pending.push((ProcessId(0), to, msg));
-        }
-        let decided = run_to_quiescence(&mut [&mut p0, &mut p1, &mut p2], pending);
-        for d in &decided {
-            let cmds: Vec<&str> = d.iter().map(|(_, c)| c.as_str()).collect();
-            assert_eq!(cmds, vec!["a", "b", "c"]);
-            let slots: Vec<Slot> = d.iter().map(|(s, _)| *s).collect();
-            assert_eq!(slots, vec![0, 1, 2]);
-        }
-    }
-
-    #[test]
-    fn batched_and_single_proposals_share_the_log() {
-        let (mut p0, mut p1, mut p2) = trio();
-        let mut pending = Vec::new();
-        for (to, msg) in p0.propose("a".to_string()).outgoing {
-            pending.push((ProcessId(0), to, msg));
-        }
-        for (to, msg) in p0
-            .propose_all(vec!["b".to_string(), "c".to_string()])
-            .outgoing
-        {
-            pending.push((ProcessId(0), to, msg));
-        }
-        for (to, msg) in p0.propose("d".to_string()).outgoing {
-            pending.push((ProcessId(0), to, msg));
-        }
-        let decided = run_to_quiescence(&mut [&mut p0, &mut p1, &mut p2], pending);
-        for d in &decided {
-            let cmds: Vec<&str> = d.iter().map(|(_, c)| c.as_str()).collect();
-            assert_eq!(cmds, vec!["a", "b", "c", "d"]);
-        }
-    }
-
-    #[test]
-    fn followers_drop_batched_proposals() {
-        let (_, mut p1, _) = trio();
-        let out = p1.propose_all(vec!["a".to_string()]);
-        assert!(out.outgoing.is_empty());
-        let (mut p0, _, _) = trio();
-        assert!(p0.propose_all(Vec::new()).outgoing.is_empty());
-    }
-
-    #[test]
-    fn stale_ballot_accept_many_is_rejected() {
-        let (_, mut p1, _) = trio();
-        p1.handle(
-            ProcessId(2),
-            PaxosMsg::Prepare {
-                ballot: Ballot::new(5, ProcessId(2)),
-            },
-        );
-        let out = p1.handle(
-            ProcessId(0),
-            PaxosMsg::AcceptMany {
-                ballot: Ballot::new(1, ProcessId(0)),
-                start_slot: 0,
-                cmds: vec!["x".to_string()],
-            },
-        );
-        assert!(out.outgoing.is_empty());
     }
 
     #[test]

@@ -33,17 +33,6 @@ pub struct ReplicaConfig {
     /// group member list wait proportionally longer, so that a single
     /// follower takes over first.
     pub election_timeout: Duration,
-    /// Maximum number of multicasts the leader accumulates before flushing
-    /// them as one batched `ACCEPT` round
-    /// ([`WhiteBoxMsg::AcceptBatch`](crate::messages::WhiteBoxMsg::AcceptBatch)).
-    /// Only meaningful when [`batch_delay`](Self::batch_delay) is non-zero; a
-    /// full buffer flushes immediately without waiting for the timer.
-    pub max_batch: usize,
-    /// How long the leader waits for more multicasts to fill a batch before
-    /// flushing a partial one. `Duration::ZERO` (the default) disables
-    /// batching entirely and preserves the paper's per-message behaviour of
-    /// Figure 4 — and with it the Table 1 / Figure 5 latency results.
-    pub batch_delay: Duration,
     /// Paper Figure 4, line 14: on receiving a full set of `ACCEPT`s, advance
     /// the clock past the (future) global timestamp *speculatively*, before
     /// the timestamps are known to be durable. Disabling this reproduces the
@@ -79,8 +68,6 @@ impl ReplicaConfig {
             retry_timeout: Duration::from_millis(100),
             heartbeat_interval: Duration::from_millis(50),
             election_timeout: Duration::from_millis(250),
-            max_batch: 1,
-            batch_delay: Duration::ZERO,
             speculative_clock_update: true,
             compaction_interval: 0,
             compaction_lag: 0,
@@ -96,21 +83,6 @@ impl ReplicaConfig {
         self.compaction_interval = interval;
         self.compaction_lag = lag;
         self
-    }
-
-    /// Enables batched ordering: the leader accumulates up to `max_batch`
-    /// multicasts (flushing earlier after `batch_delay`) and runs a single
-    /// `ACCEPT`/`ACCEPT_ACK` round for the whole batch. Passing a zero
-    /// `batch_delay` disables batching again (per-message behaviour).
-    pub fn with_batching(mut self, max_batch: usize, batch_delay: Duration) -> Self {
-        self.max_batch = max_batch.max(1);
-        self.batch_delay = batch_delay;
-        self
-    }
-
-    /// Whether batched ordering is enabled.
-    pub fn batching_enabled(&self) -> bool {
-        !self.batch_delay.is_zero() && self.max_batch > 1
     }
 
     /// Disables the built-in heartbeat/election machinery; leader changes then

@@ -134,9 +134,10 @@ pub enum WhiteBoxMsg {
     /// [`WhiteBoxMsg::Accept`] per entry, but it amortises the per-message
     /// network and CPU cost of the ordering round. Batching is this
     /// implementation's extension; Figure 4 of the paper is per-message.
-    /// The three batch variants come from the leader's timer batching
-    /// (`max_batch > 1`) or from [`WhiteBoxMsg::coalesce`], which folds the
-    /// per-message runs of one round on the deployed wire.
+    /// The batch variants come from [`WhiteBoxMsg::coalesce`], which folds
+    /// the per-message runs of one reactor round on the deployed wire; a
+    /// replica's only batched send is the `ACCEPT_ACK_BATCH` answering a
+    /// received `ACCEPT_BATCH`.
     AcceptBatch {
         /// The proposing group.
         group: GroupId,

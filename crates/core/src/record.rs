@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use wbam_types::{AppMessage, Ballot, GroupId, MsgId, Phase, ProcessId, Timestamp};
 
-use crate::messages::{AcceptEntry, BallotVector, RecordSnapshot};
+use crate::messages::{BallotVector, RecordSnapshot};
 
 /// The `ACCEPT_ACK`s gathered under one ballot vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,17 +204,6 @@ impl MessageRecord {
         self.phase = Phase::Committed;
         self.global_ts = global_ts;
         self.acks = Vec::new();
-    }
-
-    /// The entry this record contributes to a batched `ACCEPT`
-    /// ([`WhiteBoxMsg::AcceptBatch`](crate::messages::WhiteBoxMsg::AcceptBatch)):
-    /// the stored proposal, re-sendable verbatim. Only meaningful once a local
-    /// timestamp has been assigned (phase past `START`).
-    pub fn accept_entry(&self) -> AcceptEntry {
-        AcceptEntry {
-            msg: self.msg.clone(),
-            local_ts: self.local_ts,
-        }
     }
 
     /// Whether the message is pending in the sense of the delivery condition

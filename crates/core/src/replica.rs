@@ -32,8 +32,6 @@ use crate::record::MessageRecord;
 const HEARTBEAT_TIMER: TimerId = TimerId(1);
 /// Timer used by a follower to monitor its leader's liveness.
 const ELECTION_TIMER: TimerId = TimerId(2);
-/// Timer used by a batching leader to flush a partially filled batch.
-const BATCH_TIMER: TimerId = TimerId(3);
 /// Base for per-message retry timers; retry timer `n` is `RETRY_BASE + n`.
 const RETRY_TIMER_BASE: u64 = 1_000;
 
@@ -101,11 +99,6 @@ pub struct WhiteBoxReplica {
     last_leader_activity: Duration,
     /// Number of application messages this replica has delivered.
     delivered_count: u64,
-    /// Proposed-but-unflushed multicasts awaiting the next batched `ACCEPT`
-    /// round (leader only; empty unless batching is enabled).
-    batch_buffer: Vec<MsgId>,
-    /// Whether the batch-flush timer is currently armed.
-    batch_timer_armed: bool,
     /// Delivery-condition index (Figure 4 line 21): the local timestamps of
     /// records whose phase is `PROPOSED` or `ACCEPTED`, and the global
     /// timestamps of committed-but-undelivered records.
@@ -196,8 +189,6 @@ impl WhiteBoxReplica {
             next_retry_timer: 0,
             last_leader_activity: Duration::ZERO,
             delivered_count: 0,
-            batch_buffer: Vec::new(),
-            batch_timer_armed: false,
             delivery: DeliveryQueue::new(),
             compaction: Compaction::new(config.compaction_interval, config.compaction_lag),
             dedup: DeliveredFilter::new(),
@@ -466,32 +457,6 @@ impl WhiteBoxReplica {
                 ));
             }
         }
-        if self.config.batching_enabled() {
-            if fresh {
-                // Buffer the proposal; it goes out with the next batched
-                // ACCEPT round (when the buffer fills or the timer fires).
-                self.batch_buffer.push(msg.id);
-                actions.extend(self.arm_retry_timer(msg.id));
-                if self.batch_buffer.len() >= self.config.max_batch {
-                    actions.extend(self.flush_batch());
-                } else if !self.batch_timer_armed {
-                    self.batch_timer_armed = true;
-                    actions.push(Action::SetTimer {
-                        id: BATCH_TIMER,
-                        delay: self.config.batch_delay,
-                    });
-                }
-                return actions;
-            }
-            if self.batch_buffer.contains(&msg.id) {
-                // Duplicate MULTICAST for a still-buffered message: the stored
-                // proposal will go out with the batch; nothing to re-send yet.
-                return actions;
-            }
-            // Duplicate MULTICAST for an already-flushed message: fall through
-            // and re-send the stored proposal as a standalone ACCEPT, which is
-            // what makes message recovery work (§IV "Message recovery").
-        }
         // Line 9: send ACCEPT to every process of every destination group.
         // (On a duplicate MULTICAST this re-sends the stored proposal.)
         let record = &self.records[&msg.id];
@@ -505,67 +470,6 @@ impl WhiteBoxReplica {
         actions.extend(Action::send_to_all(recipients, accept));
         actions.extend(self.arm_retry_timer(msg.id));
         actions
-    }
-
-    /// Flushes the batch buffer: one `ACCEPT_BATCH` per destination process,
-    /// each carrying only the entries addressed to that process's group (so
-    /// batching never violates genuineness).
-    fn flush_batch(&mut self) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = Vec::new();
-        if self.batch_timer_armed {
-            self.batch_timer_armed = false;
-            actions.push(Action::CancelTimer(BATCH_TIMER));
-        }
-        if self.batch_buffer.is_empty() {
-            return actions;
-        }
-        let ids = std::mem::take(&mut self.batch_buffer);
-        let group = self.own_group();
-        let ballot = self.cballot;
-        let mut per_recipient: BTreeMap<ProcessId, Vec<AcceptEntry>> = BTreeMap::new();
-        for id in ids {
-            let Some(record) = self.records.get(&id) else {
-                continue;
-            };
-            let entry = record.accept_entry();
-            let recipients = self.destination_processes(&record.msg);
-            for to in recipients {
-                per_recipient.entry(to).or_default().push(entry.clone());
-            }
-        }
-        for (to, entries) in per_recipient {
-            actions.push(Action::send(
-                to,
-                WhiteBoxMsg::AcceptBatch {
-                    group,
-                    ballot,
-                    entries,
-                },
-            ));
-        }
-        actions
-    }
-
-    /// Drops any buffered-but-unflushed batch (on losing leadership). The
-    /// records stay PROPOSED; they are either recovered from a quorum during
-    /// the leader change or re-proposed when the multicast is retried.
-    fn clear_batch(&mut self) -> Vec<Action<WhiteBoxMsg>> {
-        self.batch_buffer.clear();
-        if self.batch_timer_armed {
-            self.batch_timer_armed = false;
-            vec![Action::CancelTimer(BATCH_TIMER)]
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// The batch timer fired: flush whatever has accumulated.
-    fn handle_batch_timer(&mut self) -> Vec<Action<WhiteBoxMsg>> {
-        self.batch_timer_armed = false;
-        if self.status != Status::Leader {
-            return self.clear_batch();
-        }
-        self.flush_batch()
     }
 
     /// Figure 4, lines 10–16: a destination process handles `ACCEPT`.
@@ -794,45 +698,22 @@ impl WhiteBoxReplica {
         // Committed messages with a global timestamp at or above the smallest
         // local timestamp of a PROPOSED or ACCEPTED message must wait: the
         // pending message might end up ordered before them.
-        let mut deliverable: Vec<DeliverEntry> = Vec::new();
+        // Line 23: send DELIVER to the whole group, ourselves included, so
+        // that the actual delivery to the application happens uniformly in
+        // the DELIVER handler.
         for (gts, id) in self.delivery.pop_deliverable(|_| true) {
             let record = self.records.get_mut(&id).expect("candidate exists");
             record.delivered = true;
-            deliverable.push(DeliverEntry {
+            let deliver = WhiteBoxMsg::Deliver {
                 msg: record.msg.clone(),
+                ballot: self.cballot,
                 local_ts: record.local_ts,
                 global_ts: gts,
-            });
-        }
-        if deliverable.is_empty() {
-            return actions;
-        }
-        // Line 23: send DELIVER to the whole group, ourselves included, so
-        // that the actual delivery to the application happens uniformly in
-        // the DELIVER handler. With batching enabled, several deliveries
-        // ready at once travel in a single DELIVER_BATCH per member.
-        if self.config.batching_enabled() && deliverable.len() > 1 {
-            let batch = WhiteBoxMsg::DeliverBatch {
-                ballot: self.cballot,
-                entries: deliverable,
             };
             actions.extend(Action::send_to_all(
                 self.group_members.iter().copied(),
-                batch,
+                deliver,
             ));
-        } else {
-            for entry in deliverable {
-                let deliver = WhiteBoxMsg::Deliver {
-                    msg: entry.msg,
-                    ballot: self.cballot,
-                    local_ts: entry.local_ts,
-                    global_ts: entry.global_ts,
-                };
-                actions.extend(Action::send_to_all(
-                    self.group_members.iter().copied(),
-                    deliver,
-                ));
-            }
         }
         actions
     }
@@ -1161,10 +1042,7 @@ impl WhiteBoxReplica {
         if let Some(leader) = ballot.leader() {
             self.cur_leader.insert(self.own_group(), leader);
         }
-        // Losing leadership drops any unflushed batch: its records stay
-        // PROPOSED and are reported in the snapshot below, so the new leader
-        // (or a retrying multicaster) re-proposes them.
-        let mut actions = self.clear_batch();
+        let mut actions = Vec::new();
         // A replica that was the leader until this moment has no election
         // timer running (leaders keep a heartbeat timer instead, and it dies
         // with the demotion). Without (re)arming one here, a deposed leader
@@ -1484,10 +1362,6 @@ impl WhiteBoxReplica {
             // leader too) and keep retrying until it commits.
             actions.extend(self.handle_multicast(None, self.records[&id].msg.clone()));
         }
-        // With batching enabled the re-proposals above were buffered; push the
-        // in-flight batch out immediately rather than waiting for the timer,
-        // so recovery does not add a batch delay to every recovered message.
-        actions.extend(self.flush_batch());
         // Announce leadership and restart heartbeats.
         if self.config.auto_election_enabled() {
             actions.push(Action::SetTimer {
@@ -1631,7 +1505,7 @@ impl WhiteBoxReplica {
 
     /// The process crashed and came back up with its durable state (records,
     /// ballots, clock, `max_delivered_gts`) intact; everything volatile —
-    /// armed timers, the batch buffer, in-progress recovery bookkeeping — died
+    /// armed timers, in-progress recovery bookkeeping — died
     /// with it. The paper's model is crash-stop, so rejoin is our extension:
     /// the replica re-establishes a *fresh ballot* through the normal
     /// `NEW_LEADER` handshake, whatever its pre-crash role. The handshake is
@@ -1644,8 +1518,6 @@ impl WhiteBoxReplica {
     /// includes the restarted process, the group would be wedged forever
     /// (found by the schedule explorer; see `tests/regressions/`).
     fn handle_restart(&mut self, now: Duration) -> Vec<Action<WhiteBoxMsg>> {
-        self.batch_buffer.clear();
-        self.batch_timer_armed = false;
         self.recovery = None;
         self.retry_timer_msgs.clear();
         self.retry_timer_of = RecordMap::new();
@@ -1718,7 +1590,6 @@ impl Node for WhiteBoxReplica {
             Event::Timer { id, now } => match id {
                 HEARTBEAT_TIMER => self.handle_heartbeat_timer(),
                 ELECTION_TIMER => self.handle_election_timer(now),
-                BATCH_TIMER => self.handle_batch_timer(),
                 other => self.handle_retry_timer(other),
             },
             Event::Message { from, msg } => {
@@ -2561,234 +2432,6 @@ mod tests {
                 ..
             }
         )));
-    }
-
-    fn batching_replica(id: u32, group: u32, max_batch: usize) -> WhiteBoxReplica {
-        let cfg = ReplicaConfig::new(ProcessId(id), GroupId(group), cluster())
-            .without_auto_election()
-            .without_sender_notification()
-            .with_retry_timeout(Duration::ZERO)
-            .with_batching(max_batch, Duration::from_millis(5));
-        WhiteBoxReplica::new(cfg)
-    }
-
-    #[test]
-    fn batching_leader_buffers_until_batch_fills() {
-        let mut leader = batching_replica(0, 0, 2);
-        let m1 = app_msg(0, &[0]);
-        let actions = drive(
-            &mut leader,
-            ProcessId(6),
-            WhiteBoxMsg::Multicast { msg: m1.clone() },
-        );
-        // The first multicast is buffered: no ACCEPT traffic, only the flush
-        // timer is armed. The local timestamp is assigned immediately.
-        assert!(!actions.iter().any(|a| matches!(a, Action::Send { .. })));
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::SetTimer { id, .. } if *id == BATCH_TIMER)));
-        assert_eq!(leader.phase_of(m1.id), Some(Phase::Proposed));
-        assert_eq!(leader.clock(), 1);
-
-        // The second multicast fills the batch: one ACCEPT_BATCH per group
-        // member, carrying both proposals, and the timer is cancelled.
-        let m2 = app_msg(1, &[0]);
-        let actions = drive(
-            &mut leader,
-            ProcessId(6),
-            WhiteBoxMsg::Multicast { msg: m2.clone() },
-        );
-        let batches: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send {
-                    msg: WhiteBoxMsg::AcceptBatch { entries, .. },
-                    ..
-                } => Some(entries.len()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(batches, vec![2, 2, 2]);
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::CancelTimer(id) if *id == BATCH_TIMER)));
-    }
-
-    #[test]
-    fn batch_timer_flushes_partial_batch() {
-        let mut leader = batching_replica(0, 0, 8);
-        let m = app_msg(0, &[0, 1]);
-        drive(
-            &mut leader,
-            ProcessId(6),
-            WhiteBoxMsg::Multicast { msg: m.clone() },
-        );
-        let actions = leader.on_event(
-            Duration::from_millis(5),
-            Event::Timer {
-                id: BATCH_TIMER,
-                now: Duration::from_millis(5),
-            },
-        );
-        // The single buffered proposal goes out to all six destination
-        // replicas of both groups.
-        let batches = actions
-            .iter()
-            .filter(|a| {
-                matches!(
-                    a,
-                    Action::Send {
-                        msg: WhiteBoxMsg::AcceptBatch { .. },
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(batches, 6);
-    }
-
-    #[test]
-    fn batch_entries_respect_genuineness() {
-        // m1 goes to {g0}, m2 to {g0, g1}: g1's members must only receive the
-        // m2 entry.
-        let mut leader = batching_replica(0, 0, 2);
-        let m1 = app_msg(0, &[0]);
-        let m2 = app_msg(1, &[0, 1]);
-        drive(
-            &mut leader,
-            ProcessId(6),
-            WhiteBoxMsg::Multicast { msg: m1.clone() },
-        );
-        let actions = drive(
-            &mut leader,
-            ProcessId(6),
-            WhiteBoxMsg::Multicast { msg: m2.clone() },
-        );
-        for a in &actions {
-            if let Action::Send {
-                to,
-                msg: WhiteBoxMsg::AcceptBatch { entries, .. },
-            } = a
-            {
-                let ids: Vec<MsgId> = entries.iter().map(|e| e.msg.id).collect();
-                if to.0 >= 3 {
-                    assert_eq!(ids, vec![m2.id], "g1 member saw a foreign entry");
-                } else {
-                    assert_eq!(ids, vec![m1.id, m2.id]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_round_commits_and_delivers_in_order() {
-        let mut leader = batching_replica(0, 0, 2);
-        let m1 = app_msg(0, &[0]);
-        let m2 = app_msg(1, &[0]);
-        drive(
-            &mut leader,
-            ProcessId(6),
-            WhiteBoxMsg::Multicast { msg: m1.clone() },
-        );
-        let actions = drive(
-            &mut leader,
-            ProcessId(6),
-            WhiteBoxMsg::Multicast { msg: m2.clone() },
-        );
-        let self_batch = actions
-            .iter()
-            .find_map(|a| match a {
-                Action::Send {
-                    to,
-                    msg: msg @ WhiteBoxMsg::AcceptBatch { .. },
-                } if *to == ProcessId(0) => Some(msg.clone()),
-                _ => None,
-            })
-            .unwrap();
-        // The leader handles its own batch and acknowledges both entries in a
-        // single ACCEPT_ACK_BATCH.
-        let actions = drive(&mut leader, ProcessId(0), self_batch);
-        let self_ack = actions
-            .iter()
-            .find_map(|a| match a {
-                Action::Send {
-                    to,
-                    msg: msg @ WhiteBoxMsg::AcceptAckBatch { .. },
-                } if *to == ProcessId(0) => Some(msg.clone()),
-                _ => None,
-            })
-            .expect("acks must be batched");
-        match &self_ack {
-            WhiteBoxMsg::AcceptAckBatch { entries, .. } => assert_eq!(entries.len(), 2),
-            _ => unreachable!(),
-        }
-        drive(&mut leader, ProcessId(0), self_ack.clone());
-        // A follower ack completes the quorum for both messages at once; the
-        // two deliveries travel in one DELIVER_BATCH per member.
-        let actions = drive(&mut leader, ProcessId(1), self_ack);
-        assert_eq!(leader.phase_of(m1.id), Some(Phase::Committed));
-        assert_eq!(leader.phase_of(m2.id), Some(Phase::Committed));
-        let deliver_batch = actions
-            .iter()
-            .find_map(|a| match a {
-                Action::Send {
-                    to,
-                    msg: msg @ WhiteBoxMsg::DeliverBatch { .. },
-                } if *to == ProcessId(0) => Some(msg.clone()),
-                _ => None,
-            })
-            .expect("deliveries must be batched");
-        let actions = drive(&mut leader, ProcessId(0), deliver_batch);
-        let delivered: Vec<MsgId> = actions
-            .iter()
-            .filter_map(|a| a.as_delivery().map(|d| d.msg.id))
-            .collect();
-        assert_eq!(delivered, vec![m1.id, m2.id]);
-        assert_eq!(leader.delivered_count(), 2);
-    }
-
-    #[test]
-    fn deposed_leader_drops_buffered_batch_but_reports_records() {
-        let mut leader = batching_replica(0, 0, 8);
-        let m = app_msg(0, &[0]);
-        drive(
-            &mut leader,
-            ProcessId(6),
-            WhiteBoxMsg::Multicast { msg: m.clone() },
-        );
-        // A higher ballot deposes the leader mid-batch.
-        let actions = drive(
-            &mut leader,
-            ProcessId(1),
-            WhiteBoxMsg::NewLeader {
-                ballot: Ballot::new(2, ProcessId(1)),
-            },
-        );
-        assert_eq!(leader.status(), Status::Recovering);
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::CancelTimer(id) if *id == BATCH_TIMER)));
-        // The buffered proposal is still reported in the NEWLEADER_ACK
-        // snapshot, so the new leader can decide its fate.
-        let reported = actions.iter().any(|a| {
-            matches!(
-                a,
-                Action::Send {
-                    msg: WhiteBoxMsg::NewLeaderAck { snapshot, .. },
-                    ..
-                } if snapshot.records.contains_key(&m.id)
-            )
-        });
-        assert!(reported, "snapshot must include the buffered proposal");
-        // A later batch timer fires harmlessly.
-        let actions = leader.on_event(
-            Duration::from_millis(9),
-            Event::Timer {
-                id: BATCH_TIMER,
-                now: Duration::from_millis(9),
-            },
-        );
-        assert!(actions.is_empty());
     }
 
     #[test]

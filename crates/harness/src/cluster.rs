@@ -60,14 +60,6 @@ pub struct ClusterSpec {
     pub service_time: Duration,
     /// Random seed.
     pub seed: u64,
-    /// Maximum number of multicasts a leader accumulates per batched ordering
-    /// round (white-box `ACCEPT_BATCH` / baseline batched Paxos proposals).
-    /// Only meaningful when [`batch_delay`](Self::batch_delay) is non-zero.
-    pub max_batch: usize,
-    /// How long a partial batch waits before being flushed. Zero (the
-    /// default of every constructor) disables batching — the paper's
-    /// per-message behaviour.
-    pub batch_delay: Duration,
     /// Fault schedule injected into the run (crashes/restarts, partitions,
     /// probabilistic link faults, timer jitter). Quiet by default.
     pub nemesis: NemesisPlan,
@@ -104,8 +96,6 @@ impl ClusterSpec {
             latency: LatencyModel::lan(),
             service_time: Duration::from_micros(10),
             seed: 42,
-            max_batch: 1,
-            batch_delay: Duration::ZERO,
             nemesis: NemesisPlan::quiet(),
             record_trace: false,
             auto_election: false,
@@ -125,8 +115,6 @@ impl ClusterSpec {
             latency: LatencyModel::wan_three_sites(),
             service_time: Duration::from_micros(10),
             seed: 42,
-            max_batch: 1,
-            batch_delay: Duration::ZERO,
             nemesis: NemesisPlan::quiet(),
             record_trace: false,
             auto_election: false,
@@ -146,8 +134,6 @@ impl ClusterSpec {
             latency: LatencyModel::constant(delta),
             service_time: Duration::ZERO,
             seed: 7,
-            max_batch: 1,
-            batch_delay: Duration::ZERO,
             nemesis: NemesisPlan::quiet(),
             record_trace: false,
             auto_election: false,
@@ -166,16 +152,6 @@ impl ClusterSpec {
     pub fn with_compaction(mut self, interval: u64, lag: usize) -> Self {
         self.compaction_interval = interval;
         self.compaction_lag = lag;
-        self
-    }
-
-    /// Returns the spec with batched ordering enabled: leaders accumulate up
-    /// to `max_batch` multicasts (flushing earlier after `batch_delay`) and
-    /// run one ordering round per batch. Applies to the white-box protocol
-    /// and, via batched Paxos proposals, to the consensus-based baselines.
-    pub fn with_batching(mut self, max_batch: usize, batch_delay: Duration) -> Self {
-        self.max_batch = max_batch.max(1);
-        self.batch_delay = batch_delay;
         self
     }
 
@@ -283,7 +259,6 @@ impl ProtocolSim {
                 for gc in cluster.groups() {
                     for member in gc.members() {
                         let mut cfg = ReplicaConfig::new(*member, gc.id(), cluster.clone())
-                            .with_batching(spec.max_batch, spec.batch_delay)
                             .with_compaction(spec.compaction_interval, spec.compaction_lag);
                         cfg = if spec.auto_election {
                             cfg.with_election_timeouts(
@@ -322,7 +297,6 @@ impl ProtocolSim {
                         sim.add_replica(
                             Box::new(
                                 BaselineReplica::try_new(*member, gc.id(), cluster.clone(), mode)?
-                                    .with_batching(spec.max_batch, spec.batch_delay)
                                     .with_compaction(spec.compaction_interval, spec.compaction_lag),
                             ),
                             gc.id(),

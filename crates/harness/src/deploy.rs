@@ -16,8 +16,6 @@
 //!   "addrs": ["127.0.0.1:7000", "127.0.0.1:7001", "127.0.0.1:7002",
 //!             "127.0.0.1:7003", "127.0.0.1:7004", "127.0.0.1:7005",
 //!             "127.0.0.1:7006"],
-//!   "max_batch": 1,
-//!   "batch_delay_ms": 0,
 //!   "compaction_interval": 0,
 //!   "compaction_lag": 0,
 //!   "heartbeat_ms": 50,
@@ -72,11 +70,6 @@ pub struct DeploySpec {
     pub num_clients: usize,
     /// Listen address of every process, indexed by `ProcessId`.
     pub addrs: Vec<String>,
-    /// Leader batching: maximum multicasts per ordering round (1 = unbatched).
-    pub max_batch: usize,
-    /// Leader batching: partial-batch flush delay in milliseconds (0 disables
-    /// batching, the paper's per-message behaviour).
-    pub batch_delay_ms: u64,
     /// Record compaction interval in deliveries (0 disables compaction).
     pub compaction_interval: u64,
     /// Delivered records retained below the watermark.
@@ -127,8 +120,6 @@ impl DeploySpec {
             addrs: (0..num_processes)
                 .map(|i| format!("127.0.0.1:{}", base_port + i as u16))
                 .collect(),
-            max_batch: 1,
-            batch_delay_ms: 0,
             compaction_interval: 0,
             compaction_lag: 0,
             heartbeat_ms: 50,
@@ -386,10 +377,6 @@ impl DeploySpec {
         Ok(map)
     }
 
-    fn batch_delay(&self) -> Duration {
-        Duration::from_millis(self.batch_delay_ms)
-    }
-
     /// Builds the white-box replica for process `id`.
     ///
     /// # Errors
@@ -401,7 +388,6 @@ impl DeploySpec {
             return Err(WbamError::UnknownProcess(id));
         };
         let mut cfg = ReplicaConfig::new(id, group, self.cluster_config())
-            .with_batching(self.max_batch, self.batch_delay())
             .with_compaction(self.compaction_interval, self.compaction_lag)
             .with_retry_timeout(Duration::from_millis(self.retry_timeout_ms));
         cfg = if self.heartbeat_ms > 0 {
@@ -452,7 +438,6 @@ impl DeploySpec {
         };
         Ok(
             BaselineReplica::try_new(id, group, self.cluster_config(), mode)?
-                .with_batching(self.max_batch, self.batch_delay())
                 .with_compaction(self.compaction_interval, self.compaction_lag),
         )
     }
@@ -486,12 +471,34 @@ impl DeploySpec {
     ///
     /// # Errors
     ///
-    /// Returns [`WbamError::Codec`] on parse or validation failure.
+    /// Returns [`WbamError::Codec`] on parse or validation failure, and for a
+    /// spec that still carries a retired timer-batching field.
     pub fn from_json(json: &str) -> Result<Self, WbamError> {
+        // Unknown fields are skipped silently, so an old batching spec would
+        // otherwise start unbatched without a word.
+        let retired: RetiredFields = from_json(json)?;
+        for (field, value) in [
+            ("max_batch", retired.max_batch),
+            ("batch_delay_ms", retired.batch_delay_ms),
+        ] {
+            if value.is_some() {
+                return Err(WbamError::Codec(format!(
+                    "spec field {field:?} is no longer accepted: timer batching was \
+                     retired (the reactor folds each round's messages per peer)"
+                )));
+            }
+        }
         let spec: DeploySpec = from_json(json)?;
         spec.validate()?;
         Ok(spec)
     }
+}
+
+/// The timer-batching fields of older specs, read only to refuse them.
+#[derive(Deserialize)]
+struct RetiredFields {
+    max_batch: Option<u64>,
+    batch_delay_ms: Option<u64>,
 }
 
 /// A spawned cluster process that is killed and reaped when the guard drops,

@@ -603,8 +603,8 @@ impl Plan {
                 s.spec.num_clients,
                 s.ops.len(),
                 format!(
-                    ", batches of up to {}, compaction every {} (lag {})",
-                    s.spec.max_batch, s.spec.compaction_interval, s.spec.compaction_lag
+                    ", compaction every {} (lag {})",
+                    s.spec.compaction_interval, s.spec.compaction_lag
                 ),
             ),
             Plan::Rt(p) => (

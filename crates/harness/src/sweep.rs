@@ -70,8 +70,6 @@ pub struct SweepPoint {
     pub clients: usize,
     /// Number of destination groups per multicast.
     pub dest_groups: usize,
-    /// Batch-size knob the cluster ran with (1 = unbatched).
-    pub max_batch: usize,
     /// Workload results.
     pub result: WorkloadResult,
 }
@@ -86,29 +84,13 @@ impl SweepPoint {
     pub fn throughput(&self) -> f64 {
         self.result.throughput.messages_per_second
     }
-
-    /// The machine-readable benchmark record for this point, tagged with the
-    /// emitting benchmark's name and environment label (e.g. `lan`, `wan`).
-    pub fn bench_record(&self, bench: &str, environment: &str) -> BenchRecord {
-        BenchRecord {
-            bench: bench.to_string(),
-            environment: environment.to_string(),
-            wire: None,
-            protocol: self.protocol.clone(),
-            max_batch: self.max_batch,
-            clients: self.clients,
-            dest_groups: self.dest_groups,
-            throughput_msg_s: self.throughput(),
-            latency_p50_ms: self.result.latency.p50_ms(),
-            latency_p99_ms: self.result.latency.p99_ms(),
-            latency_mean_ms: self.result.latency.mean_ms(),
-        }
-    }
 }
 
 /// One machine-readable benchmark result, serialised as a single JSON object
-/// per line of `BENCH_throughput.json` so that successive runs (and CI jobs)
-/// can append without parsing the file.
+/// per line of `BENCH_net.json` (and of the frozen `BENCH_throughput.json`)
+/// so that successive runs (and CI jobs) can append without parsing the file.
+/// Rows written before timer batching was retired also carry the batch size,
+/// which parsing skips.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord {
     /// Name of the emitting benchmark binary.
@@ -121,8 +103,6 @@ pub struct BenchRecord {
     pub wire: Option<String>,
     /// Protocol label.
     pub protocol: String,
-    /// Batch-size knob (1 = unbatched).
-    pub max_batch: usize,
     /// Number of closed-loop clients.
     pub clients: usize,
     /// Destination groups per multicast.
@@ -189,47 +169,18 @@ impl SweepResult {
 
     /// Renders the result as an aligned text table (one row per point).
     pub fn to_table(&self) -> String {
-        let mut out =
-            String::from("protocol   groups  clients    batch  latency_ms   throughput_msg_s\n");
+        let mut out = String::from("protocol   groups  clients    latency_ms   throughput_msg_s\n");
         for p in &self.points {
             out.push_str(&format!(
-                "{:<10} {:<7} {:<10} {:<6} {:<12.3} {:<12.1}\n",
+                "{:<10} {:<7} {:<10} {:<12.3} {:<12.1}\n",
                 p.protocol,
                 p.dest_groups,
                 p.clients,
-                p.max_batch,
                 p.latency_ms(),
                 p.throughput()
             ));
         }
         out
-    }
-
-    /// Appends one JSON record per point (JSON-lines format) to `path` —
-    /// by convention `BENCH_throughput.json` at the repository root. Returns
-    /// the number of records written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures opening or writing the file.
-    pub fn append_json_records(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        bench: &str,
-        environment: &str,
-    ) -> std::io::Result<usize> {
-        use std::io::Write;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        for p in &self.points {
-            let record = p.bench_record(bench, environment);
-            let line =
-                serde_json::to_string(&record).map_err(|e| std::io::Error::other(e.to_string()))?;
-            writeln!(file, "{line}")?;
-        }
-        Ok(self.points.len())
     }
 }
 
@@ -251,7 +202,6 @@ pub fn sweep(spec: &SweepSpec) -> SweepResult {
                     protocol: protocol.label().to_string(),
                     clients,
                     dest_groups,
-                    max_batch: spec.base.max_batch,
                     result: run,
                 });
             }
@@ -327,67 +277,28 @@ mod tests {
     }
 
     #[test]
-    fn json_records_round_trip_and_append() {
-        let result = tiny_result();
-        assert_eq!(result.points.len(), 1);
-        let record = result.points[0].bench_record("unit_test", "lan");
-        assert_eq!(record.protocol, "WbCast");
-        assert_eq!(record.max_batch, 1);
-        assert!(record.throughput_msg_s > 0.0);
+    fn bench_records_round_trip_and_legacy_rows_parse() {
+        let record = BenchRecord {
+            bench: "throughput_batching".to_string(),
+            environment: "lan".to_string(),
+            wire: None,
+            protocol: "WbCast".to_string(),
+            clients: 16,
+            dest_groups: 2,
+            throughput_msg_s: 37360.0,
+            latency_p50_ms: 0.474593,
+            latency_p99_ms: 1.1332,
+            latency_mean_ms: 0.514366,
+        };
         let json = serde_json::to_string(&record).unwrap();
         let back: BenchRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, record);
 
-        // Records written before the `wire` field existed must keep parsing
-        // (the field is absent in BENCH_*.json lines from earlier runs).
-        let legacy = json.replacen("\"wire\":null,", "", 1);
-        assert_ne!(legacy, json, "expected to strip the wire field");
-        let old: BenchRecord = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(old.wire, None);
+        // A row of the frozen BENCH_throughput.json: written before the
+        // `wire` field existed and before timer batching was retired, so it
+        // lacks `wire` and still carries the batch size.
+        let legacy = r#"{"bench":"throughput_batching","environment":"lan","protocol":"WbCast","max_batch":1,"clients":16,"dest_groups":2,"throughput_msg_s":37360.0,"latency_p50_ms":0.474593,"latency_p99_ms":1.1332,"latency_mean_ms":0.514366}"#;
+        let old: BenchRecord = serde_json::from_str(legacy).unwrap();
         assert_eq!(old, record);
-
-        let path =
-            std::env::temp_dir().join(format!("wbam_bench_test_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(
-            result
-                .append_json_records(&path, "unit_test", "lan")
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            result
-                .append_json_records(&path, "unit_test", "lan")
-                .unwrap(),
-            1
-        );
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            contents.lines().count(),
-            2,
-            "records must append, not overwrite"
-        );
-        for line in contents.lines() {
-            let rec: BenchRecord = serde_json::from_str(line).unwrap();
-            assert_eq!(rec.bench, "unit_test");
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn batched_sweep_points_carry_the_knob() {
-        let mut spec = SweepSpec::lan(vec![4], vec![1]);
-        spec.base.num_groups = 2;
-        spec.base = spec.base.with_batching(8, Duration::from_micros(200));
-        spec.base.latency = LatencyModel::constant(Duration::from_millis(1));
-        spec.protocols = vec![crate::cluster::Protocol::WhiteBox];
-        spec.workload.duration = Duration::from_millis(200);
-        spec.workload.warmup = Duration::from_millis(40);
-        let result = sweep(&spec);
-        assert_eq!(result.points[0].max_batch, 8);
-        assert!(
-            result.points[0].result.latency.count > 0,
-            "batched runs must still deliver"
-        );
     }
 }

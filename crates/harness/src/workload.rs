@@ -138,8 +138,6 @@ mod tests {
             latency: LatencyModel::constant(Duration::from_millis(1)),
             service_time: Duration::from_micros(5),
             seed: 3,
-            max_batch: 1,
-            batch_delay: Duration::ZERO,
             nemesis: wbam_types::NemesisPlan::quiet(),
             record_trace: false,
             auto_election: false,

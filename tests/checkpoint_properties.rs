@@ -215,8 +215,6 @@ fn run_twin(
         latency: LatencyModel::constant(Duration::from_millis(1)),
         service_time: Duration::ZERO,
         seed,
-        max_batch: 1,
-        batch_delay: Duration::ZERO,
         nemesis: wbam::types::NemesisPlan::quiet(),
         record_trace: false,
         auto_election: false,

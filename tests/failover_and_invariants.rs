@@ -17,16 +17,6 @@ use wbam::types::{
 
 /// Builds a white-box cluster with trace recording enabled.
 fn build_traced_sim(cluster: &ClusterConfig, auto_election: bool) -> Simulation<WhiteBoxMsg> {
-    build_traced_sim_batched(cluster, auto_election, 1, Duration::ZERO)
-}
-
-/// Like [`build_traced_sim`], with the batching knob exposed.
-fn build_traced_sim_batched(
-    cluster: &ClusterConfig,
-    auto_election: bool,
-    max_batch: usize,
-    batch_delay: Duration,
-) -> Simulation<WhiteBoxMsg> {
     let mut sim = Simulation::new(SimConfig {
         latency: LatencyModel::constant(Duration::from_millis(2)),
         record_trace: true,
@@ -36,8 +26,7 @@ fn build_traced_sim_batched(
     for gc in cluster.groups() {
         for member in gc.members() {
             let mut cfg = ReplicaConfig::new(*member, gc.id(), cluster.clone())
-                .with_retry_timeout(Duration::from_millis(50))
-                .with_batching(max_batch, batch_delay);
+                .with_retry_timeout(Duration::from_millis(50));
             if auto_election {
                 cfg = cfg
                     .with_election_timeouts(Duration::from_millis(20), Duration::from_millis(60));
@@ -157,54 +146,6 @@ fn leader_crash_with_explicit_takeover_recovers_pending_messages() {
     }
     assert_eq!(delivered, 20, "all messages must survive the leader crash");
     // The surviving members of group 0 agree on their order.
-    let p1 = metrics.delivery_order_at(ProcessId(1));
-    let p2 = metrics.delivery_order_at(ProcessId(2));
-    let common = p1.len().min(p2.len());
-    assert_eq!(&p1[..common], &p2[..common]);
-}
-
-#[test]
-fn leader_crash_mid_batch_preserves_agreement_and_recovers_all_messages() {
-    // Batching leader with max_batch = 3 and a 10 ms flush timer. Messages
-    // are submitted at 1 ms intervals (arriving from t = 3 ms at the leader,
-    // one network hop + client processing later), so by the crash at t = 7 ms
-    // group 0's leader has flushed one full batch (in flight, possibly
-    // ACCEPTED but not committed) and holds more proposals buffered — the
-    // crash lands mid-batch on both kinds of in-flight state.
-    let cluster = ClusterConfig::builder().groups(2, 3).clients(1).build();
-    let mut sim = build_traced_sim_batched(&cluster, false, 3, Duration::from_millis(10));
-    let client = cluster.clients()[0];
-    for seq in 0..10u64 {
-        sim.schedule_multicast(
-            Duration::from_millis(seq),
-            client,
-            msg(&cluster, seq, &[0, 1]),
-        );
-    }
-    sim.schedule_crash(Duration::from_millis(7), ProcessId(0));
-    sim.schedule_become_leader(Duration::from_millis(30), ProcessId(1));
-    sim.run_until_quiescent(Duration::from_secs(120));
-
-    // check_all_invariants includes check_deliver_agreement over the batched
-    // trace: every DELIVER/DELIVER_BATCH entry for a message must carry the
-    // same global timestamp, across the crash and the new leader's re-sends.
-    check_all_invariants(&sim, &cluster);
-    let metrics = sim.metrics();
-    for seq in 0..10u64 {
-        let id = MsgId::new(client, seq);
-        assert!(
-            metrics.first_delivery_in_group(id, GroupId(0)).is_some()
-                && metrics.first_delivery_in_group(id, GroupId(1)).is_some(),
-            "message {id} lost in the mid-batch crash"
-        );
-    }
-    // The trace must actually contain batched traffic, or this test is not
-    // exercising what it claims to.
-    let saw_batch = sim.trace().iter().any(
-        |t| matches!(t.msg, WhiteBoxMsg::AcceptBatch { ref entries, .. } if entries.len() > 1),
-    );
-    assert!(saw_batch, "expected at least one multi-entry ACCEPT_BATCH");
-    // The surviving members of group 0 agree on their delivery order.
     let p1 = metrics.delivery_order_at(ProcessId(1));
     let p2 = metrics.delivery_order_at(ProcessId(2));
     let common = p1.len().min(p2.len());

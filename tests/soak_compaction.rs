@@ -57,8 +57,6 @@ fn soak_spec(seed: u64) -> ClusterSpec {
         latency: LatencyModel::constant(Duration::from_micros(500)),
         service_time: Duration::ZERO,
         seed,
-        max_batch: 1,
-        batch_delay: Duration::ZERO,
         nemesis: wbam::types::NemesisPlan::quiet(),
         record_trace: false,
         auto_election: false,

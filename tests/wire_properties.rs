@@ -246,7 +246,7 @@ fn arb_whitebox(rng: &mut StdRng, variant: usize) -> WhiteBoxMsg {
 const WHITEBOX_VARIANTS: usize = 16;
 
 /// One random instance of the Paxos wire variant with index `variant`
-/// (0..8 covers the whole enum).
+/// (0..5 covers the whole enum).
 fn arb_paxos(rng: &mut StdRng, variant: usize) -> PaxosMsg<Command> {
     match variant {
         0 => PaxosMsg::Prepare {
@@ -272,29 +272,14 @@ fn arb_paxos(rng: &mut StdRng, variant: usize) -> PaxosMsg<Command> {
             ballot: arb_ballot(rng),
             slot: rng.gen_range(0..1000),
         },
-        4 => PaxosMsg::Chosen {
+        _ => PaxosMsg::Chosen {
             slot: rng.gen_range(0..1000),
             cmd: arb_command(rng),
-        },
-        5 => PaxosMsg::AcceptMany {
-            ballot: arb_ballot(rng),
-            start_slot: rng.gen_range(0..1000),
-            cmds: (0..rng.gen_range(1..5)).map(|_| arb_command(rng)).collect(),
-        },
-        6 => PaxosMsg::AcceptedMany {
-            ballot: arb_ballot(rng),
-            start_slot: rng.gen_range(0..1000),
-            count: rng.gen_range(1..16),
-        },
-        _ => PaxosMsg::ChosenMany {
-            entries: (0..rng.gen_range(1..5))
-                .map(|_| (rng.gen_range(0..1000) as Slot, arb_command(rng)))
-                .collect(),
         },
     }
 }
 
-const PAXOS_VARIANTS: usize = 8;
+const PAXOS_VARIANTS: usize = 5;
 
 /// One random instance of the baseline wire variant with index `variant`
 /// (0..10 covers the whole enum; the `Paxos` variant nests a random
@@ -763,8 +748,6 @@ fn json_text_is_unchanged() {
         group_size: 3,
         num_clients: 1,
         addrs: vec!["127.0.0.1:7000".into(), "127.0.0.1:7001".into()],
-        max_batch: 1,
-        batch_delay_ms: 0,
         compaction_interval: 256,
         compaction_lag: 64,
         heartbeat_ms: 50,
@@ -775,7 +758,7 @@ fn json_text_is_unchanged() {
     };
     let spec_json = concat!(
         r#"{"protocol":"WbCast","num_groups":2,"group_size":3,"num_clients":1,"#,
-        r#""addrs":["127.0.0.1:7000","127.0.0.1:7001"],"max_batch":1,"batch_delay_ms":0,"#,
+        r#""addrs":["127.0.0.1:7000","127.0.0.1:7001"],"#,
         r#""compaction_interval":256,"compaction_lag":64,"heartbeat_ms":50,"#,
         r#""election_timeout_ms":400,"retry_timeout_ms":1000,"wire":null,"#,
         r#""routes":[["a\"b"],[]]}"#
@@ -823,6 +806,22 @@ fn json_text_is_unchanged() {
             r#""ballot":{"Proper":{"round":3,"leader":2}},"local_ts":"Bottom"}}"#
         )
     );
+}
+
+/// A spec that still carries a timer-batching field is refused by name:
+/// unknown fields are otherwise skipped, so an old batching spec would start
+/// unbatched without a word.
+#[test]
+fn retired_batching_fields_are_refused() {
+    let spec = DeploySpec::loopback(wbam_harness::Protocol::WhiteBox, 2, 3, 1, 7000);
+    let json = spec.to_json().unwrap();
+    assert_eq!(DeploySpec::from_json(&json).unwrap(), spec);
+    for field in ["max_batch", "batch_delay_ms"] {
+        let old = json.replacen('{', &format!("{{\"{field}\":1,"), 1);
+        let err = DeploySpec::from_json(&old).unwrap_err().to_string();
+        assert!(err.contains(field), "{field}: {err}");
+        assert!(err.contains("timer batching was retired"), "{field}: {err}");
+    }
 }
 
 /// One hostile edit of a valid body: cut it short, flip one byte, or replace
