@@ -229,7 +229,6 @@ pub struct BaselineReplica {
     /// baselines their ~2× failure-free latency degradation (paper §VI).
     clock: u64,
     records: RecordMap<BaselineRecord>,
-    notify_sender: bool,
     delivered_count: u64,
     /// Highest global timestamp delivered at this replica (duplicate filter
     /// for leader-driven delivery).
@@ -293,7 +292,6 @@ impl BaselineReplica {
             group_members: members,
             clock: 0,
             records: RecordMap::new(),
-            notify_sender: true,
             delivered_count: 0,
             max_delivered_gts: Timestamp::BOTTOM,
             pending_confirms: BTreeMap::new(),
@@ -304,12 +302,6 @@ impl BaselineReplica {
             catchup_pending: false,
             cluster,
         })
-    }
-
-    /// Disables delivery replies to message senders.
-    pub fn without_sender_notification(mut self) -> Self {
-        self.notify_sender = false;
-        self
     }
 
     /// Enables record + consensus-log compaction, mirroring
@@ -473,15 +465,8 @@ impl BaselineReplica {
             // re-proposing would deliver it twice. Answer retries from the
             // bounded delivered filter (the actual timestamp went with the
             // record; clients treat the ⊥ reply like any completion).
-            if retryable && self.notify_sender && !self.group_members.contains(&msg.id.sender) {
-                actions.push(Action::send(
-                    msg.id.sender,
-                    BaselineMsg::ClientReply {
-                        msg_id: msg.id,
-                        group,
-                        global_ts: Timestamp::BOTTOM,
-                    },
-                ));
+            if retryable {
+                actions.extend(self.reply_to_sender(msg.id, Timestamp::BOTTOM));
             }
             return actions;
         }
@@ -509,16 +494,7 @@ impl BaselineReplica {
             let local_ts = record.local_ts;
             let stored = record.msg.clone();
             if delivered {
-                if self.notify_sender && !self.group_members.contains(&stored.id.sender) {
-                    actions.push(Action::send(
-                        stored.id.sender,
-                        BaselineMsg::ClientReply {
-                            msg_id: stored.id,
-                            group,
-                            global_ts,
-                        },
-                    ));
-                }
+                actions.extend(self.reply_to_sender(stored.id, global_ts));
             } else if local_ts != Timestamp::BOTTOM {
                 actions.extend(self.send_proposals(&stored, local_ts));
             }
@@ -934,8 +910,6 @@ impl BaselineReplica {
         if gts <= self.max_delivered_gts {
             return actions;
         }
-        let notify = self.notify_sender;
-        let group = self.group;
         let Some(record) = self.records.get_mut(&id) else {
             return actions;
         };
@@ -952,21 +926,26 @@ impl BaselineReplica {
         self.delivered_count += 1;
         self.dedup.insert(id);
         actions.push(Action::Deliver(DeliveredMessage::with_timestamp(msg, gts)));
-        let sender = id.sender;
-        if notify && !self.group_members.contains(&sender) {
-            actions.push(Action::send(
-                sender,
-                BaselineMsg::ClientReply {
-                    msg_id: id,
-                    group,
-                    global_ts: gts,
-                },
-            ));
-        }
+        actions.extend(self.reply_to_sender(id, gts));
         if self.compaction.note_delivery(gts, id) {
             actions.extend(self.stable_round());
         }
         actions
+    }
+
+    /// The delivery reply to `id`'s sender, unless the sender is a member of
+    /// this group (a re-proposing peer, not a client).
+    fn reply_to_sender(&self, id: MsgId, global_ts: Timestamp) -> Option<Action<BaselineMsg>> {
+        (!self.group_members.contains(&id.sender)).then(|| {
+            Action::send(
+                id.sender,
+                BaselineMsg::ClientReply {
+                    msg_id: id,
+                    group: self.group,
+                    global_ts,
+                },
+            )
+        })
     }
 }
 
@@ -1114,7 +1093,9 @@ impl Node for BaselineClient {
                 actions
             }
             Event::Timer { id, .. } => {
-                let msg = self.pending.values().find(|m| m.id.seq == id.0).cloned();
+                // The inverse of the timer id: this client's own sequence
+                // number.
+                let msg = self.pending.get(&MsgId::new(self.id, id.0)).cloned();
                 match msg {
                     Some(m) => {
                         let mut actions = self.send_to_leaders(&m);

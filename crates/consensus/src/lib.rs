@@ -209,11 +209,6 @@ impl<C: Clone + PartialEq> PaxosReplica<C> {
         self.leading.is_some()
     }
 
-    /// The ballot this replica leads, if any.
-    pub fn leading_ballot(&self) -> Option<Ballot> {
-        self.leading
-    }
-
     /// Number of log slots decided so far.
     pub fn decided_len(&self) -> Slot {
         self.next_to_decide

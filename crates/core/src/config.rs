@@ -13,12 +13,6 @@ pub struct ReplicaConfig {
     pub group: GroupId,
     /// The static cluster topology.
     pub cluster: ClusterConfig,
-    /// When a replica delivers an application message, send a
-    /// [`WhiteBoxMsg::ClientReply`](crate::messages::WhiteBoxMsg::ClientReply)
-    /// back to the message's original sender. Closed-loop clients use the
-    /// reply to submit their next request; open-loop workloads can disable it
-    /// to reduce message counts.
-    pub notify_sender: bool,
     /// How long a leader waits for a pending (proposed/accepted) message to
     /// commit before re-sending `MULTICAST` to all destination leaders
     /// (the `retry(m)` function of Figure 4, line 32).
@@ -57,14 +51,13 @@ pub struct ReplicaConfig {
 impl ReplicaConfig {
     /// Creates a replica configuration with sensible defaults for timeouts.
     ///
-    /// Defaults: sender notification on, 100 ms retry timeout, 50 ms
+    /// Defaults: 100 ms retry timeout, 50 ms
     /// heartbeats, 250 ms election timeout, speculative clock update enabled.
     pub fn new(id: ProcessId, group: GroupId, cluster: ClusterConfig) -> Self {
         ReplicaConfig {
             id,
             group,
             cluster,
-            notify_sender: true,
             retry_timeout: Duration::from_millis(100),
             heartbeat_interval: Duration::from_millis(50),
             election_timeout: Duration::from_millis(250),
@@ -90,12 +83,6 @@ impl ReplicaConfig {
     /// [`Event::BecomeLeader`](wbam_types::Event::BecomeLeader).
     pub fn without_auto_election(mut self) -> Self {
         self.heartbeat_interval = Duration::ZERO;
-        self
-    }
-
-    /// Disables delivery replies to message senders.
-    pub fn without_sender_notification(mut self) -> Self {
-        self.notify_sender = false;
         self
     }
 
@@ -166,7 +153,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let cfg = ReplicaConfig::new(ProcessId(0), GroupId(0), cluster());
-        assert!(cfg.notify_sender);
         assert!(cfg.speculative_clock_update);
         assert!(cfg.auto_election_enabled());
         assert!(cfg.retry_timeout > Duration::ZERO);
@@ -176,11 +162,9 @@ mod tests {
     fn builder_style_modifiers() {
         let cfg = ReplicaConfig::new(ProcessId(0), GroupId(0), cluster())
             .without_auto_election()
-            .without_sender_notification()
             .without_speculative_clock_update()
             .with_retry_timeout(Duration::from_millis(7));
         assert!(!cfg.auto_election_enabled());
-        assert!(!cfg.notify_sender);
         assert!(!cfg.speculative_clock_update);
         assert_eq!(cfg.retry_timeout, Duration::from_millis(7));
     }

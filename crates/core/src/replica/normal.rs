@@ -1,0 +1,509 @@
+//! Normal operation (Figure 4, lines 1–34): `MULTICAST`, `ACCEPT`,
+//! `ACCEPT_ACK` and `DELIVER` over the delivery queue, and the per-message
+//! retries of message recovery.
+
+use std::collections::BTreeMap;
+
+use wbam_types::{
+    Action, AppMessage, Ballot, DeliveredMessage, GroupId, MsgId, Phase, ProcessId, TimerId,
+    Timestamp,
+};
+
+use super::{Status, WhiteBoxReplica};
+use crate::messages::{AcceptEntry, BallotVector, DeliverEntry, WhiteBoxMsg};
+use crate::record::MessageRecord;
+
+/// Base for per-message retry timers; retry timer `n` is `RETRY_BASE + n`.
+const RETRY_TIMER_BASE: u64 = 1_000;
+
+impl WhiteBoxReplica {
+    /// Figure 4, lines 3–9: the leader handles `MULTICAST(m)`. `from` is the
+    /// sending process when the request arrived over the wire (`None` for
+    /// locally injected submissions and internal re-proposals); it matters
+    /// only for pruned records, whose duplicate handling differs between
+    /// clients (a completion reply) and retrying peer replicas (a
+    /// `STABLE_PRUNED` notice).
+    pub(super) fn handle_multicast(
+        &mut self,
+        from: Option<ProcessId>,
+        msg: AppMessage,
+    ) -> Vec<Action<WhiteBoxMsg>> {
+        let mut actions = Vec::new();
+        if !msg.is_addressed_to(self.own_group()) {
+            // Not for us; a client mis-addressed the message. Ignore.
+            return actions;
+        }
+        match self.status {
+            Status::Recovering => {
+                // Figure 4 line 4 precondition: only the leader handles it. The
+                // sender will retry; dropping is safe.
+                return actions;
+            }
+            Status::Follower => {
+                // Help clients with a stale leader guess: forward to our leader.
+                let leader = self.cur_leader.get(&self.own_group()).copied();
+                if let Some(leader) = leader {
+                    if leader != self.config.id {
+                        actions.push(Action::send(leader, WhiteBoxMsg::Multicast { msg }));
+                    }
+                }
+                return actions;
+            }
+            Status::Leader => {}
+        }
+        let group = self.own_group();
+        if !self.records.contains_key(&msg.id) && self.dedup.contains(msg.id) {
+            // A duplicate MULTICAST for a message whose record was delivered
+            // everywhere and pruned. Re-proposing it would order (and
+            // deliver) it a second time — the delivered filter is what keeps
+            // pruning from breaking Integrity. The actual global timestamp
+            // was pruned with the record; the reply carries ⊥, which clients
+            // treat like any completion.
+            actions.extend(self.reply_to_sender(msg.id, Timestamp::BOTTOM));
+            // A retry from a *peer replica* (a destination leader pumping
+            // §IV message recovery for a record still pending over there)
+            // needs more than a client reply: tell it the record is pruned,
+            // globally delivered history, so it stops retrying and drops its
+            // pending copy (which otherwise wedges its delivery convoy).
+            if let Some(peer) = from {
+                if peer != msg.id.sender {
+                    actions.push(Action::send(
+                        peer,
+                        WhiteBoxMsg::StablePruned {
+                            msg_id: msg.id,
+                            watermarks: self.compaction.watermarks().clone(),
+                        },
+                    ));
+                }
+            }
+            return actions;
+        }
+        let cballot = self.cballot;
+        let clock = &mut self.clock;
+        let record = self
+            .records
+            .get_or_insert_with(msg.id, || MessageRecord::new(msg.clone()));
+        if record.phase == Phase::Start {
+            // Lines 5–8: assign a fresh local timestamp.
+            *clock += 1;
+            record.local_ts = Timestamp::new(*clock, group);
+            record.phase = Phase::Proposed;
+            self.delivery.pend(record.local_ts, msg.id);
+        } else if record.phase == Phase::Committed && record.delivered {
+            // A duplicate MULTICAST for a record already delivered here tells
+            // us the sender may have lost our group's reply (or restarted and
+            // re-sent its in-flight messages): re-send the reply. Then fall
+            // through to the re-ACCEPT below — another destination leader may
+            // still be waiting for our proposal to complete its accept set
+            // (§IV, message recovery).
+            let global_ts = record.global_ts;
+            actions.extend(self.reply_to_sender(msg.id, global_ts));
+        }
+        // Line 9: send ACCEPT to every process of every destination group.
+        // (On a duplicate MULTICAST this re-sends the stored proposal.)
+        let record = &self.records[&msg.id];
+        let accept = WhiteBoxMsg::Accept {
+            msg: record.msg.clone(),
+            group,
+            ballot: cballot,
+            local_ts: record.local_ts,
+        };
+        let recipients = self.destination_processes(&msg);
+        actions.extend(Action::send_to_all(recipients, accept));
+        actions.extend(self.arm_retry_timer(msg.id));
+        actions
+    }
+
+    /// The delivery reply to `id`'s sender, unless the sender is a member of
+    /// this group (a re-proposing peer, not a client).
+    fn reply_to_sender(&self, id: MsgId, global_ts: Timestamp) -> Option<Action<WhiteBoxMsg>> {
+        (!self.group_members.contains(&id.sender)).then(|| {
+            Action::send(
+                id.sender,
+                WhiteBoxMsg::ClientReply {
+                    msg_id: id,
+                    group: self.own_group(),
+                    global_ts,
+                },
+            )
+        })
+    }
+
+    /// Figure 4, lines 10–16: a destination process handles `ACCEPT`.
+    pub(super) fn handle_accept(
+        &mut self,
+        msg: AppMessage,
+        group: GroupId,
+        ballot: Ballot,
+        local_ts: Timestamp,
+    ) -> Vec<Action<WhiteBoxMsg>> {
+        let own_group = self.own_group();
+        match self.process_accept(msg, group, ballot, local_ts) {
+            None => Vec::new(),
+            Some((msg_id, ballots, leaders)) => Action::send_to_all(
+                leaders,
+                WhiteBoxMsg::AcceptAck {
+                    msg_id,
+                    group: own_group,
+                    ballots,
+                },
+            ),
+        }
+    }
+
+    /// A batched `ACCEPT`: record every entry, then coalesce the resulting
+    /// acknowledgements into one `ACCEPT_ACK_BATCH` per destination leader —
+    /// this is what amortises the ack leg of the ordering round.
+    pub(super) fn handle_accept_batch(
+        &mut self,
+        group: GroupId,
+        ballot: Ballot,
+        entries: Vec<AcceptEntry>,
+    ) -> Vec<Action<WhiteBoxMsg>> {
+        let own_group = self.own_group();
+        let mut per_leader: BTreeMap<ProcessId, Vec<(MsgId, BallotVector)>> = BTreeMap::new();
+        for entry in entries {
+            if let Some((msg_id, ballots, leaders)) =
+                self.process_accept(entry.msg, group, ballot, entry.local_ts)
+            {
+                for to in leaders {
+                    per_leader
+                        .entry(to)
+                        .or_default()
+                        .push((msg_id, ballots.clone()));
+                }
+            }
+        }
+        per_leader
+            .into_iter()
+            .map(|(to, entries)| {
+                Action::send(
+                    to,
+                    WhiteBoxMsg::AcceptAckBatch {
+                        group: own_group,
+                        entries,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// Core of the `ACCEPT` handler. Records the proposal and, when the
+    /// message becomes ready to acknowledge, returns the ack's content and
+    /// the destination leaders it must go to.
+    fn process_accept(
+        &mut self,
+        msg: AppMessage,
+        group: GroupId,
+        ballot: Ballot,
+        local_ts: Timestamp,
+    ) -> Option<(MsgId, BallotVector, Vec<ProcessId>)> {
+        if !msg.is_addressed_to(self.own_group()) {
+            return None;
+        }
+        if !self.records.contains_key(&msg.id) && self.dedup.contains(msg.id) {
+            // A stale ACCEPT for a message delivered everywhere and pruned:
+            // recording it would resurrect a record that can never be
+            // re-delivered (and would never be pruned again). Drop it.
+            return None;
+        }
+        // Remember who currently leads the proposing group (useful for retries).
+        if let Some(leader) = ballot.leader() {
+            if group != self.own_group() {
+                self.cur_leader.insert(group, leader);
+            }
+        }
+        let own_group = self.own_group();
+        let cballot = self.cballot;
+        let speculative = self.config.speculative_clock_update;
+        let msg_id = msg.id;
+        let (own_accept, implied_gts) = {
+            let record = self
+                .records
+                .get_or_insert_with(msg_id, || MessageRecord::new(msg));
+            record.record_accept(group, ballot, local_ts);
+            (record.accept_of(own_group), record.implied_global_ts())
+        };
+
+        // Line 11 precondition: the proposals of all destination groups are
+        // in, we must not be recovering, and the proposal of our own group
+        // must have been made in the ballot we are synchronised with.
+        // Proposals from remote groups are deliberately *not* checked
+        // against any ballot (§IV, "Discussion of normal operation").
+        let implied_gts = implied_gts?;
+        if self.status == Status::Recovering {
+            return None;
+        }
+        let (own_ballot, own_lts) = own_accept?;
+        if own_ballot != cballot {
+            return None;
+        }
+        // Lines 12–14 (state update is guarded; the acknowledgement is not).
+        let record = self.records.get_mut(&msg_id).expect("record just created");
+        if matches!(record.phase, Phase::Start | Phase::Proposed) {
+            self.delivery.unpend(record.local_ts, msg_id);
+            record.phase = Phase::Accepted;
+            record.local_ts = own_lts;
+            self.delivery.pend(own_lts, msg_id);
+            if speculative {
+                // The speculative clock update: advance the clock past the
+                // *future* global timestamp before it is known to be durable.
+                self.clock = self.clock.max(implied_gts.time());
+            }
+        }
+        // Lines 15–16: acknowledge to the leader of every destination group.
+        let record = &self.records[&msg_id];
+        Some((msg_id, record.ballot_vector(), record.accept_leaders()))
+    }
+
+    /// Figure 4, lines 17–23: the leader handles `ACCEPT_ACK`s and commits.
+    pub(super) fn handle_accept_ack(
+        &mut self,
+        from: ProcessId,
+        msg_id: MsgId,
+        group: GroupId,
+        ballots: BallotVector,
+    ) -> Vec<Action<WhiteBoxMsg>> {
+        self.handle_accept_ack_batch(from, group, [(msg_id, ballots)])
+    }
+
+    /// A batched `ACCEPT_ACK`: record every entry and run the delivery rule
+    /// *once* for the whole batch, so a single incoming message can commit —
+    /// and deliver — many messages (pipelined delivery).
+    pub(super) fn handle_accept_ack_batch(
+        &mut self,
+        from: ProcessId,
+        group: GroupId,
+        entries: impl IntoIterator<Item = (MsgId, BallotVector)>,
+    ) -> Vec<Action<WhiteBoxMsg>> {
+        let mut actions = Vec::new();
+        let mut committed_any = false;
+        for (msg_id, ballots) in entries {
+            if self.process_accept_ack(from, msg_id, group, ballots) {
+                committed_any = true;
+                actions.extend(self.cancel_retry_timer(msg_id));
+            }
+        }
+        if committed_any {
+            // Line 21: deliver every committed message that is no longer
+            // blocked.
+            actions.extend(self.try_deliver());
+        }
+        actions
+    }
+
+    /// Core of the `ACCEPT_ACK` handler (Figure 4, lines 17–20). Returns
+    /// whether the message newly committed.
+    fn process_accept_ack(
+        &mut self,
+        from: ProcessId,
+        msg_id: MsgId,
+        group: GroupId,
+        ballots: BallotVector,
+    ) -> bool {
+        // Line 18 precondition.
+        if self.status != Status::Leader {
+            return false;
+        }
+        if ballots.get(&self.own_group()) != Some(&self.cballot) {
+            return false;
+        }
+        let own_group = self.own_group();
+        let own_id = self.config.id;
+        let Some(record) = self.records.get_mut(&msg_id) else {
+            // We have not proposed this message yet; the ack will be re-sent
+            // when the proposal eventually reaches the sender again.
+            return false;
+        };
+        if record.phase == Phase::Committed {
+            return false;
+        }
+        record.record_ack(ballots, group, from);
+        // Line 17: a quorum in every destination group, acknowledging exactly
+        // the ballots of the ACCEPTs we hold (`quorum_acked` checks the match
+        // per candidate vector, so stale pre-leader-change ack quorums cannot
+        // shadow the live one).
+        if record
+            .quorum_acked(&self.quorum_sizes, Some((own_group, own_id)))
+            .is_none()
+        {
+            return false;
+        }
+        // Lines 19–20: commit.
+        let gts = record
+            .implied_global_ts()
+            .expect("accepts complete for committed message");
+        record.commit(gts);
+        self.delivery.unpend(record.local_ts, msg_id);
+        self.delivery.commit(gts, msg_id);
+        true
+    }
+
+    /// Figure 4, line 21 (and line 66 after recovery): deliver committed
+    /// messages in global-timestamp order once no pending message can receive
+    /// a smaller global timestamp.
+    pub(super) fn try_deliver(&mut self) -> Vec<Action<WhiteBoxMsg>> {
+        let mut actions = Vec::new();
+        if self.status != Status::Leader {
+            return actions;
+        }
+        // Committed messages with a global timestamp at or above the smallest
+        // local timestamp of a PROPOSED or ACCEPTED message must wait: the
+        // pending message might end up ordered before them.
+        // Line 23: send DELIVER to the whole group, ourselves included, so
+        // that the actual delivery to the application happens uniformly in
+        // the DELIVER handler.
+        for (gts, id) in self.delivery.pop_deliverable(|_| true) {
+            let record = self.records.get_mut(&id).expect("candidate exists");
+            record.delivered = true;
+            let deliver = WhiteBoxMsg::Deliver {
+                msg: record.msg.clone(),
+                ballot: self.cballot,
+                local_ts: record.local_ts,
+                global_ts: gts,
+            };
+            actions.extend(Action::send_to_all(
+                self.group_members.iter().copied(),
+                deliver,
+            ));
+        }
+        actions
+    }
+
+    /// Figure 4, lines 24–31: every group member handles `DELIVER`.
+    pub(super) fn handle_deliver(
+        &mut self,
+        msg: AppMessage,
+        ballot: Ballot,
+        local_ts: Timestamp,
+        global_ts: Timestamp,
+    ) -> Vec<Action<WhiteBoxMsg>> {
+        let mut actions = Vec::new();
+        // Line 25 precondition: duplicate DELIVERs (possible after leader
+        // changes) are filtered via max_delivered_gts.
+        if self.status == Status::Recovering {
+            return actions;
+        }
+        if self.cballot != ballot {
+            return actions;
+        }
+        if self.max_delivered_gts >= global_ts {
+            // A DELIVER at or below our delivery progress: we either already
+            // delivered m, or a checkpoint jumped us over it. Do not deliver
+            // again — but *install* the decision on a resident record (the
+            // ballot check above makes it the current leader's). This is what
+            // resolves a record left pending here when its original DELIVER
+            // was lost: without the install it would sit pending forever,
+            // and one eternally pending record blocks the delivery convoy
+            // (at a leader) and caps the stable watermark. It also restores
+            // the `delivered` flag — and with it prune eligibility — after a
+            // leader change re-broadcast resets it.
+            if self.records.contains_key(&msg.id) {
+                self.install_delivered(&msg, local_ts, global_ts);
+                self.compaction.index_delivered(global_ts, msg.id);
+                actions.extend(self.cancel_retry_timer(msg.id));
+            }
+            return actions;
+        }
+        let msg_id = msg.id;
+        self.install_delivered(&msg, local_ts, global_ts);
+        self.max_delivered_gts = global_ts;
+        self.delivered_count += 1;
+        // Line 31: deliver to the application.
+        actions.push(Action::Deliver(DeliveredMessage::with_timestamp(
+            msg, global_ts,
+        )));
+        if self.compaction.note_delivery(global_ts, msg_id) {
+            actions.extend(self.stable_round());
+        }
+        actions.extend(self.reply_to_sender(msg_id, global_ts));
+        actions
+    }
+
+    /// Figure 4, lines 26–30: installs the leader's decision on `msg`'s
+    /// record — its timestamps, committed and delivered.
+    fn install_delivered(&mut self, msg: &AppMessage, local_ts: Timestamp, global_ts: Timestamp) {
+        let record = self
+            .records
+            .get_or_insert_with(msg.id, || MessageRecord::new(msg.clone()));
+        self.delivery.unpend(record.local_ts, msg.id);
+        self.delivery.forget(record.global_ts, msg.id);
+        self.delivery.forget(global_ts, msg.id);
+        record.local_ts = local_ts;
+        record.commit(global_ts);
+        record.delivered = true;
+        self.clock = self.clock.max(global_ts.time());
+        self.dedup.insert(msg.id);
+    }
+
+    /// A batched `DELIVER`: handle the entries in order (they are sorted by
+    /// increasing global timestamp, so the `max_delivered_gts` duplicate
+    /// filter of the per-message handler keeps working entry by entry).
+    pub(super) fn handle_deliver_batch(
+        &mut self,
+        ballot: Ballot,
+        entries: Vec<DeliverEntry>,
+    ) -> Vec<Action<WhiteBoxMsg>> {
+        let mut actions = Vec::new();
+        for entry in entries {
+            actions.extend(self.handle_deliver(entry.msg, ballot, entry.local_ts, entry.global_ts));
+        }
+        actions
+    }
+
+    // ------------------------------------------------------------------
+    // Retry (message recovery)
+    // ------------------------------------------------------------------
+
+    pub(super) fn arm_retry_timer(&mut self, msg_id: MsgId) -> Option<Action<WhiteBoxMsg>> {
+        if self.config.retry_timeout.is_zero() || self.retry_timer_of.contains_key(&msg_id) {
+            return None;
+        }
+        let timer = TimerId(RETRY_TIMER_BASE + self.next_retry_timer);
+        self.next_retry_timer += 1;
+        self.retry_timer_msgs.insert(timer, msg_id);
+        self.retry_timer_of.insert(msg_id, timer);
+        Some(Action::SetTimer {
+            id: timer,
+            delay: self.config.retry_timeout,
+        })
+    }
+
+    pub(super) fn cancel_retry_timer(&mut self, msg_id: MsgId) -> Option<Action<WhiteBoxMsg>> {
+        let timer = self.retry_timer_of.remove(&msg_id)?;
+        self.retry_timer_msgs.remove(&timer);
+        Some(Action::CancelTimer(timer))
+    }
+
+    /// Figure 4, lines 32–34: re-send `MULTICAST(m)` to the destination
+    /// leaders when a proposed/accepted message is stuck.
+    pub(super) fn handle_retry_timer(&mut self, timer: TimerId) -> Vec<Action<WhiteBoxMsg>> {
+        let mut actions = Vec::new();
+        let Some(msg_id) = self.retry_timer_msgs.get(&timer).copied() else {
+            return actions;
+        };
+        // A vanished record went in a leader recovery's wholesale
+        // replacement (a dropped proposed-only message). Unmap the timer
+        // then too: a stale mapping would block `arm_retry_timer` forever
+        // when the message is re-proposed, leaving it pending with no retry
+        // pump — and one eternally pending record blocks delivery of every
+        // later committed one (found by the schedule explorer; see
+        // `tests/regressions/`).
+        let Some(record) = self.records.get(&msg_id).filter(|r| r.is_pending()) else {
+            self.retry_timer_msgs.remove(&timer);
+            self.retry_timer_of.remove(&msg_id);
+            return actions;
+        };
+        let multicast = WhiteBoxMsg::Multicast {
+            msg: record.msg.clone(),
+        };
+        for leader in self.destination_leaders(&record.msg) {
+            actions.push(Action::send(leader, multicast.clone()));
+        }
+        actions.push(Action::SetTimer {
+            id: timer,
+            delay: self.config.retry_timeout,
+        });
+        actions
+    }
+}

@@ -196,9 +196,6 @@ impl ClusterSpec {
             seed: self.seed,
             latency: self.latency.clone(),
             service_time: self.service_time,
-            client_service_time: Duration::ZERO,
-            gst: None,
-            pre_gst_extra_delay: Duration::ZERO,
             record_trace: self.record_trace,
             nemesis: self.nemesis.clone(),
         }

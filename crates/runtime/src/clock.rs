@@ -78,12 +78,6 @@ impl WallClock {
             started: Instant::now(),
         }
     }
-
-    /// A clock measuring from an existing origin (so every thread of a
-    /// runtime agrees on what time zero means).
-    pub fn starting_at(started: Instant) -> Self {
-        WallClock { started }
-    }
 }
 
 impl Default for WallClock {

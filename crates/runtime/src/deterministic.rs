@@ -70,7 +70,7 @@ pub struct SentRecord<M> {
 /// fault plan of a deterministic run. Events at equal times apply in the
 /// order they were scheduled.
 #[derive(Debug, Clone)]
-pub enum ScriptEvent {
+enum ScriptEvent {
     /// Submit an application message for multicast at a (client) node.
     Submit {
         /// Virtual time of the submission.
@@ -113,41 +113,6 @@ impl ScriptEvent {
             | ScriptEvent::Crash { at, .. }
             | ScriptEvent::Restart { at, .. } => *at,
         }
-    }
-}
-
-/// A scripted workload + fault plan for a [`DeterministicRuntime`], built
-/// separately so a harness can construct, persist or mutate it (for
-/// minimization) before handing it to a runtime.
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeScript {
-    /// The scripted events; order is preserved among equal-time events.
-    pub events: Vec<ScriptEvent>,
-}
-
-impl RuntimeScript {
-    /// An empty script.
-    pub fn new() -> Self {
-        RuntimeScript::default()
-    }
-
-    /// Schedules a multicast submission.
-    pub fn submit(&mut self, at: Duration, client: ProcessId, msg: AppMessage) {
-        self.events.push(ScriptEvent::Submit { at, client, msg });
-    }
-
-    /// Schedules a leader-recovery nudge.
-    pub fn become_leader(&mut self, at: Duration, node: ProcessId) {
-        self.events.push(ScriptEvent::BecomeLeader { at, node });
-    }
-
-    /// Schedules a crash at `at` and the matching restart `down_for` later.
-    pub fn crash(&mut self, at: Duration, node: ProcessId, down_for: Duration) {
-        self.events.push(ScriptEvent::Crash { at, node });
-        self.events.push(ScriptEvent::Restart {
-            at: at + down_for,
-            node,
-        });
     }
 }
 
@@ -238,8 +203,8 @@ impl<M: Clone + Send + 'static> Transport<M> for DetTransport<M> {
 }
 
 /// N real node event loops driven single-threaded by a seeded scheduler over
-/// a [`VirtualClock`]. See the module docs for the model; see
-/// [`RuntimeScript`] for the scripted external events.
+/// a [`VirtualClock`]. See the module docs for the model; the `schedule_*`
+/// methods script the external events.
 pub struct DeterministicRuntime<M: Clone + Send + 'static> {
     loops: Vec<NodeLoop<M, DetTransport<M>, VirtualClock>>,
     ids: Vec<ProcessId>,
@@ -330,12 +295,6 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
     pub fn node(&self, p: ProcessId) -> Option<&dyn wbam_types::Node<Msg = M>> {
         let index = *self.index.get(&p)?;
         Some(self.loops[index].node())
-    }
-
-    /// Loads a scripted workload + fault plan (appending to any events
-    /// already scheduled).
-    pub fn load_script(&mut self, script: RuntimeScript) {
-        self.script.extend(script.events);
     }
 
     /// Schedules a multicast submission at virtual time `at`.
@@ -526,11 +485,6 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
     /// Current virtual time.
     pub fn now(&self) -> Duration {
         self.clock.now()
-    }
-
-    /// The shared delivery log (same type the threaded runtimes populate).
-    pub fn delivery_log(&self) -> &Arc<DeliveryLog> {
-        &self.deliveries
     }
 
     /// A snapshot of every delivery so far, in global delivery-log order.

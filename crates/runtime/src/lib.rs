@@ -92,7 +92,7 @@ use wbam_types::{AppMessage, DeliveredMessage, ProcessId, WbamError};
 use node_loop::{run_node, Envelope};
 
 pub use clock::{Clock, VirtualClock, WaitError, WallClock};
-pub use deterministic::{DeterministicRuntime, RuntimeScript, ScriptEvent, SentRecord, TraceEvent};
+pub use deterministic::{DeterministicRuntime, SentRecord, TraceEvent};
 pub use tcp::TcpNode;
 pub use transport::{ChannelTransport, Transport};
 

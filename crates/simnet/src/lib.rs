@@ -3,10 +3,9 @@
 //! The simulator plays the role of the paper's experimental testbeds
 //! (CloudLab LAN and a three-region Google Cloud WAN, §VI): it runs any set of
 //! sans-IO [`Node`](wbam_types::Node)s over reliable FIFO channels with a
-//! configurable latency model, crash injection, an optional global
-//! stabilisation time (GST) before which message delays are inflated, and a
-//! simple CPU model (a per-process service time per handled message) that
-//! produces realistic throughput saturation under load.
+//! configurable latency model, crash injection and a simple CPU model (a
+//! per-process service time per handled message) that produces realistic
+//! throughput saturation under load.
 //!
 //! The simulation is fully deterministic given a seed, which makes protocol
 //! runs reproducible and property-testable.

@@ -50,21 +50,6 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Mean latency in fractional milliseconds (for machine-readable output).
-    pub fn mean_ms(&self) -> f64 {
-        self.mean.as_secs_f64() * 1e3
-    }
-
-    /// Median latency in fractional milliseconds.
-    pub fn p50_ms(&self) -> f64 {
-        self.p50.as_secs_f64() * 1e3
-    }
-
-    /// 99th-percentile latency in fractional milliseconds.
-    pub fn p99_ms(&self) -> f64 {
-        self.p99.as_secs_f64() * 1e3
-    }
-
     /// Computes summary statistics from a set of samples.
     ///
     /// Returns a zeroed record when `samples` is empty.
@@ -391,17 +376,6 @@ mod tests {
         let stats = LatencyStats::from_samples(Vec::new());
         assert_eq!(stats.count, 0);
         assert_eq!(stats.mean, Duration::ZERO);
-    }
-
-    #[test]
-    fn millisecond_helpers_convert_durations() {
-        let stats = LatencyStats::from_samples(vec![
-            Duration::from_micros(1500),
-            Duration::from_micros(2500),
-        ]);
-        assert!((stats.mean_ms() - 2.0).abs() < 1e-9);
-        assert!((stats.p50_ms() - 2.5).abs() < 1e-9);
-        assert!((stats.p99_ms() - 2.5).abs() < 1e-9);
     }
 
     #[test]

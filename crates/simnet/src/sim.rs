@@ -20,9 +20,6 @@
 //!   (with scheduled heal), crash/restart schedules, leader nudges and timer
 //!   jitter. All randomness comes from the simulation's own seeded RNG, so a
 //!   `(seed, plan)` pair replays byte for byte.
-//! * **GST** — before an optional global stabilisation time, message delays
-//!   are inflated by a random extra delay, modelling the asynchronous period
-//!   of the partial-synchrony model (§II).
 //! * **CPU model** — each process takes a configurable service time to handle
 //!   one protocol message; messages queue at a busy process. This is what
 //!   produces throughput saturation in the Figure 7/8 experiments.
@@ -50,13 +47,6 @@ pub struct SimConfig {
     pub latency: LatencyModel,
     /// CPU time consumed by a replica to handle one protocol message.
     pub service_time: Duration,
-    /// CPU time consumed by a client process to handle one message.
-    pub client_service_time: Duration,
-    /// Optional global stabilisation time: before it, message delays are
-    /// inflated by up to `pre_gst_extra_delay`.
-    pub gst: Option<Duration>,
-    /// Maximum extra delay added to messages sent before GST.
-    pub pre_gst_extra_delay: Duration,
     /// Record every sent protocol message in a trace (needed by the invariant
     /// checkers; costs memory on long runs).
     pub record_trace: bool,
@@ -74,9 +64,6 @@ impl Default for SimConfig {
             seed: 0,
             latency: LatencyModel::default(),
             service_time: Duration::ZERO,
-            client_service_time: Duration::ZERO,
-            gst: None,
-            pre_gst_extra_delay: Duration::ZERO,
             record_trace: false,
             nemesis: NemesisPlan::quiet(),
         }
@@ -410,11 +397,6 @@ impl<M: Clone + 'static> Simulation<M> {
         self.nodes.get(&p).map(|slot| &*slot.node)
     }
 
-    /// Whether any events remain to be processed.
-    pub fn has_pending_events(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
     /// Processes the next pending event, if any, and returns what happened.
     pub fn step(&mut self) -> Option<StepOutcome> {
         let ev = self.queue.pop()?;
@@ -517,11 +499,6 @@ impl<M: Clone + 'static> Simulation<M> {
         processed
     }
 
-    /// Runs until simulated time reaches `until` (events after it stay queued).
-    pub fn run_until(&mut self, until: Duration) -> usize {
-        self.run_until_quiescent(until)
-    }
-
     /// Dispatches an event to a node, applying the CPU model, and executes the
     /// returned actions. Returns the number of application deliveries.
     fn dispatch(&mut self, target: ProcessId, arrival: Duration, event: Event<M>) -> usize {
@@ -529,8 +506,9 @@ impl<M: Clone + 'static> Simulation<M> {
             let Some(slot) = self.nodes.get_mut(&target) else {
                 return 0;
             };
+            // Clients are charged no service time.
             let service = if slot.is_client {
-                self.config.client_service_time
+                Duration::ZERO
             } else {
                 self.config.service_time
             };
@@ -639,12 +617,6 @@ impl<M: Clone + 'static> Simulation<M> {
                 .latency
                 .sample(&mut self.rng, from_site, to_site)
         };
-        if let Some(gst) = self.config.gst {
-            if sent_at < gst && !self.config.pre_gst_extra_delay.is_zero() {
-                let extra_ns = self.config.pre_gst_extra_delay.as_nanos() as u64;
-                delay += Duration::from_nanos(self.rng.gen_range(0..=extra_ns));
-            }
-        }
         // Reordering: the message takes a detour (extra random delay) and
         // bypasses the FIFO clamp entirely, so it can overtake or be
         // overtaken. Deliberately outside the paper's channel model; see
@@ -1358,59 +1330,5 @@ mod tests {
             (sim.stats(), sim.now())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn gst_extra_delay_applies_before_gst_only() {
-        // Before GST messages take up to 1 ms + 100 ms extra; after GST they
-        // take exactly 1 ms.
-        struct Echo {
-            id: ProcessId,
-        }
-        impl Node for Echo {
-            type Msg = u32;
-            fn id(&self) -> ProcessId {
-                self.id
-            }
-            fn on_event(&mut self, _n: Duration, _e: Event<u32>) -> Vec<Action<u32>> {
-                Vec::new()
-            }
-        }
-        struct SendAt {
-            id: ProcessId,
-        }
-        impl Node for SendAt {
-            type Msg = u32;
-            fn id(&self) -> ProcessId {
-                self.id
-            }
-            fn on_event(&mut self, now: Duration, e: Event<u32>) -> Vec<Action<u32>> {
-                match e {
-                    Event::Init => vec![Action::SetTimer {
-                        id: TimerId(1),
-                        delay: Duration::from_millis(500),
-                    }],
-                    Event::Timer { .. } if now >= Duration::from_millis(500) => {
-                        vec![Action::send(ProcessId(1), 1)]
-                    }
-                    _ => Vec::new(),
-                }
-            }
-        }
-        let mut sim = Simulation::new(SimConfig {
-            latency: LatencyModel::constant(Duration::from_millis(1)),
-            gst: Some(Duration::from_millis(100)),
-            pre_gst_extra_delay: Duration::from_millis(100),
-            seed: 3,
-            ..SimConfig::default()
-        });
-        sim.add_node(Box::new(SendAt { id: ProcessId(0) }));
-        sim.add_node(Box::new(Echo { id: ProcessId(1) }));
-        // Also send one message before GST.
-        sim.send_external(Duration::ZERO, ProcessId(1), ProcessId(0), 9);
-        sim.run_until_quiescent(Duration::from_secs(2));
-        // The message sent at 500 ms (after GST) arrives exactly 1 ms later,
-        // so the simulation's final time is 501 ms.
-        assert_eq!(sim.now(), Duration::from_millis(501));
     }
 }

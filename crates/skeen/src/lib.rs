@@ -123,7 +123,6 @@ pub struct SkeenProcess {
     /// undelivered global timestamps.
     delivery: DeliveryQueue,
     delivered_count: u64,
-    notify_sender: bool,
 }
 
 impl SkeenProcess {
@@ -142,14 +141,7 @@ impl SkeenProcess {
             records: RecordMap::new(),
             delivery: DeliveryQueue::new(),
             delivered_count: 0,
-            notify_sender: true,
         }
-    }
-
-    /// Disables delivery replies to message senders.
-    pub fn without_sender_notification(mut self) -> Self {
-        self.notify_sender = false;
-        self
     }
 
     /// The process's logical clock.
@@ -250,18 +242,16 @@ impl SkeenProcess {
                 record.msg.clone(),
                 gts,
             )));
-            if self.notify_sender {
-                let sender = record.msg.id.sender;
-                if !self.group_processes.values().any(|p| *p == sender) {
-                    actions.push(Action::send(
-                        sender,
-                        SkeenMsg::ClientReply {
-                            msg_id: id,
-                            group: self.group,
-                            global_ts: gts,
-                        },
-                    ));
-                }
+            let sender = record.msg.id.sender;
+            if !self.group_processes.values().any(|p| *p == sender) {
+                actions.push(Action::send(
+                    sender,
+                    SkeenMsg::ClientReply {
+                        msg_id: id,
+                        group: self.group,
+                        global_ts: gts,
+                    },
+                ));
             }
         }
         actions
@@ -379,11 +369,17 @@ mod tests {
     }
 
     fn p(id: u32) -> SkeenProcess {
-        SkeenProcess::new(ProcessId(id), GroupId(id), groups()).without_sender_notification()
+        SkeenProcess::new(ProcessId(id), GroupId(id), groups())
     }
 
+    /// Handles `m` from `from` and returns the protocol traffic: the
+    /// delivery replies to the client (process 9) are dropped.
     fn deliver_msg(proc_: &mut SkeenProcess, from: u32, m: SkeenMsg) -> Vec<Action<SkeenMsg>> {
-        proc_.on_event(Duration::ZERO, Event::message(ProcessId(from), m))
+        let mut actions = proc_.on_event(Duration::ZERO, Event::message(ProcessId(from), m));
+        actions.retain(|a| {
+            !matches!(a, Action::Send { to, msg: SkeenMsg::ClientReply { .. } } if *to == ProcessId(9))
+        });
+        actions
     }
 
     #[test]
@@ -608,15 +604,12 @@ mod tests {
         let mut p0 = SkeenProcess::new(ProcessId(0), GroupId(0), groups());
         let m = msg(0, &[0]);
         deliver_msg(&mut p0, 9, SkeenMsg::Multicast { msg: m.clone() });
-        let actions = deliver_msg(
-            &mut p0,
-            0,
-            SkeenMsg::Propose {
-                msg: m,
-                group: GroupId(0),
-                local_ts: Timestamp::new(1, GroupId(0)),
-            },
-        );
+        let propose = SkeenMsg::Propose {
+            msg: m,
+            group: GroupId(0),
+            local_ts: Timestamp::new(1, GroupId(0)),
+        };
+        let actions = p0.on_event(Duration::ZERO, Event::message(ProcessId(0), propose));
         assert!(actions.iter().any(|a| matches!(
             a,
             Action::Send { to, msg: SkeenMsg::ClientReply { .. } } if *to == ProcessId(9)

@@ -69,7 +69,6 @@ fn standalone(id: u32, interval: u64, lag: usize) -> WhiteBoxReplica {
     let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
     let cfg = ReplicaConfig::new(ProcessId(id), GroupId(0), cluster)
         .without_auto_election()
-        .without_sender_notification()
         .with_compaction(interval, lag);
     WhiteBoxReplica::new(cfg)
 }
