@@ -30,7 +30,9 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Creates a buffer from a static byte string.
+    /// Creates a buffer from a static byte string. Unlike the real crate's,
+    /// this copies the bytes once into a fresh `Arc<[u8]>`: the shim has no
+    /// borrowed representation. Clones after that share the copy.
     pub fn from_static(bytes: &'static [u8]) -> Self {
         Bytes { data: bytes.into() }
     }

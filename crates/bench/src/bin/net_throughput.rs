@@ -258,6 +258,9 @@ fn main() {
             latency_p50_ms: summary.latency_p50_ms,
             latency_p99_ms: summary.latency_p99_ms,
             latency_mean_ms: summary.latency_mean_ms,
+            git_rev: None,
+            host_cores: None,
+            window: Some(cfg.outstanding),
         });
         summary
     }
@@ -324,6 +327,20 @@ fn main() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+    // Every row says which commit and host produced it.
+    let git_rev = Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .stderr(Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|rev| rev.trim().to_string());
+    let host_cores = std::thread::available_parallelism().ok().map(usize::from);
+    for record in &mut records {
+        record.git_rev = git_rev.clone();
+        record.host_cores = host_cores;
+    }
 
     {
         use std::io::Write;

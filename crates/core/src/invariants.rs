@@ -159,10 +159,10 @@ fn deliver_views(msg: &WhiteBoxMsg) -> Vec<(MsgId, Timestamp, Timestamp)> {
             local_ts,
             global_ts,
             ..
-        } => vec![(msg.id, *local_ts, *global_ts)],
+        } => vec![(msg.id(), *local_ts, *global_ts)],
         WhiteBoxMsg::DeliverBatch { entries, .. } => entries
             .iter()
-            .map(|e| (e.msg.id, e.local_ts, e.global_ts))
+            .map(|e| (e.msg.id(), e.local_ts, e.global_ts))
             .collect(),
         _ => Vec::new(),
     }
@@ -402,7 +402,7 @@ mod tests {
             from: ProcessId(0),
             to: ProcessId(to),
             msg: WhiteBoxMsg::Deliver {
-                msg: msg(seq),
+                msg: msg(seq).into(),
                 ballot: Ballot::new(1, ProcessId(0)),
                 local_ts: Timestamp::new(lts, GroupId(0)),
                 global_ts: Timestamp::new(gts, GroupId(gts_group)),

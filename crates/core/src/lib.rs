@@ -77,7 +77,7 @@ pub mod replica;
 pub use client::MulticastClient;
 pub use config::{ClientConfig, ReplicaConfig};
 pub use messages::{
-    AcceptEntry, BallotVector, DeliverEntry, RecordSnapshot, StateSnapshot, WhiteBoxMsg,
+    AcceptEntry, BallotVector, DeliverEntry, DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg,
 };
 pub use record::MessageRecord;
 pub use replica::{Status, WhiteBoxReplica};

@@ -83,11 +83,52 @@ pub struct AcceptEntry {
     pub local_ts: Timestamp,
 }
 
+/// The message a `DELIVER` names: the whole application message, or only
+/// its identifier for a receiver that holds the message already.
+///
+/// A leader sends [`DeliverMsg::Ref`] only to a member of its group whose
+/// `ACCEPT_ACK` for the message it counted in the `DELIVER`'s ballot: that
+/// member stored the message's record before acking, and only installing a
+/// later ballot replaces its records, after which it refuses the `DELIVER`
+/// anyway (DESIGN.md, "`DELIVER` by reference"). Everyone else gets
+/// [`DeliverMsg::Full`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum DeliverMsg {
+    /// The whole message, for a receiver that may not hold it.
+    Full(AppMessage),
+    /// The message's identifier, resolved from the receiver's records.
+    Ref(MsgId),
+}
+
+impl DeliverMsg {
+    /// The identifier of the named message.
+    pub fn id(&self) -> MsgId {
+        match self {
+            DeliverMsg::Full(msg) => msg.id,
+            DeliverMsg::Ref(id) => *id,
+        }
+    }
+
+    /// The payload bytes this form carries: none for a reference.
+    fn payload_len(&self) -> usize {
+        match self {
+            DeliverMsg::Full(msg) => msg.payload.len(),
+            DeliverMsg::Ref(_) => 0,
+        }
+    }
+}
+
+impl From<AppMessage> for DeliverMsg {
+    fn from(msg: AppMessage) -> Self {
+        DeliverMsg::Full(msg)
+    }
+}
+
 /// One message's entry inside an [`WhiteBoxMsg::DeliverBatch`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeliverEntry {
-    /// The application message.
-    pub msg: AppMessage,
+    /// The delivered message, whole or by reference.
+    pub msg: DeliverMsg,
     /// The message's local timestamp at the delivering group.
     pub local_ts: Timestamp,
     /// The message's global timestamp.
@@ -160,8 +201,8 @@ pub enum WhiteBoxMsg {
     /// followers to deliver `m` with global timestamp `gts` (Figure 4,
     /// line 23).
     Deliver {
-        /// The application message.
-        msg: AppMessage,
+        /// The delivered message, whole or by reference ([`DeliverMsg`]).
+        msg: DeliverMsg,
         /// The leader's ballot.
         ballot: Ballot,
         /// The message's local timestamp at this group.
@@ -319,7 +360,7 @@ impl WhiteBoxMsg {
     pub fn subject(&self) -> Option<MsgId> {
         match self {
             WhiteBoxMsg::Multicast { msg } | WhiteBoxMsg::Accept { msg, .. } => Some(msg.id),
-            WhiteBoxMsg::Deliver { msg, .. } => Some(msg.id),
+            WhiteBoxMsg::Deliver { msg, .. } => Some(msg.id()),
             WhiteBoxMsg::AcceptAck { msg_id, .. }
             | WhiteBoxMsg::ClientReply { msg_id, .. }
             | WhiteBoxMsg::StablePruned { msg_id, .. } => Some(*msg_id),
@@ -335,7 +376,9 @@ impl WhiteBoxMsg {
             WhiteBoxMsg::AcceptAckBatch { entries, .. } => {
                 entries.iter().map(|(id, _)| *id).collect()
             }
-            WhiteBoxMsg::DeliverBatch { entries, .. } => entries.iter().map(|e| e.msg.id).collect(),
+            WhiteBoxMsg::DeliverBatch { entries, .. } => {
+                entries.iter().map(|e| e.msg.id()).collect()
+            }
             other => other.subject().into_iter().collect(),
         }
     }
@@ -349,10 +392,12 @@ impl WhiteBoxMsg {
     ///
     /// Nothing is reordered, no batch crosses a kind, group or ballot
     /// boundary, and a run of one stays the plain variant, so a sequence with
-    /// nothing to fold comes back untouched. A batch holds at most 256
+    /// nothing to fold comes back untouched. Full and by-reference
+    /// `Deliver`s fold into the same batch. A batch holds at most 256
     /// entries and an eighth of [`MAX_FRAME_LEN`] in payload bytes (a single
-    /// larger message stays alone), so the fold never turns encodable
-    /// messages into a frame over [`MAX_FRAME_LEN`] under either codec.
+    /// larger message stays alone; a reference adds none), so the fold never
+    /// turns encodable messages into a frame over [`MAX_FRAME_LEN`] under
+    /// either codec.
     ///
     /// Every receiver handles a batch as its entries in order, which is what
     /// makes handling the folded sequence equivalent to handling `msgs`. The
@@ -401,7 +446,8 @@ impl WhiteBoxMsg {
     /// The payload bytes a message adds to a batch.
     fn fold_payload(&self) -> usize {
         match self {
-            WhiteBoxMsg::Accept { msg, .. } | WhiteBoxMsg::Deliver { msg, .. } => msg.payload.len(),
+            WhiteBoxMsg::Accept { msg, .. } => msg.payload.len(),
+            WhiteBoxMsg::Deliver { msg, .. } => msg.payload_len(),
             _ => 0,
         }
     }
@@ -567,7 +613,7 @@ mod tests {
 
     fn deliver(seq: u64, round: u64, payload: usize) -> WhiteBoxMsg {
         WhiteBoxMsg::Deliver {
-            msg: app(seq, payload),
+            msg: app(seq, payload).into(),
             ballot: ballot(round),
             local_ts: Timestamp::new(seq, GroupId(0)),
             global_ts: Timestamp::new(seq, GroupId(1)),
@@ -672,6 +718,47 @@ mod tests {
         );
     }
 
+    /// Full and by-reference `DELIVER`s of one ballot fold into one batch,
+    /// in order, and only the full entries count towards the payload cap.
+    #[test]
+    fn coalesce_folds_both_deliver_forms_and_caps_only_full_ones() {
+        let by_ref = |seq: u64| match deliver(seq, 1, 0) {
+            WhiteBoxMsg::Deliver {
+                ballot,
+                local_ts,
+                global_ts,
+                ..
+            } => WhiteBoxMsg::Deliver {
+                msg: DeliverMsg::Ref(MsgId::new(ProcessId(9), seq)),
+                ballot,
+                local_ts,
+                global_ts,
+            },
+            _ => unreachable!(),
+        };
+        let half = FOLD_MAX_PAYLOAD / 2;
+        let msgs = vec![
+            deliver(0, 1, half),
+            by_ref(1),
+            deliver(2, 1, half),
+            by_ref(3),
+            deliver(4, 1, half),
+        ];
+        let out = folded(msgs);
+        assert_eq!(
+            shape(&out),
+            vec![("DELIVER_BATCH", vec![0, 1, 2, 3]), ("DELIVER", vec![4])]
+        );
+        let WhiteBoxMsg::DeliverBatch { entries, .. } = &out[0] else {
+            unreachable!()
+        };
+        let refs: Vec<bool> = entries
+            .iter()
+            .map(|e| matches!(e.msg, DeliverMsg::Ref(_)))
+            .collect();
+        assert_eq!(refs, [false, true, false, true]);
+    }
+
     /// Four `DELIVER`s, each nearly a whole frame: the fold leaves every one
     /// alone, so each still encodes.
     #[test]
@@ -694,11 +781,11 @@ mod tests {
         let each = FOLD_MAX_PAYLOAD / FOLD_MAX_ENTRIES;
         let msgs: Vec<WhiteBoxMsg> = (0..FOLD_MAX_ENTRIES as u64)
             .map(|seq| WhiteBoxMsg::Deliver {
-                msg: AppMessage::new(
+                msg: DeliverMsg::Full(AppMessage::new(
                     MsgId::new(ProcessId(u32::MAX), u64::MAX - seq),
                     Destination::new(vec![GroupId(0), GroupId(1), GroupId(2)]).unwrap(),
                     Payload::from(vec![255u8; each]),
-                ),
+                )),
                 ballot: ballot(1),
                 local_ts: Timestamp::new(u64::MAX, GroupId(u32::MAX)),
                 global_ts: Timestamp::new(u64::MAX, GroupId(u32::MAX)),
@@ -715,14 +802,16 @@ mod tests {
 
     #[test]
     fn messages_round_trip_through_serde() {
-        let m = WhiteBoxMsg::Deliver {
-            msg: msg(),
-            ballot: Ballot::new(1, ProcessId(0)),
-            local_ts: Timestamp::new(1, GroupId(0)),
-            global_ts: Timestamp::new(2, GroupId(1)),
-        };
-        let json = serde_json::to_string(&m).unwrap();
-        let back: WhiteBoxMsg = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
+        for form in [msg().into(), DeliverMsg::Ref(msg().id)] {
+            let m = WhiteBoxMsg::Deliver {
+                msg: form,
+                ballot: Ballot::new(1, ProcessId(0)),
+                local_ts: Timestamp::new(1, GroupId(0)),
+                global_ts: Timestamp::new(2, GroupId(1)),
+            };
+            let json = serde_json::to_string(&m).unwrap();
+            let back: WhiteBoxMsg = serde_json::from_str(&json).unwrap();
+            assert_eq!(m, back);
+        }
     }
 }

@@ -55,6 +55,12 @@ pub struct MessageRecord {
     /// in order of first arrival. Only the commit decision reads them, so
     /// [`commit`](Self::commit) releases them.
     acks: Vec<AckCandidate>,
+    /// At a leader, the members of its own group whose `ACCEPT_ACK` for this
+    /// message it counted in its current ballot, as a bitmask over the
+    /// group's members in configuration order: the members known to hold
+    /// this record, to whom `DELIVER` goes by reference. Never snapshotted,
+    /// so a record installed for a new ballot starts with no holders.
+    holders: u64,
 }
 
 impl MessageRecord {
@@ -68,6 +74,7 @@ impl MessageRecord {
             delivered: false,
             accepts: Vec::new(),
             acks: Vec::new(),
+            holders: 0,
         }
     }
 
@@ -196,10 +203,27 @@ impl MessageRecord {
             .map(|candidate| &candidate.vector)
     }
 
+    /// Notes that the group member at `index` (configuration order) holds
+    /// this record. Members past the mask's 64 bits are never noted, so they
+    /// always get the full `DELIVER`.
+    pub fn add_holder(&mut self, index: usize) {
+        if let Some(bit) = 1u64.checked_shl(index as u32) {
+            self.holders |= bit;
+        }
+    }
+
+    /// Whether the group member at `index` was noted by
+    /// [`add_holder`](Self::add_holder).
+    pub fn held_by(&self, index: usize) -> bool {
+        1u64.checked_shl(index as u32)
+            .is_some_and(|bit| self.holders & bit != 0)
+    }
+
     /// Figure 4, lines 19–20 and 26–28: the message is `COMMITTED` with
     /// `global_ts`. Releases the ack bookkeeping — acks exist to reach this
     /// decision, a committed record ignores further `ACCEPT_ACK`s, and
-    /// recovery rebuilds records from snapshots that never carried them.
+    /// recovery rebuilds records from snapshots that never carried them. The
+    /// holders stay: `DELIVER` is sent after the commit.
     pub fn commit(&mut self, global_ts: Timestamp) {
         self.phase = Phase::Committed;
         self.global_ts = global_ts;
@@ -521,6 +545,7 @@ mod tests {
             Ballot::new(1, ProcessId(0)),
             Timestamp::new(1, GroupId(0)),
         );
+        r.add_holder(1);
         let snap = r.snapshot();
         let back = MessageRecord::from_snapshot(snap);
         assert_eq!(back.phase, Phase::Committed);
@@ -529,5 +554,17 @@ mod tests {
         assert!(!back.delivered, "delivery flag is not carried over");
         assert!(back.accepts.is_empty());
         assert!(back.acks.is_empty());
+        assert!(!back.held_by(1), "holders are not carried over");
+    }
+
+    #[test]
+    fn holders_survive_the_commit_and_ignore_members_past_the_mask() {
+        let mut r = MessageRecord::new(app_msg());
+        r.add_holder(0);
+        r.add_holder(2);
+        r.add_holder(64);
+        r.commit(Timestamp::new(2, GroupId(1)));
+        let held: Vec<usize> = (0..70).filter(|&i| r.held_by(i)).collect();
+        assert_eq!(held, [0, 2]);
     }
 }

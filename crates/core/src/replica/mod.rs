@@ -329,10 +329,14 @@ impl Node for WhiteBoxReplica {
         Some(self)
     }
 
-    /// Runs of `ACCEPT`, `ACCEPT_ACK` and `DELIVER` to one peer travel as
-    /// one batch: every handler treats a batch as its entries in order.
-    fn send_fold(&self) -> Option<fn(&mut Vec<WhiteBoxMsg>)> {
-        Some(WhiteBoxMsg::coalesce)
+    /// A full `DELIVER` to a peer that became a holder of its record later
+    /// in the round goes by reference (the holder rule, as in
+    /// `try_deliver`); then runs of `ACCEPT`, `ACCEPT_ACK` and `DELIVER` to
+    /// the peer travel as one batch: every handler treats a batch as its
+    /// entries in order.
+    fn fold_sends(&self, to: ProcessId, msgs: &mut Vec<WhiteBoxMsg>) {
+        self.refer_delivers(to, msgs);
+        WhiteBoxMsg::coalesce(msgs);
     }
 
     fn on_event(&mut self, now: Duration, event: Event<WhiteBoxMsg>) -> Vec<Action<WhiteBoxMsg>> {
@@ -747,7 +751,7 @@ mod tests {
         let mut follower = replica(1, 0);
         let m = app_msg(0, &[0]);
         let deliver = WhiteBoxMsg::Deliver {
-            msg: m.clone(),
+            msg: m.clone().into(),
             ballot: Ballot::new(1, ProcessId(0)),
             local_ts: Timestamp::new(1, GroupId(0)),
             global_ts: Timestamp::new(1, GroupId(0)),
@@ -764,7 +768,7 @@ mod tests {
         let mut follower = replica(1, 0);
         let m = app_msg(0, &[0]);
         let deliver = WhiteBoxMsg::Deliver {
-            msg: m,
+            msg: m.into(),
             ballot: Ballot::new(9, ProcessId(2)),
             local_ts: Timestamp::new(1, GroupId(0)),
             global_ts: Timestamp::new(1, GroupId(0)),
@@ -849,7 +853,7 @@ mod tests {
         for i in 0..50_000u64 {
             let m = app_msg(i, &[0]);
             let deliver = WhiteBoxMsg::Deliver {
-                msg: m,
+                msg: m.into(),
                 ballot: Ballot::new(1, ProcessId(0)),
                 local_ts: Timestamp::new(i + 1, GroupId(0)),
                 global_ts: Timestamp::new(i + 1, GroupId(0)),
@@ -999,7 +1003,7 @@ mod tests {
         let mut p2 = replica(2, 0);
         let m = app_msg(0, &[0]);
         let deliver = WhiteBoxMsg::Deliver {
-            msg: m.clone(),
+            msg: m.clone().into(),
             ballot: Ballot::new(1, ProcessId(0)),
             local_ts: Timestamp::new(1, GroupId(0)),
             global_ts: Timestamp::new(1, GroupId(0)),
@@ -1077,7 +1081,7 @@ mod tests {
         let mut follower = WhiteBoxReplica::new(cfg);
         let m = app_msg(0, &[0]);
         let deliver = WhiteBoxMsg::Deliver {
-            msg: m,
+            msg: m.into(),
             ballot: Ballot::new(1, ProcessId(0)),
             local_ts: Timestamp::new(1, GroupId(0)),
             global_ts: Timestamp::new(1, GroupId(0)),
@@ -1331,7 +1335,7 @@ mod tests {
                 entries: vec![(m.id, ballots)],
             },
             6 => WhiteBoxMsg::Deliver {
-                msg: m,
+                msg: m.into(),
                 ballot,
                 local_ts: at,
                 global_ts: at,
@@ -1339,7 +1343,7 @@ mod tests {
             7 => WhiteBoxMsg::DeliverBatch {
                 ballot,
                 entries: vec![DeliverEntry {
-                    msg: m,
+                    msg: m.into(),
                     local_ts: at,
                     global_ts: at,
                 }],

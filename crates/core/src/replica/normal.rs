@@ -10,7 +10,7 @@ use wbam_types::{
 };
 
 use super::{Status, WhiteBoxReplica};
-use crate::messages::{AcceptEntry, BallotVector, DeliverEntry, WhiteBoxMsg};
+use crate::messages::{AcceptEntry, BallotVector, DeliverEntry, DeliverMsg, WhiteBoxMsg};
 use crate::record::MessageRecord;
 
 /// Base for per-message retry timers; retry timer `n` is `RETRY_BASE + n`.
@@ -267,9 +267,12 @@ impl WhiteBoxReplica {
         self.handle_accept_ack_batch(from, group, [(msg_id, ballots)])
     }
 
-    /// A batched `ACCEPT_ACK`: record every entry and run the delivery rule
-    /// *once* for the whole batch, so a single incoming message can commit —
-    /// and deliver — many messages (pipelined delivery).
+    /// A batched `ACCEPT_ACK`: the entries in order, each as a lone
+    /// `ACCEPT_ACK`, so a single incoming message can commit — and deliver —
+    /// many messages (pipelined delivery). The delivery rule runs after
+    /// every entry that commits, as it would for lone acks: which members
+    /// get a `DELIVER` by reference depends on the acks counted so far, and
+    /// a batch must send exactly what its entries would have.
     pub(super) fn handle_accept_ack_batch(
         &mut self,
         from: ProcessId,
@@ -277,17 +280,13 @@ impl WhiteBoxReplica {
         entries: impl IntoIterator<Item = (MsgId, BallotVector)>,
     ) -> Vec<Action<WhiteBoxMsg>> {
         let mut actions = Vec::new();
-        let mut committed_any = false;
         for (msg_id, ballots) in entries {
             if self.process_accept_ack(from, msg_id, group, ballots) {
-                committed_any = true;
                 actions.extend(self.cancel_retry_timer(msg_id));
+                // Line 21: deliver every committed message that is no longer
+                // blocked.
+                actions.extend(self.try_deliver());
             }
-        }
-        if committed_any {
-            // Line 21: deliver every committed message that is no longer
-            // blocked.
-            actions.extend(self.try_deliver());
         }
         actions
     }
@@ -310,11 +309,18 @@ impl WhiteBoxReplica {
         }
         let own_group = self.own_group();
         let own_id = self.config.id;
+        let member = self.member_index(from).filter(|_| group == own_group);
         let Some(record) = self.records.get_mut(&msg_id) else {
             // We have not proposed this message yet; the ack will be re-sent
             // when the proposal eventually reaches the sender again.
             return false;
         };
+        // An own-group member that acked under our ballot stored the record
+        // first: it holds `m`, so its DELIVER may go by reference. Noted
+        // before the commit check, so an ack after the commit counts too.
+        if let Some(index) = member {
+            record.add_holder(index);
+        }
         if record.phase == Phase::Committed {
             return false;
         }
@@ -352,28 +358,76 @@ impl WhiteBoxReplica {
         // pending message might end up ordered before them.
         // Line 23: send DELIVER to the whole group, ourselves included, so
         // that the actual delivery to the application happens uniformly in
-        // the DELIVER handler.
-        for (gts, id) in self.delivery.pop_deliverable(|_| true) {
+        // the DELIVER handler. A member known to hold the record gets it by
+        // reference. One candidate at a time: the holder check reads `self`
+        // while the queue's iterator would borrow it.
+        loop {
+            let Some((gts, id)) = self.delivery.pop_deliverable(|_| true).next() else {
+                break;
+            };
             let record = self.records.get_mut(&id).expect("candidate exists");
             record.delivered = true;
-            let deliver = WhiteBoxMsg::Deliver {
-                msg: record.msg.clone(),
-                ballot: self.cballot,
-                local_ts: record.local_ts,
-                global_ts: gts,
-            };
-            actions.extend(Action::send_to_all(
-                self.group_members.iter().copied(),
-                deliver,
-            ));
+            let record = &self.records[&id];
+            for &to in &self.group_members {
+                let msg = if self.holds_record(to, id, self.cballot) {
+                    DeliverMsg::Ref(id)
+                } else {
+                    DeliverMsg::Full(record.msg.clone())
+                };
+                let deliver = WhiteBoxMsg::Deliver {
+                    msg,
+                    ballot: self.cballot,
+                    local_ts: record.local_ts,
+                    global_ts: gts,
+                };
+                actions.push(Action::send(to, deliver));
+            }
         }
         actions
+    }
+
+    /// The holder rule: whether `to` is known to hold `id`'s record for a
+    /// `DELIVER` in `ballot` — the ballot is ours, the record is resident,
+    /// and we counted `to`'s `ACCEPT_ACK` for it in this ballot. `to` stored
+    /// the record before acking, and only installing a later ballot replaces
+    /// its records, after which it refuses a `DELIVER` of this one.
+    fn holds_record(&self, to: ProcessId, id: MsgId, ballot: Ballot) -> bool {
+        ballot == self.cballot
+            && self.member_index(to).is_some_and(|index| {
+                self.records
+                    .get(&id)
+                    .is_some_and(|record| record.held_by(index))
+            })
+    }
+
+    /// `member`'s position in the group's configuration order, if it is a
+    /// member.
+    fn member_index(&self, member: ProcessId) -> Option<usize> {
+        self.group_members.iter().position(|&p| p == member)
+    }
+
+    /// The send fold's half of the holder rule: a full `DELIVER` this round
+    /// queued for `to` goes by reference if `to` became a holder after it
+    /// was queued (its ack arrived later in the round).
+    pub(super) fn refer_delivers(&self, to: ProcessId, msgs: &mut [WhiteBoxMsg]) {
+        for sent in msgs {
+            if let WhiteBoxMsg::Deliver {
+                msg: msg @ DeliverMsg::Full(_),
+                ballot,
+                ..
+            } = sent
+            {
+                if self.holds_record(to, msg.id(), *ballot) {
+                    *msg = DeliverMsg::Ref(msg.id());
+                }
+            }
+        }
     }
 
     /// Figure 4, lines 24–31: every group member handles `DELIVER`.
     pub(super) fn handle_deliver(
         &mut self,
-        msg: AppMessage,
+        msg: DeliverMsg,
         ballot: Ballot,
         local_ts: Timestamp,
         global_ts: Timestamp,
@@ -387,6 +441,17 @@ impl WhiteBoxReplica {
         if self.cballot != ballot {
             return actions;
         }
+        let msg = match msg {
+            DeliverMsg::Full(msg) => msg,
+            DeliverMsg::Ref(id) => match self.records.get(&id) {
+                Some(record) => record.msg.clone(),
+                // A reference this replica cannot resolve changes nothing,
+                // exactly like a lost frame. The holder rule rules it out
+                // unless the replica lost its records without a new ballot:
+                // an amnesiac `wbamd` restart (DESIGN.md).
+                None => return actions,
+            },
+        };
         if self.max_delivered_gts >= global_ts {
             // A DELIVER at or below our delivery progress: we either already
             // delivered m, or a checkpoint jumped us over it. Do not deliver
@@ -505,5 +570,253 @@ impl WhiteBoxReplica {
             delay: self.config.retry_timeout,
         });
         actions
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::time::Duration;
+
+    use wbam_types::{ClusterConfig, Destination, Event, Node, Payload};
+
+    use super::*;
+    use crate::config::ReplicaConfig;
+
+    const CLIENT: ProcessId = ProcessId(6);
+    const B1: Ballot = Ballot::Proper {
+        round: 1,
+        leader: ProcessId(0),
+    };
+
+    /// Group 0's three replicas (of a 2 × 3 cluster), indexed by process id.
+    fn group() -> Vec<WhiteBoxReplica> {
+        let cluster = ClusterConfig::builder().groups(2, 3).clients(1).build();
+        (0..3)
+            .map(|id| {
+                let cfg = ReplicaConfig::new(ProcessId(id), GroupId(0), cluster.clone())
+                    .without_auto_election();
+                WhiteBoxReplica::new(cfg)
+            })
+            .collect()
+    }
+
+    fn app(seq: u64) -> AppMessage {
+        AppMessage::new(
+            MsgId::new(CLIENT, seq),
+            Destination::single(GroupId(0)),
+            Payload::from("payload"),
+        )
+    }
+
+    type Sent = (ProcessId, ProcessId, WhiteBoxMsg);
+
+    fn sends(from: ProcessId, actions: Vec<Action<WhiteBoxMsg>>) -> impl Iterator<Item = Sent> {
+        actions.into_iter().filter_map(move |a| match a {
+            Action::Send { to, msg } => Some((from, to, msg)),
+            _ => None,
+        })
+    }
+
+    /// Hands `queue` and everything it causes to the replicas of `g` that
+    /// are `up`, first in first out, until nothing is left. Returns every
+    /// send, those to down replicas and to processes outside the group
+    /// (dropped) included.
+    fn settle(g: &mut [WhiteBoxReplica], up: &[usize], queue: Vec<Sent>) -> Vec<Sent> {
+        let mut queue = VecDeque::from(queue);
+        let mut log = Vec::new();
+        while let Some((from, to, msg)) = queue.pop_front() {
+            log.push((from, to, msg.clone()));
+            let index = to.0 as usize;
+            if up.contains(&index) {
+                let out = g[index].on_event(Duration::ZERO, Event::message(from, msg));
+                queue.extend(sends(to, out));
+            }
+        }
+        log
+    }
+
+    /// `msg` from `from` to replica `to` of `g`, and its sends.
+    fn handle(g: &mut [WhiteBoxReplica], from: ProcessId, to: u32, msg: WhiteBoxMsg) -> Vec<Sent> {
+        let out = g[to as usize].on_event(Duration::ZERO, Event::message(from, msg));
+        sends(ProcessId(to), out).collect()
+    }
+
+    /// The form of every `DELIVER` of `id` in `log`, by recipient, in order:
+    /// `true` for by reference.
+    fn deliver_forms(log: &[Sent], id: MsgId, ballot: Ballot) -> Vec<(u32, bool)> {
+        log.iter()
+            .filter_map(|(_, to, msg)| match msg {
+                WhiteBoxMsg::Deliver { msg, ballot: b, .. } if msg.id() == id && *b == ballot => {
+                    Some((to.0, matches!(msg, DeliverMsg::Ref(_))))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn deliver(msg: DeliverMsg, ballot: Ballot, time: u64) -> WhiteBoxMsg {
+        WhiteBoxMsg::Deliver {
+            msg,
+            ballot,
+            local_ts: Timestamp::new(time, GroupId(0)),
+            global_ts: Timestamp::new(time, GroupId(0)),
+        }
+    }
+
+    /// The leader sends `DELIVER` by reference to itself and to every
+    /// member whose ack it counted before the commit, in full to the
+    /// others; the fold then upgrades the `DELIVER` to a member whose ack
+    /// arrived later in the round, and nothing else.
+    #[test]
+    fn deliver_goes_by_reference_to_exactly_the_counted_ackers() {
+        let mut g = group();
+        let m = app(0);
+        let accepts = handle(&mut g, CLIENT, 0, WhiteBoxMsg::Multicast { msg: m.clone() });
+        // Every member stores the proposal and acks; the acks wait.
+        let acks: Vec<Sent> = accepts
+            .into_iter()
+            .flat_map(|(from, to, msg)| handle(&mut g, from, to.0, msg))
+            .collect();
+        assert_eq!(acks.len(), 3);
+        assert!(acks
+            .iter()
+            .all(|(_, to, msg)| to.0 == 0 && matches!(msg, WhiteBoxMsg::AcceptAck { .. })));
+        let ack_from = |p: u32| acks[p as usize].2.clone();
+        assert!(handle(&mut g, ProcessId(0), 0, ack_from(0)).is_empty());
+        let log = handle(&mut g, ProcessId(1), 0, ack_from(1));
+        assert_eq!(
+            deliver_forms(&log, m.id, B1),
+            [(0, true), (1, true), (2, false)]
+        );
+        // p2's ack lands after the commit: no new DELIVER, but p2 holds m.
+        assert!(handle(&mut g, ProcessId(2), 0, ack_from(2)).is_empty());
+        let leader = &g[0];
+        let full = deliver(m.clone().into(), B1, 1);
+        let unknown = deliver(app(9).into(), B1, 2);
+        let stale = deliver(m.clone().into(), Ballot::new(0, ProcessId(2)), 1);
+        let heartbeat = WhiteBoxMsg::Heartbeat { ballot: B1 };
+        let round = vec![
+            full.clone(),
+            heartbeat.clone(),
+            stale.clone(),
+            heartbeat.clone(),
+            unknown.clone(),
+        ];
+        let mut to_p2 = round.clone();
+        leader.fold_sends(ProcessId(2), &mut to_p2);
+        assert_eq!(
+            to_p2,
+            [
+                deliver(DeliverMsg::Ref(m.id), B1, 1),
+                heartbeat.clone(),
+                stale.clone(),
+                heartbeat,
+                unknown,
+            ]
+        );
+        // Not a member of the group: never a holder.
+        let mut to_p3 = vec![full.clone()];
+        leader.fold_sends(ProcessId(3), &mut to_p3);
+        assert_eq!(to_p3, [full]);
+        // The referenced message resolves at the follower.
+        let delivered = g[2].on_event(
+            Duration::ZERO,
+            Event::message(ProcessId(0), to_p2.remove(0)),
+        );
+        assert!(delivered
+            .iter()
+            .any(|a| matches!(a, Action::Deliver(d) if d.msg == m)));
+    }
+
+    /// A follower given a reference it cannot resolve delivers nothing and
+    /// keeps its progress, as if the frame had been lost; the full
+    /// `DELIVER` of the same message still delivers it.
+    #[test]
+    fn an_unresolvable_reference_is_a_lost_frame() {
+        let mut follower = group().remove(1);
+        let m = app(0);
+        let out = follower.on_event(
+            Duration::ZERO,
+            Event::message(ProcessId(0), deliver(DeliverMsg::Ref(m.id), B1, 1)),
+        );
+        assert!(out.is_empty());
+        assert_eq!(follower.max_delivered_gts(), Timestamp::BOTTOM);
+        assert_eq!(follower.delivered_count(), 0);
+        assert_eq!(follower.phase_of(m.id), None);
+        let out = follower.on_event(
+            Duration::ZERO,
+            Event::message(ProcessId(0), deliver(m.clone().into(), B1, 1)),
+        );
+        assert!(out
+            .iter()
+            .any(|a| matches!(a, Action::Deliver(d) if d.msg == m)));
+        assert_eq!(follower.max_delivered_gts(), Timestamp::new(1, GroupId(0)));
+        assert_eq!(follower.delivered_count(), 1);
+    }
+
+    /// Holders are counted per ballot. p1 takes over from p0 with p0's
+    /// vote: p0's install drops the holders it had counted, the new
+    /// leader's line-66 `DELIVER`s go in full, and an ack carrying the old
+    /// ballot makes no holder while one in the new ballot does.
+    #[test]
+    fn holders_start_empty_in_a_new_ballot_and_old_acks_make_none() {
+        let mut g = group();
+        let (m1, m2) = (app(1), app(2));
+        let first = handle(
+            &mut g,
+            CLIENT,
+            0,
+            WhiteBoxMsg::Multicast { msg: m1.clone() },
+        );
+        settle(&mut g, &[0, 1, 2], first);
+        assert_eq!(g[2].delivered_count(), 1);
+        assert!((0..3).all(|i| g[0].records[&m1.id].held_by(i)));
+
+        // m2's ACCEPT reaches p1 and p2 only, and their acks are lost.
+        let first = handle(
+            &mut g,
+            CLIENT,
+            0,
+            WhiteBoxMsg::Multicast { msg: m2.clone() },
+        );
+        let log = settle(&mut g, &[1, 2], first);
+        let old_ack = log
+            .into_iter()
+            .find(|(from, _, msg)| from.0 == 2 && matches!(msg, WhiteBoxMsg::AcceptAck { .. }))
+            .expect("p2 acked m2 in ballot 1")
+            .2;
+
+        // p1 takes over with p0's vote while p2 is down.
+        let first = g[1].on_event(Duration::ZERO, Event::BecomeLeader);
+        let log = settle(&mut g, &[0, 1], sends(ProcessId(1), first).collect());
+        let b2 = g[1].current_ballot();
+        assert!(g[1].is_leader() && b2 > B1);
+        assert_eq!(g[0].current_ballot(), b2);
+        assert!((0..3).all(|i| !g[0].records[&m1.id].held_by(i)));
+        // Line 66 re-delivers m1 with no holder counted in ballot 2; m2,
+        // re-proposed in ballot 2, goes by reference to the two ackers.
+        assert_eq!(
+            deliver_forms(&log, m1.id, b2),
+            [(0, false), (1, false), (2, false)]
+        );
+        assert_eq!(
+            deliver_forms(&log, m2.id, b2),
+            [(0, true), (1, true), (2, false)]
+        );
+
+        // p2's ballot-1 ack arrives late at the new leader: no holder.
+        handle(&mut g, ProcessId(2), 1, old_ack);
+        let full = deliver(m2.clone().into(), b2, 3);
+        let mut to_p2 = vec![full.clone()];
+        g[1].fold_sends(ProcessId(2), &mut to_p2);
+        assert_eq!(to_p2, [full]);
+        assert!(!g[1].holds_record(ProcessId(2), m2.id, b2));
+        // p2 comes back and catches up on what it missed: its ballot-2 ack
+        // does make it a holder.
+        let missed: Vec<Sent> = log.into_iter().filter(|(_, to, _)| to.0 == 2).collect();
+        settle(&mut g, &[1, 2], missed);
+        assert_eq!(g[2].current_ballot(), b2);
+        assert!(g[1].holds_record(ProcessId(2), m2.id, b2));
     }
 }

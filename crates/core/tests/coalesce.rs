@@ -92,7 +92,7 @@ fn ack(cross: u32, k: u64, group: GroupId, stale: bool) -> WhiteBoxMsg {
 
 fn deliver(cross: u32, k: u64, stale: bool) -> WhiteBoxMsg {
     WhiteBoxMsg::Deliver {
-        msg: app(cross, k),
+        msg: app(cross, k).into(),
         ballot: ballot(G0, stale),
         local_ts: lts(G0, k),
         global_ts: gts(cross, k),

@@ -345,8 +345,9 @@ impl StopSignal {
 /// surfaces transport frame drops (a peer down long enough to fill its
 /// output buffer) on stderr as they grow — a deployed replica must never
 /// lose frames silently. Each stats line ends with the transport's
-/// `frames_sent` and `messages_sent`, so how far the send fold packed
-/// messages into frames is on record for every deployed run. A graceful
+/// `frames_sent`, `messages_sent` and `bytes_sent`, so how far the send fold
+/// packed messages into frames, and how many bytes it left to send, is on
+/// record for every deployed run. A graceful
 /// stop lets the reactor flush one last time, writes a `graceful stop`
 /// stats line and returns `Ok`, so orchestrators can tell it from a crash
 /// by the exit status alone. A failed log write returns its error, which
@@ -384,12 +385,13 @@ where
     M: Serialize + DeserializeOwned + Send + 'static,
 {
     Ok(format!(
-        "delivered={} dropped_frames={} by_peer={:?} frames_sent={} messages_sent={}",
+        "delivered={} dropped_frames={} by_peer={:?} frames_sent={} messages_sent={} bytes_sent={}",
         node.total_deliveries()?,
         node.dropped_frames(),
         node.dropped_frames_by_peer(),
         node.frames_sent(),
-        node.messages_sent()
+        node.messages_sent(),
+        node.bytes_sent()
     ))
 }
 

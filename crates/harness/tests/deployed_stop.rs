@@ -151,6 +151,28 @@ fn sigterm_drains_the_delivery_log_and_exits_zero() {
         stderr.contains("delivered=5"),
         "stats line does not report the drained count: {stderr:?}"
     );
+    // The line ends with the transport's byte count: the five replies to
+    // the client, each at least a 4-byte length prefix and a body.
+    let stop_line = stderr
+        .lines()
+        .find(|l| l.contains("graceful stop"))
+        .expect("graceful-stop line");
+    let field = |name: &str| -> u64 {
+        let tail = stop_line.split(&format!("{name}=")).nth(1);
+        let digits = tail.and_then(|t| t.split(|c: char| !c.is_ascii_digit()).next());
+        digits
+            .and_then(|d| d.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {stop_line:?}"))
+    };
+    let (frames, bytes) = (field("frames_sent"), field("bytes_sent"));
+    assert!(
+        stop_line
+            .trim_end()
+            .ends_with(&format!("bytes_sent={bytes}")),
+        "bytes_sent is not the last field: {stop_line:?}"
+    );
+    assert_eq!(frames, 5, "one reply frame per multicast: {stop_line:?}");
+    assert!(bytes > 4 * frames, "frames carry bodies: {stop_line:?}");
     assert_eq!(rig.log_lines().len(), 5, "delivery log not fully drained");
 }
 

@@ -316,6 +316,13 @@ where
         &mut self.transport
     }
 
+    /// The node and the transport at once, for a driver whose transport
+    /// consults the node (the TCP reactor folds each peer's sends with
+    /// [`Node::fold_sends`]).
+    pub(crate) fn node_and_transport(&mut self) -> (&dyn Node<Msg = M>, &mut T) {
+        (&*self.node, &mut self.transport)
+    }
+
     /// Whether an [`Envelope::Shutdown`] has been processed.
     pub(crate) fn is_stopped(&self) -> bool {
         self.stopped

@@ -26,14 +26,17 @@
 //! has the iteration in full, its fairness bounds and the timer lateness
 //! `poll`'s millisecond timeout implies.
 //!
-//! The fold is the node's own ([`Node::send_fold`](wbam_types::Node::send_fold)),
-//! read once at spawn. The white-box replica's merges each run of `ACCEPT`,
-//! `ACCEPT_ACK` or `DELIVER` to one peer into the batch variant the protocol
-//! already has, so a busy round sends a peer a few frames instead of one per
-//! message, with no timer and no knob; a node without a fold (a client, a
-//! baseline) sends one frame per message. The transport counts the
-//! frames it built and the messages they carry ([`TcpNode::frames_sent`],
-//! [`TcpNode::messages_sent`]).
+//! The fold is the node's own ([`Node::fold_sends`]), called per peer at
+//! the end of every round with the node's state as the round left it. The
+//! white-box replica's turns a full `DELIVER` into its
+//! by-reference form for a peer whose `ACCEPT_ACK` arrived later in the
+//! round, then merges each run of `ACCEPT`, `ACCEPT_ACK` or `DELIVER` to one
+//! peer into the batch variant the protocol already has, so a busy round
+//! sends a peer a few frames instead of one per message, with no timer and
+//! no knob; a node without a fold (a client, a baseline) sends one frame per
+//! message. The transport counts the frames it built, the messages they
+//! carry and their bytes ([`TcpNode::frames_sent`],
+//! [`TcpNode::messages_sent`], [`TcpNode::bytes_sent`]).
 //!
 //! Other threads reach the reactor only through [`TcpNode::submit`],
 //! [`TcpNode::become_leader`] and [`TcpNode::shutdown`]: an envelope in the
@@ -126,7 +129,7 @@ use serde::{Deserialize, Serialize};
 use wbam_types::wire::{
     check_preamble, decode_frame_slice, encode_frame_into, encode_preamble, WireCodec, PREAMBLE_LEN,
 };
-use wbam_types::{AppMessage, ProcessId, WbamError};
+use wbam_types::{AppMessage, Node, ProcessId, WbamError};
 
 use crate::clock::{Clock, WallClock};
 use crate::node_loop::{Envelope, NodeLoop, MAX_ENVELOPE_BATCH};
@@ -242,6 +245,8 @@ pub struct TransportStats {
     frames: AtomicU64,
     /// Protocol messages the node sent to peers, which those frames carry.
     messages: AtomicU64,
+    /// Encoded bytes of those frames, length prefixes included.
+    bytes: AtomicU64,
 }
 
 impl TransportStats {
@@ -258,9 +263,10 @@ impl TransportStats {
         }
     }
 
-    fn record_sent(&self, frames: usize, messages: usize) {
+    fn record_sent(&self, frames: usize, messages: usize, bytes: usize) {
         self.frames.fetch_add(frames as u64, Ordering::Relaxed);
         self.messages.fetch_add(messages as u64, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Frames built for peers since spawn, dropped ones included.
@@ -272,6 +278,13 @@ impl TransportStats {
     /// exceeds [`frames_sent`](Self::frames_sent) by what the fold merged.
     pub fn messages_sent(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of the frames built for peers since spawn, length prefixes
+    /// included; like [`frames_sent`](Self::frames_sent) it counts dropped
+    /// frames too (a frame that could not be encoded at all adds none).
+    pub fn bytes_sent(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Total frames dropped, across all peers. Zero in any run where no peer
@@ -349,17 +362,23 @@ impl PeerOut {
     /// transfer — it could never reach the peer, and retrying cannot help) or
     /// that would take the buffer over [`OUTBUF_CAP`] is dropped whole: the
     /// buffer is truncated back to where the frame started, so the byte
-    /// stream stays cut at frame boundaries even mid-flush. Returns whether
-    /// the frame was queued; the caller counts drops in [`TransportStats`].
+    /// stream stays cut at frame boundaries even mid-flush. Returns the
+    /// frame's encoded length (0 if it could not be encoded) and whether it
+    /// was queued; the caller counts both in [`TransportStats`].
     #[must_use]
-    fn push_frame<T: Serialize>(&mut self, codec: WireCodec, frame: &T) -> bool {
+    fn push_frame<T: Serialize>(&mut self, codec: WireCodec, frame: &T) -> (usize, bool) {
         let start = self.outbuf.len();
-        let fits = encode_frame_into(codec, frame, &mut self.outbuf).is_ok()
-            && self.queued() <= OUTBUF_CAP;
+        let encoded = encode_frame_into(codec, frame, &mut self.outbuf).is_ok();
+        let len = if encoded {
+            self.outbuf.len() - start
+        } else {
+            0
+        };
+        let fits = encoded && self.queued() <= OUTBUF_CAP;
         if !fits {
             self.outbuf.truncate(start);
         }
-        fits
+        (len, fits)
     }
 
     /// Drops the connection and everything queued behind it: a partial frame
@@ -453,8 +472,7 @@ fn hello_bytes<M: Serialize>(codec: WireCodec, from: ProcessId) -> Vec<u8> {
 /// TCP transport: owns the outbound connection and output buffer of every
 /// peer. A send to a peer is held until the end of the round; the
 /// [`TcpNode`] reactor, which owns the node loop that owns this transport,
-/// then folds each peer's messages with the node's send fold
-/// ([`Node::send_fold`](wbam_types::Node::send_fold)), if it has one,
+/// then folds each peer's messages with the node's [`Node::fold_sends`],
 /// encodes them into that peer's buffer, and services the transport to
 /// flush the buffers and keep the connections dialled. Messages a node
 /// sends to *itself* (a leader is a member of its own group and ACCEPTs to
@@ -465,8 +483,6 @@ pub struct TcpTransport<M> {
     codec: WireCodec,
     loopback: Sender<Envelope<M>>,
     peers: BTreeMap<ProcessId, PeerOut>,
-    /// The node's send fold, applied to each peer's messages of a round.
-    fold: Option<fn(&mut Vec<M>)>,
     /// Per peer, what this round sent it, not yet encoded.
     pending: BTreeMap<ProcessId, Vec<M>>,
     /// Preamble + Hello, the first bytes of every outbound connection.
@@ -487,7 +503,6 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         dialler: Dialler,
         waker: Arc<Waker>,
-        fold: Option<fn(&mut Vec<M>)>,
     ) -> Self {
         let peers: BTreeMap<ProcessId, PeerOut> = addrs
             .iter()
@@ -501,7 +516,6 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
             codec,
             loopback,
             peers,
-            fold,
             pending,
             hello: hello_bytes::<M>(codec, local),
             stats,
@@ -511,28 +525,30 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
         }
     }
 
-    /// Folds what this round sent each peer, if the node has a send fold,
-    /// and encodes the result behind that peer's buffered bytes. The reactor
-    /// calls this once per round, after the round's deliveries are flushed
-    /// and before the sockets are serviced.
-    fn encode_pending(&mut self) {
+    /// Folds what this round sent each peer with `node`'s
+    /// [`fold_sends`](Node::fold_sends) and encodes the result behind that
+    /// peer's buffered bytes. The reactor calls this once per round, after
+    /// the round's deliveries are flushed and before the sockets are
+    /// serviced.
+    fn encode_pending(&mut self, node: &dyn Node<Msg = M>) {
         for (&to, msgs) in &mut self.pending {
             if msgs.is_empty() {
                 continue;
             }
             let messages = msgs.len();
-            if let Some(fold) = self.fold {
-                fold(msgs);
-            }
-            self.stats.record_sent(msgs.len(), messages);
+            node.fold_sends(to, msgs);
+            let (frames, mut bytes) = (msgs.len(), 0);
             let peer = self.peers.get_mut(&to).expect("a pending list per peer");
             for msg in msgs.drain(..) {
+                let (len, queued) = peer.push_frame(self.codec, &WireFrame::Protocol(msg));
+                bytes += len;
                 // Like every dropped frame, one that does not fit is counted
                 // against the peer, never lost silently.
-                if !peer.push_frame(self.codec, &WireFrame::Protocol(msg)) {
+                if !queued {
                     self.stats.record_drop(to);
                 }
             }
+            self.stats.record_sent(frames, messages, bytes);
         }
     }
 }
@@ -803,7 +819,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
             // mailbox (other threads' submits, its own messages to itself),
             // fire due timers, flush the round's deliveries to the sink, and
             // only then the sockets: the round's sends to each peer are
-            // folded (when the node has a send fold), encoded into that
+            // folded by the node's `fold_sends`, encoded into that
             // peer's outbuf, and leave in one `send` per peer. The first
             // round always runs — a timer or a writable socket may be why
             // `poll` returned.
@@ -815,8 +831,8 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
                 self.nl.process_batch(batch.drain(..));
                 self.nl.fire_due_timers();
                 self.flush_deliveries()?;
-                let transport = self.nl.transport_mut();
-                transport.encode_pending();
+                let (node, transport) = self.nl.node_and_transport();
+                transport.encode_pending(node);
                 transport.service(self.clock.now());
             }
             if self.nl.is_stopped() {
@@ -1056,7 +1072,6 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
             addrs,
             dialler,
             Arc::clone(&waker),
-            node.send_fold(),
         );
         let stats = Arc::clone(&transport.stats);
         let reactor = Reactor {
@@ -1216,6 +1231,14 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         self.stats.messages_sent()
     }
 
+    /// Bytes of the frames this node built for peers since spawn, length
+    /// prefixes and dropped frames included
+    /// ([`TransportStats::bytes_sent`]). Where a fold shrinks messages
+    /// rather than merging them, this is the counter that shows it.
+    pub fn bytes_sent(&self) -> u64 {
+        self.stats.bytes_sent()
+    }
+
     /// Time since the node was spawned.
     pub fn uptime(&self) -> Duration {
         self.clock.now()
@@ -1354,7 +1377,7 @@ mod tests {
                 entries: vec![(id, ballots)],
             },
             WhiteBoxMsg::Deliver {
-                msg: msg.clone(),
+                msg: msg.clone().into(),
                 ballot,
                 local_ts: lts,
                 global_ts: gts,
@@ -1362,7 +1385,7 @@ mod tests {
             WhiteBoxMsg::DeliverBatch {
                 ballot,
                 entries: vec![DeliverEntry {
-                    msg,
+                    msg: msg.into(),
                     local_ts: lts,
                     global_ts: gts,
                 }],
@@ -1400,11 +1423,52 @@ mod tests {
         ]
     }
 
-    /// The exact binary frames — length prefix included — of `Hello` and of
-    /// one `Protocol` frame per `WhiteBoxMsg` variant. The binary codec writes
-    /// positions, not names (WIRE.md §5), so reordering a field or a variant
-    /// of any type in these frames changes the wire without a compile error;
-    /// this test is what catches it. WIRE.md §6 walks through the first two.
+    /// The by-reference forms of `DELIVER` (wire version 2): a lone one, and
+    /// a batch whose first entry is full and second by reference.
+    fn golden_references() -> Vec<WhiteBoxMsg> {
+        use wbam_core::{DeliverEntry, DeliverMsg};
+        use wbam_types::{AppMessage, Ballot, Timestamp};
+        let id = MsgId::new(ProcessId(6), 41);
+        let msg = AppMessage::new(
+            MsgId::new(ProcessId(6), 40),
+            Destination::single(GroupId(0)),
+            Payload::from(b"hi".to_vec()),
+        );
+        let ballot = Ballot::new(1, ProcessId(0));
+        let lts = Timestamp::new(77, GroupId(0));
+        let gts = Timestamp::new(300, GroupId(1));
+        vec![
+            WhiteBoxMsg::Deliver {
+                msg: DeliverMsg::Ref(id),
+                ballot,
+                local_ts: lts,
+                global_ts: gts,
+            },
+            WhiteBoxMsg::DeliverBatch {
+                ballot,
+                entries: vec![
+                    DeliverEntry {
+                        msg: DeliverMsg::Full(msg),
+                        local_ts: Timestamp::new(76, GroupId(0)),
+                        global_ts: Timestamp::new(76, GroupId(0)),
+                    },
+                    DeliverEntry {
+                        msg: DeliverMsg::Ref(id),
+                        local_ts: lts,
+                        global_ts: gts,
+                    },
+                ],
+            },
+        ]
+    }
+
+    /// The exact binary frames — length prefix included — of `Hello`, of
+    /// one `Protocol` frame per `WhiteBoxMsg` variant, and of the
+    /// by-reference `DELIVER` forms. The binary codec writes positions, not
+    /// names (WIRE.md §5), so reordering a field or a variant of any type in
+    /// these frames changes the wire without a compile error; this test is
+    /// what catches it. WIRE.md §6 walks through the first two and the
+    /// by-reference `DELIVER`.
     #[test]
     fn binary_frames_match_their_golden_bytes() {
         let hello = WireFrame::Hello { from: ProcessId(3) };
@@ -1412,6 +1476,7 @@ mod tests {
             .chain(
                 golden_messages()
                     .into_iter()
+                    .chain(golden_references())
                     .map(|m| (m.kind(), WireFrame::Protocol(m))),
             )
             .collect();
@@ -1455,16 +1520,16 @@ mod tests {
             (
                 "DELIVER",
                 concat!(
-                    "00 00 00 23 41 45 07 04 07 03 09 02 06 29 09 02 00 01 09 02 ",
-                    "68 69 41 09 02 01 00 41 09 02 4d 00 41 07 02 03 ac 02 81",
+                    "00 00 00 24 41 45 07 04 40 07 03 09 02 06 29 09 02 00 01 09 ",
+                    "02 68 69 41 09 02 01 00 41 09 02 4d 00 41 07 02 03 ac 02 81",
                 ),
             ),
             (
                 "DELIVER_BATCH",
                 concat!(
-                    "00 00 00 27 41 46 07 02 41 09 02 01 00 07 01 07 03 07 03 09 ",
-                    "02 06 29 09 02 00 01 09 02 68 69 41 09 02 4d 00 41 07 02 03 ",
-                    "ac 02 81",
+                    "00 00 00 28 41 46 07 02 41 09 02 01 00 07 01 07 03 40 07 03 ",
+                    "09 02 06 29 09 02 00 01 09 02 68 69 41 09 02 4d 00 41 07 02 ",
+                    "03 ac 02 81",
                 ),
             ),
             ("NEWLEADER", "00 00 00 09 41 47 07 01 41 09 02 01 00"),
@@ -1509,6 +1574,21 @@ mod tests {
                 "CLIENT_REPLY",
                 "00 00 00 10 41 4f 07 03 09 02 06 29 81 41 07 02 03 ac 02 81",
             ),
+            (
+                "DELIVER",
+                concat!(
+                    "00 00 00 1a 41 45 07 04 41 09 02 06 29 41 09 02 01 00 41 09 ",
+                    "02 4d 00 41 07 02 03 ac 02 81",
+                ),
+            ),
+            (
+                "DELIVER_BATCH",
+                concat!(
+                    "00 00 00 38 41 46 07 02 41 09 02 01 00 07 02 07 03 40 07 03 ",
+                    "09 02 06 28 09 01 00 09 02 68 69 41 09 02 4c 00 41 09 02 4c ",
+                    "00 07 03 41 09 02 06 29 41 09 02 4d 00 41 07 02 03 ac 02 81",
+                ),
+            ),
         ];
         assert_eq!(frames.len(), golden.len());
         for ((kind, frame), (want_kind, want)) in frames.iter().zip(golden) {
@@ -1525,14 +1605,16 @@ mod tests {
     }
 
     /// Reserves one free loopback port per process by briefly binding port 0.
+    /// Every listener is held until all are bound, so no two processes are
+    /// handed the same port.
     fn reserve_addrs(cluster: &ClusterConfig) -> BTreeMap<ProcessId, SocketAddr> {
-        cluster
+        let held: Vec<(ProcessId, TcpListener)> = cluster
             .all_processes()
             .into_iter()
-            .map(|p| {
-                let l = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
-                (p, l.local_addr().expect("local addr"))
-            })
+            .map(|p| (p, TcpListener::bind("127.0.0.1:0").expect("bind port 0")))
+            .collect();
+        held.iter()
+            .map(|(p, l)| (*p, l.local_addr().expect("local addr")))
             .collect()
     }
 
@@ -1734,6 +1816,52 @@ mod tests {
         client.shutdown();
     }
 
+    /// 4 KiB multicasts, sixteen in flight: a follower whose ack the leader
+    /// counted gets its `DELIVER` by reference, in `try_deliver` or in the
+    /// round's fold, so the leader writes less than the two `ACCEPT`s and
+    /// two full `DELIVER`s to its followers would take, while every replica
+    /// still delivers the same order.
+    #[test]
+    fn deliver_by_reference_spares_the_leader_the_payload_bytes() {
+        const PAYLOAD: usize = 4096;
+        const TOTAL: u64 = 128;
+        let (replicas, client) = one_group_cluster();
+        for seq in 0..TOTAL {
+            if seq >= 16 {
+                assert!(client
+                    .wait_for_total(seq - 15, Duration::from_secs(30))
+                    .unwrap());
+            }
+            let id = MsgId::new(client.id(), seq);
+            let payload = Payload::from(vec![seq as u8; PAYLOAD]);
+            let msg = AppMessage::new(id, Destination::single(GroupId(0)), payload);
+            client.submit(msg).unwrap();
+        }
+        assert!(client
+            .wait_for_total(TOTAL, Duration::from_secs(30))
+            .unwrap());
+        for r in &replicas {
+            assert!(r.wait_for_total(TOTAL, Duration::from_secs(30)).unwrap());
+            assert_eq!(r.dropped_frames(), 0, "replica {} dropped frames", r.id());
+        }
+        let reference = order_of(&replicas[0]);
+        for r in &replicas[1..] {
+            assert_eq!(order_of(r), reference, "replica {} order differs", r.id());
+        }
+        let leader = &replicas[0];
+        let full_delivers = TOTAL * 4 * PAYLOAD as u64;
+        assert!(
+            leader.bytes_sent() < full_delivers,
+            "the leader wrote {} bytes for {TOTAL} multicasts of {PAYLOAD} B; \
+             two ACCEPTs and two full DELIVERs carry {full_delivers}",
+            leader.bytes_sent()
+        );
+        for r in replicas {
+            r.shutdown();
+        }
+        client.shutdown();
+    }
+
     /// With one multicast in flight the leader never sends a peer two
     /// messages of a kind in one round, so nothing folds: it writes exactly
     /// one frame per message, as does the client, which has no fold.
@@ -1912,7 +2040,7 @@ mod tests {
             "nothing queued, nothing to dial for"
         );
         assert!(
-            peer.push_frame(WireCodec::Binary, &7u64),
+            peer.push_frame(WireCodec::Binary, &7u64).1,
             "empty buffer accepts a frame"
         );
         assert_eq!(peer.next_dial, Duration::ZERO, "first dial is due at once");
@@ -1975,15 +2103,38 @@ mod tests {
             &addrs,
             Arc::new(|_| Err(io::Error::other("never dialled"))),
             Arc::new(Waker::new().expect("wake pipe")),
-            None,
         )
+    }
+
+    /// A node that only folds: it sends every message as it is, or with
+    /// `concat` merges a round's messages to a peer into one.
+    struct Folder {
+        concat: bool,
+    }
+
+    impl Node for Folder {
+        type Msg = Vec<u8>;
+
+        fn id(&self) -> ProcessId {
+            ProcessId(0)
+        }
+
+        fn on_event(&mut self, _now: Duration, _event: Event<Vec<u8>>) -> Vec<Action<Vec<u8>>> {
+            Vec::new()
+        }
+
+        fn fold_sends(&self, _to: ProcessId, msgs: &mut Vec<Vec<u8>>) {
+            if self.concat {
+                *msgs = vec![msgs.concat()];
+            }
+        }
     }
 
     /// One send in a round of its own: sent, then encoded as the reactor
     /// does at the end of a round.
     fn send_round(transport: &mut TcpTransport<Vec<u8>>, to: ProcessId, msg: Vec<u8>) {
         transport.send(to, msg);
-        transport.encode_pending();
+        transport.encode_pending(&Folder { concat: false });
     }
 
     /// Frames beyond [`OUTBUF_CAP`] are dropped (never truncated) and the
@@ -2019,9 +2170,19 @@ mod tests {
         assert_eq!(transport.stats.dropped_frames(), 2);
         let outbuf = &transport.peers[&peer].outbuf;
         assert!(outbuf.len() > queued.len() && outbuf.starts_with(&queued));
-        // Without a fold every message is a frame, dropped ones included.
+        // Without a fold every message is a frame, dropped ones included,
+        // and so are their bytes: the two dropped frames count as queued.
         assert_eq!(transport.stats.frames_sent(), 4);
         assert_eq!(transport.stats.messages_sent(), 4);
+        let frame_len = |payload: usize| {
+            encode_frame_with(WireCodec::Binary, &WireFrame::Protocol(vec![1u8; payload]))
+                .expect("encodes")
+                .len() as u64
+        };
+        assert_eq!(
+            transport.stats.bytes_sent(),
+            queued.len() as u64 + 2 * frame_len(64) + frame_len(4)
+        );
     }
 
     /// A fold that merges a round into one message too large for a frame
@@ -2031,11 +2192,10 @@ mod tests {
     fn a_dropped_batch_counts_as_one_frame() {
         let peer = ProcessId(7);
         let mut transport = undialled_transport(peer);
-        transport.fold = Some(|msgs: &mut Vec<Vec<u8>>| *msgs = vec![msgs.concat()]);
         for _ in 0..4 {
             transport.send(peer, vec![5u8; MAX_FRAME_LEN / 4 + 1]);
         }
-        transport.encode_pending();
+        transport.encode_pending(&Folder { concat: true });
         assert_eq!(transport.stats.dropped_frames(), 1);
         assert_eq!(transport.stats.frames_sent(), 1);
         assert_eq!(transport.stats.messages_sent(), 4);

@@ -29,7 +29,9 @@ impl Payload {
         Payload(Bytes::new())
     }
 
-    /// Creates a payload from a static byte string without copying.
+    /// Creates a payload from a static byte string. The bytes are copied once
+    /// into a shared buffer (the in-tree `bytes` shim has no borrowed form);
+    /// clones of the payload share that copy.
     pub fn from_static(bytes: &'static [u8]) -> Self {
         Payload(Bytes::from_static(bytes))
     }

@@ -56,14 +56,21 @@ pub trait Node {
         None
     }
 
-    /// The fold a runtime with a wire may apply to the messages one round
-    /// sends to one peer before it encodes them. The fold may only merge
-    /// neighbouring messages into a message the receiver handles exactly as
-    /// their sequence; it must not reorder them. A runtime reads this once,
-    /// when it starts the node. The default, `None`, sends every message as
-    /// it is; runtimes without a wire ignore the hook.
-    fn send_fold(&self) -> Option<fn(&mut Vec<Self::Msg>)> {
-        None
+    /// The fold a runtime with a wire applies to the messages one round
+    /// sent to peer `to`, in sending order, before it encodes them; it runs
+    /// after the round, with the node's state as the round left it. The
+    /// fold may do two things and nothing else:
+    ///
+    /// * merge neighbouring messages into one message the receiver handles
+    ///   exactly as their sequence, without reordering them;
+    /// * replace a message by a smaller form the receiver handles exactly as
+    ///   the original, because the node knows `to` holds what the smaller
+    ///   form leaves out (the white-box replica's `DELIVER` by reference).
+    ///
+    /// The default sends every message as it is; runtimes without a wire
+    /// never call it.
+    fn fold_sends(&self, to: ProcessId, msgs: &mut Vec<Self::Msg>) {
+        let _ = (to, msgs);
     }
 }
 

@@ -32,8 +32,10 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// The two magic bytes opening every connection preamble.
 pub const WIRE_MAGIC: [u8; 2] = *b"WB";
 
-/// The wire protocol version negotiated in the connection preamble.
-pub const WIRE_VERSION: u8 = 1;
+/// The wire protocol version negotiated in the connection preamble. Version
+/// 2 gave `DELIVER` its by-reference form (`WIRE.md` §2, §7); v1 and v2
+/// processes refuse each other at the preamble.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Length of the connection preamble in bytes.
 pub const PREAMBLE_LEN: usize = 4;
@@ -544,6 +546,22 @@ mod tests {
                 err.to_string()
                     .contains("retired self-describing binary codec"),
                 "{err}"
+            );
+        }
+    }
+
+    /// A peer of the previous release (wire version 1, before `DELIVER` by
+    /// reference) is refused at the preamble under either codec, and the
+    /// error names both versions.
+    #[test]
+    fn a_version_one_peer_is_refused_by_name() {
+        assert_eq!(WIRE_VERSION, 2);
+        for codec in BOTH {
+            let err = check_preamble(&[b'W', b'B', 1, codec.wire_byte()], codec).unwrap_err();
+            let text = err.to_string();
+            assert!(
+                text.contains("wire version 1") && text.contains("speaks 2"),
+                "{text}"
             );
         }
     }

@@ -80,7 +80,7 @@ fn deliver_msg(seq: u64) -> WhiteBoxMsg {
         Payload::from("op"),
     );
     WhiteBoxMsg::Deliver {
-        msg: m,
+        msg: m.into(),
         ballot: Ballot::new(1, ProcessId(0)),
         local_ts: Timestamp::new(seq + 1, GroupId(0)),
         global_ts: Timestamp::new(seq + 1, GroupId(0)),

@@ -13,7 +13,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use wbam::core::invariants::{check_delivery_order, check_total_order};
-use wbam::core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxMsg, WhiteBoxReplica};
+use wbam::core::{
+    ClientConfig, DeliverMsg, MulticastClient, ReplicaConfig, WhiteBoxMsg, WhiteBoxReplica,
+};
 use wbam::harness::{ClusterSpec, Protocol, ProtocolSim};
 use wbam::simnet::{LatencyModel, MetricsView, SimConfig, Simulation};
 use wbam::types::{
@@ -124,18 +126,20 @@ const ROUND_TIMER: TimerId = TimerId(u64::MAX);
 const ROUND_TIMEOUT: Duration = Duration::from_micros(500);
 
 /// A white-box replica whose sends leave in rounds, each peer's share of a
-/// round folded by the replica's own send fold, as a runtime with a wire
-/// sends them. A round closes once `round` events have sent into it, or
-/// [`ROUND_TIMEOUT`] after its first send; `round == 1` folds what each
-/// event sends one peer.
+/// round folded by the replica's own [`Node::fold_sends`] with its state at
+/// the end of the round, as a runtime with a wire sends them. A round
+/// closes once `round` events have sent into it, or [`ROUND_TIMEOUT`] after
+/// its first send; `round == 1` folds what each event sends one peer.
 struct Rounds {
     inner: WhiteBoxReplica,
-    fold: fn(&mut Vec<WhiteBoxMsg>),
     round: usize,
     events: usize,
     outbox: BTreeMap<ProcessId, Vec<WhiteBoxMsg>>,
     /// Messages the fold merged away, over every replica of the run.
     folded: Rc<Cell<usize>>,
+    /// `DELIVER` entries sent by reference to another process, over every
+    /// replica of the run.
+    references: Rc<Cell<usize>>,
 }
 
 impl Rounds {
@@ -143,10 +147,26 @@ impl Rounds {
         self.events = 0;
         for (to, mut msgs) in std::mem::take(&mut self.outbox) {
             let sent = msgs.len();
-            (self.fold)(&mut msgs);
+            self.inner.fold_sends(to, &mut msgs);
             self.folded.set(self.folded.get() + sent - msgs.len());
+            if to != self.inner.id() {
+                let refs = msgs.iter().map(references_in).sum::<usize>();
+                self.references.set(self.references.get() + refs);
+            }
             out.extend(msgs.into_iter().map(|msg| Action::send(to, msg)));
         }
+    }
+}
+
+/// The `DELIVER` entries of `msg` that go by reference.
+fn references_in(msg: &WhiteBoxMsg) -> usize {
+    match msg {
+        WhiteBoxMsg::Deliver { msg, .. } => usize::from(matches!(msg, DeliverMsg::Ref(_))),
+        WhiteBoxMsg::DeliverBatch { entries, .. } => entries
+            .iter()
+            .filter(|e| matches!(e.msg, DeliverMsg::Ref(_)))
+            .count(),
+        _ => 0,
     }
 }
 
@@ -192,10 +212,15 @@ impl Node for Rounds {
     }
 }
 
+/// How many messages a [`Rounds`] run's fold merged away, and how many
+/// `DELIVER` entries crossed to another process by reference.
+type FoldCounts = (usize, usize);
+
 /// Runs a random white-box workload on a 4-group cluster whose replicas
 /// send in folded rounds of up to `round` events (see [`Rounds`]). Returns
 /// the delivery sequences, the destinations, the run's metrics and cluster,
-/// and how many messages the fold merged away.
+/// how many messages the fold merged away and how many `DELIVER` entries
+/// crossed to another process by reference.
 fn run_rounds_workload(
     round: usize,
     messages: usize,
@@ -206,7 +231,7 @@ fn run_rounds_workload(
     BTreeMap<MsgId, Vec<GroupId>>,
     MetricsView,
     ClusterConfig,
-    usize,
+    FoldCounts,
 ) {
     let cluster = ClusterConfig::builder().groups(4, 3).clients(2).build();
     let mut sim = Simulation::new(SimConfig {
@@ -214,21 +239,17 @@ fn run_rounds_workload(
         latency: LatencyModel::uniform(LATENCY_MIN, LATENCY_MAX),
         ..SimConfig::default()
     });
-    let folded = Rc::new(Cell::new(0));
+    let (folded, references) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
     for gc in cluster.groups() {
         for member in gc.members() {
             let cfg = ReplicaConfig::new(*member, gc.id(), cluster.clone()).without_auto_election();
-            let inner = WhiteBoxReplica::new(cfg);
-            let fold = inner
-                .send_fold()
-                .expect("the white-box replica folds its sends");
             let node = Rounds {
-                inner,
-                fold,
+                inner: WhiteBoxReplica::new(cfg),
                 round,
                 events: 0,
                 outbox: BTreeMap::new(),
                 folded: Rc::clone(&folded),
+                references: Rc::clone(&references),
             };
             sim.add_replica(Box::new(node), gc.id(), cluster.site_of(*member));
         }
@@ -261,7 +282,7 @@ fn run_rounds_workload(
         destinations,
         metrics,
         cluster,
-        folded.get(),
+        (folded.get(), references.get()),
     )
 }
 
@@ -452,7 +473,7 @@ proptest! {
         round in prop_oneof![Just(1usize), Just(4usize), Just(32usize)],
         messages in 8usize..32,
     ) {
-        let (sequences, destinations, metrics, cluster, folded) =
+        let (sequences, destinations, metrics, cluster, (folded, references)) =
             run_rounds_workload(round, messages, seed, Destinations::Conflicting);
         assert_core_properties(&sequences, &destinations, &metrics, &cluster, true);
         for member in cluster.group(GroupId(3)).unwrap().members() {
@@ -463,6 +484,11 @@ proptest! {
         }
         // Rounds of several events are not vacuous: the fold merged sends.
         prop_assert!(round == 1 || folded > 0, "no send was folded in rounds of {round}");
+        // ... and followers that acked got their DELIVERs by reference.
+        prop_assert!(
+            round == 1 || references > 0,
+            "no DELIVER crossed by reference in rounds of {round}"
+        );
     }
 
     /// Property test: for random topologies, workloads and jittery delays the

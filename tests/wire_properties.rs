@@ -28,7 +28,9 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use wbam_baselines::{BaselineMsg, Command};
 use wbam_consensus::{PaxosMsg, Slot};
-use wbam_core::{AcceptEntry, DeliverEntry, RecordSnapshot, StateSnapshot, WhiteBoxMsg};
+use wbam_core::{
+    AcceptEntry, DeliverEntry, DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg,
+};
 use wbam_harness::{DeliveryLine, DeploySpec};
 use wbam_types::wire::{
     check_preamble, decode_frame_with, encode_frame_with, encode_preamble, from_json, to_json,
@@ -61,6 +63,15 @@ fn arb_ballot(rng: &mut StdRng) -> Ballot {
         Ballot::BOTTOM
     } else {
         Ballot::new(rng.gen_range(0..64), ProcessId(rng.gen_range(0..32)))
+    }
+}
+
+/// A `DELIVER`'s message in either form: whole, or by reference.
+fn arb_deliver_msg(rng: &mut StdRng) -> DeliverMsg {
+    if rng.gen_bool(0.5) {
+        DeliverMsg::Full(arb_app_message(rng))
+    } else {
+        DeliverMsg::Ref(arb_msg_id(rng))
     }
 }
 
@@ -189,7 +200,7 @@ fn arb_whitebox(rng: &mut StdRng, variant: usize) -> WhiteBoxMsg {
                 .collect(),
         },
         5 => WhiteBoxMsg::Deliver {
-            msg: arb_app_message(rng),
+            msg: arb_deliver_msg(rng),
             ballot: arb_ballot(rng),
             local_ts: arb_timestamp(rng),
             global_ts: arb_timestamp(rng),
@@ -198,7 +209,7 @@ fn arb_whitebox(rng: &mut StdRng, variant: usize) -> WhiteBoxMsg {
             ballot: arb_ballot(rng),
             entries: (0..rng.gen_range(1..5))
                 .map(|_| DeliverEntry {
-                    msg: arb_app_message(rng),
+                    msg: arb_deliver_msg(rng),
                     local_ts: arb_timestamp(rng),
                     global_ts: arb_timestamp(rng),
                 })
