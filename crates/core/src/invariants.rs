@@ -127,50 +127,34 @@ pub struct SentMessage {
     pub msg: WhiteBoxMsg,
 }
 
-/// The proposals carried by a protocol message: one for a standalone
-/// `ACCEPT`, one per entry for an `ACCEPT_BATCH`, none otherwise. Batch
-/// entries are subject to exactly the same invariants as standalone accepts.
-fn accept_views(msg: &WhiteBoxMsg) -> Vec<(MsgId, GroupId, Ballot, Timestamp)> {
+/// The proposal an `ACCEPT` carries.
+fn accept_view(msg: &WhiteBoxMsg) -> Option<(MsgId, GroupId, Ballot, Timestamp)> {
     match msg {
         WhiteBoxMsg::Accept {
             msg,
             group,
             ballot,
             local_ts,
-        } => vec![(msg.id, *group, *ballot, *local_ts)],
-        WhiteBoxMsg::AcceptBatch {
-            group,
-            ballot,
-            entries,
-        } => entries
-            .iter()
-            .map(|e| (e.msg.id, *group, *ballot, e.local_ts))
-            .collect(),
-        _ => Vec::new(),
+        } => Some((msg.id, *group, *ballot, *local_ts)),
+        _ => None,
     }
 }
 
-/// The deliveries carried by a protocol message: one for a standalone
-/// `DELIVER`, one per entry for a `DELIVER_BATCH`, none otherwise.
-fn deliver_views(msg: &WhiteBoxMsg) -> Vec<(MsgId, Timestamp, Timestamp)> {
+/// The delivery a `DELIVER` carries.
+fn deliver_view(msg: &WhiteBoxMsg) -> Option<(MsgId, Timestamp, Timestamp)> {
     match msg {
         WhiteBoxMsg::Deliver {
             msg,
             local_ts,
             global_ts,
             ..
-        } => vec![(msg.id(), *local_ts, *global_ts)],
-        WhiteBoxMsg::DeliverBatch { entries, .. } => entries
-            .iter()
-            .map(|e| (e.msg.id(), e.local_ts, e.global_ts))
-            .collect(),
-        _ => Vec::new(),
+        } => Some((msg.id(), *local_ts, *global_ts)),
+        _ => None,
     }
 }
 
 /// Checks Invariant 1 over a trace: in a given ballot, a group proposes at
-/// most one local timestamp per message. Batched accepts are checked entry by
-/// entry.
+/// most one local timestamp per message.
 ///
 /// # Errors
 ///
@@ -180,21 +164,19 @@ where
     I: IntoIterator<Item = &'a SentMessage>,
 {
     let mut seen: BTreeMap<(MsgId, GroupId, Ballot), Timestamp> = BTreeMap::new();
-    for entry in trace {
-        for (msg_id, group, ballot, local_ts) in accept_views(&entry.msg) {
-            match seen.get(&(msg_id, group, ballot)) {
-                None => {
-                    seen.insert((msg_id, group, ballot), local_ts);
-                }
-                Some(existing) if *existing == local_ts => {}
-                Some(existing) => {
-                    return Err(Violation::ConflictingAccepts {
-                        msg_id,
-                        group,
-                        ballot,
-                        timestamps: (*existing, local_ts),
-                    });
-                }
+    for (msg_id, group, ballot, local_ts) in trace.into_iter().filter_map(|e| accept_view(&e.msg)) {
+        match seen.get(&(msg_id, group, ballot)) {
+            None => {
+                seen.insert((msg_id, group, ballot), local_ts);
+            }
+            Some(existing) if *existing == local_ts => {}
+            Some(existing) => {
+                return Err(Violation::ConflictingAccepts {
+                    msg_id,
+                    group,
+                    ballot,
+                    timestamps: (*existing, local_ts),
+                });
             }
         }
     }
@@ -213,39 +195,37 @@ where
     let mut local: BTreeMap<MsgId, Timestamp> = BTreeMap::new();
     let mut global: BTreeMap<MsgId, Timestamp> = BTreeMap::new();
     let mut by_gts: BTreeMap<Timestamp, MsgId> = BTreeMap::new();
-    for entry in trace {
-        for (msg_id, local_ts, global_ts) in deliver_views(&entry.msg) {
-            // Invariant 3(a): same local timestamp per group. Since each group
-            // computes its own local timestamps, we key by message only within
-            // traces of a single group's DELIVERs; across groups local
-            // timestamps legitimately differ, so the caller should pass a
-            // per-group trace. For whole-system traces we check 3(b) and 4.
-            match global.get(&msg_id) {
-                None => {
-                    global.insert(msg_id, global_ts);
-                }
-                Some(existing) if *existing == global_ts => {}
-                Some(existing) => {
-                    return Err(Violation::ConflictingDeliverGlobalTs {
-                        msg_id,
-                        timestamps: (*existing, global_ts),
-                    });
-                }
+    for (msg_id, local_ts, global_ts) in trace.into_iter().filter_map(|e| deliver_view(&e.msg)) {
+        // Invariant 3(a): same local timestamp per group. Since each group
+        // computes its own local timestamps, we key by message only within
+        // traces of a single group's DELIVERs; across groups local
+        // timestamps legitimately differ, so the caller should pass a
+        // per-group trace. For whole-system traces we check 3(b) and 4.
+        match global.get(&msg_id) {
+            None => {
+                global.insert(msg_id, global_ts);
             }
-            match by_gts.get(&global_ts) {
-                None => {
-                    by_gts.insert(global_ts, msg_id);
-                }
-                Some(existing) if *existing == msg_id => {}
-                Some(existing) => {
-                    return Err(Violation::DuplicateGlobalTs {
-                        msgs: (*existing, msg_id),
-                        ts: global_ts,
-                    });
-                }
+            Some(existing) if *existing == global_ts => {}
+            Some(existing) => {
+                return Err(Violation::ConflictingDeliverGlobalTs {
+                    msg_id,
+                    timestamps: (*existing, global_ts),
+                });
             }
-            let _ = local.entry(msg_id).or_insert(local_ts);
         }
+        match by_gts.get(&global_ts) {
+            None => {
+                by_gts.insert(global_ts, msg_id);
+            }
+            Some(existing) if *existing == msg_id => {}
+            Some(existing) => {
+                return Err(Violation::DuplicateGlobalTs {
+                    msgs: (*existing, msg_id),
+                    ts: global_ts,
+                });
+            }
+        }
+        let _ = local.entry(msg_id).or_insert(local_ts);
     }
     Ok(())
 }
@@ -264,22 +244,20 @@ where
     F: Fn(ProcessId) -> Option<GroupId>,
 {
     let mut seen: BTreeMap<(MsgId, GroupId), Timestamp> = BTreeMap::new();
-    for entry in trace {
-        for (msg_id, local_ts, _) in deliver_views(&entry.msg) {
-            let Some(group) = group_of(entry.to) else {
-                continue;
-            };
-            match seen.get(&(msg_id, group)) {
-                None => {
-                    seen.insert((msg_id, group), local_ts);
-                }
-                Some(existing) if *existing == local_ts => {}
-                Some(existing) => {
-                    return Err(Violation::ConflictingDeliverLocalTs {
-                        msg_id,
-                        timestamps: (*existing, local_ts),
-                    });
-                }
+    let delivers = trace
+        .into_iter()
+        .filter_map(|e| Some((group_of(e.to)?, deliver_view(&e.msg)?)));
+    for (group, (msg_id, local_ts, _)) in delivers {
+        match seen.get(&(msg_id, group)) {
+            None => {
+                seen.insert((msg_id, group), local_ts);
+            }
+            Some(existing) if *existing == local_ts => {}
+            Some(existing) => {
+                return Err(Violation::ConflictingDeliverLocalTs {
+                    msg_id,
+                    timestamps: (*existing, local_ts),
+                });
             }
         }
     }

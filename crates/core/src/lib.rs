@@ -76,8 +76,6 @@ pub mod replica;
 
 pub use client::MulticastClient;
 pub use config::{ClientConfig, ReplicaConfig};
-pub use messages::{
-    AcceptEntry, BallotVector, DeliverEntry, DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg,
-};
+pub use messages::{BallotVector, DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg};
 pub use record::MessageRecord;
 pub use replica::{Status, WhiteBoxReplica};

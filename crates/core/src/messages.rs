@@ -12,18 +12,7 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use wbam_types::wire::MAX_FRAME_LEN;
 use wbam_types::{AppMessage, Ballot, Checkpoint, GroupId, MsgId, Phase, Timestamp};
-
-/// The most entries [`WhiteBoxMsg::coalesce`] puts in one batch.
-const FOLD_MAX_ENTRIES: usize = 256;
-
-/// The most payload bytes [`WhiteBoxMsg::coalesce`] puts in one batch. The
-/// JSON codec writes a byte as at most four characters, so a batch's
-/// payloads take at most half of [`MAX_FRAME_LEN`] under either codec; the
-/// other half holds the ids, timestamps and ballot vectors of at most
-/// [`FOLD_MAX_ENTRIES`] entries, which is 32 KiB an entry.
-const FOLD_MAX_PAYLOAD: usize = MAX_FRAME_LEN / 8;
 
 /// A per-message vector of the ballots in which each destination group's
 /// leader issued its local timestamp proposal (`Bal` in Figure 4).
@@ -73,16 +62,6 @@ impl StateSnapshot {
     }
 }
 
-/// One message's entry inside an [`WhiteBoxMsg::AcceptBatch`]: the proposal a
-/// leader would otherwise have sent as a standalone `ACCEPT`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AcceptEntry {
-    /// The application message.
-    pub msg: AppMessage,
-    /// The proposed local timestamp of the message at the batching group.
-    pub local_ts: Timestamp,
-}
-
 /// The message a `DELIVER` names: the whole application message, or only
 /// its identifier for a receiver that holds the message already.
 ///
@@ -108,31 +87,12 @@ impl DeliverMsg {
             DeliverMsg::Ref(id) => *id,
         }
     }
-
-    /// The payload bytes this form carries: none for a reference.
-    fn payload_len(&self) -> usize {
-        match self {
-            DeliverMsg::Full(msg) => msg.payload.len(),
-            DeliverMsg::Ref(_) => 0,
-        }
-    }
 }
 
 impl From<AppMessage> for DeliverMsg {
     fn from(msg: AppMessage) -> Self {
         DeliverMsg::Full(msg)
     }
-}
-
-/// One message's entry inside an [`WhiteBoxMsg::DeliverBatch`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeliverEntry {
-    /// The delivered message, whole or by reference.
-    pub msg: DeliverMsg,
-    /// The message's local timestamp at the delivering group.
-    pub local_ts: Timestamp,
-    /// The message's global timestamp.
-    pub global_ts: Timestamp,
 }
 
 /// Wire messages of the white-box protocol.
@@ -169,34 +129,6 @@ pub enum WhiteBoxMsg {
         /// The ballots in which each destination group's proposal was made.
         ballots: BallotVector,
     },
-    /// Batched `ACCEPT`: the leader of `group` proposes the local timestamps
-    /// of *several* messages in one wire message (one ballot, one network
-    /// round for the whole batch). Semantically equivalent to sending one
-    /// [`WhiteBoxMsg::Accept`] per entry, but it amortises the per-message
-    /// network and CPU cost of the ordering round. Batching is this
-    /// implementation's extension; Figure 4 of the paper is per-message.
-    /// The batch variants come from [`WhiteBoxMsg::coalesce`], which folds
-    /// the per-message runs of one reactor round on the deployed wire; a
-    /// replica's only batched send is the `ACCEPT_ACK_BATCH` answering a
-    /// received `ACCEPT_BATCH`.
-    AcceptBatch {
-        /// The proposing group.
-        group: GroupId,
-        /// The ballot of the proposing leader (shared by every entry).
-        ballot: Ballot,
-        /// The batched proposals. Each recipient only ever receives entries
-        /// for messages addressed to its own group (genuineness).
-        entries: Vec<AcceptEntry>,
-    },
-    /// Batched `ACCEPT_ACK`: a process of group `group` acknowledges the
-    /// stored local timestamps of several messages at once. Equivalent to one
-    /// [`WhiteBoxMsg::AcceptAck`] per entry.
-    AcceptAckBatch {
-        /// The acknowledging process's group.
-        group: GroupId,
-        /// `(message, ballot vector)` pairs, one per acknowledged message.
-        entries: Vec<(MsgId, BallotVector)>,
-    },
     /// `DELIVER(m, b, lts, gts)`: the leader of a group instructs its
     /// followers to deliver `m` with global timestamp `gts` (Figure 4,
     /// line 23).
@@ -209,16 +141,6 @@ pub enum WhiteBoxMsg {
         local_ts: Timestamp,
         /// The message's global timestamp.
         global_ts: Timestamp,
-    },
-    /// Batched `DELIVER`: the leader instructs its followers to deliver
-    /// several committed messages in one wire message. Entries are ordered by
-    /// increasing global timestamp; handling them in order is equivalent to
-    /// handling one [`WhiteBoxMsg::Deliver`] per entry.
-    DeliverBatch {
-        /// The leader's ballot.
-        ballot: Ballot,
-        /// The batched deliveries, in increasing global-timestamp order.
-        entries: Vec<DeliverEntry>,
     },
     /// `NEWLEADER(b)`: a prospective leader asks its group members to join
     /// ballot `b` (Figure 4, line 36). Analogous to Paxos "1a".
@@ -338,10 +260,7 @@ impl WhiteBoxMsg {
             WhiteBoxMsg::Multicast { .. } => "MULTICAST",
             WhiteBoxMsg::Accept { .. } => "ACCEPT",
             WhiteBoxMsg::AcceptAck { .. } => "ACCEPT_ACK",
-            WhiteBoxMsg::AcceptBatch { .. } => "ACCEPT_BATCH",
-            WhiteBoxMsg::AcceptAckBatch { .. } => "ACCEPT_ACK_BATCH",
             WhiteBoxMsg::Deliver { .. } => "DELIVER",
-            WhiteBoxMsg::DeliverBatch { .. } => "DELIVER_BATCH",
             WhiteBoxMsg::NewLeader { .. } => "NEWLEADER",
             WhiteBoxMsg::NewLeaderAck { .. } => "NEWLEADER_ACK",
             WhiteBoxMsg::NewState { .. } => "NEW_STATE",
@@ -355,8 +274,7 @@ impl WhiteBoxMsg {
     }
 
     /// The application message identifier this protocol message is about, when
-    /// it concerns a single application message. Batch messages concern many
-    /// messages and return `None` (see [`WhiteBoxMsg::subjects`]).
+    /// it concerns a single application message.
     pub fn subject(&self) -> Option<MsgId> {
         match self {
             WhiteBoxMsg::Multicast { msg } | WhiteBoxMsg::Accept { msg, .. } => Some(msg.id),
@@ -367,155 +285,6 @@ impl WhiteBoxMsg {
             _ => None,
         }
     }
-
-    /// All application message identifiers this protocol message is about:
-    /// the single subject for per-message variants, every entry for batches.
-    pub fn subjects(&self) -> Vec<MsgId> {
-        match self {
-            WhiteBoxMsg::AcceptBatch { entries, .. } => entries.iter().map(|e| e.msg.id).collect(),
-            WhiteBoxMsg::AcceptAckBatch { entries, .. } => {
-                entries.iter().map(|(id, _)| *id).collect()
-            }
-            WhiteBoxMsg::DeliverBatch { entries, .. } => {
-                entries.iter().map(|e| e.msg.id()).collect()
-            }
-            other => other.subject().into_iter().collect(),
-        }
-    }
-
-    /// Folds consecutive runs of per-message traffic into the batch variants
-    /// that already exist, in place:
-    ///
-    /// * `Accept`s with the same `(group, ballot)` become an `AcceptBatch`;
-    /// * `AcceptAck`s with the same `group` become an `AcceptAckBatch`;
-    /// * `Deliver`s with the same `ballot` become a `DeliverBatch`.
-    ///
-    /// Nothing is reordered, no batch crosses a kind, group or ballot
-    /// boundary, and a run of one stays the plain variant, so a sequence with
-    /// nothing to fold comes back untouched. Full and by-reference
-    /// `Deliver`s fold into the same batch. A batch holds at most 256
-    /// entries and an eighth of [`MAX_FRAME_LEN`] in payload bytes (a single
-    /// larger message stays alone; a reference adds none), so the fold never
-    /// turns encodable messages into a frame over [`MAX_FRAME_LEN`] under
-    /// either codec.
-    ///
-    /// Every receiver handles a batch as its entries in order, which is what
-    /// makes handling the folded sequence equivalent to handling `msgs`. The
-    /// TCP runtime applies this to what one reactor round sends to one peer.
-    pub fn coalesce(msgs: &mut Vec<WhiteBoxMsg>) {
-        let folds = |w: &[WhiteBoxMsg]| w[0].fold_key().is_some_and(|k| w[1].fold_key() == Some(k));
-        if !msgs.windows(2).any(folds) {
-            return;
-        }
-        let mut folded = Vec::with_capacity(msgs.len());
-        let mut run: Vec<WhiteBoxMsg> = Vec::new();
-        let (mut run_key, mut run_payload) = (None, 0);
-        for msg in msgs.drain(..) {
-            let key = msg.fold_key();
-            let payload = msg.fold_payload();
-            let joins = key.is_some()
-                && key == run_key
-                && run.len() < FOLD_MAX_ENTRIES
-                && run_payload + payload <= FOLD_MAX_PAYLOAD;
-            if !joins {
-                close_run(&mut run, &mut folded);
-                (run_key, run_payload) = (key, 0);
-            }
-            if key.is_some() {
-                run_payload += payload;
-                run.push(msg);
-            } else {
-                folded.push(msg);
-            }
-        }
-        close_run(&mut run, &mut folded);
-        *msgs = folded;
-    }
-
-    /// What a message must share with its neighbours to fold with them;
-    /// `None` for kinds that never fold.
-    fn fold_key(&self) -> Option<FoldKey> {
-        match self {
-            WhiteBoxMsg::Accept { group, ballot, .. } => Some(FoldKey::Accept(*group, *ballot)),
-            WhiteBoxMsg::AcceptAck { group, .. } => Some(FoldKey::AcceptAck(*group)),
-            WhiteBoxMsg::Deliver { ballot, .. } => Some(FoldKey::Deliver(*ballot)),
-            _ => None,
-        }
-    }
-
-    /// The payload bytes a message adds to a batch.
-    fn fold_payload(&self) -> usize {
-        match self {
-            WhiteBoxMsg::Accept { msg, .. } => msg.payload.len(),
-            WhiteBoxMsg::Deliver { msg, .. } => msg.payload_len(),
-            _ => 0,
-        }
-    }
-}
-
-/// See [`WhiteBoxMsg::fold_key`].
-#[derive(Clone, Copy, PartialEq)]
-enum FoldKey {
-    Accept(GroupId, Ballot),
-    AcceptAck(GroupId),
-    Deliver(Ballot),
-}
-
-/// Emits a finished run: a lone message as itself, a longer run as one batch
-/// of its entries in order.
-fn close_run(run: &mut Vec<WhiteBoxMsg>, out: &mut Vec<WhiteBoxMsg>) {
-    if run.len() < 2 {
-        out.append(run);
-        return;
-    }
-    let n = run.len();
-    let mut batch = match &run[0] {
-        WhiteBoxMsg::Accept { group, ballot, .. } => WhiteBoxMsg::AcceptBatch {
-            group: *group,
-            ballot: *ballot,
-            entries: Vec::with_capacity(n),
-        },
-        WhiteBoxMsg::AcceptAck { group, .. } => WhiteBoxMsg::AcceptAckBatch {
-            group: *group,
-            entries: Vec::with_capacity(n),
-        },
-        WhiteBoxMsg::Deliver { ballot, .. } => WhiteBoxMsg::DeliverBatch {
-            ballot: *ballot,
-            entries: Vec::with_capacity(n),
-        },
-        _ => unreachable!("only foldable messages open a run"),
-    };
-    for msg in run.drain(..) {
-        match (&mut batch, msg) {
-            (
-                WhiteBoxMsg::AcceptBatch { entries, .. },
-                WhiteBoxMsg::Accept { msg, local_ts, .. },
-            ) => {
-                entries.push(AcceptEntry { msg, local_ts });
-            }
-            (
-                WhiteBoxMsg::AcceptAckBatch { entries, .. },
-                WhiteBoxMsg::AcceptAck {
-                    msg_id, ballots, ..
-                },
-            ) => entries.push((msg_id, ballots)),
-            (
-                WhiteBoxMsg::DeliverBatch { entries, .. },
-                WhiteBoxMsg::Deliver {
-                    msg,
-                    local_ts,
-                    global_ts,
-                    ..
-                },
-            ) => entries.push(DeliverEntry {
-                msg,
-                local_ts,
-                global_ts,
-            }),
-            _ => unreachable!("a run holds one kind"),
-        }
-    }
-    out.push(batch);
 }
 
 #[cfg(test)]
@@ -580,224 +349,6 @@ mod tests {
             },
         );
         assert_eq!(s.len(), 1);
-    }
-
-    fn app(seq: u64, payload: usize) -> AppMessage {
-        AppMessage::new(
-            MsgId::new(ProcessId(9), seq),
-            Destination::new(vec![GroupId(0), GroupId(1), GroupId(2)]).unwrap(),
-            Payload::zeros(payload),
-        )
-    }
-
-    fn ballot(round: u64) -> Ballot {
-        Ballot::new(round, ProcessId(0))
-    }
-
-    fn accept(seq: u64, group: u32, round: u64) -> WhiteBoxMsg {
-        WhiteBoxMsg::Accept {
-            msg: app(seq, 20),
-            group: GroupId(group),
-            ballot: ballot(round),
-            local_ts: Timestamp::new(seq, GroupId(group)),
-        }
-    }
-
-    fn ack(seq: u64, group: u32) -> WhiteBoxMsg {
-        WhiteBoxMsg::AcceptAck {
-            msg_id: MsgId::new(ProcessId(9), seq),
-            group: GroupId(group),
-            ballots: BTreeMap::from([(GroupId(group), ballot(1))]),
-        }
-    }
-
-    fn deliver(seq: u64, round: u64, payload: usize) -> WhiteBoxMsg {
-        WhiteBoxMsg::Deliver {
-            msg: app(seq, payload).into(),
-            ballot: ballot(round),
-            local_ts: Timestamp::new(seq, GroupId(0)),
-            global_ts: Timestamp::new(seq, GroupId(1)),
-        }
-    }
-
-    fn folded(mut msgs: Vec<WhiteBoxMsg>) -> Vec<WhiteBoxMsg> {
-        WhiteBoxMsg::coalesce(&mut msgs);
-        msgs
-    }
-
-    /// `(kind, subjects)` of each message, the shape a fold may change.
-    fn shape(msgs: &[WhiteBoxMsg]) -> Vec<(&'static str, Vec<u64>)> {
-        msgs.iter()
-            .map(|m| (m.kind(), m.subjects().iter().map(|id| id.seq).collect()))
-            .collect()
-    }
-
-    #[test]
-    fn coalesce_leaves_single_messages_and_window_one_traffic_alone() {
-        for single in [accept(1, 0, 1), ack(1, 0), deliver(1, 1, 20)] {
-            assert_eq!(folded(vec![single.clone()]), vec![single]);
-        }
-        // What a window-1 leader sends one follower: one message of each
-        // kind per multicast, so no two neighbours share a fold key.
-        let window_one: Vec<WhiteBoxMsg> = (0..4)
-            .flat_map(|seq| {
-                [
-                    accept(seq, 0, 1),
-                    WhiteBoxMsg::Heartbeat { ballot: ballot(1) },
-                    deliver(seq, 1, 20),
-                ]
-            })
-            .collect();
-        assert_eq!(folded(window_one.clone()), window_one);
-        assert_eq!(folded(Vec::new()), Vec::new());
-    }
-
-    #[test]
-    fn coalesce_never_crosses_a_kind_group_or_ballot_boundary() {
-        let msgs = vec![
-            accept(1, 0, 1),
-            accept(2, 0, 1),
-            accept(3, 1, 1), // another group
-            accept(4, 0, 2), // another ballot
-            accept(5, 0, 2),
-            ack(6, 0),
-            ack(7, 0),
-            ack(8, 1), // another group
-            deliver(9, 1, 20),
-            deliver(10, 1, 20),
-            WhiteBoxMsg::Heartbeat { ballot: ballot(1) },
-            deliver(11, 1, 20), // the heartbeat ends the run
-            deliver(12, 2, 20), // another ballot
-            deliver(13, 2, 20),
-        ];
-        let out = folded(msgs);
-        assert_eq!(
-            shape(&out),
-            vec![
-                ("ACCEPT_BATCH", vec![1, 2]),
-                ("ACCEPT", vec![3]),
-                ("ACCEPT_BATCH", vec![4, 5]),
-                ("ACCEPT_ACK_BATCH", vec![6, 7]),
-                ("ACCEPT_ACK", vec![8]),
-                ("DELIVER_BATCH", vec![9, 10]),
-                ("HEARTBEAT", vec![]),
-                ("DELIVER", vec![11]),
-                ("DELIVER_BATCH", vec![12, 13]),
-            ]
-        );
-        // A batch keeps its run's shared fields.
-        assert!(matches!(
-            &out[2],
-            WhiteBoxMsg::AcceptBatch { group: GroupId(0), ballot: b, .. } if *b == ballot(2)
-        ));
-        assert!(matches!(&out[8], WhiteBoxMsg::DeliverBatch { ballot: b, .. } if *b == ballot(2)));
-        // Batches already in the input are left as they are.
-        let batch = out[0].clone();
-        assert_eq!(
-            shape(&folded(vec![batch, accept(3, 0, 1)])),
-            vec![("ACCEPT_BATCH", vec![1, 2]), ("ACCEPT", vec![3])]
-        );
-    }
-
-    #[test]
-    fn coalesce_caps_batches_by_entries_and_payload() {
-        let many: Vec<WhiteBoxMsg> = (0..FOLD_MAX_ENTRIES as u64 + 1)
-            .map(|seq| ack(seq, 0))
-            .collect();
-        let out = folded(many);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].subjects().len(), FOLD_MAX_ENTRIES);
-        assert_eq!(out[1].kind(), "ACCEPT_ACK");
-
-        // Three payloads that fit the cap two at a time.
-        let half = FOLD_MAX_PAYLOAD / 2;
-        let out = folded((0..3).map(|seq| deliver(seq, 1, half)).collect());
-        assert_eq!(
-            shape(&out),
-            vec![("DELIVER_BATCH", vec![0, 1]), ("DELIVER", vec![2])]
-        );
-    }
-
-    /// Full and by-reference `DELIVER`s of one ballot fold into one batch,
-    /// in order, and only the full entries count towards the payload cap.
-    #[test]
-    fn coalesce_folds_both_deliver_forms_and_caps_only_full_ones() {
-        let by_ref = |seq: u64| match deliver(seq, 1, 0) {
-            WhiteBoxMsg::Deliver {
-                ballot,
-                local_ts,
-                global_ts,
-                ..
-            } => WhiteBoxMsg::Deliver {
-                msg: DeliverMsg::Ref(MsgId::new(ProcessId(9), seq)),
-                ballot,
-                local_ts,
-                global_ts,
-            },
-            _ => unreachable!(),
-        };
-        let half = FOLD_MAX_PAYLOAD / 2;
-        let msgs = vec![
-            deliver(0, 1, half),
-            by_ref(1),
-            deliver(2, 1, half),
-            by_ref(3),
-            deliver(4, 1, half),
-        ];
-        let out = folded(msgs);
-        assert_eq!(
-            shape(&out),
-            vec![("DELIVER_BATCH", vec![0, 1, 2, 3]), ("DELIVER", vec![4])]
-        );
-        let WhiteBoxMsg::DeliverBatch { entries, .. } = &out[0] else {
-            unreachable!()
-        };
-        let refs: Vec<bool> = entries
-            .iter()
-            .map(|e| matches!(e.msg, DeliverMsg::Ref(_)))
-            .collect();
-        assert_eq!(refs, [false, true, false, true]);
-    }
-
-    /// Four `DELIVER`s, each nearly a whole frame: the fold leaves every one
-    /// alone, so each still encodes.
-    #[test]
-    fn near_cap_delivers_never_fold_into_an_unencodable_frame() {
-        use wbam_types::wire::{encode_frame_with, WireCodec};
-        let near_cap = MAX_FRAME_LEN - 1024;
-        let msgs: Vec<WhiteBoxMsg> = (0..4).map(|seq| deliver(seq, 1, near_cap)).collect();
-        assert!(msgs
-            .iter()
-            .all(|m| encode_frame_with(WireCodec::Binary, m).is_ok()));
-        let out = folded(msgs.clone());
-        assert_eq!(out, msgs);
-    }
-
-    /// The largest batch the fold builds — every entry, every payload byte
-    /// it allows — still fits a frame under both codecs.
-    #[test]
-    fn a_batch_at_both_caps_encodes_under_both_codecs() {
-        use wbam_types::wire::{encode_frame_with, WireCodec};
-        let each = FOLD_MAX_PAYLOAD / FOLD_MAX_ENTRIES;
-        let msgs: Vec<WhiteBoxMsg> = (0..FOLD_MAX_ENTRIES as u64)
-            .map(|seq| WhiteBoxMsg::Deliver {
-                msg: DeliverMsg::Full(AppMessage::new(
-                    MsgId::new(ProcessId(u32::MAX), u64::MAX - seq),
-                    Destination::new(vec![GroupId(0), GroupId(1), GroupId(2)]).unwrap(),
-                    Payload::from(vec![255u8; each]),
-                )),
-                ballot: ballot(1),
-                local_ts: Timestamp::new(u64::MAX, GroupId(u32::MAX)),
-                global_ts: Timestamp::new(u64::MAX, GroupId(u32::MAX)),
-            })
-            .collect();
-        let out = folded(msgs);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].subjects().len(), FOLD_MAX_ENTRIES);
-        for codec in [WireCodec::Binary, WireCodec::Json] {
-            let frame = encode_frame_with(codec, &out[0]).expect("batch at both caps encodes");
-            assert!(frame.len() <= MAX_FRAME_LEN + 4);
-        }
     }
 
     #[test]

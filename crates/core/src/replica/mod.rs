@@ -331,12 +331,9 @@ impl Node for WhiteBoxReplica {
 
     /// A full `DELIVER` to a peer that became a holder of its record later
     /// in the round goes by reference (the holder rule, as in
-    /// `try_deliver`); then runs of `ACCEPT`, `ACCEPT_ACK` and `DELIVER` to
-    /// the peer travel as one batch: every handler treats a batch as its
-    /// entries in order.
-    fn fold_sends(&self, to: ProcessId, msgs: &mut Vec<WhiteBoxMsg>) {
+    /// `try_deliver`).
+    fn fold_sends(&self, to: ProcessId, msgs: &mut [WhiteBoxMsg]) {
         self.refer_delivers(to, msgs);
-        WhiteBoxMsg::coalesce(msgs);
     }
 
     fn on_event(&mut self, now: Duration, event: Event<WhiteBoxMsg>) -> Vec<Action<WhiteBoxMsg>> {
@@ -365,22 +362,11 @@ impl Node for WhiteBoxReplica {
                     ballot,
                     local_ts,
                 } => self.handle_accept(msg, group, ballot, local_ts),
-                WhiteBoxMsg::AcceptBatch {
-                    group,
-                    ballot,
-                    entries,
-                } => self.handle_accept_batch(group, ballot, entries),
                 WhiteBoxMsg::AcceptAck {
                     msg_id,
                     group,
                     ballots,
                 } => self.handle_accept_ack(from, msg_id, group, ballots),
-                WhiteBoxMsg::AcceptAckBatch { group, entries } => {
-                    self.handle_accept_ack_batch(from, group, entries)
-                }
-                WhiteBoxMsg::DeliverBatch { ballot, entries } => {
-                    self.handle_deliver_batch(ballot, entries)
-                }
                 WhiteBoxMsg::Deliver {
                     msg,
                     ballot,
@@ -420,7 +406,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    use crate::messages::{AcceptEntry, BallotVector, DeliverEntry, StateSnapshot};
+    use crate::messages::{BallotVector, StateSnapshot};
     use wbam_types::{ClusterConfig, Destination, Payload};
 
     fn cluster() -> ClusterConfig {
@@ -1317,42 +1303,22 @@ mod tests {
                     },
                 )
             }
-            3 => WhiteBoxMsg::AcceptBatch {
-                group: GroupId(0),
-                ballot,
-                entries: vec![AcceptEntry {
-                    msg: m,
-                    local_ts: at,
-                }],
-            },
-            4 => WhiteBoxMsg::AcceptAck {
+            3 => WhiteBoxMsg::AcceptAck {
                 msg_id: m.id,
                 group: GroupId(0),
                 ballots,
             },
-            5 => WhiteBoxMsg::AcceptAckBatch {
-                group: GroupId(0),
-                entries: vec![(m.id, ballots)],
-            },
-            6 => WhiteBoxMsg::Deliver {
+            4 => WhiteBoxMsg::Deliver {
                 msg: m.into(),
                 ballot,
                 local_ts: at,
                 global_ts: at,
             },
-            7 => WhiteBoxMsg::DeliverBatch {
-                ballot,
-                entries: vec![DeliverEntry {
-                    msg: m.into(),
-                    local_ts: at,
-                    global_ts: at,
-                }],
-            },
-            8 => WhiteBoxMsg::StableReport {
+            5 => WhiteBoxMsg::StableReport {
                 group: GroupId(0),
                 delivered_gts: at,
             },
-            9 => WhiteBoxMsg::StableAdvance { watermarks },
+            6 => WhiteBoxMsg::StableAdvance { watermarks },
             _ => WhiteBoxMsg::StablePruned {
                 msg_id: m.id,
                 watermarks,
@@ -1365,19 +1331,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
         /// While a replica is `Recovering`, no normal-case message —
-        /// `MULTICAST`, `ACCEPT*`, `ACCEPT_ACK*`, `DELIVER*` or `STABLE_*`,
+        /// `MULTICAST`, `ACCEPT`, `ACCEPT_ACK`, `DELIVER` or `STABLE_*`,
         /// from any ballot — moves its delivery progress or delivers
         /// anything: only the install that ends recovery may.
         #[test]
         fn recovering_replica_delivers_nothing(
-            ops in prop::collection::vec((0u8..11, 0u64..12, (1u64..16, 0u8..3)), 1..60),
+            ops in prop::collection::vec((0u8..8, 0u64..12, (1u64..16, 0u8..3)), 1..60),
         ) {
             let cfg = ReplicaConfig::new(ProcessId(1), GroupId(0), cluster())
                 .without_auto_election()
                 .with_compaction(2, 1);
             let mut replica = WhiteBoxReplica::new(cfg);
             for seq in 0..4 {
-                let (_, deliver) = normal_case(6, seq, seq + 1, 0);
+                let (_, deliver) = normal_case(4, seq, seq + 1, 0);
                 drive(&mut replica, ProcessId(0), deliver);
             }
             let joined = Ballot::new(2, ProcessId(2));

@@ -2,15 +2,13 @@
 //! `ACCEPT_ACK` and `DELIVER` over the delivery queue, and the per-message
 //! retries of message recovery.
 
-use std::collections::BTreeMap;
-
 use wbam_types::{
     Action, AppMessage, Ballot, DeliveredMessage, GroupId, MsgId, Phase, ProcessId, TimerId,
     Timestamp,
 };
 
 use super::{Status, WhiteBoxReplica};
-use crate::messages::{AcceptEntry, BallotVector, DeliverEntry, DeliverMsg, WhiteBoxMsg};
+use crate::messages::{BallotVector, DeliverMsg, WhiteBoxMsg};
 use crate::record::MessageRecord;
 
 /// Base for per-message retry timers; retry timer `n` is `RETRY_BASE + n`.
@@ -137,75 +135,14 @@ impl WhiteBoxReplica {
         ballot: Ballot,
         local_ts: Timestamp,
     ) -> Vec<Action<WhiteBoxMsg>> {
-        let own_group = self.own_group();
-        match self.process_accept(msg, group, ballot, local_ts) {
-            None => Vec::new(),
-            Some((msg_id, ballots, leaders)) => Action::send_to_all(
-                leaders,
-                WhiteBoxMsg::AcceptAck {
-                    msg_id,
-                    group: own_group,
-                    ballots,
-                },
-            ),
-        }
-    }
-
-    /// A batched `ACCEPT`: record every entry, then coalesce the resulting
-    /// acknowledgements into one `ACCEPT_ACK_BATCH` per destination leader —
-    /// this is what amortises the ack leg of the ordering round.
-    pub(super) fn handle_accept_batch(
-        &mut self,
-        group: GroupId,
-        ballot: Ballot,
-        entries: Vec<AcceptEntry>,
-    ) -> Vec<Action<WhiteBoxMsg>> {
-        let own_group = self.own_group();
-        let mut per_leader: BTreeMap<ProcessId, Vec<(MsgId, BallotVector)>> = BTreeMap::new();
-        for entry in entries {
-            if let Some((msg_id, ballots, leaders)) =
-                self.process_accept(entry.msg, group, ballot, entry.local_ts)
-            {
-                for to in leaders {
-                    per_leader
-                        .entry(to)
-                        .or_default()
-                        .push((msg_id, ballots.clone()));
-                }
-            }
-        }
-        per_leader
-            .into_iter()
-            .map(|(to, entries)| {
-                Action::send(
-                    to,
-                    WhiteBoxMsg::AcceptAckBatch {
-                        group: own_group,
-                        entries,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Core of the `ACCEPT` handler. Records the proposal and, when the
-    /// message becomes ready to acknowledge, returns the ack's content and
-    /// the destination leaders it must go to.
-    fn process_accept(
-        &mut self,
-        msg: AppMessage,
-        group: GroupId,
-        ballot: Ballot,
-        local_ts: Timestamp,
-    ) -> Option<(MsgId, BallotVector, Vec<ProcessId>)> {
         if !msg.is_addressed_to(self.own_group()) {
-            return None;
+            return Vec::new();
         }
         if !self.records.contains_key(&msg.id) && self.dedup.contains(msg.id) {
             // A stale ACCEPT for a message delivered everywhere and pruned:
             // recording it would resurrect a record that can never be
             // re-delivered (and would never be pruned again). Drop it.
-            return None;
+            return Vec::new();
         }
         // Remember who currently leads the proposing group (useful for retries).
         if let Some(leader) = ballot.leader() {
@@ -230,13 +167,11 @@ impl WhiteBoxReplica {
         // must have been made in the ballot we are synchronised with.
         // Proposals from remote groups are deliberately *not* checked
         // against any ballot (§IV, "Discussion of normal operation").
-        let implied_gts = implied_gts?;
-        if self.status == Status::Recovering {
-            return None;
-        }
-        let (own_ballot, own_lts) = own_accept?;
-        if own_ballot != cballot {
-            return None;
+        let (Some(implied_gts), Some((own_ballot, own_lts))) = (implied_gts, own_accept) else {
+            return Vec::new();
+        };
+        if self.status == Status::Recovering || own_ballot != cballot {
+            return Vec::new();
         }
         // Lines 12–14 (state update is guarded; the acknowledgement is not).
         let record = self.records.get_mut(&msg_id).expect("record just created");
@@ -253,7 +188,12 @@ impl WhiteBoxReplica {
         }
         // Lines 15–16: acknowledge to the leader of every destination group.
         let record = &self.records[&msg_id];
-        Some((msg_id, record.ballot_vector(), record.accept_leaders()))
+        let ack = WhiteBoxMsg::AcceptAck {
+            msg_id,
+            group: own_group,
+            ballots: record.ballot_vector(),
+        };
+        Action::send_to_all(record.accept_leaders(), ack)
     }
 
     /// Figure 4, lines 17–23: the leader handles `ACCEPT_ACK`s and commits.
@@ -264,48 +204,12 @@ impl WhiteBoxReplica {
         group: GroupId,
         ballots: BallotVector,
     ) -> Vec<Action<WhiteBoxMsg>> {
-        self.handle_accept_ack_batch(from, group, [(msg_id, ballots)])
-    }
-
-    /// A batched `ACCEPT_ACK`: the entries in order, each as a lone
-    /// `ACCEPT_ACK`, so a single incoming message can commit — and deliver —
-    /// many messages (pipelined delivery). The delivery rule runs after
-    /// every entry that commits, as it would for lone acks: which members
-    /// get a `DELIVER` by reference depends on the acks counted so far, and
-    /// a batch must send exactly what its entries would have.
-    pub(super) fn handle_accept_ack_batch(
-        &mut self,
-        from: ProcessId,
-        group: GroupId,
-        entries: impl IntoIterator<Item = (MsgId, BallotVector)>,
-    ) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = Vec::new();
-        for (msg_id, ballots) in entries {
-            if self.process_accept_ack(from, msg_id, group, ballots) {
-                actions.extend(self.cancel_retry_timer(msg_id));
-                // Line 21: deliver every committed message that is no longer
-                // blocked.
-                actions.extend(self.try_deliver());
-            }
-        }
-        actions
-    }
-
-    /// Core of the `ACCEPT_ACK` handler (Figure 4, lines 17–20). Returns
-    /// whether the message newly committed.
-    fn process_accept_ack(
-        &mut self,
-        from: ProcessId,
-        msg_id: MsgId,
-        group: GroupId,
-        ballots: BallotVector,
-    ) -> bool {
         // Line 18 precondition.
         if self.status != Status::Leader {
-            return false;
+            return Vec::new();
         }
         if ballots.get(&self.own_group()) != Some(&self.cballot) {
-            return false;
+            return Vec::new();
         }
         let own_group = self.own_group();
         let own_id = self.config.id;
@@ -313,7 +217,7 @@ impl WhiteBoxReplica {
         let Some(record) = self.records.get_mut(&msg_id) else {
             // We have not proposed this message yet; the ack will be re-sent
             // when the proposal eventually reaches the sender again.
-            return false;
+            return Vec::new();
         };
         // An own-group member that acked under our ballot stored the record
         // first: it holds `m`, so its DELIVER may go by reference. Noted
@@ -322,7 +226,7 @@ impl WhiteBoxReplica {
             record.add_holder(index);
         }
         if record.phase == Phase::Committed {
-            return false;
+            return Vec::new();
         }
         record.record_ack(ballots, group, from);
         // Line 17: a quorum in every destination group, acknowledging exactly
@@ -333,7 +237,7 @@ impl WhiteBoxReplica {
             .quorum_acked(&self.quorum_sizes, Some((own_group, own_id)))
             .is_none()
         {
-            return false;
+            return Vec::new();
         }
         // Lines 19–20: commit.
         let gts = record
@@ -342,7 +246,10 @@ impl WhiteBoxReplica {
         record.commit(gts);
         self.delivery.unpend(record.local_ts, msg_id);
         self.delivery.commit(gts, msg_id);
-        true
+        let mut actions: Vec<_> = self.cancel_retry_timer(msg_id).into_iter().collect();
+        // Line 21: deliver every committed message that is no longer blocked.
+        actions.extend(self.try_deliver());
+        actions
     }
 
     /// Figure 4, line 21 (and line 66 after recovery): deliver committed
@@ -499,21 +406,6 @@ impl WhiteBoxReplica {
         record.delivered = true;
         self.clock = self.clock.max(global_ts.time());
         self.dedup.insert(msg.id);
-    }
-
-    /// A batched `DELIVER`: handle the entries in order (they are sorted by
-    /// increasing global timestamp, so the `max_delivered_gts` duplicate
-    /// filter of the per-message handler keeps working entry by entry).
-    pub(super) fn handle_deliver_batch(
-        &mut self,
-        ballot: Ballot,
-        entries: Vec<DeliverEntry>,
-    ) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = Vec::new();
-        for entry in entries {
-            actions.extend(self.handle_deliver(entry.msg, ballot, entry.local_ts, entry.global_ts));
-        }
-        actions
     }
 
     // ------------------------------------------------------------------

@@ -345,7 +345,7 @@ impl StopSignal {
 /// surfaces transport frame drops (a peer down long enough to fill its
 /// output buffer) on stderr as they grow — a deployed replica must never
 /// lose frames silently. Each stats line ends with the transport's
-/// `frames_sent`, `messages_sent` and `bytes_sent`, so how far the send fold
+/// `frames_sent`, `messages_sent` and `bytes_sent`, so how far framing
 /// packed messages into frames, and how many bytes it left to send, is on
 /// record for every deployed run. A graceful
 /// stop lets the reactor flush one last time, writes a `graceful stop`

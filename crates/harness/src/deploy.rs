@@ -484,7 +484,7 @@ impl DeploySpec {
             if value.is_some() {
                 return Err(WbamError::Codec(format!(
                     "spec field {field:?} is no longer accepted: timer batching was \
-                     retired (the reactor folds each round's messages per peer)"
+                     retired (the transport frames each round's messages per peer)"
                 )));
             }
         }

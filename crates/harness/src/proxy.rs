@@ -27,7 +27,8 @@
 //! - **Drops** ([`LinkFaults::drop_per_mille`]): a complete protocol frame
 //!   is read from the source and never written to the destination. The
 //!   runtime's retry machinery must recover, exactly as for a frame lost at
-//!   the output-buffer cap.
+//!   the output-buffer cap. A `Batch` frame's fate is that of all the
+//!   messages it carries.
 //! - **Duplicates** ([`LinkFaults::duplicate_per_mille`]): the frame is
 //!   written twice back-to-back. Protocol handlers must be idempotent.
 //! - **Delays** ([`LinkFaults::reorder_per_mille`] /

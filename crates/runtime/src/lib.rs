@@ -17,8 +17,8 @@
 //!   `wbam_types::wire` framing (compact binary by default, JSON behind
 //!   `--wire json`). The node's one thread is a reactor: it runs the node
 //!   loop between `poll(2)` calls, reads and writes every socket itself, and
-//!   encodes each round's sends into their peers' output buffers, folded by
-//!   the node's send fold ([`tcp::TcpTransport`]; coalesced writes,
+//!   frames each round's sends into their peers' output buffers, several
+//!   messages to a frame ([`tcp::TcpTransport`]; coalesced writes,
 //!   reconnect with backoff). Unix only. This is what the `wbamd`
 //!   deployment binary (in `wbam-harness`) runs; see `crates/harness` for
 //!   the cluster topology spec.

@@ -317,8 +317,8 @@ where
     }
 
     /// The node and the transport at once, for a driver whose transport
-    /// consults the node (the TCP reactor folds each peer's sends with
-    /// [`Node::fold_sends`]).
+    /// consults the node (the TCP reactor passes each peer's sends through
+    /// [`Node::fold_sends`] before framing them).
     pub(crate) fn node_and_transport(&mut self) -> (&dyn Node<Msg = M>, &mut T) {
         (&*self.node, &mut self.transport)
     }

@@ -13,9 +13,9 @@
 //! `poll(2)` (the in-tree `netpoll` shim). One iteration: `recv` from the
 //! sockets the kernel marked readable and decode their frames into a batch;
 //! run the node over the batch plus whatever other threads put in the
-//! mailbox; fire due timers; flush the node's [`DeliverySink`]; fold what
-//! the round sent each peer and encode it into that peer's output buffer,
-//! and each buffer now leaves in one coalesced `send`; then `poll` again,
+//! mailbox; fire due timers; flush the node's [`DeliverySink`]; frame what
+//! the round sent each peer into that peer's output buffer, and each buffer
+//! now leaves in one coalesced `send`; then `poll` again,
 //! with the earlier of the node's next timer deadline and the next re-dial
 //! deadline as the timeout. A message therefore crosses a process in three
 //! syscalls — `poll`, `recv`, `send` — with no thread hand-off, and an idle
@@ -26,17 +26,17 @@
 //! has the iteration in full, its fairness bounds and the timer lateness
 //! `poll`'s millisecond timeout implies.
 //!
-//! The fold is the node's own ([`Node::fold_sends`]), called per peer at
-//! the end of every round with the node's state as the round left it. The
-//! white-box replica's turns a full `DELIVER` into its
-//! by-reference form for a peer whose `ACCEPT_ACK` arrived later in the
-//! round, then merges each run of `ACCEPT`, `ACCEPT_ACK` or `DELIVER` to one
-//! peer into the batch variant the protocol already has, so a busy round
-//! sends a peer a few frames instead of one per message, with no timer and
-//! no knob; a node without a fold (a client, a baseline) sends one frame per
-//! message. The transport counts the frames it built, the messages they
-//! carry and their bytes ([`TcpNode::frames_sent`],
-//! [`TcpNode::messages_sent`], [`TcpNode::bytes_sent`]).
+//! Framing is the transport's rule and knows no protocol: the messages one
+//! round sent a peer leave in sending order, up to 256 to a frame, several
+//! as one `Batch` frame and a lone one as a plain `Protocol` frame, so a
+//! busy round sends a peer a few frames instead of one per message, with no
+//! timer and no knob, for every node alike ([`TcpTransport`] has the caps).
+//! Before framing, the node's own [`Node::fold_sends`] may shrink a message
+//! (the white-box replica sends a `DELIVER` by reference to a peer whose
+//! `ACCEPT_ACK` arrived later in the round). The transport counts the
+//! frames it built, the messages they carry and their bytes
+//! ([`TcpNode::frames_sent`], [`TcpNode::messages_sent`],
+//! [`TcpNode::bytes_sent`]).
 //!
 //! Other threads reach the reactor only through [`TcpNode::submit`],
 //! [`TcpNode::become_leader`] and [`TcpNode::shutdown`]: an envelope in the
@@ -127,7 +127,8 @@ use netpoll::{poll, PollFd, WakePipe, POLLIN, POLLOUT};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use wbam_types::wire::{
-    check_preamble, decode_frame_slice, encode_frame_into, encode_preamble, WireCodec, PREAMBLE_LEN,
+    check_preamble, decode_frame_slice, encode_frame_into, encode_preamble, WireCodec,
+    MAX_FRAME_LEN, PREAMBLE_LEN,
 };
 use wbam_types::{AppMessage, Node, ProcessId, WbamError};
 
@@ -160,10 +161,21 @@ const READ_CHUNK: usize = 64 * 1024;
 /// thread submitting without pause, from starving the sockets.
 const MAX_ROUNDS: usize = 4;
 
-/// What travels inside a TCP frame: a connection handshake or a protocol
-/// message, encoded with the connection's negotiated [`WireCodec`].
+/// The most messages one frame carries.
+const FRAME_MAX_MESSAGES: usize = 256;
+/// The most body bytes a frame of several messages takes; a lone message
+/// may take up to [`MAX_FRAME_LEN`]. A run whose batch encodes larger is
+/// framed as two halves, so no run of encodable messages ever becomes an
+/// unencodable frame.
+const FRAME_MAX_BATCH_BYTES: usize = MAX_FRAME_LEN / 8;
+
+/// What travels inside a TCP frame: a connection handshake, one protocol
+/// message, or several, encoded with the connection's negotiated
+/// [`WireCodec`]. `B` holds a batch's messages: a `Vec<M>` when decoding
+/// ([`InFrame`]), a borrowed slice when encoding, which writes the same
+/// bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum WireFrame<M> {
+enum WireFrame<M, B> {
     /// First frame of every connection (right after the preamble): identifies
     /// the dialling process, so the accepting side can tag subsequent frames
     /// with their sender.
@@ -171,9 +183,15 @@ enum WireFrame<M> {
         /// The dialling process.
         from: ProcessId,
     },
-    /// A protocol message.
+    /// A protocol message: what a peer is sent when a round has one for it.
     Protocol(M),
+    /// Two or more protocol messages one round sent a peer, in sending
+    /// order; the receiver handles them as that many `Protocol` frames.
+    Batch(B),
 }
+
+/// A frame as the receiver decodes it.
+type InFrame<M> = WireFrame<M, Vec<M>>;
 
 /// How another thread gets the reactor out of `poll(2)`: a self-pipe behind
 /// a `sleeping` flag, so that waking a reactor that is not asleep — the
@@ -225,19 +243,19 @@ impl Waker {
 
 /// Transport counters, shared with the [`TcpNode`] handle so embedders (and
 /// the `wbamd` stats line) can observe frame loss that the fair-lossy model
-/// would otherwise hide completely, and how far the send fold packs
-/// messages into frames.
+/// would otherwise hide completely, and how far framing packs messages
+/// into frames.
 ///
-/// A frame is what [`MAX_FRAME_LEN`](wbam_types::wire::MAX_FRAME_LEN) and
-/// the 8 MiB output-buffer cap act on, so drops are counted in frames: a
-/// dropped batch counts as one dropped frame, however many messages it
-/// carries. The frame and message counts include dropped frames, so their
-/// ratio is exactly the fold's, and `frames_sent - dropped_frames` frames
-/// reached the outbufs.
+/// A frame is what [`MAX_FRAME_LEN`] and the 8 MiB output-buffer cap act
+/// on, so drops are counted in frames: a dropped `Batch` counts as one
+/// dropped frame, however many messages it carries. The frame and message
+/// counts include dropped frames, so their ratio is exactly the messages
+/// per frame, and `frames_sent - dropped_frames` frames reached the
+/// outbufs.
 #[derive(Debug, Default)]
 pub struct TransportStats {
     /// Frames dropped at [`OUTBUF_CAP`], or before that for not fitting a
-    /// frame at all ([`MAX_FRAME_LEN`](wbam_types::wire::MAX_FRAME_LEN)), per
+    /// frame at all ([`MAX_FRAME_LEN`]), per
     /// destination peer. The peer set is fixed at spawn, so the map itself
     /// is never mutated — only the counters — and reads need no lock.
     dropped: BTreeMap<ProcessId, AtomicU64>,
@@ -257,9 +275,9 @@ impl TransportStats {
         }
     }
 
-    fn record_drop(&self, peer: ProcessId) {
+    fn record_drops(&self, peer: ProcessId, frames: usize) {
         if let Some(counter) = self.dropped.get(&peer) {
-            counter.fetch_add(1, Ordering::Relaxed);
+            counter.fetch_add(frames as u64, Ordering::Relaxed);
         }
     }
 
@@ -274,8 +292,8 @@ impl TransportStats {
         self.frames.load(Ordering::Relaxed)
     }
 
-    /// Protocol messages sent to peers since spawn; with a send fold this
-    /// exceeds [`frames_sent`](Self::frames_sent) by what the fold merged.
+    /// Protocol messages sent to peers since spawn; this exceeds
+    /// [`frames_sent`](Self::frames_sent) by what `Batch` frames packed.
     pub fn messages_sent(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
     }
@@ -358,27 +376,58 @@ impl PeerOut {
     }
 
     /// Encodes one frame behind everything already queued. A frame that
-    /// cannot be encoded (over `MAX_FRAME_LEN`, e.g. an oversized state
-    /// transfer — it could never reach the peer, and retrying cannot help) or
-    /// that would take the buffer over [`OUTBUF_CAP`] is dropped whole: the
-    /// buffer is truncated back to where the frame started, so the byte
-    /// stream stays cut at frame boundaries even mid-flush. Returns the
-    /// frame's encoded length (0 if it could not be encoded) and whether it
-    /// was queued; the caller counts both in [`TransportStats`].
-    #[must_use]
-    fn push_frame<T: Serialize>(&mut self, codec: WireCodec, frame: &T) -> (usize, bool) {
+    /// cannot be encoded or whose body is over `max_body` is taken back
+    /// (`None`); one that would take the buffer over [`OUTBUF_CAP`] is
+    /// dropped whole. Either way the buffer is truncated back to where the
+    /// frame started, so the byte stream stays cut at frame boundaries even
+    /// mid-flush. Returns the frame's encoded length and whether it was
+    /// queued.
+    fn push_frame<T: Serialize>(
+        &mut self,
+        codec: WireCodec,
+        frame: &T,
+        max_body: usize,
+    ) -> Option<(usize, bool)> {
         let start = self.outbuf.len();
         let encoded = encode_frame_into(codec, frame, &mut self.outbuf).is_ok();
-        let len = if encoded {
-            self.outbuf.len() - start
-        } else {
-            0
-        };
-        let fits = encoded && self.queued() <= OUTBUF_CAP;
-        if !fits {
+        let len = self.outbuf.len() - start;
+        let fits = encoded && len <= max_body + 4; // + the length prefix
+        let queued = fits && self.queued() <= OUTBUF_CAP;
+        if !queued {
             self.outbuf.truncate(start);
         }
-        (len, fits)
+        fits.then_some((len, queued))
+    }
+
+    /// Frames a run of at most [`FRAME_MAX_MESSAGES`] messages behind
+    /// everything queued: a lone message as `Protocol`, a longer run as one
+    /// `Batch`, or as its two halves, each framed the same way, when the
+    /// batch's body would be over [`FRAME_MAX_BATCH_BYTES`]. A lone message
+    /// that cannot be encoded at all (over `MAX_FRAME_LEN`, e.g. an
+    /// oversized state transfer — it could never reach the peer, and
+    /// retrying cannot help) is dropped like a frame at the buffer cap.
+    fn push_run<M: Serialize>(&mut self, codec: WireCodec, run: &[M], framed: &mut Framed) {
+        let pushed = match run {
+            [msg] => self.push_frame(codec, &WireFrame::<&M, &[M]>::Protocol(msg), MAX_FRAME_LEN),
+            _ => self.push_frame(
+                codec,
+                &WireFrame::<&M, &[M]>::Batch(run),
+                FRAME_MAX_BATCH_BYTES,
+            ),
+        };
+        match pushed {
+            None if run.len() > 1 => {
+                let (head, tail) = run.split_at(run.len() / 2);
+                self.push_run(codec, head, framed);
+                self.push_run(codec, tail, framed);
+            }
+            pushed => {
+                let (len, queued) = pushed.unwrap_or((0, false));
+                framed.frames += 1;
+                framed.bytes += len;
+                framed.dropped += usize::from(!queued);
+            }
+        }
     }
 
     /// Drops the connection and everything queued behind it: a partial frame
@@ -451,6 +500,15 @@ impl PeerOut {
     }
 }
 
+/// What framing one round's sends to a peer built: frames, dropped ones
+/// included, their encoded bytes, and how many of them were dropped.
+#[derive(Default)]
+struct Framed {
+    frames: usize,
+    bytes: usize,
+    dropped: usize,
+}
+
 /// One nonblocking socket call, repeated while a signal interrupts it.
 fn retry_interrupted<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     loop {
@@ -464,7 +522,7 @@ fn retry_interrupted<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T
 /// Preamble + `Hello`: the first bytes of every connection `from` dials.
 fn hello_bytes<M: Serialize>(codec: WireCodec, from: ProcessId) -> Vec<u8> {
     let mut hello = encode_preamble(codec).to_vec();
-    encode_frame_into(codec, &WireFrame::<M>::Hello { from }, &mut hello)
+    encode_frame_into(codec, &InFrame::<M>::Hello { from }, &mut hello)
         .expect("Hello frame serialisation cannot fail");
     hello
 }
@@ -472,12 +530,18 @@ fn hello_bytes<M: Serialize>(codec: WireCodec, from: ProcessId) -> Vec<u8> {
 /// TCP transport: owns the outbound connection and output buffer of every
 /// peer. A send to a peer is held until the end of the round; the
 /// [`TcpNode`] reactor, which owns the node loop that owns this transport,
-/// then folds each peer's messages with the node's [`Node::fold_sends`],
-/// encodes them into that peer's buffer, and services the transport to
+/// then lets the node's [`Node::fold_sends`] shrink each peer's messages,
+/// frames them into that peer's buffer, and services the transport to
 /// flush the buffers and keep the connections dialled. Messages a node
 /// sends to *itself* (a leader is a member of its own group and ACCEPTs to
 /// every member) short-circuit into the node's own mailbox instead of
 /// crossing the network stack.
+///
+/// The frame rule knows nothing of any protocol: what one round sent a peer
+/// leaves in sending order, 256 messages to a frame at most, a frame of
+/// several as a `Batch` of at most 2 MiB of body, and a run of one as a
+/// plain `Protocol` frame, so one message in flight writes exactly what it
+/// would without the rule.
 pub struct TcpTransport<M> {
     local: ProcessId,
     codec: WireCodec,
@@ -525,30 +589,28 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
         }
     }
 
-    /// Folds what this round sent each peer with `node`'s
-    /// [`fold_sends`](Node::fold_sends) and encodes the result behind that
-    /// peer's buffered bytes. The reactor calls this once per round, after
-    /// the round's deliveries are flushed and before the sockets are
-    /// serviced.
+    /// Lets `node`'s [`fold_sends`](Node::fold_sends) shrink what this
+    /// round sent each peer and frames the result behind that peer's
+    /// buffered bytes (the frame rule on [`TcpTransport`]). The reactor
+    /// calls this once per round, after the round's deliveries are flushed
+    /// and before the sockets are serviced.
     fn encode_pending(&mut self, node: &dyn Node<Msg = M>) {
         for (&to, msgs) in &mut self.pending {
             if msgs.is_empty() {
                 continue;
             }
-            let messages = msgs.len();
             node.fold_sends(to, msgs);
-            let (frames, mut bytes) = (msgs.len(), 0);
             let peer = self.peers.get_mut(&to).expect("a pending list per peer");
-            for msg in msgs.drain(..) {
-                let (len, queued) = peer.push_frame(self.codec, &WireFrame::Protocol(msg));
-                bytes += len;
-                // Like every dropped frame, one that does not fit is counted
-                // against the peer, never lost silently.
-                if !queued {
-                    self.stats.record_drop(to);
-                }
+            let mut framed = Framed::default();
+            for run in msgs.chunks(FRAME_MAX_MESSAGES) {
+                peer.push_run(self.codec, run, &mut framed);
             }
-            self.stats.record_sent(frames, messages, bytes);
+            // Like every dropped frame, one that does not fit is counted
+            // against the peer, never lost silently.
+            self.stats.record_drops(to, framed.dropped);
+            self.stats
+                .record_sent(framed.frames, msgs.len(), framed.bytes);
+            msgs.clear();
         }
     }
 }
@@ -678,8 +740,9 @@ impl InConn {
 
     /// One pass over the connection: at most one `recv` (level-triggered
     /// `poll` re-reports what is left in the kernel, so there is no second
-    /// call just to be told `EAGAIN`), then up to `budget` complete frames
-    /// decoded with a cursor into `batch`, then one compaction of the buffer.
+    /// call just to be told `EAGAIN`), then complete frames decoded with a
+    /// cursor into `batch` until they hold `budget` messages (a `Batch` frame
+    /// counts as its messages), then one compaction of the buffer.
     /// Returns `false` when the connection should be dropped (EOF, IO error,
     /// bad preamble, undecodable frame — a corrupt length prefix cannot be
     /// resynced from; the peer re-dials).
@@ -712,32 +775,37 @@ impl InConn {
             self.preamble_ok = true;
             pos = PREAMBLE_LEN;
         }
+        // A `Batch` frame counts as its messages, so the last frame decoded
+        // may take the pass over its budget by less than one frame.
         let limit = batch.len() + budget;
         loop {
-            self.backlog = batch.len() == limit;
+            self.backlog = batch.len() >= limit;
             if self.backlog {
                 break;
             }
-            match decode_frame_slice::<WireFrame<M>>(codec, &self.buf[pos..]) {
-                Ok(Some((WireFrame::Hello { from }, used))) => {
-                    self.from = Some(from);
-                    pos += used;
-                }
-                Ok(Some((WireFrame::Protocol(msg), used))) => {
-                    pos += used;
-                    let Some(from) = self.from else {
-                        eprintln!(
-                            "wbam-runtime: dropping connection from {}: protocol frame before Hello",
-                            self.desc
-                        );
-                        return false;
-                    };
-                    batch.push(Envelope::FromPeer { from, msg });
-                }
+            let (frame, used) = match decode_frame_slice::<InFrame<M>>(codec, &self.buf[pos..]) {
+                Ok(Some(decoded)) => decoded,
                 Ok(None) => break,
                 Err(e) => {
                     eprintln!("wbam-runtime: dropping connection from {}: {e}", self.desc);
                     return false;
+                }
+            };
+            pos += used;
+            match (frame, self.from) {
+                (WireFrame::Hello { from }, _) => self.from = Some(from),
+                (_, None) => {
+                    eprintln!(
+                        "wbam-runtime: dropping connection from {}: protocol frame before Hello",
+                        self.desc
+                    );
+                    return false;
+                }
+                (WireFrame::Protocol(msg), Some(from)) => {
+                    batch.push(Envelope::FromPeer { from, msg });
+                }
+                (WireFrame::Batch(msgs), Some(from)) => {
+                    batch.extend(msgs.into_iter().map(|msg| Envelope::FromPeer { from, msg }));
                 }
             }
         }
@@ -790,12 +858,19 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
     fn serve(&mut self, restart: bool) -> Result<(), WbamError> {
         // Init, then Restart, before the first accept: connections parked in
         // the kernel backlog are only read once the loop below starts, so a
-        // redeployed node rejoins before it sees any peer traffic.
+        // redeployed node rejoins before it sees any peer traffic. Rejoining
+        // includes what the restart sent the node itself (a replica's own
+        // `NEW_LEADER`, which makes it a recovering member of a new ballot):
+        // the frames peers queued for the old process must meet the
+        // rejoining node, not a fresh follower of the old ballot that would
+        // deliver them ahead of the history it lost.
         self.nl.init();
+        let mut batch: Vec<Envelope<M>> = Vec::new();
         if restart {
             self.nl.apply_restart();
+            self.nl.take_mail(&mut batch, MAX_ENVELOPE_BATCH);
+            self.nl.process_batch(batch.drain(..));
         }
-        let mut batch: Vec<Envelope<M>> = Vec::new();
         let mut chunk = vec![0u8; READ_CHUNK];
         let mut fds: Vec<PollFd> = Vec::new();
         let mut listener_ready = true; // service everything on the first pass
@@ -819,8 +894,8 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
             // mailbox (other threads' submits, its own messages to itself),
             // fire due timers, flush the round's deliveries to the sink, and
             // only then the sockets: the round's sends to each peer are
-            // folded by the node's `fold_sends`, encoded into that
-            // peer's outbuf, and leave in one `send` per peer. The first
+            // framed into that peer's outbuf (after the node's
+            // `fold_sends`) and leave in one `send` per peer. The first
             // round always runs — a timer or a writable socket may be why
             // `poll` returned.
             for round in 0..MAX_ROUNDS {
@@ -1233,8 +1308,9 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
 
     /// Bytes of the frames this node built for peers since spawn, length
     /// prefixes and dropped frames included
-    /// ([`TransportStats::bytes_sent`]). Where a fold shrinks messages
-    /// rather than merging them, this is the counter that shows it.
+    /// ([`TransportStats::bytes_sent`]). Where the node's fold shrinks
+    /// messages (a `DELIVER` by reference), this is the counter that shows
+    /// it.
     pub fn bytes_sent(&self) -> u64 {
         self.stats.bytes_sent()
     }
@@ -1307,6 +1383,7 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
     use std::time::Instant;
+    use wbam_baselines::common::{BaselineClient, BaselineReplica, Mode};
     use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxMsg, WhiteBoxReplica};
     use wbam_types::wire::{decode_frame_slice, encode_frame_with, MAX_FRAME_LEN};
     use wbam_types::{
@@ -1316,7 +1393,7 @@ mod tests {
     /// One fixed instance of each `WhiteBoxMsg` variant, in declaration
     /// order, small enough to read in hex.
     fn golden_messages() -> Vec<WhiteBoxMsg> {
-        use wbam_core::{AcceptEntry, DeliverEntry, RecordSnapshot, StateSnapshot};
+        use wbam_core::{RecordSnapshot, StateSnapshot};
         use wbam_types::{AppMessage, Ballot, Checkpoint, Phase, Timestamp};
         let id = MsgId::new(ProcessId(6), 41);
         let msg = AppMessage::new(
@@ -1362,33 +1439,13 @@ mod tests {
             WhiteBoxMsg::AcceptAck {
                 msg_id: id,
                 group,
-                ballots: ballots.clone(),
-            },
-            WhiteBoxMsg::AcceptBatch {
-                group,
-                ballot,
-                entries: vec![AcceptEntry {
-                    msg: msg.clone(),
-                    local_ts: lts,
-                }],
-            },
-            WhiteBoxMsg::AcceptAckBatch {
-                group,
-                entries: vec![(id, ballots)],
+                ballots,
             },
             WhiteBoxMsg::Deliver {
                 msg: msg.clone().into(),
                 ballot,
                 local_ts: lts,
                 global_ts: gts,
-            },
-            WhiteBoxMsg::DeliverBatch {
-                ballot,
-                entries: vec![DeliverEntry {
-                    msg: msg.into(),
-                    local_ts: lts,
-                    global_ts: gts,
-                }],
             },
             WhiteBoxMsg::NewLeader { ballot },
             WhiteBoxMsg::NewLeaderAck {
@@ -1423,71 +1480,58 @@ mod tests {
         ]
     }
 
-    /// The by-reference forms of `DELIVER` (wire version 2): a lone one, and
-    /// a batch whose first entry is full and second by reference.
-    fn golden_references() -> Vec<WhiteBoxMsg> {
-        use wbam_core::{DeliverEntry, DeliverMsg};
-        use wbam_types::{AppMessage, Ballot, Timestamp};
-        let id = MsgId::new(ProcessId(6), 41);
-        let msg = AppMessage::new(
-            MsgId::new(ProcessId(6), 40),
-            Destination::single(GroupId(0)),
-            Payload::from(b"hi".to_vec()),
-        );
-        let ballot = Ballot::new(1, ProcessId(0));
-        let lts = Timestamp::new(77, GroupId(0));
-        let gts = Timestamp::new(300, GroupId(1));
-        vec![
-            WhiteBoxMsg::Deliver {
-                msg: DeliverMsg::Ref(id),
-                ballot,
-                local_ts: lts,
-                global_ts: gts,
+    /// A `DELIVER` by reference (wire version 2 onward).
+    fn golden_reference() -> WhiteBoxMsg {
+        use wbam_core::DeliverMsg;
+        use wbam_types::{Ballot, Timestamp};
+        WhiteBoxMsg::Deliver {
+            msg: DeliverMsg::Ref(MsgId::new(ProcessId(6), 41)),
+            ballot: Ballot::new(1, ProcessId(0)),
+            local_ts: Timestamp::new(77, GroupId(0)),
+            global_ts: Timestamp::new(300, GroupId(1)),
+        }
+    }
+
+    /// A `Batch` frame (wire version 3): a heartbeat and a client reply, as
+    /// one round may send a peer.
+    fn golden_batch() -> InFrame<WhiteBoxMsg> {
+        use wbam_types::{Ballot, Timestamp};
+        InFrame::Batch(vec![
+            WhiteBoxMsg::Heartbeat {
+                ballot: Ballot::new(1, ProcessId(0)),
             },
-            WhiteBoxMsg::DeliverBatch {
-                ballot,
-                entries: vec![
-                    DeliverEntry {
-                        msg: DeliverMsg::Full(msg),
-                        local_ts: Timestamp::new(76, GroupId(0)),
-                        global_ts: Timestamp::new(76, GroupId(0)),
-                    },
-                    DeliverEntry {
-                        msg: DeliverMsg::Ref(id),
-                        local_ts: lts,
-                        global_ts: gts,
-                    },
-                ],
+            WhiteBoxMsg::ClientReply {
+                msg_id: MsgId::new(ProcessId(6), 41),
+                group: GroupId(1),
+                global_ts: Timestamp::new(300, GroupId(1)),
             },
-        ]
+        ])
     }
 
     /// The exact binary frames — length prefix included — of `Hello`, of
-    /// one `Protocol` frame per `WhiteBoxMsg` variant, and of the
-    /// by-reference `DELIVER` forms. The binary codec writes positions, not
+    /// one `Protocol` frame per `WhiteBoxMsg` variant, of the by-reference
+    /// `DELIVER` and of a `Batch`. The binary codec writes positions, not
     /// names (WIRE.md §5), so reordering a field or a variant of any type in
     /// these frames changes the wire without a compile error; this test is
-    /// what catches it. WIRE.md §6 walks through the first two and the
-    /// by-reference `DELIVER`.
+    /// what catches it. WIRE.md §6 walks through the `Hello`, the
+    /// `MULTICAST`, the by-reference `DELIVER` and the `Batch`.
     #[test]
     fn binary_frames_match_their_golden_bytes() {
-        let hello = WireFrame::Hello { from: ProcessId(3) };
-        let frames: Vec<(&str, WireFrame<WhiteBoxMsg>)> = std::iter::once(("HELLO", hello))
+        let hello = InFrame::Hello { from: ProcessId(3) };
+        let frames: Vec<(&str, InFrame<WhiteBoxMsg>)> = std::iter::once(("HELLO", hello))
             .chain(
                 golden_messages()
                     .into_iter()
-                    .chain(golden_references())
-                    .map(|m| (m.kind(), WireFrame::Protocol(m))),
+                    .chain([golden_reference()])
+                    .map(|m| (m.kind(), InFrame::Protocol(m))),
             )
+            .chain([("BATCH", golden_batch())])
             .collect();
         let golden = [
             ("HELLO", "00 00 00 04 40 09 01 03"),
             (
                 "MULTICAST",
-                concat!(
-                    "00 00 00 12 41 40 07 01 07 03 09 02 06 29 09 02 00 01 09 02 ",
-                    "68 69",
-                ),
+                "00 00 00 12 41 40 07 01 07 03 09 02 06 29 09 02 00 01 09 02 68 69",
             ),
             (
                 "ACCEPT",
@@ -1504,39 +1548,17 @@ mod tests {
                 ),
             ),
             (
-                "ACCEPT_BATCH",
-                concat!(
-                    "00 00 00 21 41 43 07 03 81 41 09 02 01 00 07 01 07 02 07 03 ",
-                    "09 02 06 29 09 02 00 01 09 02 68 69 41 09 02 4d 00",
-                ),
-            ),
-            (
-                "ACCEPT_ACK_BATCH",
-                concat!(
-                    "00 00 00 1b 41 44 07 02 81 07 01 07 02 09 02 06 29 07 02 07 ",
-                    "02 80 41 09 02 01 00 09 02 01 00",
-                ),
-            ),
-            (
                 "DELIVER",
                 concat!(
-                    "00 00 00 24 41 45 07 04 40 07 03 09 02 06 29 09 02 00 01 09 ",
+                    "00 00 00 24 41 43 07 04 40 07 03 09 02 06 29 09 02 00 01 09 ",
                     "02 68 69 41 09 02 01 00 41 09 02 4d 00 41 07 02 03 ac 02 81",
                 ),
             ),
-            (
-                "DELIVER_BATCH",
-                concat!(
-                    "00 00 00 28 41 46 07 02 41 09 02 01 00 07 01 07 03 40 07 03 ",
-                    "09 02 06 29 09 02 00 01 09 02 68 69 41 09 02 4d 00 41 07 02 ",
-                    "03 ac 02 81",
-                ),
-            ),
-            ("NEWLEADER", "00 00 00 09 41 47 07 01 41 09 02 01 00"),
+            ("NEWLEADER", "00 00 00 09 41 44 07 01 41 09 02 01 00"),
             (
                 "NEWLEADER_ACK",
                 concat!(
-                    "00 00 00 5a 41 48 07 04 41 09 02 01 00 80 07 08 80 41 09 02 ",
+                    "00 00 00 5a 41 45 07 04 41 09 02 01 00 80 07 08 80 41 09 02 ",
                     "01 00 03 ac 02 07 01 07 02 81 41 07 02 03 ac 02 81 41 07 02 ",
                     "03 ac 02 81 82 07 01 07 01 07 02 86 07 01 09 02 29 29 09 01 ",
                     "07 07 01 07 01 07 02 09 02 06 29 07 04 07 03 09 02 06 29 09 ",
@@ -1546,47 +1568,46 @@ mod tests {
             (
                 "NEW_STATE",
                 concat!(
-                    "00 00 00 59 41 49 07 03 41 09 02 01 00 07 08 80 41 09 02 01 ",
+                    "00 00 00 59 41 46 07 03 41 09 02 01 00 07 08 80 41 09 02 01 ",
                     "00 03 ac 02 07 01 07 02 81 41 07 02 03 ac 02 81 41 07 02 03 ",
                     "ac 02 81 82 07 01 07 01 07 02 86 07 01 09 02 29 29 09 01 07 ",
                     "07 01 07 01 07 02 09 02 06 29 07 04 07 03 09 02 06 29 09 02 ",
                     "00 01 09 02 68 69 82 41 09 02 4d 00 80",
                 ),
             ),
-            ("NEWSTATE_ACK", "00 00 00 09 41 4a 07 01 41 09 02 01 00"),
-            ("HEARTBEAT", "00 00 00 09 41 4b 07 01 41 09 02 01 00"),
+            ("NEWSTATE_ACK", "00 00 00 09 41 47 07 01 41 09 02 01 00"),
+            ("HEARTBEAT", "00 00 00 09 41 48 07 01 41 09 02 01 00"),
             (
                 "STABLE_REPORT",
-                "00 00 00 0c 41 4c 07 02 81 41 07 02 03 ac 02 81",
+                "00 00 00 0c 41 49 07 02 81 41 07 02 03 ac 02 81",
             ),
             (
                 "STABLE_ADVANCE",
-                "00 00 00 10 41 4d 07 01 07 01 07 02 81 41 07 02 03 ac 02 81",
+                "00 00 00 10 41 4a 07 01 07 01 07 02 81 41 07 02 03 ac 02 81",
             ),
             (
                 "STABLE_PRUNED",
                 concat!(
-                    "00 00 00 14 41 4e 07 02 09 02 06 29 07 01 07 02 81 41 07 02 ",
+                    "00 00 00 14 41 4b 07 02 09 02 06 29 07 01 07 02 81 41 07 02 ",
                     "03 ac 02 81",
                 ),
             ),
             (
                 "CLIENT_REPLY",
-                "00 00 00 10 41 4f 07 03 09 02 06 29 81 41 07 02 03 ac 02 81",
+                "00 00 00 10 41 4c 07 03 09 02 06 29 81 41 07 02 03 ac 02 81",
             ),
             (
                 "DELIVER",
                 concat!(
-                    "00 00 00 1a 41 45 07 04 41 09 02 06 29 41 09 02 01 00 41 09 ",
+                    "00 00 00 1a 41 43 07 04 41 09 02 06 29 41 09 02 01 00 41 09 ",
                     "02 4d 00 41 07 02 03 ac 02 81",
                 ),
             ),
             (
-                "DELIVER_BATCH",
+                "BATCH",
                 concat!(
-                    "00 00 00 38 41 46 07 02 41 09 02 01 00 07 02 07 03 40 07 03 ",
-                    "09 02 06 28 09 01 00 09 02 68 69 41 09 02 4c 00 41 09 02 4c ",
-                    "00 07 03 41 09 02 06 29 41 09 02 4d 00 41 07 02 03 ac 02 81",
+                    "00 00 00 1a 42 07 02 48 07 01 41 09 02 01 00 4c 07 03 09 02 ",
+                    "06 29 81 41 07 02 03 ac 02 81",
                 ),
             ),
         ];
@@ -1597,7 +1618,7 @@ mod tests {
             let hex: Vec<String> = bytes.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(hex.join(" "), want, "{kind} frame");
             let (back, used) =
-                decode_frame_slice::<WireFrame<WhiteBoxMsg>>(WireCodec::Binary, &bytes)
+                decode_frame_slice::<InFrame<WhiteBoxMsg>>(WireCodec::Binary, &bytes)
                     .expect("decode")
                     .expect("whole frame");
             assert_eq!((&back, used), (frame, bytes.len()), "{kind} frame");
@@ -1631,7 +1652,10 @@ mod tests {
             .expect("spawn")
     }
 
-    fn order_of(node: &TcpNode<WhiteBoxMsg>) -> Vec<MsgId> {
+    fn order_of<M>(node: &TcpNode<M>) -> Vec<MsgId>
+    where
+        M: Serialize + DeserializeOwned + Send + 'static,
+    {
         node.deliveries()
             .expect("delivery log healthy")
             .iter()
@@ -1744,12 +1768,23 @@ mod tests {
         client.shutdown();
     }
 
-    /// A 1-group × 3-replica cluster on the binary codec plus its client;
+    /// A 1-group × 3-replica cluster of `replica` nodes on the binary codec
+    /// plus its client, which `client` starts at the client's address;
     /// `replicas[0]` is the leader. A reserved port can be taken before it
     /// is bound (another test's outgoing connection may get it as its
     /// source port), so a cluster that fails to bind is built again on
     /// fresh ports.
-    fn one_group_cluster() -> (Vec<TcpNode<WhiteBoxMsg>>, TcpNode<WhiteBoxMsg>) {
+    fn one_group_cluster_of<M, C>(
+        replica: impl Fn(ProcessId, &ClusterConfig) -> BoxedNode<M>,
+        client: impl Fn(
+            ProcessId,
+            &ClusterConfig,
+            &BTreeMap<ProcessId, SocketAddr>,
+        ) -> Result<C, WbamError>,
+    ) -> (Vec<TcpNode<M>>, C, BTreeMap<ProcessId, SocketAddr>)
+    where
+        M: Serialize + DeserializeOwned + Send + 'static,
+    {
         let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
         let client_id = cluster.clients()[0];
         for _ in 0..5 {
@@ -1757,46 +1792,55 @@ mod tests {
             let replicas: Result<Vec<_>, _> = cluster.groups()[0]
                 .members()
                 .iter()
-                .map(|&m| {
-                    let cfg =
-                        ReplicaConfig::new(m, GroupId(0), cluster.clone()).without_auto_election();
-                    TcpNode::spawn(Box::new(WhiteBoxReplica::new(cfg)), &addrs, false)
-                })
+                .map(|&m| TcpNode::spawn(replica(m, &cluster), &addrs, false))
                 .collect();
-            let client = MulticastClient::new(ClientConfig::new(client_id, cluster.clone()));
-            let client = TcpNode::spawn(Box::new(client), &addrs, false);
-            if let (Ok(replicas), Ok(client)) = (replicas, client) {
-                return (replicas, client);
+            if let (Ok(replicas), Ok(client)) = (replicas, client(client_id, &cluster, &addrs)) {
+                return (replicas, client, addrs);
             }
         }
         panic!("no free loopback ports for the cluster");
     }
 
-    fn submit_to_g0(client: &TcpNode<WhiteBoxMsg>, seq: u64) {
-        let id = MsgId::new(client.id(), seq);
-        let payload = Payload::from(format!("op-{seq}").as_str());
-        client
-            .submit(AppMessage::new(
-                id,
-                Destination::single(GroupId(0)),
-                payload,
-            ))
-            .unwrap();
+    fn whitebox_replica(member: ProcessId, cluster: &ClusterConfig) -> BoxedNode<WhiteBoxMsg> {
+        let cfg = ReplicaConfig::new(member, GroupId(0), cluster.clone()).without_auto_election();
+        Box::new(WhiteBoxReplica::new(cfg))
     }
 
-    /// Sixty-four multicasts submitted at once reach the leader in a few
-    /// rounds, so what it sends each follower in a round folds into batches:
-    /// it writes fewer frames than messages, drops none, and every replica
-    /// still delivers the same order.
-    #[test]
-    fn a_burst_of_multicasts_folds_into_fewer_frames() {
-        let (replicas, client) = one_group_cluster();
-        for seq in 0..64 {
-            submit_to_g0(&client, seq);
-        }
-        assert!(client.wait_for_total(64, Duration::from_secs(30)).unwrap());
-        for r in &replicas {
-            assert!(r.wait_for_total(64, Duration::from_secs(30)).unwrap());
+    /// A white-box cluster as [`one_group_cluster_of`] builds it, with a
+    /// [`MulticastClient`].
+    fn one_group_cluster() -> (Vec<TcpNode<WhiteBoxMsg>>, TcpNode<WhiteBoxMsg>) {
+        let (replicas, client, _) = one_group_cluster_of(whitebox_replica, |id, cluster, addrs| {
+            let client = MulticastClient::new(ClientConfig::new(id, cluster.clone()));
+            TcpNode::spawn(Box::new(client), addrs, false)
+        });
+        (replicas, client)
+    }
+
+    fn g0_message(client: ProcessId, seq: u64) -> AppMessage {
+        let payload = Payload::from(format!("op-{seq}").as_str());
+        AppMessage::new(
+            MsgId::new(client, seq),
+            Destination::single(GroupId(0)),
+            payload,
+        )
+    }
+
+    fn submit_to_g0<M>(client: &TcpNode<M>, seq: u64)
+    where
+        M: Serialize + DeserializeOwned + Send + 'static,
+    {
+        client.submit(g0_message(client.id(), seq)).unwrap();
+    }
+
+    /// Every replica delivers `total` messages in the same order and drops
+    /// no frame, and the leader, `replicas[0]`, wrote fewer frames than
+    /// messages.
+    fn assert_same_order_in_fewer_frames<M>(replicas: &[TcpNode<M>], total: u64)
+    where
+        M: Serialize + DeserializeOwned + Send + 'static,
+    {
+        for r in replicas {
+            assert!(r.wait_for_total(total, Duration::from_secs(30)).unwrap());
             assert_eq!(r.dropped_frames(), 0, "replica {} dropped frames", r.id());
         }
         let reference = order_of(&replicas[0]);
@@ -1810,6 +1854,123 @@ mod tests {
             leader.frames_sent(),
             leader.messages_sent()
         );
+    }
+
+    /// Plays client `client` of a white-box cluster over raw sockets: sends
+    /// the leader `total` `MULTICAST`s in one write, then reads the leader's
+    /// connection to `listener` (the client's address) until `total` replies
+    /// have come. Returns how many frames carried them.
+    fn replies_to_a_raw_client(
+        leader: ProcessId,
+        addrs: &BTreeMap<ProcessId, SocketAddr>,
+        client: ProcessId,
+        listener: &TcpListener,
+        total: usize,
+    ) -> usize {
+        let mut burst = hello_bytes::<WhiteBoxMsg>(WireCodec::Binary, client);
+        for seq in 0..total as u64 {
+            let multicast = WhiteBoxMsg::Multicast {
+                msg: g0_message(client, seq),
+            };
+            encode_frame_into(WireCodec::Binary, &InFrame::Protocol(multicast), &mut burst)
+                .expect("encodes");
+        }
+        let mut dialled = TcpStream::connect(addrs[&leader]).expect("dial the leader");
+        dialled.write_all(&burst).expect("send the burst");
+        // Every replica dials the client to reply; the leader's connection
+        // is the one whose Hello names the leader.
+        listener.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut others = Vec::new();
+        loop {
+            let mut conn = match listener.accept() {
+                Ok((conn, _)) => conn,
+                Err(e) if e.kind() == ErrorKind::WouldBlock && Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(5));
+                    continue;
+                }
+                Err(e) => panic!("the leader never dialled the client: {e}"),
+            };
+            conn.set_nonblocking(false).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let mut buf = vec![0u8; PREAMBLE_LEN];
+            conn.read_exact(&mut buf).expect("preamble");
+            buf.clear();
+            let (mut frames, mut replies) = (0, 0);
+            let mut chunk = vec![0u8; READ_CHUNK];
+            while replies < total {
+                let Some((frame, used)) =
+                    decode_frame_slice::<InFrame<WhiteBoxMsg>>(WireCodec::Binary, &buf)
+                        .expect("decodes")
+                else {
+                    let n = conn.read(&mut chunk).expect("read");
+                    assert!(n > 0, "a replica closed its connection to the client");
+                    buf.extend_from_slice(&chunk[..n]);
+                    continue;
+                };
+                buf.drain(..used);
+                match frame {
+                    WireFrame::Hello { from } if from != leader => break,
+                    WireFrame::Hello { .. } => {}
+                    WireFrame::Protocol(_) => (frames, replies) = (frames + 1, replies + 1),
+                    WireFrame::Batch(msgs) => {
+                        (frames, replies) = (frames + 1, replies + msgs.len())
+                    }
+                }
+            }
+            if replies == total {
+                return frames;
+            }
+            others.push(conn);
+        }
+    }
+
+    /// Sixty-four multicasts sent at once reach the leader in a few rounds,
+    /// so what it sends a peer in a round shares frames. The white-box
+    /// replica and FastCast have no framing code of their own: for both,
+    /// the leader writes fewer frames than messages and drops none, and
+    /// every replica still delivers the same order. The white-box leader's
+    /// `CLIENT_REPLY`s to its one client, read off the wire, share frames
+    /// too.
+    #[test]
+    fn a_burst_of_multicasts_folds_into_fewer_frames() {
+        const BURST: u64 = 64;
+        let (replicas, listener, addrs) = one_group_cluster_of(whitebox_replica, |id, _, addrs| {
+            Ok(TcpListener::bind(addrs[&id])?)
+        });
+        let (leader, client) = (replicas[0].id(), ProcessId(3));
+        let frames = replies_to_a_raw_client(leader, &addrs, client, &listener, BURST as usize);
+        assert!(
+            frames < BURST as usize,
+            "the leader's {BURST} replies took {frames} frames"
+        );
+        assert_same_order_in_fewer_frames(&replicas, BURST);
+        for r in replicas {
+            r.shutdown();
+        }
+
+        let (replicas, client, _) = one_group_cluster_of(
+            |m, cluster| {
+                Box::new(BaselineReplica::new(
+                    m,
+                    GroupId(0),
+                    cluster.clone(),
+                    Mode::FastCast,
+                ))
+            },
+            |id, cluster, addrs| {
+                let client = BaselineClient::new(id, cluster.clone(), Duration::from_secs(1));
+                TcpNode::spawn(Box::new(client), addrs, false)
+            },
+        );
+        for seq in 0..BURST {
+            submit_to_g0(&client, seq);
+        }
+        assert!(client
+            .wait_for_total(BURST, Duration::from_secs(30))
+            .unwrap());
+        assert_same_order_in_fewer_frames(&replicas, BURST);
         for r in replicas {
             r.shutdown();
         }
@@ -1863,8 +2024,8 @@ mod tests {
     }
 
     /// With one multicast in flight the leader never sends a peer two
-    /// messages of a kind in one round, so nothing folds: it writes exactly
-    /// one frame per message, as does the client, which has no fold.
+    /// messages in one round, so every frame is a plain `Protocol` frame:
+    /// it writes exactly one frame per message, as does the client.
     #[test]
     fn one_multicast_in_flight_writes_one_frame_per_message() {
         let (replicas, client) = one_group_cluster();
@@ -1886,7 +2047,7 @@ mod tests {
             assert_eq!(
                 node.frames_sent(),
                 node.messages_sent(),
-                "node {} folded",
+                "node {} batched",
                 node.id()
             );
         }
@@ -2040,7 +2201,10 @@ mod tests {
             "nothing queued, nothing to dial for"
         );
         assert!(
-            peer.push_frame(WireCodec::Binary, &7u64).1,
+            matches!(
+                peer.push_frame(WireCodec::Binary, &7u64, MAX_FRAME_LEN),
+                Some((_, true))
+            ),
             "empty buffer accepts a frame"
         );
         assert_eq!(peer.next_dial, Duration::ZERO, "first dial is due at once");
@@ -2092,13 +2256,13 @@ mod tests {
 
     /// A transport for `p0` with one peer that is never dialled (nothing
     /// calls `service`), for driving the send path alone.
-    fn undialled_transport(peer: ProcessId) -> TcpTransport<Vec<u8>> {
+    fn undialled_transport(peer: ProcessId, codec: WireCodec) -> TcpTransport<Vec<u8>> {
         let nowhere: SocketAddr = "127.0.0.1:9".parse().unwrap();
         let addrs = BTreeMap::from([(ProcessId(0), nowhere), (peer, nowhere)]);
         let (loopback, _) = unbounded();
         TcpTransport::new(
             ProcessId(0),
-            WireCodec::Binary,
+            codec,
             loopback,
             &addrs,
             Arc::new(|_| Err(io::Error::other("never dialled"))),
@@ -2106,13 +2270,10 @@ mod tests {
         )
     }
 
-    /// A node that only folds: it sends every message as it is, or with
-    /// `concat` merges a round's messages to a peer into one.
-    struct Folder {
-        concat: bool,
-    }
+    /// A node that sends every message as it is.
+    struct Plain;
 
-    impl Node for Folder {
+    impl Node for Plain {
         type Msg = Vec<u8>;
 
         fn id(&self) -> ProcessId {
@@ -2122,19 +2283,140 @@ mod tests {
         fn on_event(&mut self, _now: Duration, _event: Event<Vec<u8>>) -> Vec<Action<Vec<u8>>> {
             Vec::new()
         }
-
-        fn fold_sends(&self, _to: ProcessId, msgs: &mut Vec<Vec<u8>>) {
-            if self.concat {
-                *msgs = vec![msgs.concat()];
-            }
-        }
     }
 
-    /// One send in a round of its own: sent, then encoded as the reactor
-    /// does at the end of a round.
-    fn send_round(transport: &mut TcpTransport<Vec<u8>>, to: ProcessId, msg: Vec<u8>) {
-        transport.send(to, msg);
-        transport.encode_pending(&Folder { concat: false });
+    /// One round that sends `msgs` to `to`, framed as the reactor does at
+    /// the end of a round.
+    fn send_round(transport: &mut TcpTransport<Vec<u8>>, to: ProcessId, msgs: Vec<Vec<u8>>) {
+        for msg in msgs {
+            transport.send(to, msg);
+        }
+        transport.encode_pending(&Plain);
+    }
+
+    /// Every frame queued for `peer`, decoded, with its encoded length.
+    fn queued_frames(
+        transport: &TcpTransport<Vec<u8>>,
+        peer: ProcessId,
+    ) -> Vec<(InFrame<Vec<u8>>, usize)> {
+        let mut buf = &transport.peers[&peer].outbuf[..];
+        let mut frames = Vec::new();
+        while let Some((frame, used)) =
+            decode_frame_slice::<InFrame<Vec<u8>>>(transport.codec, buf).expect("decodes")
+        {
+            frames.push((frame, used));
+            buf = &buf[used..];
+        }
+        assert!(buf.is_empty(), "a partial frame is queued");
+        frames
+    }
+
+    /// How many messages each frame carries: 1 for `Protocol`.
+    fn shape(frames: &[(InFrame<Vec<u8>>, usize)]) -> Vec<usize> {
+        frames
+            .iter()
+            .map(|(frame, _)| match frame {
+                WireFrame::Protocol(_) => 1,
+                WireFrame::Batch(msgs) => msgs.len(),
+                WireFrame::Hello { .. } => 0,
+            })
+            .collect()
+    }
+
+    /// The messages the frames carry, in order.
+    fn carried(frames: Vec<(InFrame<Vec<u8>>, usize)>) -> Vec<Vec<u8>> {
+        frames
+            .into_iter()
+            .flat_map(|(frame, _)| match frame {
+                WireFrame::Protocol(msg) => vec![msg],
+                WireFrame::Batch(msgs) => msgs,
+                WireFrame::Hello { .. } => Vec::new(),
+            })
+            .collect()
+    }
+
+    /// A message that names its place in a round.
+    fn numbered(seq: usize, len: usize) -> Vec<u8> {
+        let mut msg = (seq as u32).to_be_bytes().to_vec();
+        msg.resize(len.max(4), 0xA5);
+        msg
+    }
+
+    /// A lone message leaves as a plain `Protocol` frame, the bytes it had
+    /// before batching existed; a round of 300 leaves as a `Batch` of 256
+    /// and one of 44, in sending order.
+    #[test]
+    fn a_round_of_300_messages_frames_as_256_and_44() {
+        let peer = ProcessId(7);
+        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        send_round(&mut transport, peer, vec![numbered(0, 8)]);
+        let lone = encode_frame_with(WireCodec::Binary, &InFrame::Protocol(numbered(0, 8)))
+            .expect("encodes");
+        assert_eq!(transport.peers[&peer].outbuf, lone.to_vec());
+        transport.peers.get_mut(&peer).unwrap().outbuf.clear();
+
+        let round: Vec<Vec<u8>> = (0..300).map(|seq| numbered(seq, 8)).collect();
+        send_round(&mut transport, peer, round.clone());
+        let frames = queued_frames(&transport, peer);
+        assert_eq!(shape(&frames), [FRAME_MAX_MESSAGES, 44]);
+        assert_eq!(carried(frames), round);
+        assert_eq!(transport.stats.frames_sent(), 3);
+        assert_eq!(transport.stats.messages_sent(), 301);
+        assert_eq!(transport.stats.dropped_frames(), 0);
+    }
+
+    /// Four messages of a third of the batch cap: one batch of all four
+    /// would be over it, so the run is framed as two batches of two, each
+    /// within the cap.
+    #[test]
+    fn a_run_over_the_byte_cap_splits_in_half() {
+        let peer = ProcessId(7);
+        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        let round: Vec<Vec<u8>> = (0..4)
+            .map(|seq| numbered(seq, FRAME_MAX_BATCH_BYTES / 3))
+            .collect();
+        send_round(&mut transport, peer, round.clone());
+        let frames = queued_frames(&transport, peer);
+        assert_eq!(shape(&frames), [2, 2]);
+        assert!(frames
+            .iter()
+            .all(|(_, len)| *len <= FRAME_MAX_BATCH_BYTES + 4));
+        assert_eq!(carried(frames), round);
+        assert_eq!(transport.stats.frames_sent(), 2);
+        assert_eq!(transport.stats.messages_sent(), 4);
+    }
+
+    /// A full run of messages at both caps — 256 of them, together at the
+    /// byte cap under the binary codec and four times over it under JSON,
+    /// which spells a byte in up to four characters — frames without a
+    /// drop under either codec, every batch within the byte cap, and
+    /// decodes back to the run in order.
+    #[test]
+    fn every_frame_decodes_under_both_codecs() {
+        let peer = ProcessId(7);
+        let each = FRAME_MAX_BATCH_BYTES / FRAME_MAX_MESSAGES - 16;
+        let round: Vec<Vec<u8>> = (0..FRAME_MAX_MESSAGES)
+            .map(|seq| numbered(seq, each))
+            .collect();
+        for codec in [WireCodec::Binary, WireCodec::Json] {
+            let mut transport = undialled_transport(peer, codec);
+            send_round(&mut transport, peer, round.clone());
+            assert_eq!(transport.stats.dropped_frames(), 0, "{codec}");
+            let frames = queued_frames(&transport, peer);
+            let sizes = shape(&frames);
+            assert!(
+                frames
+                    .iter()
+                    .all(|(_, len)| *len <= FRAME_MAX_BATCH_BYTES + 4),
+                "{codec}: {sizes:?}"
+            );
+            if codec == WireCodec::Binary {
+                assert_eq!(sizes, [FRAME_MAX_MESSAGES], "{codec}");
+            } else {
+                assert!(sizes.len() > 1, "{codec}: {sizes:?}");
+            }
+            assert_eq!(carried(frames), round, "{codec}");
+        }
     }
 
     /// Frames beyond [`OUTBUF_CAP`] are dropped (never truncated) and the
@@ -2144,18 +2426,18 @@ mod tests {
     #[test]
     fn outbuf_overflow_drops_whole_frames_and_counts_them() {
         let peer = ProcessId(7);
-        let mut transport = undialled_transport(peer);
+        let mut transport = undialled_transport(peer, WireCodec::Binary);
         let transport = &mut transport;
         // Fills the buffer to within 64 bytes of the cap (a frame adds under
         // twenty bytes of length prefix and headers to its payload).
-        send_round(transport, peer, vec![0u8; OUTBUF_CAP - 64]);
+        send_round(transport, peer, vec![vec![0u8; OUTBUF_CAP - 64]]);
         assert_eq!(transport.stats.dropped_frames(), 0);
         let queued = transport.peers[&peer].outbuf.clone();
         assert!(queued.len() > OUTBUF_CAP - 64 && queued.len() <= OUTBUF_CAP - 32);
 
         // The next frames would cross the cap: dropped whole, counted.
-        send_round(transport, peer, vec![1u8; 64]);
-        send_round(transport, peer, vec![1u8; 64]);
+        send_round(transport, peer, vec![vec![1u8; 64]]);
+        send_round(transport, peer, vec![vec![1u8; 64]]);
         assert_eq!(transport.stats.dropped_frames(), 2);
         assert_eq!(transport.stats.dropped_frames_by_peer()[&peer], 2);
         assert!(
@@ -2163,19 +2445,19 @@ mod tests {
             "a drop altered the outbuf"
         );
         // Unknown destinations are ignored, not counted against anyone.
-        send_round(transport, ProcessId(99), vec![2u8; 8]);
+        send_round(transport, ProcessId(99), vec![vec![2u8; 8]]);
         assert_eq!(transport.stats.dropped_frames(), 2);
         // A frame that still fits is queued behind the first, intact.
-        send_round(transport, peer, vec![3u8; 4]);
+        send_round(transport, peer, vec![vec![3u8; 4]]);
         assert_eq!(transport.stats.dropped_frames(), 2);
         let outbuf = &transport.peers[&peer].outbuf;
         assert!(outbuf.len() > queued.len() && outbuf.starts_with(&queued));
-        // Without a fold every message is a frame, dropped ones included,
-        // and so are their bytes: the two dropped frames count as queued.
+        // One message a round is one frame, dropped ones included, and so
+        // are their bytes: the two dropped frames count as queued.
         assert_eq!(transport.stats.frames_sent(), 4);
         assert_eq!(transport.stats.messages_sent(), 4);
         let frame_len = |payload: usize| {
-            encode_frame_with(WireCodec::Binary, &WireFrame::Protocol(vec![1u8; payload]))
+            encode_frame_with(WireCodec::Binary, &InFrame::Protocol(vec![1u8; payload]))
                 .expect("encodes")
                 .len() as u64
         };
@@ -2185,41 +2467,54 @@ mod tests {
         );
     }
 
-    /// A fold that merges a round into one message too large for a frame
-    /// drops one frame, however many messages went into it. The sent
-    /// counters keep both, so their ratio stays the fold's.
+    /// A `Batch` that would cross the buffer cap is dropped as one frame,
+    /// however many messages it carries. The sent counters keep both, so
+    /// their ratio stays the messages per frame.
     #[test]
     fn a_dropped_batch_counts_as_one_frame() {
         let peer = ProcessId(7);
-        let mut transport = undialled_transport(peer);
-        for _ in 0..4 {
-            transport.send(peer, vec![5u8; MAX_FRAME_LEN / 4 + 1]);
-        }
-        transport.encode_pending(&Folder { concat: true });
+        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        send_round(&mut transport, peer, vec![vec![0u8; OUTBUF_CAP - 64]]);
+        let queued = transport.peers[&peer].outbuf.clone();
+        send_round(
+            &mut transport,
+            peer,
+            (0..10).map(|seq| numbered(seq, 8)).collect(),
+        );
         assert_eq!(transport.stats.dropped_frames(), 1);
-        assert_eq!(transport.stats.frames_sent(), 1);
-        assert_eq!(transport.stats.messages_sent(), 4);
-        assert!(transport.peers[&peer].outbuf.is_empty());
+        assert_eq!(transport.stats.frames_sent(), 2);
+        assert_eq!(transport.stats.messages_sent(), 11);
+        assert!(transport.peers[&peer].outbuf == queued);
     }
 
     /// A message too large for any frame can never reach the peer: it is
-    /// counted like every other drop and leaves no partial frame behind.
+    /// counted as one dropped frame and leaves no partial frame behind,
+    /// alone in its round or amid a run, whose other messages still leave.
     #[test]
     fn unencodable_frames_are_dropped_and_counted() {
         let peer = ProcessId(7);
-        let mut transport = undialled_transport(peer);
-        send_round(&mut transport, peer, vec![3u8; 64]);
+        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        send_round(&mut transport, peer, vec![vec![3u8; 64]]);
         assert_eq!(transport.stats.dropped_frames(), 0);
         let queued = transport.peers[&peer].outbuf.clone();
         assert!(!queued.is_empty());
 
-        send_round(&mut transport, peer, vec![3u8; MAX_FRAME_LEN]);
+        send_round(&mut transport, peer, vec![vec![3u8; MAX_FRAME_LEN]]);
         assert_eq!(transport.stats.dropped_frames(), 1);
         assert_eq!(transport.stats.dropped_frames_by_peer()[&peer], 1);
+        assert_eq!(transport.stats.frames_sent(), 2);
         assert!(
             transport.peers[&peer].outbuf == queued,
             "a drop altered the outbuf"
         );
+
+        transport.peers.get_mut(&peer).unwrap().outbuf.clear();
+        let round = vec![numbered(0, 8), vec![3u8; MAX_FRAME_LEN], numbered(2, 8)];
+        send_round(&mut transport, peer, round);
+        assert_eq!(transport.stats.dropped_frames(), 2);
+        let frames = queued_frames(&transport, peer);
+        assert_eq!(shape(&frames), [1, 1]);
+        assert_eq!(carried(frames), [numbered(0, 8), numbered(2, 8)]);
     }
 
     /// Regression for split reads on the accept path: the 4-byte preamble,
@@ -2240,7 +2535,7 @@ mod tests {
         bytes.extend_from_slice(
             &encode_frame_with(
                 WireCodec::Binary,
-                &WireFrame::Protocol(WhiteBoxMsg::Multicast {
+                &InFrame::Protocol(WhiteBoxMsg::Multicast {
                     msg: AppMessage::new(
                         MsgId::new(client_id, 0),
                         Destination::single(GroupId(0)),
@@ -2547,12 +2842,19 @@ mod tests {
     }
 
     /// Fairness: a raw socket streaming valid frames as fast as it can gets
-    /// its share of each iteration's envelope budget and no more. While it
-    /// floods, the node's 10 ms timer is not delayed by more than 10 ms
-    /// (median over the flood, as above) and a second connection sending a
-    /// frame every few milliseconds is read in step, not starved.
+    /// its share of each iteration's envelope budget and no more, whether
+    /// it streams one message a frame or full `Batch` frames, whose
+    /// messages count against the budget. While it floods, the node's 10 ms
+    /// timer is not delayed by more than 10 ms (median over the flood, as
+    /// above) and a second connection sending a frame every few
+    /// milliseconds is read in step, not starved.
     #[test]
     fn a_flooding_connection_starves_neither_timers_nor_other_links() {
+        flood_starves_nothing(InFrame::Protocol(FLOOD));
+        flood_starves_nothing(InFrame::Batch(vec![FLOOD; FRAME_MAX_MESSAGES]));
+    }
+
+    fn flood_starves_nothing(flood: InFrame<u64>) {
         let id = ProcessId(0);
         let (flooder, trickler) = (ProcessId(7), ProcessId(8));
         let (probe, log) = Probe::boxed(id, Duration::from_millis(10), Vec::new());
@@ -2574,8 +2876,7 @@ mod tests {
                 stream
                     .write_all(&hello_bytes::<u64>(WireCodec::Binary, flooder))
                     .expect("hello");
-                let frame = encode_frame_with(WireCodec::Binary, &WireFrame::Protocol(FLOOD))
-                    .expect("encode");
+                let frame = encode_frame_with(WireCodec::Binary, &flood).expect("encode");
                 let burst = frame.repeat(READ_CHUNK / frame.len());
                 // Whole frames back to back; a write that times out against a
                 // full socket only re-checks the stop flag.
@@ -2600,8 +2901,8 @@ mod tests {
                 .write_all(&hello_bytes::<u64>(WireCodec::Binary, trickler))
                 .expect("hello");
             for seq in 0..40u64 {
-                let frame = encode_frame_with(WireCodec::Binary, &WireFrame::Protocol(seq))
-                    .expect("encode");
+                let frame =
+                    encode_frame_with(WireCodec::Binary, &InFrame::Protocol(seq)).expect("encode");
                 stream.write_all(&frame).expect("trickle");
                 std::thread::sleep(Duration::from_millis(5));
                 // In step: at most a few frames behind at any point.

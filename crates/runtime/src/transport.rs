@@ -12,10 +12,10 @@
 //! * [`TcpTransport`](crate::tcp::TcpTransport) — real TCP sockets with
 //!   `wbam_types::wire` framing. It owns the per-peer connections and output
 //!   buffers. The [`TcpNode`](crate::tcp::TcpNode) reactor — the thread
-//!   that runs the node loop — encodes each round's sends to a peer into
-//!   its buffer at the end of the round, folded first by the node's send
-//!   fold if it has one, reaches the sockets through the loop it owns and
-//!   flushes each buffer with one coalesced `send` per iteration.
+//!   that runs the node loop — frames each round's sends to a peer into
+//!   its buffer at the end of the round, several messages to a frame,
+//!   reaches the sockets through the loop it owns and flushes each buffer
+//!   with one coalesced `send` per iteration.
 
 use std::collections::HashMap;
 use std::sync::Arc;

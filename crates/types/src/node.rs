@@ -57,19 +57,17 @@ pub trait Node {
     }
 
     /// The fold a runtime with a wire applies to the messages one round
-    /// sent to peer `to`, in sending order, before it encodes them; it runs
+    /// sent to peer `to`, in sending order, before it frames them; it runs
     /// after the round, with the node's state as the round left it. The
-    /// fold may do two things and nothing else:
-    ///
-    /// * merge neighbouring messages into one message the receiver handles
-    ///   exactly as their sequence, without reordering them;
-    /// * replace a message by a smaller form the receiver handles exactly as
-    ///   the original, because the node knows `to` holds what the smaller
-    ///   form leaves out (the white-box replica's `DELIVER` by reference).
+    /// fold may only replace a message by a smaller form the receiver
+    /// handles exactly as the original, because the node knows `to` holds
+    /// what the smaller form leaves out (the white-box replica's `DELIVER`
+    /// by reference). It never merges, drops or reorders messages: how
+    /// messages share a frame is the transport's rule, not the node's.
     ///
     /// The default sends every message as it is; runtimes without a wire
     /// never call it.
-    fn fold_sends(&self, to: ProcessId, msgs: &mut Vec<Self::Msg>) {
+    fn fold_sends(&self, to: ProcessId, msgs: &mut [Self::Msg]) {
         let _ = (to, msgs);
     }
 }

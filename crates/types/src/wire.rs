@@ -33,9 +33,11 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 pub const WIRE_MAGIC: [u8; 2] = *b"WB";
 
 /// The wire protocol version negotiated in the connection preamble. Version
-/// 2 gave `DELIVER` its by-reference form (`WIRE.md` §2, §7); v1 and v2
-/// processes refuse each other at the preamble.
-pub const WIRE_VERSION: u8 = 2;
+/// 2 gave `DELIVER` its by-reference form; version 3 moved batching into the
+/// transport's `Batch` frame and dropped the white-box batch messages
+/// (`WIRE.md` §2, §7). Processes of different versions refuse each other at
+/// the preamble.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Length of the connection preamble in bytes.
 pub const PREAMBLE_LEN: usize = 4;
@@ -550,17 +552,18 @@ mod tests {
         }
     }
 
-    /// A peer of the previous release (wire version 1, before `DELIVER` by
-    /// reference) is refused at the preamble under either codec, and the
-    /// error names both versions.
+    /// A peer of an earlier release — wire version 1, before `DELIVER` by
+    /// reference, or version 2, before the transport's `Batch` frame — is
+    /// refused at the preamble under either codec, and the error names both
+    /// versions.
     #[test]
     fn a_version_one_peer_is_refused_by_name() {
-        assert_eq!(WIRE_VERSION, 2);
-        for codec in BOTH {
-            let err = check_preamble(&[b'W', b'B', 1, codec.wire_byte()], codec).unwrap_err();
+        assert_eq!(WIRE_VERSION, 3);
+        for (old, codec) in [1, 2].into_iter().flat_map(|v| BOTH.map(|c| (v, c))) {
+            let err = check_preamble(&[b'W', b'B', old, codec.wire_byte()], codec).unwrap_err();
             let text = err.to_string();
             assert!(
-                text.contains("wire version 1") && text.contains("speaks 2"),
+                text.contains(&format!("wire version {old}")) && text.contains("speaks 3"),
                 "{text}"
             );
         }

@@ -126,17 +126,15 @@ const ROUND_TIMER: TimerId = TimerId(u64::MAX);
 const ROUND_TIMEOUT: Duration = Duration::from_micros(500);
 
 /// A white-box replica whose sends leave in rounds, each peer's share of a
-/// round folded by the replica's own [`Node::fold_sends`] with its state at
-/// the end of the round, as a runtime with a wire sends them. A round
-/// closes once `round` events have sent into it, or [`ROUND_TIMEOUT`] after
-/// its first send; `round == 1` folds what each event sends one peer.
+/// round passed through the replica's own [`Node::fold_sends`] with its
+/// state at the end of the round, as a runtime with a wire sends them. A
+/// round closes once `round` events have sent into it, or [`ROUND_TIMEOUT`]
+/// after its first send; `round == 1` folds what each event sends one peer.
 struct Rounds {
     inner: WhiteBoxReplica,
     round: usize,
     events: usize,
     outbox: BTreeMap<ProcessId, Vec<WhiteBoxMsg>>,
-    /// Messages the fold merged away, over every replica of the run.
-    folded: Rc<Cell<usize>>,
     /// `DELIVER` entries sent by reference to another process, over every
     /// replica of the run.
     references: Rc<Cell<usize>>,
@@ -146,11 +144,9 @@ impl Rounds {
     fn flush(&mut self, out: &mut Vec<Action<WhiteBoxMsg>>) {
         self.events = 0;
         for (to, mut msgs) in std::mem::take(&mut self.outbox) {
-            let sent = msgs.len();
             self.inner.fold_sends(to, &mut msgs);
-            self.folded.set(self.folded.get() + sent - msgs.len());
             if to != self.inner.id() {
-                let refs = msgs.iter().map(references_in).sum::<usize>();
+                let refs = msgs.iter().filter(|m| is_reference(m)).count();
                 self.references.set(self.references.get() + refs);
             }
             out.extend(msgs.into_iter().map(|msg| Action::send(to, msg)));
@@ -158,16 +154,15 @@ impl Rounds {
     }
 }
 
-/// The `DELIVER` entries of `msg` that go by reference.
-fn references_in(msg: &WhiteBoxMsg) -> usize {
-    match msg {
-        WhiteBoxMsg::Deliver { msg, .. } => usize::from(matches!(msg, DeliverMsg::Ref(_))),
-        WhiteBoxMsg::DeliverBatch { entries, .. } => entries
-            .iter()
-            .filter(|e| matches!(e.msg, DeliverMsg::Ref(_)))
-            .count(),
-        _ => 0,
-    }
+/// Whether `msg` is a `DELIVER` by reference.
+fn is_reference(msg: &WhiteBoxMsg) -> bool {
+    matches!(
+        msg,
+        WhiteBoxMsg::Deliver {
+            msg: DeliverMsg::Ref(_),
+            ..
+        }
+    )
 }
 
 impl Node for Rounds {
@@ -212,15 +207,10 @@ impl Node for Rounds {
     }
 }
 
-/// How many messages a [`Rounds`] run's fold merged away, and how many
-/// `DELIVER` entries crossed to another process by reference.
-type FoldCounts = (usize, usize);
-
 /// Runs a random white-box workload on a 4-group cluster whose replicas
 /// send in folded rounds of up to `round` events (see [`Rounds`]). Returns
 /// the delivery sequences, the destinations, the run's metrics and cluster,
-/// how many messages the fold merged away and how many `DELIVER` entries
-/// crossed to another process by reference.
+/// and how many `DELIVER`s crossed to another process by reference.
 fn run_rounds_workload(
     round: usize,
     messages: usize,
@@ -231,7 +221,7 @@ fn run_rounds_workload(
     BTreeMap<MsgId, Vec<GroupId>>,
     MetricsView,
     ClusterConfig,
-    FoldCounts,
+    usize,
 ) {
     let cluster = ClusterConfig::builder().groups(4, 3).clients(2).build();
     let mut sim = Simulation::new(SimConfig {
@@ -239,7 +229,7 @@ fn run_rounds_workload(
         latency: LatencyModel::uniform(LATENCY_MIN, LATENCY_MAX),
         ..SimConfig::default()
     });
-    let (folded, references) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+    let references = Rc::new(Cell::new(0));
     for gc in cluster.groups() {
         for member in gc.members() {
             let cfg = ReplicaConfig::new(*member, gc.id(), cluster.clone()).without_auto_election();
@@ -248,7 +238,6 @@ fn run_rounds_workload(
                 round,
                 events: 0,
                 outbox: BTreeMap::new(),
-                folded: Rc::clone(&folded),
                 references: Rc::clone(&references),
             };
             sim.add_replica(Box::new(node), gc.id(), cluster.site_of(*member));
@@ -282,7 +271,7 @@ fn run_rounds_workload(
         destinations,
         metrics,
         cluster,
-        (folded.get(), references.get()),
+        references.get(),
     )
 }
 
@@ -473,7 +462,7 @@ proptest! {
         round in prop_oneof![Just(1usize), Just(4usize), Just(32usize)],
         messages in 8usize..32,
     ) {
-        let (sequences, destinations, metrics, cluster, (folded, references)) =
+        let (sequences, destinations, metrics, cluster, references) =
             run_rounds_workload(round, messages, seed, Destinations::Conflicting);
         assert_core_properties(&sequences, &destinations, &metrics, &cluster, true);
         for member in cluster.group(GroupId(3)).unwrap().members() {
@@ -482,9 +471,8 @@ proptest! {
                 "folding leaked a message to uninvolved group 3 (member {member})"
             );
         }
-        // Rounds of several events are not vacuous: the fold merged sends.
-        prop_assert!(round == 1 || folded > 0, "no send was folded in rounds of {round}");
-        // ... and followers that acked got their DELIVERs by reference.
+        // Rounds of several events are not vacuous: followers that acked
+        // got their DELIVERs by reference.
         prop_assert!(
             round == 1 || references > 0,
             "no DELIVER crossed by reference in rounds of {round}"

@@ -1,6 +1,6 @@
 //! Property tests of the wire framing (`wbam_types::wire`) over *every*
 //! protocol message type the TCP runtime carries: each `WhiteBoxMsg`,
-//! `BaselineMsg` and `PaxosMsg` variant — including `ACCEPT_BATCH`,
+//! `BaselineMsg` and `PaxosMsg` variant — including the
 //! checkpoint-bearing `NEW_STATE` and `STATE_TRANSFER` — must survive
 //! framing byte-for-byte under **both wire codecs** (compact binary, the
 //! deployed default, and JSON, the `--wire json` compatibility codec), both
@@ -28,9 +28,7 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use wbam_baselines::{BaselineMsg, Command};
 use wbam_consensus::{PaxosMsg, Slot};
-use wbam_core::{
-    AcceptEntry, DeliverEntry, DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg,
-};
+use wbam_core::{DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg};
 use wbam_harness::{DeliveryLine, DeploySpec};
 use wbam_types::wire::{
     check_preamble, decode_frame_with, encode_frame_with, encode_preamble, from_json, to_json,
@@ -166,7 +164,7 @@ fn arb_command(rng: &mut StdRng) -> Command {
 }
 
 /// One random instance of the white-box wire variant with index `variant`
-/// (0..16 covers the whole enum).
+/// (0..13 covers the whole enum).
 fn arb_whitebox(rng: &mut StdRng, variant: usize) -> WhiteBoxMsg {
     match variant {
         0 => WhiteBoxMsg::Multicast {
@@ -183,66 +181,40 @@ fn arb_whitebox(rng: &mut StdRng, variant: usize) -> WhiteBoxMsg {
             group: GroupId(rng.gen_range(0..8)),
             ballots: arb_ballot_vector(rng),
         },
-        3 => WhiteBoxMsg::AcceptBatch {
-            group: GroupId(rng.gen_range(0..8)),
-            ballot: arb_ballot(rng),
-            entries: (0..rng.gen_range(1..5))
-                .map(|_| AcceptEntry {
-                    msg: arb_app_message(rng),
-                    local_ts: arb_timestamp(rng),
-                })
-                .collect(),
-        },
-        4 => WhiteBoxMsg::AcceptAckBatch {
-            group: GroupId(rng.gen_range(0..8)),
-            entries: (0..rng.gen_range(1..5))
-                .map(|_| (arb_msg_id(rng), arb_ballot_vector(rng)))
-                .collect(),
-        },
-        5 => WhiteBoxMsg::Deliver {
+        3 => WhiteBoxMsg::Deliver {
             msg: arb_deliver_msg(rng),
             ballot: arb_ballot(rng),
             local_ts: arb_timestamp(rng),
             global_ts: arb_timestamp(rng),
         },
-        6 => WhiteBoxMsg::DeliverBatch {
-            ballot: arb_ballot(rng),
-            entries: (0..rng.gen_range(1..5))
-                .map(|_| DeliverEntry {
-                    msg: arb_deliver_msg(rng),
-                    local_ts: arb_timestamp(rng),
-                    global_ts: arb_timestamp(rng),
-                })
-                .collect(),
-        },
-        7 => WhiteBoxMsg::NewLeader {
+        4 => WhiteBoxMsg::NewLeader {
             ballot: arb_ballot(rng),
         },
-        8 => WhiteBoxMsg::NewLeaderAck {
+        5 => WhiteBoxMsg::NewLeaderAck {
             ballot: arb_ballot(rng),
             cballot: arb_ballot(rng),
             checkpoint: arb_checkpoint(rng),
             snapshot: arb_snapshot(rng),
         },
-        9 => WhiteBoxMsg::NewState {
+        6 => WhiteBoxMsg::NewState {
             ballot: arb_ballot(rng),
             checkpoint: arb_checkpoint(rng),
             snapshot: arb_snapshot(rng),
         },
-        10 => WhiteBoxMsg::NewStateAck {
+        7 => WhiteBoxMsg::NewStateAck {
             ballot: arb_ballot(rng),
         },
-        11 => WhiteBoxMsg::Heartbeat {
+        8 => WhiteBoxMsg::Heartbeat {
             ballot: arb_ballot(rng),
         },
-        12 => WhiteBoxMsg::StableReport {
+        9 => WhiteBoxMsg::StableReport {
             group: GroupId(rng.gen_range(0..8)),
             delivered_gts: arb_timestamp(rng),
         },
-        13 => WhiteBoxMsg::StableAdvance {
+        10 => WhiteBoxMsg::StableAdvance {
             watermarks: arb_watermarks(rng),
         },
-        14 => WhiteBoxMsg::StablePruned {
+        11 => WhiteBoxMsg::StablePruned {
             msg_id: arb_msg_id(rng),
             watermarks: arb_watermarks(rng),
         },
@@ -254,7 +226,7 @@ fn arb_whitebox(rng: &mut StdRng, variant: usize) -> WhiteBoxMsg {
     }
 }
 
-const WHITEBOX_VARIANTS: usize = 16;
+const WHITEBOX_VARIANTS: usize = 13;
 
 /// One random instance of the Paxos wire variant with index `variant`
 /// (0..5 covers the whole enum).
@@ -479,10 +451,7 @@ fn generators_cover_every_whitebox_kind() {
         "MULTICAST",
         "ACCEPT",
         "ACCEPT_ACK",
-        "ACCEPT_BATCH",
-        "ACCEPT_ACK_BATCH",
         "DELIVER",
-        "DELIVER_BATCH",
         "NEWLEADER",
         "NEWLEADER_ACK",
         "NEW_STATE",
@@ -735,9 +704,9 @@ fn variants_are_bounded_in_depth_and_range() {
     assert!(serde_binary::from_slice::<std::time::Duration>(&skipped(127)).is_ok());
     assert!(serde_binary::from_slice::<std::time::Duration>(&skipped(128)).is_err());
 
-    // `WhiteBoxMsg` has 16 variants: index 16 is refused, unit or with data,
+    // `WhiteBoxMsg` has 13 variants: index 13 is refused, unit or with data,
     // in the one-byte form and in the varint form.
-    for bytes in [&[0x50, 0x00][..], &[0x90], &[0x0A, 0x10, 0x00]] {
+    for bytes in [&[0x4D, 0x00][..], &[0x8D], &[0x0A, 0x0D, 0x00]] {
         let err = serde_binary::from_slice::<WhiteBoxMsg>(bytes).unwrap_err();
         assert!(
             err.to_string().contains("enum WhiteBoxMsg"),
