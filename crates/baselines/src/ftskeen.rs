@@ -12,7 +12,7 @@
 
 use wbam_types::{ClusterConfig, GroupId, ProcessId};
 
-use crate::common::{BaselineReplica, Mode};
+use crate::replica::{BaselineReplica, Mode};
 
 /// A replica of the fault-tolerant Skeen protocol.
 ///
@@ -32,7 +32,7 @@ mod tests {
     use wbam_simnet::{LatencyModel, SimConfig, Simulation};
     use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, SiteId};
 
-    use crate::common::{BaselineClient, BaselineMsg};
+    use crate::{BaselineClient, BaselineMsg};
 
     fn build_sim(delta_ms: u64) -> (Simulation<BaselineMsg>, ClusterConfig) {
         let cluster = ClusterConfig::builder().groups(2, 3).clients(1).build();

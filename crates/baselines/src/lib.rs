@@ -24,10 +24,205 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod common;
+pub mod client;
 pub mod fastcast;
 pub mod ftskeen;
+pub mod messages;
+pub mod replica;
 
-pub use common::{BaselineClient, BaselineMsg, Command};
+pub use client::BaselineClient;
 pub use fastcast::FastCastReplica;
 pub use ftskeen::FtSkeenReplica;
+pub use messages::{BaselineMsg, Command};
+pub use replica::{BaselineReplica, Mode};
+
+/// The replica, its client and its messages under the path they had while
+/// one file held them all; the benchmark imports them from here.
+pub mod common {
+    pub use crate::{BaselineClient, BaselineMsg, BaselineReplica, Command, Mode};
+
+    // These tests drive the replica and the client through this path.
+    #[cfg(test)]
+    mod tests {
+        use std::time::Duration;
+
+        use super::*;
+        use wbam_types::{
+            Action, AppMessage, ClusterConfig, Destination, Event, GroupId, MsgId, Node, Payload,
+            ProcessId, TimerId, Timestamp,
+        };
+
+        fn cluster() -> ClusterConfig {
+            ClusterConfig::builder().groups(2, 3).clients(1).build()
+        }
+
+        fn msg(seq: u64, dest: &[u32]) -> AppMessage {
+            AppMessage::new(
+                MsgId::new(ProcessId(6), seq),
+                Destination::new(dest.iter().map(|g| GroupId(*g))).unwrap(),
+                Payload::from("x"),
+            )
+        }
+
+        #[test]
+        fn leader_proposes_assignment_through_consensus() {
+            let mut leader =
+                BaselineReplica::new(ProcessId(0), GroupId(0), cluster(), Mode::FtSkeen);
+            let actions = leader.on_event(
+                Duration::ZERO,
+                Event::message(
+                    ProcessId(6),
+                    BaselineMsg::Multicast {
+                        msg: msg(0, &[0, 1]),
+                    },
+                ),
+            );
+            // Three Paxos ACCEPTs, no cross-group traffic yet (FT-Skeen waits for
+            // consensus to complete before exchanging proposals).
+            let paxos_msgs = actions
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Send {
+                            msg: BaselineMsg::Paxos(_),
+                            ..
+                        }
+                    )
+                })
+                .count();
+            let proposes = actions
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Send {
+                            msg: BaselineMsg::Propose { .. },
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(paxos_msgs, 3);
+            assert_eq!(proposes, 0);
+        }
+
+        #[test]
+        fn fastcast_sends_proposals_speculatively() {
+            let mut leader =
+                BaselineReplica::new(ProcessId(0), GroupId(0), cluster(), Mode::FastCast);
+            let actions = leader.on_event(
+                Duration::ZERO,
+                Event::message(
+                    ProcessId(6),
+                    BaselineMsg::Multicast {
+                        msg: msg(0, &[0, 1]),
+                    },
+                ),
+            );
+            let proposes = actions
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Send {
+                            msg: BaselineMsg::Propose { .. },
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(
+                proposes, 1,
+                "the proposal to g1's leader goes out immediately"
+            );
+        }
+
+        #[test]
+        fn follower_forwards_multicast_to_leader() {
+            let mut follower =
+                BaselineReplica::new(ProcessId(1), GroupId(0), cluster(), Mode::FtSkeen);
+            let actions = follower.on_event(
+                Duration::ZERO,
+                Event::message(ProcessId(6), BaselineMsg::Multicast { msg: msg(0, &[0]) }),
+            );
+            assert!(matches!(
+                &actions[0],
+                Action::Send { to, msg: BaselineMsg::Multicast { .. } } if *to == ProcessId(0)
+            ));
+        }
+
+        #[test]
+        fn duplicate_multicast_is_proposed_once() {
+            let mut leader =
+                BaselineReplica::new(ProcessId(0), GroupId(0), cluster(), Mode::FtSkeen);
+            let m = msg(0, &[0]);
+            leader.on_event(
+                Duration::ZERO,
+                Event::message(ProcessId(6), BaselineMsg::Multicast { msg: m.clone() }),
+            );
+            let second = leader.on_event(
+                Duration::ZERO,
+                Event::message(ProcessId(6), BaselineMsg::Multicast { msg: m }),
+            );
+            assert!(second.is_empty());
+            assert_eq!(leader.clock(), 1);
+        }
+
+        #[test]
+        fn client_sends_to_destination_leaders_and_records_reply() {
+            let mut c = BaselineClient::new(ProcessId(6), cluster(), Duration::from_millis(200));
+            let m = msg(0, &[0, 1]);
+            let actions = c.on_event(Duration::ZERO, Event::Multicast(m.clone()));
+            let targets: Vec<_> = actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send { to, .. } => Some(*to),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(targets, vec![ProcessId(0), ProcessId(3)]);
+            let reply = BaselineMsg::ClientReply {
+                msg_id: m.id,
+                group: GroupId(1),
+                global_ts: Timestamp::new(2, GroupId(1)),
+            };
+            let actions = c.on_event(
+                Duration::from_millis(9),
+                Event::message(ProcessId(3), reply),
+            );
+            let delivered: Vec<_> = actions.iter().filter_map(Action::as_delivery).collect();
+            assert_eq!(delivered.len(), 1);
+            assert_eq!(delivered[0].msg, m);
+            assert_eq!(delivered[0].global_ts, Some(Timestamp::new(2, GroupId(1))));
+            assert_eq!(c.pending_count(), 0);
+        }
+
+        #[test]
+        fn client_retry_resends_to_leaders() {
+            let mut c = BaselineClient::new(ProcessId(6), cluster(), Duration::from_millis(50));
+            let m = msg(3, &[1]);
+            c.on_event(Duration::ZERO, Event::Multicast(m));
+            let actions = c.on_event(
+                Duration::from_millis(50),
+                Event::Timer {
+                    id: TimerId(3),
+                    now: Duration::from_millis(50),
+                },
+            );
+            let resends = actions
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Send {
+                            msg: BaselineMsg::Multicast { .. },
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(resends, 1);
+        }
+    }
+}

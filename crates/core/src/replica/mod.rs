@@ -33,8 +33,8 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use wbam_types::{
-    Action, AppMessage, Ballot, Checkpoint, Compaction, ConfigError, DeliveredFilter,
-    DeliveryQueue, Event, GroupId, MsgId, Node, Phase, ProcessId, RecordMap, TimerId, Timestamp,
+    Action, AppMessage, Ballot, Checkpoint, ConfigError, DeliveryProgress, DeliveryQueue, Event,
+    GroupId, MsgId, Node, Phase, ProcessId, RecordMap, TimerId, Timestamp,
 };
 
 use crate::config::ReplicaConfig;
@@ -73,8 +73,6 @@ pub struct WhiteBoxReplica {
     ballot: Ballot,
     /// Current best guess of the leader of every group (`Cur_leader`).
     cur_leader: BTreeMap<GroupId, ProcessId>,
-    /// Highest global timestamp of a delivered message (`max_delivered_gts`).
-    max_delivered_gts: Timestamp,
     /// Per-message protocol state.
     records: RecordMap<MessageRecord>,
     /// Members of this replica's group, in configuration order.
@@ -89,18 +87,13 @@ pub struct WhiteBoxReplica {
     next_retry_timer: u64,
     /// Last time we heard from our group's leader (heartbeat or any message).
     last_leader_activity: Duration,
-    /// Number of application messages this replica has delivered.
-    delivered_count: u64,
     /// Delivery-condition index (Figure 4 line 21): the local timestamps of
     /// records whose phase is `PROPOSED` or `ACCEPTED`, and the global
     /// timestamps of committed-but-undelivered records.
     delivery: DeliveryQueue,
-    /// The `STABLE` exchange: watermarks, member progress and the prune scan.
-    compaction: Compaction,
-    /// Compaction: bounded filter of every delivered message identifier,
-    /// answering duplicate `MULTICAST`s (and fencing stale `ACCEPT`s) for
-    /// records that have been pruned from the record map.
-    dedup: DeliveredFilter,
+    /// `max_delivered_gts`, the delivered filter that answers duplicates of
+    /// pruned records, and the `STABLE` exchange.
+    progress: DeliveryProgress,
     /// Number of records examined by the most recent restart re-arm scan
     /// (regression guard: restart work must be proportional to the pending
     /// suffix, not the whole record history).
@@ -171,7 +164,6 @@ impl WhiteBoxReplica {
             cballot: initial_ballot,
             ballot: initial_ballot,
             cur_leader,
-            max_delivered_gts: Timestamp::BOTTOM,
             records: RecordMap::new(),
             group_members,
             quorum_sizes,
@@ -180,10 +172,9 @@ impl WhiteBoxReplica {
             retry_timer_of: RecordMap::new(),
             next_retry_timer: 0,
             last_leader_activity: Duration::ZERO,
-            delivered_count: 0,
             delivery: DeliveryQueue::new(),
-            compaction: Compaction::new(config.compaction_interval, config.compaction_lag),
-            dedup: DeliveredFilter::new(),
+            progress: DeliveryProgress::new(config.id, group)
+                .with_compaction(config.compaction_interval, config.compaction_lag),
             last_restart_scan: 0,
             pruned_dropped: BTreeSet::new(),
             config,
@@ -205,23 +196,9 @@ impl WhiteBoxReplica {
         self.clock
     }
 
-    /// Number of application messages delivered so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered_count
-    }
-
     /// The phase of a message at this replica, if it has heard of it.
     pub fn phase_of(&self, m: MsgId) -> Option<Phase> {
         self.records.get(&m).map(|r| r.phase)
-    }
-
-    /// Every known record's `(phase, delivered)` state, for inspection by
-    /// test harnesses and the schedule explorer's failure reports.
-    pub fn record_states(&self) -> Vec<(MsgId, Phase, bool)> {
-        self.records
-            .values()
-            .map(|r| (r.id(), r.phase, r.delivered))
-            .collect()
     }
 
     /// The global timestamp of a message at this replica, if committed.
@@ -230,11 +207,6 @@ impl WhiteBoxReplica {
             .get(&m)
             .filter(|r| r.phase.is_committed())
             .map(|r| r.global_ts)
-    }
-
-    /// The highest global timestamp this replica has delivered.
-    pub fn max_delivered_gts(&self) -> Timestamp {
-        self.max_delivered_gts
     }
 
     /// Number of message records currently resident — the quantity bounded by
@@ -249,10 +221,10 @@ impl WhiteBoxReplica {
         self.records.slot_capacity()
     }
 
-    /// The replica's compaction state: watermarks, pruned and state-transfer
-    /// counters.
-    pub fn compaction(&self) -> &Compaction {
-        &self.compaction
+    /// The replica's delivery progress and compaction state: watermarks,
+    /// pruned and state-transfer counters.
+    pub fn progress(&self) -> &DeliveryProgress {
+        &self.progress
     }
 
     /// Number of records examined by the most recent restart re-arm scan
@@ -268,21 +240,10 @@ impl WhiteBoxReplica {
         &self.pruned_dropped
     }
 
-    /// The replica's current ordering-layer checkpoint: ballot, clock,
-    /// watermarks, delivery progress and the delivered-message filter.
-    /// `app_state` is left empty — the ordering layer does not interpret
-    /// application state; embedders (e.g. a key-value store) fill it in.
+    /// The replica's current ordering-layer checkpoint (see
+    /// [`DeliveryProgress::checkpoint`]).
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            group: self.config.group,
-            ballot: self.cballot,
-            clock: self.clock,
-            watermarks: self.compaction.watermarks().clone(),
-            max_delivered_gts: self.max_delivered_gts,
-            delivered_count: self.delivered_count,
-            dedup: self.dedup.clone(),
-            app_state: Vec::new(),
-        }
+        self.progress.checkpoint(self.cballot, self.clock)
     }
 
     /// Whether this replica currently acts as its group's leader.
@@ -390,8 +351,10 @@ impl Node for WhiteBoxReplica {
                 WhiteBoxMsg::StableReport {
                     group,
                     delivered_gts,
-                } => self.handle_stable_report(from, group, delivered_gts),
-                WhiteBoxMsg::StableAdvance { watermarks } => self.handle_stable_advance(watermarks),
+                } => self.stable(|p, role| p.stable_report(role, from, group, delivered_gts)),
+                WhiteBoxMsg::StableAdvance { watermarks } => {
+                    self.stable(|p, role| p.stable_advance(role, &watermarks))
+                }
                 WhiteBoxMsg::StablePruned { msg_id, watermarks } => {
                     self.handle_stable_pruned(msg_id, watermarks)
                 }
@@ -728,8 +691,11 @@ mod tests {
             .unwrap();
         let actions = drive(&mut leader, ProcessId(0), deliver_to_self);
         assert!(actions.iter().any(Action::is_delivery));
-        assert_eq!(leader.delivered_count(), 1);
-        assert_eq!(leader.max_delivered_gts(), Timestamp::new(1, GroupId(0)));
+        assert_eq!(leader.progress().delivered_count(), 1);
+        assert_eq!(
+            leader.progress().max_delivered_gts(),
+            Timestamp::new(1, GroupId(0))
+        );
     }
 
     #[test]
@@ -746,7 +712,7 @@ mod tests {
         assert_eq!(first.iter().filter(|a| a.is_delivery()).count(), 1);
         let second = drive(&mut follower, ProcessId(0), deliver);
         assert_eq!(second.iter().filter(|a| a.is_delivery()).count(), 0);
-        assert_eq!(follower.delivered_count(), 1);
+        assert_eq!(follower.progress().delivered_count(), 1);
     }
 
     #[test]
@@ -761,7 +727,7 @@ mod tests {
         };
         let actions = drive(&mut follower, ProcessId(2), deliver);
         assert!(actions.is_empty());
-        assert_eq!(follower.delivered_count(), 0);
+        assert_eq!(follower.progress().delivered_count(), 0);
     }
 
     #[test]
@@ -846,7 +812,7 @@ mod tests {
             };
             drive(&mut follower, ProcessId(0), deliver);
         }
-        assert_eq!(follower.delivered_count(), 50_000);
+        assert_eq!(follower.progress().delivered_count(), 50_000);
         assert_eq!(follower.live_records(), 50_000);
         // A handful of in-flight records (accepted, uncommitted).
         for i in 50_000..50_005u64 {
@@ -995,7 +961,7 @@ mod tests {
             global_ts: Timestamp::new(1, GroupId(0)),
         };
         drive(&mut p2, ProcessId(0), deliver);
-        assert_eq!(p2.delivered_count(), 1);
+        assert_eq!(p2.progress().delivered_count(), 1);
 
         // p1 recovers with votes from itself and p2.
         let actions = p1.on_event(Duration::ZERO, Event::BecomeLeader);
@@ -1349,7 +1315,7 @@ mod tests {
             let joined = Ballot::new(2, ProcessId(2));
             drive(&mut replica, ProcessId(2), WhiteBoxMsg::NewLeader { ballot: joined });
             prop_assert_eq!(replica.status(), Status::Recovering);
-            let progress = (replica.max_delivered_gts(), replica.delivered_count());
+            let progress = (replica.progress().max_delivered_gts(), replica.progress().delivered_count());
             prop_assert_eq!(progress, (Timestamp::new(4, GroupId(0)), 4));
             for (kind, seq, (time, round)) in ops {
                 let (from, msg) = normal_case(kind, seq, time, round);
@@ -1357,7 +1323,7 @@ mod tests {
                 prop_assert!(!actions.iter().any(Action::is_delivery));
                 prop_assert_eq!(replica.status(), Status::Recovering);
                 prop_assert_eq!(
-                    (replica.max_delivered_gts(), replica.delivered_count()),
+                    (replica.progress().max_delivered_gts(), replica.progress().delivered_count()),
                     progress
                 );
             }

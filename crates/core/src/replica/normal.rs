@@ -3,8 +3,8 @@
 //! retries of message recovery.
 
 use wbam_types::{
-    Action, AppMessage, Ballot, DeliveredMessage, GroupId, MsgId, Phase, ProcessId, TimerId,
-    Timestamp,
+    Action, AppMessage, Ballot, DeliveredMessage, DeliveryProgress, GroupId, MsgId, Phase,
+    ProcessId, TimerId, Timestamp,
 };
 
 use super::{Status, WhiteBoxReplica};
@@ -50,7 +50,7 @@ impl WhiteBoxReplica {
             Status::Leader => {}
         }
         let group = self.own_group();
-        if !self.records.contains_key(&msg.id) && self.dedup.contains(msg.id) {
+        if !self.records.contains_key(&msg.id) && self.progress.has_delivered(msg.id) {
             // A duplicate MULTICAST for a message whose record was delivered
             // everywhere and pruned. Re-proposing it would order (and
             // deliver) it a second time — the delivered filter is what keeps
@@ -69,7 +69,7 @@ impl WhiteBoxReplica {
                         peer,
                         WhiteBoxMsg::StablePruned {
                             msg_id: msg.id,
-                            watermarks: self.compaction.watermarks().clone(),
+                            watermarks: self.progress.watermarks().clone(),
                         },
                     ));
                 }
@@ -138,7 +138,7 @@ impl WhiteBoxReplica {
         if !msg.is_addressed_to(self.own_group()) {
             return Vec::new();
         }
-        if !self.records.contains_key(&msg.id) && self.dedup.contains(msg.id) {
+        if !self.records.contains_key(&msg.id) && self.progress.has_delivered(msg.id) {
             // A stale ACCEPT for a message delivered everywhere and pruned:
             // recording it would resurrect a record that can never be
             // re-delivered (and would never be pruned again). Drop it.
@@ -359,7 +359,7 @@ impl WhiteBoxReplica {
                 None => return actions,
             },
         };
-        if self.max_delivered_gts >= global_ts {
+        let Some(round_due) = self.progress.note_delivery(global_ts, msg.id) else {
             // A DELIVER at or below our delivery progress: we either already
             // delivered m, or a checkpoint jumped us over it. Do not deliver
             // again — but *install* the decision on a resident record (the
@@ -372,21 +372,19 @@ impl WhiteBoxReplica {
             // leader change re-broadcast resets it.
             if self.records.contains_key(&msg.id) {
                 self.install_delivered(&msg, local_ts, global_ts);
-                self.compaction.index_delivered(global_ts, msg.id);
+                self.progress.note_reinstalled(global_ts, msg.id);
                 actions.extend(self.cancel_retry_timer(msg.id));
             }
             return actions;
-        }
+        };
         let msg_id = msg.id;
         self.install_delivered(&msg, local_ts, global_ts);
-        self.max_delivered_gts = global_ts;
-        self.delivered_count += 1;
         // Line 31: deliver to the application.
         actions.push(Action::Deliver(DeliveredMessage::with_timestamp(
             msg, global_ts,
         )));
-        if self.compaction.note_delivery(global_ts, msg_id) {
-            actions.extend(self.stable_round());
+        if round_due {
+            actions.extend(self.stable(DeliveryProgress::stable_round));
         }
         actions.extend(self.reply_to_sender(msg_id, global_ts));
         actions
@@ -405,7 +403,6 @@ impl WhiteBoxReplica {
         record.commit(global_ts);
         record.delivered = true;
         self.clock = self.clock.max(global_ts.time());
-        self.dedup.insert(msg.id);
     }
 
     // ------------------------------------------------------------------
@@ -633,8 +630,8 @@ mod tests {
             Event::message(ProcessId(0), deliver(DeliverMsg::Ref(m.id), B1, 1)),
         );
         assert!(out.is_empty());
-        assert_eq!(follower.max_delivered_gts(), Timestamp::BOTTOM);
-        assert_eq!(follower.delivered_count(), 0);
+        assert_eq!(follower.progress().max_delivered_gts(), Timestamp::BOTTOM);
+        assert_eq!(follower.progress().delivered_count(), 0);
         assert_eq!(follower.phase_of(m.id), None);
         let out = follower.on_event(
             Duration::ZERO,
@@ -643,8 +640,11 @@ mod tests {
         assert!(out
             .iter()
             .any(|a| matches!(a, Action::Deliver(d) if d.msg == m)));
-        assert_eq!(follower.max_delivered_gts(), Timestamp::new(1, GroupId(0)));
-        assert_eq!(follower.delivered_count(), 1);
+        assert_eq!(
+            follower.progress().max_delivered_gts(),
+            Timestamp::new(1, GroupId(0))
+        );
+        assert_eq!(follower.progress().delivered_count(), 1);
     }
 
     /// Holders are counted per ballot. p1 takes over from p0 with p0's
@@ -662,7 +662,7 @@ mod tests {
             WhiteBoxMsg::Multicast { msg: m1.clone() },
         );
         settle(&mut g, &[0, 1, 2], first);
-        assert_eq!(g[2].delivered_count(), 1);
+        assert_eq!(g[2].progress().delivered_count(), 1);
         assert!((0..3).all(|i| g[0].records[&m1.id].held_by(i)));
 
         // m2's ACCEPT reaches p1 and p2 only, and their acks are lost.

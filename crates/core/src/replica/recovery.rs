@@ -203,7 +203,7 @@ impl WhiteBoxReplica {
         self.install(ballot, &checkpoint, snapshot);
         // A fresh leadership starts member progress tracking from scratch;
         // members re-report within one compaction interval.
-        self.compaction.reset_progress();
+        self.progress.reset_member_progress();
         // Line 56: install the state at the followers — as checkpoint +
         // suffix, which doubles as catch-up state transfer for any member
         // whose progress lies below the recovered watermark.
@@ -270,16 +270,9 @@ impl WhiteBoxReplica {
     /// `Recovery::merge` computed them at the ballot's leader (line 55), or
     /// as its `NEW_STATE` carried them to a follower (lines 57–62).
     fn install(&mut self, ballot: Ballot, checkpoint: &Checkpoint, snapshot: StateSnapshot) {
-        // Merge the watermark knowledge and the delivered filter, and — the
-        // state-transfer case — if our delivery progress lies below the
-        // recovered watermark, jump it forward: the history between is
-        // pruned (delivered at a quorum and discarded), arrives as installed
-        // checkpoint state rather than per-message replay, and is excused
-        // (not missing) to the oracles.
-        let group = self.own_group();
-        self.compaction.merge(&checkpoint.watermarks);
-        self.dedup.merge(&checkpoint.dedup);
-        self.compaction.jump(group, &mut self.max_delivered_gts);
+        // Watermarks, the delivered filter and, the state-transfer case, a
+        // progress jump over history pruned at a quorum.
+        self.progress.install(checkpoint);
         // `delivered` means "DELIVER sent in this ballot" at its leader and
         // "applied here" at a follower. A committed record at or below the
         // recovered watermark needs no line-66 re-broadcast: a quorum
@@ -290,9 +283,9 @@ impl WhiteBoxReplica {
         // above keeps the paper's behaviour: re-delivered by line 66,
         // duplicates filtered at the receivers through `max_delivered_gts`.
         let delivered_up_to = if ballot.is_led_by(self.config.id) {
-            self.compaction.watermark(group)
+            self.progress.watermark(self.own_group())
         } else {
-            self.max_delivered_gts
+            self.progress.max_delivered_gts()
         };
         self.records = snapshot
             .records
@@ -315,7 +308,7 @@ impl WhiteBoxReplica {
             }
         }
         let delivered = self.records.values().filter(|r| r.delivered);
-        self.compaction
+        self.progress
             .reindex(delivered.map(|r| (r.global_ts, r.id())));
         self.prune_records();
         self.clock = checkpoint.clock;

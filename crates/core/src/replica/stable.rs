@@ -2,100 +2,43 @@
 
 use std::collections::BTreeMap;
 
-use wbam_types::{Action, GroupId, MsgId, ProcessId, Timestamp};
+use wbam_types::{Action, DeliveryProgress, GroupId, MsgId, StableRole, StableStep, Timestamp};
 
 use super::{Status, WhiteBoxReplica};
 use crate::messages::WhiteBoxMsg;
 use crate::record::MessageRecord;
 
 impl WhiteBoxReplica {
-    /// Every `compaction_interval` local deliveries: a follower reports its
-    /// progress to the leader; the leader folds its own progress in and
-    /// recomputes the group watermark. A recovering replica reports nothing;
-    /// the next interval after the recovery completes will.
-    pub(super) fn stable_round(&mut self) -> Vec<Action<WhiteBoxMsg>> {
-        match self.status {
-            Status::Leader => self.recompute_watermark(),
-            Status::Follower => match self.cur_leader.get(&self.own_group()) {
-                Some(&leader) if leader != self.config.id => vec![Action::send(
-                    leader,
-                    WhiteBoxMsg::StableReport {
-                        group: self.own_group(),
-                        delivered_gts: self.max_delivered_gts,
-                    },
-                )],
-                _ => Vec::new(),
-            },
-            Status::Recovering => Vec::new(),
-        }
-    }
-
-    /// Leader handler for `STABLE_REPORT`: fold in the member's progress and
-    /// recompute the group watermark.
-    pub(super) fn handle_stable_report(
+    /// Takes one `STABLE` decision (see [`DeliveryProgress`]) in this
+    /// replica's role and maps it onto messages. A follower reports to its
+    /// leader hint, a recovering replica not at all; an advance goes to the
+    /// group and to the other groups' current leaders.
+    pub(super) fn stable(
         &mut self,
-        from: ProcessId,
-        group: GroupId,
-        delivered_gts: Timestamp,
+        decide: impl FnOnce(&mut DeliveryProgress, StableRole) -> StableStep,
     ) -> Vec<Action<WhiteBoxMsg>> {
-        if self.status != Status::Leader
-            || group != self.own_group()
-            || !self.group_members.contains(&from)
-        {
-            return Vec::new();
-        }
-        self.compaction.record_progress(from, delivered_gts);
-        self.recompute_watermark()
-    }
-
-    /// Recomputes the own-group watermark (see
-    /// [`Compaction::recompute`](wbam_types::Compaction::recompute)); on an
-    /// advance, prunes and disseminates the updated watermark map.
-    fn recompute_watermark(&mut self) -> Vec<Action<WhiteBoxMsg>> {
-        self.compaction
-            .record_progress(self.config.id, self.max_delivered_gts);
-        let quorum = self.own_quorum();
-        if !self
-            .compaction
-            .recompute(self.own_group(), &self.group_members, quorum)
-        {
-            return Vec::new();
-        }
-        self.prune_records();
-        self.broadcast_watermarks()
-    }
-
-    /// Sends the current watermark map to the group's followers (who prune
-    /// with it) and to the other groups' leaders (cross-group dissemination;
-    /// multi-group records need every destination group's watermark).
-    fn broadcast_watermarks(&self) -> Vec<Action<WhiteBoxMsg>> {
-        let advance = WhiteBoxMsg::StableAdvance {
-            watermarks: self.compaction.watermarks().clone(),
+        let role = match self.status {
+            Status::Leader => StableRole::Leader(&self.cur_leader),
+            Status::Follower => {
+                StableRole::Follower(self.cur_leader.get(&self.config.group).copied())
+            }
+            Status::Recovering => StableRole::Silent,
         };
-        let own_group = self.own_group();
-        let remote_leaders = self.cur_leader.iter().filter(|(g, _)| **g != own_group);
-        let to = self
-            .group_members
-            .iter()
-            .chain(remote_leaders.map(|(_, l)| l));
-        Action::send_to_all(to.copied().filter(|p| *p != self.config.id), advance)
-    }
-
-    /// Merges a received watermark map and prunes. A leader that learnt
-    /// something new re-broadcasts, so cross-group knowledge reaches its
-    /// followers.
-    pub(super) fn handle_stable_advance(
-        &mut self,
-        watermarks: BTreeMap<GroupId, Timestamp>,
-    ) -> Vec<Action<WhiteBoxMsg>> {
-        if !self.compaction.merge(&watermarks) {
-            return Vec::new();
-        }
-        self.prune_records();
-        if self.status == Status::Leader {
-            self.broadcast_watermarks()
-        } else {
-            Vec::new()
+        match decide(&mut self.progress, role) {
+            StableStep::Quiet => Vec::new(),
+            StableStep::Report(leader, delivered_gts) => {
+                let group = self.own_group();
+                let report = WhiteBoxMsg::StableReport {
+                    group,
+                    delivered_gts,
+                };
+                vec![Action::send(leader, report)]
+            }
+            StableStep::Advance(to) => {
+                self.prune_records();
+                let watermarks = self.progress.watermarks().clone();
+                Action::send_to_all(to, WhiteBoxMsg::StableAdvance { watermarks })
+            }
         }
     }
 
@@ -111,7 +54,7 @@ impl WhiteBoxReplica {
         msg_id: MsgId,
         watermarks: BTreeMap<GroupId, Timestamp>,
     ) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = self.handle_stable_advance(watermarks);
+        let mut actions = self.stable(|p, role| p.stable_advance(role, &watermarks));
         if !self
             .records
             .get(&msg_id)
@@ -122,7 +65,7 @@ impl WhiteBoxReplica {
         let record = self.records.remove(&msg_id).expect("pending record");
         self.delivery.unpend(record.local_ts, msg_id);
         self.delivery.forget(record.global_ts, msg_id);
-        self.dedup.insert(msg_id);
+        self.progress.note_delivered_elsewhere(msg_id);
         self.pruned_dropped.insert(msg_id);
         actions.extend(self.cancel_retry_timer(msg_id));
         actions.extend(self.try_deliver());
@@ -132,6 +75,6 @@ impl WhiteBoxReplica {
     /// Prunes delivered records covered by every destination group's
     /// watermark.
     pub(super) fn prune_records(&mut self) {
-        self.compaction.prune(&mut self.records, |r| &r.msg.dest);
+        self.progress.prune(&mut self.records, |r| &r.msg.dest);
     }
 }

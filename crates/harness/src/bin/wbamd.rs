@@ -379,7 +379,7 @@ where
     Ok(())
 }
 
-/// The counters a replica's stats lines report.
+/// The counters a process's stats lines report.
 fn counters<M>(node: &TcpNode<M>) -> Result<String, WbamError>
 where
     M: Serialize + DeserializeOwned + Send + 'static,
@@ -395,7 +395,10 @@ where
     ))
 }
 
-/// Runs a client process closed-loop and returns its summary.
+/// Runs a client process closed-loop and returns its summary. Before it
+/// shuts its node down it writes a `client stop` stats line with the same
+/// counters a replica's `graceful stop` line carries, so how its
+/// `MULTICAST`s were framed is on record too.
 fn run_client<M>(
     node: TcpNode<M>,
     args: &Args,
@@ -499,6 +502,7 @@ where
     }
 
     let dropped_frames = node.dropped_frames();
+    eprintln!("wbamd: p{} client stop: {}", id.0, counters(&node)?);
     node.shutdown();
     let completed = latencies.len() as u64;
     let elapsed = last_completion.saturating_sub(first_submit.unwrap_or(Duration::ZERO));

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use wbam_baselines::common::{BaselineClient, BaselineMsg, BaselineReplica, Mode};
+use wbam_baselines::{BaselineClient, BaselineMsg, BaselineReplica, Mode};
 use wbam_core::invariants::SentMessage;
 use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
 use wbam_simnet::{DeliveryRecord, LatencyModel, MetricsView, NetStats, SimConfig, Simulation};
@@ -160,21 +160,6 @@ impl ClusterSpec {
     /// partitions and timer jitter throughout the run.
     pub fn with_nemesis(mut self, nemesis: NemesisPlan) -> Self {
         self.nemesis = nemesis;
-        self
-    }
-
-    /// Returns the spec with protocol-trace recording enabled (required by
-    /// the Figure 6 invariant checkers; see [`ProtocolSim::whitebox_trace`]).
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Returns the spec with the white-box replicas' built-in
-    /// heartbeat/election oracle enabled (see
-    /// [`auto_election`](Self::auto_election)).
-    pub fn with_auto_election(mut self) -> Self {
-        self.auto_election = true;
         self
     }
 
@@ -415,14 +400,14 @@ impl ProtocolSim {
             return Some((
                 r.live_records(),
                 r.record_slots(),
-                r.compaction().pruned_count(),
+                r.progress().pruned_count(),
             ));
         }
         if let Some(r) = self.baseline_replica(p) {
             return Some((
                 r.live_records(),
                 r.record_slots(),
-                r.compaction().pruned_count(),
+                r.progress().pruned_count(),
             ));
         }
         None
@@ -453,9 +438,9 @@ impl ProtocolSim {
         for gc in self.cluster.groups() {
             for member in gc.members() {
                 let excused = if let Some(r) = self.whitebox_replica(*member) {
-                    r.compaction().transfer_excused_below()
+                    r.progress().transfer_excused_below()
                 } else if let Some(r) = self.baseline_replica(*member) {
-                    r.compaction().transfer_excused_below()
+                    r.progress().transfer_excused_below()
                 } else {
                     continue;
                 };

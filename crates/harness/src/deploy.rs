@@ -38,7 +38,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use wbam_baselines::common::{BaselineClient, BaselineReplica, Mode};
+use wbam_baselines::{BaselineClient, BaselineReplica, Mode};
 use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
 use wbam_types::wire::{from_json, to_json, WireCodec};
 use wbam_types::{ClusterConfig, GroupId, ProcessId, Timestamp, WbamError};

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wbam_baselines::common::BaselineMsg;
+use wbam_baselines::BaselineMsg;
 use wbam_core::invariants::SentMessage;
 use wbam_core::WhiteBoxMsg;
 use wbam_kvstore::Partitioner;

@@ -61,10 +61,9 @@ impl Rig {
         ChildGuard(cmd.spawn().expect("spawn wbamd replica"))
     }
 
-    fn run_client(&self, count: u64) -> ClientSummary {
-        let summary_path = self.dir.join("summary.json");
-        let status = wbamd()
-            .arg("--spec")
+    fn client(&self, count: u64) -> Command {
+        let mut cmd = wbamd();
+        cmd.arg("--spec")
             .arg(&self.spec_path)
             .arg("--id")
             .arg("1")
@@ -73,13 +72,19 @@ impl Rig {
             .arg("--dest")
             .arg("0")
             .arg("--summary")
-            .arg(&summary_path)
-            .stdout(Stdio::null())
+            .arg(self.dir.join("summary.json"))
+            .stdout(Stdio::null());
+        cmd
+    }
+
+    fn run_client(&self, count: u64) -> ClientSummary {
+        let status = self
+            .client(count)
             .stderr(Stdio::inherit())
             .status()
             .expect("run wbamd client");
         assert!(status.success(), "client exited with {status}");
-        let json = std::fs::read_to_string(&summary_path).expect("client summary");
+        let json = std::fs::read_to_string(self.dir.join("summary.json")).expect("client summary");
         from_json(&json).expect("parse client summary")
     }
 
@@ -174,6 +179,33 @@ fn sigterm_drains_the_delivery_log_and_exits_zero() {
     assert_eq!(frames, 5, "one reply frame per multicast: {stop_line:?}");
     assert!(bytes > 4 * frames, "frames carry bodies: {stop_line:?}");
     assert_eq!(rig.log_lines().len(), 5, "delivery log not fully drained");
+}
+
+/// A client process ends with a `client stop` line carrying the transport
+/// counters a replica's `graceful stop` line carries, so a deployed probe
+/// can read how the client's `MULTICAST`s were framed.
+#[test]
+fn a_client_reports_its_transport_counters_when_it_stops() {
+    let rig = Rig::new("client-stats");
+    let _replica = rig.spawn_replica(&[]);
+    let out = rig.client(5).output().expect("run wbamd client");
+    assert!(out.status.success(), "client exited with {}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find(|l| l.contains("client stop"))
+        .unwrap_or_else(|| panic!("no client-stop line in {stderr:?}"));
+    let field = |name: &str| -> u64 {
+        let tail = line.split(&format!("{name}=")).nth(1);
+        let digits = tail.and_then(|t| t.split(|c: char| !c.is_ascii_digit()).next());
+        digits
+            .and_then(|d| d.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {line:?}"))
+    };
+    let (frames, messages) = (field("frames_sent"), field("messages_sent"));
+    assert!(messages >= 5, "five MULTICASTs at least: {line:?}");
+    assert!((1..=messages).contains(&frames), "{line:?}");
+    assert!(field("bytes_sent") > 4 * frames, "{line:?}");
 }
 
 /// Regression: with `--stdin-stop`, stdin reaching EOF stops the replica as

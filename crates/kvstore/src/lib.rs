@@ -166,11 +166,6 @@ impl KvCommand {
         }
     }
 
-    /// Whether the command is a read.
-    pub fn is_read(&self) -> bool {
-        matches!(self, KvCommand::Get { .. })
-    }
-
     /// Encodes the command as an [`AppMessage`] addressed to the partitions of
     /// its keys.
     ///

@@ -1383,7 +1383,7 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
     use std::time::Instant;
-    use wbam_baselines::common::{BaselineClient, BaselineReplica, Mode};
+    use wbam_baselines::{BaselineClient, BaselineReplica, Mode};
     use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxMsg, WhiteBoxReplica};
     use wbam_types::wire::{decode_frame_slice, encode_frame_with, MAX_FRAME_LEN};
     use wbam_types::{

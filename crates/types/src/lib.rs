@@ -15,9 +15,9 @@
 //!   groups of `2f + 1` processes each.
 //! * [`Event`], [`Action`], [`Node`] — the sans-IO protocol interface shared by
 //!   the simulator (`wbam-simnet`) and the real runtime.
-//! * [`RecordMap`], [`DeliveryQueue`], [`Compaction`] — the per-message
-//!   record store, the delivery rule and the `STABLE` compaction engine every
-//!   protocol shares.
+//! * [`RecordMap`], [`DeliveryQueue`], [`DeliveryProgress`] — the
+//!   per-message record store, the delivery rule, and the delivery progress
+//!   with its `STABLE` compaction exchange, which every protocol shares.
 //!
 //! # Example
 //!
@@ -62,7 +62,7 @@ pub mod wire;
 pub use action::{Action, DeliveredMessage};
 pub use ballot::Ballot;
 pub use checkpoint::{Checkpoint, DeliveredFilter};
-pub use compaction::Compaction;
+pub use compaction::{DeliveryProgress, StableRole, StableStep};
 pub use config::{ClusterConfig, ClusterConfigBuilder, GroupConfig, SiteId};
 pub use delivery::DeliveryQueue;
 pub use error::{ConfigError, WbamError};

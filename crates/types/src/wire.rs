@@ -269,29 +269,6 @@ pub fn decode_frame_with<M: DeserializeOwned>(
     }
 }
 
-/// Encodes a message as a length-prefixed JSON frame.
-///
-/// Shorthand for [`encode_frame_with`] with [`WireCodec::Json`], kept for
-/// traces and tooling that want self-describing bodies.
-///
-/// # Errors
-///
-/// Same conditions as [`encode_frame_with`].
-pub fn encode_frame<M: Serialize>(msg: &M) -> Result<Bytes, WbamError> {
-    encode_frame_with(WireCodec::Json, msg)
-}
-
-/// Attempts to decode one JSON frame from the front of `buf`.
-///
-/// Shorthand for [`decode_frame_with`] with [`WireCodec::Json`].
-///
-/// # Errors
-///
-/// Same conditions as [`decode_frame_with`].
-pub fn decode_frame<M: DeserializeOwned>(buf: &mut BytesMut) -> Result<Option<M>, WbamError> {
-    decode_frame_with(WireCodec::Json, buf)
-}
-
 /// Encodes a message directly to a JSON string (used for traces and tooling).
 ///
 /// # Errors
@@ -438,7 +415,7 @@ mod tests {
             seq: 7,
             note: "x".repeat(MAX_FRAME_LEN - overhead + 1),
         };
-        let err = encode_frame(&over).unwrap_err();
+        let err = encode_frame_with(WireCodec::Json, &over).unwrap_err();
         assert!(matches!(err, WbamError::Codec(_)), "got {err:?}");
         assert!(err.to_string().contains("exceeds maximum"));
 
@@ -446,10 +423,12 @@ mod tests {
             seq: 7,
             note: "x".repeat(MAX_FRAME_LEN - overhead),
         };
-        let frame = encode_frame(&at_limit).unwrap();
+        let frame = encode_frame_with(WireCodec::Json, &at_limit).unwrap();
         assert_eq!(frame.len(), 4 + MAX_FRAME_LEN);
         let mut buf = BytesMut::from(&frame[..]);
-        let back: Ping = decode_frame(&mut buf).unwrap().unwrap();
+        let back: Ping = decode_frame_with(WireCodec::Json, &mut buf)
+            .unwrap()
+            .unwrap();
         assert_eq!(back, at_limit);
     }
 

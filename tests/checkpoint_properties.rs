@@ -149,7 +149,7 @@ proptest! {
             Duration::ZERO,
             Event::message(ProcessId(0), WhiteBoxMsg::StableAdvance { watermarks }),
         );
-        let own_watermark = a.compaction().watermark(GroupId(0));
+        let own_watermark = a.progress().watermark(GroupId(0));
         prop_assert_eq!(own_watermark, Timestamp::new(watermark, GroupId(0)));
         let expected_live = ((delivered - watermark) as usize).max(lag.min(delivered as usize));
         prop_assert_eq!(a.live_records(), expected_live);
@@ -175,7 +175,7 @@ proptest! {
         );
 
         // Observable equivalence.
-        let (ca, cb) = (a.compaction(), b.compaction());
+        let (ca, cb) = (a.progress(), b.progress());
         prop_assert_eq!(cb.watermark(GroupId(0)), ca.watermark(GroupId(0)), "watermarks agree");
         prop_assert!(cb.transfer_recoveries() >= 1, "B recovered via state transfer");
         prop_assert_eq!(
@@ -184,8 +184,8 @@ proptest! {
             "B's installed history is exactly the pruned prefix"
         );
         prop_assert_eq!(
-            b.max_delivered_gts(),
-            a.max_delivered_gts(),
+            b.progress().max_delivered_gts(),
+            a.progress().max_delivered_gts(),
             "B's delivery progress catches up to A's"
         );
         // B re-delivered exactly the suffix above the watermark, in order.

@@ -92,7 +92,7 @@ fn ordering_one_multicast_at_the_leader_stays_within_its_allocation_budget() {
     let (calls, bytes) = (8..8 + MULTICASTS as u64)
         .map(|seq| order_one(&mut leader, seq))
         .fold((0, 0), |sum, one| (sum.0 + one.0, sum.1 + one.1));
-    assert_eq!(leader.delivered_count(), 8 + MULTICASTS as u64);
+    assert_eq!(leader.progress().delivered_count(), 8 + MULTICASTS as u64);
     assert!(
         calls <= MAX_CALLS,
         "ordering {MULTICASTS} single-group multicasts at the leader made {calls} allocator \

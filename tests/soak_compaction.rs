@@ -266,17 +266,17 @@ fn restart_recovers_via_state_transfer(protocol: Protocol, messages: usize) {
         Protocol::WhiteBox => {
             let r = sim.whitebox_replica(victim).unwrap();
             (
-                r.compaction().transfer_recoveries(),
-                r.compaction().transfer_excused_below(),
-                r.max_delivered_gts(),
+                r.progress().transfer_recoveries(),
+                r.progress().transfer_excused_below(),
+                r.progress().max_delivered_gts(),
             )
         }
         _ => {
             let r = sim.baseline_replica(victim).unwrap();
             (
-                r.compaction().transfer_recoveries(),
-                r.compaction().transfer_excused_below(),
-                r.max_delivered_gts(),
+                r.progress().transfer_recoveries(),
+                r.progress().transfer_excused_below(),
+                r.progress().max_delivered_gts(),
             )
         }
     };
