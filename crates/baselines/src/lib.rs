@@ -169,6 +169,42 @@ pub mod common {
             assert_eq!(leader.clock(), 1);
         }
 
+        /// A follower that catches up across a compacted log never applies
+        /// the pruned commands, so it takes the leader's clock from the
+        /// checkpoint: elected later, it proposes above everything its group
+        /// delivered.
+        #[test]
+        fn a_caught_up_follower_s_clock_is_at_least_the_checkpoint_s() {
+            let replica = |p| {
+                BaselineReplica::new(ProcessId(p), GroupId(0), cluster(), Mode::FtSkeen)
+                    .with_compaction(4, 0)
+            };
+            let mut leader = replica(0);
+            for seq in 0..3 {
+                let multicast = BaselineMsg::Multicast {
+                    msg: msg(seq, &[0]),
+                };
+                leader.on_event(Duration::ZERO, Event::message(ProcessId(6), multicast));
+            }
+            let request = BaselineMsg::CatchupRequest {
+                group: GroupId(0),
+                delivered_gts: Timestamp::BOTTOM,
+                next_slot: 0,
+            };
+            let transfer = leader
+                .on_event(Duration::ZERO, Event::message(ProcessId(1), request))
+                .into_iter()
+                .find_map(|a| match a {
+                    Action::Send { msg, .. } => Some(msg),
+                    _ => None,
+                })
+                .expect("a state transfer");
+            let mut follower = replica(1);
+            follower.on_event(Duration::ZERO, Event::message(ProcessId(0), transfer));
+            assert_eq!(leader.checkpoint().clock, 3);
+            assert!(follower.clock() >= 3, "clock {}", follower.clock());
+        }
+
         #[test]
         fn client_sends_to_destination_leaders_and_records_reply() {
             let mut c = BaselineClient::new(ProcessId(6), cluster(), Duration::from_millis(200));

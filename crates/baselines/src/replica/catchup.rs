@@ -49,27 +49,20 @@ impl BaselineReplica {
     /// outstanding catch-up request to the group leader and re-arms the
     /// retry timer.
     pub(super) fn send_catchup_request(&mut self) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
-        if !self.catchup_pending {
-            return actions;
-        }
-        if let Some(leader) = self.leader_of(self.group) {
-            if leader != self.id {
-                actions.push(Action::send(
-                    leader,
-                    BaselineMsg::CatchupRequest {
-                        group: self.group,
-                        delivered_gts: self.progress.max_delivered_gts(),
-                        next_slot: self.paxos.decided_len(),
-                    },
-                ));
-                actions.push(Action::SetTimer {
-                    id: CATCHUP_TIMER,
-                    delay: CATCHUP_RETRY,
-                });
-            }
-        }
-        actions
+        let leader = self.leader_of(self.group).filter(|l| *l != self.id);
+        let (true, Some(leader)) = (self.catchup_pending, leader) else {
+            return Vec::new();
+        };
+        let request = BaselineMsg::CatchupRequest {
+            group: self.group,
+            delivered_gts: self.progress.max_delivered_gts(),
+            next_slot: self.paxos.decided_len(),
+        };
+        let retry = Action::SetTimer {
+            id: CATCHUP_TIMER,
+            delay: CATCHUP_RETRY,
+        };
+        vec![Action::send(leader, request), retry]
     }
 
     /// Leader handler for a catch-up request: reply with checkpoint + the
@@ -119,6 +112,8 @@ impl BaselineReplica {
             actions.push(Action::CancelTimer(CATCHUP_TIMER));
         }
         self.progress.install(&checkpoint);
+        // The commands below the frontier never apply here: take their clock.
+        self.delivery.observe(checkpoint.clock);
         let out = self.paxos.install_snapshot(frontier, log);
         actions.extend(self.convert_paxos(out));
         // Re-deliver what the leader already delivered: the delivery

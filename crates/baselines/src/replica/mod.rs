@@ -113,17 +113,13 @@ pub struct BaselineReplica {
     mode: Mode,
     paxos: PaxosReplica<Command>,
     group_members: Vec<ProcessId>,
-    /// Clock used by the leader to assign fresh local timestamps. Crucially,
-    /// it is advanced past a message's *global* timestamp only when the second
-    /// consensus (`CommitGlobal`) completes — this is what gives both
-    /// baselines their ~2× failure-free latency degradation (paper §VI).
-    clock: u64,
     records: RecordMap<BaselineRecord>,
     /// FastCast confirmations that arrived before this leader had heard of the
     /// message itself (possible with jittery links); merged into the record as
     /// soon as it is created.
     pending_confirms: BTreeMap<MsgId, BTreeSet<GroupId>>,
-    /// Skeen's delivery rule over the records (see [`BaselineRecord::queue_keys`]).
+    /// The clock the leader assigns local timestamps from, and Skeen's
+    /// delivery rule over the records (see [`BaselineRecord::queue_keys`]).
     delivery: DeliveryQueue,
     /// Delivery progress (the duplicate filter for leader-driven delivery),
     /// the delivered filter and the `STABLE` exchange.
@@ -175,7 +171,6 @@ impl BaselineReplica {
             mode,
             paxos: PaxosReplica::new(PaxosConfig::new(id, members.clone())),
             group_members: members,
-            clock: 0,
             records: RecordMap::new(),
             pending_confirms: BTreeMap::new(),
             delivery: DeliveryQueue::new(),
@@ -219,7 +214,7 @@ impl BaselineReplica {
     /// The replica's ordering-layer checkpoint (the baselines have no
     /// per-message ballots; the checkpoint ballot slot carries bottom).
     pub fn checkpoint(&self) -> Checkpoint {
-        self.progress.checkpoint(Ballot::BOTTOM, self.clock)
+        self.progress.checkpoint(Ballot::BOTTOM, self.clock())
     }
 
     /// Whether this replica is its group's (consensus) leader.
@@ -239,7 +234,7 @@ impl BaselineReplica {
 
     /// The replica's timestamp-assignment clock.
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.delivery.clock()
     }
 
     fn leader_of(&self, g: GroupId) -> Option<ProcessId> {

@@ -49,12 +49,8 @@ impl BaselineReplica {
         }
         if !self.paxos.is_leader() {
             // Forward to the group's leader.
-            if let Some(leader) = self.leader_of(self.group) {
-                if leader != self.id {
-                    actions.push(Action::send(leader, BaselineMsg::Multicast { msg }));
-                }
-            }
-            return actions;
+            let leader = self.leader_of(self.group).filter(|l| *l != self.id);
+            return Action::send_to_all(leader, BaselineMsg::Multicast { msg });
         }
         if !self.records.contains_key(&msg.id) && self.progress.has_delivered(msg.id) {
             // Duplicate of a message delivered everywhere and pruned:
@@ -93,8 +89,7 @@ impl BaselineReplica {
             }
             return actions;
         }
-        self.clock += 1;
-        let local_ts = Timestamp::new(self.clock, self.group);
+        let local_ts = self.delivery.propose(self.group);
         self.update(msg.id, |r| {
             r.assign_proposed = true;
             r.tentative_lts = local_ts;
@@ -189,7 +184,7 @@ impl BaselineReplica {
                         r.local_ts = local_ts;
                     }
                 });
-                self.clock = self.clock.max(local_ts.time());
+                self.delivery.observe(local_ts.time());
                 if self.paxos.is_leader() {
                     match self.mode {
                         Mode::FtSkeen => {
@@ -227,8 +222,8 @@ impl BaselineReplica {
                 });
                 // The clock advances past the global timestamp only here, i.e.
                 // only after the second consensus — the source of the 2×
-                // failure-free latency degradation of the baselines.
-                self.clock = self.clock.max(global_ts.time());
+                // failure-free latency degradation of the baselines (§VI).
+                self.delivery.observe(global_ts.time());
                 actions.extend(self.try_deliver());
             }
         }
@@ -290,17 +285,12 @@ impl BaselineReplica {
             // delivering is still a candidate, and goes back.
             self.update(id, |_| ());
             // Tell the followers.
-            for member in self.group_members.clone() {
-                if member != self.id {
-                    actions.push(Action::send(
-                        member,
-                        BaselineMsg::Deliver {
-                            msg_id: id,
-                            global_ts: gts,
-                        },
-                    ));
-                }
-            }
+            let followers = self.group_members.iter().copied().filter(|p| *p != self.id);
+            let deliver = BaselineMsg::Deliver {
+                msg_id: id,
+                global_ts: gts,
+            };
+            actions.extend(Action::send_to_all(followers, deliver));
         }
         actions
     }

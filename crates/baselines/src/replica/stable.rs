@@ -32,6 +32,9 @@ impl BaselineReplica {
             }
             StableStep::Advance(to) => {
                 self.prune();
+                if to.is_empty() {
+                    return Vec::new();
+                }
                 let watermarks = self.progress.watermarks().clone();
                 Action::send_to_all(to, BaselineMsg::StableAdvance { watermarks })
             }

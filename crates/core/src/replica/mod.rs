@@ -65,8 +65,6 @@ pub enum Status {
 pub struct WhiteBoxReplica {
     config: ReplicaConfig,
     status: Status,
-    /// The logical clock used to generate local timestamps (Figure 3).
-    clock: u64,
     /// The ballot this replica last synchronised with (`cballot`).
     cballot: Ballot,
     /// The highest ballot this replica has joined (`ballot`); `cballot ≤ ballot`.
@@ -87,9 +85,10 @@ pub struct WhiteBoxReplica {
     next_retry_timer: u64,
     /// Last time we heard from our group's leader (heartbeat or any message).
     last_leader_activity: Duration,
-    /// Delivery-condition index (Figure 4 line 21): the local timestamps of
-    /// records whose phase is `PROPOSED` or `ACCEPTED`, and the global
-    /// timestamps of committed-but-undelivered records.
+    /// The logical clock and the delivery-condition index (Figure 4 line
+    /// 21): the local timestamps of records whose phase is `PROPOSED` or
+    /// `ACCEPTED`, and the global timestamps of committed-but-undelivered
+    /// records.
     delivery: DeliveryQueue,
     /// `max_delivered_gts`, the delivered filter that answers duplicates of
     /// pruned records, and the `STABLE` exchange.
@@ -160,7 +159,6 @@ impl WhiteBoxReplica {
         let group_members = group.members().to_vec();
         Ok(WhiteBoxReplica {
             status,
-            clock: 0,
             cballot: initial_ballot,
             ballot: initial_ballot,
             cur_leader,
@@ -191,9 +189,9 @@ impl WhiteBoxReplica {
         self.cballot
     }
 
-    /// The replica's logical clock.
+    /// The replica's logical clock (Figure 3), kept by the delivery queue.
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.delivery.clock()
     }
 
     /// The phase of a message at this replica, if it has heard of it.
@@ -243,7 +241,7 @@ impl WhiteBoxReplica {
     /// The replica's current ordering-layer checkpoint (see
     /// [`DeliveryProgress::checkpoint`]).
     pub fn checkpoint(&self) -> Checkpoint {
-        self.progress.checkpoint(self.cballot, self.clock)
+        self.progress.checkpoint(self.cballot, self.clock())
     }
 
     /// Whether this replica currently acts as its group's leader.
@@ -261,13 +259,8 @@ impl WhiteBoxReplica {
 
     /// Processes of every destination group of `m`.
     fn destination_processes(&self, msg: &AppMessage) -> Vec<ProcessId> {
-        let mut out = Vec::new();
-        for g in msg.dest.iter() {
-            if let Some(gc) = self.config.cluster.group(g) {
-                out.extend_from_slice(gc.members());
-            }
-        }
-        out
+        let groups = msg.dest.iter().filter_map(|g| self.config.cluster.group(g));
+        groups.flat_map(|gc| gc.members().iter().copied()).collect()
     }
 
     /// Current leaders of the destination groups of `m`.

@@ -40,12 +40,8 @@ impl WhiteBoxReplica {
             Status::Follower => {
                 // Help clients with a stale leader guess: forward to our leader.
                 let leader = self.cur_leader.get(&self.own_group()).copied();
-                if let Some(leader) = leader {
-                    if leader != self.config.id {
-                        actions.push(Action::send(leader, WhiteBoxMsg::Multicast { msg }));
-                    }
-                }
-                return actions;
+                let leader = leader.filter(|l| *l != self.config.id);
+                return Action::send_to_all(leader, WhiteBoxMsg::Multicast { msg });
             }
             Status::Leader => {}
         }
@@ -77,14 +73,12 @@ impl WhiteBoxReplica {
             return actions;
         }
         let cballot = self.cballot;
-        let clock = &mut self.clock;
         let record = self
             .records
             .get_or_insert_with(msg.id, || MessageRecord::new(msg.clone()));
         if record.phase == Phase::Start {
             // Lines 5–8: assign a fresh local timestamp.
-            *clock += 1;
-            record.local_ts = Timestamp::new(*clock, group);
+            record.local_ts = self.delivery.propose(group);
             record.phase = Phase::Proposed;
             self.delivery.pend(record.local_ts, msg.id);
         } else if record.phase == Phase::Committed && record.delivered {
@@ -152,7 +146,6 @@ impl WhiteBoxReplica {
         }
         let own_group = self.own_group();
         let cballot = self.cballot;
-        let speculative = self.config.speculative_clock_update;
         let msg_id = msg.id;
         let (own_accept, implied_gts) = {
             let record = self
@@ -180,10 +173,10 @@ impl WhiteBoxReplica {
             record.phase = Phase::Accepted;
             record.local_ts = own_lts;
             self.delivery.pend(own_lts, msg_id);
-            if speculative {
+            if self.config.speculative_clock_update {
                 // The speculative clock update: advance the clock past the
                 // *future* global timestamp before it is known to be durable.
-                self.clock = self.clock.max(implied_gts.time());
+                self.delivery.observe(implied_gts.time());
             }
         }
         // Lines 15–16: acknowledge to the leader of every destination group.
@@ -402,7 +395,7 @@ impl WhiteBoxReplica {
         record.local_ts = local_ts;
         record.commit(global_ts);
         record.delivered = true;
-        self.clock = self.clock.max(global_ts.time());
+        self.delivery.observe(global_ts.time());
     }
 
     // ------------------------------------------------------------------
@@ -478,12 +471,13 @@ mod tests {
         leader: ProcessId(0),
     };
 
-    /// Group 0's three replicas (of a 2 × 3 cluster), indexed by process id.
-    fn group() -> Vec<WhiteBoxReplica> {
+    /// Group `g`'s three replicas (of a 2 × 3 cluster), in process-id order:
+    /// group 0's are indexed by process id.
+    fn group(g: u32) -> Vec<WhiteBoxReplica> {
         let cluster = ClusterConfig::builder().groups(2, 3).clients(1).build();
-        (0..3)
+        (3 * g..3 * g + 3)
             .map(|id| {
-                let cfg = ReplicaConfig::new(ProcessId(id), GroupId(0), cluster.clone())
+                let cfg = ReplicaConfig::new(ProcessId(id), GroupId(g), cluster.clone())
                     .without_auto_election();
                 WhiteBoxReplica::new(cfg)
             })
@@ -531,6 +525,18 @@ mod tests {
         sends(ProcessId(to), out).collect()
     }
 
+    /// `msg` from `from` to `to`, a replica of `g`, and its sends.
+    fn handle_at(
+        g: &mut [WhiteBoxReplica],
+        from: ProcessId,
+        to: ProcessId,
+        msg: WhiteBoxMsg,
+    ) -> Vec<Sent> {
+        let replica = g.iter_mut().find(|r| r.id() == to).expect("a member");
+        let out = replica.on_event(Duration::ZERO, Event::message(from, msg));
+        sends(to, out).collect()
+    }
+
     /// The form of every `DELIVER` of `id` in `log`, by recipient, in order:
     /// `true` for by reference.
     fn deliver_forms(log: &[Sent], id: MsgId, ballot: Ballot) -> Vec<(u32, bool)> {
@@ -559,7 +565,7 @@ mod tests {
     /// arrived later in the round, and nothing else.
     #[test]
     fn deliver_goes_by_reference_to_exactly_the_counted_ackers() {
-        let mut g = group();
+        let mut g = group(0);
         let m = app(0);
         let accepts = handle(&mut g, CLIENT, 0, WhiteBoxMsg::Multicast { msg: m.clone() });
         // Every member stores the proposal and acks; the acks wait.
@@ -623,7 +629,7 @@ mod tests {
     /// `DELIVER` of the same message still delivers it.
     #[test]
     fn an_unresolvable_reference_is_a_lost_frame() {
-        let mut follower = group().remove(1);
+        let mut follower = group(0).remove(1);
         let m = app(0);
         let out = follower.on_event(
             Duration::ZERO,
@@ -653,7 +659,7 @@ mod tests {
     /// ballot makes no holder while one in the new ballot does.
     #[test]
     fn holders_start_empty_in_a_new_ballot_and_old_acks_make_none() {
-        let mut g = group();
+        let mut g = group(0);
         let (m1, m2) = (app(1), app(2));
         let first = handle(
             &mut g,
@@ -710,5 +716,116 @@ mod tests {
         settle(&mut g, &[1, 2], missed);
         assert_eq!(g[2].current_ballot(), b2);
         assert!(g[1].holds_record(ProcessId(2), m2.id, b2));
+    }
+
+    /// A leader's release moves its clock past the global timestamp before
+    /// its own `DELIVER` comes back. Driven at group 1, with group 0's
+    /// messages written by hand:
+    /// 1. g0's new leader re-proposes the cross-group `m` at (13, g0), above
+    ///    the (4, g0) that g1 had accepted, so no member's clock moves;
+    /// 2. g1's leader p3 commits and releases `m` at (13, g0), with its own
+    ///    `DELIVER` still queued;
+    /// 3. a `MULTICAST` of `n` reaches p3, which proposes it;
+    /// 4. `n` commits and its `DELIVER`s queue behind `m`'s;
+    /// 5. the client's retry of `n` gets a reply.
+    ///
+    /// With a clock that moved only at p3's own `DELIVER`, `n` got (5, g1),
+    /// every member refused its `DELIVER` as one at or below progress, and
+    /// the client got its reply all the same.
+    #[test]
+    fn a_proposal_after_a_release_is_above_the_released_global_timestamp() {
+        let (g0, g1) = (GroupId(0), GroupId(1));
+        let (p3, members) = (ProcessId(3), [3, 4, 5].map(ProcessId));
+        let mut g = group(1);
+        let dest = Destination::new([g0, g1]).expect("two groups");
+        let m = AppMessage::new(MsgId::new(CLIENT, 0), dest, Payload::from("m"));
+        let n = AppMessage::new(
+            MsgId::new(CLIENT, 1),
+            Destination::single(g1),
+            Payload::from("n"),
+        );
+        let (old, new) = (Ballot::new(1, ProcessId(0)), Ballot::new(2, ProcessId(2)));
+        let g0_accept = |ballot, time| WhiteBoxMsg::Accept {
+            msg: m.clone(),
+            group: g0,
+            ballot,
+            local_ts: Timestamp::new(time, g0),
+        };
+        // g1 proposes m at (1, g1) and g0 at (4, g0): every member accepts.
+        let proposal = handle_at(
+            &mut g,
+            CLIENT,
+            p3,
+            WhiteBoxMsg::Multicast { msg: m.clone() },
+        );
+        for (from, to, msg) in proposal
+            .into_iter()
+            .filter(|(_, to, _)| members.contains(to))
+        {
+            handle_at(&mut g, from, to, msg);
+            handle_at(&mut g, ProcessId(0), to, g0_accept(old, 4));
+        }
+        assert_eq!(g[0].clock(), 4);
+        // Step 1: the re-proposal.
+        let acks: Vec<Sent> = members
+            .iter()
+            .flat_map(|&p| handle_at(&mut g, ProcessId(2), p, g0_accept(new, 13)))
+            .filter(|(_, to, _)| *to == p3)
+            .collect();
+        assert_eq!(
+            g[0].clock(),
+            4,
+            "an accepted record's re-proposal moves no clock"
+        );
+        // Step 2: g1's acks and a quorum of g0's commit m at p3.
+        let ballots: BallotVector = [(g0, new), (g1, Ballot::new(1, p3))].into();
+        let g0_acks = [1, 2].map(|p| {
+            let ack = WhiteBoxMsg::AcceptAck {
+                msg_id: m.id,
+                group: g0,
+                ballots: ballots.clone(),
+            };
+            (ProcessId(p), p3, ack)
+        });
+        let released: Vec<Sent> = acks
+            .into_iter()
+            .chain(g0_acks)
+            .flat_map(|(from, to, msg)| handle_at(&mut g, from, to, msg))
+            .collect();
+        let gts = Timestamp::new(13, g0);
+        assert_eq!(deliver_forms(&released, m.id, Ballot::new(1, p3)).len(), 3);
+        // Step 3: n's proposal, above what p3 released.
+        let proposal = handle_at(
+            &mut g,
+            CLIENT,
+            p3,
+            WhiteBoxMsg::Multicast { msg: n.clone() },
+        );
+        let lts = g[0].records[&n.id].local_ts;
+        assert!(lts > gts, "n proposed at {lts} after releasing {gts}");
+        // Step 4: m's DELIVERs first, then n's commit and DELIVERs.
+        let mut queue: VecDeque<Sent> = released.into_iter().chain(proposal).collect();
+        while let Some((from, to, msg)) = queue.pop_front() {
+            if members.contains(&to) {
+                queue.extend(handle_at(&mut g, from, to, msg));
+            }
+        }
+        for replica in &g {
+            let progress = replica.progress();
+            assert_eq!(
+                (progress.delivered_count(), progress.max_delivered_gts()),
+                (2, lts)
+            );
+            assert_eq!(progress.lost_deliveries(), 0);
+        }
+        // Step 5: the client's retry is answered.
+        let retry = handle_at(
+            &mut g,
+            CLIENT,
+            p3,
+            WhiteBoxMsg::Multicast { msg: n.clone() },
+        );
+        assert!(retry.iter().any(|(_, to, msg)| *to == CLIENT
+            && matches!(msg, WhiteBoxMsg::ClientReply { msg_id, .. } if *msg_id == n.id)));
     }
 }

@@ -296,10 +296,11 @@ impl WhiteBoxReplica {
                 (id, rec)
             })
             .collect();
-        // Rebuild the delivery-condition and compaction indexes. With
-        // compaction enabled the new map holds only the suffix above the
-        // watermark, so this costs O(suffix), not O(history).
+        // Rebuild the clock, the delivery-condition and compaction indexes.
+        // With compaction enabled the new map holds only the suffix above
+        // the watermark, so this costs O(suffix), not O(history).
         self.delivery = DeliveryQueue::new();
+        self.delivery.observe(checkpoint.clock);
         for r in self.records.values() {
             if r.is_pending() {
                 self.delivery.pend(r.local_ts, r.id());
@@ -311,7 +312,6 @@ impl WhiteBoxReplica {
         self.progress
             .reindex(delivered.map(|r| (r.global_ts, r.id())));
         self.prune_records();
-        self.clock = checkpoint.clock;
         // cballot ← b: line 55 at the leader, lines 57–62 at a follower.
         self.cballot = ballot;
     }

@@ -36,6 +36,9 @@ impl WhiteBoxReplica {
             }
             StableStep::Advance(to) => {
                 self.prune_records();
+                if to.is_empty() {
+                    return Vec::new();
+                }
                 let watermarks = self.progress.watermarks().clone();
                 Action::send_to_all(to, WhiteBoxMsg::StableAdvance { watermarks })
             }

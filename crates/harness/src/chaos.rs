@@ -561,6 +561,8 @@ fn run_live(
             ops: invoked,
             deliveries: records.into_iter().chain(completions).collect(),
             trace: None,
+            // A deployed replica's state is out of reach.
+            lost_deliveries: BTreeMap::new(),
         };
         report.check(&observed, &policy);
     }

@@ -474,6 +474,21 @@ impl ProtocolSim {
         out
     }
 
+    /// Per replica, the `DELIVER`s it refused for messages it never
+    /// delivered ([`crate::explore::Observed::lost_deliveries`]); replicas
+    /// with none are left out.
+    pub fn lost_deliveries(&self) -> std::collections::BTreeMap<ProcessId, u64> {
+        let lost = |p: ProcessId| match &self.inner {
+            SimInner::WhiteBox(s) => crate::explore::lost_deliveries(s.node(p)?.as_any()?),
+            SimInner::Baseline(s) => crate::explore::lost_deliveries(s.node(p)?.as_any()?),
+            SimInner::Skeen(_) => None,
+        };
+        let replicas = self.cluster.groups().iter().flat_map(|g| g.members());
+        replicas
+            .filter_map(|&p| Some((p, lost(p).filter(|n| *n > 0)?)))
+            .collect()
+    }
+
     /// Submits a multicast from client `client_index` at time `at`, addressed
     /// to `dest`, with a zero-filled payload of `payload_len` bytes.
     /// Returns the message identifier.

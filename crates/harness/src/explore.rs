@@ -32,6 +32,7 @@
 //! reported as its replayable [`Token`]; before reporting, the explorer
 //! greedily [`minimize`]s the nemesis plan of a replayable engine.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
@@ -39,10 +40,12 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use wbam_baselines::BaselineReplica;
 use wbam_core::invariants::{
     check_deliver_agreement, check_deliver_local_ts_per_group, check_total_order,
     check_unique_proposals, SentMessage,
 };
+use wbam_core::WhiteBoxReplica;
 use wbam_kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
 use wbam_simnet::DeliveryRecord;
 use wbam_types::wire::WireCodec;
@@ -374,6 +377,24 @@ pub struct Observed {
     /// The white-box message trace for the Figure 6 checks, where the
     /// engine records one.
     pub trace: Option<Vec<SentMessage>>,
+    /// Per replica, the `DELIVER`s it refused for messages it never
+    /// delivered
+    /// ([`DeliveryProgress::lost_deliveries`](wbam_types::DeliveryProgress::lost_deliveries)),
+    /// where the engine can read replica state; replicas with none are
+    /// left out.
+    pub lost_deliveries: BTreeMap<ProcessId, u64>,
+}
+
+/// A replica's count of deliveries refused for messages it never delivered
+/// ([`DeliveryProgress::lost_deliveries`](wbam_types::DeliveryProgress::lost_deliveries)),
+/// read through [`Node::as_any`](wbam_types::Node::as_any); `None` for
+/// clients and for plain Skeen, which keeps no delivery progress.
+pub(crate) fn lost_deliveries(node: &dyn Any) -> Option<u64> {
+    let progress = match node.downcast_ref::<WhiteBoxReplica>() {
+        Some(replica) => replica.progress(),
+        None => node.downcast_ref::<BaselineReplica>()?.progress(),
+    };
+    Some(progress.lost_deliveries())
 }
 
 /// What an engine's environment excuses, as data for [`check_run`].
@@ -460,6 +481,15 @@ pub fn check_run(observed: &Observed, policy: &CheckPolicy) -> Result<usize, Str
         history.applied(msg, process, group, gts, read);
     }
     check_total_order(&per_process).map_err(|v| format!("invariant: {v}"))?;
+    // A refused `DELIVER` for a message never delivered is a gap for good.
+    // Only a crash or a lossy link can make one (the replica missed the
+    // `DELIVER`s before it), and the policy excuses gaps exactly there.
+    let mut lost = observed.lost_deliveries.iter();
+    if let Some((process, n)) = lost.find(|(p, _)| !policy.lossy && !policy.faulty.contains(p)) {
+        return Err(format!(
+            "invariant: {process} refused {n} DELIVERs of messages it never delivered"
+        ));
+    }
 
     // Replicas may carry excused gaps, but an operation a client saw
     // complete was by definition delivered somewhere: absent from every
@@ -900,6 +930,7 @@ pub(crate) mod tests {
             ops,
             deliveries,
             trace: None,
+            lost_deliveries: BTreeMap::new(),
         };
         let policy = CheckPolicy {
             require_termination: true,
@@ -910,6 +941,35 @@ pub(crate) mod tests {
         let violation = report.violation.expect("the lost op fails termination");
         assert!(violation.starts_with("termination: 1 of 2"), "{violation}");
         assert_eq!(report.completed, 1);
+    }
+
+    /// A replica that refused a `DELIVER` of a message it never delivered
+    /// fails the run, unless a crash or a lossy link excuses its gaps.
+    #[test]
+    fn a_lost_delivery_fails_the_run_where_no_gap_is_excused() {
+        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
+        let observed = Observed {
+            cluster,
+            ops: Vec::new(),
+            deliveries: Vec::new(),
+            trace: None,
+            lost_deliveries: [(ProcessId(1), 2)].into(),
+        };
+        let strict = CheckPolicy::default();
+        assert_eq!(
+            check_run(&observed, &strict),
+            Err("invariant: p1 refused 2 DELIVERs of messages it never delivered".into())
+        );
+        let crashed = CheckPolicy {
+            faulty: [ProcessId(1)].into(),
+            ..CheckPolicy::default()
+        };
+        assert_eq!(check_run(&observed, &crashed), Ok(0));
+        let lossy = CheckPolicy {
+            lossy: true,
+            ..CheckPolicy::default()
+        };
+        assert_eq!(check_run(&observed, &lossy), Ok(0));
     }
 
     #[test]

@@ -262,6 +262,7 @@ pub fn run_generated(token: &Token, schedule: &GeneratedSchedule) -> Report {
         ops,
         deliveries: sim.deliveries().to_vec(),
         trace: sim.whitebox_trace(),
+        lost_deliveries: sim.lost_deliveries(),
     };
     report.digest = delivery_digest(&observed.deliveries, stats.messages_sent);
     report.deliveries = observed.deliveries.len();

@@ -37,8 +37,8 @@ use wbam_types::{AppMessage, CrashSpec, MsgId, NemesisPlan, ProcessId, WbamError
 use crate::cluster::Protocol;
 use crate::deploy::{DeployRole, DeploySpec};
 use crate::explore::{
-    delivery_digest, draw_kv_command, kv_message, ms, CheckPolicy, Observed, PlannedOp, Report,
-    Token,
+    delivery_digest, draw_kv_command, kv_message, lost_deliveries, ms, CheckPolicy, Observed,
+    PlannedOp, Report, Token,
 };
 
 /// Replicas per group (`2f + 1` with `f = 1`).
@@ -149,6 +149,9 @@ struct RawRun {
     /// checkers; `None` for the baselines (whose wire format the white-box
     /// checkers do not read).
     whitebox_trace: Option<Vec<SentMessage>>,
+    /// Per replica, the `DELIVER`s it refused for messages it never
+    /// delivered; replicas with none are left out.
+    lost_deliveries: BTreeMap<ProcessId, u64>,
 }
 
 /// Runs `nodes` — replicas in group order (matching their process-id
@@ -161,6 +164,7 @@ fn drive<M: Clone + Send + 'static>(
     submissions: Vec<(Duration, ProcessId, AppMessage)>,
     whitebox_trace: impl FnOnce(&DeterministicRuntime<M>) -> Option<Vec<SentMessage>>,
 ) -> RawRun {
+    let ids: Vec<ProcessId> = nodes.iter().map(|node| node.id()).collect();
     let mut rt = DeterministicRuntime::new(nodes, token.seed);
     for (at, client, msg) in submissions {
         rt.schedule_submit(at, client, msg);
@@ -170,10 +174,15 @@ fn drive<M: Clone + Send + 'static>(
         rt.schedule_crash(crash.at, crash.process, restart_at - crash.at);
     }
     rt.run(HORIZON);
+    let lost = |p| lost_deliveries(rt.node(p)?.as_any()?).filter(|n| *n > 0);
     RawRun {
         deliveries: rt.deliveries(),
         trace_digest: rt.trace_digest(),
         whitebox_trace: whitebox_trace(&rt),
+        lost_deliveries: ids
+            .into_iter()
+            .filter_map(|p| Some((p, lost(p)?)))
+            .collect(),
     }
 }
 
@@ -285,6 +294,7 @@ pub fn run_rt_artifacts(token: &Token, plan: &RtPlan) -> RtArtifacts {
         ops,
         deliveries,
         trace: raw.whitebox_trace,
+        lost_deliveries: raw.lost_deliveries,
     };
     report.check(&observed, &policy);
     RtArtifacts {

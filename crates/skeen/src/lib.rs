@@ -92,7 +92,6 @@ struct SkeenRecord {
     phase: Phase,
     local_ts: Timestamp,
     global_ts: Timestamp,
-    delivered: bool,
     proposals: BTreeMap<GroupId, Timestamp>,
 }
 
@@ -103,7 +102,6 @@ impl SkeenRecord {
             phase: Phase::Start,
             local_ts: Timestamp::BOTTOM,
             global_ts: Timestamp::BOTTOM,
-            delivered: false,
             proposals: BTreeMap::new(),
         }
     }
@@ -117,10 +115,9 @@ pub struct SkeenProcess {
     group: GroupId,
     /// The single member of every group, in the system configuration.
     group_processes: BTreeMap<GroupId, ProcessId>,
-    clock: u64,
     records: RecordMap<SkeenRecord>,
-    /// Delivery-condition index: `PROPOSED` local timestamps and committed,
-    /// undelivered global timestamps.
+    /// The logical clock and the delivery-condition index: `PROPOSED` local
+    /// timestamps and committed, undelivered global timestamps.
     delivery: DeliveryQueue,
     delivered_count: u64,
 }
@@ -137,7 +134,6 @@ impl SkeenProcess {
             id,
             group,
             group_processes: groups.into_iter().collect(),
-            clock: 0,
             records: RecordMap::new(),
             delivery: DeliveryQueue::new(),
             delivered_count: 0,
@@ -146,7 +142,7 @@ impl SkeenProcess {
 
     /// The process's logical clock.
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.delivery.clock()
     }
 
     /// Number of application messages delivered so far.
@@ -170,18 +166,15 @@ impl SkeenProcess {
     /// Figure 1, lines 8–12: assign a local timestamp and send `PROPOSE` to
     /// all destinations.
     fn handle_multicast(&mut self, msg: AppMessage) -> Vec<Action<SkeenMsg>> {
-        let mut actions = Vec::new();
         if !msg.dest.contains(self.group) {
-            return actions;
+            return Vec::new();
         }
         let group = self.group;
-        let clock = &mut self.clock;
         let record = self
             .records
             .get_or_insert_with(msg.id, || SkeenRecord::new(msg.clone()));
         if record.phase == Phase::Start {
-            *clock += 1;
-            record.local_ts = Timestamp::new(*clock, group);
+            record.local_ts = self.delivery.propose(group);
             record.phase = Phase::Proposed;
             self.delivery.pend(record.local_ts, msg.id);
         }
@@ -190,12 +183,8 @@ impl SkeenProcess {
             group,
             local_ts: record.local_ts,
         };
-        for g in msg.dest.iter() {
-            if let Some(p) = self.group_processes.get(&g) {
-                actions.push(Action::send(*p, propose.clone()));
-            }
-        }
-        actions
+        let processes = msg.dest.iter().filter_map(|g| self.group_processes.get(&g));
+        Action::send_to_all(processes.copied(), propose)
     }
 
     /// Figure 1, lines 13–19: once proposals from all destination groups are
@@ -226,7 +215,7 @@ impl SkeenProcess {
         record.global_ts = gts;
         record.phase = Phase::Committed;
         self.delivery.commit(gts, msg.id);
-        self.clock = self.clock.max(gts.time());
+        self.delivery.observe(gts.time());
         // Line 17: deliver committed messages not blocked by pending proposals.
         actions.extend(self.try_deliver());
         actions
@@ -235,8 +224,7 @@ impl SkeenProcess {
     fn try_deliver(&mut self) -> Vec<Action<SkeenMsg>> {
         let mut actions = Vec::new();
         for (gts, id) in self.delivery.pop_deliverable(|_| true) {
-            let record = self.records.get_mut(&id).expect("candidate exists");
-            record.delivered = true;
+            let record = &self.records[&id];
             self.delivered_count += 1;
             actions.push(Action::Deliver(DeliveredMessage::with_timestamp(
                 record.msg.clone(),

@@ -71,6 +71,7 @@ pub struct DeliveryProgress {
     pruned: u64,
     transfer_recoveries: u64,
     transfer_excused_below: Timestamp,
+    lost_deliveries: u64,
 }
 
 impl DeliveryProgress {
@@ -91,6 +92,7 @@ impl DeliveryProgress {
             pruned: 0,
             transfer_recoveries: 0,
             transfer_excused_below: Timestamp::BOTTOM,
+            lost_deliveries: 0,
         }
     }
 
@@ -122,11 +124,14 @@ impl DeliveryProgress {
     }
 
     /// Notes the delivery of `id` at `gts`. One at or below progress is
-    /// refused with `None` and changes nothing; otherwise returns whether a
-    /// `STABLE` round is due: every `interval` deliveries, never with
-    /// compaction off.
+    /// refused with `None` (and counted as lost if `id` was never delivered
+    /// here nor jumped over); otherwise returns whether a `STABLE` round is
+    /// due: every `interval` deliveries, never with compaction off.
     pub fn note_delivery(&mut self, gts: Timestamp, id: MsgId) -> Option<bool> {
         if gts <= self.max_delivered_gts {
+            if gts > self.transfer_excused_below && !self.filter.contains(id) {
+                self.lost_deliveries += 1;
+            }
             return None;
         }
         self.max_delivered_gts = gts;
@@ -334,6 +339,14 @@ impl DeliveryProgress {
     pub fn transfer_excused_below(&self) -> Timestamp {
         self.transfer_excused_below
     }
+
+    /// Deliveries refused at or below progress for a message neither
+    /// delivered here nor under a state transfer's watermark: each one is
+    /// lost at this replica for good. Only a crash or a lost message can
+    /// make one.
+    pub fn lost_deliveries(&self) -> u64 {
+        self.lost_deliveries
+    }
 }
 
 #[cfg(test)]
@@ -504,6 +517,25 @@ mod tests {
         p.note_reinstalled(ts(3), id(3));
         assert!(p.has_delivered(id(3)) && !p.has_delivered(id(6)));
         assert_eq!((p.delivered_count(), p.max_delivered_gts()), (1, ts(5)));
+    }
+
+    #[test]
+    fn a_refusal_counts_as_lost_unless_delivered_here_or_jumped_over() {
+        let mut p = progress(1, 0);
+        let _ = p.note_delivery(ts(5), id(5));
+        assert_eq!(p.note_delivery(ts(5), id(5)), None, "a duplicate");
+        assert_eq!(p.lost_deliveries(), 0);
+        assert_eq!(p.note_delivery(ts(3), id(3)), None);
+        assert_eq!(p.lost_deliveries(), 1, "3 was never delivered here");
+        let mut checkpoint = p.checkpoint(Ballot::BOTTOM, 0);
+        checkpoint.watermarks.insert(GroupId(0), ts(8));
+        p.install(&checkpoint);
+        assert_eq!(
+            p.note_delivery(ts(7), id(7)),
+            None,
+            "installed, not replayed"
+        );
+        assert_eq!(p.lost_deliveries(), 1);
     }
 
     #[test]

@@ -6,17 +6,22 @@
 //! its local one, so the rule compares the smallest pending local timestamp
 //! with the smallest committed global timestamp. [`DeliveryQueue`] keeps both
 //! as ordered sets: O(log n) per delivery instead of a scan of every record.
+//! The rule is safe only if no process proposes a local timestamp at or below
+//! a global timestamp it has released, so the queue also owns the Lamport
+//! clock, and its release moves the clock past what it yields.
 
 use std::collections::BTreeSet;
 
-use crate::ids::MsgId;
+use crate::ids::{GroupId, MsgId};
 use crate::timestamp::Timestamp;
 
-/// One replica's pending local timestamps and committed-but-undelivered
-/// global timestamps. Each protocol decides what "pending" means for its
-/// records and keeps the queue in step with them.
+/// One replica's Lamport clock, pending local timestamps and
+/// committed-but-undelivered global timestamps. Each protocol decides what
+/// "pending" means for its records and keeps the queue in step with them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeliveryQueue {
+    /// Past every local timestamp proposed and every timestamp observed.
+    clock: u64,
     /// `(local timestamp, id)` of every pending message.
     pending: BTreeSet<(Timestamp, MsgId)>,
     /// `(global timestamp, id)` of every committed, undelivered message.
@@ -24,9 +29,27 @@ pub struct DeliveryQueue {
 }
 
 impl DeliveryQueue {
-    /// An empty queue.
+    /// An empty queue whose clock reads zero.
     pub fn new() -> Self {
         DeliveryQueue::default()
+    }
+
+    /// The clock: local timestamps are proposed above it.
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// Bumps the clock and returns the new local timestamp of `group`
+    /// (Figure 4, lines 5–8); the caller pends it.
+    pub fn propose(&mut self, group: GroupId) -> Timestamp {
+        self.clock += 1;
+        Timestamp::new(self.clock, group)
+    }
+
+    /// Advances the clock to at least `time`: a timestamp learnt or
+    /// committed, or a checkpoint's clock.
+    pub fn observe(&mut self, time: u64) {
+        self.clock = self.clock.max(time);
     }
 
     /// Marks `id` pending at local timestamp `lts`.
@@ -60,9 +83,10 @@ impl DeliveryQueue {
     }
 
     /// Removes and yields the candidates in `(gts, id)` order while no
-    /// pending local timestamp is at or below theirs and `gate(id)` holds.
-    /// The first candidate that fails either test blocks all later ones.
-    /// A yielded candidate the caller does not deliver, it re-commits.
+    /// pending local timestamp is at or below theirs and `gate(id)` holds,
+    /// observing each one yielded. The first candidate that fails either
+    /// test blocks all later ones. A yielded candidate the caller does not
+    /// deliver, it re-commits.
     pub fn pop_deliverable<'a>(
         &'a mut self,
         mut gate: impl FnMut(MsgId) -> bool + 'a,
@@ -73,6 +97,7 @@ impl DeliveryQueue {
             if min_pending.is_some_and(|lts| lts <= gts) || !gate(id) {
                 return None;
             }
+            self.observe(gts.time());
             self.committed.pop_first()
         })
     }
@@ -80,6 +105,7 @@ impl DeliveryQueue {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::btree_map::Entry;
     use std::collections::BTreeMap;
 
     use proptest::prelude::*;
@@ -198,6 +224,64 @@ mod tests {
             // Drain what is left with an open gate: still the same.
             let popped: Vec<MsgId> = queue.pop_deliverable(|_| true).map(|(_, id)| id).collect();
             prop_assert_eq!(popped, scan_deliver(&mut model, |_| true));
+        }
+
+        /// Skeen's safety condition holds by construction: under any
+        /// interleaving of proposals, observed timestamps, commits, gated
+        /// releases and installs, every proposed local timestamp is above
+        /// every global timestamp released before it.
+        #[test]
+        fn no_proposal_is_at_or_below_a_released_global_timestamp(
+            ops in prop::collection::vec(op(), 1..80),
+        ) {
+            let mut queue = DeliveryQueue::new();
+            let mut pending: BTreeMap<MsgId, Timestamp> = BTreeMap::new();
+            let mut released = Timestamp::BOTTOM;
+            for (kind, n, (time, group), mask) in ops {
+                let m = id(n);
+                match kind {
+                    // A fresh message is proposed and pends.
+                    0 | 5 => {
+                        if let Entry::Vacant(slot) = pending.entry(m) {
+                            let lts = queue.propose(GroupId(group));
+                            prop_assert!(lts > released, "{lts} proposed after releasing {released}");
+                            queue.pend(lts, m);
+                            slot.insert(lts);
+                        }
+                    }
+                    // A timestamp learnt from a peer.
+                    1 => queue.observe(time),
+                    // A pending message commits; another destination group's
+                    // proposal may put its global timestamp above any clock.
+                    2 => {
+                        if let Some(lts) = pending.remove(&m) {
+                            queue.unpend(lts, m);
+                            queue.commit(lts.max(ts(time, group)), m);
+                        }
+                    }
+                    // A gated release.
+                    3 => {
+                        let gate = |id: MsgId| mask & (1 << id.seq) == 0;
+                        for (gts, _) in queue.pop_deliverable(gate) {
+                            released = released.max(gts);
+                        }
+                    }
+                    // A new ballot's state, installed from this replica's
+                    // checkpoint merged with a voter's: a fresh queue with
+                    // the merged clock and the same entries.
+                    _ => {
+                        let mut fresh = DeliveryQueue::new();
+                        fresh.observe(queue.clock().max(time));
+                        for (&m, &lts) in &pending {
+                            fresh.pend(lts, m);
+                        }
+                        for (gts, m) in queue.committed() {
+                            fresh.commit(gts, m);
+                        }
+                        queue = fresh;
+                    }
+                }
+            }
         }
     }
 

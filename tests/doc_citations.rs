@@ -82,3 +82,44 @@ fn every_experiments_citation_names_a_heading() {
         dangling.join("\n")
     );
 }
+
+/// The documents that name ROADMAP items by their hazard or by the PR that
+/// closed them, never by number: the numbers change at every re-anchor.
+/// EXPERIMENTS.md and CHANGES.md are dated logs and keep theirs.
+const UNNUMBERED: [&str; 3] = ["DESIGN.md", "README.md", "WIRE.md"];
+
+/// Every `ROADMAP item <digit>…` in `text`, across line breaks.
+fn roadmap_item_numbers(text: &str) -> Vec<String> {
+    let words: Vec<&str> = text.split_whitespace().collect();
+    words
+        .windows(3)
+        .filter(|w| {
+            w[0].ends_with("ROADMAP")
+                && w[1] == "item"
+                && w[2].starts_with(|c: char| c.is_ascii_digit())
+        })
+        .map(|w| w.join(" "))
+        .collect()
+}
+
+#[test]
+fn no_document_cites_a_roadmap_item_by_number() {
+    let text = "(ROADMAP\nitem 3) and ROADMAP item 12(e), not ROADMAP items 1 or ROADMAP item two";
+    assert_eq!(
+        roadmap_item_numbers(text),
+        ["(ROADMAP item 3)", "ROADMAP item 12(e),"]
+    );
+    let numbered: Vec<String> = UNNUMBERED
+        .iter()
+        .flat_map(|doc| {
+            roadmap_item_numbers(&read(doc))
+                .into_iter()
+                .map(move |cite| format!("{doc}: {cite}"))
+        })
+        .collect();
+    assert!(
+        numbered.is_empty(),
+        "name the hazard or the PR instead:\n{}",
+        numbered.join("\n")
+    );
+}

@@ -21,7 +21,7 @@ use wbam::harness::{Engine, Protocol, Token, TokenVersion};
 /// every operation and reproduce its pinned digest.
 #[test]
 fn rt_regression_corpus_replays_clean() {
-    replay_pinned(Engine::Rt, "rt_corpus.tokens", 9);
+    replay_pinned(Engine::Rt, "rt_corpus.tokens", 10);
 }
 
 /// The acceptance contract of `rt1` tokens: re-running a token reproduces

@@ -171,6 +171,7 @@ fn check_run(run: &SoakRun, faulty: &BTreeSet<ProcessId>, label: &str) {
         ops: run.ops.clone(),
         deliveries: run.sim.deliveries().to_vec(),
         trace: None,
+        lost_deliveries: run.sim.lost_deliveries(),
     };
     let policy = CheckPolicy {
         faulty: faulty.clone(),
