@@ -9,6 +9,7 @@ use wbam_types::{
 };
 
 use crate::messages::BaselineMsg;
+use crate::Outbox;
 
 /// A client for the baseline protocols: submits messages to the destination
 /// groups' leaders, collects the first delivery reply per message and retries
@@ -36,12 +37,19 @@ impl BaselineClient {
         self.pending.len()
     }
 
-    fn send_to_leaders(&self, msg: &AppMessage) -> Vec<Action<BaselineMsg>> {
-        msg.dest
-            .iter()
-            .filter_map(|g| self.cluster.group(g).map(|gc| gc.initial_leader()))
-            .map(|leader| Action::send(leader, BaselineMsg::Multicast { msg: msg.clone() }))
-            .collect()
+    fn send_to_leaders(&self, msg: &AppMessage, out: &mut Outbox) {
+        let leaders = msg.dest.iter().filter_map(|g| self.cluster.group(g));
+        let multicast = BaselineMsg::Multicast { msg: msg.clone() };
+        Action::send_to_all(out, leaders.map(|gc| gc.initial_leader()), multicast);
+    }
+
+    /// Sends `msg` to its leaders and arms its retry timer.
+    fn submit(&self, msg: &AppMessage, out: &mut Outbox) {
+        self.send_to_leaders(msg, out);
+        out.push(Action::SetTimer {
+            id: TimerId(msg.id.seq),
+            delay: self.retry_timeout,
+        });
     }
 }
 
@@ -52,31 +60,17 @@ impl Node for BaselineClient {
         self.id
     }
 
-    fn on_event(&mut self, _now: Duration, event: Event<BaselineMsg>) -> Vec<Action<BaselineMsg>> {
+    fn on_event_into(&mut self, _now: Duration, event: Event<BaselineMsg>, out: &mut Outbox) {
         match event {
             Event::Multicast(msg) => {
-                let mut actions = self.send_to_leaders(&msg);
-                actions.push(Action::SetTimer {
-                    id: TimerId(msg.id.seq),
-                    delay: self.retry_timeout,
-                });
+                self.submit(&msg, out);
                 self.pending.insert(msg.id, msg);
-                actions
             }
             Event::Timer { id, .. } => {
                 // The inverse of the timer id: this client's own sequence
                 // number.
-                let msg = self.pending.get(&MsgId::new(self.id, id.0)).cloned();
-                match msg {
-                    Some(m) => {
-                        let mut actions = self.send_to_leaders(&m);
-                        actions.push(Action::SetTimer {
-                            id,
-                            delay: self.retry_timeout,
-                        });
-                        actions
-                    }
-                    None => Vec::new(),
+                if let Some(msg) = self.pending.get(&MsgId::new(self.id, id.0)) {
+                    self.submit(msg, out);
                 }
             }
             Event::Message {
@@ -87,31 +81,22 @@ impl Node for BaselineClient {
                 ..
             } => {
                 if let Some(msg) = self.pending.remove(&msg_id) {
-                    return vec![
-                        Action::CancelTimer(TimerId(msg_id.seq)),
-                        Action::Deliver(DeliveredMessage::with_timestamp(msg, global_ts)),
-                    ];
+                    out.push(Action::CancelTimer(TimerId(msg_id.seq)));
+                    out.push(Action::Deliver(DeliveredMessage::with_timestamp(
+                        msg, global_ts,
+                    )));
                 }
-                Vec::new()
             }
             // A restarted client lost its retry timers (and any replies that
             // arrived while it was down): re-send every in-flight multicast
             // and re-arm its timer. Replicas answer duplicates of delivered
             // messages with a fresh reply.
             Event::Restart => {
-                let mut actions = Vec::new();
-                let pending: Vec<AppMessage> = self.pending.values().cloned().collect();
-                for msg in pending {
-                    let id = msg.id;
-                    actions.extend(self.send_to_leaders(&msg));
-                    actions.push(Action::SetTimer {
-                        id: TimerId(id.seq),
-                        delay: self.retry_timeout,
-                    });
+                for msg in self.pending.values() {
+                    self.submit(msg, out);
                 }
-                actions
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 }

@@ -36,6 +36,9 @@ pub use ftskeen::FtSkeenReplica;
 pub use messages::{BaselineMsg, Command};
 pub use replica::{BaselineReplica, Mode};
 
+/// Where a handler appends its actions: the runtime's outbox for the round.
+type Outbox = Vec<wbam_types::Action<BaselineMsg>>;
+
 /// The replica, its client and its messages under the path they had while
 /// one file held them all; the benchmark imports them from here.
 pub mod common {

@@ -8,6 +8,7 @@ use wbam_types::{Action, Checkpoint, GroupId, MsgId, ProcessId, TimerId, Timesta
 
 use super::BaselineReplica;
 use crate::messages::{BaselineMsg, Command};
+use crate::Outbox;
 
 /// Timer pumping a restarted follower's catch-up request until the leader's
 /// `STATE_TRANSFER` arrives (either message may be lost; the slots the
@@ -24,12 +25,11 @@ impl BaselineReplica {
     /// clock) but lost its volatile context. If it led its group's
     /// consensus, it re-establishes the leadership through a fresh campaign
     /// so in-flight slots are re-learned from a quorum.
-    pub(super) fn handle_restart(&mut self) -> Vec<Action<BaselineMsg>> {
+    pub(super) fn handle_restart(&mut self, out: &mut Outbox) {
         self.catchup_pending = false;
-        let mut actions = Vec::new();
         if self.paxos.is_leader() {
-            let out = self.paxos.campaign();
-            actions.extend(self.convert_paxos(out));
+            let step = self.paxos.campaign();
+            self.convert_paxos(step, out);
         } else if self.progress.enabled() {
             // A restarted follower asks its leader for a catch-up: with
             // compaction on, the decisions (and DELIVER instructions) it
@@ -40,18 +40,17 @@ impl BaselineReplica {
             // compacted frontier is unrecoverable through normal Paxos
             // traffic.
             self.catchup_pending = true;
-            actions.extend(self.send_catchup_request());
+            self.send_catchup_request(out);
         }
-        actions
     }
 
     /// Sends (or, on [`CATCHUP_TIMER`], re-sends) this follower's
     /// outstanding catch-up request to the group leader and re-arms the
     /// retry timer.
-    pub(super) fn send_catchup_request(&mut self) -> Vec<Action<BaselineMsg>> {
+    pub(super) fn send_catchup_request(&mut self, out: &mut Outbox) {
         let leader = self.leader_of(self.group).filter(|l| *l != self.id);
         let (true, Some(leader)) = (self.catchup_pending, leader) else {
-            return Vec::new();
+            return;
         };
         let request = BaselineMsg::CatchupRequest {
             group: self.group,
@@ -62,7 +61,8 @@ impl BaselineReplica {
             id: CATCHUP_TIMER,
             delay: CATCHUP_RETRY,
         };
-        vec![Action::send(leader, request), retry]
+        out.push(Action::send(leader, request));
+        out.push(retry);
     }
 
     /// Leader handler for a catch-up request: reply with checkpoint + the
@@ -72,9 +72,10 @@ impl BaselineReplica {
         from: ProcessId,
         group: GroupId,
         next_slot: Slot,
-    ) -> Vec<Action<BaselineMsg>> {
+        out: &mut Outbox,
+    ) {
         if !self.paxos.is_leader() || group != self.group || from == self.id {
-            return Vec::new();
+            return;
         }
         let frontier = self.paxos.compacted_below();
         let log: Vec<(Slot, Command)> = self
@@ -83,14 +84,14 @@ impl BaselineReplica {
             .into_iter()
             .filter(|(slot, _)| *slot >= next_slot.max(frontier))
             .collect();
-        vec![Action::send(
+        out.push(Action::send(
             from,
             BaselineMsg::StateTransfer {
                 checkpoint: self.checkpoint(),
                 frontier,
                 log,
             },
-        )]
+        ));
     }
 
     /// Installs a catch-up reply: the checkpoint (watermarks, filter, a
@@ -105,17 +106,17 @@ impl BaselineReplica {
         checkpoint: Checkpoint,
         frontier: Slot,
         log: Vec<(Slot, Command)>,
-    ) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
+        out: &mut Outbox,
+    ) {
         if self.catchup_pending {
             self.catchup_pending = false;
-            actions.push(Action::CancelTimer(CATCHUP_TIMER));
+            out.push(Action::CancelTimer(CATCHUP_TIMER));
         }
         self.progress.install(&checkpoint);
         // The commands below the frontier never apply here: take their clock.
         self.delivery.observe(checkpoint.clock);
-        let out = self.paxos.install_snapshot(frontier, log);
-        actions.extend(self.convert_paxos(out));
+        let step = self.paxos.install_snapshot(frontier, log);
+        self.convert_paxos(step, out);
         // Re-deliver what the leader already delivered: the delivery
         // candidates at or below the leader's progress, in timestamp order
         // (deliver_one filters anything at or below our own progress).
@@ -125,9 +126,8 @@ impl BaselineReplica {
             .take_while(|&(gts, _)| gts <= checkpoint.max_delivered_gts)
             .collect();
         for (gts, id) in deliverable {
-            actions.extend(self.deliver_one(id, gts));
+            self.deliver_one(id, gts, out);
         }
         self.prune();
-        actions
     }
 }

@@ -25,11 +25,12 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use wbam_consensus::{PaxosConfig, PaxosReplica, Slot};
 use wbam_types::{
-    Action, AppMessage, Ballot, Checkpoint, ClusterConfig, ConfigError, DeliveryProgress,
-    DeliveryQueue, Event, GroupId, MsgId, Node, Phase, ProcessId, RecordMap, Timestamp,
+    AppMessage, Ballot, Checkpoint, ClusterConfig, ConfigError, DeliveryProgress, DeliveryQueue,
+    Event, GroupId, MsgId, Node, Phase, ProcessId, RecordMap, Timestamp,
 };
 
 use crate::messages::{BaselineMsg, Command};
+use crate::Outbox;
 use catchup::CATCHUP_TIMER;
 
 /// Which baseline behaviour a [`BaselineReplica`] implements.
@@ -278,19 +279,19 @@ impl Node for BaselineReplica {
         self.id
     }
 
-    fn on_event(&mut self, _now: Duration, event: Event<BaselineMsg>) -> Vec<Action<BaselineMsg>> {
+    fn on_event_into(&mut self, _now: Duration, event: Event<BaselineMsg>, out: &mut Outbox) {
         match event {
-            Event::Multicast(msg) => self.handle_multicast(msg, true),
+            Event::Multicast(msg) => self.handle_multicast(msg, true, out),
             Event::BecomeLeader => {
-                let out = self.paxos.campaign();
-                self.convert_paxos(out)
+                let step = self.paxos.campaign();
+                self.convert_paxos(step, out);
             }
-            Event::Restart => self.handle_restart(),
+            Event::Restart => self.handle_restart(out),
             Event::Timer {
                 id: CATCHUP_TIMER, ..
-            } => self.send_catchup_request(),
+            } => self.send_catchup_request(out),
             Event::Message { from, msg } => match msg {
-                BaselineMsg::Multicast { msg } => self.handle_multicast(msg, true),
+                BaselineMsg::Multicast { msg } => self.handle_multicast(msg, true, out),
                 BaselineMsg::Propose {
                     msg,
                     group,
@@ -298,34 +299,38 @@ impl Node for BaselineReplica {
                 } => {
                     // Make sure we are ordering the message ourselves too (the
                     // client's MULTICAST to us may still be in flight or lost).
-                    let mut actions = self.handle_multicast(msg.clone(), false);
-                    actions.extend(self.note_proposal(&msg, group, local_ts));
-                    actions
+                    self.handle_multicast(msg.clone(), false, out);
+                    self.note_proposal(&msg, group, local_ts, out);
                 }
-                BaselineMsg::Confirm { msg_id, group } => self.note_confirm(msg_id, group),
-                BaselineMsg::Deliver { msg_id, global_ts } => self.deliver_one(msg_id, global_ts),
+                BaselineMsg::Confirm { msg_id, group } => self.note_confirm(msg_id, group, out),
+                BaselineMsg::Deliver { msg_id, global_ts } => {
+                    self.deliver_one(msg_id, global_ts, out)
+                }
                 BaselineMsg::Paxos(m) => {
-                    let out = self.paxos.handle(from, m);
-                    self.convert_paxos(out)
+                    let step = self.paxos.handle(from, m);
+                    self.convert_paxos(step, out);
                 }
                 BaselineMsg::StableReport {
                     group,
                     delivered_gts,
-                } => self.stable(|p, role| p.stable_report(role, from, group, delivered_gts)),
+                } => self.stable(
+                    |p, role| p.stable_report(role, from, group, delivered_gts),
+                    out,
+                ),
                 BaselineMsg::StableAdvance { watermarks } => {
-                    self.stable(|p, role| p.stable_advance(role, &watermarks))
+                    self.stable(|p, role| p.stable_advance(role, &watermarks), out)
                 }
                 BaselineMsg::CatchupRequest {
                     group, next_slot, ..
-                } => self.handle_catchup_request(from, group, next_slot),
+                } => self.handle_catchup_request(from, group, next_slot, out),
                 BaselineMsg::StateTransfer {
                     checkpoint,
                     frontier,
                     log,
-                } => self.handle_state_transfer(checkpoint, frontier, log),
-                BaselineMsg::ClientReply { .. } => Vec::new(),
+                } => self.handle_state_transfer(checkpoint, frontier, log, out),
+                BaselineMsg::ClientReply { .. } => {}
             },
-            _ => Vec::new(),
+            _ => {}
         }
     }
 

@@ -8,15 +8,15 @@ use wbam_types::{
 
 use super::{BaselineRecord, BaselineReplica, Mode};
 use crate::messages::{BaselineMsg, Command};
+use crate::Outbox;
 
 impl BaselineReplica {
     /// Sends the consensus layer's messages and applies its decisions.
-    pub(super) fn convert_paxos(&mut self, out: PaxosOutput<Command>) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
-        for (to, msg) in out.outgoing {
-            actions.push(Action::send(to, BaselineMsg::Paxos(msg)));
+    pub(super) fn convert_paxos(&mut self, step: PaxosOutput<Command>, out: &mut Outbox) {
+        for (to, msg) in step.outgoing {
+            out.push(Action::send(to, BaselineMsg::Paxos(msg)));
         }
-        for (slot, cmd) in out.decided {
+        for (slot, cmd) in step.decided {
             // Remember which message each decided slot concerns, so pruning a
             // record can advance the consensus-log compaction frontier once
             // every slot below it belongs to pruned history.
@@ -27,9 +27,8 @@ impl BaselineReplica {
                 };
                 self.slot_msgs.insert(slot, subject);
             }
-            actions.extend(self.apply(cmd));
+            self.apply(cmd, out);
         }
-        actions
     }
 
     /// Leader entry point: a client (or remote leader) submitted `m`.
@@ -38,19 +37,16 @@ impl BaselineReplica {
     /// made while handling a remote leader's `PROPOSE`. Re-sending our own
     /// proposal in the latter case would let two leaders' duplicate handlers
     /// re-trigger each other forever (a PROPOSE ping-pong storm).
-    pub(super) fn handle_multicast(
-        &mut self,
-        msg: AppMessage,
-        retryable: bool,
-    ) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
+    pub(super) fn handle_multicast(&mut self, msg: AppMessage, retryable: bool, out: &mut Outbox) {
         if !msg.is_addressed_to(self.group) {
-            return actions;
+            return;
         }
         if !self.paxos.is_leader() {
             // Forward to the group's leader.
-            let leader = self.leader_of(self.group).filter(|l| *l != self.id);
-            return Action::send_to_all(leader, BaselineMsg::Multicast { msg });
+            if let Some(leader) = self.leader_of(self.group).filter(|l| *l != self.id) {
+                out.push(Action::send(leader, BaselineMsg::Multicast { msg }));
+            }
+            return;
         }
         if !self.records.contains_key(&msg.id) && self.progress.has_delivered(msg.id) {
             // Duplicate of a message delivered everywhere and pruned:
@@ -58,9 +54,9 @@ impl BaselineReplica {
             // bounded delivered filter (the actual timestamp went with the
             // record; clients treat the ⊥ reply like any completion).
             if retryable {
-                actions.extend(self.reply_to_sender(msg.id, Timestamp::BOTTOM));
+                out.extend(self.reply_to_sender(msg.id, Timestamp::BOTTOM));
             }
-            return actions;
+            return;
         }
         let stashed_confirms = self.pending_confirms.remove(&msg.id);
         let record = self.record_entry(&msg);
@@ -69,7 +65,7 @@ impl BaselineReplica {
         }
         if record.assign_proposed {
             if !retryable {
-                return actions;
+                return;
             }
             // Message recovery on a duplicate MULTICAST (a client or remote
             // leader retry): a delivered record re-sends the client reply
@@ -83,11 +79,11 @@ impl BaselineReplica {
             let local_ts = record.local_ts;
             let stored = record.msg.clone();
             if delivered {
-                actions.extend(self.reply_to_sender(stored.id, global_ts));
+                out.extend(self.reply_to_sender(stored.id, global_ts));
             } else if local_ts != Timestamp::BOTTOM {
-                actions.extend(self.send_proposals(&stored, local_ts));
+                self.send_proposals(&stored, local_ts, out);
             }
-            return actions;
+            return;
         }
         let local_ts = self.delivery.propose(self.group);
         self.update(msg.id, |r| {
@@ -95,39 +91,28 @@ impl BaselineReplica {
             r.tentative_lts = local_ts;
         });
         // Persist the assignment through consensus.
-        let out = self.paxos.propose(Command::AssignLocal {
+        let step = self.paxos.propose(Command::AssignLocal {
             msg: msg.clone(),
             local_ts,
         });
-        actions.extend(self.convert_paxos(out));
+        self.convert_paxos(step, out);
         if self.mode == Mode::FastCast {
             // Speculation: forward the (not yet durable) proposal right away.
-            actions.extend(self.send_proposals(&msg, local_ts));
-            actions.extend(self.note_proposal(&msg, self.group, local_ts));
+            self.send_proposals(&msg, local_ts, out);
+            self.note_proposal(&msg, self.group, local_ts, out);
         }
-        actions
     }
 
     /// Sends this group's local-timestamp proposal to the other destination
     /// groups' leaders.
-    fn send_proposals(&self, msg: &AppMessage, local_ts: Timestamp) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
-        for g in msg.dest.iter() {
-            if g == self.group {
-                continue;
-            }
-            if let Some(leader) = self.leader_of(g) {
-                actions.push(Action::send(
-                    leader,
-                    BaselineMsg::Propose {
-                        msg: msg.clone(),
-                        group: self.group,
-                        local_ts,
-                    },
-                ));
-            }
-        }
-        actions
+    fn send_proposals(&self, msg: &AppMessage, local_ts: Timestamp, out: &mut Outbox) {
+        let others = msg.dest.iter().filter(|g| *g != self.group);
+        let propose = BaselineMsg::Propose {
+            msg: msg.clone(),
+            group: self.group,
+            local_ts,
+        };
+        Action::send_to_all(out, others.filter_map(|g| self.leader_of(g)), propose);
     }
 
     /// Records a proposal (own or remote) at the leader and, once proposals
@@ -137,43 +122,41 @@ impl BaselineReplica {
         msg: &AppMessage,
         group: GroupId,
         local_ts: Timestamp,
-    ) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
+        out: &mut Outbox,
+    ) {
         if !self.paxos.is_leader() {
-            return actions;
+            return;
         }
         if !self.records.contains_key(&msg.id) && self.progress.has_delivered(msg.id) {
             // A stale proposal for pruned, globally delivered history: do not
             // resurrect a record nothing will ever deliver or prune again.
-            return actions;
+            return;
         }
         let mode = self.mode;
         let record = self.record_entry(msg);
         record.proposals.insert(group, local_ts);
         let complete = msg.dest.iter().all(|g| record.proposals.contains_key(&g));
         if !complete || record.commit_proposed {
-            return actions;
+            return;
         }
         // Fault-tolerant Skeen additionally waits for its own assignment to be
         // durable (the first consensus) before computing the global timestamp;
         // FastCast computes it speculatively.
         if mode == Mode::FtSkeen && record.phase == Phase::Start {
-            return actions;
+            return;
         }
         record.commit_proposed = true;
         let gts = Timestamp::global_of(record.proposals.values().copied());
         let msg_id = msg.id;
-        let out = self.paxos.propose(Command::CommitGlobal {
+        let step = self.paxos.propose(Command::CommitGlobal {
             msg_id,
             global_ts: gts,
         });
-        actions.extend(self.convert_paxos(out));
-        actions
+        self.convert_paxos(step, out);
     }
 
     /// Applies a decided command to the group's replicated state.
-    fn apply(&mut self, cmd: Command) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
+    fn apply(&mut self, cmd: Command, out: &mut Outbox) {
         match cmd {
             Command::AssignLocal { msg, local_ts } => {
                 let group = self.group;
@@ -189,17 +172,17 @@ impl BaselineReplica {
                     match self.mode {
                         Mode::FtSkeen => {
                             // Only now is the proposal durable; exchange it.
-                            actions.extend(self.send_proposals(&msg, local_ts));
-                            actions.extend(self.note_proposal(&msg, group, local_ts));
+                            self.send_proposals(&msg, local_ts, out);
+                            self.note_proposal(&msg, group, local_ts, out);
                         }
                         Mode::FastCast => {
                             // The proposal went out speculatively; confirm that
                             // consensus on it has now completed.
                             for g in msg.dest.iter() {
                                 if g == group {
-                                    actions.extend(self.note_confirm(msg.id, group));
+                                    self.note_confirm(msg.id, group, out);
                                 } else if let Some(leader) = self.leader_of(g) {
-                                    actions.push(Action::send(
+                                    out.push(Action::send(
                                         leader,
                                         BaselineMsg::Confirm {
                                             msg_id: msg.id,
@@ -224,18 +207,13 @@ impl BaselineReplica {
                 // only after the second consensus — the source of the 2×
                 // failure-free latency degradation of the baselines (§VI).
                 self.delivery.observe(global_ts.time());
-                actions.extend(self.try_deliver());
+                self.try_deliver(out);
             }
         }
-        actions
     }
 
     /// Records a FastCast confirmation at the leader.
-    pub(super) fn note_confirm(
-        &mut self,
-        msg_id: MsgId,
-        group: GroupId,
-    ) -> Vec<Action<BaselineMsg>> {
+    pub(super) fn note_confirm(&mut self, msg_id: MsgId, group: GroupId, out: &mut Outbox) {
         match self.records.get_mut(&msg_id) {
             Some(record) => {
                 record.confirms.insert(group);
@@ -250,7 +228,7 @@ impl BaselineReplica {
             // A confirmation for pruned history needs no bookkeeping.
             None => {}
         }
-        self.try_deliver()
+        self.try_deliver(out);
     }
 
     /// Skeen's delivery rule over the leader's state: deliver committed
@@ -260,10 +238,9 @@ impl BaselineReplica {
     /// the leader delivers locally and instructs its followers with
     /// [`BaselineMsg::Deliver`], which guarantees that every member of the
     /// group delivers in exactly the leader's order.
-    fn try_deliver(&mut self) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
+    fn try_deliver(&mut self, out: &mut Outbox) {
         if !self.paxos.is_leader() {
-            return actions;
+            return;
         }
         // FastCast: the leader must also have confirmations from every
         // destination group before acting on the speculative order. An
@@ -280,7 +257,7 @@ impl BaselineReplica {
         let deliverable: Vec<(Timestamp, MsgId)> =
             self.delivery.pop_deliverable(confirmed).collect();
         for (gts, id) in deliverable {
-            actions.extend(self.deliver_one(id, gts));
+            self.deliver_one(id, gts, out);
             // The entry left the queue; one the duplicate filter kept from
             // delivering is still a candidate, and goes back.
             self.update(id, |_| ());
@@ -290,20 +267,18 @@ impl BaselineReplica {
                 msg_id: id,
                 global_ts: gts,
             };
-            actions.extend(Action::send_to_all(followers, deliver));
+            Action::send_to_all(out, followers, deliver);
         }
-        actions
     }
 
     /// Delivers one message locally (leader on its own decision, follower on
     /// a `Deliver` instruction); delivery progress filters duplicates.
-    pub(super) fn deliver_one(&mut self, id: MsgId, gts: Timestamp) -> Vec<Action<BaselineMsg>> {
-        let mut actions = Vec::new();
+    pub(super) fn deliver_one(&mut self, id: MsgId, gts: Timestamp, out: &mut Outbox) {
         if !self.records.get(&id).is_some_and(|r| !r.delivered) {
-            return actions;
+            return;
         }
         let Some(round_due) = self.progress.note_delivery(gts, id) else {
-            return actions;
+            return;
         };
         let deliver = |r: &mut BaselineRecord| {
             r.delivered = true;
@@ -312,12 +287,11 @@ impl BaselineReplica {
             r.msg.clone()
         };
         let msg = self.update(id, deliver).expect("checked resident above");
-        actions.push(Action::Deliver(DeliveredMessage::with_timestamp(msg, gts)));
-        actions.extend(self.reply_to_sender(id, gts));
+        out.push(Action::Deliver(DeliveredMessage::with_timestamp(msg, gts)));
+        out.extend(self.reply_to_sender(id, gts));
         if round_due {
-            actions.extend(self.stable(DeliveryProgress::stable_round));
+            self.stable(DeliveryProgress::stable_round, out);
         }
-        actions
     }
 
     /// The delivery reply to `id`'s sender, unless the sender is a member of

@@ -5,6 +5,7 @@ use wbam_types::{Action, DeliveryProgress, StableRole, StableStep};
 
 use super::BaselineReplica;
 use crate::messages::BaselineMsg;
+use crate::Outbox;
 
 impl BaselineReplica {
     /// Takes one `STABLE` decision (see [`DeliveryProgress`]) and maps it
@@ -14,29 +15,30 @@ impl BaselineReplica {
     pub(super) fn stable(
         &mut self,
         decide: impl FnOnce(&mut DeliveryProgress, StableRole) -> StableStep,
-    ) -> Vec<Action<BaselineMsg>> {
+        out: &mut Outbox,
+    ) {
         let role = if self.paxos.is_leader() {
             StableRole::Leader(&self.leaders)
         } else {
             StableRole::Follower(self.leaders.get(&self.group).copied())
         };
         match decide(&mut self.progress, role) {
-            StableStep::Quiet => Vec::new(),
+            StableStep::Quiet => {}
             StableStep::Report(leader, delivered_gts) => {
                 let group = self.group;
                 let report = BaselineMsg::StableReport {
                     group,
                     delivered_gts,
                 };
-                vec![Action::send(leader, report)]
+                out.push(Action::send(leader, report));
             }
             StableStep::Advance(to) => {
                 self.prune();
                 if to.is_empty() {
-                    return Vec::new();
+                    return;
                 }
                 let watermarks = self.progress.watermarks().clone();
-                Action::send_to_all(to, BaselineMsg::StableAdvance { watermarks })
+                Action::send_to_all(out, to, BaselineMsg::StableAdvance { watermarks });
             }
         }
     }

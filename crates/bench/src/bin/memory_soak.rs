@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use wbam_bench::header;
+use wbam_bench::{header, provenance};
 use wbam_harness::{ClusterSpec, Protocol, ProtocolSim};
 use wbam_simnet::LatencyModel;
 use wbam_types::GroupId;
@@ -66,6 +66,12 @@ struct MemoryRecord {
     resident_bytes_per_record: Option<f64>,
     /// Absent in rows older than the field.
     record_slots_max: Option<usize>,
+    /// Short git revision of the measured tree, if it was known; absent in
+    /// rows older than the field.
+    git_rev: Option<String>,
+    /// CPUs the measuring process could use; absent in rows older than the
+    /// field.
+    host_cores: Option<usize>,
 }
 
 struct RunOutcome {
@@ -237,6 +243,8 @@ fn main() -> ExitCode {
     // not-yet-stable deliveries plus the in-flight window.
     let bound = LAG + 8 * INTERVAL as usize + 64;
     let mut first_run = true;
+    // Every row says which commit and host produced it.
+    let (git_rev, host_cores) = provenance();
     for protocol in Protocol::evaluated() {
         for compaction in [false, true] {
             let outcome = run(protocol, messages, compaction);
@@ -268,6 +276,8 @@ fn main() -> ExitCode {
                 restart_recovery_wall_ms: outcome.restart_wall.as_secs_f64() * 1e3,
                 resident_bytes_per_record,
                 record_slots_max: Some(outcome.slots_max),
+                git_rev: git_rev.clone(),
+                host_cores,
             });
             if compaction && (outcome.resident_max > bound || outcome.pruned == 0) {
                 eprintln!(
@@ -304,7 +314,12 @@ mod tests {
         assert_eq!(row.resident_bytes_per_record, Some(812.5));
         assert_eq!(row.record_slots_max, None);
         let newer = new.replace('}', r#","record_slots_max":960}"#);
-        let row: MemoryRecord = serde_json::from_str(&newer).expect("newest row parses");
+        let row: MemoryRecord = serde_json::from_str(&newer).expect("newer row parses");
         assert_eq!(row.record_slots_max, Some(960));
+        assert_eq!((row.git_rev, row.host_cores), (None, None));
+        let newest = newer.replace('}', r#","git_rev":"a77e133","host_cores":2}"#);
+        let row: MemoryRecord = serde_json::from_str(&newest).expect("newest row parses");
+        assert_eq!(row.git_rev.as_deref(), Some("a77e133"));
+        assert_eq!(row.host_cores, Some(2));
     }
 }

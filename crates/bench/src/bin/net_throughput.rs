@@ -42,7 +42,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use wbam_bench::header;
+use wbam_bench::{header, provenance};
 use wbam_harness::{BenchRecord, ChildGuard, ClientSummary, DeploySpec, Protocol};
 use wbam_types::wire::{from_json, WireCodec};
 
@@ -328,15 +328,7 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     // Every row says which commit and host produced it.
-    let git_rev = Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .stderr(Stdio::null())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|rev| rev.trim().to_string());
-    let host_cores = std::thread::available_parallelism().ok().map(usize::from);
+    let (git_rev, host_cores) = provenance();
     for record in &mut records {
         record.git_rev = git_rev.clone();
         record.host_cores = host_cores;

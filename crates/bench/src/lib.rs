@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 /// Returns the experiment scale factor from the `WBAM_SCALE` environment
@@ -36,6 +37,23 @@ pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
+/// Where a `BENCH_*.json` row was measured: the short git revision of the
+/// working directory's checkout (`None` outside one, or without `git`) and
+/// the CPUs this process may use. Stamped on every row so that a row says
+/// which commit and host produced it.
+pub fn provenance() -> (Option<String>, Option<usize>) {
+    let git_rev = Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .stderr(Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|rev| rev.trim().to_string());
+    let host_cores = std::thread::available_parallelism().ok().map(usize::from);
+    (git_rev, host_cores)
+}
+
 /// Prints a section header in the style used by all experiment binaries.
 pub fn header(title: &str) {
     println!("{title}");
@@ -49,6 +67,13 @@ mod tests {
     #[test]
     fn scale_defaults_to_one() {
         assert!(scale() >= 1);
+    }
+
+    #[test]
+    fn provenance_names_the_host_cores() {
+        let (rev, cores) = provenance();
+        assert!(cores.is_some_and(|c| c >= 1));
+        assert!(rev.map_or(true, |r| !r.is_empty() && !r.contains('\n')));
     }
 
     #[test]

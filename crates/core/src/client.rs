@@ -20,6 +20,7 @@ use wbam_types::{
 
 use crate::config::ClientConfig;
 use crate::messages::WhiteBoxMsg;
+use crate::Outbox;
 
 /// State of one in-flight multicast at the client.
 #[derive(Debug, Clone)]
@@ -62,73 +63,61 @@ impl MulticastClient {
         TimerId(msg_id.seq)
     }
 
-    fn send_to_leaders(&self, msg: &AppMessage) -> Vec<Action<WhiteBoxMsg>> {
-        msg.dest
-            .iter()
-            .filter_map(|g| self.cur_leader.get(&g).copied())
-            .map(|leader| Action::send(leader, WhiteBoxMsg::Multicast { msg: msg.clone() }))
-            .collect()
+    fn send_to_leaders(&self, msg: &AppMessage, out: &mut Outbox) {
+        let leaders = msg.dest.iter().filter_map(|g| self.cur_leader.get(&g));
+        let multicast = WhiteBoxMsg::Multicast { msg: msg.clone() };
+        Action::send_to_all(out, leaders.copied(), multicast);
     }
 
-    fn send_to_all_members(&self, msg: &AppMessage) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = Vec::new();
-        for g in msg.dest.iter() {
-            if let Some(gc) = self.config.cluster.group(g) {
-                for member in gc.members() {
-                    actions.push(Action::send(
-                        *member,
-                        WhiteBoxMsg::Multicast { msg: msg.clone() },
-                    ));
-                }
-            }
-        }
-        actions
+    fn send_to_all_members(&self, msg: &AppMessage, out: &mut Outbox) {
+        let groups = msg.dest.iter().filter_map(|g| self.config.cluster.group(g));
+        let members = groups.flat_map(|gc| gc.members().iter().copied());
+        Action::send_to_all(out, members, WhiteBoxMsg::Multicast { msg: msg.clone() });
     }
 
-    fn handle_submit(&mut self, msg: AppMessage) -> Vec<Action<WhiteBoxMsg>> {
+    fn handle_submit(&mut self, msg: AppMessage, out: &mut Outbox) {
         // Keep the per-client sequence counter ahead of any externally chosen id.
         self.next_seq = self.next_seq.max(msg.id.seq + 1);
-        let mut actions = self.send_to_leaders(&msg);
-        actions.push(Action::SetTimer {
+        self.send_to_leaders(&msg, out);
+        out.push(Action::SetTimer {
             id: Self::timer_for(msg.id),
             delay: self.config.retry_timeout,
         });
         self.pending
             .insert(msg.id, PendingMulticast { msg, attempts: 0 });
-        actions
     }
 
-    fn handle_reply(&mut self, msg_id: MsgId, global_ts: Timestamp) -> Vec<Action<WhiteBoxMsg>> {
+    fn handle_reply(&mut self, msg_id: MsgId, global_ts: Timestamp, out: &mut Outbox) {
         let Some(pending) = self.pending.remove(&msg_id) else {
-            return Vec::new();
+            return;
         };
-        vec![
-            Action::CancelTimer(Self::timer_for(msg_id)),
-            // Surface the completion to the application driving this client.
-            Action::Deliver(DeliveredMessage::with_timestamp(pending.msg, global_ts)),
-        ]
+        out.push(Action::CancelTimer(Self::timer_for(msg_id)));
+        // Surface the completion to the application driving this client.
+        out.push(Action::Deliver(DeliveredMessage::with_timestamp(
+            pending.msg,
+            global_ts,
+        )));
     }
 
-    fn handle_retry(&mut self, timer: TimerId) -> Vec<Action<WhiteBoxMsg>> {
+    fn handle_retry(&mut self, timer: TimerId, out: &mut Outbox) {
         // The inverse of `timer_for`: this client's own sequence number.
         let msg_id = MsgId::new(self.config.id, timer.0);
         let Some(pending) = self.pending.get_mut(&msg_id) else {
-            return Vec::new();
+            return;
         };
         pending.attempts += 1;
         let (attempts, msg) = (pending.attempts, pending.msg.clone());
-        let mut actions = if attempts == 1 {
+        if attempts == 1 {
             // First retry: the leaders may simply not have received it.
-            self.send_to_leaders(&msg)
+            self.send_to_leaders(&msg, out);
         } else {
             // Later retries: contact every member to survive leader changes.
-            self.send_to_all_members(&msg)
-        };
-        actions.push(Action::SetTimer {
+            self.send_to_all_members(&msg, out);
+        }
+        out.push(Action::SetTimer {
             id: timer,
             delay: self.config.retry_timeout,
         });
-        actions
     }
 }
 
@@ -139,35 +128,33 @@ impl Node for MulticastClient {
         self.config.id
     }
 
-    fn on_event(&mut self, _now: Duration, event: Event<WhiteBoxMsg>) -> Vec<Action<WhiteBoxMsg>> {
+    fn on_event_into(&mut self, _now: Duration, event: Event<WhiteBoxMsg>, out: &mut Outbox) {
         match event {
-            Event::Multicast(msg) => self.handle_submit(msg),
-            Event::Timer { id, .. } => self.handle_retry(id),
-            Event::Message { msg, .. } => match msg {
-                WhiteBoxMsg::ClientReply {
-                    msg_id, global_ts, ..
-                } => self.handle_reply(msg_id, global_ts),
-                // Clients ignore protocol traffic that is not addressed to them
-                // semantically (e.g. a stray ACCEPT caused by misconfiguration).
-                _ => Vec::new(),
-            },
+            Event::Multicast(msg) => self.handle_submit(msg, out),
+            Event::Timer { id, .. } => self.handle_retry(id, out),
+            Event::Message {
+                msg:
+                    WhiteBoxMsg::ClientReply {
+                        msg_id, global_ts, ..
+                    },
+                ..
+            } => self.handle_reply(msg_id, global_ts, out),
+            // Clients ignore protocol traffic that is not addressed to them
+            // semantically (e.g. a stray ACCEPT caused by misconfiguration).
+            Event::Message { .. } => {}
             // A restarted client lost its armed retry timers; re-arm one per
             // in-flight multicast (and re-send straight away — the original
             // sends may have died with the crash).
             Event::Restart => {
-                let mut actions = Vec::new();
-                let pending: Vec<AppMessage> =
-                    self.pending.values().map(|p| p.msg.clone()).collect();
-                for msg in pending {
-                    actions.extend(self.send_to_leaders(&msg));
-                    actions.push(Action::SetTimer {
-                        id: Self::timer_for(msg.id),
+                for pending in self.pending.values() {
+                    self.send_to_leaders(&pending.msg, out);
+                    out.push(Action::SetTimer {
+                        id: Self::timer_for(pending.msg.id),
                         delay: self.config.retry_timeout,
                     });
                 }
-                actions
             }
-            Event::Init | Event::BecomeLeader => Vec::new(),
+            Event::Init | Event::BecomeLeader => {}
         }
     }
 }

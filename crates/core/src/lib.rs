@@ -79,3 +79,6 @@ pub use config::{ClientConfig, ReplicaConfig};
 pub use messages::{BallotVector, DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg};
 pub use record::MessageRecord;
 pub use replica::{Status, WhiteBoxReplica};
+
+/// Where a handler appends its actions: the runtime's outbox for the round.
+type Outbox = Vec<wbam_types::Action<WhiteBoxMsg>>;

@@ -133,8 +133,8 @@ impl MessageRecord {
 
     /// The leaders that made the recorded proposals, in group order — the
     /// recipients of this process's `ACCEPT_ACK`.
-    pub fn accept_leaders(&self) -> Vec<ProcessId> {
-        self.accepts.iter().filter_map(|a| a.1.leader()).collect()
+    pub fn accept_leaders(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.accepts.iter().filter_map(|a| a.1.leader())
     }
 
     /// Records an `ACCEPT_ACK` from `process` (a member of `group`) carrying
@@ -518,7 +518,10 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v[&GroupId(0)], Ballot::new(1, ProcessId(0)));
         assert_eq!(v[&GroupId(1)], Ballot::new(3, ProcessId(4)));
-        assert_eq!(r.accept_leaders(), vec![ProcessId(0), ProcessId(4)]);
+        assert_eq!(
+            r.accept_leaders().collect::<Vec<_>>(),
+            [ProcessId(0), ProcessId(4)]
+        );
         assert_eq!(r.implied_global_ts(), Some(Timestamp::new(4, GroupId(0))));
     }
 

@@ -9,6 +9,7 @@ use wbam_types::{Action, Ballot, MsgId, RecordMap};
 
 use super::{Status, WhiteBoxReplica, ELECTION_TIMER, HEARTBEAT_TIMER};
 use crate::messages::WhiteBoxMsg;
+use crate::Outbox;
 
 impl WhiteBoxReplica {
     /// The follower transition: joins `ballot` as `status` — `Recovering`
@@ -17,7 +18,7 @@ impl WhiteBoxReplica {
     /// the ballot's leader one patience window before we consider
     /// campaigning, and makes that leader our group's leader hint.
     ///
-    /// Returns the election timer: a follower must always have one running.
+    /// Arms the election timer: a follower must always have one running.
     /// A replica that was the leader until this moment has none (leaders keep
     /// a heartbeat timer instead, and it dies with the demotion), and a
     /// deposed leader whose `NEW_STATE` gets lost would otherwise sit in
@@ -29,22 +30,23 @@ impl WhiteBoxReplica {
         now: Duration,
         status: Status,
         ballot: Ballot,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+        out: &mut Outbox,
+    ) {
         self.status = status;
         self.ballot = ballot;
         self.last_leader_activity = now;
         self.note_leader(ballot);
-        self.election_timer().into_iter().collect()
+        out.extend(self.election_timer());
     }
 
     /// The leader transition (Figure 4, lines 63–68): a quorum is in sync
     /// with the ballot this replica established.
-    pub(super) fn lead(&mut self) -> Vec<Action<WhiteBoxMsg>> {
+    pub(super) fn lead(&mut self, out: &mut Outbox) {
         self.recovery = None;
         self.status = Status::Leader;
         // Line 66: re-deliver every committed message that is not blocked by
         // an accepted one. Followers discard duplicates via max_delivered_gts.
-        let mut actions = self.try_deliver();
+        self.try_deliver(out);
         // Resume processing of accepted-but-uncommitted messages by re-sending
         // MULTICAST to all destination leaders (§IV, "Message recovery").
         // The pending set is read off the incrementally maintained
@@ -54,18 +56,14 @@ impl WhiteBoxReplica {
         for id in pending {
             let msg = self.records[&id].msg.clone();
             let multicast = WhiteBoxMsg::Multicast { msg: msg.clone() };
-            actions.extend(Action::send_to_all(
-                self.destination_leaders(&msg),
-                multicast,
-            ));
+            Action::send_to_all(out, self.destination_leaders(&msg), multicast);
             // Make sure we also propose it ourselves (we are a destination
             // leader too) and keep retrying until it commits.
-            actions.extend(self.handle_multicast(None, msg));
+            self.handle_multicast(None, msg, out);
         }
         // Announce leadership and restart heartbeats.
-        actions.extend(self.heartbeat_timer());
-        actions.extend(self.heartbeats());
-        actions
+        out.extend(self.heartbeat_timer());
+        self.heartbeats(out);
     }
 
     /// Adopts `ballot`'s leader as our group's leader hint (`Cur_leader`),
@@ -95,17 +93,18 @@ impl WhiteBoxReplica {
     }
 
     /// A heartbeat of our ballot to every other member of the group.
-    fn heartbeats(&self) -> Vec<Action<WhiteBoxMsg>> {
+    fn heartbeats(&self, out: &mut Outbox) {
         if !self.config.auto_election_enabled() {
-            return Vec::new();
+            return;
         }
         let followers = self.group_members.iter().copied();
         Action::send_to_all(
+            out,
             followers.filter(|p| *p != self.config.id),
             WhiteBoxMsg::Heartbeat {
                 ballot: self.cballot,
             },
-        )
+        );
     }
 
     fn election_rank(&self) -> u32 {
@@ -115,11 +114,7 @@ impl WhiteBoxReplica {
             .unwrap_or(0) as u32
     }
 
-    pub(super) fn handle_heartbeat(
-        &mut self,
-        now: Duration,
-        ballot: Ballot,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+    pub(super) fn handle_heartbeat(&mut self, now: Duration, ballot: Ballot, out: &mut Outbox) {
         // Liveness is judged against the highest ballot we have *joined*
         // (`self.ballot`), not the one we last synchronised with (`cballot`).
         // After joining ballot b' a replica waits for b's NEW_STATE; if the
@@ -165,26 +160,23 @@ impl WhiteBoxReplica {
             // ignore each other forever and the group is wedged (found by
             // the schedule explorer; see `tests/regressions/`).
             if let Some(leader) = ballot.leader().filter(|l| *l != self.config.id) {
-                return self.send_state([leader]);
+                self.send_state([leader], out);
             }
         }
-        Vec::new()
     }
 
-    pub(super) fn handle_heartbeat_timer(&mut self) -> Vec<Action<WhiteBoxMsg>> {
+    pub(super) fn handle_heartbeat_timer(&mut self, out: &mut Outbox) {
         if self.status != Status::Leader {
-            return Vec::new();
+            return;
         }
-        let mut actions = self.heartbeats();
-        actions.extend(self.heartbeat_timer());
-        actions
+        self.heartbeats(out);
+        out.extend(self.heartbeat_timer());
     }
 
-    pub(super) fn handle_election_timer(&mut self, now: Duration) -> Vec<Action<WhiteBoxMsg>> {
+    pub(super) fn handle_election_timer(&mut self, now: Duration, out: &mut Outbox) {
         if !self.config.auto_election_enabled() {
-            return Vec::new();
+            return;
         }
-        let mut actions = Vec::new();
         // A follower whose leader went quiet — or a replica whose own
         // recovery stalled because NEW_LEADER / NEW_STATE traffic was lost —
         // starts (re-)establishing a ballot. Without the `Recovering` case a
@@ -194,11 +186,10 @@ impl WhiteBoxReplica {
             let patience = self.config.election_timeout * (1 + self.election_rank());
             if now.saturating_sub(self.last_leader_activity) > patience {
                 self.last_leader_activity = now;
-                actions.extend(self.start_recovery());
+                self.start_recovery(out);
             }
         }
-        actions.extend(self.election_timer());
-        actions
+        out.extend(self.election_timer());
     }
 
     /// The process crashed and came back up with its durable state (records,
@@ -215,13 +206,13 @@ impl WhiteBoxReplica {
     /// current leader's proposals, and if the group's remaining quorum
     /// includes the restarted process, the group would be wedged forever
     /// (found by the schedule explorer; see `tests/regressions/`).
-    pub(super) fn handle_restart(&mut self, now: Duration) -> Vec<Action<WhiteBoxMsg>> {
+    pub(super) fn handle_restart(&mut self, now: Duration, out: &mut Outbox) {
         self.recovery = None;
         self.retry_timer_msgs.clear();
         self.retry_timer_of = RecordMap::new();
         self.last_leader_activity = now;
         self.status = Status::Follower;
-        let mut actions = self.start_recovery();
+        self.start_recovery(out);
         // Re-arm a retry timer for every pending record so stuck messages are
         // re-proposed (the pre-crash timers are gone). The pending set comes
         // from the delivery-condition index — restart work is proportional
@@ -230,19 +221,18 @@ impl WhiteBoxReplica {
         let pending: Vec<MsgId> = self.delivery.pending().collect();
         self.last_restart_scan = pending.len();
         for id in pending {
-            actions.extend(self.arm_retry_timer(id));
+            out.extend(self.arm_retry_timer(id));
         }
-        actions.extend(self.election_timer());
-        actions
+        out.extend(self.election_timer());
     }
 
-    pub(super) fn handle_init(&mut self, now: Duration) -> Vec<Action<WhiteBoxMsg>> {
+    pub(super) fn handle_init(&mut self, now: Duration, out: &mut Outbox) {
         self.last_leader_activity = now;
         let timer = if self.status == Status::Leader {
             self.heartbeat_timer()
         } else {
             self.election_timer()
         };
-        timer.into_iter().collect()
+        out.extend(timer);
     }
 }

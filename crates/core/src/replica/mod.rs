@@ -33,13 +33,14 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use wbam_types::{
-    Action, AppMessage, Ballot, Checkpoint, ConfigError, DeliveryProgress, DeliveryQueue, Event,
-    GroupId, MsgId, Node, Phase, ProcessId, RecordMap, TimerId, Timestamp,
+    AppMessage, Ballot, Checkpoint, ConfigError, DeliveryProgress, DeliveryQueue, Event, GroupId,
+    MsgId, Node, Phase, ProcessId, RecordMap, TimerId, Timestamp,
 };
 
 use crate::config::ReplicaConfig;
 use crate::messages::WhiteBoxMsg;
 use crate::record::MessageRecord;
+use crate::Outbox;
 use recovery::Recovery;
 
 /// Timer used by a leader to send heartbeats to its followers.
@@ -258,17 +259,22 @@ impl WhiteBoxReplica {
     }
 
     /// Processes of every destination group of `m`.
-    fn destination_processes(&self, msg: &AppMessage) -> Vec<ProcessId> {
+    fn destination_processes<'a>(
+        &'a self,
+        msg: &'a AppMessage,
+    ) -> impl Iterator<Item = ProcessId> + 'a {
         let groups = msg.dest.iter().filter_map(|g| self.config.cluster.group(g));
-        groups.flat_map(|gc| gc.members().iter().copied()).collect()
+        groups.flat_map(|gc| gc.members().iter().copied())
     }
 
     /// Current leaders of the destination groups of `m`.
-    fn destination_leaders(&self, msg: &AppMessage) -> Vec<ProcessId> {
+    fn destination_leaders<'a>(
+        &'a self,
+        msg: &'a AppMessage,
+    ) -> impl Iterator<Item = ProcessId> + 'a {
         msg.dest
             .iter()
             .filter_map(|g| self.cur_leader.get(&g).copied())
-            .collect()
     }
 }
 
@@ -290,16 +296,16 @@ impl Node for WhiteBoxReplica {
         self.refer_delivers(to, msgs);
     }
 
-    fn on_event(&mut self, now: Duration, event: Event<WhiteBoxMsg>) -> Vec<Action<WhiteBoxMsg>> {
+    fn on_event_into(&mut self, now: Duration, event: Event<WhiteBoxMsg>, out: &mut Outbox) {
         match event {
-            Event::Init => self.handle_init(now),
-            Event::Multicast(msg) => self.handle_multicast(None, msg),
-            Event::BecomeLeader => self.start_recovery(),
-            Event::Restart => self.handle_restart(now),
+            Event::Init => self.handle_init(now, out),
+            Event::Multicast(msg) => self.handle_multicast(None, msg, out),
+            Event::BecomeLeader => self.start_recovery(out),
+            Event::Restart => self.handle_restart(now, out),
             Event::Timer { id, now } => match id {
-                HEARTBEAT_TIMER => self.handle_heartbeat_timer(),
-                ELECTION_TIMER => self.handle_election_timer(now),
-                other => self.handle_retry_timer(other),
+                HEARTBEAT_TIMER => self.handle_heartbeat_timer(out),
+                ELECTION_TIMER => self.handle_election_timer(now, out),
+                other => self.handle_retry_timer(other, out),
             },
             // Only heartbeats feed the leader-monitoring oracle (see
             // `handle_heartbeat` for the ballot gate). Counting arbitrary
@@ -309,49 +315,52 @@ impl Node for WhiteBoxReplica {
             // neither can make progress — a deadlock found by the schedule
             // explorer.
             Event::Message { from, msg } => match msg {
-                WhiteBoxMsg::Multicast { msg } => self.handle_multicast(Some(from), msg),
+                WhiteBoxMsg::Multicast { msg } => self.handle_multicast(Some(from), msg, out),
                 WhiteBoxMsg::Accept {
                     msg,
                     group,
                     ballot,
                     local_ts,
-                } => self.handle_accept(msg, group, ballot, local_ts),
+                } => self.handle_accept(msg, group, ballot, local_ts, out),
                 WhiteBoxMsg::AcceptAck {
                     msg_id,
                     group,
                     ballots,
-                } => self.handle_accept_ack(from, msg_id, group, ballots),
+                } => self.handle_accept_ack(from, msg_id, group, ballots, out),
                 WhiteBoxMsg::Deliver {
                     msg,
                     ballot,
                     local_ts,
                     global_ts,
-                } => self.handle_deliver(msg, ballot, local_ts, global_ts),
-                WhiteBoxMsg::NewLeader { ballot } => self.handle_new_leader(now, from, ballot),
+                } => self.handle_deliver(msg, ballot, local_ts, global_ts, out),
+                WhiteBoxMsg::NewLeader { ballot } => self.handle_new_leader(now, from, ballot, out),
                 WhiteBoxMsg::NewLeaderAck {
                     ballot,
                     cballot,
                     checkpoint,
                     snapshot,
-                } => self.handle_new_leader_ack(from, ballot, cballot, checkpoint, snapshot),
+                } => self.handle_new_leader_ack(from, ballot, cballot, checkpoint, snapshot, out),
                 WhiteBoxMsg::NewState {
                     ballot,
                     checkpoint,
                     snapshot,
-                } => self.handle_new_state(now, from, ballot, checkpoint, snapshot),
-                WhiteBoxMsg::NewStateAck { ballot } => self.handle_new_state_ack(from, ballot),
-                WhiteBoxMsg::Heartbeat { ballot } => self.handle_heartbeat(now, ballot),
+                } => self.handle_new_state(now, from, ballot, checkpoint, snapshot, out),
+                WhiteBoxMsg::NewStateAck { ballot } => self.handle_new_state_ack(from, ballot, out),
+                WhiteBoxMsg::Heartbeat { ballot } => self.handle_heartbeat(now, ballot, out),
                 WhiteBoxMsg::StableReport {
                     group,
                     delivered_gts,
-                } => self.stable(|p, role| p.stable_report(role, from, group, delivered_gts)),
+                } => self.stable(
+                    |p, role| p.stable_report(role, from, group, delivered_gts),
+                    out,
+                ),
                 WhiteBoxMsg::StableAdvance { watermarks } => {
-                    self.stable(|p, role| p.stable_advance(role, &watermarks))
+                    self.stable(|p, role| p.stable_advance(role, &watermarks), out)
                 }
                 WhiteBoxMsg::StablePruned { msg_id, watermarks } => {
-                    self.handle_stable_pruned(msg_id, watermarks)
+                    self.handle_stable_pruned(msg_id, watermarks, out)
                 }
-                WhiteBoxMsg::ClientReply { .. } => Vec::new(),
+                WhiteBoxMsg::ClientReply { .. } => {}
             },
         }
     }
@@ -363,7 +372,7 @@ mod tests {
     use proptest::prelude::*;
 
     use crate::messages::{BallotVector, StateSnapshot};
-    use wbam_types::{ClusterConfig, Destination, Payload};
+    use wbam_types::{Action, ClusterConfig, Destination, Payload};
 
     fn cluster() -> ClusterConfig {
         ClusterConfig::builder().groups(2, 3).clients(1).build()

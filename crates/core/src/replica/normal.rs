@@ -10,6 +10,7 @@ use wbam_types::{
 use super::{Status, WhiteBoxReplica};
 use crate::messages::{BallotVector, DeliverMsg, WhiteBoxMsg};
 use crate::record::MessageRecord;
+use crate::Outbox;
 
 /// Base for per-message retry timers; retry timer `n` is `RETRY_BASE + n`.
 const RETRY_TIMER_BASE: u64 = 1_000;
@@ -25,23 +26,25 @@ impl WhiteBoxReplica {
         &mut self,
         from: Option<ProcessId>,
         msg: AppMessage,
-    ) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = Vec::new();
+        out: &mut Outbox,
+    ) {
         if !msg.is_addressed_to(self.own_group()) {
             // Not for us; a client mis-addressed the message. Ignore.
-            return actions;
+            return;
         }
         match self.status {
             Status::Recovering => {
                 // Figure 4 line 4 precondition: only the leader handles it. The
                 // sender will retry; dropping is safe.
-                return actions;
+                return;
             }
             Status::Follower => {
                 // Help clients with a stale leader guess: forward to our leader.
                 let leader = self.cur_leader.get(&self.own_group()).copied();
-                let leader = leader.filter(|l| *l != self.config.id);
-                return Action::send_to_all(leader, WhiteBoxMsg::Multicast { msg });
+                if let Some(leader) = leader.filter(|l| *l != self.config.id) {
+                    out.push(Action::send(leader, WhiteBoxMsg::Multicast { msg }));
+                }
+                return;
             }
             Status::Leader => {}
         }
@@ -53,7 +56,7 @@ impl WhiteBoxReplica {
             // pruning from breaking Integrity. The actual global timestamp
             // was pruned with the record; the reply carries ⊥, which clients
             // treat like any completion.
-            actions.extend(self.reply_to_sender(msg.id, Timestamp::BOTTOM));
+            out.extend(self.reply_to_sender(msg.id, Timestamp::BOTTOM));
             // A retry from a *peer replica* (a destination leader pumping
             // §IV message recovery for a record still pending over there)
             // needs more than a client reply: tell it the record is pruned,
@@ -61,7 +64,7 @@ impl WhiteBoxReplica {
             // pending copy (which otherwise wedges its delivery convoy).
             if let Some(peer) = from {
                 if peer != msg.id.sender {
-                    actions.push(Action::send(
+                    out.push(Action::send(
                         peer,
                         WhiteBoxMsg::StablePruned {
                             msg_id: msg.id,
@@ -70,7 +73,7 @@ impl WhiteBoxReplica {
                     ));
                 }
             }
-            return actions;
+            return;
         }
         let cballot = self.cballot;
         let record = self
@@ -89,7 +92,7 @@ impl WhiteBoxReplica {
             // still be waiting for our proposal to complete its accept set
             // (§IV, message recovery).
             let global_ts = record.global_ts;
-            actions.extend(self.reply_to_sender(msg.id, global_ts));
+            out.extend(self.reply_to_sender(msg.id, global_ts));
         }
         // Line 9: send ACCEPT to every process of every destination group.
         // (On a duplicate MULTICAST this re-sends the stored proposal.)
@@ -100,10 +103,8 @@ impl WhiteBoxReplica {
             ballot: cballot,
             local_ts: record.local_ts,
         };
-        let recipients = self.destination_processes(&msg);
-        actions.extend(Action::send_to_all(recipients, accept));
-        actions.extend(self.arm_retry_timer(msg.id));
-        actions
+        Action::send_to_all(out, self.destination_processes(&msg), accept);
+        out.extend(self.arm_retry_timer(msg.id));
     }
 
     /// The delivery reply to `id`'s sender, unless the sender is a member of
@@ -128,15 +129,16 @@ impl WhiteBoxReplica {
         group: GroupId,
         ballot: Ballot,
         local_ts: Timestamp,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+        out: &mut Outbox,
+    ) {
         if !msg.is_addressed_to(self.own_group()) {
-            return Vec::new();
+            return;
         }
         if !self.records.contains_key(&msg.id) && self.progress.has_delivered(msg.id) {
             // A stale ACCEPT for a message delivered everywhere and pruned:
             // recording it would resurrect a record that can never be
             // re-delivered (and would never be pruned again). Drop it.
-            return Vec::new();
+            return;
         }
         // Remember who currently leads the proposing group (useful for retries).
         if let Some(leader) = ballot.leader() {
@@ -161,10 +163,10 @@ impl WhiteBoxReplica {
         // Proposals from remote groups are deliberately *not* checked
         // against any ballot (§IV, "Discussion of normal operation").
         let (Some(implied_gts), Some((own_ballot, own_lts))) = (implied_gts, own_accept) else {
-            return Vec::new();
+            return;
         };
         if self.status == Status::Recovering || own_ballot != cballot {
-            return Vec::new();
+            return;
         }
         // Lines 12–14 (state update is guarded; the acknowledgement is not).
         let record = self.records.get_mut(&msg_id).expect("record just created");
@@ -186,7 +188,7 @@ impl WhiteBoxReplica {
             group: own_group,
             ballots: record.ballot_vector(),
         };
-        Action::send_to_all(record.accept_leaders(), ack)
+        Action::send_to_all(out, record.accept_leaders(), ack);
     }
 
     /// Figure 4, lines 17–23: the leader handles `ACCEPT_ACK`s and commits.
@@ -196,13 +198,14 @@ impl WhiteBoxReplica {
         msg_id: MsgId,
         group: GroupId,
         ballots: BallotVector,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+        out: &mut Outbox,
+    ) {
         // Line 18 precondition.
         if self.status != Status::Leader {
-            return Vec::new();
+            return;
         }
         if ballots.get(&self.own_group()) != Some(&self.cballot) {
-            return Vec::new();
+            return;
         }
         let own_group = self.own_group();
         let own_id = self.config.id;
@@ -210,7 +213,7 @@ impl WhiteBoxReplica {
         let Some(record) = self.records.get_mut(&msg_id) else {
             // We have not proposed this message yet; the ack will be re-sent
             // when the proposal eventually reaches the sender again.
-            return Vec::new();
+            return;
         };
         // An own-group member that acked under our ballot stored the record
         // first: it holds `m`, so its DELIVER may go by reference. Noted
@@ -219,7 +222,7 @@ impl WhiteBoxReplica {
             record.add_holder(index);
         }
         if record.phase == Phase::Committed {
-            return Vec::new();
+            return;
         }
         record.record_ack(ballots, group, from);
         // Line 17: a quorum in every destination group, acknowledging exactly
@@ -230,7 +233,7 @@ impl WhiteBoxReplica {
             .quorum_acked(&self.quorum_sizes, Some((own_group, own_id)))
             .is_none()
         {
-            return Vec::new();
+            return;
         }
         // Lines 19–20: commit.
         let gts = record
@@ -239,19 +242,17 @@ impl WhiteBoxReplica {
         record.commit(gts);
         self.delivery.unpend(record.local_ts, msg_id);
         self.delivery.commit(gts, msg_id);
-        let mut actions: Vec<_> = self.cancel_retry_timer(msg_id).into_iter().collect();
+        out.extend(self.cancel_retry_timer(msg_id));
         // Line 21: deliver every committed message that is no longer blocked.
-        actions.extend(self.try_deliver());
-        actions
+        self.try_deliver(out);
     }
 
     /// Figure 4, line 21 (and line 66 after recovery): deliver committed
     /// messages in global-timestamp order once no pending message can receive
     /// a smaller global timestamp.
-    pub(super) fn try_deliver(&mut self) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = Vec::new();
+    pub(super) fn try_deliver(&mut self, out: &mut Outbox) {
         if self.status != Status::Leader {
-            return actions;
+            return;
         }
         // Committed messages with a global timestamp at or above the smallest
         // local timestamp of a PROPOSED or ACCEPTED message must wait: the
@@ -280,10 +281,9 @@ impl WhiteBoxReplica {
                     local_ts: record.local_ts,
                     global_ts: gts,
                 };
-                actions.push(Action::send(to, deliver));
+                out.push(Action::send(to, deliver));
             }
         }
-        actions
     }
 
     /// The holder rule: whether `to` is known to hold `id`'s record for a
@@ -331,15 +331,15 @@ impl WhiteBoxReplica {
         ballot: Ballot,
         local_ts: Timestamp,
         global_ts: Timestamp,
-    ) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = Vec::new();
+        out: &mut Outbox,
+    ) {
         // Line 25 precondition: duplicate DELIVERs (possible after leader
         // changes) are filtered via max_delivered_gts.
         if self.status == Status::Recovering {
-            return actions;
+            return;
         }
         if self.cballot != ballot {
-            return actions;
+            return;
         }
         let msg = match msg {
             DeliverMsg::Full(msg) => msg,
@@ -349,7 +349,7 @@ impl WhiteBoxReplica {
                 // exactly like a lost frame. The holder rule rules it out
                 // unless the replica lost its records without a new ballot:
                 // an amnesiac `wbamd` restart (DESIGN.md).
-                None => return actions,
+                None => return,
             },
         };
         let Some(round_due) = self.progress.note_delivery(global_ts, msg.id) else {
@@ -366,21 +366,20 @@ impl WhiteBoxReplica {
             if self.records.contains_key(&msg.id) {
                 self.install_delivered(&msg, local_ts, global_ts);
                 self.progress.note_reinstalled(global_ts, msg.id);
-                actions.extend(self.cancel_retry_timer(msg.id));
+                out.extend(self.cancel_retry_timer(msg.id));
             }
-            return actions;
+            return;
         };
         let msg_id = msg.id;
         self.install_delivered(&msg, local_ts, global_ts);
         // Line 31: deliver to the application.
-        actions.push(Action::Deliver(DeliveredMessage::with_timestamp(
+        out.push(Action::Deliver(DeliveredMessage::with_timestamp(
             msg, global_ts,
         )));
         if round_due {
-            actions.extend(self.stable(DeliveryProgress::stable_round));
+            self.stable(DeliveryProgress::stable_round, out);
         }
-        actions.extend(self.reply_to_sender(msg_id, global_ts));
-        actions
+        out.extend(self.reply_to_sender(msg_id, global_ts));
     }
 
     /// Figure 4, lines 26–30: installs the leader's decision on `msg`'s
@@ -424,10 +423,9 @@ impl WhiteBoxReplica {
 
     /// Figure 4, lines 32–34: re-send `MULTICAST(m)` to the destination
     /// leaders when a proposed/accepted message is stuck.
-    pub(super) fn handle_retry_timer(&mut self, timer: TimerId) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = Vec::new();
+    pub(super) fn handle_retry_timer(&mut self, timer: TimerId, out: &mut Outbox) {
         let Some(msg_id) = self.retry_timer_msgs.get(&timer).copied() else {
-            return actions;
+            return;
         };
         // A vanished record went in a leader recovery's wholesale
         // replacement (a dropped proposed-only message). Unmap the timer
@@ -439,19 +437,16 @@ impl WhiteBoxReplica {
         let Some(record) = self.records.get(&msg_id).filter(|r| r.is_pending()) else {
             self.retry_timer_msgs.remove(&timer);
             self.retry_timer_of.remove(&msg_id);
-            return actions;
+            return;
         };
         let multicast = WhiteBoxMsg::Multicast {
             msg: record.msg.clone(),
         };
-        for leader in self.destination_leaders(&record.msg) {
-            actions.push(Action::send(leader, multicast.clone()));
-        }
-        actions.push(Action::SetTimer {
+        Action::send_to_all(out, self.destination_leaders(&record.msg), multicast);
+        out.push(Action::SetTimer {
             id: timer,
             delay: self.config.retry_timeout,
         });
-        actions
     }
 }
 

@@ -17,6 +17,7 @@ use wbam_types::{Action, Ballot, Checkpoint, DeliveryQueue, Phase, ProcessId, Ti
 use super::{Status, WhiteBoxReplica};
 use crate::messages::{RecordSnapshot, StateSnapshot, WhiteBoxMsg};
 use crate::record::MessageRecord;
+use crate::Outbox;
 
 /// A `NEW_LEADER_ACK`: the voter's `cballot`, checkpoint and records.
 pub(super) type Vote = (Ballot, Checkpoint, StateSnapshot);
@@ -142,16 +143,17 @@ impl Recovery {
 
 impl WhiteBoxReplica {
     /// Figure 4, lines 35–36: start establishing a new ballot led by us.
-    pub(super) fn start_recovery(&mut self) -> Vec<Action<WhiteBoxMsg>> {
+    pub(super) fn start_recovery(&mut self, out: &mut Outbox) {
         if self.status == Status::Leader {
-            return Vec::new();
+            return;
         }
         let ballot = self.ballot.next_for(self.config.id);
         self.recovery = Some(Recovery::new(ballot));
         Action::send_to_all(
+            out,
             self.group_members.iter().copied(),
             WhiteBoxMsg::NewLeader { ballot },
-        )
+        );
     }
 
     /// Figure 4, lines 37–41: vote for a prospective leader.
@@ -160,12 +162,13 @@ impl WhiteBoxReplica {
         now: Duration,
         from: ProcessId,
         ballot: Ballot,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+        out: &mut Outbox,
+    ) {
         if ballot <= self.ballot {
-            return Vec::new();
+            return;
         }
-        let mut actions = self.follow(now, Status::Recovering, ballot);
-        actions.push(Action::send(
+        self.follow(now, Status::Recovering, ballot, out);
+        out.push(Action::send(
             from,
             WhiteBoxMsg::NewLeaderAck {
                 ballot,
@@ -174,7 +177,6 @@ impl WhiteBoxReplica {
                 snapshot: self.snapshot(),
             },
         ));
-        actions
     }
 
     /// Figure 4, lines 42–56: the prospective leader gathers votes, computes
@@ -186,9 +188,10 @@ impl WhiteBoxReplica {
         cballot: Ballot,
         checkpoint: Checkpoint,
         snapshot: StateSnapshot,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+        out: &mut Outbox,
+    ) {
         if self.status != Status::Recovering || self.ballot != ballot {
-            return Vec::new();
+            return;
         }
         let quorum = self.own_quorum();
         let vote = (cballot, checkpoint, snapshot);
@@ -197,7 +200,7 @@ impl WhiteBoxReplica {
             .as_mut()
             .and_then(|r| r.vote(from, ballot, vote, quorum))
         else {
-            return Vec::new();
+            return;
         };
         let (checkpoint, snapshot) = Recovery::merge(self.checkpoint(), &votes);
         self.install(ballot, &checkpoint, snapshot);
@@ -208,11 +211,10 @@ impl WhiteBoxReplica {
         // suffix, which doubles as catch-up state transfer for any member
         // whose progress lies below the recovered watermark.
         let followers = self.group_members.iter().copied();
-        let mut actions = self.send_state(followers.filter(|p| *p != self.config.id));
+        self.send_state(followers.filter(|p| *p != self.config.id), out);
         // We are in sync with our own state; a singleton group needs no
         // follower acknowledgements.
-        actions.extend(self.handle_new_state_ack(self.config.id, ballot));
-        actions
+        self.handle_new_state_ack(self.config.id, ballot, out);
     }
 
     /// Figure 4, lines 57–62: a follower installs the new leader's state.
@@ -233,16 +235,16 @@ impl WhiteBoxReplica {
         ballot: Ballot,
         checkpoint: Checkpoint,
         snapshot: StateSnapshot,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+        out: &mut Outbox,
+    ) {
         let fresh_join = ballot > self.ballot;
         if !fresh_join && (self.status != Status::Recovering || self.ballot != ballot) {
-            return Vec::new();
+            return;
         }
         self.recovery = None;
-        let mut actions = self.follow(now, Status::Follower, ballot);
+        self.follow(now, Status::Follower, ballot, out);
         self.install(ballot, &checkpoint, snapshot);
-        actions.push(Action::send(from, WhiteBoxMsg::NewStateAck { ballot }));
-        actions
+        out.push(Action::send(from, WhiteBoxMsg::NewStateAck { ballot }));
     }
 
     /// Figure 4, lines 63–68: the new leader finishes recovery once a quorum is
@@ -251,9 +253,10 @@ impl WhiteBoxReplica {
         &mut self,
         from: ProcessId,
         ballot: Ballot,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+        out: &mut Outbox,
+    ) {
         if self.status != Status::Recovering || self.ballot != ballot {
-            return Vec::new();
+            return;
         }
         let quorum = self.own_quorum();
         if !self
@@ -261,9 +264,9 @@ impl WhiteBoxReplica {
             .as_mut()
             .is_some_and(|r| r.synced(from, ballot, quorum))
         {
-            return Vec::new();
+            return;
         }
-        self.lead()
+        self.lead(out);
     }
 
     /// Installs `ballot`'s initial state: `checkpoint` and `snapshot` as
@@ -317,16 +320,13 @@ impl WhiteBoxReplica {
     }
 
     /// Sends `NEW_STATE` for our ballot — checkpoint plus records — to `to`.
-    pub(super) fn send_state(
-        &self,
-        to: impl IntoIterator<Item = ProcessId>,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+    pub(super) fn send_state(&self, to: impl IntoIterator<Item = ProcessId>, out: &mut Outbox) {
         let state = WhiteBoxMsg::NewState {
             ballot: self.cballot,
             checkpoint: self.checkpoint(),
             snapshot: self.snapshot(),
         };
-        Action::send_to_all(to, state)
+        Action::send_to_all(out, to, state);
     }
 
     /// Our records beyond `START`, as `NEW_LEADER_ACK` and `NEW_STATE`

@@ -7,6 +7,7 @@ use wbam_types::{Action, DeliveryProgress, GroupId, MsgId, StableRole, StableSte
 use super::{Status, WhiteBoxReplica};
 use crate::messages::WhiteBoxMsg;
 use crate::record::MessageRecord;
+use crate::Outbox;
 
 impl WhiteBoxReplica {
     /// Takes one `STABLE` decision (see [`DeliveryProgress`]) in this
@@ -16,7 +17,8 @@ impl WhiteBoxReplica {
     pub(super) fn stable(
         &mut self,
         decide: impl FnOnce(&mut DeliveryProgress, StableRole) -> StableStep,
-    ) -> Vec<Action<WhiteBoxMsg>> {
+        out: &mut Outbox,
+    ) {
         let role = match self.status {
             Status::Leader => StableRole::Leader(&self.cur_leader),
             Status::Follower => {
@@ -25,22 +27,22 @@ impl WhiteBoxReplica {
             Status::Recovering => StableRole::Silent,
         };
         match decide(&mut self.progress, role) {
-            StableStep::Quiet => Vec::new(),
+            StableStep::Quiet => {}
             StableStep::Report(leader, delivered_gts) => {
                 let group = self.own_group();
                 let report = WhiteBoxMsg::StableReport {
                     group,
                     delivered_gts,
                 };
-                vec![Action::send(leader, report)]
+                out.push(Action::send(leader, report));
             }
             StableStep::Advance(to) => {
                 self.prune_records();
                 if to.is_empty() {
-                    return Vec::new();
+                    return;
                 }
                 let watermarks = self.progress.watermarks().clone();
-                Action::send_to_all(to, WhiteBoxMsg::StableAdvance { watermarks })
+                Action::send_to_all(out, to, WhiteBoxMsg::StableAdvance { watermarks });
             }
         }
     }
@@ -56,23 +58,23 @@ impl WhiteBoxReplica {
         &mut self,
         msg_id: MsgId,
         watermarks: BTreeMap<GroupId, Timestamp>,
-    ) -> Vec<Action<WhiteBoxMsg>> {
-        let mut actions = self.stable(|p, role| p.stable_advance(role, &watermarks));
+        out: &mut Outbox,
+    ) {
+        self.stable(|p, role| p.stable_advance(role, &watermarks), out);
         if !self
             .records
             .get(&msg_id)
             .is_some_and(MessageRecord::is_pending)
         {
-            return actions;
+            return;
         }
         let record = self.records.remove(&msg_id).expect("pending record");
         self.delivery.unpend(record.local_ts, msg_id);
         self.delivery.forget(record.global_ts, msg_id);
         self.progress.note_delivered_elsewhere(msg_id);
         self.pruned_dropped.insert(msg_id);
-        actions.extend(self.cancel_retry_timer(msg_id));
-        actions.extend(self.try_deliver());
-        actions
+        out.extend(self.cancel_retry_timer(msg_id));
+        self.try_deliver(out);
     }
 
     /// Prunes delivered records covered by every destination group's

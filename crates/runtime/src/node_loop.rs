@@ -18,6 +18,15 @@
 //! All time flows through the [`Clock`] abstraction: the loop never reads
 //! `Instant::now()` and never calls `recv_timeout` directly, which is what
 //! makes the virtual-clock execution a pure function of scheduler decisions.
+//!
+//! **Round time.** A batch of envelopes is one round, and the loop reads its
+//! clock at most twice for it: once before the round's events, which gives
+//! the `now` every event of the round sees, and once after the last of them
+//! (on the first delivery or timer arm), which stamps every
+//! [`RuntimeDelivery`] and is the base of every timer deadline the round
+//! set. A delivery is therefore never stamped before the node produced it.
+//! The node appends every event's actions to one outbox the loop keeps and
+//! reuses, and the loop executes them in order once the round's events ran.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::time::Duration;
@@ -114,6 +123,11 @@ pub(crate) struct NodeLoop<M, T, C> {
     timers: BinaryHeap<PendingTimer>,
     generations: HashMap<TimerId, TimerGen>,
     stopped: bool,
+    /// The node's outbox, empty between rounds and reused by every round.
+    out: Vec<Action<M>>,
+    /// Envelopes taken from the mailbox for the next round, empty between
+    /// rounds and reused by every round.
+    mail: Vec<Envelope<M>>,
 }
 
 impl<M, T, C> NodeLoop<M, T, C>
@@ -141,30 +155,44 @@ where
             timers: BinaryHeap::new(),
             generations: HashMap::new(),
             stopped: false,
+            out: Vec::new(),
+            mail: Vec::new(),
         }
     }
 
     /// Delivers [`Event::Init`] to the node. Must be called exactly once,
     /// before any other stepping.
     pub(crate) fn init(&mut self) {
-        let now = self.clock.now();
-        let actions = self.node.on_event(now, Event::Init);
-        self.execute(actions);
+        self.handle_one(Event::Init);
     }
 
-    /// Executes one batch of node actions: sends go to the transport and
-    /// deliveries to the sink, each in order. Nothing is flushed here; see
+    /// Runs the node over one event outside the mailbox (`Init`, a direct
+    /// `Restart`) as a round of its own.
+    fn handle_one(&mut self, event: Event<M>) {
+        let now = self.clock.now();
+        let mut out = std::mem::take(&mut self.out);
+        self.node.on_event_into(now, event, &mut out);
+        self.execute(out.drain(..));
+        self.out = out;
+    }
+
+    /// Executes one round's node actions: sends go to the transport and
+    /// deliveries to the sink, each in order. The clock is read once, at the
+    /// first delivery or timer arm, and that reading stamps every delivery
+    /// and is the base of every deadline. Nothing is flushed here; see
     /// [`flush_deliveries`](Self::flush_deliveries).
-    fn execute(&mut self, actions: Vec<Action<M>>) {
+    fn execute(&mut self, actions: impl IntoIterator<Item = Action<M>>) {
+        let mut at = None;
         for action in actions {
             match action {
                 Action::Send { to, msg } => self.transport.send(to, msg),
                 Action::Deliver(delivery) => {
                     self.delivered += 1;
+                    let elapsed = *at.get_or_insert_with(|| self.clock.now());
                     self.sink.deliver(RuntimeDelivery {
                         process: self.my_id,
                         delivery,
-                        elapsed: self.clock.now(),
+                        elapsed,
                     });
                 }
                 Action::SetTimer { id, delay } => {
@@ -175,8 +203,9 @@ where
                     entry.gen += 1;
                     entry.queued += 1;
                     let generation = entry.gen;
+                    let base = *at.get_or_insert_with(|| self.clock.now());
                     self.timers.push(PendingTimer {
-                        deadline: self.clock.now() + delay,
+                        deadline: base + delay,
                         id,
                         generation,
                     });
@@ -226,21 +255,24 @@ where
     }
 
     /// Fires every timer due at the clock's current time, executing the
-    /// actions each firing produces (which may arm further timers).
+    /// actions each firing produces (which may arm further timers) before
+    /// the next timer pops, so a firing can still cancel a later one.
     pub(crate) fn fire_due_timers(&mut self) {
-        loop {
-            let now = self.clock.now();
-            match self.timers.peek() {
-                Some(t) if t.deadline <= now => {}
-                _ => return,
+        let now = self.clock.now();
+        let mut out = std::mem::take(&mut self.out);
+        while let Some(t) = self.timers.peek() {
+            if t.deadline > now {
+                break;
             }
             let t = self.timers.pop().expect("peeked");
             if !self.retire_timer_entry(&t) {
                 continue; // cancelled or re-armed
             }
-            let actions = self.node.on_event(now, Event::Timer { id: t.id, now });
-            self.execute(actions);
+            let event = Event::Timer { id: t.id, now };
+            self.node.on_event_into(now, event, &mut out);
+            self.execute(out.drain(..));
         }
+        self.out = out;
     }
 
     /// The deadline of the earliest *live* pending timer, pruning stale heap
@@ -274,34 +306,32 @@ where
         batch.len() - before
     }
 
-    /// Runs the node over a batch of envelopes and executes everything it
-    /// answered as one action batch, so a busy stretch pays the per-batch
-    /// costs (the delivery flush, the driver's socket flush) once. Callers
+    /// Runs the node over a batch of envelopes as one round and executes
+    /// everything it answered once the round's events ran, so a busy
+    /// stretch pays the per-round costs (the clock reads, the delivery
+    /// flush, the reactor's socket flush) once. Every event of the round sees
+    /// the same `now`, read at the first envelope (an empty batch reads no
+    /// clock); see the module docs for the round-time rule. Callers
     /// bound the batch by [`MAX_ENVELOPE_BATCH`] so timers never starve.
     pub(crate) fn process_batch(&mut self, batch: impl IntoIterator<Item = Envelope<M>>) {
-        let mut actions = Vec::new();
+        let mut now = None;
+        let mut out = std::mem::take(&mut self.out);
         for envelope in batch {
-            let elapsed = self.clock.now();
-            match envelope {
+            let now = *now.get_or_insert_with(|| self.clock.now());
+            let event = match envelope {
                 Envelope::Shutdown => {
                     self.stopped = true;
                     break;
                 }
-                Envelope::FromPeer { from, msg } => {
-                    actions.extend(self.node.on_event(elapsed, Event::Message { from, msg }));
-                }
-                Envelope::Submit(msg) => {
-                    actions.extend(self.node.on_event(elapsed, Event::Multicast(msg)));
-                }
-                Envelope::BecomeLeader => {
-                    actions.extend(self.node.on_event(elapsed, Event::BecomeLeader));
-                }
-                Envelope::Restart => {
-                    actions.extend(self.node.on_event(elapsed, Event::Restart));
-                }
-            }
+                Envelope::FromPeer { from, msg } => Event::Message { from, msg },
+                Envelope::Submit(msg) => Event::Multicast(msg),
+                Envelope::BecomeLeader => Event::BecomeLeader,
+                Envelope::Restart => Event::Restart,
+            };
+            self.node.on_event_into(now, event, &mut out);
         }
-        self.execute(actions);
+        self.execute(out.drain(..));
+        self.out = out;
     }
 
     /// Read access to the wrapped node, for state inspection through
@@ -334,11 +364,12 @@ where
     /// path [`run`](Self::run) uses, so burst coalescing behaves identically
     /// under the scheduler and in production.
     pub(crate) fn step_deliver(&mut self, limit: usize) -> usize {
-        let mut batch = Vec::new();
-        let consumed = self.take_mail(&mut batch, limit.min(MAX_ENVELOPE_BATCH));
+        let mut mail = std::mem::take(&mut self.mail);
+        let consumed = self.take_mail(&mut mail, limit.min(MAX_ENVELOPE_BATCH));
         if consumed > 0 {
-            self.process_batch(batch);
+            self.process_batch(mail.drain(..));
         }
+        self.mail = mail;
         consumed
     }
 
@@ -360,9 +391,7 @@ where
     /// Delivers [`Event::Restart`] directly (without going through the
     /// mailbox): volatile context is gone, timers re-arm, the node rejoins.
     pub(crate) fn apply_restart(&mut self) {
-        let now = self.clock.now();
-        let actions = self.node.on_event(now, Event::Restart);
-        self.execute(actions);
+        self.handle_one(Event::Restart);
     }
 
     /// Runs the loop until an [`Envelope::Shutdown`] arrives, every
@@ -386,9 +415,11 @@ where
             let deadline = self.next_deadline();
             match self.clock.recv_deadline(&self.rx, deadline) {
                 Ok(envelope) => {
-                    let mut batch = vec![envelope];
-                    self.take_mail(&mut batch, MAX_ENVELOPE_BATCH);
-                    self.process_batch(batch);
+                    let mut mail = std::mem::take(&mut self.mail);
+                    mail.push(envelope);
+                    self.take_mail(&mut mail, MAX_ENVELOPE_BATCH);
+                    self.process_batch(mail.drain(..));
+                    self.mail = mail;
                 }
                 Err(WaitError::Timeout) => continue,
                 Err(WaitError::Disconnected) => break,
@@ -599,6 +630,116 @@ mod tests {
             "the cancelled-by-re-arm entry must not produce a third firing"
         );
         assert!(p.nl.generations.is_empty());
+    }
+
+    /// A clock whose every read returns one microsecond more than the last
+    /// and counts itself.
+    #[derive(Clone, Default)]
+    struct CountingClock {
+        reads: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CountingClock {
+        fn reads(&self) -> u64 {
+            self.reads.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl Clock for CountingClock {
+        fn now(&self) -> Duration {
+            let read = self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            Duration::from_micros(read)
+        }
+
+        fn recv_deadline<T>(
+            &self,
+            rx: &Receiver<T>,
+            _deadline: Option<Duration>,
+        ) -> Result<T, WaitError> {
+            rx.try_recv().map_err(|_| WaitError::Timeout)
+        }
+    }
+
+    /// Answers every peer message with a delivery and a timer arm, and
+    /// notes how many clock reads had been made when it ran.
+    struct RoundProbe {
+        clock: CountingClock,
+        seen: Arc<std::sync::Mutex<Vec<(Duration, u64)>>>,
+    }
+
+    impl wbam_types::Node for RoundProbe {
+        type Msg = u64;
+
+        fn id(&self) -> ProcessId {
+            ProcessId(0)
+        }
+
+        fn on_event_into(&mut self, now: Duration, event: Event<u64>, out: &mut Vec<Action<u64>>) {
+            if let Event::Message { msg, .. } = event {
+                self.seen.lock().unwrap().push((now, self.clock.reads()));
+                out.push(Action::Deliver(
+                    wbam_types::DeliveredMessage::without_timestamp(AppMessage::new(
+                        wbam_types::MsgId::new(ProcessId(1), msg),
+                        wbam_types::Destination::single(wbam_types::GroupId(0)),
+                        wbam_types::Payload::empty(),
+                    )),
+                ));
+                out.push(Action::SetTimer {
+                    id: TimerId(msg),
+                    delay: Duration::from_millis(1),
+                });
+            }
+        }
+    }
+
+    /// The round-time rule: a round of k envelopes reads the clock twice,
+    /// once for the `now` all its events see and once after the last of
+    /// them, and that second reading stamps every delivery and is the base
+    /// of every deadline. Reading per envelope, per delivery and per timer
+    /// arm took k + 2k reads here.
+    #[test]
+    fn a_round_reads_the_clock_twice_and_stamps_after_its_events() {
+        const K: u64 = 5;
+        let clock = CountingClock::default();
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let node = RoundProbe {
+            clock: clock.clone(),
+            seen: Arc::clone(&seen),
+        };
+        let log = Arc::new(DeliveryLog::new());
+        let (_tx, rx) = unbounded();
+        let mut nl = NodeLoop::new(
+            Box::new(node),
+            rx,
+            NullTransport,
+            Box::new(LogSink::new(Arc::clone(&log))),
+            clock.clone(),
+        );
+        let before = clock.reads();
+        nl.process_batch((0..K).map(|msg| Envelope::FromPeer {
+            from: ProcessId(1),
+            msg,
+        }));
+        assert_eq!(clock.reads() - before, 2, "one read before, one after");
+        let seen = seen.lock().unwrap().clone();
+        assert_eq!(seen.len(), K as usize);
+        let round_now = Duration::from_micros(before + 1);
+        assert!(seen.iter().all(|&(now, _)| now == round_now));
+        // The reading after the round's last event.
+        let last_event_reads = seen.last().expect("k events").1;
+        let after = Duration::from_micros(last_event_reads + 1);
+        nl.flush_deliveries().unwrap();
+        let stamps: Vec<Duration> = log.snapshot().iter().map(|d| d.elapsed).collect();
+        assert_eq!(stamps.len(), K as usize);
+        assert!(
+            stamps.iter().all(|&at| at >= after),
+            "{stamps:?} vs {after:?}"
+        );
+        assert_eq!(nl.timers.len(), K as usize);
+        assert!(nl
+            .timers
+            .iter()
+            .all(|t| t.deadline >= after + Duration::from_millis(1)));
     }
 
     /// `next_deadline` skips stale heads so an idle node does not wake for a

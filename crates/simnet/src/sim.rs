@@ -205,6 +205,10 @@ pub struct Simulation<M> {
     stats: NetStats,
     trace: Vec<TraceEntry<M>>,
     sends_by_process: BTreeMap<ProcessId, u64>,
+    /// The outbox every dispatch hands its node, empty between dispatches:
+    /// the simulation runs one event of one node at a time, so one buffer
+    /// serves every node.
+    outbox: Vec<Action<M>>,
 }
 
 impl<M: Clone + 'static> Simulation<M> {
@@ -231,6 +235,7 @@ impl<M: Clone + 'static> Simulation<M> {
             stats: NetStats::default(),
             trace: Vec::new(),
             sends_by_process: BTreeMap::new(),
+            outbox: Vec::new(),
         };
         for crash in sim.config.nemesis.crashes.clone() {
             sim.push(crash.at, crash.process, Payload::Crash);
@@ -502,8 +507,10 @@ impl<M: Clone + 'static> Simulation<M> {
     /// Dispatches an event to a node, applying the CPU model, and executes the
     /// returned actions. Returns the number of application deliveries.
     fn dispatch(&mut self, target: ProcessId, arrival: Duration, event: Event<M>) -> usize {
-        let (effective, actions, group, site) = {
+        let mut actions = std::mem::take(&mut self.outbox);
+        let (effective, group, site) = {
             let Some(slot) = self.nodes.get_mut(&target) else {
+                self.outbox = actions;
                 return 0;
             };
             // Clients are charged no service time.
@@ -517,12 +524,12 @@ impl<M: Clone + 'static> Simulation<M> {
             let start = arrival.max(slot.busy_until);
             let effective = start + service;
             slot.busy_until = effective;
-            let actions = slot.node.on_event(effective, event);
-            (effective, actions, slot.group, slot.site)
+            slot.node.on_event_into(effective, event, &mut actions);
+            (effective, slot.group, slot.site)
         };
 
         let mut deliveries = 0;
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
                     self.execute_send(target, site, to, msg, effective);
@@ -565,6 +572,7 @@ impl<M: Clone + 'static> Simulation<M> {
                 }
             }
         }
+        self.outbox = actions;
         deliveries
     }
 

@@ -55,6 +55,9 @@ use wbam_types::{
     ProcessId, RecordMap, Timestamp,
 };
 
+/// Where a handler appends its actions: the runtime's outbox for the round.
+type Outbox = Vec<Action<SkeenMsg>>;
+
 /// Wire messages of Skeen's protocol.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SkeenMsg {
@@ -165,9 +168,9 @@ impl SkeenProcess {
 
     /// Figure 1, lines 8–12: assign a local timestamp and send `PROPOSE` to
     /// all destinations.
-    fn handle_multicast(&mut self, msg: AppMessage) -> Vec<Action<SkeenMsg>> {
+    fn handle_multicast(&mut self, msg: AppMessage, out: &mut Outbox) {
         if !msg.dest.contains(self.group) {
-            return Vec::new();
+            return;
         }
         let group = self.group;
         let record = self
@@ -184,7 +187,7 @@ impl SkeenProcess {
             local_ts: record.local_ts,
         };
         let processes = msg.dest.iter().filter_map(|g| self.group_processes.get(&g));
-        Action::send_to_all(processes.copied(), propose)
+        Action::send_to_all(out, processes.copied(), propose);
     }
 
     /// Figure 1, lines 13–19: once proposals from all destination groups are
@@ -194,10 +197,10 @@ impl SkeenProcess {
         msg: AppMessage,
         group: GroupId,
         local_ts: Timestamp,
-    ) -> Vec<Action<SkeenMsg>> {
-        let mut actions = Vec::new();
+        out: &mut Outbox,
+    ) {
         if !msg.dest.contains(self.group) {
-            return actions;
+            return;
         }
         let record = self
             .records
@@ -205,7 +208,7 @@ impl SkeenProcess {
         record.proposals.insert(group, local_ts);
         let complete = msg.dest.iter().all(|g| record.proposals.contains_key(&g));
         if !complete || record.phase == Phase::Committed {
-            return actions;
+            return;
         }
         // Lines 14–16.
         let gts = Timestamp::global_of(record.proposals.values().copied());
@@ -217,22 +220,20 @@ impl SkeenProcess {
         self.delivery.commit(gts, msg.id);
         self.delivery.observe(gts.time());
         // Line 17: deliver committed messages not blocked by pending proposals.
-        actions.extend(self.try_deliver());
-        actions
+        self.try_deliver(out);
     }
 
-    fn try_deliver(&mut self) -> Vec<Action<SkeenMsg>> {
-        let mut actions = Vec::new();
+    fn try_deliver(&mut self, out: &mut Outbox) {
         for (gts, id) in self.delivery.pop_deliverable(|_| true) {
             let record = &self.records[&id];
             self.delivered_count += 1;
-            actions.push(Action::Deliver(DeliveredMessage::with_timestamp(
+            out.push(Action::Deliver(DeliveredMessage::with_timestamp(
                 record.msg.clone(),
                 gts,
             )));
             let sender = record.msg.id.sender;
             if !self.group_processes.values().any(|p| *p == sender) {
-                actions.push(Action::send(
+                out.push(Action::send(
                     sender,
                     SkeenMsg::ClientReply {
                         msg_id: id,
@@ -242,7 +243,6 @@ impl SkeenProcess {
                 ));
             }
         }
-        actions
     }
 }
 
@@ -253,19 +253,19 @@ impl Node for SkeenProcess {
         self.id
     }
 
-    fn on_event(&mut self, _now: Duration, event: Event<SkeenMsg>) -> Vec<Action<SkeenMsg>> {
+    fn on_event_into(&mut self, _now: Duration, event: Event<SkeenMsg>, out: &mut Outbox) {
         match event {
-            Event::Multicast(msg) => self.handle_multicast(msg),
+            Event::Multicast(msg) => self.handle_multicast(msg, out),
             Event::Message { msg, .. } => match msg {
-                SkeenMsg::Multicast { msg } => self.handle_multicast(msg),
+                SkeenMsg::Multicast { msg } => self.handle_multicast(msg, out),
                 SkeenMsg::Propose {
                     msg,
                     group,
                     local_ts,
-                } => self.handle_propose(msg, group, local_ts),
-                SkeenMsg::ClientReply { .. } => Vec::new(),
+                } => self.handle_propose(msg, group, local_ts, out),
+                SkeenMsg::ClientReply { .. } => {}
             },
-            _ => Vec::new(),
+            _ => {}
         }
     }
 }
@@ -305,15 +305,13 @@ impl Node for SkeenClient {
         self.id
     }
 
-    fn on_event(&mut self, _now: Duration, event: Event<SkeenMsg>) -> Vec<Action<SkeenMsg>> {
+    fn on_event_into(&mut self, _now: Duration, event: Event<SkeenMsg>, out: &mut Outbox) {
         match event {
             Event::Multicast(msg) => {
-                self.pending.insert(msg.id, msg.clone());
-                msg.dest
-                    .iter()
-                    .filter_map(|g| self.group_processes.get(&g).copied())
-                    .map(|p| Action::send(p, SkeenMsg::Multicast { msg: msg.clone() }))
-                    .collect()
+                let processes = msg.dest.iter().filter_map(|g| self.group_processes.get(&g));
+                let multicast = SkeenMsg::Multicast { msg: msg.clone() };
+                Action::send_to_all(out, processes.copied(), multicast);
+                self.pending.insert(msg.id, msg);
             }
             Event::Message {
                 msg:
@@ -324,13 +322,12 @@ impl Node for SkeenClient {
             } => {
                 if let Some(msg) = self.pending.remove(&msg_id) {
                     // Surface completion to the application driving the client.
-                    return vec![Action::Deliver(DeliveredMessage::with_timestamp(
+                    out.push(Action::Deliver(DeliveredMessage::with_timestamp(
                         msg, global_ts,
-                    ))];
+                    )));
                 }
-                Vec::new()
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 }

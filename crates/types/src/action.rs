@@ -76,25 +76,23 @@ impl<M> Action<M> {
         Action::Send { to, msg }
     }
 
-    /// Sends the same message to every process in `recipients`: a clone for
-    /// each but the last, which takes `msg` itself. Used for the "send to
-    /// dest(m)" broadcasts of the protocols.
-    pub fn send_to_all<I>(recipients: I, msg: M) -> Vec<Self>
+    /// Appends to `out` a send of the same message to every process in
+    /// `recipients`: a clone for each but the last, which takes `msg`
+    /// itself. Used for the "send to dest(m)" broadcasts of the protocols.
+    pub fn send_to_all<I>(out: &mut Vec<Self>, recipients: I, msg: M)
     where
         I: IntoIterator<Item = ProcessId>,
         M: Clone,
     {
         let mut recipients = recipients.into_iter();
         let Some(mut to) = recipients.next() else {
-            return Vec::new();
+            return;
         };
-        let mut actions = Vec::with_capacity(recipients.size_hint().0 + 1);
         for next in recipients {
-            actions.push(Action::send(to, msg.clone()));
+            out.push(Action::send(to, msg.clone()));
             to = next;
         }
-        actions.push(Action::send(to, msg));
-        actions
+        out.push(Action::send(to, msg));
     }
 
     /// Whether this action is a delivery.
@@ -127,10 +125,15 @@ mod tests {
 
     #[test]
     fn send_to_all_clones_message() {
-        let actions: Vec<Action<u32>> =
-            Action::send_to_all(vec![ProcessId(0), ProcessId(1), ProcessId(2)], 7);
-        assert_eq!(actions.len(), 3);
-        for (i, a) in actions.iter().enumerate() {
+        let mut actions = vec![Action::CancelTimer(TimerId(1))];
+        Action::send_to_all(
+            &mut actions,
+            vec![ProcessId(0), ProcessId(1), ProcessId(2)],
+            7,
+        );
+        assert_eq!(actions.len(), 4);
+        assert_eq!(actions[0], Action::CancelTimer(TimerId(1)), "appends");
+        for (i, a) in actions[1..].iter().enumerate() {
             match a {
                 Action::Send { to, msg } => {
                     assert_eq!(*to, ProcessId(i as u32));
@@ -139,7 +142,9 @@ mod tests {
                 _ => panic!("expected send"),
             }
         }
-        assert!(Action::<u32>::send_to_all(Vec::new(), 7).is_empty());
+        let mut none: Vec<Action<u32>> = Vec::new();
+        Action::send_to_all(&mut none, Vec::new(), 7);
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Application messages and destination sets.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::Bytes;
+use serde::de::{DeError, Source};
+use serde::ser::Sink;
 use serde::{Deserialize, Serialize};
 
 use crate::error::WbamError;
@@ -94,8 +97,25 @@ impl AsRef<[u8]> for Payload {
 /// let e = Destination::new(vec![GroupId(1), GroupId(2)]).unwrap();
 /// assert!(d.conflicts_with(&e));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Destination(Vec<GroupId>);
+///
+/// The groups sit behind an [`Arc`], so cloning a destination (and with it an
+/// [`AppMessage`]) is a reference-count bump, not an allocation: an `ACCEPT`
+/// fan-out clones the message once per recipient. The serde form is the
+/// sorted group list, as it was when the set was a `Vec`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Destination(Arc<[GroupId]>);
+
+impl Serialize for Destination {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        self.0.serialize(sink);
+    }
+}
+
+impl Deserialize for Destination {
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        Vec::<GroupId>::deserialize(src).map(|groups| Destination(groups.into()))
+    }
+}
 
 impl Destination {
     /// Creates a destination set from a list of groups.
@@ -112,12 +132,12 @@ impl Destination {
         if v.is_empty() {
             return Err(WbamError::EmptyDestination);
         }
-        Ok(Destination(v))
+        Ok(Destination(v.into()))
     }
 
     /// Creates a destination set addressed to a single group.
     pub fn single(group: GroupId) -> Self {
-        Destination(vec![group])
+        Destination(Arc::new([group]))
     }
 
     /// The groups in the destination set, sorted ascending.

@@ -26,8 +26,9 @@ impl fmt::Display for TimerId {
 
 /// A deterministic protocol state machine ("sans-IO" node).
 ///
-/// A node consumes [`Event`]s and produces [`Action`]s; it never performs IO
-/// itself. This makes every protocol in the workspace runnable both under the
+/// A node consumes [`Event`]s and appends [`Action`]s to an outbox the
+/// runtime owns ([`on_event_into`](Self::on_event_into)); it never performs
+/// IO itself. This makes every protocol in the workspace runnable both under the
 /// deterministic discrete-event simulator (`wbam-simnet`) and under the real
 /// multi-threaded runtime (`wbam-runtime`), and makes protocol logic directly
 /// property-testable.
@@ -41,12 +42,41 @@ pub trait Node {
     /// The identifier of the process this node plays.
     fn id(&self) -> ProcessId;
 
-    /// Handles one input event, returning the actions to execute.
+    /// Handles one input event, appending the actions to execute to `out`.
+    ///
+    /// This is the only method a runtime calls. Every engine keeps its
+    /// outbox and reuses it round after round, so a handler that pushes
+    /// into `out` costs no allocation of its own; a runtime may run several
+    /// events into the same `out` before it executes any of the actions, so
+    /// a handler must only ever append to it.
     ///
     /// `now` is the time elapsed since the node was started, as measured by the
     /// runtime; deterministic protocols use it only for arming timers and for
     /// instrumentation, never to branch on wall-clock values.
-    fn on_event(&mut self, now: Duration, event: Event<Self::Msg>) -> Vec<Action<Self::Msg>>;
+    ///
+    /// Implement exactly one of `on_event_into` and [`on_event`](Self::on_event):
+    /// each is provided in terms of the other, so a node that implements
+    /// neither recurses forever. Protocols implement this one; the default
+    /// extends `out` with what `on_event` returns, for a node that finds
+    /// returning a vector more natural.
+    fn on_event_into(
+        &mut self,
+        now: Duration,
+        event: Event<Self::Msg>,
+        out: &mut Vec<Action<Self::Msg>>,
+    ) {
+        out.extend(self.on_event(now, event));
+    }
+
+    /// Handles one input event, returning the actions to execute in a fresh
+    /// vector: an adapter over [`on_event_into`](Self::on_event_into) for
+    /// tests and tools that want a node's answer to one event on its own.
+    /// Implement exactly one of the two (see `on_event_into`).
+    fn on_event(&mut self, now: Duration, event: Event<Self::Msg>) -> Vec<Action<Self::Msg>> {
+        let mut out = Vec::new();
+        self.on_event_into(now, event, &mut out);
+        out
+    }
 
     /// Optional downcast hook: concrete node types may return `Some(self)` so
     /// that runtimes and test harnesses can inspect protocol state behind a
