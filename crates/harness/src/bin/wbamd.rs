@@ -49,7 +49,9 @@ use std::time::{Duration, Instant};
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use wbam_harness::{ClientSummary, DeliveryLine, DeployRole, DeploySpec, LatencyStats};
+use wbam_harness::{
+    ClientSummary, DeliveryLine, DeployRole, DeploySpec, Family, FamilyVisitor, LatencyStats,
+};
 use wbam_runtime::{BoxedNode, DeliverySink, RuntimeDelivery, TcpNode};
 use wbam_types::wire::to_json;
 use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, ProcessId, WbamError};
@@ -536,89 +538,64 @@ fn run() -> Result<(), WbamError> {
     };
     let spec_json = std::fs::read_to_string(&args.spec).map_err(WbamError::from)?;
     let spec = DeploySpec::from_json(&spec_json)?;
-    let id = ProcessId(args.id);
-    let role = spec.role_of(id)?;
-    // Listen on the own `addrs` entry, dial peers through `routes` when the
-    // spec interposes a proxy on the links.
-    let addrs = spec.dial_map(id)?;
-    let codec = match &args.wire {
-        Some(name) => {
-            wbam_types::wire::WireCodec::from_name(name).expect("validated by parse_args")
-        }
-        None => spec.wire_codec()?,
-    };
-    let sink = JsonlSink::open(args.deliveries.as_deref())?;
-    let dest = args
-        .dest
-        .clone()
-        .unwrap_or_else(|| spec.cluster_config().group_ids());
+    spec.protocol()?.visit(Serve {
+        spec: &spec,
+        args: &args,
+    })
+}
 
-    match (role, args.multicast) {
-        (DeployRole::Replica(_), Some(_)) => Err(WbamError::NotReady {
-            process: id,
-            reason: "--multicast is for client processes".to_string(),
-        }),
-        (DeployRole::Client, None) => Err(WbamError::NotReady {
-            process: id,
-            reason: "client processes need --multicast".to_string(),
-        }),
-        (DeployRole::Replica(_), None) => {
-            let stop = StopSignal::install(args.stdin_stop);
-            match spec.protocol()? {
-                wbam_harness::Protocol::WhiteBox => run_replica(
-                    spawn_with_bind_retry(
-                        || Ok(Box::new(spec.whitebox_replica(id)?) as BoxedNode<_>),
-                        &addrs,
-                        args.restart,
-                        codec,
-                        Some(sink),
-                    )?,
-                    &stop,
-                ),
-                _ => run_replica(
-                    spawn_with_bind_retry(
-                        || Ok(Box::new(spec.baseline_replica(id)?) as BoxedNode<_>),
-                        &addrs,
-                        args.restart,
-                        codec,
-                        Some(sink),
-                    )?,
-                    &stop,
-                ),
+/// Runs process `--id` of the spec as a node of the protocol's family.
+struct Serve<'a> {
+    spec: &'a DeploySpec,
+    args: &'a Args,
+}
+
+impl FamilyVisitor for Serve<'_> {
+    type Output = Result<(), WbamError>;
+
+    fn visit<F: Family>(self, family: F) -> Self::Output {
+        let Serve { spec, args } = self;
+        let id = ProcessId(args.id);
+        let role = spec.role_of(id)?;
+        // Listen on the own `addrs` entry, dial peers through `routes` when
+        // the spec interposes a proxy on the links.
+        let addrs = spec.dial_map(id)?;
+        let codec = match &args.wire {
+            Some(name) => {
+                wbam_types::wire::WireCodec::from_name(name).expect("validated by parse_args")
             }
-        }
-        (DeployRole::Client, Some(_)) => {
-            let summary = match spec.protocol()? {
-                wbam_harness::Protocol::WhiteBox => run_client(
-                    spawn_with_bind_retry(
-                        || Ok(Box::new(spec.whitebox_client(id)?) as BoxedNode<_>),
-                        &addrs,
-                        args.restart,
-                        codec,
-                        None,
-                    )?,
-                    &args,
-                    dest,
-                    sink,
-                )?,
-                _ => run_client(
-                    spawn_with_bind_retry(
-                        || Ok(Box::new(spec.baseline_client(id)?) as BoxedNode<_>),
-                        &addrs,
-                        args.restart,
-                        codec,
-                        None,
-                    )?,
-                    &args,
-                    dest,
-                    sink,
-                )?,
-            };
-            if let Some(path) = &args.summary {
-                std::fs::write(path, to_json(&summary)?).map_err(WbamError::from)?;
+            None => spec.wire_codec()?,
+        };
+        let sink = JsonlSink::open(args.deliveries.as_deref())?;
+        let make_node = || spec.node(&family, id);
+        match (role, args.multicast) {
+            (DeployRole::Replica(_), Some(_)) => Err(WbamError::NotReady {
+                process: id,
+                reason: "--multicast is for client processes".to_string(),
+            }),
+            (DeployRole::Client, None) => Err(WbamError::NotReady {
+                process: id,
+                reason: "client processes need --multicast".to_string(),
+            }),
+            (DeployRole::Replica(_), None) => {
+                let stop = StopSignal::install(args.stdin_stop);
+                let node =
+                    spawn_with_bind_retry(make_node, &addrs, args.restart, codec, Some(sink))?;
+                run_replica(node, &stop)
             }
-            println!("{}", to_json(&summary)?);
-            Ok(())
+            (DeployRole::Client, Some(_)) => {
+                let dest = args
+                    .dest
+                    .clone()
+                    .unwrap_or_else(|| spec.cluster_config().group_ids());
+                let node = spawn_with_bind_retry(make_node, &addrs, args.restart, codec, None)?;
+                let summary = run_client(node, args, dest, sink)?;
+                if let Some(path) = &args.summary {
+                    std::fs::write(path, to_json(&summary)?).map_err(WbamError::from)?;
+                }
+                println!("{}", to_json(&summary)?);
+                Ok(())
+            }
         }
     }
 }

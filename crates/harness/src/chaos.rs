@@ -44,9 +44,8 @@ use std::time::{Duration, Instant};
 use netpoll::{send_signal, Signal};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
-use wbam_core::WhiteBoxMsg;
 use wbam_kvstore::{KvCommand, Partitioner};
-use wbam_runtime::{BoxedNode, TcpNode};
+use wbam_runtime::TcpNode;
 use wbam_simnet::DeliveryRecord;
 use wbam_types::wire::{from_json, WireCodec};
 use wbam_types::{
@@ -59,6 +58,7 @@ use crate::deploy::{ChildGuard, DeliveryLine, DeploySpec};
 use crate::explore::{
     draw_kv_command, kv_message, ms, CheckPolicy, Digest, ExploreConfig, Observed, Report, Token,
 };
+use crate::family::WbCast;
 use crate::proxy::NemesisProxy;
 
 /// Groups in the chaos topology.
@@ -401,7 +401,7 @@ fn run_live(
         children.insert(id, spawn_replica(&wbamd, &spec_path, log_dir, id, false)?);
     }
     let client_id = ProcessId(REPLICAS);
-    let node: BoxedNode<WhiteBoxMsg> = Box::new(spec.whitebox_client(client_id)?);
+    let node = spec.node(&WbCast, client_id)?;
     let client = TcpNode::spawn_with_codec(node, &routed.dial_map(client_id)?, false, wire)?;
 
     // --- Drive workload + process faults on one timeline ----------------

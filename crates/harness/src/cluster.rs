@@ -1,16 +1,19 @@
-//! Protocol-agnostic simulated clusters.
+//! Simulated clusters of any protocol family.
 
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use wbam_baselines::{BaselineClient, BaselineMsg, BaselineReplica, Mode};
 use wbam_core::invariants::SentMessage;
-use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
+use wbam_core::WhiteBoxReplica;
+use wbam_runtime::SentRecord;
 use wbam_simnet::{DeliveryRecord, LatencyModel, MetricsView, NetStats, SimConfig, Simulation};
-use wbam_skeen::{SkeenClient, SkeenProcess};
 use wbam_types::{
-    AppMessage, ClusterConfig, ConfigError, Destination, GroupId, MsgId, NemesisPlan, Payload,
-    ProcessId, SiteId,
+    AppMessage, ClusterConfig, ConfigError, DeliveryProgress, Destination, GroupId, MsgId,
+    NemesisPlan, Payload, ProcessId, SiteId, Timestamp,
 };
+
+use crate::family::{Family, FamilyVisitor, NodeSpec, ReplicaView};
 
 /// The protocols the harness can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,12 +188,121 @@ impl ClusterSpec {
             nemesis: self.nemesis.clone(),
         }
     }
+
+    /// What the simulator passes to every family's constructors: WbCast's
+    /// built-in elections at 150 ms heartbeats and a 750 ms timeout when
+    /// `auto_election` is set, `ReplicaConfig`'s replica retry, and 2 s
+    /// client retries.
+    fn node_spec(&self) -> NodeSpec {
+        NodeSpec {
+            cluster: self.cluster_config(),
+            elections: self
+                .auto_election
+                .then_some((Duration::from_millis(150), Duration::from_millis(750))),
+            replica_retry: None,
+            client_retry: CLIENT_RETRY_TIMEOUT,
+            compaction_interval: self.compaction_interval,
+            compaction_lag: self.compaction_lag,
+        }
+    }
 }
 
-enum SimInner {
-    WhiteBox(Simulation<wbam_core::WhiteBoxMsg>),
-    Baseline(Simulation<BaselineMsg>),
-    Skeen(Simulation<wbam_skeen::SkeenMsg>),
+/// Client retry timeout of every protocol's simulated clients (2 s of
+/// simulated time): well above any simulated delivery latency, so
+/// failure-free runs never retry, and short enough that the retry fallbacks
+/// fire well inside the horizons used by failover scenarios.
+const CLIENT_RETRY_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// A family's [`Simulation`] with its message type erased, so that
+/// [`ProtocolSim`] is written once for every protocol.
+trait ErasedSim {
+    fn now(&self) -> Duration;
+    fn stats(&self) -> NetStats;
+    fn metrics(&self) -> MetricsView;
+    fn deliveries(&self) -> &[DeliveryRecord];
+    fn node(&self, p: ProcessId) -> Option<&dyn Any>;
+    fn replica(&self, p: ProcessId) -> Option<ReplicaView<'_>>;
+    fn checker_trace(&self) -> Option<Vec<SentMessage>>;
+    fn schedule_multicast(&mut self, at: Duration, from: ProcessId, msg: AppMessage);
+    fn schedule_crash(&mut self, at: Duration, p: ProcessId);
+    fn schedule_restart(&mut self, at: Duration, p: ProcessId);
+    fn schedule_become_leader(&mut self, at: Duration, p: ProcessId);
+    fn step(&mut self) -> bool;
+    fn run_until_quiescent(&mut self, horizon: Duration);
+}
+
+struct FamilySim<F: Family> {
+    family: F,
+    sim: Simulation<F::Msg>,
+}
+
+impl<F: Family> ErasedSim for FamilySim<F> {
+    fn now(&self) -> Duration {
+        self.sim.now()
+    }
+    fn stats(&self) -> NetStats {
+        self.sim.stats()
+    }
+    fn metrics(&self) -> MetricsView {
+        self.sim.metrics()
+    }
+    fn deliveries(&self) -> &[DeliveryRecord] {
+        self.sim.deliveries()
+    }
+    fn node(&self, p: ProcessId) -> Option<&dyn Any> {
+        self.sim.node(p)?.as_any()
+    }
+    fn replica(&self, p: ProcessId) -> Option<ReplicaView<'_>> {
+        self.family.replica(self.node(p)?)
+    }
+    fn checker_trace(&self) -> Option<Vec<SentMessage>> {
+        let trace = self.sim.trace().iter();
+        self.family.checker_trace(trace.map(|e| SentRecord {
+            from: e.from,
+            to: e.to,
+            msg: e.msg.clone(),
+        }))
+    }
+    fn schedule_multicast(&mut self, at: Duration, from: ProcessId, msg: AppMessage) {
+        self.sim.schedule_multicast(at, from, msg);
+    }
+    fn schedule_crash(&mut self, at: Duration, p: ProcessId) {
+        self.sim.schedule_crash(at, p);
+    }
+    fn schedule_restart(&mut self, at: Duration, p: ProcessId) {
+        self.sim.schedule_restart(at, p);
+    }
+    fn schedule_become_leader(&mut self, at: Duration, p: ProcessId) {
+        self.sim.schedule_become_leader(at, p);
+    }
+    fn step(&mut self) -> bool {
+        self.sim.step().is_some()
+    }
+    fn run_until_quiescent(&mut self, horizon: Duration) {
+        self.sim.run_until_quiescent(horizon);
+    }
+}
+
+/// Builds the simulation of a [`ClusterSpec`]: replicas group by group,
+/// then clients ([`ClusterConfig::all_processes`]).
+struct Build<'a>(&'a ClusterSpec);
+
+impl FamilyVisitor for Build<'_> {
+    type Output = Result<Box<dyn ErasedSim>, ConfigError>;
+
+    fn visit<F: Family>(self, family: F) -> Self::Output {
+        let spec = self.0.node_spec();
+        let cluster = &spec.cluster;
+        let mut sim = Simulation::new(self.0.sim_config());
+        for p in cluster.all_processes() {
+            let node = family.node(&spec, p)?;
+            match cluster.group_of(p) {
+                Some(group) => sim.add_replica(node, group, cluster.site_of(p)),
+                None => sim.add_client_at(node, cluster.site_of(p)),
+            };
+        }
+        Ok(Box::new(FamilySim { family, sim }))
+    }
 }
 
 /// A simulated cluster running one protocol, with a protocol-independent API
@@ -198,16 +310,10 @@ enum SimInner {
 pub struct ProtocolSim {
     protocol: Protocol,
     cluster: ClusterConfig,
-    inner: SimInner,
+    inner: Box<dyn ErasedSim>,
     next_seq: Vec<u64>,
     delivery_cursor: usize,
 }
-
-/// Client retry timeout used for every protocol's clients (2 s of simulated
-/// time): well above any simulated delivery latency, so failure-free runs
-/// never retry, and short enough that the retry fallbacks fire well inside
-/// the horizons used by failover scenarios.
-const CLIENT_RETRY_TIMEOUT: Duration = Duration::from_secs(2);
 
 impl ProtocolSim {
     /// Builds a cluster of `spec` running `protocol`.
@@ -234,103 +340,11 @@ impl ProtocolSim {
     /// Panics if `protocol` is [`Protocol::Skeen`] and the group size is not 1.
     pub fn try_build(protocol: Protocol, spec: &ClusterSpec) -> Result<Self, ConfigError> {
         let cluster = spec.cluster_config();
-        let sim_config = spec.sim_config();
-        let inner = match protocol {
-            Protocol::WhiteBox => {
-                let mut sim = Simulation::new(sim_config);
-                for gc in cluster.groups() {
-                    for member in gc.members() {
-                        let mut cfg = ReplicaConfig::new(*member, gc.id(), cluster.clone())
-                            .with_compaction(spec.compaction_interval, spec.compaction_lag);
-                        cfg = if spec.auto_election {
-                            cfg.with_election_timeouts(
-                                Duration::from_millis(150),
-                                Duration::from_millis(750),
-                            )
-                        } else {
-                            cfg.without_auto_election()
-                        };
-                        sim.add_replica(
-                            Box::new(WhiteBoxReplica::try_new(cfg)?),
-                            gc.id(),
-                            cluster.site_of(*member),
-                        );
-                    }
-                }
-                for client in cluster.clients() {
-                    let cfg = ClientConfig::new(*client, cluster.clone())
-                        .with_retry_timeout(CLIENT_RETRY_TIMEOUT);
-                    sim.add_client_at(
-                        Box::new(MulticastClient::new(cfg)),
-                        cluster.site_of(*client),
-                    );
-                }
-                SimInner::WhiteBox(sim)
-            }
-            Protocol::FastCast | Protocol::FtSkeen => {
-                let mode = if protocol == Protocol::FastCast {
-                    Mode::FastCast
-                } else {
-                    Mode::FtSkeen
-                };
-                let mut sim = Simulation::new(sim_config);
-                for gc in cluster.groups() {
-                    for member in gc.members() {
-                        sim.add_replica(
-                            Box::new(
-                                BaselineReplica::try_new(*member, gc.id(), cluster.clone(), mode)?
-                                    .with_compaction(spec.compaction_interval, spec.compaction_lag),
-                            ),
-                            gc.id(),
-                            cluster.site_of(*member),
-                        );
-                    }
-                }
-                for client in cluster.clients() {
-                    sim.add_client_at(
-                        Box::new(BaselineClient::new(
-                            *client,
-                            cluster.clone(),
-                            CLIENT_RETRY_TIMEOUT,
-                        )),
-                        cluster.site_of(*client),
-                    );
-                }
-                SimInner::Baseline(sim)
-            }
-            Protocol::Skeen => {
-                assert_eq!(
-                    spec.group_size, 1,
-                    "plain Skeen requires singleton groups (group_size = 1)"
-                );
-                let mut sim = Simulation::new(sim_config);
-                let groups: Vec<(GroupId, ProcessId)> = cluster
-                    .groups()
-                    .iter()
-                    .map(|g| (g.id(), g.members()[0]))
-                    .collect();
-                for (gid, member) in &groups {
-                    sim.add_replica(
-                        Box::new(SkeenProcess::new(*member, *gid, groups.clone())),
-                        *gid,
-                        cluster.site_of(*member),
-                    );
-                }
-                for client in cluster.clients() {
-                    sim.add_client_at(
-                        Box::new(SkeenClient::new(*client, groups.clone())),
-                        cluster.site_of(*client),
-                    );
-                }
-                SimInner::Skeen(sim)
-            }
-        };
-        let next_seq = vec![0; cluster.clients().len()];
         Ok(ProtocolSim {
             protocol,
+            next_seq: vec![0; cluster.clients().len()],
             cluster,
-            inner,
-            next_seq,
+            inner: protocol.visit(Build(spec))?,
             delivery_cursor: 0,
         })
     }
@@ -347,83 +361,52 @@ impl ProtocolSim {
 
     /// Current simulated time.
     pub fn now(&self) -> Duration {
-        match &self.inner {
-            SimInner::WhiteBox(s) => s.now(),
-            SimInner::Baseline(s) => s.now(),
-            SimInner::Skeen(s) => s.now(),
-        }
+        self.inner.now()
     }
 
     /// Network statistics so far.
     pub fn stats(&self) -> NetStats {
-        match &self.inner {
-            SimInner::WhiteBox(s) => s.stats(),
-            SimInner::Baseline(s) => s.stats(),
-            SimInner::Skeen(s) => s.stats(),
-        }
+        self.inner.stats()
     }
 
     /// Metrics view over the run so far. With compaction-capable protocols
     /// the view carries resident-record gauges: `live_records_max` /
     /// `live_records_total` over all replicas, plus `pruned_total`.
     pub fn metrics(&self) -> MetricsView {
-        let mut metrics = match &self.inner {
-            SimInner::WhiteBox(s) => s.metrics(),
-            SimInner::Baseline(s) => s.metrics(),
-            SimInner::Skeen(s) => s.metrics(),
-        };
-        let mut max = 0usize;
-        let mut total = 0usize;
-        let mut pruned = 0u64;
-        let mut seen_any = false;
-        for gc in self.cluster.groups() {
-            for member in gc.members() {
-                if let Some((live, _, p)) = self.replica_gauges(*member) {
-                    seen_any = true;
-                    max = max.max(live);
-                    total += live;
-                    pruned += p;
-                }
-            }
-        }
-        if seen_any {
-            metrics.set_gauge("live_records_max", max as f64);
-            metrics.set_gauge("live_records_total", total as f64);
+        let mut metrics = self.inner.metrics();
+        let views: Vec<ReplicaView<'_>> = self.replicas().map(|(_, r)| r).collect();
+        if !views.is_empty() {
+            let live = views.iter().map(|r| r.live_records);
+            let pruned: u64 = views.iter().map(|r| r.progress.pruned_count()).sum();
+            metrics.set_gauge("live_records_max", live.clone().max().unwrap_or(0) as f64);
+            metrics.set_gauge("live_records_total", live.sum::<usize>() as f64);
             metrics.set_gauge("pruned_total", pruned as f64);
         }
         metrics
     }
 
-    /// A replica's resident records, record-store slots and pruned count.
-    fn replica_gauges(&self, p: ProcessId) -> Option<(usize, usize, u64)> {
-        if let Some(r) = self.whitebox_replica(p) {
-            return Some((
-                r.live_records(),
-                r.record_slots(),
-                r.progress().pruned_count(),
-            ));
-        }
-        if let Some(r) = self.baseline_replica(p) {
-            return Some((
-                r.live_records(),
-                r.record_slots(),
-                r.progress().pruned_count(),
-            ));
-        }
-        None
+    /// Every replica whose family exposes its state, in group order.
+    fn replicas(&self) -> impl Iterator<Item = (ProcessId, ReplicaView<'_>)> {
+        let members = self.cluster.groups().iter().flat_map(|g| g.members());
+        members.filter_map(|&p| Some((p, self.inner.replica(p)?)))
     }
 
-    /// Number of message records resident at a replica (`None` for clients,
-    /// unknown processes, or protocols without the inspection hook).
+    /// A replica's delivery progress (`None` for clients, unknown processes
+    /// and plain Skeen, which keeps none).
+    pub fn progress(&self, p: ProcessId) -> Option<&DeliveryProgress> {
+        self.inner.replica(p).map(|r| r.progress)
+    }
+
+    /// Number of message records resident at a replica (`None` where
+    /// [`Self::progress`] is).
     pub fn live_records(&self, p: ProcessId) -> Option<usize> {
-        self.replica_gauges(p).map(|(live, _, _)| live)
+        self.inner.replica(p).map(|r| r.live_records)
     }
 
     /// Window slots a replica's record store has allocated: its footprint
-    /// beyond the records themselves (`None` where
-    /// [`Self::live_records`] is).
+    /// beyond the records themselves (`None` where [`Self::progress`] is).
     pub fn record_slots(&self, p: ProcessId) -> Option<usize> {
-        self.replica_gauges(p).map(|(_, slots, _)| slots)
+        self.inner.replica(p).map(|r| r.record_slots)
     }
 
     /// Per-replica excusal watermarks for the linearizability oracle: for
@@ -431,25 +414,11 @@ impl ProtocolSim {
     /// watermark its delivery progress was jumped to. History at or below it
     /// was installed, not replayed — pass this to
     /// [`KvHistory::check_excusing`](wbam_kvstore::KvHistory::check_excusing).
-    pub fn transfer_excusals(
-        &self,
-    ) -> std::collections::BTreeMap<ProcessId, wbam_types::Timestamp> {
-        let mut out = std::collections::BTreeMap::new();
-        for gc in self.cluster.groups() {
-            for member in gc.members() {
-                let excused = if let Some(r) = self.whitebox_replica(*member) {
-                    r.progress().transfer_excused_below()
-                } else if let Some(r) = self.baseline_replica(*member) {
-                    r.progress().transfer_excused_below()
-                } else {
-                    continue;
-                };
-                if excused > wbam_types::Timestamp::BOTTOM {
-                    out.insert(*member, excused);
-                }
-            }
-        }
-        out
+    pub fn transfer_excusals(&self) -> BTreeMap<ProcessId, Timestamp> {
+        self.replicas()
+            .map(|(p, r)| (p, r.progress.transfer_excused_below()))
+            .filter(|(_, excused)| *excused > Timestamp::BOTTOM)
+            .collect()
     }
 
     /// Per-replica sets of messages dropped on a `STABLE_PRUNED` notice —
@@ -458,34 +427,25 @@ impl ProtocolSim {
     /// [`KvHistory::check_excusing`](wbam_kvstore::KvHistory::check_excusing);
     /// the excusal is per message, so any other missed delivery stays a
     /// violation.
-    pub fn drop_excusals(
-        &self,
-    ) -> std::collections::BTreeMap<ProcessId, std::collections::BTreeSet<MsgId>> {
-        let mut out = std::collections::BTreeMap::new();
-        for gc in self.cluster.groups() {
-            for member in gc.members() {
-                if let Some(r) = self.whitebox_replica(*member) {
-                    if !r.pruned_dropped().is_empty() {
-                        out.insert(*member, r.pruned_dropped().clone());
-                    }
-                }
-            }
-        }
-        out
+    pub fn drop_excusals(&self) -> BTreeMap<ProcessId, BTreeSet<MsgId>> {
+        let members = self.cluster.groups().iter().flat_map(|g| g.members());
+        members
+            .filter_map(|&p| {
+                let replica: &WhiteBoxReplica = self.inner.node(p)?.downcast_ref()?;
+                Some((p, replica.pruned_dropped()))
+            })
+            .filter(|(_, dropped)| !dropped.is_empty())
+            .map(|(p, dropped)| (p, dropped.clone()))
+            .collect()
     }
 
     /// Per replica, the `DELIVER`s it refused for messages it never
     /// delivered ([`crate::explore::Observed::lost_deliveries`]); replicas
     /// with none are left out.
-    pub fn lost_deliveries(&self) -> std::collections::BTreeMap<ProcessId, u64> {
-        let lost = |p: ProcessId| match &self.inner {
-            SimInner::WhiteBox(s) => crate::explore::lost_deliveries(s.node(p)?.as_any()?),
-            SimInner::Baseline(s) => crate::explore::lost_deliveries(s.node(p)?.as_any()?),
-            SimInner::Skeen(_) => None,
-        };
-        let replicas = self.cluster.groups().iter().flat_map(|g| g.members());
-        replicas
-            .filter_map(|&p| Some((p, lost(p).filter(|n| *n > 0)?)))
+    pub fn lost_deliveries(&self) -> BTreeMap<ProcessId, u64> {
+        self.replicas()
+            .map(|(p, r)| (p, r.progress.lost_deliveries()))
+            .filter(|(_, lost)| *lost > 0)
             .collect()
     }
 
@@ -520,60 +480,25 @@ impl ProtocolSim {
             Destination::new(dest.iter().copied()).expect("non-empty destination"),
             Payload::from(payload),
         );
-        match &mut self.inner {
-            SimInner::WhiteBox(s) => s.schedule_multicast(at, client, msg),
-            SimInner::Baseline(s) => s.schedule_multicast(at, client, msg),
-            SimInner::Skeen(s) => s.schedule_multicast(at, client, msg),
-        }
+        self.inner.schedule_multicast(at, client, msg);
         id
     }
 
     /// Schedules a crash of `process` at `at`.
     pub fn crash(&mut self, at: Duration, process: ProcessId) {
-        match &mut self.inner {
-            SimInner::WhiteBox(s) => s.schedule_crash(at, process),
-            SimInner::Baseline(s) => s.schedule_crash(at, process),
-            SimInner::Skeen(s) => s.schedule_crash(at, process),
-        }
+        self.inner.schedule_crash(at, process);
     }
 
     /// Schedules a restart of a crashed `process` at `at` (see
     /// [`Simulation::schedule_restart`]).
     pub fn restart(&mut self, at: Duration, process: ProcessId) {
-        match &mut self.inner {
-            SimInner::WhiteBox(s) => s.schedule_restart(at, process),
-            SimInner::Baseline(s) => s.schedule_restart(at, process),
-            SimInner::Skeen(s) => s.schedule_restart(at, process),
-        }
+        self.inner.schedule_restart(at, process);
     }
 
     /// All deliveries recorded so far (replica deliveries carry their group;
     /// client completions have `group == None`).
     pub fn deliveries(&self) -> &[DeliveryRecord] {
-        match &self.inner {
-            SimInner::WhiteBox(s) => s.deliveries(),
-            SimInner::Baseline(s) => s.deliveries(),
-            SimInner::Skeen(s) => s.deliveries(),
-        }
-    }
-
-    /// Read access to a white-box replica's state (via
-    /// [`Node::as_any`](wbam_types::Node::as_any)); `None` for other
-    /// protocols, clients, or unknown processes.
-    pub fn whitebox_replica(&self, p: ProcessId) -> Option<&WhiteBoxReplica> {
-        match &self.inner {
-            SimInner::WhiteBox(s) => s.node(p)?.as_any()?.downcast_ref(),
-            _ => None,
-        }
-    }
-
-    /// Read access to a baseline (FT-Skeen / FastCast) replica's state;
-    /// `None` for other protocols, clients, or unknown processes.
-    pub fn baseline_replica(&self, p: ProcessId) -> Option<&BaselineReplica> {
-        match &self.inner {
-            SimInner::Baseline(s) => s.node(p)?.as_any()?.downcast_ref(),
-            _ => None,
-        }
+        self.inner.deliveries()
     }
 
     /// The recorded white-box protocol trace, as consumed by the Figure 6
@@ -581,64 +506,30 @@ impl ProtocolSim {
     /// other protocols; empty unless the spec enabled
     /// [`record_trace`](ClusterSpec::record_trace).
     pub fn whitebox_trace(&self) -> Option<Vec<SentMessage>> {
-        match &self.inner {
-            SimInner::WhiteBox(s) => Some(
-                s.trace()
-                    .iter()
-                    .map(|e| SentMessage {
-                        from: e.from,
-                        to: e.to,
-                        msg: e.msg.clone(),
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        }
+        self.inner.checker_trace()
     }
 
     /// Tells `process` to start leader recovery at `at` (white-box protocol).
     pub fn become_leader(&mut self, at: Duration, process: ProcessId) {
-        match &mut self.inner {
-            SimInner::WhiteBox(s) => s.schedule_become_leader(at, process),
-            SimInner::Baseline(s) => s.schedule_become_leader(at, process),
-            SimInner::Skeen(s) => s.schedule_become_leader(at, process),
-        }
+        self.inner.schedule_become_leader(at, process);
     }
 
     /// Processes a single pending event. Returns `false` when the simulation
     /// is quiescent.
     pub fn step(&mut self) -> bool {
-        match &mut self.inner {
-            SimInner::WhiteBox(s) => s.step().is_some(),
-            SimInner::Baseline(s) => s.step().is_some(),
-            SimInner::Skeen(s) => s.step().is_some(),
-        }
+        self.inner.step()
     }
 
     /// Runs until quiescent or until simulated time passes `horizon`.
     pub fn run_until_quiescent(&mut self, horizon: Duration) {
-        match &mut self.inner {
-            SimInner::WhiteBox(s) => {
-                s.run_until_quiescent(horizon);
-            }
-            SimInner::Baseline(s) => {
-                s.run_until_quiescent(horizon);
-            }
-            SimInner::Skeen(s) => {
-                s.run_until_quiescent(horizon);
-            }
-        }
+        self.inner.run_until_quiescent(horizon);
     }
 
     /// Drains newly observed *client completions*: deliveries recorded at
     /// client processes (the client's view of "my multicast finished").
     /// Returns `(client process, message)` pairs in observation order.
     pub fn drain_client_completions(&mut self) -> Vec<(ProcessId, MsgId)> {
-        let records = match &self.inner {
-            SimInner::WhiteBox(s) => s.deliveries(),
-            SimInner::Baseline(s) => s.deliveries(),
-            SimInner::Skeen(s) => s.deliveries(),
-        };
+        let records = self.inner.deliveries();
         let mut out = Vec::new();
         while self.delivery_cursor < records.len() {
             let rec = &records[self.delivery_cursor];

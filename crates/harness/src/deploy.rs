@@ -38,12 +38,13 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use wbam_baselines::{BaselineClient, BaselineReplica, Mode};
-use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
+use wbam_core::MulticastClient;
+use wbam_runtime::BoxedNode;
 use wbam_types::wire::{from_json, to_json, WireCodec};
 use wbam_types::{ClusterConfig, GroupId, ProcessId, Timestamp, WbamError};
 
 use crate::cluster::Protocol;
+use crate::family::{Family, NodeSpec, WbCast};
 
 /// The role a process id plays in a deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,14 +221,15 @@ impl DeploySpec {
     /// Returns [`WbamError::Codec`] for labels that do not name a deployable
     /// protocol.
     pub fn protocol(&self) -> Result<Protocol, WbamError> {
-        match self.protocol.as_str() {
-            "WbCast" => Ok(Protocol::WhiteBox),
-            "FastCast" => Ok(Protocol::FastCast),
-            "Skeen" => Ok(Protocol::FtSkeen),
-            other => Err(WbamError::Codec(format!(
-                "unknown deployable protocol label {other:?} (expected WbCast, FastCast or Skeen)"
-            ))),
-        }
+        let deployable = Protocol::evaluated();
+        let found = deployable.into_iter().find(|p| p.label() == self.protocol);
+        found.ok_or_else(|| {
+            let labels = deployable.map(Protocol::label).join(", ");
+            let label = &self.protocol;
+            WbamError::Codec(format!(
+                "unknown deployable protocol label {label:?} (expected one of {labels})"
+            ))
+        })
     }
 
     /// The wire codec this cluster's connections use ([`WireCodec::Binary`]
@@ -377,28 +379,35 @@ impl DeploySpec {
         Ok(map)
     }
 
-    /// Builds the white-box replica for process `id`.
+    /// What a deployment passes to every family's constructors: WbCast's
+    /// elections at `heartbeat_ms` / `election_timeout_ms` (none at a zero
+    /// heartbeat), and `retry_timeout_ms` for replica and client retries.
+    fn node_spec(&self) -> NodeSpec {
+        let ms = Duration::from_millis;
+        NodeSpec {
+            cluster: self.cluster_config(),
+            elections: (self.heartbeat_ms > 0)
+                .then(|| (ms(self.heartbeat_ms), ms(self.election_timeout_ms))),
+            replica_retry: Some(ms(self.retry_timeout_ms)),
+            client_retry: ms(self.retry_timeout_ms),
+            compaction_interval: self.compaction_interval,
+            compaction_lag: self.compaction_lag,
+        }
+    }
+
+    /// Builds the node process `id` plays in `family`.
     ///
     /// # Errors
     ///
-    /// Returns [`WbamError::UnknownProcess`] for non-replica ids and
-    /// configuration errors from the replica constructor.
-    pub fn whitebox_replica(&self, id: ProcessId) -> Result<WhiteBoxReplica, WbamError> {
-        let DeployRole::Replica(group) = self.role_of(id)? else {
-            return Err(WbamError::UnknownProcess(id));
-        };
-        let mut cfg = ReplicaConfig::new(id, group, self.cluster_config())
-            .with_compaction(self.compaction_interval, self.compaction_lag)
-            .with_retry_timeout(Duration::from_millis(self.retry_timeout_ms));
-        cfg = if self.heartbeat_ms > 0 {
-            cfg.with_election_timeouts(
-                Duration::from_millis(self.heartbeat_ms),
-                Duration::from_millis(self.election_timeout_ms),
-            )
-        } else {
-            cfg.without_auto_election()
-        };
-        WhiteBoxReplica::try_new(cfg).map_err(WbamError::from)
+    /// Returns [`WbamError::UnknownProcess`] for ids beyond the address list
+    /// and configuration errors from the replica constructor.
+    pub fn node<F: Family>(
+        &self,
+        family: &F,
+        id: ProcessId,
+    ) -> Result<BoxedNode<F::Msg>, WbamError> {
+        self.role_of(id)?;
+        Ok(family.node(&self.node_spec(), id)?)
     }
 
     /// Builds the white-box client for process `id`.
@@ -410,52 +419,7 @@ impl DeploySpec {
         if self.role_of(id)? != DeployRole::Client {
             return Err(WbamError::UnknownProcess(id));
         }
-        Ok(MulticastClient::new(
-            ClientConfig::new(id, self.cluster_config())
-                .with_retry_timeout(Duration::from_millis(self.retry_timeout_ms)),
-        ))
-    }
-
-    /// Builds the baseline (FT-Skeen / FastCast) replica for process `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WbamError::UnknownProcess`] for non-replica ids and
-    /// configuration errors from the replica constructor.
-    pub fn baseline_replica(&self, id: ProcessId) -> Result<BaselineReplica, WbamError> {
-        let DeployRole::Replica(group) = self.role_of(id)? else {
-            return Err(WbamError::UnknownProcess(id));
-        };
-        let mode = match self.protocol()? {
-            Protocol::FastCast => Mode::FastCast,
-            Protocol::FtSkeen => Mode::FtSkeen,
-            other => {
-                return Err(WbamError::Codec(format!(
-                    "{} is not a baseline protocol",
-                    other.label()
-                )))
-            }
-        };
-        Ok(
-            BaselineReplica::try_new(id, group, self.cluster_config(), mode)?
-                .with_compaction(self.compaction_interval, self.compaction_lag),
-        )
-    }
-
-    /// Builds the baseline client for process `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WbamError::UnknownProcess`] for non-client ids.
-    pub fn baseline_client(&self, id: ProcessId) -> Result<BaselineClient, WbamError> {
-        if self.role_of(id)? != DeployRole::Client {
-            return Err(WbamError::UnknownProcess(id));
-        }
-        Ok(BaselineClient::new(
-            id,
-            self.cluster_config(),
-            Duration::from_millis(self.retry_timeout_ms),
-        ))
+        Ok(WbCast::client(&self.node_spec(), id))
     }
 
     /// Serialises the spec to JSON.
@@ -651,12 +615,15 @@ mod tests {
 
     #[test]
     fn loopback_spec_round_trips_and_validates() {
-        let spec = DeploySpec::loopback(Protocol::WhiteBox, 2, 3, 1, 7000);
-        assert_eq!(spec.addrs.len(), 7);
-        spec.validate().unwrap();
-        let json = spec.to_json().unwrap();
-        let back = DeploySpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
+        for protocol in Protocol::evaluated() {
+            let spec = DeploySpec::loopback(protocol, 2, 3, 1, 7000);
+            assert_eq!(spec.addrs.len(), 7);
+            spec.validate().unwrap();
+            assert_eq!(spec.protocol().unwrap(), protocol);
+            let json = spec.to_json().unwrap();
+            let back = DeploySpec::from_json(&json).unwrap();
+            assert_eq!(back, spec);
+        }
     }
 
     #[test]
@@ -682,14 +649,16 @@ mod tests {
     #[test]
     fn node_constructors_enforce_roles() {
         let spec = DeploySpec::loopback(Protocol::WhiteBox, 1, 3, 1, 7200);
-        assert!(spec.whitebox_replica(ProcessId(0)).is_ok());
-        assert!(spec.whitebox_replica(ProcessId(3)).is_err());
+        assert!(spec.node(&WbCast, ProcessId(0)).is_ok());
+        assert!(spec.node(&WbCast, ProcessId(3)).is_ok());
+        assert!(spec.node(&WbCast, ProcessId(4)).is_err());
         assert!(spec.whitebox_client(ProcessId(3)).is_ok());
         assert!(spec.whitebox_client(ProcessId(0)).is_err());
-        assert!(spec.baseline_replica(ProcessId(0)).is_err()); // not a baseline
         let ft = DeploySpec::loopback(Protocol::FtSkeen, 1, 3, 1, 7300);
-        assert!(ft.baseline_replica(ProcessId(0)).is_ok());
-        assert!(ft.baseline_client(ProcessId(3)).is_ok());
+        let baselines = crate::family::Baselines(wbam_baselines::Mode::FtSkeen);
+        assert!(ft.node(&baselines, ProcessId(0)).is_ok());
+        assert!(ft.node(&baselines, ProcessId(3)).is_ok());
+        assert!(ft.node(&baselines, ProcessId(4)).is_err());
     }
 
     #[test]
@@ -701,8 +670,9 @@ mod tests {
         spec.addrs[2] = "not-an-address".to_string();
         assert!(spec.validate().is_err());
         let mut spec = DeploySpec::loopback(Protocol::WhiteBox, 2, 3, 1, 7600);
-        spec.protocol = "Skeen1".to_string();
-        assert!(spec.protocol().is_err());
+        spec.protocol = Protocol::Skeen.label().to_string();
+        let err = spec.protocol().unwrap_err().to_string();
+        assert!(err.contains("\"Skeen1\""), "{err}");
     }
 
     #[test]

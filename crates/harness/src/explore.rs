@@ -32,7 +32,6 @@
 //! reported as its replayable [`Token`]; before reporting, the explorer
 //! greedily [`minimize`]s the nemesis plan of a replayable engine.
 
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
@@ -40,12 +39,10 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use wbam_baselines::BaselineReplica;
 use wbam_core::invariants::{
     check_deliver_agreement, check_deliver_local_ts_per_group, check_total_order,
     check_unique_proposals, SentMessage,
 };
-use wbam_core::WhiteBoxReplica;
 use wbam_kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
 use wbam_simnet::DeliveryRecord;
 use wbam_types::wire::WireCodec;
@@ -383,18 +380,6 @@ pub struct Observed {
     /// where the engine can read replica state; replicas with none are
     /// left out.
     pub lost_deliveries: BTreeMap<ProcessId, u64>,
-}
-
-/// A replica's count of deliveries refused for messages it never delivered
-/// ([`DeliveryProgress::lost_deliveries`](wbam_types::DeliveryProgress::lost_deliveries)),
-/// read through [`Node::as_any`](wbam_types::Node::as_any); `None` for
-/// clients and for plain Skeen, which keeps no delivery progress.
-pub(crate) fn lost_deliveries(node: &dyn Any) -> Option<u64> {
-    let progress = match node.downcast_ref::<WhiteBoxReplica>() {
-        Some(replica) => replica.progress(),
-        None => node.downcast_ref::<BaselineReplica>()?.progress(),
-    };
-    Some(progress.lost_deliveries())
 }
 
 /// What an engine's environment excuses, as data for [`check_run`].

@@ -5,8 +5,14 @@
 //! The harness is what the figure-reproduction benchmarks (`wbam-bench`), the
 //! examples and the cross-protocol integration tests share:
 //!
-//! * [`cluster`] — [`ProtocolSim`], a protocol-agnostic façade over a
-//!   [`Simulation`](wbam_simnet::Simulation) populated with replicas and
+//! * [`family`] — each protocol family (WbCast, the FastCast/FT-Skeen
+//!   baselines, plain Skeen) defined once: its message type, the replica and
+//!   client constructors every engine uses, and what the engines read of a
+//!   replica's state. [`Protocol::visit`] is the one switch that picks a
+//!   family; the simulator, the deterministic runtime and `wbamd` are each
+//!   written once, generic over it.
+//! * [`cluster`] — [`ProtocolSim`], one
+//!   [`Simulation`](wbam_simnet::Simulation) populated with the replicas and
 //!   clients of one protocol ([`Protocol`]); plus [`ClusterSpec`], the
 //!   topology/latency description of an experiment.
 //! * [`workload`] — closed-loop client workloads (every client keeps one
@@ -37,6 +43,7 @@ pub mod cluster;
 pub mod deploy;
 pub mod explore;
 pub mod explorer;
+pub mod family;
 pub mod probe;
 pub mod proxy;
 pub mod rt;
@@ -49,6 +56,7 @@ pub use explore::{
     check_run, explore, run_plan, run_token, schedule_token, CheckPolicy, Engine, Exploration,
     ExploreConfig, Finding, Observed, Plan, Report, Token, TokenVersion,
 };
+pub use family::{Family, FamilyVisitor};
 pub use probe::{convoy_probe, latency_probe, LatencyProbeResult};
 pub use proxy::{FrameFate, LinkScheduler, NemesisProxy, ProxyStats};
 pub use sweep::{sweep, BenchRecord, SweepPoint, SweepResult, SweepSpec};

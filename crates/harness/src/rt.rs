@@ -26,20 +26,19 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wbam_baselines::BaselineMsg;
 use wbam_core::invariants::SentMessage;
-use wbam_core::WhiteBoxMsg;
 use wbam_kvstore::Partitioner;
-use wbam_runtime::{BoxedNode, DeterministicRuntime, RuntimeDelivery};
+use wbam_runtime::{DeterministicRuntime, RuntimeDelivery};
 use wbam_simnet::DeliveryRecord;
 use wbam_types::{AppMessage, CrashSpec, MsgId, NemesisPlan, ProcessId, WbamError};
 
 use crate::cluster::Protocol;
-use crate::deploy::{DeployRole, DeploySpec};
+use crate::deploy::DeploySpec;
 use crate::explore::{
-    delivery_digest, draw_kv_command, kv_message, lost_deliveries, ms, CheckPolicy, Observed,
-    PlannedOp, Report, Token,
+    delivery_digest, draw_kv_command, kv_message, ms, CheckPolicy, Observed, PlannedOp, Report,
+    Token,
 };
+use crate::family::{Family, FamilyVisitor};
 
 /// Replicas per group (`2f + 1` with `f = 1`).
 pub const GROUP_SIZE: usize = 3;
@@ -154,77 +153,47 @@ struct RawRun {
     lost_deliveries: BTreeMap<ProcessId, u64>,
 }
 
-/// Runs `nodes` — replicas in group order (matching their process-id
-/// order), then clients, which is the runtime's tie-break order — through
-/// the plan's submissions and crashes.
-fn drive<M: Clone + Send + 'static>(
-    nodes: Vec<BoxedNode<M>>,
-    token: &Token,
-    plan: &RtPlan,
+/// Builds every node of `spec` with the constructors `wbamd` uses and
+/// drives them — replicas in group order (matching their process-id order),
+/// then clients, which is the runtime's tie-break order — through the plan's
+/// submissions and crashes.
+struct Drive<'a> {
+    token: &'a Token,
+    plan: &'a RtPlan,
+    spec: &'a DeploySpec,
     submissions: Vec<(Duration, ProcessId, AppMessage)>,
-    whitebox_trace: impl FnOnce(&DeterministicRuntime<M>) -> Option<Vec<SentMessage>>,
-) -> RawRun {
-    let ids: Vec<ProcessId> = nodes.iter().map(|node| node.id()).collect();
-    let mut rt = DeterministicRuntime::new(nodes, token.seed);
-    for (at, client, msg) in submissions {
-        rt.schedule_submit(at, client, msg);
-    }
-    for crash in &plan.nemesis.crashes {
-        let restart_at = crash.restart_at.expect("runtime crashes always restart");
-        rt.schedule_crash(crash.at, crash.process, restart_at - crash.at);
-    }
-    rt.run(HORIZON);
-    let lost = |p| lost_deliveries(rt.node(p)?.as_any()?).filter(|n| *n > 0);
-    RawRun {
-        deliveries: rt.deliveries(),
-        trace_digest: rt.trace_digest(),
-        whitebox_trace: whitebox_trace(&rt),
-        lost_deliveries: ids
-            .into_iter()
-            .filter_map(|p| Some((p, lost(p)?)))
-            .collect(),
-    }
 }
 
-/// Builds the nodes with the constructors `wbamd` uses for `spec` and
-/// drives them through the plan.
-fn run_raw(
-    token: &Token,
-    plan: &RtPlan,
-    spec: &DeploySpec,
-    submissions: Vec<(Duration, ProcessId, AppMessage)>,
-) -> Result<RawRun, WbamError> {
-    let ids = (0..spec.addrs.len() as u32).map(ProcessId);
-    if spec.protocol()? == Protocol::WhiteBox {
+impl FamilyVisitor for Drive<'_> {
+    type Output = Result<RawRun, WbamError>;
+
+    fn visit<F: Family>(self, family: F) -> Self::Output {
+        let ids: Vec<ProcessId> = (0..self.spec.addrs.len() as u32).map(ProcessId).collect();
         let nodes = ids
-            .map(|id| -> Result<BoxedNode<WhiteBoxMsg>, WbamError> {
-                Ok(match spec.role_of(id)? {
-                    DeployRole::Replica(_) => Box::new(spec.whitebox_replica(id)?),
-                    DeployRole::Client => Box::new(spec.whitebox_client(id)?),
-                })
-            })
+            .iter()
+            .map(|&id| self.spec.node(&family, id))
             .collect::<Result<_, _>>()?;
-        return Ok(drive(nodes, token, plan, submissions, |rt| {
-            let sent = rt.sent_messages().into_iter();
-            Some(
-                sent.map(|r| SentMessage {
-                    from: r.from,
-                    to: r.to,
-                    msg: r.msg,
-                })
+        let mut rt = DeterministicRuntime::new(nodes, self.token.seed);
+        for (at, client, msg) in self.submissions {
+            rt.schedule_submit(at, client, msg);
+        }
+        for crash in &self.plan.nemesis.crashes {
+            let restart_at = crash.restart_at.expect("runtime crashes always restart");
+            rt.schedule_crash(crash.at, crash.process, restart_at - crash.at);
+        }
+        rt.run(HORIZON);
+        let replica = |p| family.replica(rt.node(p)?.as_any()?);
+        let lost = |p| Some(replica(p)?.progress.lost_deliveries()).filter(|n| *n > 0);
+        Ok(RawRun {
+            deliveries: rt.deliveries(),
+            trace_digest: rt.trace_digest(),
+            whitebox_trace: family.checker_trace(rt.sent_messages().into_iter()),
+            lost_deliveries: ids
+                .into_iter()
+                .filter_map(|p| Some((p, lost(p)?)))
                 .collect(),
-            )
-        }));
-    }
-    let nodes = ids
-        .map(|id| -> Result<BoxedNode<BaselineMsg>, WbamError> {
-            Ok(match spec.role_of(id)? {
-                DeployRole::Replica(_) => Box::new(spec.baseline_replica(id)?),
-                DeployRole::Client => Box::new(spec.baseline_client(id)?),
-            })
         })
-        .collect::<Result<_, _>>()?;
-    Ok(drive(nodes, token, plan, submissions, |_| None))
+    }
 }
 
 /// Runs a generated plan and checks it, also returning the raw delivery
@@ -261,7 +230,13 @@ pub fn run_rt_artifacts(token: &Token, plan: &RtPlan) -> RtArtifacts {
         ops.push((id, op.cmd.clone(), op.at));
     }
 
-    let raw = match run_raw(token, plan, &spec, submissions) {
+    let drive = Drive {
+        token,
+        plan,
+        spec: &spec,
+        submissions,
+    };
+    let raw = match spec.protocol().and_then(|p| p.visit(drive)) {
         Ok(raw) => raw,
         Err(e) => {
             report.violation = Some(format!("config: {e}"));

@@ -3,9 +3,9 @@
 //! explorer's determinism contract.
 //!
 //! Every failing token in the corpus once reproduced a real bug in the
-//! *deployed* node event loop — the same `run_node` loop the TCP transport
-//! drives, stepped under a virtual clock by `DeterministicRuntime` (see the
-//! comments in the corpus file). Replaying them on every test run keeps
+//! *deployed* node event loop — the same `NodeLoop` the TCP transport's
+//! reactor steps, stepped under a virtual clock by `DeterministicRuntime`
+//! (see the comments in the corpus file). Replaying them on every test run keeps
 //! those bugs fixed at the layer they were found.
 
 #[path = "common/pinned.rs"]

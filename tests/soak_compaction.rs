@@ -263,24 +263,12 @@ fn restart_recovers_via_state_transfer(protocol: Protocol, messages: usize) {
 
     let label = protocol.label();
     let excusals = sim.transfer_excusals();
-    let (transfers, excused_below, final_delivered) = match protocol {
-        Protocol::WhiteBox => {
-            let r = sim.whitebox_replica(victim).unwrap();
-            (
-                r.progress().transfer_recoveries(),
-                r.progress().transfer_excused_below(),
-                r.progress().max_delivered_gts(),
-            )
-        }
-        _ => {
-            let r = sim.baseline_replica(victim).unwrap();
-            (
-                r.progress().transfer_recoveries(),
-                r.progress().transfer_excused_below(),
-                r.progress().max_delivered_gts(),
-            )
-        }
-    };
+    let progress = sim.progress(victim).unwrap();
+    let (transfers, excused_below, final_delivered) = (
+        progress.transfer_recoveries(),
+        progress.transfer_excused_below(),
+        progress.max_delivered_gts(),
+    );
     assert!(
         transfers > 0,
         "{label}: the restarted replica never recovered via state transfer"
