@@ -5,8 +5,8 @@
 //! plain recursive-descent JSON parser and printer over the shim's
 //! [`serde::value::Value`] tree, which typed values reach through
 //! [`serde::value::to_value`] / [`serde::value::from_value`]. JSON carries
-//! `DeploySpec`s, delivery logs and `--wire json` debugging, none of them
-//! hot, so it keeps the tree. Full round-trip fidelity is guaranteed for
+//! `DeploySpec`s, delivery logs and the benchmark's reference frame bodies,
+//! none of them on a deployed hot path, so it keeps the tree. Full round-trip fidelity is guaranteed for
 //! everything the shim can represent: `u64`/`i64` exactly, `f64` via Rust's
 //! shortest round-trip formatting, strings with standard JSON escapes.
 

@@ -1,40 +1,15 @@
-//! FastCast (Coelho, Schiper, Pedone — DSN 2017).
-//!
-//! FastCast keeps the structure of fault-tolerant Skeen but removes one
-//! consensus round trip from the critical path through speculation: upon
-//! receiving an application message the group leader issues a tentative local
-//! timestamp and *immediately* forwards it to the other destination groups'
-//! leaders while consensus on it runs in the background; leaders speculatively
-//! compute the global timestamp and start the second consensus, and exchange
-//! confirmation messages once the first consensus completes. In the absence of
-//! failures the speculation always succeeds and the collision-free latency is
-//! **4δ**; the failure-free latency under concurrency is ~**8δ** because the
-//! clock still only advances past a global timestamp after the second
-//! consensus (paper §VI).
-
-use wbam_types::{ClusterConfig, GroupId, ProcessId};
-
-use crate::replica::{BaselineReplica, Mode};
-
-/// A replica of the FastCast protocol.
-///
-/// This is a thin wrapper that fixes [`Mode::FastCast`] on the shared
-/// [`BaselineReplica`]; see that type for the full API.
-pub type FastCastReplica = BaselineReplica;
-
-/// Creates a FastCast replica.
-pub fn fastcast_replica(id: ProcessId, group: GroupId, cluster: ClusterConfig) -> FastCastReplica {
-    BaselineReplica::new(id, group, cluster, Mode::FastCast)
-}
+//! End-to-end checks of FastCast's δ counts and ordering on the simulator
+//! ([`Mode::FastCast`](crate::Mode::FastCast) documents the counts).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use std::time::Duration;
     use wbam_simnet::{LatencyModel, SimConfig, Simulation};
-    use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, SiteId};
+    use wbam_types::{
+        AppMessage, ClusterConfig, Destination, GroupId, MsgId, Payload, ProcessId, SiteId,
+    };
 
-    use crate::{BaselineClient, BaselineMsg};
+    use crate::{BaselineClient, BaselineMsg, BaselineReplica, Mode};
 
     fn build_sim(delta_ms: u64) -> (Simulation<BaselineMsg>, ClusterConfig) {
         let cluster = ClusterConfig::builder().groups(2, 3).clients(1).build();
@@ -45,7 +20,12 @@ mod tests {
         for gc in cluster.groups() {
             for member in gc.members() {
                 sim.add_replica(
-                    Box::new(fastcast_replica(*member, gc.id(), cluster.clone())),
+                    Box::new(BaselineReplica::new(
+                        *member,
+                        gc.id(),
+                        cluster.clone(),
+                        Mode::FastCast,
+                    )),
                     gc.id(),
                     SiteId(0),
                 );
@@ -106,12 +86,18 @@ mod tests {
             for gc in cluster.groups() {
                 for member in gc.members() {
                     let node: Box<dyn wbam_types::Node<Msg = BaselineMsg>> = if fast {
-                        Box::new(fastcast_replica(*member, gc.id(), cluster.clone()))
-                    } else {
-                        Box::new(crate::ftskeen::ft_skeen_replica(
+                        Box::new(BaselineReplica::new(
                             *member,
                             gc.id(),
                             cluster.clone(),
+                            Mode::FastCast,
+                        ))
+                    } else {
+                        Box::new(BaselineReplica::new(
+                            *member,
+                            gc.id(),
+                            cluster.clone(),
+                            Mode::FtSkeen,
                         ))
                     };
                     sim.add_replica(node, gc.id(), SiteId(0));

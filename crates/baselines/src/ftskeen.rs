@@ -1,38 +1,15 @@
-//! Fault-tolerant Skeen over black-box consensus (Fritzke et al., 2001).
-//!
-//! Each group is a multi-Paxos replicated state machine. Ordering a message
-//! addressed to `k` groups costs, per destination group and in the absence of
-//! collisions: one message delay for the client's `MULTICAST`, one consensus
-//! round trip (2δ) to persist the local timestamp, one message delay for the
-//! leaders' `PROPOSE` exchange, and a second consensus round trip (2δ) to
-//! persist the global timestamp — **6δ** in total. Because the group's clock
-//! only advances past a message's global timestamp after the second consensus,
-//! the failure-free latency degrades to roughly **12δ** under concurrency
-//! (paper §VI).
-
-use wbam_types::{ClusterConfig, GroupId, ProcessId};
-
-use crate::replica::{BaselineReplica, Mode};
-
-/// A replica of the fault-tolerant Skeen protocol.
-///
-/// This is a thin wrapper that fixes [`Mode::FtSkeen`] on the shared
-/// [`BaselineReplica`]; see that type for the full API.
-pub type FtSkeenReplica = BaselineReplica;
-
-/// Creates a fault-tolerant Skeen replica.
-pub fn ft_skeen_replica(id: ProcessId, group: GroupId, cluster: ClusterConfig) -> FtSkeenReplica {
-    BaselineReplica::new(id, group, cluster, Mode::FtSkeen)
-}
+//! End-to-end checks of fault-tolerant Skeen's δ counts and ordering on the
+//! simulator ([`Mode::FtSkeen`](crate::Mode::FtSkeen) documents the counts).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use std::time::Duration;
     use wbam_simnet::{LatencyModel, SimConfig, Simulation};
-    use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, SiteId};
+    use wbam_types::{
+        AppMessage, ClusterConfig, Destination, GroupId, MsgId, Payload, ProcessId, SiteId,
+    };
 
-    use crate::{BaselineClient, BaselineMsg};
+    use crate::{BaselineClient, BaselineMsg, BaselineReplica, Mode};
 
     fn build_sim(delta_ms: u64) -> (Simulation<BaselineMsg>, ClusterConfig) {
         let cluster = ClusterConfig::builder().groups(2, 3).clients(1).build();
@@ -43,7 +20,12 @@ mod tests {
         for gc in cluster.groups() {
             for member in gc.members() {
                 sim.add_replica(
-                    Box::new(ft_skeen_replica(*member, gc.id(), cluster.clone())),
+                    Box::new(BaselineReplica::new(
+                        *member,
+                        gc.id(),
+                        cluster.clone(),
+                        Mode::FtSkeen,
+                    )),
                     gc.id(),
                     SiteId(0),
                 );

@@ -1,14 +1,14 @@
 //! Baseline genuine atomic multicast protocols used in the paper's evaluation
 //! (§VI, "Competitor protocols"):
 //!
-//! * [`FtSkeenReplica`] — the classical **fault-tolerant Skeen** protocol
+//! * [`Mode::FtSkeen`] — the classical **fault-tolerant Skeen** protocol
 //!   [Fritzke et al., 2001]: each group is replicated with black-box consensus
 //!   (our `wbam-consensus` multi-Paxos). Every Skeen step at a group — the
 //!   assignment of a local timestamp, and the recording of the global
 //!   timestamp with the accompanying clock advance — is first agreed by the
 //!   group through a consensus instance. Collision-free latency **6δ**,
 //!   failure-free latency ~**12δ**.
-//! * [`FastCastReplica`] — **FastCast** [Coelho et al., DSN 2017]: the same
+//! * [`Mode::FastCast`] — **FastCast** [Coelho et al., DSN 2017]: the same
 //!   structure, but the leader *speculatively* forwards its local timestamp to
 //!   the other destination groups before consensus on it finishes, and
 //!   speculatively starts the second consensus; leaders exchange confirmations
@@ -25,14 +25,12 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod fastcast;
-pub mod ftskeen;
+mod fastcast;
+mod ftskeen;
 pub mod messages;
 pub mod replica;
 
 pub use client::BaselineClient;
-pub use fastcast::FastCastReplica;
-pub use ftskeen::FtSkeenReplica;
 pub use messages::{BaselineMsg, Command};
 pub use replica::{BaselineReplica, Mode};
 

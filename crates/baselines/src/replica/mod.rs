@@ -36,12 +36,38 @@ use catchup::CATCHUP_TIMER;
 /// Which baseline behaviour a [`BaselineReplica`] implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Mode {
-    /// Fault-tolerant Skeen: proposals are exchanged only after the first
-    /// consensus completes; no confirmation round (6δ collision-free).
+    /// Fault-tolerant Skeen over black-box consensus (Fritzke et al., 2001):
+    /// proposals are exchanged only after the first consensus completes, and
+    /// there is no confirmation round.
+    ///
+    /// Each group is a multi-Paxos replicated state machine. Ordering a
+    /// message addressed to `k` groups costs, per destination group and in
+    /// the absence of collisions: one message delay for the client's
+    /// `MULTICAST`, one consensus round trip (2δ) to persist the local
+    /// timestamp, one message delay for the leaders' `PROPOSE` exchange, and
+    /// a second consensus round trip (2δ) to persist the global timestamp —
+    /// **6δ** in total. Because the group's clock only advances past a
+    /// message's global timestamp after the second consensus, the
+    /// failure-free latency degrades to roughly **12δ** under concurrency
+    /// (paper §VI).
     FtSkeen,
-    /// FastCast: proposals are forwarded and the second consensus started
-    /// speculatively; leaders additionally exchange confirmations once the
-    /// first consensus completes (4δ collision-free).
+    /// FastCast (Coelho, Schiper, Pedone — DSN 2017): proposals are
+    /// forwarded and the second consensus started speculatively; leaders
+    /// additionally exchange confirmations once the first consensus
+    /// completes.
+    ///
+    /// FastCast keeps the structure of fault-tolerant Skeen but removes one
+    /// consensus round trip from the critical path through speculation: upon
+    /// receiving an application message the group leader issues a tentative
+    /// local timestamp and *immediately* forwards it to the other destination
+    /// groups' leaders while consensus on it runs in the background; leaders
+    /// speculatively compute the global timestamp and start the second
+    /// consensus, and exchange confirmation messages once the first
+    /// consensus completes. In the absence of failures the speculation
+    /// always succeeds and the collision-free latency is **4δ**; the
+    /// failure-free latency under concurrency is ~**8δ** because the clock
+    /// still only advances past a global timestamp after the second
+    /// consensus (paper §VI).
     FastCast,
 }
 

@@ -3,8 +3,7 @@
 //! frozen) `BENCH_throughput.json` rows.
 //!
 //! ```text
-//! net_throughput [--smoke] [--messages N] [--wire binary|json|both] [--out FILE]
-//!                [--latency-gate P50_MS]
+//! net_throughput [--smoke] [--messages N] [--out FILE] [--latency-gate P50_MS]
 //! ```
 //!
 //! Each measured point launches a fresh 2-group × 3-replica white-box cluster
@@ -12,7 +11,8 @@
 //! closed-loop client) over loopback TCP, runs the client to completion and
 //! parses its summary. One JSON record per point is appended to
 //! `BENCH_net.json` (same record shape as the simulated benches, environment
-//! `"loopback-tcp"`, `wire` naming the codec). Unlike the simulated benches,
+//! `"loopback-tcp"`, `wire` naming the binary codec every deployed
+//! connection speaks). Unlike the simulated benches,
 //! these numbers include real syscalls, real framing and real scheduler noise.
 //!
 //! Every point runs a warm-up pass first (`wbamd --warmup`): the client's
@@ -20,16 +20,15 @@
 //! the measured window opens, so short runs are not polluted by one-time
 //! connection cost.
 //!
-//! `--wire` selects the codec(s) to measure (default `binary`; `both` runs
-//! the whole sweep twice). `--smoke` shrinks the per-point message count for
+//! `--smoke` shrinks the per-point message count for
 //! CI and gates on basic sanity (every point completed, non-zero throughput).
 //!
 //! Idle-path latency is a first-class metric, not a by-product of the
 //! throughput sweep: a dedicated depth-1 point (1 group, 1 outstanding — the
 //! paper's 3-delay fast path with nothing queued behind it)
-//! runs first for every codec and is recorded as bench `"net_latency"`.
+//! runs first and is recorded as bench `"net_latency"`.
 //! `--latency-gate P50_MS` turns it into a regression gate: the run fails if
-//! the *binary*-codec depth-1 p50 exceeds the bound on the best of up to
+//! the depth-1 p50 exceeds the bound on the best of up to
 //! three attempts. Best-of-N is deliberate — on a shared CI core, scheduler
 //! preemption can add ~0.1 ms to a ~0.2 ms path in any one run, but noise
 //! does not reproduce across runs, while the regression this gate guards
@@ -100,16 +99,9 @@ fn wbamd_path() -> PathBuf {
     path
 }
 
-fn run_point(
-    wbamd: &PathBuf,
-    dir: &std::path::Path,
-    cfg: &Config,
-    codec: WireCodec,
-    messages: u64,
-) -> ClientSummary {
+fn run_point(wbamd: &PathBuf, dir: &std::path::Path, cfg: &Config, messages: u64) -> ClientSummary {
     let mut spec = DeploySpec::loopback_free_ports(Protocol::WhiteBox, 2, 3, 1)
         .expect("reserve loopback ports");
-    spec.wire = Some(codec.name().to_string());
     // Benchmarks never kill processes; a conservatively long election timeout
     // keeps scheduler hiccups from triggering spurious failovers mid-run.
     spec.heartbeat_ms = 100;
@@ -169,7 +161,6 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut messages: u64 = if smoke { 200 } else { 2000 };
     let mut out = "BENCH_net.json".to_string();
-    let mut wire = "binary".to_string();
     let mut latency_gate: Option<f64> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -181,7 +172,6 @@ fn main() {
                     .expect("--messages N");
             }
             "--out" => out = iter.next().expect("--out FILE").clone(),
-            "--wire" => wire = iter.next().expect("--wire binary|json|both").clone(),
             "--latency-gate" => {
                 latency_gate = Some(
                     iter.next()
@@ -193,11 +183,6 @@ fn main() {
             other => panic!("unknown argument {other:?}"),
         }
     }
-    let codecs: Vec<WireCodec> = match wire.as_str() {
-        "both" => vec![WireCodec::Binary, WireCodec::Json],
-        name => vec![WireCodec::from_name(name)
-            .unwrap_or_else(|| panic!("unknown --wire {name:?} (expected binary, json or both)"))],
-    };
 
     header("Loopback TCP deployment: closed-loop throughput & latency");
     println!(
@@ -205,8 +190,8 @@ fn main() {
         messages
     );
     println!(
-        "{:<36} {:>7} {:>12} {:>10} {:>10} {:>10}",
-        "configuration", "wire", "msg/s", "p50 ms", "p99 ms", "mean ms"
+        "{:<36} {:>12} {:>10} {:>10} {:>10}",
+        "configuration", "msg/s", "p50 ms", "p99 ms", "mean ms"
     );
 
     let wbamd = wbamd_path();
@@ -220,10 +205,9 @@ fn main() {
         messages: u64,
         records: &mut Vec<BenchRecord>,
         cfg: &Config,
-        codec: WireCodec,
         bench: &str,
     ) -> ClientSummary {
-        let summary = run_point(wbamd, dir, cfg, codec, messages);
+        let summary = run_point(wbamd, dir, cfg, messages);
         assert_eq!(summary.completed, messages, "{}: incomplete run", cfg.label);
         assert!(
             summary.throughput_msg_s > 0.0,
@@ -239,9 +223,8 @@ fn main() {
             cfg.label
         );
         println!(
-            "{:<36} {:>7} {:>12.1} {:>10.3} {:>10.3} {:>10.3}",
+            "{:<36} {:>12.1} {:>10.3} {:>10.3} {:>10.3}",
             cfg.label,
-            codec.name(),
             summary.throughput_msg_s,
             summary.latency_p50_ms,
             summary.latency_p99_ms,
@@ -250,7 +233,7 @@ fn main() {
         records.push(BenchRecord {
             bench: bench.to_string(),
             environment: "loopback-tcp".to_string(),
-            wire: Some(codec.name().to_string()),
+            wire: Some(WireCodec::Binary.name().to_string()),
             protocol: Protocol::WhiteBox.label().to_string(),
             clients: 1,
             dest_groups: cfg.dest_groups,
@@ -264,67 +247,53 @@ fn main() {
         });
         summary
     }
-    for &codec in &codecs {
-        // The latency point first, while the host is coolest.
-        let mut latency = measure(
-            &wbamd,
-            &dir,
-            messages,
-            &mut records,
-            &LATENCY_CONFIG,
-            codec,
-            "net_latency",
-        );
-        if codec == WireCodec::Binary {
-            if let Some(gate) = latency_gate {
-                // Best of up to three attempts (see module docs): scheduler
-                // noise does not reproduce, a park regression does. Keep only
-                // the best attempt's record.
-                for _ in 0..2 {
-                    if latency.latency_p50_ms <= gate {
-                        break;
-                    }
-                    println!(
-                        "  (p50 {:.3} ms over the {gate:.3} ms gate — re-running the \
-                         latency point to rule out scheduler noise)",
-                        latency.latency_p50_ms
-                    );
-                    let retry = measure(
-                        &wbamd,
-                        &dir,
-                        messages,
-                        &mut records,
-                        &LATENCY_CONFIG,
-                        codec,
-                        "net_latency",
-                    );
-                    let worse_back_offset = if retry.latency_p50_ms < latency.latency_p50_ms {
-                        latency = retry;
-                        2 // the previous attempt's record
-                    } else {
-                        1 // the retry's record
-                    };
-                    records.remove(records.len() - worse_back_offset);
-                }
-                assert!(
-                    latency.latency_p50_ms <= gate,
-                    "latency gate: depth-1 binary p50 {:.3} ms exceeds the {gate:.3} ms bound \
-                     on every attempt — the idle-path wake regression is back",
-                    latency.latency_p50_ms
-                );
+    // The latency point first, while the host is coolest.
+    let mut latency = measure(
+        &wbamd,
+        &dir,
+        messages,
+        &mut records,
+        &LATENCY_CONFIG,
+        "net_latency",
+    );
+    if let Some(gate) = latency_gate {
+        // Best of up to three attempts (see module docs): scheduler
+        // noise does not reproduce, a park regression does. Keep only
+        // the best attempt's record.
+        for _ in 0..2 {
+            if latency.latency_p50_ms <= gate {
+                break;
             }
-        }
-        for cfg in CONFIGS {
-            measure(
+            println!(
+                "  (p50 {:.3} ms over the {gate:.3} ms gate — re-running the \
+                 latency point to rule out scheduler noise)",
+                latency.latency_p50_ms
+            );
+            let retry = measure(
                 &wbamd,
                 &dir,
                 messages,
                 &mut records,
-                cfg,
-                codec,
-                "net_throughput",
+                &LATENCY_CONFIG,
+                "net_latency",
             );
+            let worse_back_offset = if retry.latency_p50_ms < latency.latency_p50_ms {
+                latency = retry;
+                2 // the previous attempt's record
+            } else {
+                1 // the retry's record
+            };
+            records.remove(records.len() - worse_back_offset);
         }
+        assert!(
+            latency.latency_p50_ms <= gate,
+            "latency gate: depth-1 p50 {:.3} ms exceeds the {gate:.3} ms bound \
+             on every attempt — the idle-path wake regression is back",
+            latency.latency_p50_ms
+        );
+    }
+    for cfg in CONFIGS {
+        measure(&wbamd, &dir, messages, &mut records, cfg, "net_throughput");
     }
     let _ = std::fs::remove_dir_all(&dir);
     // Every row says which commit and host produced it.

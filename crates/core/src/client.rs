@@ -33,7 +33,6 @@ struct PendingMulticast {
 pub struct MulticastClient {
     config: ClientConfig,
     cur_leader: BTreeMap<GroupId, ProcessId>,
-    next_seq: u64,
     pending: RecordMap<PendingMulticast>,
 }
 
@@ -44,14 +43,8 @@ impl MulticastClient {
         MulticastClient {
             config,
             cur_leader,
-            next_seq: 0,
             pending: RecordMap::new(),
         }
-    }
-
-    /// The next message identifier this client will use.
-    pub fn next_msg_id(&self) -> MsgId {
-        MsgId::new(self.config.id, self.next_seq)
     }
 
     /// Number of multicasts still awaiting a reply.
@@ -76,8 +69,6 @@ impl MulticastClient {
     }
 
     fn handle_submit(&mut self, msg: AppMessage, out: &mut Outbox) {
-        // Keep the per-client sequence counter ahead of any externally chosen id.
-        self.next_seq = self.next_seq.max(msg.id.seq + 1);
         self.send_to_leaders(&msg, out);
         out.push(Action::SetTimer {
             id: Self::timer_for(msg.id),
@@ -199,7 +190,6 @@ mod tests {
             .collect();
         assert_eq!(targets, vec![ProcessId(0), ProcessId(3)]);
         assert_eq!(c.pending_count(), 1);
-        assert_eq!(c.next_msg_id(), MsgId::new(ProcessId(6), 1));
     }
 
     #[test]

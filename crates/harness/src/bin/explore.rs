@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! explore [--engine sim|rt|net] [--schedules N] [--seed S] [--no-minimize] [--out FILE]
-//!         [--messages M] [--wire binary|json|both] [--logs DIR] [--wbamd PATH]
-//! explore --replay TOKEN [--engine E] [--messages M] [--wire ...] [--logs DIR] [--wbamd PATH]
+//!         [--messages M] [--logs DIR] [--wbamd PATH]
+//! explore --replay TOKEN [--engine E] [--messages M] [--logs DIR] [--wbamd PATH]
 //! ```
 //!
 //! A sweep runs `N` seeded schedules (default 200, or 5 deployed plans) on
 //! one engine — `sim`, `rt` or `net`, see `wbam_harness::explore` — and
-//! checks every run. `--messages`, `--wire` (`both` runs each plan twice),
-//! `--logs` and `--wbamd` (or `WBAMD_BIN`) configure deployed runs. Any
-//! violation prints the replayable token, with a greedily minimized nemesis
-//! plan on the replayable engines, and makes the process exit non-zero;
+//! checks every run. `--messages`, `--logs` and `--wbamd` (or `WBAMD_BIN`)
+//! configure deployed runs. Any violation prints the replayable token, with
+//! a greedily minimized nemesis plan on the replayable engines, and makes
+//! the process exit non-zero;
 //! `--out` writes the failing tokens to `FILE`, replacing its contents.
 //! `--replay` re-runs one token on the engine its version names.
 
@@ -20,11 +20,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use wbam_harness::{explore, Engine, ExploreConfig, Plan, Report, Token};
-use wbam_types::wire::WireCodec;
 
 const USAGE: &str = "usage: explore [--engine sim|rt|net] [--schedules N] [--seed S] \
                      [--no-minimize] [--out FILE] [--replay TOKEN] [--messages M] \
-                     [--wire binary|json|both] [--logs DIR] [--wbamd PATH]";
+                     [--logs DIR] [--wbamd PATH]";
 
 fn number<T: std::str::FromStr>(name: &str, text: String) -> Result<T, String>
 where
@@ -56,14 +55,6 @@ fn parse_args() -> Result<(ExploreConfig, Option<String>), String> {
             "--out" => out = Some(value("--out")?),
             "--replay" => replay = Some(value("--replay")?),
             "--messages" => config.messages = Some(number("--messages", value("--messages")?)?),
-            "--wire" => {
-                let name = value("--wire")?;
-                config.wires = match name.as_str() {
-                    "both" => vec![WireCodec::Binary, WireCodec::Json],
-                    _ => vec![WireCodec::from_name(&name)
-                        .ok_or_else(|| format!("--wire: unknown codec `{name}`"))?],
-                };
-            }
             "--logs" => config.log_dir = Some(PathBuf::from(value("--logs")?)),
             "--wbamd" => config.wbamd = Some(PathBuf::from(value("--wbamd")?)),
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -88,18 +79,11 @@ fn parse_args() -> Result<(ExploreConfig, Option<String>), String> {
     Ok((config, out))
 }
 
-fn run_label(report: &Report) -> String {
-    match report.wire {
-        Some(wire) => format!("{} [{}]", report.token, wire.name()),
-        None => report.token.to_string(),
-    }
-}
-
 fn describe(report: &Report, elapsed: std::time::Duration) {
     println!(
         "{}: digest {:016x}; {}/{} ops completed, {} deliveries, {} reads checked, \
          {} dropped, {} duplicated in {elapsed:.1?}",
-        run_label(report),
+        report.token,
         report.digest,
         report.completed,
         report.ops,
@@ -146,11 +130,10 @@ fn main() -> ExitCode {
     });
     let e = &exploration;
     println!(
-        "explored {} {} schedule(s) in {} run(s), {:.1?} (base seed {}): {} ops submitted, \
+        "explored {} {} schedule(s) in {:.1?} (base seed {}): {} ops submitted, \
          {} completed; {} crashes, {} partitions, {} messages dropped, {} duplicated",
         e.schedules,
         config.engine,
-        e.runs,
         started.elapsed(),
         config.base_seed,
         e.total_ops,
@@ -169,28 +152,22 @@ fn main() -> ExitCode {
     for finding in &e.findings {
         let report = &finding.report;
         let violation = report.violation.as_deref().unwrap_or_default();
-        println!("\nFAILING SCHEDULE: {}\n  {violation}", run_label(report));
+        println!("\nFAILING SCHEDULE: {}\n  {violation}", report.token);
         if let Some(plan) = &finding.minimized {
             println!("  minimized nemesis plan: {plan:?}");
         }
         if let Some(dir) = &report.log_dir {
             println!("  logs: {}", dir.display());
         }
-        // Deployed findings keep their codec and violation next to the
-        // token; the others are bare tokens, ready for a corpus file.
-        let wire = match report.wire {
-            Some(wire) => {
-                failing += &format!("{} wire={} {violation}\n", report.token, wire.name());
-                format!(" --wire {}", wire.name())
-            }
-            None => {
-                failing += &format!("{}\n", report.token);
-                String::new()
-            }
+        // Deployed findings keep their violation next to the token; the
+        // others are bare tokens, ready for a corpus file.
+        failing += &match report.token.engine() {
+            Engine::Net => format!("{} {violation}\n", report.token),
+            _ => format!("{}\n", report.token),
         };
         println!(
             "  replay with: cargo run --release -p wbam-harness --bin explore -- \
-             --replay '{}'{wire}",
+             --replay '{}'",
             report.token
         );
     }

@@ -1,17 +1,16 @@
 //! `wbamd` — one WBAM cluster process (a replica or a client) over real TCP.
 //!
 //! ```text
-//! wbamd --spec cluster.json --id N [--restart] [--wire binary|json]
-//!       [--deliveries FILE] [--stdin-stop]
+//! wbamd --spec cluster.json --id N [--restart] [--deliveries FILE] [--stdin-stop]
 //!       [--multicast N [--outstanding K] [--dest g0,g1] [--payload BYTES]
 //!        [--warmup W] [--first-seq S] [--summary FILE]]
 //! ```
 //!
 //! Every process of a cluster is started with the same
-//! [`DeploySpec`] JSON file and its own `--id`. `--wire` overrides the
-//! spec's wire codec (compact binary by default, `json` for debuggable
-//! frames); all processes must agree or the connection preamble rejects the
-//! mismatch with a clear error. When the spec carries a `routes` matrix the
+//! [`DeploySpec`] JSON file and its own `--id`. Every connection speaks the
+//! binary codec of `WIRE.md`; a peer whose preamble names another codec or
+//! wire version is refused with a clear error. When the spec carries a
+//! `routes` matrix the
 //! process dials its peers through those (proxied) addresses while still
 //! listening on its own `addrs` entry — how the explorer's deployed engine
 //! interposes its fault-injecting proxy on every link.
@@ -86,16 +85,15 @@ fn spawn_with_bind_retry<M: Serialize + DeserializeOwned + Send + 'static>(
     make_node: impl Fn() -> Result<BoxedNode<M>, WbamError>,
     addrs: &std::collections::BTreeMap<ProcessId, std::net::SocketAddr>,
     restart: bool,
-    codec: wbam_types::wire::WireCodec,
     mut sink: Option<JsonlSink>,
 ) -> Result<TcpNode<M>, WbamError> {
     let begin = Instant::now();
     loop {
         let node = make_node()?;
         let spawned = match sink.take() {
-            None => TcpNode::spawn_with_codec(node, addrs, restart, codec),
+            None => TcpNode::spawn(node, addrs, restart),
             Some(log) => {
-                TcpNode::spawn_with_sink(node, addrs, restart, codec, log).map_err(|(e, unused)| {
+                TcpNode::spawn_with_sink(node, addrs, restart, log).map_err(|(e, unused)| {
                     sink = Some(unused);
                     e
                 })
@@ -116,7 +114,6 @@ struct Args {
     spec: String,
     id: u32,
     restart: bool,
-    wire: Option<String>,
     deliveries: Option<String>,
     stdin_stop: bool,
     multicast: Option<u64>,
@@ -135,7 +132,6 @@ fn parse_args() -> Result<Args, String> {
         spec: String::new(),
         id: 0,
         restart: false,
-        wire: None,
         deliveries: None,
         stdin_stop: false,
         multicast: None,
@@ -162,13 +158,6 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--restart" => args.restart = true,
-            "--wire" => {
-                let name = value("--wire")?;
-                if wbam_types::wire::WireCodec::from_name(&name).is_none() {
-                    return Err(format!("--wire {name:?}: expected \"binary\" or \"json\""));
-                }
-                args.wire = Some(name);
-            }
             "--deliveries" => args.deliveries = Some(value("--deliveries")?),
             "--stdin-stop" => args.stdin_stop = true,
             "--multicast" => {
@@ -212,15 +201,12 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--first-seq: {e}"))?;
             }
             "--summary" => args.summary = Some(value("--summary")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: wbamd --spec FILE --id N [--restart] [--wire binary|json] \
-                     [--deliveries FILE] [--stdin-stop] \
+            "--help" | "-h" => return Err(
+                "usage: wbamd --spec FILE --id N [--restart] [--deliveries FILE] [--stdin-stop] \
                      [--multicast N [--outstanding K] [--dest g0,g1] [--payload BYTES] \
                      [--warmup W] [--first-seq S] [--summary FILE]]"
-                        .to_string(),
-                )
-            }
+                    .to_string(),
+            ),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -560,12 +546,6 @@ impl FamilyVisitor for Serve<'_> {
         // Listen on the own `addrs` entry, dial peers through `routes` when
         // the spec interposes a proxy on the links.
         let addrs = spec.dial_map(id)?;
-        let codec = match &args.wire {
-            Some(name) => {
-                wbam_types::wire::WireCodec::from_name(name).expect("validated by parse_args")
-            }
-            None => spec.wire_codec()?,
-        };
         let sink = JsonlSink::open(args.deliveries.as_deref())?;
         let make_node = || spec.node(&family, id);
         match (role, args.multicast) {
@@ -579,8 +559,7 @@ impl FamilyVisitor for Serve<'_> {
             }),
             (DeployRole::Replica(_), None) => {
                 let stop = StopSignal::install(args.stdin_stop);
-                let node =
-                    spawn_with_bind_retry(make_node, &addrs, args.restart, codec, Some(sink))?;
+                let node = spawn_with_bind_retry(make_node, &addrs, args.restart, Some(sink))?;
                 run_replica(node, &stop)
             }
             (DeployRole::Client, Some(_)) => {
@@ -588,7 +567,7 @@ impl FamilyVisitor for Serve<'_> {
                     .dest
                     .clone()
                     .unwrap_or_else(|| spec.cluster_config().group_ids());
-                let node = spawn_with_bind_retry(make_node, &addrs, args.restart, codec, None)?;
+                let node = spawn_with_bind_retry(make_node, &addrs, args.restart, None)?;
                 let summary = run_client(node, args, dest, sink)?;
                 if let Some(path) = &args.summary {
                     std::fs::write(path, to_json(&summary)?).map_err(WbamError::from)?;

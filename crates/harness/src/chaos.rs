@@ -47,7 +47,7 @@ use rand::{Rng as _, SeedableRng as _};
 use wbam_kvstore::{KvCommand, Partitioner};
 use wbam_runtime::TcpNode;
 use wbam_simnet::DeliveryRecord;
-use wbam_types::wire::{from_json, WireCodec};
+use wbam_types::wire::from_json;
 use wbam_types::{
     CrashSpec, GroupId, LinkFaults, MsgId, NemesisPlan, PartitionSpec, ProcessId, Timestamp,
     WbamError,
@@ -329,30 +329,23 @@ fn parse_log(path: &Path, tolerate_torn_tail: bool) -> Result<Vec<DeliveryLine>,
     Ok(out)
 }
 
-/// Runs a deployed chaos plan against a live cluster under `wire` and
-/// checks it. See the module docs for the pipeline; a cluster that cannot
+/// Runs a deployed chaos plan against a live cluster and checks it. See the module docs for the pipeline; a cluster that cannot
 /// be brought up at all is reported as a `run:` violation, so a sweep keeps
 /// going and reports every failing seed.
-pub(crate) fn run_net(
-    token: &Token,
-    plan: &NetChaosPlan,
-    config: &ExploreConfig,
-    wire: WireCodec,
-) -> Report {
+pub(crate) fn run_net(token: &Token, plan: &NetChaosPlan, config: &ExploreConfig) -> Report {
     let mut report = Report::new(token, plan.ops.len());
-    report.wire = Some(wire);
     report.digest = plan.digest();
-    // One directory per *run*, not per seed: `wbamd` appends to its delivery
-    // log, so two runs of the same seed (one per wire codec, say) sharing a
-    // directory interleave their logs — a sweep once mis-reported exactly
-    // that as a duplicate delivery.
+    // A temporary directory per *run*, not per seed: `wbamd` appends to its
+    // delivery log, so two runs of the same seed in one process sharing a
+    // directory would interleave their logs — a sweep once mis-reported
+    // exactly that as a duplicate delivery.
     static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let (seed, wire_name) = (token.seed, wire.name());
+    let seed = token.seed;
     let ephemeral = config.log_dir.is_none();
     let log_dir = match &config.log_dir {
-        Some(dir) => dir.join(format!("{seed:016x}-{wire_name}")),
+        Some(dir) => dir.join(format!("{seed:016x}")),
         None => std::env::temp_dir().join(format!(
-            "wbam-net-chaos-{}-{seed:016x}-{wire_name}-r{}",
+            "wbam-net-chaos-{}-{seed:016x}-r{}",
             std::process::id(),
             RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         )),
@@ -362,7 +355,7 @@ pub(crate) fn run_net(
         // after pid reuse; never append into stale logs.
         let _ = std::fs::remove_dir_all(&log_dir);
     }
-    if let Err(e) = run_live(plan, config, wire, &log_dir, &mut report) {
+    if let Err(e) = run_live(plan, config, &log_dir, &mut report) {
         report.violation = Some(format!("run: {e}"));
     }
     if report.violation.is_none() && ephemeral {
@@ -378,7 +371,6 @@ pub(crate) fn run_net(
 fn run_live(
     plan: &NetChaosPlan,
     config: &ExploreConfig,
-    wire: WireCodec,
     log_dir: &Path,
     report: &mut Report,
 ) -> Result<(), WbamError> {
@@ -386,7 +378,6 @@ fn run_live(
 
     // --- Bring the cluster up, every link proxied -----------------------
     let mut spec = DeploySpec::loopback_free_ports(Protocol::WhiteBox, NUM_GROUPS, GROUP_SIZE, 1)?;
-    spec.wire = Some(wire.name().to_string());
     spec.heartbeat_ms = 100;
     spec.election_timeout_ms = 1500;
     let epoch = Instant::now();
@@ -402,7 +393,7 @@ fn run_live(
     }
     let client_id = ProcessId(REPLICAS);
     let node = spec.node(&WbCast, client_id)?;
-    let client = TcpNode::spawn_with_codec(node, &routed.dial_map(client_id)?, false, wire)?;
+    let client = TcpNode::spawn(node, &routed.dial_map(client_id)?, false)?;
 
     // --- Drive workload + process faults on one timeline ----------------
     let partitioner = Partitioner::new(NUM_GROUPS as u32);

@@ -83,12 +83,9 @@ pub struct DeploySpec {
     pub election_timeout_ms: u64,
     /// Client (and replica) retry timeout in milliseconds.
     pub retry_timeout_ms: u64,
-    /// Wire codec for all TCP connections: `"binary"` (the default when the
-    /// field is absent) or `"json"` (the debuggable compatibility codec).
-    /// Every process of a cluster must agree — the connection preamble
-    /// rejects mixed-codec peers with a clear error. Overridable per process
-    /// with `wbamd --wire`, which is how the mismatch regression tests force
-    /// a disagreement.
+    /// Wire codec of the cluster's TCP connections. The deployed stack
+    /// speaks only the binary codec (`WIRE.md`), so this may be absent or
+    /// `"binary"`; [`Self::validate`] refuses `"json"` and any other name.
     pub wire: Option<String>,
     /// Optional per-link dial routing: `routes[i][j]` is the address process
     /// `i` dials to reach process `j`, letting an orchestrator interpose a
@@ -232,24 +229,6 @@ impl DeploySpec {
         })
     }
 
-    /// The wire codec this cluster's connections use ([`WireCodec::Binary`]
-    /// when the spec does not name one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WbamError::Codec`] for a codec name that is neither
-    /// `"binary"` nor `"json"`.
-    pub fn wire_codec(&self) -> Result<WireCodec, WbamError> {
-        match &self.wire {
-            None => Ok(WireCodec::default()),
-            Some(name) => WireCodec::from_name(name).ok_or_else(|| {
-                WbamError::Codec(format!(
-                    "unknown wire codec {name:?} (expected \"binary\" or \"json\")"
-                ))
-            }),
-        }
-    }
-
     /// Checks internal consistency (address count, group sizes, protocol).
     ///
     /// # Errors
@@ -257,7 +236,22 @@ impl DeploySpec {
     /// Returns the first inconsistency as a [`WbamError`].
     pub fn validate(&self) -> Result<(), WbamError> {
         self.protocol()?;
-        self.wire_codec()?;
+        if let Some(name) = &self.wire {
+            match WireCodec::from_name(name) {
+                Some(WireCodec::Binary) => {}
+                Some(codec) => {
+                    return Err(WbamError::Codec(format!(
+                        "spec field \"wire\": {name:?} is no longer accepted: the {codec} \
+                         codec is not deployable, every connection speaks binary"
+                    )))
+                }
+                None => {
+                    return Err(WbamError::Codec(format!(
+                        "unknown wire codec {name:?} (expected \"binary\")"
+                    )))
+                }
+            }
+        }
         let expected = self.num_groups * self.group_size + self.num_clients;
         if self.addrs.len() != expected {
             return Err(WbamError::Codec(format!(
@@ -677,20 +671,23 @@ mod tests {
 
     #[test]
     fn wire_codec_defaults_to_binary_and_rejects_unknown_names() {
+        // A spec without a `wire` field (the shim reads a missing field as
+        // None) and one naming "binary" both validate.
         let mut spec = DeploySpec::loopback(Protocol::WhiteBox, 1, 3, 1, 7700);
-        assert_eq!(spec.wire_codec().unwrap(), WireCodec::Binary);
-        spec.wire = Some("json".to_string());
-        assert_eq!(spec.wire_codec().unwrap(), WireCodec::Json);
+        spec.wire = None;
+        let back = DeploySpec::from_json(&spec.to_json().unwrap()).unwrap();
+        assert_eq!(back.wire, None);
+        spec.wire = Some("binary".to_string());
         spec.validate().unwrap();
-        spec.wire = Some("msgpack".to_string());
-        assert!(spec.validate().is_err());
-        // A pre-codec spec (no `wire` field at all) still parses and means
-        // binary — the shim treats a missing field as None.
-        let mut legacy = DeploySpec::loopback(Protocol::WhiteBox, 1, 3, 1, 7800);
-        legacy.wire = None;
-        let json = legacy.to_json().unwrap();
-        let back = DeploySpec::from_json(&json).unwrap();
-        assert_eq!(back.wire_codec().unwrap(), WireCodec::Binary);
+        // JSON is no longer deployable, and an unknown name never was: both
+        // are refused by name.
+        for name in ["json", "msgpack"] {
+            spec.wire = Some(name.to_string());
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(&format!("{name:?}")), "{err}");
+            let err = DeploySpec::from_json(&spec.to_json().unwrap()).unwrap_err();
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     /// The summary math behind `ClientSummary`: percentiles follow the

@@ -14,7 +14,9 @@
 //!   seeded scheduler picks every interleaving ([`rt`](crate::rt));
 //! * [`Engine::Net`] — live `wbamd` processes behind the
 //!   [`NemesisProxy`](crate::NemesisProxy), with SIGKILL/redeploy and
-//!   SIGSTOP/SIGCONT faults ([`chaos`](crate::chaos)).
+//!   SIGSTOP/SIGCONT faults ([`chaos`](crate::chaos)). A deployed plan runs
+//!   once, on the binary codec every deployed connection speaks, and keeps
+//!   its logs under `<seed>/` of [`ExploreConfig::log_dir`].
 //!
 //! Every run, whatever the engine, goes through [`check_run`]:
 //!
@@ -45,7 +47,6 @@ use wbam_core::invariants::{
 };
 use wbam_kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
 use wbam_simnet::DeliveryRecord;
-use wbam_types::wire::WireCodec;
 use wbam_types::{AppMessage, ClusterConfig, MsgId, NemesisPlan, Payload, ProcessId, Timestamp};
 
 use crate::chaos::{generate_net_plan, run_net, NetChaosPlan};
@@ -517,8 +518,8 @@ pub fn check_run(observed: &Observed, policy: &CheckPolicy) -> Result<usize, Str
 }
 
 /// Greedily minimizes the nemesis plan of a failing run: repeatedly removes
-/// individual crashes, partitions and nudges, and zeroes the probabilistic
-/// fault knobs, keeping each removal for which `still_fails` holds. Returns
+/// individual crashes and partitions, and zeroes the probabilistic fault
+/// knobs, keeping each removal for which `still_fails` holds. Returns
 /// the smallest still-failing plan found.
 pub fn minimize(
     plan: &NemesisPlan,
@@ -544,17 +545,11 @@ pub fn minimize(
             candidate.partitions.remove(idx);
             try_keep(&mut plan, candidate);
         }
-        for idx in (0..plan.leader_nudges.len()).rev() {
-            let mut candidate = plan.clone();
-            candidate.leader_nudges.remove(idx);
-            try_keep(&mut plan, candidate);
-        }
-        for knob in 0..4 {
+        for knob in 0..3 {
             let mut candidate = plan.clone();
             match knob {
                 0 => candidate.link.drop_per_mille = 0,
                 1 => candidate.link.duplicate_per_mille = 0,
-                2 => candidate.link.reorder_per_mille = 0,
                 _ => candidate.timer_jitter = Duration::ZERO,
             }
             try_keep(&mut plan, candidate);
@@ -652,10 +647,8 @@ pub struct ExploreConfig {
     pub minimize: bool,
     /// Override the deployed workload size (smaller for CI smokes).
     pub messages: Option<usize>,
-    /// Wire codecs each deployed plan runs under, one run each.
-    pub wires: Vec<WireCodec>,
     /// Parent directory for deployed runs' specs and delivery logs, one
-    /// `<seed>-<wire>` subdirectory per run, always kept. `None` uses a fresh
+    /// `<seed>` subdirectory per run, always kept. `None` uses a fresh
     /// temporary directory per run, removed again when the run passes.
     pub log_dir: Option<PathBuf>,
     /// Path to the `wbamd` binary. `None` uses the `WBAMD_BIN` environment
@@ -674,7 +667,6 @@ impl Default for ExploreConfig {
             replay: None,
             minimize: true,
             messages: None,
-            wires: vec![WireCodec::default()],
             log_dir: None,
             wbamd: None,
         }
@@ -686,8 +678,6 @@ impl Default for ExploreConfig {
 pub struct Report {
     /// The run's replay token.
     pub token: Token,
-    /// The wire codec of a deployed run.
-    pub wire: Option<WireCodec>,
     /// The replay digest: of every delivery record and the engine's trailer
     /// for the simulator and the runtime, of the derived plan for a
     /// deployed run (whose interleaving is not replayable).
@@ -720,7 +710,6 @@ impl Report {
     pub(crate) fn new(token: &Token, ops: usize) -> Report {
         Report {
             token: *token,
-            wire: None,
             digest: 0,
             ops,
             completed: 0,
@@ -752,21 +741,21 @@ impl Report {
 }
 
 /// Runs `plan` (generated from `token`, possibly with a modified nemesis)
-/// on its engine and checks it. `wire` only matters to a deployed run.
-pub fn run_plan(token: &Token, plan: &Plan, config: &ExploreConfig, wire: WireCodec) -> Report {
+/// on its engine and checks it.
+pub fn run_plan(token: &Token, plan: &Plan, config: &ExploreConfig) -> Report {
     match plan {
         Plan::Sim(schedule) => run_generated(token, schedule),
         Plan::Rt(plan) => run_rt_artifacts(token, plan).report,
-        Plan::Net(plan) => run_net(token, plan, config, wire),
+        Plan::Net(plan) => run_net(token, plan, config),
     }
 }
 
 /// Runs the canonical plan of a token under the default configuration (a
-/// deployed token runs one live cluster, binary wire, default workload).
+/// deployed token runs one live cluster with the default workload).
 pub fn run_token(token: &Token) -> Report {
     let config = ExploreConfig::default();
     let plan = Plan::generate(token, config.messages);
-    run_plan(token, &plan, &config, WireCodec::default())
+    run_plan(token, &plan, &config)
 }
 
 /// A failing run, with its minimized nemesis plan.
@@ -782,11 +771,8 @@ pub struct Finding {
 /// Aggregate results of an exploration.
 #[derive(Debug, Clone, Default)]
 pub struct Exploration {
-    /// Schedules (tokens) explored.
+    /// Schedules (tokens) explored, one run each.
     pub schedules: usize,
-    /// Runs executed: one per schedule, or one per schedule and wire codec
-    /// for deployed plans.
-    pub runs: usize,
     /// Failing runs.
     pub findings: Vec<Finding>,
     /// Total operations submitted.
@@ -819,32 +805,23 @@ pub fn explore(config: &ExploreConfig, mut progress: impl FnMut(&Report)) -> Exp
         exploration.schedules += 1;
         exploration.crashes += plan.nemesis().crashes.len();
         exploration.partitions += plan.nemesis().partitions.len();
-        let wires = match token.engine() {
-            Engine::Net => &config.wires[..],
-            _ => &[WireCodec::Binary][..],
-        };
-        for &wire in wires {
-            let report = run_plan(&token, &plan, config, wire);
-            progress(&report);
-            exploration.runs += 1;
-            exploration.total_ops += report.ops;
-            exploration.total_completed += report.completed;
-            exploration.dropped += report.dropped;
-            exploration.duplicated += report.duplicated;
-            if report.violation.is_some() {
-                // A live cluster reproduces its plan, not its interleaving:
-                // re-running it to minimize would prove nothing.
-                let replayable = token.engine() != Engine::Net;
-                let minimized = (config.minimize && replayable).then(|| {
-                    minimize(plan.nemesis(), |nemesis| {
-                        let candidate = plan.with_nemesis(nemesis);
-                        run_plan(&token, &candidate, config, wire)
-                            .violation
-                            .is_some()
-                    })
-                });
-                exploration.findings.push(Finding { report, minimized });
-            }
+        let report = run_plan(&token, &plan, config);
+        progress(&report);
+        exploration.total_ops += report.ops;
+        exploration.total_completed += report.completed;
+        exploration.dropped += report.dropped;
+        exploration.duplicated += report.duplicated;
+        if report.violation.is_some() {
+            // A live cluster reproduces its plan, not its interleaving:
+            // re-running it to minimize would prove nothing.
+            let replayable = token.engine() != Engine::Net;
+            let minimized = (config.minimize && replayable).then(|| {
+                minimize(plan.nemesis(), |nemesis| {
+                    let candidate = plan.with_nemesis(nemesis);
+                    run_plan(&token, &candidate, config).violation.is_some()
+                })
+            });
+            exploration.findings.push(Finding { report, minimized });
         }
     }
     exploration

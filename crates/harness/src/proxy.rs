@@ -33,12 +33,13 @@
 //!   written twice back-to-back. Protocol handlers must be idempotent.
 //! - **Delays** ([`LinkFaults::reorder_per_mille`] /
 //!   [`LinkFaults::reorder_extra`]): the forwarder stalls before writing the
-//!   frame. TCP preserves byte order within a connection, so a deployed
-//!   "reorder" is a FIFO-preserving *stall* of the whole link — later frames
-//!   on the same link wait behind the delayed one, but other links (and the
-//!   reverse direction) race ahead, which is where real interleavings come
-//!   from. This is the honest deployable reading of the sim's reorder knob;
-//!   the capability matrix in DESIGN.md spells out the difference.
+//!   frame. TCP preserves byte order within a connection, so the knob is a
+//!   FIFO-preserving *stall* of the whole link — later frames on the same
+//!   link wait behind the delayed one, but other links (and the reverse
+//!   direction) race ahead, which is where real interleavings come from.
+//!   The proxy is the only executor of this knob (the simulator keeps its
+//!   channels FIFO and ignores it); the capability matrix in DESIGN.md
+//!   spells out the difference.
 //! - **Partitions** ([`PartitionSpec`](wbam_types::nemesis::PartitionSpec)):
 //!   while a partition blocks `i → j`, the `(i, j)` forwarder severs its
 //!   live connection (the source sees a reset and enters dial backoff) and
@@ -99,7 +100,7 @@ pub enum FrameFate {
     /// Deliver the frame twice back-to-back.
     Duplicate,
     /// Stall the link for the given duration, then deliver the frame (a
-    /// FIFO-preserving delay — see the module docs on deployed "reorder").
+    /// FIFO-preserving delay — see the module docs on delays).
     Delay(Duration),
 }
 

@@ -99,9 +99,10 @@ pub struct BenchRecord {
     pub bench: String,
     /// Environment label (`lan`, `wan`, ...).
     pub environment: String,
-    /// Wire codec the cluster ran with (`"binary"` or `"json"`). `None` for
-    /// simulated benches, which exchange in-memory values and never hit a
-    /// serialiser. Old records without the field parse as `None`.
+    /// Wire codec the cluster ran with: `"binary"` (older `BENCH_net.json`
+    /// rows also say `"json"`, from before it stopped being deployable).
+    /// `None` for simulated benches, which exchange in-memory values and
+    /// never hit a serialiser. Old records without the field parse as `None`.
     pub wire: Option<String>,
     /// Protocol label.
     pub protocol: String,

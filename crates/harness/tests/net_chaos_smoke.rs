@@ -9,7 +9,6 @@
 use std::path::PathBuf;
 
 use wbam_harness::{run_plan, ExploreConfig, Plan, Token};
-use wbam_types::wire::WireCodec;
 
 #[test]
 fn seeded_chaos_run_passes_all_checks_and_replays_its_plan() {
@@ -20,7 +19,7 @@ fn seeded_chaos_run_passes_all_checks_and_replays_its_plan() {
         ..ExploreConfig::default()
     };
     let plan = Plan::generate(&token, config.messages);
-    let report = run_plan(&token, &plan, &config, WireCodec::Binary);
+    let report = run_plan(&token, &plan, &config);
     assert_eq!(
         report.violation, None,
         "chaos run failed (logs kept in {:?}): {:?}",

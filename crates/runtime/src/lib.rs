@@ -14,8 +14,7 @@
 //!   transport is an in-process channel per node ([`ChannelTransport`]).
 //!   Ideal for embedding a whole cluster in one service or test.
 //! * [`TcpNode`] — one node per OS process, the transport is real TCP with
-//!   `wbam_types::wire` framing (compact binary by default, JSON behind
-//!   `--wire json`). The node's one thread is a reactor: it runs the node
+//!   `wbam_types::wire` framing in the binary codec. The node's one thread is a reactor: it runs the node
 //!   loop between `poll(2)` calls, reads and writes every socket itself, and
 //!   frames each round's sends into their peers' output buffers, several
 //!   messages to a frame ([`tcp::TcpTransport`]; coalesced writes,

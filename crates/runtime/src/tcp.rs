@@ -50,11 +50,11 @@
 //! Framing is `wbam_types::wire`: each connection opens with the 4-byte
 //! preamble (`"WB"` magic, wire version, codec byte) and a `Hello` frame
 //! identifying the dialling process, then carries length-prefixed protocol
-//! frames encoded with the negotiated [`WireCodec`] — compact binary by
-//! default, JSON behind the `wbamd --wire json` compatibility flag. A peer
-//! whose preamble disagrees (wrong codec, wrong version, not a WBAM process
-//! at all) is rejected immediately with a clear error on stderr, so a
-//! mixed-codec cluster fails fast instead of surfacing as garbled frames.
+//! frames in the binary codec (`WIRE.md`), the only one the transport
+//! speaks. A peer whose preamble disagrees (another codec, another wire
+//! version, not a WBAM process at all) is rejected immediately with a clear
+//! error on stderr, so a mismatched cluster fails fast instead of surfacing
+//! as garbled frames.
 //!
 //! Connection loss follows the fair-lossy link model the protocols are
 //! designed for: bytes in flight die with the connection, frames queued while
@@ -161,6 +161,9 @@ const READ_CHUNK: usize = 64 * 1024;
 /// thread submitting without pause, from starving the sockets.
 const MAX_ROUNDS: usize = 4;
 
+/// The codec of every frame the transport writes and reads.
+const CODEC: WireCodec = WireCodec::Binary;
+
 /// The most messages one frame carries.
 const FRAME_MAX_MESSAGES: usize = 256;
 /// The most body bytes a frame of several messages takes; a lone message
@@ -170,8 +173,7 @@ const FRAME_MAX_MESSAGES: usize = 256;
 const FRAME_MAX_BATCH_BYTES: usize = MAX_FRAME_LEN / 8;
 
 /// What travels inside a TCP frame: a connection handshake, one protocol
-/// message, or several, encoded with the connection's negotiated
-/// [`WireCodec`]. `B` holds a batch's messages: a `Vec<M>` when decoding
+/// message, or several. `B` holds a batch's messages: a `Vec<M>` when decoding
 /// ([`InFrame`]), a borrowed slice when encoding, which writes the same
 /// bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -382,14 +384,9 @@ impl PeerOut {
     /// frame started, so the byte stream stays cut at frame boundaries even
     /// mid-flush. Returns the frame's encoded length and whether it was
     /// queued.
-    fn push_frame<T: Serialize>(
-        &mut self,
-        codec: WireCodec,
-        frame: &T,
-        max_body: usize,
-    ) -> Option<(usize, bool)> {
+    fn push_frame<T: Serialize>(&mut self, frame: &T, max_body: usize) -> Option<(usize, bool)> {
         let start = self.outbuf.len();
-        let encoded = encode_frame_into(codec, frame, &mut self.outbuf).is_ok();
+        let encoded = encode_frame_into(CODEC, frame, &mut self.outbuf).is_ok();
         let len = self.outbuf.len() - start;
         let fits = encoded && len <= max_body + 4; // + the length prefix
         let queued = fits && self.queued() <= OUTBUF_CAP;
@@ -406,20 +403,16 @@ impl PeerOut {
     /// that cannot be encoded at all (over `MAX_FRAME_LEN`, e.g. an
     /// oversized state transfer — it could never reach the peer, and
     /// retrying cannot help) is dropped like a frame at the buffer cap.
-    fn push_run<M: Serialize>(&mut self, codec: WireCodec, run: &[M], framed: &mut Framed) {
+    fn push_run<M: Serialize>(&mut self, run: &[M], framed: &mut Framed) {
         let pushed = match run {
-            [msg] => self.push_frame(codec, &WireFrame::<&M, &[M]>::Protocol(msg), MAX_FRAME_LEN),
-            _ => self.push_frame(
-                codec,
-                &WireFrame::<&M, &[M]>::Batch(run),
-                FRAME_MAX_BATCH_BYTES,
-            ),
+            [msg] => self.push_frame(&WireFrame::<&M, &[M]>::Protocol(msg), MAX_FRAME_LEN),
+            _ => self.push_frame(&WireFrame::<&M, &[M]>::Batch(run), FRAME_MAX_BATCH_BYTES),
         };
         match pushed {
             None if run.len() > 1 => {
                 let (head, tail) = run.split_at(run.len() / 2);
-                self.push_run(codec, head, framed);
-                self.push_run(codec, tail, framed);
+                self.push_run(head, framed);
+                self.push_run(tail, framed);
             }
             pushed => {
                 let (len, queued) = pushed.unwrap_or((0, false));
@@ -520,9 +513,9 @@ fn retry_interrupted<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T
 }
 
 /// Preamble + `Hello`: the first bytes of every connection `from` dials.
-fn hello_bytes<M: Serialize>(codec: WireCodec, from: ProcessId) -> Vec<u8> {
-    let mut hello = encode_preamble(codec).to_vec();
-    encode_frame_into(codec, &InFrame::<M>::Hello { from }, &mut hello)
+fn hello_bytes<M: Serialize>(from: ProcessId) -> Vec<u8> {
+    let mut hello = encode_preamble(CODEC).to_vec();
+    encode_frame_into(CODEC, &InFrame::<M>::Hello { from }, &mut hello)
         .expect("Hello frame serialisation cannot fail");
     hello
 }
@@ -544,7 +537,6 @@ fn hello_bytes<M: Serialize>(codec: WireCodec, from: ProcessId) -> Vec<u8> {
 /// would without the rule.
 pub struct TcpTransport<M> {
     local: ProcessId,
-    codec: WireCodec,
     loopback: Sender<Envelope<M>>,
     peers: BTreeMap<ProcessId, PeerOut>,
     /// Per peer, what this round sent it, not yet encoded.
@@ -562,7 +554,6 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
     /// `addrs`. Nothing is dialled until there is a frame to send.
     fn new(
         local: ProcessId,
-        codec: WireCodec,
         loopback: Sender<Envelope<M>>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         dialler: Dialler,
@@ -577,11 +568,10 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
         let pending = peers.keys().map(|&p| (p, Vec::new())).collect();
         TcpTransport {
             local,
-            codec,
             loopback,
             peers,
             pending,
-            hello: hello_bytes::<M>(codec, local),
+            hello: hello_bytes::<M>(local),
             stats,
             dialler,
             dialled: Arc::default(),
@@ -603,7 +593,7 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
             let peer = self.peers.get_mut(&to).expect("a pending list per peer");
             let mut framed = Framed::default();
             for run in msgs.chunks(FRAME_MAX_MESSAGES) {
-                peer.push_run(self.codec, run, &mut framed);
+                peer.push_run(run, &mut framed);
             }
             // Like every dropped frame, one that does not fit is counted
             // against the peer, never lost silently.
@@ -748,7 +738,6 @@ impl InConn {
     /// resynced from; the peer re-dials).
     fn service<M: DeserializeOwned>(
         &mut self,
-        codec: WireCodec,
         budget: usize,
         batch: &mut Vec<Envelope<M>>,
         chunk: &mut [u8],
@@ -768,7 +757,7 @@ impl InConn {
             }
             let mut preamble = [0u8; PREAMBLE_LEN];
             preamble.copy_from_slice(&self.buf[..PREAMBLE_LEN]);
-            if let Err(e) = check_preamble(&preamble, codec) {
+            if let Err(e) = check_preamble(&preamble, CODEC) {
                 eprintln!("wbam-runtime: rejecting connection from {}: {e}", self.desc);
                 return false;
             }
@@ -783,7 +772,7 @@ impl InConn {
             if self.backlog {
                 break;
             }
-            let (frame, used) = match decode_frame_slice::<InFrame<M>>(codec, &self.buf[pos..]) {
+            let (frame, used) = match decode_frame_slice::<InFrame<M>>(CODEC, &self.buf[pos..]) {
                 Ok(Some(decoded)) => decoded,
                 Ok(None) => break,
                 Err(e) => {
@@ -821,7 +810,6 @@ impl InConn {
 /// module docs for what one iteration does.
 struct Reactor<M> {
     nl: NodeLoop<M, TcpTransport<M>, WallClock>,
-    codec: WireCodec,
     listener: TcpListener,
     inbound: Vec<InConn>,
     waker: Arc<Waker>,
@@ -885,9 +873,8 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
             }
             let wanting = self.inbound.iter().filter(|c| c.needs_service()).count();
             let budget = (MAX_ENVELOPE_BATCH / wanting.max(1)).max(1);
-            let codec = self.codec;
             self.inbound.retain_mut(|conn| {
-                !conn.needs_service() || conn.service(codec, budget, &mut batch, &mut chunk)
+                !conn.needs_service() || conn.service(budget, &mut batch, &mut chunk)
             });
 
             // 2. Run the node over what was decoded plus what is in the
@@ -1029,24 +1016,10 @@ pub struct TcpNode<M> {
 }
 
 impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
-    /// Spawns the node with the default wire codec ([`WireCodec::Binary`]);
-    /// see [`Self::spawn_with_codec`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::spawn_with_codec`].
-    pub fn spawn(
-        node: BoxedNode<M>,
-        addrs: &BTreeMap<ProcessId, SocketAddr>,
-        restart: bool,
-    ) -> Result<Self, WbamError> {
-        Self::spawn_with_codec(node, addrs, restart, WireCodec::default())
-    }
-
     /// Binds `addrs[node.id()]`, spawns the reactor thread and starts the
-    /// node with `Event::Init`. All connections use `codec` for their frame
-    /// bodies; the preamble handshake rejects peers running a different
-    /// codec (or wire version) with a clear error.
+    /// node with `Event::Init`. Every connection speaks the binary codec;
+    /// the preamble handshake rejects a peer announcing another codec (or
+    /// wire version) with a clear error.
     ///
     /// With `restart = true` the node additionally receives `Event::Restart`
     /// before any peer traffic — the flag a redeployed `wbamd` process passes
@@ -1059,16 +1032,36 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     /// Returns [`WbamError::UnknownProcess`] when `addrs` has no entry for
     /// the node, or [`WbamError::Io`] when binding its listen address,
     /// creating the wake pipe or spawning the thread fails.
+    pub fn spawn(
+        node: BoxedNode<M>,
+        addrs: &BTreeMap<ProcessId, SocketAddr>,
+        restart: bool,
+    ) -> Result<Self, WbamError> {
+        Self::spawn_with_dialler(node, addrs, restart, stock_dialler())
+    }
+
+    /// [`Self::spawn`] for a caller that names the codec; only
+    /// [`WireCodec::Binary`] is deployable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WbamError::Codec`] naming `codec`, before binding anything,
+    /// for any other codec; otherwise the contract of [`Self::spawn`].
     pub fn spawn_with_codec(
         node: BoxedNode<M>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         restart: bool,
         codec: WireCodec,
     ) -> Result<Self, WbamError> {
-        Self::spawn_with_dialler(node, addrs, restart, codec, stock_dialler())
+        if codec != CODEC {
+            return Err(WbamError::Codec(format!(
+                "the {codec} wire codec is not deployable: the TCP transport speaks only {CODEC}"
+            )));
+        }
+        Self::spawn(node, addrs, restart)
     }
 
-    /// Like [`Self::spawn_with_codec`], but the node's deliveries go to
+    /// Like [`Self::spawn`], but the node's deliveries go to
     /// `sink` instead of an in-memory log. The reactor thread hands it each
     /// delivery and flushes it once per round, before it sends any frame of
     /// that round, so no reply can overtake the delivery it answers; a
@@ -1076,36 +1069,33 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::spawn_with_codec`]; the error comes back
+    /// Same contract as [`Self::spawn`]; the error comes back
     /// together with the unused `sink`, so a caller can retry (a listen port
     /// still held by a closing connection, say) with the same one.
     pub fn spawn_with_sink<S: DeliverySink>(
         node: BoxedNode<M>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         restart: bool,
-        codec: WireCodec,
         sink: S,
     ) -> Result<Self, (WbamError, S)> {
-        Self::start(node, addrs, restart, codec, stock_dialler(), sink, None)
+        Self::start(node, addrs, restart, stock_dialler(), sink, None)
     }
 
     fn spawn_with_dialler(
         node: BoxedNode<M>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         restart: bool,
-        codec: WireCodec,
         dialler: Dialler,
     ) -> Result<Self, WbamError> {
         let log = Arc::new(DeliveryLog::new());
         let sink = LogSink::new(Arc::clone(&log));
-        Self::start(node, addrs, restart, codec, dialler, sink, Some(log)).map_err(|(e, _)| e)
+        Self::start(node, addrs, restart, dialler, sink, Some(log)).map_err(|(e, _)| e)
     }
 
     fn start<S: DeliverySink>(
         node: BoxedNode<M>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         restart: bool,
-        codec: WireCodec,
         dialler: Dialler,
         sink: S,
         deliveries: Option<Arc<DeliveryLog>>,
@@ -1140,18 +1130,10 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         let waker = Arc::new(waker);
         let status = Arc::new(SinkStatus::default());
         let (mailbox, rx) = unbounded();
-        let transport = TcpTransport::new(
-            id,
-            codec,
-            mailbox.clone(),
-            addrs,
-            dialler,
-            Arc::clone(&waker),
-        );
+        let transport = TcpTransport::new(id, mailbox.clone(), addrs, dialler, Arc::clone(&waker));
         let stats = Arc::clone(&transport.stats);
         let reactor = Reactor {
             nl: NodeLoop::new(node, rx, transport, Box::new(sink), clock),
-            codec,
             listener,
             inbound: Vec::new(),
             waker: Arc::clone(&waker),
@@ -1644,12 +1626,10 @@ mod tests {
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         member: ProcessId,
         restart: bool,
-        codec: WireCodec,
     ) -> TcpNode<WhiteBoxMsg> {
         let group = cluster.group_of(member).expect("replica group");
         let cfg = ReplicaConfig::new(member, group, cluster.clone()).without_auto_election();
-        TcpNode::spawn_with_codec(Box::new(WhiteBoxReplica::new(cfg)), addrs, restart, codec)
-            .expect("spawn")
+        TcpNode::spawn(Box::new(WhiteBoxReplica::new(cfg)), addrs, restart).expect("spawn")
     }
 
     fn order_of<M>(node: &TcpNode<M>) -> Vec<MsgId>
@@ -1675,7 +1655,7 @@ mod tests {
             .groups()
             .iter()
             .flat_map(|gc| gc.members().to_vec())
-            .map(|m| spawn_replica(&cluster, &addrs, m, false, WireCodec::Binary))
+            .map(|m| spawn_replica(&cluster, &addrs, m, false))
             .collect();
         let client_id = cluster.clients()[0];
         let client = TcpNode::spawn(
@@ -1716,52 +1696,6 @@ mod tests {
             assert!(r.dropped_frames_by_peer().is_empty());
         }
         assert_eq!(client.dropped_frames(), 0);
-        for r in replicas {
-            r.shutdown();
-        }
-        client.shutdown();
-    }
-
-    /// The `--wire json` compatibility codec still carries a cluster
-    /// end-to-end: a 1-group × 3-replica cluster plus client, all speaking
-    /// JSON frames, delivers in identical order.
-    #[test]
-    fn json_codec_cluster_delivers() {
-        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
-        let addrs = reserve_addrs(&cluster);
-        let replicas: Vec<TcpNode<WhiteBoxMsg>> = cluster.groups()[0]
-            .members()
-            .iter()
-            .map(|&m| spawn_replica(&cluster, &addrs, m, false, WireCodec::Json))
-            .collect();
-        let client_id = cluster.clients()[0];
-        let client = TcpNode::spawn_with_codec(
-            Box::new(MulticastClient::new(ClientConfig::new(
-                client_id,
-                cluster.clone(),
-            ))),
-            &addrs,
-            false,
-            WireCodec::Json,
-        )
-        .expect("spawn client");
-        for seq in 0..3u64 {
-            client
-                .submit(AppMessage::new(
-                    MsgId::new(client_id, seq),
-                    Destination::single(GroupId(0)),
-                    Payload::from(format!("op-{seq}").as_str()),
-                ))
-                .unwrap();
-        }
-        assert!(client.wait_for_total(3, Duration::from_secs(30)).unwrap());
-        for r in &replicas {
-            assert!(r.wait_for_total(3, Duration::from_secs(30)).unwrap());
-        }
-        let reference = order_of(&replicas[0]);
-        for r in &replicas[1..] {
-            assert_eq!(order_of(r), reference);
-        }
         for r in replicas {
             r.shutdown();
         }
@@ -1867,7 +1801,7 @@ mod tests {
         listener: &TcpListener,
         total: usize,
     ) -> usize {
-        let mut burst = hello_bytes::<WhiteBoxMsg>(WireCodec::Binary, client);
+        let mut burst = hello_bytes::<WhiteBoxMsg>(client);
         for seq in 0..total as u64 {
             let multicast = WhiteBoxMsg::Multicast {
                 msg: g0_message(client, seq),
@@ -2057,6 +1991,29 @@ mod tests {
         client.shutdown();
     }
 
+    /// Only the binary codec is deployable: naming another one is refused
+    /// by name before anything is bound. The node's address is held by a
+    /// listener throughout, so a bind attempt would have failed with an IO
+    /// error instead.
+    #[test]
+    fn a_json_codec_node_is_refused_and_binds_nothing() {
+        let held = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+        let replica = ProcessId(0);
+        let addrs = BTreeMap::from([(replica, held.local_addr().expect("local addr"))]);
+        let cluster = ClusterConfig::builder().groups(1, 1).clients(0).build();
+        let cfg = ReplicaConfig::new(replica, GroupId(0), cluster.clone()).without_auto_election();
+        let err = TcpNode::spawn_with_codec(
+            Box::new(WhiteBoxReplica::new(cfg)),
+            &addrs,
+            false,
+            WireCodec::Json,
+        )
+        .err()
+        .expect("the JSON codec is refused");
+        assert!(matches!(err, WbamError::Codec(_)), "{err:?}");
+        assert!(err.to_string().contains("json"), "{err}");
+    }
+
     /// Regression for the handshake version/codec negotiation: a peer whose
     /// preamble announces the wrong codec (or garbage) is disconnected
     /// promptly — the accepting side closes the socket instead of trying to
@@ -2066,7 +2023,7 @@ mod tests {
         let cluster = ClusterConfig::builder().groups(1, 1).clients(0).build();
         let addrs = reserve_addrs(&cluster);
         let replica = cluster.groups()[0].members()[0];
-        let node = spawn_replica(&cluster, &addrs, replica, false, WireCodec::Binary);
+        let node = spawn_replica(&cluster, &addrs, replica, false);
 
         let probe = |preamble: &[u8]| -> std::io::Result<usize> {
             let mut stream = TcpStream::connect(addrs[&replica]).expect("dial node");
@@ -2112,12 +2069,7 @@ mod tests {
         let members = cluster.groups()[0].members().to_vec();
         let mut replicas: BTreeMap<ProcessId, TcpNode<WhiteBoxMsg>> = members
             .iter()
-            .map(|m| {
-                (
-                    *m,
-                    spawn_replica(&cluster, &addrs, *m, false, WireCodec::Binary),
-                )
-            })
+            .map(|m| (*m, spawn_replica(&cluster, &addrs, *m, false)))
             .collect();
         let client_id = cluster.clients()[0];
         let client = TcpNode::spawn(
@@ -2155,7 +2107,7 @@ mod tests {
         assert!(client.wait_for_total(5, Duration::from_secs(30)).unwrap());
 
         // A fresh process takes over the victim's address and rejoins.
-        let rejoined = spawn_replica(&cluster, &addrs, victim, true, WireCodec::Binary);
+        let rejoined = spawn_replica(&cluster, &addrs, victim, true);
         // It recovers the full history (its delivery log starts empty) and
         // keeps up with new traffic.
         submit(5);
@@ -2201,10 +2153,7 @@ mod tests {
             "nothing queued, nothing to dial for"
         );
         assert!(
-            matches!(
-                peer.push_frame(WireCodec::Binary, &7u64, MAX_FRAME_LEN),
-                Some((_, true))
-            ),
+            matches!(peer.push_frame(&7u64, MAX_FRAME_LEN), Some((_, true))),
             "empty buffer accepts a frame"
         );
         assert_eq!(peer.next_dial, Duration::ZERO, "first dial is due at once");
@@ -2256,13 +2205,12 @@ mod tests {
 
     /// A transport for `p0` with one peer that is never dialled (nothing
     /// calls `service`), for driving the send path alone.
-    fn undialled_transport(peer: ProcessId, codec: WireCodec) -> TcpTransport<Vec<u8>> {
+    fn undialled_transport(peer: ProcessId) -> TcpTransport<Vec<u8>> {
         let nowhere: SocketAddr = "127.0.0.1:9".parse().unwrap();
         let addrs = BTreeMap::from([(ProcessId(0), nowhere), (peer, nowhere)]);
         let (loopback, _) = unbounded();
         TcpTransport::new(
             ProcessId(0),
-            codec,
             loopback,
             &addrs,
             Arc::new(|_| Err(io::Error::other("never dialled"))),
@@ -2302,7 +2250,7 @@ mod tests {
         let mut buf = &transport.peers[&peer].outbuf[..];
         let mut frames = Vec::new();
         while let Some((frame, used)) =
-            decode_frame_slice::<InFrame<Vec<u8>>>(transport.codec, buf).expect("decodes")
+            decode_frame_slice::<InFrame<Vec<u8>>>(CODEC, buf).expect("decodes")
         {
             frames.push((frame, used));
             buf = &buf[used..];
@@ -2348,7 +2296,7 @@ mod tests {
     #[test]
     fn a_round_of_300_messages_frames_as_256_and_44() {
         let peer = ProcessId(7);
-        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        let mut transport = undialled_transport(peer);
         send_round(&mut transport, peer, vec![numbered(0, 8)]);
         let lone = encode_frame_with(WireCodec::Binary, &InFrame::Protocol(numbered(0, 8)))
             .expect("encodes");
@@ -2371,7 +2319,7 @@ mod tests {
     #[test]
     fn a_run_over_the_byte_cap_splits_in_half() {
         let peer = ProcessId(7);
-        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        let mut transport = undialled_transport(peer);
         let round: Vec<Vec<u8>> = (0..4)
             .map(|seq| numbered(seq, FRAME_MAX_BATCH_BYTES / 3))
             .collect();
@@ -2387,36 +2335,22 @@ mod tests {
     }
 
     /// A full run of messages at both caps — 256 of them, together at the
-    /// byte cap under the binary codec and four times over it under JSON,
-    /// which spells a byte in up to four characters — frames without a
-    /// drop under either codec, every batch within the byte cap, and
-    /// decodes back to the run in order.
+    /// byte cap — frames as one batch without a drop, within the byte cap,
+    /// and decodes back to the run in order.
     #[test]
-    fn every_frame_decodes_under_both_codecs() {
+    fn a_full_run_at_both_caps_frames_as_one_batch() {
         let peer = ProcessId(7);
         let each = FRAME_MAX_BATCH_BYTES / FRAME_MAX_MESSAGES - 16;
         let round: Vec<Vec<u8>> = (0..FRAME_MAX_MESSAGES)
             .map(|seq| numbered(seq, each))
             .collect();
-        for codec in [WireCodec::Binary, WireCodec::Json] {
-            let mut transport = undialled_transport(peer, codec);
-            send_round(&mut transport, peer, round.clone());
-            assert_eq!(transport.stats.dropped_frames(), 0, "{codec}");
-            let frames = queued_frames(&transport, peer);
-            let sizes = shape(&frames);
-            assert!(
-                frames
-                    .iter()
-                    .all(|(_, len)| *len <= FRAME_MAX_BATCH_BYTES + 4),
-                "{codec}: {sizes:?}"
-            );
-            if codec == WireCodec::Binary {
-                assert_eq!(sizes, [FRAME_MAX_MESSAGES], "{codec}");
-            } else {
-                assert!(sizes.len() > 1, "{codec}: {sizes:?}");
-            }
-            assert_eq!(carried(frames), round, "{codec}");
-        }
+        let mut transport = undialled_transport(peer);
+        send_round(&mut transport, peer, round.clone());
+        assert_eq!(transport.stats.dropped_frames(), 0);
+        let frames = queued_frames(&transport, peer);
+        assert_eq!(shape(&frames), [FRAME_MAX_MESSAGES]);
+        assert!(frames[0].1 <= FRAME_MAX_BATCH_BYTES + 4);
+        assert_eq!(carried(frames), round);
     }
 
     /// Frames beyond [`OUTBUF_CAP`] are dropped (never truncated) and the
@@ -2426,7 +2360,7 @@ mod tests {
     #[test]
     fn outbuf_overflow_drops_whole_frames_and_counts_them() {
         let peer = ProcessId(7);
-        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        let mut transport = undialled_transport(peer);
         let transport = &mut transport;
         // Fills the buffer to within 64 bytes of the cap (a frame adds under
         // twenty bytes of length prefix and headers to its payload).
@@ -2473,7 +2407,7 @@ mod tests {
     #[test]
     fn a_dropped_batch_counts_as_one_frame() {
         let peer = ProcessId(7);
-        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        let mut transport = undialled_transport(peer);
         send_round(&mut transport, peer, vec![vec![0u8; OUTBUF_CAP - 64]]);
         let queued = transport.peers[&peer].outbuf.clone();
         send_round(
@@ -2493,7 +2427,7 @@ mod tests {
     #[test]
     fn unencodable_frames_are_dropped_and_counted() {
         let peer = ProcessId(7);
-        let mut transport = undialled_transport(peer, WireCodec::Binary);
+        let mut transport = undialled_transport(peer);
         send_round(&mut transport, peer, vec![vec![3u8; 64]]);
         assert_eq!(transport.stats.dropped_frames(), 0);
         let queued = transport.peers[&peer].outbuf.clone();
@@ -2529,9 +2463,9 @@ mod tests {
         let addrs = reserve_addrs(&cluster);
         let replica = cluster.groups()[0].members()[0];
         let client_id = cluster.clients()[0];
-        let node = spawn_replica(&cluster, &addrs, replica, false, WireCodec::Binary);
+        let node = spawn_replica(&cluster, &addrs, replica, false);
 
-        let mut bytes = hello_bytes::<WhiteBoxMsg>(WireCodec::Binary, client_id);
+        let mut bytes = hello_bytes::<WhiteBoxMsg>(client_id);
         bytes.extend_from_slice(
             &encode_frame_with(
                 WireCodec::Binary,
@@ -2574,13 +2508,7 @@ mod tests {
         // Reserved-then-released ports: every dial is refused instantly, so
         // the two dead peers drive their backoff toward BACKOFF_MAX.
         let addrs = reserve_addrs(&cluster);
-        let node = spawn_replica(
-            &cluster,
-            &addrs,
-            cluster.groups()[0].members()[0],
-            false,
-            WireCodec::Binary,
-        );
+        let node = spawn_replica(&cluster, &addrs, cluster.groups()[0].members()[0], false);
         // Leader recovery queues NEW_STATE traffic for both (dead) group
         // members, arming the dial/backoff cycle with real queued bytes.
         node.become_leader().unwrap();
@@ -2754,7 +2682,7 @@ mod tests {
         assert_eq!(client.total_deliveries().unwrap(), 0);
 
         let replica_id = cluster.groups()[0].members()[0];
-        let replica = spawn_replica(&cluster, &addrs, replica_id, false, WireCodec::Binary);
+        let replica = spawn_replica(&cluster, &addrs, replica_id, false);
         assert!(client.wait_for_total(1, Duration::from_secs(30)).unwrap());
         assert_eq!(order_of(&replica), vec![MsgId::new(client_id, 0)]);
         replica.shutdown();
@@ -2777,7 +2705,7 @@ mod tests {
         let cluster = ClusterConfig::builder().groups(1, 1).clients(1).build();
         let addrs = reserve_addrs(&cluster);
         let replica_id = cluster.groups()[0].members()[0];
-        let replica = spawn_replica(&cluster, &addrs, replica_id, false, WireCodec::Binary);
+        let replica = spawn_replica(&cluster, &addrs, replica_id, false);
         let client_id = cluster.clients()[0];
         let config = ClientConfig::new(client_id, cluster.clone())
             .with_retry_timeout(Duration::from_secs(3600));
@@ -2874,7 +2802,7 @@ mod tests {
             scope.spawn(|| {
                 let mut stream = TcpStream::connect(addrs[&id]).expect("dial node");
                 stream
-                    .write_all(&hello_bytes::<u64>(WireCodec::Binary, flooder))
+                    .write_all(&hello_bytes::<u64>(flooder))
                     .expect("hello");
                 let frame = encode_frame_with(WireCodec::Binary, &flood).expect("encode");
                 let burst = frame.repeat(READ_CHUNK / frame.len());
@@ -2898,7 +2826,7 @@ mod tests {
             let mut stream = TcpStream::connect(addrs[&id]).expect("dial node");
             stream.set_nodelay(true).unwrap();
             stream
-                .write_all(&hello_bytes::<u64>(WireCodec::Binary, trickler))
+                .write_all(&hello_bytes::<u64>(trickler))
                 .expect("hello");
             for seq in 0..40u64 {
                 let frame =
@@ -2950,8 +2878,8 @@ mod tests {
             TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)
         });
         let (sender, _) = Probe::boxed(a, Duration::from_millis(10), vec![live, dead]);
-        let sender = TcpNode::spawn_with_dialler(sender, &addrs, false, WireCodec::Binary, dialler)
-            .expect("spawn sender");
+        let sender =
+            TcpNode::spawn_with_dialler(sender, &addrs, false, dialler).expect("spawn sender");
 
         // Long enough for two whole slow dials of the dead peer.
         eventually("60 heartbeats", || {

@@ -16,10 +16,10 @@
 //!   so it can never fire after the restart. A message still in flight when
 //!   the process restarts is delivered normally, like any delayed packet.
 //! * **Nemesis faults** — an optional [`NemesisPlan`] injects seeded,
-//!   deterministic message drops, duplication, reordering, network partitions
-//!   (with scheduled heal), crash/restart schedules, leader nudges and timer
-//!   jitter. All randomness comes from the simulation's own seeded RNG, so a
-//!   `(seed, plan)` pair replays byte for byte.
+//!   deterministic message drops, duplication, network partitions (with
+//!   scheduled heal), crash/restart schedules and timer jitter; every
+//!   channel stays FIFO. All randomness comes from the simulation's own
+//!   seeded RNG, so a `(seed, plan)` pair replays byte for byte.
 //! * **CPU model** — each process takes a configurable service time to handle
 //!   one protocol message; messages queue at a busy process. This is what
 //!   produces throughput saturation in the Figure 7/8 experiments.
@@ -50,8 +50,8 @@ pub struct SimConfig {
     /// Record every sent protocol message in a trace (needed by the invariant
     /// checkers; costs memory on long runs).
     pub record_trace: bool,
-    /// Fault schedule executed by the simulation: crashes/restarts and leader
-    /// nudges are scheduled as events when the simulation is built;
+    /// Fault schedule executed by the simulation: crashes/restarts are
+    /// scheduled as events when the simulation is built;
     /// probabilistic link faults, partitions and timer jitter are applied to
     /// every send / timer while the plan's chaos window is open. Defaults to
     /// [`NemesisPlan::quiet`] (no faults).
@@ -98,8 +98,6 @@ pub struct NetStats {
     pub nemesis_dropped: u64,
     /// Messages the nemesis duplicated.
     pub nemesis_duplicated: u64,
-    /// Messages the nemesis reordered past the FIFO clamp.
-    pub nemesis_reordered: u64,
 }
 
 /// What a single [`Simulation::step`] processed.
@@ -214,7 +212,7 @@ pub struct Simulation<M> {
 impl<M: Clone + 'static> Simulation<M> {
     /// Creates an empty simulation with the given configuration.
     ///
-    /// The crash/restart schedule and leader nudges of the configuration's
+    /// The crash/restart schedule of the configuration's
     /// [`NemesisPlan`] are queued immediately; its link faults, partitions and
     /// timer jitter apply continuously as the simulation runs.
     pub fn new(config: SimConfig) -> Self {
@@ -242,9 +240,6 @@ impl<M: Clone + 'static> Simulation<M> {
             if let Some(restart_at) = crash.restart_at {
                 sim.push(restart_at, crash.process, Payload::Restart);
             }
-        }
-        for nudge in sim.config.nemesis.leader_nudges.clone() {
-            sim.push(nudge.at, nudge.process, Payload::BecomeLeader);
         }
         sim
     }
@@ -618,26 +613,13 @@ impl<M: Clone + 'static> Simulation<M> {
         // A process sending to itself does not traverse the network: protocols
         // routinely include themselves in broadcasts "for uniformity" (e.g.
         // Figure 4 line 9) and must not be charged a network delay for it.
-        let mut delay = if from == to {
+        let delay = if from == to {
             Duration::ZERO
         } else {
             self.config
                 .latency
                 .sample(&mut self.rng, from_site, to_site)
         };
-        // Reordering: the message takes a detour (extra random delay) and
-        // bypasses the FIFO clamp entirely, so it can overtake or be
-        // overtaken. Deliberately outside the paper's channel model; see
-        // `LinkFaults::reorder_per_mille`.
-        if chaos && self.roll(self.config.nemesis.link.reorder_per_mille) {
-            let extra = self.config.nemesis.link.reorder_extra.as_nanos() as u64;
-            if extra > 0 {
-                delay += Duration::from_nanos(self.rng.gen_range(0..=extra));
-            }
-            self.stats.nemesis_reordered += 1;
-            self.push(sent_at + delay, to, Payload::Receive { from, msg });
-            return;
-        }
         let mut arrival = sent_at + delay;
         // Enforce FIFO per channel: arrival times never decrease.
         let last = self.fifo_last.entry((from, to)).or_insert(Duration::ZERO);

@@ -69,7 +69,7 @@ pub use error::{ConfigError, WbamError};
 pub use event::Event;
 pub use ids::{ClientId, GroupId, MsgId, ProcessId};
 pub use message::{AppMessage, Destination, Payload};
-pub use nemesis::{CrashSpec, LeaderNudge, LinkFaults, NemesisPlan, PartitionSpec};
+pub use nemesis::{CrashSpec, LinkFaults, NemesisPlan, PartitionSpec};
 pub use node::{Node, TimerId};
 pub use phase::Phase;
 pub use record_map::RecordMap;

@@ -2,7 +2,7 @@
 //! runtime injects into a run.
 //!
 //! A [`NemesisPlan`] is pure data — which messages may be dropped, duplicated
-//! or reordered, which network partitions open and heal when, which processes
+//! or delayed, which network partitions open and heal when, which processes
 //! crash (and possibly restart), and how much timers may jitter. The
 //! deterministic simulator in `wbam-simnet` executes the plan using its own
 //! seeded RNG, so a `(seed, plan)` pair reproduces the exact same schedule
@@ -19,10 +19,10 @@
 //!   window ([`NemesisPlan::chaos_end`]) closes.
 //! * **Crash–restart** goes beyond crash-stop: a restarted process rejoins
 //!   with its durable state (see `Event::Restart`).
-//! * **Reordering** violates the FIFO channel assumption outright. It is
-//!   available for exploring how the protocols degrade, but the explorer's
-//!   randomized plans keep it off by default since FIFO is a stated
-//!   correctness assumption, not an implementation obligation.
+//! * **Delays** ([`LinkFaults::reorder_per_mille`]) are executed only by the
+//!   deployed engine's fault-injecting proxy, as a FIFO-preserving stall of
+//!   the whole link; the simulator and the deterministic runtime keep every
+//!   channel FIFO and ignore the knob.
 
 use std::time::Duration;
 
@@ -41,13 +41,13 @@ pub struct LinkFaults {
     /// channel's FIFO clamp, so it models a retransmit-style stutter rather
     /// than reordering.
     pub duplicate_per_mille: u16,
-    /// Probability (‰) that a message bypasses the FIFO clamp and is delayed
-    /// by up to [`reorder_extra`](Self::reorder_extra), overtaking or being
-    /// overtaken by its neighbours. **This violates the paper's FIFO channel
-    /// assumption**; keep it at zero unless deliberately exploring beyond the
-    /// model.
+    /// Probability (‰) that the deployed engine's proxy stalls a link before
+    /// forwarding a frame, by up to [`reorder_extra`](Self::reorder_extra).
+    /// TCP keeps a connection FIFO, so every later frame of the link waits
+    /// behind the stalled one; only frames on other links can overtake it.
+    /// The simulator does not act on it.
     pub reorder_per_mille: u16,
-    /// Maximum extra delay added to a reordered message.
+    /// Longest stall of a delayed link.
     pub reorder_extra: Duration,
 }
 
@@ -112,16 +112,6 @@ pub struct CrashSpec {
     pub restart_at: Option<Duration>,
 }
 
-/// A scheduled `Event::BecomeLeader` nudge, standing in for the paper's
-/// Ω-style leader-election oracle telling `process` to take over its group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaderNudge {
-    /// When the oracle fires.
-    pub at: Duration,
-    /// The process told to become leader.
-    pub process: ProcessId,
-}
-
 /// A complete, deterministic fault schedule for one simulated run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NemesisPlan {
@@ -131,8 +121,6 @@ pub struct NemesisPlan {
     pub partitions: Vec<PartitionSpec>,
     /// Scheduled crashes (and restarts).
     pub crashes: Vec<CrashSpec>,
-    /// Scheduled leader-election nudges.
-    pub leader_nudges: Vec<LeaderNudge>,
     /// Maximum random extra delay added to every timer while the chaos window
     /// is open. Zero disables timer jitter.
     pub timer_jitter: Duration,
@@ -154,7 +142,6 @@ impl NemesisPlan {
         !self.link.any()
             && self.partitions.is_empty()
             && self.crashes.is_empty()
-            && self.leader_nudges.is_empty()
             && self.timer_jitter.is_zero()
     }
 

@@ -9,15 +9,16 @@
 //! * [`WireCodec::Binary`] (the default) — the compact `serde_binary` format:
 //!   structs as their fields in declaration order, enum variants as their
 //!   index, varint integers, packed byte payloads, streamed straight between
-//!   the typed message and the frame's bytes. This is the deployed runtime's
-//!   codec; `WIRE.md` at the repo root specifies it byte-for-byte.
-//! * [`WireCodec::Json`] — self-describing `serde_json` bodies, kept for
-//!   debuggable traces and as a compatibility flag (`wbamd --wire json`).
+//!   the typed message and the frame's bytes. This is the only codec the
+//!   deployed TCP transport speaks; `WIRE.md` at the repo root specifies it
+//!   byte-for-byte.
+//! * [`WireCodec::Json`] — self-describing `serde_json` bodies: the reference
+//!   body the benchmark times next to the binary one. It is not deployable.
 //!
 //! Connections additionally start with a fixed 4-byte preamble
-//! (`"WB" || version || codec`) so that a mixed-codec or mixed-version
-//! cluster fails fast with a clear error instead of surfacing as garbled
-//! frame decodes. See [`encode_preamble`] / [`check_preamble`].
+//! (`"WB" || version || codec`) so that a peer of another codec or version
+//! fails fast with a clear error instead of surfacing as garbled frame
+//! decodes. See [`encode_preamble`] / [`check_preamble`].
 
 use bytes::{Buf, Bytes, BytesMut};
 use serde::de::DeserializeOwned;
@@ -53,7 +54,8 @@ pub enum WireCodec {
     /// Compact binary bodies (`serde_binary`); the deployed default.
     #[default]
     Binary,
-    /// Self-describing JSON bodies (`serde_json`); the compatibility codec.
+    /// Self-describing JSON bodies (`serde_json`); a measured reference, not
+    /// deployable.
     Json,
 }
 
@@ -75,7 +77,7 @@ impl WireCodec {
         }
     }
 
-    /// The codec's name as used by `--wire` flags and bench records.
+    /// The codec's name as used in specs and bench records.
     pub const fn name(self) -> &'static str {
         match self {
             WireCodec::Json => "json",
@@ -83,7 +85,7 @@ impl WireCodec {
         }
     }
 
-    /// Parses a `--wire` flag value.
+    /// Inverse of [`Self::name`].
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "json" => Some(WireCodec::Json),
@@ -117,8 +119,7 @@ pub const fn encode_preamble(codec: WireCodec) -> [u8; PREAMBLE_LEN] {
 /// Returns [`WbamError::Codec`] with a message naming the exact mismatch —
 /// wrong magic (not a WBAM peer), unsupported version, the retired
 /// self-describing binary codec, any other unknown codec byte, or a codec
-/// disagreeing with `expected` (e.g. a `--wire json` process dialling a
-/// `--wire binary` cluster).
+/// disagreeing with `expected` (e.g. a JSON peer dialling a binary process).
 pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result<(), WbamError> {
     if bytes[..2] != WIRE_MAGIC {
         return Err(WbamError::Codec(format!(
@@ -145,7 +146,7 @@ pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result
             bytes[3]
         ))),
         Some(codec) if codec != expected => Err(WbamError::Codec(format!(
-            "wire codec mismatch: peer uses --wire {codec} but this process uses --wire {expected}"
+            "wire codec mismatch: peer uses the {codec} codec but this process uses {expected}"
         ))),
         Some(_) => Ok(()),
     }
@@ -505,7 +506,7 @@ mod tests {
         let err = check_preamble(&encode_preamble(WireCodec::Json), WireCodec::Binary).unwrap_err();
         let text = err.to_string();
         assert!(
-            text.contains("--wire json") && text.contains("--wire binary"),
+            text.contains("the json codec") && text.contains("uses binary"),
             "{text}"
         );
         // Bad magic (e.g. an HTTP client) is called out as a non-WBAM peer.

@@ -3,7 +3,7 @@
 //! `BaselineMsg` and `PaxosMsg` variant — including the
 //! checkpoint-bearing `NEW_STATE` and `STATE_TRANSFER` — must survive
 //! framing byte-for-byte under **both wire codecs** (compact binary, the
-//! deployed default, and JSON, the `--wire json` compatibility codec), both
+//! deployed codec, and JSON, the reference body the benchmark times), both
 //! as a single frame and as concatenated frames fed to the decoder at
 //! randomized split points (the way a TCP reader actually sees them). The
 //! preamble handshake that keeps mixed-codec clusters from ever exchanging
@@ -320,7 +320,8 @@ const BASELINE_VARIANTS: usize = 10;
 
 // --- helpers ---------------------------------------------------------------
 
-/// Both codecs the deployment runtime can speak; every round-trip property
+/// Both codecs `wbam_types::wire` serves (the deployed binary one and the
+/// JSON reference body the benchmark times); every round-trip property
 /// below holds for each.
 const CODECS: [WireCodec; 2] = [WireCodec::Binary, WireCodec::Json];
 
@@ -479,7 +480,7 @@ fn json_and_binary_handshakes_reject_each_other() {
     assert_eq!(json[..3], binary[..3], "magic and version must agree");
 
     // Same-codec handshakes succeed, cross-codec ones fail with an error
-    // naming both sides' codecs (the operator's hint to fix `--wire`).
+    // naming both sides' codecs.
     check_preamble(&json, WireCodec::Json).expect("json peers agree");
     check_preamble(&binary, WireCodec::Binary).expect("binary peers agree");
     for (theirs, ours) in [(json, WireCodec::Binary), (binary, WireCodec::Json)] {
