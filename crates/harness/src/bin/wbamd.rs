@@ -1,12 +1,10 @@
-//! `wbamd` — one WBAM cluster process (a replica or a client) over real TCP.
+//! `wbamd` — one WBAM replica process over real TCP.
 //!
 //! ```text
 //! wbamd --spec cluster.json --id N [--restart] [--deliveries FILE] [--stdin-stop]
-//!       [--multicast N [--outstanding K] [--dest g0,g1] [--payload BYTES]
-//!        [--warmup W] [--first-seq S] [--summary FILE]]
 //! ```
 //!
-//! Every process of a cluster is started with the same
+//! Every replica of a cluster is started with the same
 //! [`DeploySpec`] JSON file and its own `--id`. Every connection speaks the
 //! binary codec of `WIRE.md`; a peer whose preamble names another codec or
 //! wire version is refused with a clear error. When the spec carries a
@@ -14,7 +12,7 @@
 //! process dials its peers through those (proxied) addresses while still
 //! listening on its own `addrs` entry — how the explorer's deployed engine
 //! interposes its fault-injecting proxy on every link.
-//! Replica processes run until stopped, appending one
+//! A replica runs until stopped, appending one
 //! [`DeliveryLine`] JSON line per delivery to `--deliveries`. The node's
 //! reactor thread writes them: one `write(2)` per reactor round that
 //! delivered, before any frame of that round — the client's reply included
@@ -30,14 +28,11 @@
 //! protocol's `Event::Restart` path: a fresh ballot via the `NEW_LEADER`
 //! handshake, state re-synchronised from a quorum.
 //!
-//! Client processes (`--multicast`) drive a closed-loop workload: keep
-//! `--outstanding` multicasts in flight until `--multicast` of them complete,
-//! then write a [`ClientSummary`] JSON object to
-//! `--summary` and exit 0. `--warmup` runs that many extra multicasts (same
-//! closed loop, same destinations) *before* the measured window opens, so
-//! connection dials and preamble handshakes land in the warm-up instead of
-//! polluting the recorded throughput. `--first-seq` lets successive client
-//! invocations of the same process id keep message identifiers unique.
+//! The spec's client ids are not `wbamd` processes: the orchestrator hosts
+//! each client in its own process, as a [`TcpNode`] running
+//! [`DeploySpec::whitebox_client`] — the benchmark's load generator, the
+//! deployed explorer and the deployed tests all do. `wbamd` refuses a
+//! client id.
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
@@ -48,16 +43,9 @@ use std::time::{Duration, Instant};
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use wbam_harness::{
-    ClientSummary, DeliveryLine, DeployRole, DeploySpec, Family, FamilyVisitor, LatencyStats,
-};
+use wbam_harness::{DeliveryLine, DeployRole, DeploySpec, Family, FamilyVisitor};
 use wbam_runtime::{BoxedNode, DeliverySink, RuntimeDelivery, TcpNode};
-use wbam_types::wire::to_json;
-use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, ProcessId, WbamError};
-
-/// Safety horizon for a client run: if the cluster makes no progress for this
-/// long, the client exits non-zero instead of hanging forever.
-const CLIENT_STALL_TIMEOUT: Duration = Duration::from_secs(60);
+use wbam_types::{ProcessId, WbamError};
 
 /// How long startup retries a failing listener bind before giving up.
 const BIND_RETRY_WINDOW: Duration = Duration::from_secs(3);
@@ -78,34 +66,24 @@ const STOP_POLL: Duration = Duration::from_millis(250);
 /// performs socket I/O while setting up the listener, so every `Io` error
 /// here is a bind-path failure and worth the brief retry.
 ///
-/// A replica passes its delivery log as `sink`, and the node's reactor
-/// writes it; a failed attempt hands the sink back for the next one. A
-/// client passes `None` and keeps its completions in memory.
+/// The node's reactor writes the delivery log `sink`; a failed attempt hands
+/// the sink back for the next one.
 fn spawn_with_bind_retry<M: Serialize + DeserializeOwned + Send + 'static>(
     make_node: impl Fn() -> Result<BoxedNode<M>, WbamError>,
     addrs: &std::collections::BTreeMap<ProcessId, std::net::SocketAddr>,
     restart: bool,
-    mut sink: Option<JsonlSink>,
+    mut sink: JsonlSink,
 ) -> Result<TcpNode<M>, WbamError> {
     let begin = Instant::now();
     loop {
-        let node = make_node()?;
-        let spawned = match sink.take() {
-            None => TcpNode::spawn(node, addrs, restart),
-            Some(log) => {
-                TcpNode::spawn_with_sink(node, addrs, restart, log).map_err(|(e, unused)| {
-                    sink = Some(unused);
-                    e
-                })
-            }
-        };
-        match spawned {
+        match TcpNode::spawn_with_sink(make_node()?, addrs, restart, sink) {
             Ok(node) => return Ok(node),
-            Err(WbamError::Io(e)) if begin.elapsed() < BIND_RETRY_WINDOW => {
+            Err((WbamError::Io(e), unused)) if begin.elapsed() < BIND_RETRY_WINDOW => {
                 eprintln!("wbamd: listener bind failed ({e}); retrying");
+                sink = unused;
                 std::thread::sleep(Duration::from_millis(50));
             }
-            Err(e) => return Err(e),
+            Err((e, _)) => return Err(e),
         }
     }
 }
@@ -116,13 +94,6 @@ struct Args {
     restart: bool,
     deliveries: Option<String>,
     stdin_stop: bool,
-    multicast: Option<u64>,
-    outstanding: u64,
-    dest: Option<Vec<GroupId>>,
-    payload: usize,
-    warmup: u64,
-    first_seq: u64,
-    summary: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -134,13 +105,6 @@ fn parse_args() -> Result<Args, String> {
         restart: false,
         deliveries: None,
         stdin_stop: false,
-        multicast: None,
-        outstanding: 1,
-        dest: None,
-        payload: 20,
-        warmup: 0,
-        first_seq: 0,
-        summary: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -160,51 +124,8 @@ fn parse_args() -> Result<Args, String> {
             "--restart" => args.restart = true,
             "--deliveries" => args.deliveries = Some(value("--deliveries")?),
             "--stdin-stop" => args.stdin_stop = true,
-            "--multicast" => {
-                let count: u64 = value("--multicast")?
-                    .parse()
-                    .map_err(|e| format!("--multicast: {e}"))?;
-                if count == 0 {
-                    return Err("--multicast must be at least 1".to_string());
-                }
-                args.multicast = Some(count);
-            }
-            "--outstanding" => {
-                args.outstanding = value("--outstanding")?
-                    .parse()
-                    .map_err(|e| format!("--outstanding: {e}"))?;
-                if args.outstanding == 0 {
-                    return Err("--outstanding must be at least 1".to_string());
-                }
-            }
-            "--dest" => {
-                let groups = value("--dest")?
-                    .split(',')
-                    .map(|g| g.trim().parse::<u32>().map(GroupId))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| format!("--dest: {e}"))?;
-                args.dest = Some(groups);
-            }
-            "--payload" => {
-                args.payload = value("--payload")?
-                    .parse()
-                    .map_err(|e| format!("--payload: {e}"))?;
-            }
-            "--warmup" => {
-                args.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--first-seq" => {
-                args.first_seq = value("--first-seq")?
-                    .parse()
-                    .map_err(|e| format!("--first-seq: {e}"))?;
-            }
-            "--summary" => args.summary = Some(value("--summary")?),
             "--help" | "-h" => return Err(
-                "usage: wbamd --spec FILE --id N [--restart] [--deliveries FILE] [--stdin-stop] \
-                     [--multicast N [--outstanding K] [--dest g0,g1] [--payload BYTES] \
-                     [--warmup W] [--first-seq S] [--summary FILE]]"
+                "usage: wbamd --spec FILE --id N [--restart] [--deliveries FILE] [--stdin-stop]"
                     .to_string(),
             ),
             other => return Err(format!("unknown argument {other:?}")),
@@ -216,15 +137,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// The delivery log, as JSONL; `None` path writes nowhere. Lines are
-/// [`push`]ed into a reused buffer and reach the file on
-/// [`flush`](DeliverySink::flush), one `write(2)` per burst instead of one
-/// per line. A replica's reactor owns it as the node's [`DeliverySink`] and
-/// flushes it once per round, before that round's frames leave, so a reply
-/// never overtakes its delivery's line; the client loop flushes each burst
-/// of completions it drains. Either way a SIGKILL tears at most the last
-/// line.
-///
-/// [`push`]: JsonlSink::push
+/// [`deliver`](DeliverySink::deliver)ed into a reused buffer and reach the
+/// file on [`flush`](DeliverySink::flush), one `write(2)` per burst instead
+/// of one per line. The replica's reactor owns it as the node's
+/// [`DeliverySink`] and flushes it once per round, before that round's
+/// frames leave, so a reply never overtakes its delivery's line and a
+/// SIGKILL tears at most the last line.
 struct JsonlSink {
     file: Option<std::fs::File>,
     pending: Vec<u8>,
@@ -247,25 +165,21 @@ impl JsonlSink {
             pending: Vec::new(),
         })
     }
-
-    fn push(&mut self, line: &DeliveryLine) {
-        if self.file.is_some() {
-            line.write_json(&mut self.pending);
-            self.pending.push(b'\n');
-        }
-    }
 }
 
 impl DeliverySink for JsonlSink {
     fn deliver(&mut self, d: RuntimeDelivery) {
-        self.push(&DeliveryLine::new(
-            d.process,
-            d.delivery.msg.id,
-            d.delivery.global_ts,
-            d.elapsed,
-        ));
+        if self.file.is_some() {
+            DeliveryLine::new(
+                d.process,
+                d.delivery.msg.id,
+                d.delivery.global_ts,
+                d.elapsed,
+            )
+            .write_json(&mut self.pending);
+            self.pending.push(b'\n');
+        }
     }
-
     fn flush(&mut self) -> Result<(), WbamError> {
         if let Some(file) = self.file.as_mut() {
             file.write_all(&self.pending).map_err(WbamError::from)?;
@@ -383,137 +297,6 @@ where
     ))
 }
 
-/// Runs a client process closed-loop and returns its summary. Before it
-/// shuts its node down it writes a `client stop` stats line with the same
-/// counters a replica's `graceful stop` line carries, so how its
-/// `MULTICAST`s were framed is on record too.
-fn run_client<M>(
-    node: TcpNode<M>,
-    args: &Args,
-    dest: Vec<GroupId>,
-    mut sink: JsonlSink,
-) -> Result<ClientSummary, WbamError>
-where
-    M: Serialize + DeserializeOwned + Send + 'static,
-{
-    let id = node.id();
-    let total = args.multicast.unwrap_or(0);
-    let mut next_seq = args.first_seq;
-    let mut submit_times: std::collections::BTreeMap<MsgId, Duration> =
-        std::collections::BTreeMap::new();
-    let mut latencies: Vec<Duration> = Vec::new();
-    let mut first_submit: Option<Duration> = None;
-    let mut last_completion = Duration::ZERO;
-    let mut last_progress = Instant::now();
-    let mut seen = 0u64;
-
-    let submit_one = |node: &TcpNode<M>,
-                      next_seq: &mut u64,
-                      submit_times: &mut std::collections::BTreeMap<MsgId, Duration>,
-                      first_submit: &mut Option<Duration>|
-     -> Result<(), WbamError> {
-        let msg_id = MsgId::new(id, *next_seq);
-        *next_seq += 1;
-        let now = node.uptime();
-        first_submit.get_or_insert(now);
-        submit_times.insert(msg_id, now);
-        node.submit(AppMessage::new(
-            msg_id,
-            Destination::new(dest.iter().copied()).expect("non-empty destination"),
-            Payload::from(vec![0u8; args.payload]),
-        ))
-    };
-
-    // Two closed-loop phases over the same machinery: an unmeasured warm-up
-    // (establishes every connection and preamble handshake on the request
-    // path, fully drained before the clock starts) and the measured run. The
-    // first recorded completion therefore never pays a dial.
-    for (count, measured) in [(args.warmup, false), (total, true)] {
-        if count == 0 {
-            continue;
-        }
-        if measured {
-            latencies.clear();
-            first_submit = None;
-            last_completion = Duration::ZERO;
-        }
-        let mut submitted = 0u64;
-        let mut done = 0u64;
-        while submitted < count && submitted < args.outstanding {
-            submit_one(&node, &mut next_seq, &mut submit_times, &mut first_submit)?;
-            submitted += 1;
-        }
-        while done < count {
-            // Block on the delivery log's condvar (no poll-loop latency); the
-            // short timeout only bounds how often the stall check runs.
-            node.wait_for_total(seen + 1, Duration::from_millis(100))?;
-            let completions = node.drain_deliveries()?;
-            if completions.is_empty() {
-                if last_progress.elapsed() > CLIENT_STALL_TIMEOUT {
-                    return Err(WbamError::NotReady {
-                        process: id,
-                        reason: format!(
-                            "no completion for {CLIENT_STALL_TIMEOUT:?} ({done} of {count} done{})",
-                            if measured { "" } else { " in warm-up" }
-                        ),
-                    });
-                }
-                continue;
-            }
-            seen += completions.len() as u64;
-            last_progress = Instant::now();
-            for d in completions {
-                let msg_id = d.delivery.msg.id;
-                if measured {
-                    sink.push(&DeliveryLine::new(
-                        id,
-                        msg_id,
-                        d.delivery.global_ts,
-                        d.elapsed,
-                    ));
-                }
-                let Some(at) = submit_times.remove(&msg_id) else {
-                    continue; // duplicate completion
-                };
-                done += 1;
-                if measured {
-                    latencies.push(d.elapsed.saturating_sub(at));
-                    last_completion = d.elapsed;
-                }
-                if submitted < count {
-                    submit_one(&node, &mut next_seq, &mut submit_times, &mut first_submit)?;
-                    submitted += 1;
-                }
-            }
-            sink.flush()?;
-        }
-    }
-
-    let dropped_frames = node.dropped_frames();
-    eprintln!("wbamd: p{} client stop: {}", id.0, counters(&node)?);
-    node.shutdown();
-    let completed = latencies.len() as u64;
-    let elapsed = last_completion.saturating_sub(first_submit.unwrap_or(Duration::ZERO));
-    let stats = LatencyStats::from_sample(&mut latencies).ok_or_else(|| WbamError::NotReady {
-        process: id,
-        reason: "closed-loop run recorded no latencies".to_string(),
-    })?;
-    Ok(ClientSummary {
-        process: id.0,
-        completed,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        throughput_msg_s: if elapsed.is_zero() {
-            0.0
-        } else {
-            completed as f64 / elapsed.as_secs_f64()
-        },
-        latency_p50_ms: stats.p50_ms,
-        latency_p99_ms: stats.p99_ms,
-        latency_mean_ms: stats.mean_ms,
-        dropped_frames,
-    })
-}
-
 fn run() -> Result<(), WbamError> {
     let args = match parse_args() {
         Ok(a) => a,
@@ -530,7 +313,7 @@ fn run() -> Result<(), WbamError> {
     })
 }
 
-/// Runs process `--id` of the spec as a node of the protocol's family.
+/// Runs replica `--id` of the spec as a node of the protocol's family.
 struct Serve<'a> {
     spec: &'a DeploySpec,
     args: &'a Args,
@@ -542,40 +325,21 @@ impl FamilyVisitor for Serve<'_> {
     fn visit<F: Family>(self, family: F) -> Self::Output {
         let Serve { spec, args } = self;
         let id = ProcessId(args.id);
-        let role = spec.role_of(id)?;
+        if spec.role_of(id)? == DeployRole::Client {
+            return Err(WbamError::NotReady {
+                process: id,
+                reason: "wbamd serves replicas only; host a client in-process \
+                         (TcpNode + DeploySpec::whitebox_client)"
+                    .to_string(),
+            });
+        }
         // Listen on the own `addrs` entry, dial peers through `routes` when
         // the spec interposes a proxy on the links.
         let addrs = spec.dial_map(id)?;
         let sink = JsonlSink::open(args.deliveries.as_deref())?;
-        let make_node = || spec.node(&family, id);
-        match (role, args.multicast) {
-            (DeployRole::Replica(_), Some(_)) => Err(WbamError::NotReady {
-                process: id,
-                reason: "--multicast is for client processes".to_string(),
-            }),
-            (DeployRole::Client, None) => Err(WbamError::NotReady {
-                process: id,
-                reason: "client processes need --multicast".to_string(),
-            }),
-            (DeployRole::Replica(_), None) => {
-                let stop = StopSignal::install(args.stdin_stop);
-                let node = spawn_with_bind_retry(make_node, &addrs, args.restart, Some(sink))?;
-                run_replica(node, &stop)
-            }
-            (DeployRole::Client, Some(_)) => {
-                let dest = args
-                    .dest
-                    .clone()
-                    .unwrap_or_else(|| spec.cluster_config().group_ids());
-                let node = spawn_with_bind_retry(make_node, &addrs, args.restart, None)?;
-                let summary = run_client(node, args, dest, sink)?;
-                if let Some(path) = &args.summary {
-                    std::fs::write(path, to_json(&summary)?).map_err(WbamError::from)?;
-                }
-                println!("{}", to_json(&summary)?);
-                Ok(())
-            }
-        }
+        let stop = StopSignal::install(args.stdin_stop);
+        let node = spawn_with_bind_retry(|| spec.node(&family, id), &addrs, args.restart, sink)?;
+        run_replica(node, &stop)
     }
 }
 

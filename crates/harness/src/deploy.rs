@@ -26,12 +26,14 @@
 //!
 //! `addrs[i]` is the listen address of `ProcessId(i)`; process ids follow the
 //! `ClusterConfig` builder convention (replicas `0..num_groups*group_size` in
-//! group order, then clients). Every process of a cluster must be started
-//! with the *same* spec file (`wbamd --spec cluster.json --id <i>`).
+//! group order, then clients). Every replica of a cluster must be started
+//! with the *same* spec file (`wbamd --spec cluster.json --id <i>`). Its
+//! client ids are not `wbamd` processes: the orchestrator hosts each client
+//! itself, as a `TcpNode` running [`DeploySpec::whitebox_client`] (the
+//! benchmark's load generator, the deployed explorer, the deployed tests).
 //!
-//! [`DeliveryLine`] and [`ClientSummary`] are the JSONL records `wbamd`
-//! writes, shared here so orchestrators (the `net_smoke` test, the
-//! `net_throughput` bench) can parse them back.
+//! [`DeliveryLine`] is the JSONL record a replica writes to its delivery
+//! log, shared here so orchestrators can parse it back.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -534,36 +536,10 @@ impl DeliveryLine {
     }
 }
 
-/// Final statistics a `wbamd` client process writes (one JSON object) when
-/// its closed-loop run completes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClientSummary {
-    /// The client process.
-    pub process: u32,
-    /// Multicasts completed.
-    pub completed: u64,
-    /// Wall-clock duration of the run in milliseconds (first submit to last
-    /// completion).
-    pub elapsed_ms: f64,
-    /// Completions per wall-clock second.
-    pub throughput_msg_s: f64,
-    /// Median client-perceived latency in milliseconds.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile client-perceived latency in milliseconds.
-    pub latency_p99_ms: f64,
-    /// Mean client-perceived latency in milliseconds.
-    pub latency_mean_ms: f64,
-    /// Frames this client's transport dropped at the per-peer output-buffer
-    /// cap over the whole process lifetime (warm-up included). Zero in any
-    /// fault-free run; non-zero flags that the fair-lossy link model was
-    /// exercised and retry timers inflated the recorded latencies.
-    pub dropped_frames: u64,
-}
-
-/// Latency summary statistics over one measured run, in milliseconds: the
-/// numbers a [`ClientSummary`] reports, computed in exactly one place so the
-/// `wbamd` client and any orchestrator post-processing agree on percentile
-/// semantics.
+/// Latency summary statistics over one measured run, in milliseconds. The
+/// benchmark's percentile code (`benchmark/src/stats.rs`) is tested against
+/// [`LatencyStats::from_sample`], which is kept here as that reference rule
+/// and has no other caller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Median latency in milliseconds.
@@ -690,7 +666,7 @@ mod tests {
         }
     }
 
-    /// The summary math behind `ClientSummary`: percentiles follow the
+    /// The reference percentile rule: percentiles follow the
     /// `round((n - 1) * p)` nearest-rank rule on the *sorted* sample,
     /// regardless of input order or parity of the sample size.
     #[test]

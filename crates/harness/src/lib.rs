@@ -27,9 +27,10 @@
 //!   over three engines — [`explorer`] (the simulator), [`rt`] (the
 //!   deployed node loop under a virtual clock) and [`chaos`] (live `wbamd`
 //!   clusters behind the [`NemesisProxy`]).
-//! * [`deploy`] — topology specs for *deployed* clusters (one OS process per
-//!   replica or client over the TCP transport of `wbam-runtime`), consumed
-//!   by the `wbamd` binary, plus the JSONL log formats it emits.
+//! * [`deploy`] — topology specs for *deployed* clusters (one `wbamd` OS
+//!   process per replica over the TCP transport of `wbam-runtime`, each
+//!   client hosted in its orchestrator's process), plus the JSONL delivery
+//!   log format `wbamd` writes.
 //! * [`proxy`] — [`NemesisProxy`], a fault-injecting TCP man-in-the-middle
 //!   that executes seeded [`NemesisPlan`](wbam_types::nemesis::NemesisPlan)s
 //!   (drops, duplicates, delays, asymmetric partitions with heal) on every
@@ -51,7 +52,7 @@ pub mod sweep;
 pub mod workload;
 
 pub use cluster::{ClusterSpec, Protocol, ProtocolSim};
-pub use deploy::{ChildGuard, ClientSummary, DeliveryLine, DeployRole, DeploySpec, LatencyStats};
+pub use deploy::{ChildGuard, DeliveryLine, DeployRole, DeploySpec, LatencyStats};
 pub use explore::{
     check_run, explore, run_plan, run_token, schedule_token, CheckPolicy, Engine, Exploration,
     ExploreConfig, Finding, Observed, Plan, Report, Token, TokenVersion,
@@ -59,5 +60,5 @@ pub use explore::{
 pub use family::{Family, FamilyVisitor};
 pub use probe::{convoy_probe, latency_probe, LatencyProbeResult};
 pub use proxy::{FrameFate, LinkScheduler, NemesisProxy, ProxyStats};
-pub use sweep::{sweep, BenchRecord, SweepPoint, SweepResult, SweepSpec};
+pub use sweep::{sweep, SweepPoint, SweepResult, SweepSpec};
 pub use workload::{run_closed_loop, ClosedLoopWorkload, WorkloadResult};

@@ -4,6 +4,10 @@
 //! combination of protocol, client count and destination-group count in a
 //! [`SweepSpec`], producing one [`SweepPoint`] per combination — exactly the
 //! data series plotted in Figures 7 (LAN) and 8 (WAN) of the paper.
+//!
+//! Sweeps print tables; they write no rows. The committed `BENCH_net.json`
+//! and `BENCH_throughput.json` are frozen history: nothing appends to them
+//! any more, and the deployed numbers come from `benchmark/`.
 
 use std::time::Duration;
 
@@ -84,46 +88,6 @@ impl SweepPoint {
     pub fn throughput(&self) -> f64 {
         self.result.throughput.messages_per_second
     }
-}
-
-/// One machine-readable benchmark result, serialised as a single JSON object
-/// per line of `BENCH_net.json` (and of the frozen `BENCH_throughput.json`)
-/// so that successive runs (and CI jobs) can append without parsing the file.
-/// Rows written before timer batching was retired also carry the batch size,
-/// which parsing skips. The trailing `Option` fields make a row say which
-/// commit, host and window produced it; rows written before they existed
-/// parse them as `None`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Name of the emitting benchmark binary.
-    pub bench: String,
-    /// Environment label (`lan`, `wan`, ...).
-    pub environment: String,
-    /// Wire codec the cluster ran with: `"binary"` (older `BENCH_net.json`
-    /// rows also say `"json"`, from before it stopped being deployable).
-    /// `None` for simulated benches, which exchange in-memory values and
-    /// never hit a serialiser. Old records without the field parse as `None`.
-    pub wire: Option<String>,
-    /// Protocol label.
-    pub protocol: String,
-    /// Number of closed-loop clients.
-    pub clients: usize,
-    /// Destination groups per multicast.
-    pub dest_groups: usize,
-    /// Delivered messages per second of simulated time.
-    pub throughput_msg_s: f64,
-    /// Median delivery latency in milliseconds.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile delivery latency in milliseconds.
-    pub latency_p99_ms: f64,
-    /// Mean delivery latency in milliseconds.
-    pub latency_mean_ms: f64,
-    /// Short git revision of the measured tree, if it was known.
-    pub git_rev: Option<String>,
-    /// CPUs the measuring process could use.
-    pub host_cores: Option<usize>,
-    /// Multicasts the closed-loop client kept in flight.
-    pub window: Option<u64>,
 }
 
 /// The complete result of a sweep.
@@ -283,68 +247,5 @@ mod tests {
     fn series_rejects_unswept_destination_group_counts() {
         let result = tiny_result();
         let _ = result.series("WbCast", 3);
-    }
-
-    #[test]
-    fn bench_records_round_trip_and_legacy_rows_parse() {
-        let record = BenchRecord {
-            bench: "throughput_batching".to_string(),
-            environment: "lan".to_string(),
-            wire: None,
-            protocol: "WbCast".to_string(),
-            clients: 16,
-            dest_groups: 2,
-            throughput_msg_s: 37360.0,
-            latency_p50_ms: 0.474593,
-            latency_p99_ms: 1.1332,
-            latency_mean_ms: 0.514366,
-            git_rev: None,
-            host_cores: None,
-            window: None,
-        };
-        let json = serde_json::to_string(&record).unwrap();
-        let back: BenchRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, record);
-
-        // A row of the frozen BENCH_throughput.json: written before the
-        // `wire` field existed and before timer batching was retired, so it
-        // lacks `wire` and still carries the batch size.
-        let legacy = r#"{"bench":"throughput_batching","environment":"lan","protocol":"WbCast","max_batch":1,"clients":16,"dest_groups":2,"throughput_msg_s":37360.0,"latency_p50_ms":0.474593,"latency_p99_ms":1.1332,"latency_mean_ms":0.514366}"#;
-        let old: BenchRecord = serde_json::from_str(legacy).unwrap();
-        assert_eq!(old, record);
-
-        // A self-describing row keeps its provenance.
-        let described = BenchRecord {
-            git_rev: Some("a5557af".to_string()),
-            host_cores: Some(2),
-            window: Some(16),
-            ..record
-        };
-        let json = serde_json::to_string(&described).unwrap();
-        assert_eq!(
-            serde_json::from_str::<BenchRecord>(&json).unwrap(),
-            described
-        );
-    }
-
-    /// Every committed row of `BENCH_net.json` parses. The rows predate the
-    /// provenance fields, which read `None`, and the older ones carry the
-    /// retired `max_batch`, which is skipped.
-    #[test]
-    fn every_committed_net_row_parses() {
-        let rows = include_str!("../../../BENCH_net.json");
-        let mut parsed = 0;
-        for line in rows.lines().filter(|l| !l.trim().is_empty()) {
-            let row: BenchRecord = serde_json::from_str(line)
-                .unwrap_or_else(|e| panic!("row does not parse ({e}): {line}"));
-            assert_eq!(
-                (row.git_rev, row.host_cores, row.window),
-                (None, None, None),
-                "{line}"
-            );
-            parsed += 1;
-        }
-        assert!(parsed > 100, "only {parsed} rows");
-        assert!(rows.contains("\"max_batch\""));
     }
 }

@@ -8,7 +8,8 @@
 //! empty log (both were found by the seeded net-chaos sweep). The replica's
 //! reactor writes each round's lines before that round's replies leave, so
 //! a `SIGKILL` loses no line a client has seen answered, and a log that
-//! cannot be written stops the replica loudly.
+//! cannot be written stops the replica loudly. The client is hosted in the
+//! test process (`common::Client`); `wbamd` refuses to play one.
 
 use std::collections::BTreeSet;
 use std::io::Read as _;
@@ -17,8 +18,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use wbam_harness::{ChildGuard, ClientSummary, DeliveryLine, DeploySpec, Protocol};
+use common::{Client, Outcome};
+use wbam_harness::{ChildGuard, DeliveryLine, DeploySpec, Protocol};
 use wbam_types::wire::from_json;
+
+mod common;
 
 fn wbamd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_wbamd"))
@@ -61,31 +65,10 @@ impl Rig {
         ChildGuard(cmd.spawn().expect("spawn wbamd replica"))
     }
 
-    fn client(&self, count: u64) -> Command {
-        let mut cmd = wbamd();
-        cmd.arg("--spec")
-            .arg(&self.spec_path)
-            .arg("--id")
-            .arg("1")
-            .arg("--multicast")
-            .arg(count.to_string())
-            .arg("--dest")
-            .arg("0")
-            .arg("--summary")
-            .arg(self.dir.join("summary.json"))
-            .stdout(Stdio::null());
-        cmd
-    }
-
-    fn run_client(&self, count: u64) -> ClientSummary {
-        let status = self
-            .client(count)
-            .stderr(Stdio::inherit())
-            .status()
-            .expect("run wbamd client");
-        assert!(status.success(), "client exited with {status}");
-        let json = std::fs::read_to_string(self.dir.join("summary.json")).expect("client summary");
-        from_json(&json).expect("parse client summary")
+    /// A closed loop of `count` multicasts to the one group, one in flight,
+    /// from a client that is gone when it returns.
+    fn run_client(&self, count: u64) -> Outcome {
+        Client::spawn(&self.spec).closed_loop(&[0], 1, count)
     }
 
     fn log_path(&self) -> PathBuf {
@@ -141,8 +124,8 @@ fn sigterm_drains_the_delivery_log_and_exits_zero() {
     let rig = Rig::new("sigterm");
     let mut guard = rig.spawn_replica(&[]);
 
-    let summary = rig.run_client(5);
-    assert_eq!(summary.completed, 5);
+    let outcome = rig.run_client(5);
+    assert_eq!(outcome.completed, 5);
     rig.wait_for_lines(5, Duration::from_secs(30));
 
     netpoll::send_signal(guard.0.id(), netpoll::Signal::Term).expect("send SIGTERM");
@@ -181,33 +164,6 @@ fn sigterm_drains_the_delivery_log_and_exits_zero() {
     assert_eq!(rig.log_lines().len(), 5, "delivery log not fully drained");
 }
 
-/// A client process ends with a `client stop` line carrying the transport
-/// counters a replica's `graceful stop` line carries, so a deployed probe
-/// can read how the client's `MULTICAST`s were framed.
-#[test]
-fn a_client_reports_its_transport_counters_when_it_stops() {
-    let rig = Rig::new("client-stats");
-    let _replica = rig.spawn_replica(&[]);
-    let out = rig.client(5).output().expect("run wbamd client");
-    assert!(out.status.success(), "client exited with {}", out.status);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let line = stderr
-        .lines()
-        .find(|l| l.contains("client stop"))
-        .unwrap_or_else(|| panic!("no client-stop line in {stderr:?}"));
-    let field = |name: &str| -> u64 {
-        let tail = line.split(&format!("{name}=")).nth(1);
-        let digits = tail.and_then(|t| t.split(|c: char| !c.is_ascii_digit()).next());
-        digits
-            .and_then(|d| d.parse().ok())
-            .unwrap_or_else(|| panic!("no {name} in {line:?}"))
-    };
-    let (frames, messages) = (field("frames_sent"), field("messages_sent"));
-    assert!(messages >= 5, "five MULTICASTs at least: {line:?}");
-    assert!((1..=messages).contains(&frames), "{line:?}");
-    assert!(field("bytes_sent") > 4 * frames, "{line:?}");
-}
-
 /// Regression: with `--stdin-stop`, stdin reaching EOF stops the replica as
 /// gracefully as SIGTERM does (the no-signals orchestration path).
 #[test]
@@ -226,8 +182,8 @@ fn stdin_eof_stops_a_replica_gracefully() {
         .stderr(Stdio::piped());
     let mut guard = ChildGuard(cmd.spawn().expect("spawn wbamd replica"));
 
-    let summary = rig.run_client(3);
-    assert_eq!(summary.completed, 3);
+    let outcome = rig.run_client(3);
+    assert_eq!(outcome.completed, 3);
     rig.wait_for_lines(3, Duration::from_secs(30));
 
     drop(guard.0.stdin.take()); // EOF
@@ -261,8 +217,8 @@ fn startup_bind_retry_survives_a_squatted_port() {
     drop(squatter);
 
     // With the port free the daemon finishes starting and serves traffic.
-    let summary = rig.run_client(3);
-    assert_eq!(summary.completed, 3);
+    let outcome = rig.run_client(3);
+    assert_eq!(outcome.completed, 3);
     rig.wait_for_lines(3, Duration::from_secs(30));
 
     netpoll::send_signal(guard.0.id(), netpoll::Signal::Term).expect("send SIGTERM");
@@ -291,8 +247,8 @@ fn every_answered_multicast_is_logged_before_a_sigkill() {
     let rig = Rig::new("write-before-reply");
     let mut guard = rig.spawn_replica(&[]);
 
-    let summary = rig.run_client(COUNT);
-    assert_eq!(summary.completed, COUNT);
+    let outcome = rig.run_client(COUNT);
+    assert_eq!(outcome.completed, COUNT);
     guard.0.kill().expect("SIGKILL the replica");
     let _ = guard.0.wait();
 
@@ -332,21 +288,8 @@ fn a_failed_log_write_stops_the_replica_with_an_error() {
         .stdout(Stdio::null())
         .stderr(Stdio::piped());
     let mut replica = ChildGuard(cmd.spawn().expect("spawn wbamd replica"));
-    let mut client = ChildGuard(
-        wbamd()
-            .arg("--spec")
-            .arg(&rig.spec_path)
-            .arg("--id")
-            .arg("1")
-            .arg("--multicast")
-            .arg("1")
-            .arg("--dest")
-            .arg("0")
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn wbamd client"),
-    );
+    let mut client = Client::spawn(&rig.spec);
+    client.submit(&[0]);
 
     let (status, stderr) = wait_exit(&mut replica.0, Duration::from_secs(30));
     assert!(
@@ -361,9 +304,49 @@ fn a_failed_log_write_stops_the_replica_with_an_error() {
         !stderr.contains("graceful stop"),
         "a failed write is not a graceful stop: {stderr:?}"
     );
-    assert!(
-        client.0.try_wait().expect("try_wait").is_none(),
+    assert_eq!(
+        client.replies(),
+        0,
         "the client got a reply whose delivery was never logged"
+    );
+}
+
+/// `wbamd` is a replica daemon: a client id is refused with an error that
+/// points at the in-process client, and the retired client flags are
+/// unknown arguments.
+#[test]
+fn wbamd_refuses_a_client_id_and_the_client_flags() {
+    let rig = Rig::new("client-id");
+    let out = wbamd()
+        .arg("--spec")
+        .arg(&rig.spec_path)
+        .arg("--id")
+        .arg("1")
+        .stdin(Stdio::null())
+        .output()
+        .expect("run wbamd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("replicas only")
+            && stderr.contains("TcpNode + DeploySpec::whitebox_client"),
+        "the refusal does not name the in-process client: {stderr:?}"
+    );
+
+    let out = wbamd()
+        .arg("--spec")
+        .arg(&rig.spec_path)
+        .arg("--id")
+        .arg("1")
+        .args(["--multicast", "5"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run wbamd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown argument \"--multicast\""),
+        "{stderr:?}"
     );
 }
 

@@ -2,7 +2,8 @@
 //! processes over loopback TCP.
 //!
 //! A 2-group × 3-replica white-box cluster is launched as six replica
-//! processes plus closed-loop client invocations. The test multicasts across
+//! processes, driven by a closed-loop client hosted in the test process
+//! (`common::Client`, the benchmark's pattern). The test multicasts across
 //! both groups, SIGKILLs one replica mid-run, keeps multicasting on the
 //! surviving quorum, restarts the victim with `--restart` (a fresh process on
 //! the same address, like a redeployment), and asserts that every replica —
@@ -15,9 +16,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use wbam_harness::{ChildGuard, ClientSummary, DeliveryLine, DeploySpec, Protocol};
+use common::Client;
+use wbam_harness::{ChildGuard, DeliveryLine, DeploySpec, Protocol};
 use wbam_types::wire::from_json;
 use wbam_types::MsgId;
+
+mod common;
 
 /// The running cluster: every replica child is wrapped in a [`ChildGuard`],
 /// so a failing assertion cannot leak orphan processes into the test runner.
@@ -57,32 +61,6 @@ fn spawn_replica(cluster: &mut Cluster, id: u32, restart: bool, log_name: &str) 
     }
     let child = cmd.spawn().expect("spawn wbamd replica");
     cluster.replicas.insert(id, ChildGuard(child));
-}
-
-fn run_client(cluster: &Cluster, id: u32, count: u64, first_seq: u64) -> ClientSummary {
-    let summary_path = cluster.dir.join(format!("summary-{first_seq}.json"));
-    let status = wbamd()
-        .arg("--spec")
-        .arg(&cluster.spec_path)
-        .arg("--id")
-        .arg(id.to_string())
-        .arg("--multicast")
-        .arg(count.to_string())
-        .arg("--outstanding")
-        .arg("4")
-        .arg("--dest")
-        .arg("0,1")
-        .arg("--first-seq")
-        .arg(first_seq.to_string())
-        .arg("--summary")
-        .arg(&summary_path)
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .status()
-        .expect("run wbamd client");
-    assert!(status.success(), "client exited with {status}");
-    let json = std::fs::read_to_string(&summary_path).expect("client summary");
-    from_json(&json).expect("parse client summary")
 }
 
 fn read_delivery_order(path: &Path) -> Vec<MsgId> {
@@ -133,12 +111,13 @@ fn tcp_process_cluster_survives_kill_and_restart() {
     for id in 0..6u32 {
         spawn_replica(&mut cluster, id, false, &format!("p{id}"));
     }
+    let mut client = Client::spawn(&spec);
 
     // Phase 1: 20 cross-group multicasts against the full cluster. With
     // every peer up, the client's transport must not drop a single frame at
     // the output-buffer cap — a non-zero count here means frames are being
     // lost (and recovered by retry timers) in a fault-free run.
-    let s1 = run_client(&cluster, 6, 20, 0);
+    let s1 = client.closed_loop(&[0, 1], 4, 20);
     assert_eq!(s1.completed, 20);
     assert_eq!(s1.dropped_frames, 0, "fault-free phase dropped frames");
 
@@ -158,7 +137,7 @@ fn tcp_process_cluster_survives_kill_and_restart() {
     // Phase 2: 10 more multicasts without the victim. One dead *replica*
     // peer cannot make the client drop either: 10 small messages come
     // nowhere near filling an 8 MiB per-peer buffer.
-    let s2 = run_client(&cluster, 6, 10, 20);
+    let s2 = client.closed_loop(&[0, 1], 4, 10);
     assert_eq!(s2.completed, 10);
     assert_eq!(s2.dropped_frames, 0, "client dropped frames in phase 2");
 
@@ -169,7 +148,7 @@ fn tcp_process_cluster_survives_kill_and_restart() {
     spawn_replica(&mut cluster, 1, true, "p1-restarted");
 
     // Phase 3: 5 more multicasts with the rejoined replica back in.
-    let s3 = run_client(&cluster, 6, 5, 30);
+    let s3 = client.closed_loop(&[0, 1], 4, 5);
     assert_eq!(s3.completed, 5);
     assert_eq!(s3.dropped_frames, 0, "client dropped frames in phase 3");
 
