@@ -158,14 +158,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Returns the spec with a fault schedule: the simulation executes the
-    /// plan's crashes/restarts and leader nudges and applies its link faults,
-    /// partitions and timer jitter throughout the run.
-    pub fn with_nemesis(mut self, nemesis: NemesisPlan) -> Self {
-        self.nemesis = nemesis;
-        self
-    }
-
     /// Builds the corresponding static cluster configuration.
     pub fn cluster_config(&self) -> ClusterConfig {
         let mut b = ClusterConfig::builder()

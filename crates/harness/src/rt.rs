@@ -16,8 +16,8 @@
 //! crash/restart schedule and the scheduler's decision stream; replaying the
 //! token reproduces the identical interleaving byte for byte
 //! ([`Report::digest`] covers every delivery record *and* the scheduler's
-//! decision trace). The channel transport is reliable, so the only loss is
-//! mail addressed to a down process: the check policy excuses crashed
+//! decision trace). The runtime's mailboxes are reliable, so the only loss
+//! is mail addressed to a down process: the check policy excuses crashed
 //! replicas only, and requires termination — the white-box retry machinery
 //! recovers crash-lost mail, and the baselines run crash-free plans.
 
@@ -144,7 +144,7 @@ pub struct RtArtifacts {
 struct RawRun {
     deliveries: Vec<RuntimeDelivery>,
     trace_digest: u64,
-    /// Every message the transport carried, converted for the Figure 6
+    /// Every message the runtime routed, converted for the Figure 6
     /// checkers; `None` for the baselines (whose wire format the white-box
     /// checkers do not read).
     whitebox_trace: Option<Vec<SentMessage>>,

@@ -3,32 +3,39 @@
 //! [`DeterministicRuntime`] runs N real node event loops (the exact
 //! `node_loop` code `wbamd` and [`InProcessCluster`](crate::InProcessCluster)
 //! ship — burst coalescing, timer generations, delivery-sink flushes and
-//! all) over an in-process channel transport, but single-threaded under a
-//! [`VirtualClock`]: a seed-derived scheduler chooses which mailbox delivers
-//! next, how large the delivery burst is, when virtual time advances (and so
-//! when timers fire), and where crash/restart lands. Every choice is drawn
-//! from a splitmix64 stream seeded by the caller, so an interleaving is a
-//! pure function of the seed plus the scripted workload — byte-for-byte
-//! replayable, the way `wbam-simnet` schedules already are, but through the
-//! deployed code path.
+//! all), single-threaded under a [`VirtualClock`] and over plain in-memory
+//! mailboxes the runtime owns: a seed-derived scheduler chooses which
+//! mailbox delivers next, how large the delivery burst is, when virtual
+//! time advances (and so when timers fire), and where crash/restart lands.
+//! Every choice is drawn from a splitmix64 stream seeded by the caller, so
+//! an interleaving is a pure function of the seed plus the scripted
+//! workload — byte-for-byte replayable, the way `wbam-simnet` schedules
+//! already are, but through the deployed code path.
 //!
 //! The schedule explorer in `wbam-harness` wraps this in `rt1` seed tokens
 //! (generate → check → minimize → replay); this module only provides the
 //! mechanism: scripted external events, the scheduler loop, a decision
 //! [`TraceEvent`] log with a digest for twin-run comparison, and a record of
-//! every message the transport carried (for the Figure 6 white-box checks).
+//! every message the runtime routed (for the Figure 6 white-box checks).
+//!
+//! **Routing.** After each step of node `i` — its init, its due timers, a
+//! delivery burst, its restart — the runtime takes what the node sent and
+//! routes it at once, in send order: a send to a known process is recorded
+//! and queued in that process's mailbox, and a send to an unknown id is
+//! dropped unrecorded. No step reads mail it produced, so routing after the
+//! step orders every mailbox exactly as routing at each send would. Mail to
+//! a crashed process is recorded and queued like any other, and discarded
+//! when the process restarts (fair-lossy links; the protocols' retry timers
+//! recover).
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Sender};
 use wbam_types::{AppMessage, ProcessId};
 
 use crate::clock::{Clock, VirtualClock};
 use crate::node_loop::{Envelope, NodeLoop, MAX_ENVELOPE_BATCH};
-use crate::transport::Transport;
 use crate::{BoxedNode, DeliveryLog, LogSink, RuntimeDelivery};
 
 /// Probability (percent) that a busy scheduler step advances virtual time to
@@ -53,7 +60,7 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A message the deterministic transport carried, recorded for white-box
+/// A message the deterministic runtime routed, recorded for white-box
 /// trace checks (the harness converts these to
 /// `wbam_core::invariants::SentMessage`).
 #[derive(Debug, Clone)]
@@ -164,57 +171,19 @@ pub enum TraceEvent {
     },
 }
 
-/// The deterministic transport: the same shape as
-/// [`ChannelTransport`](crate::ChannelTransport) (one unbounded channel per
-/// node, per-sender FIFO preserved), plus the two things the scheduler
-/// needs: a per-destination pending-envelope counter (the compat channel has
-/// no `len()`) and a record of every message carried.
-struct DetTransport<M> {
-    from: ProcessId,
-    peers: Arc<BTreeMap<ProcessId, DetPeer<M>>>,
-    sent: Arc<Mutex<Vec<SentRecord<M>>>>,
-}
-
-struct DetPeer<M> {
-    tx: Sender<Envelope<M>>,
-    pending: Arc<AtomicUsize>,
-}
-
-impl<M: Clone + Send + 'static> Transport<M> for DetTransport<M> {
-    fn send(&mut self, to: ProcessId, msg: M) {
-        if let Some(peer) = self.peers.get(&to) {
-            self.sent.lock().unwrap().push(SentRecord {
-                from: self.from,
-                to,
-                msg: msg.clone(),
-            });
-            if peer
-                .tx
-                .send(Envelope::FromPeer {
-                    from: self.from,
-                    msg,
-                })
-                .is_ok()
-            {
-                peer.pending.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// N real node event loops driven single-threaded by a seeded scheduler over
 /// a [`VirtualClock`]. See the module docs for the model; the `schedule_*`
 /// methods script the external events.
 pub struct DeterministicRuntime<M: Clone + Send + 'static> {
-    loops: Vec<NodeLoop<M, DetTransport<M>, VirtualClock>>,
+    loops: Vec<NodeLoop<M, VirtualClock>>,
     ids: Vec<ProcessId>,
     index: BTreeMap<ProcessId, usize>,
-    senders: Vec<Sender<Envelope<M>>>,
-    pending: Vec<Arc<AtomicUsize>>,
+    /// Each node's mailbox, in node order.
+    mail: Vec<VecDeque<Envelope<M>>>,
     up: Vec<bool>,
     clock: VirtualClock,
     deliveries: Arc<DeliveryLog>,
-    sent: Arc<Mutex<Vec<SentRecord<M>>>>,
+    sent: Vec<SentRecord<M>>,
     script: Vec<ScriptEvent>,
     trace: Vec<TraceEvent>,
     rng: u64,
@@ -229,58 +198,24 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
     pub fn new(nodes: Vec<BoxedNode<M>>, seed: u64) -> Self {
         let clock = VirtualClock::new();
         let deliveries = Arc::new(DeliveryLog::new());
-        let sent: Arc<Mutex<Vec<SentRecord<M>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut ids = Vec::with_capacity(nodes.len());
-        let mut senders = Vec::with_capacity(nodes.len());
-        let mut pending = Vec::with_capacity(nodes.len());
-        let mut receivers = Vec::with_capacity(nodes.len());
-        let mut peers: BTreeMap<ProcessId, DetPeer<M>> = BTreeMap::new();
-        for node in &nodes {
-            let (tx, rx) = unbounded();
-            let counter = Arc::new(AtomicUsize::new(0));
-            ids.push(node.id());
-            peers.insert(
-                node.id(),
-                DetPeer {
-                    tx: tx.clone(),
-                    pending: Arc::clone(&counter),
-                },
-            );
-            senders.push(tx);
-            pending.push(counter);
-            receivers.push(rx);
-        }
-        let peers = Arc::new(peers);
-        let index: BTreeMap<ProcessId, usize> =
-            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-
-        let mut loops = Vec::with_capacity(nodes.len());
-        for (node, rx) in nodes.into_iter().zip(receivers) {
-            let transport = DetTransport {
-                from: node.id(),
-                peers: Arc::clone(&peers),
-                sent: Arc::clone(&sent),
-            };
-            loops.push(NodeLoop::new(
-                node,
-                rx,
-                transport,
-                Box::new(LogSink::new(Arc::clone(&deliveries))),
-                clock.clone(),
-            ));
-        }
-        let up = vec![true; loops.len()];
+        let ids: Vec<ProcessId> = nodes.iter().map(|node| node.id()).collect();
+        let index = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        let loops: Vec<_> = nodes
+            .into_iter()
+            .map(|node| {
+                let sink = Box::new(LogSink::new(Arc::clone(&deliveries)));
+                NodeLoop::new(node, sink, clock.clone())
+            })
+            .collect();
         DeterministicRuntime {
+            mail: loops.iter().map(|_| VecDeque::new()).collect(),
+            up: vec![true; loops.len()],
             loops,
             ids,
             index,
-            senders,
-            pending,
-            up,
             clock,
             deliveries,
-            sent,
+            sent: Vec::new(),
             script: Vec::new(),
             trace: Vec::new(),
             rng: seed,
@@ -339,17 +274,13 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
         match event {
             ScriptEvent::Submit { at, client, msg } => {
                 if let Some(&i) = self.index.get(&client) {
-                    if self.senders[i].send(Envelope::Submit(msg)).is_ok() {
-                        self.pending[i].fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.mail[i].push_back(Envelope::Submit(msg));
                     self.trace.push(TraceEvent::Submit { node: client, at });
                 }
             }
             ScriptEvent::BecomeLeader { at, node } => {
                 if let Some(&i) = self.index.get(&node) {
-                    if self.senders[i].send(Envelope::BecomeLeader).is_ok() {
-                        self.pending[i].fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.mail[i].push_back(Envelope::BecomeLeader);
                     self.trace.push(TraceEvent::BecomeLeader { node, at });
                 }
             }
@@ -357,8 +288,8 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                 if let Some(&i) = self.index.get(&node) {
                     if self.up[i] {
                         self.up[i] = false;
-                        let discarded = self.loops[i].crash_discard();
-                        self.pending[i].fetch_sub(discarded, Ordering::Relaxed);
+                        self.mail[i].clear();
+                        self.loops[i].crash();
                         self.trace.push(TraceEvent::Crash { node, at });
                     }
                 }
@@ -369,16 +300,15 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                         // Mail that arrived while the process was down is
                         // lost with the process (fair-lossy links; the
                         // protocols' retry timers recover).
-                        let discarded = self.loops[i].crash_discard();
-                        self.pending[i].fetch_sub(discarded, Ordering::Relaxed);
+                        self.mail[i].clear();
                         self.up[i] = true;
                         self.loops[i].apply_restart();
-                        self.flush(i);
+                        self.finish_step(i);
                         self.trace.push(TraceEvent::Restart { node, at });
-                    } else if self.senders[i].send(Envelope::Restart).is_ok() {
+                    } else {
                         // A restart without a preceding crash mirrors
                         // `InProcessCluster::restart`: it arrives as mail.
-                        self.pending[i].fetch_add(1, Ordering::Relaxed);
+                        self.mail[i].push_back(Envelope::Restart);
                         self.trace.push(TraceEvent::Restart { node, at });
                     }
                 }
@@ -395,7 +325,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
             self.initialized = true;
             for i in 0..self.loops.len() {
                 self.loops[i].init();
-                self.flush(i);
+                self.finish_step(i);
             }
         }
         // Stable sort: equal-time events keep their scheduled order.
@@ -421,12 +351,12 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
             for i in 0..self.loops.len() {
                 if self.up[i] {
                     self.loops[i].fire_due_timers();
-                    self.flush(i);
+                    self.finish_step(i);
                 }
             }
             // 3. Which nodes have mail?
             let enabled: Vec<usize> = (0..self.loops.len())
-                .filter(|&i| self.up[i] && self.pending[i].load(Ordering::Relaxed) > 0)
+                .filter(|&i| self.up[i] && !self.mail[i].is_empty())
                 .collect();
             if enabled.is_empty() {
                 // Idle: jump straight to the next wake-up, or quiesce.
@@ -459,9 +389,9 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
             } else {
                 1 + (self.next_u64() % 8) as usize
             };
-            let consumed = self.loops[pick].step_deliver(limit);
-            self.flush(pick);
-            self.pending[pick].fetch_sub(consumed, Ordering::Relaxed);
+            let consumed = limit.min(MAX_ENVELOPE_BATCH).min(self.mail[pick].len());
+            self.loops[pick].process_batch(self.mail[pick].drain(..consumed));
+            self.finish_step(pick);
             self.trace.push(TraceEvent::Deliver {
                 node: self.ids[pick],
                 consumed,
@@ -475,10 +405,22 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
         }
     }
 
-    /// Publishes what node `i` delivered in the step it just took, before
-    /// any other node steps, so the shared log holds every delivery in the
-    /// order the scheduler made it. The in-memory log's flush cannot fail.
-    fn flush(&mut self, i: usize) {
+    /// Routes what node `i` sent in the step it just took (see the module
+    /// docs) and publishes what it delivered, before any other node steps,
+    /// so the shared log holds every delivery in the order the scheduler
+    /// made it. The in-memory log's flush cannot fail.
+    fn finish_step(&mut self, i: usize) {
+        let from = self.ids[i];
+        for (to, msg) in self.loops[i].drain_sends() {
+            if let Some(&j) = self.index.get(&to) {
+                self.sent.push(SentRecord {
+                    from,
+                    to,
+                    msg: msg.clone(),
+                });
+                self.mail[j].push_back(Envelope::FromPeer { from, msg });
+            }
+        }
         let _ = self.loops[i].flush_deliveries();
     }
 
@@ -492,9 +434,9 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
         self.deliveries.snapshot()
     }
 
-    /// Every message the transport carried so far, in send order.
+    /// Every message routed so far, in send order.
     pub fn sent_messages(&self) -> Vec<SentRecord<M>> {
-        self.sent.lock().unwrap().clone()
+        self.sent.clone()
     }
 
     /// The scheduler's decision log.
@@ -689,5 +631,63 @@ mod tests {
         let reference = order_of(ProcessId(0));
         assert_eq!(reference.len(), 5, "healthy replica delivers everything");
         assert_eq!(order_of(ProcessId(2)), reference);
+    }
+
+    /// The routing rule for a down node: what is sent to it while it is down
+    /// is recorded and queued like any other mail, and its restart discards
+    /// it, so after the restart it handles only mail sent since. The run
+    /// quiesces, which leaves no mail pending at the end: every envelope
+    /// consumed after the restart is then one sent after it.
+    #[test]
+    fn mail_to_a_down_node_is_recorded_and_lost_at_restart() {
+        let down = ProcessId(1);
+        let mut rt = scripted_runtime(3);
+        // Down from before the first submission (10 ms) until well after
+        // the last (50 ms) has been delivered by the other replicas.
+        rt.schedule_crash(Duration::from_millis(5), down, Duration::from_millis(500));
+        let sent_to_down = |rt: &DeterministicRuntime<WhiteBoxMsg>| {
+            rt.sent_messages().iter().filter(|r| r.to == down).count()
+        };
+        // Horizons a millisecond short of the crash and of the restart: a
+        // run overshoots its horizon by under 100 µs, so neither event is
+        // passed, and the cluster is idle in both gaps.
+        rt.run(Duration::from_millis(4));
+        let before_crash = sent_to_down(&rt);
+        rt.run(Duration::from_millis(504));
+        let before_restart = sent_to_down(&rt);
+        assert!(
+            before_restart > before_crash,
+            "sends to the down replica are recorded ({before_crash} → {before_restart})"
+        );
+        rt.run(Duration::from_secs(30));
+        assert!(rt.now() < Duration::from_secs(30), "the run quiesces");
+        let handled_after_restart: usize = rt
+            .trace()
+            .iter()
+            .skip_while(|e| !matches!(e, TraceEvent::Restart { node, .. } if *node == down))
+            .map(|e| match e {
+                TraceEvent::Deliver { node, consumed, .. } if *node == down => *consumed,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(
+            handled_after_restart,
+            sent_to_down(&rt) - before_restart,
+            "the restarted replica handles exactly the mail sent after its restart"
+        );
+        // The live replicas of both groups deliver all five, in one order.
+        let deliveries = rt.deliveries();
+        let order_of = |p: ProcessId| -> Vec<MsgId> {
+            deliveries
+                .iter()
+                .filter(|d| d.process == p)
+                .map(|d| d.delivery.msg.id)
+                .collect()
+        };
+        let reference = order_of(ProcessId(0));
+        assert_eq!(reference.len(), 5);
+        for p in [2, 3, 4, 5] {
+            assert_eq!(order_of(ProcessId(p)), reference, "replica p{p} differs");
+        }
     }
 }

@@ -3,16 +3,17 @@
 //! The deterministic simulator in `wbam-simnet` is ideal for experiments and
 //! tests, but deploying atomic multicast means running the protocols on real
 //! threads and real sockets. This crate provides both deployment shapes
-//! around one shared, transport-independent node event loop
-//! (crate-internal `node_loop`): every sans-IO [`Node`](wbam_types::Node) runs on
-//! one OS thread, timers are served from the loop's own timer heap,
-//! application deliveries go to the loop's [`DeliverySink`] (by default a
-//! shared in-memory [`DeliveryLog`]), and sends go through the [`Transport`]
-//! the loop owns:
+//! around one shared node event loop that does no IO (crate-internal
+//! `node_loop`): every sans-IO [`Node`](wbam_types::Node) runs on one OS
+//! thread, timers are served from the loop's own timer heap, application
+//! deliveries go to the loop's [`DeliverySink`] (by default a shared
+//! in-memory [`DeliveryLog`]), and the loop hands each step's sends to its
+//! driver, which owns the node's mailbox and routes them:
 //!
-//! * [`InProcessCluster`] — every node is a thread in this process and the
-//!   transport is an in-process channel per node ([`ChannelTransport`]).
-//!   Ideal for embedding a whole cluster in one service or test.
+//! * [`InProcessCluster`] — every node is a thread in this process with an
+//!   in-process channel for a mailbox, and each thread puts its node's sends
+//!   straight into the destinations' channels. Ideal for embedding a whole
+//!   cluster in one service or test.
 //! * [`TcpNode`] — one node per OS process, the transport is real TCP with
 //!   `wbam_types::wire` framing in the binary codec. The node's one thread is a reactor: it runs the node
 //!   loop between `poll(2)` calls, reads and writes every socket itself, and
@@ -21,8 +22,8 @@
 //!   reconnect with backoff). Unix only. This is what the `wbamd`
 //!   deployment binary (in `wbam-harness`) runs; see `crates/harness` for
 //!   the cluster topology spec.
-//! * [`DeterministicRuntime`] — the same node loop and a channel transport,
-//!   but driven single-threaded by a seeded scheduler over a
+//! * [`DeterministicRuntime`] — the same node loop over plain in-memory
+//!   mailboxes, driven single-threaded by a seeded scheduler over a
 //!   [`VirtualClock`]: every interleaving of mailbox delivery, timer firing
 //!   and crash/restart is chosen by a seed and byte-for-byte replayable.
 //!   This is the runtime analogue of the `wbam-simnet` schedule explorer,
@@ -30,8 +31,8 @@
 //!   generations, delivery flushes) instead of the simulator's.
 //!
 //! All three consume time exclusively through the [`Clock`] trait —
-//! [`WallClock`] (zero-cost `Instant`/`recv_timeout` wrappers) in the two
-//! production shapes, [`VirtualClock`] under the deterministic scheduler.
+//! [`WallClock`] (a zero-cost `Instant` wrapper) in the two production
+//! shapes, [`VirtualClock`] under the deterministic scheduler.
 //!
 //! # Example
 //!
@@ -77,7 +78,6 @@ pub mod clock;
 mod deterministic;
 mod node_loop;
 pub mod tcp;
-pub mod transport;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,15 +85,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use wbam_types::{AppMessage, DeliveredMessage, ProcessId, WbamError};
 
-use node_loop::{run_node, Envelope};
+use node_loop::{Envelope, NodeLoop, MAX_ENVELOPE_BATCH};
 
-pub use clock::{Clock, VirtualClock, WaitError, WallClock};
+pub use clock::{Clock, VirtualClock, WallClock};
 pub use deterministic::{DeterministicRuntime, SentRecord, TraceEvent};
 pub use tcp::TcpNode;
-pub use transport::{ChannelTransport, Transport};
 
 /// A delivery observed by the runtime, tagged with the delivering process and
 /// wall-clock time since cluster start.
@@ -323,10 +322,11 @@ impl<M: Send + 'static> InProcessCluster<M> {
         let senders = Arc::new(senders);
         let mut threads = Vec::new();
         for (node, rx) in receivers {
-            let transport = ChannelTransport::new(node.id(), Arc::clone(&senders));
             let sink = Box::new(LogSink::new(Arc::clone(&deliveries)));
+            let nl = NodeLoop::new(node, sink, clock);
+            let peers = Arc::clone(&senders);
             threads.push(std::thread::spawn(move || {
-                run_node(node, rx, transport, sink, clock);
+                run_thread(nl, &rx, &peers, clock)
             }));
         }
         InProcessCluster {
@@ -421,6 +421,55 @@ impl<M: Send + 'static> InProcessCluster<M> {
             let _ = t.join();
         }
     }
+}
+
+/// One in-process node's thread: runs its loop until an
+/// [`Envelope::Shutdown`] arrives, every sender of its mailbox disconnects or
+/// the sink fails. It blocks on the mailbox up to the loop's next timer
+/// deadline, then runs the node over the envelope that woke it plus
+/// everything queued behind it, bounded by [`MAX_ENVELOPE_BATCH`]; it puts
+/// every step's sends into the destinations' mailboxes (a send to an unknown
+/// id is dropped) and flushes the sink before it blocks again and once more
+/// on the way out.
+fn run_thread<M>(
+    mut nl: NodeLoop<M, WallClock>,
+    rx: &Receiver<Envelope<M>>,
+    peers: &HashMap<ProcessId, Sender<Envelope<M>>>,
+    clock: WallClock,
+) {
+    let from = nl.node().id();
+    let route = |nl: &mut NodeLoop<M, WallClock>| {
+        for (to, msg) in nl.drain_sends() {
+            if let Some(tx) = peers.get(&to) {
+                let _ = tx.send(Envelope::FromPeer { from, msg });
+            }
+        }
+    };
+    nl.init();
+    route(&mut nl);
+    while !nl.is_stopped() {
+        nl.fire_due_timers();
+        route(&mut nl);
+        if nl.flush_deliveries().is_err() {
+            return;
+        }
+        // With no timer pending there is nothing to wake for except an
+        // envelope, so block indefinitely: shutdown arrives as one too.
+        let next = match nl.next_deadline() {
+            Some(deadline) => rx.recv_timeout(deadline.saturating_sub(clock.now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match next {
+            Ok(envelope) => {
+                let queued = rx.try_iter().take(MAX_ENVELOPE_BATCH - 1);
+                nl.process_batch(std::iter::once(envelope).chain(queued));
+                route(&mut nl);
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    let _ = nl.flush_deliveries();
 }
 
 #[cfg(test)]

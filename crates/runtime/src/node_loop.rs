@@ -1,23 +1,26 @@
-//! The transport-independent node event loop.
+//! The node event loop, with no IO of its own.
 //!
 //! One sans-IO [`Node`](wbam_types::Node) runs in one event loop: the loop
-//! fires due timers from the node's own timer heap, takes the next envelopes
-//! (peer messages or control events) and executes the actions the node
-//! returns — sends through the [`Transport`] it owns, deliveries into its
-//! [`DeliverySink`], which the driver flushes once per step. [`NodeLoop`] is
-//! that loop as an explicit state machine with a stepping API, and it has
-//! three drivers: the in-process cluster gives it a thread that blocks on
-//! the mailbox ([`run`](NodeLoop::run)); a [`TcpNode`](crate::TcpNode)'s
-//! reactor thread steps it between `poll(2)` calls, feeding it the frames it
-//! just decoded; and the [`DeterministicRuntime`](crate::DeterministicRuntime)
+//! fires due timers from the node's own timer heap, runs the node over the
+//! envelopes (peer messages or control events) its driver hands it, and
+//! executes the actions the node returns — deliveries into its
+//! [`DeliverySink`], which the driver flushes once per step, and sends into
+//! an outbox, which the driver takes after each step and routes. The loop
+//! owns no mailbox and no transport. [`NodeLoop`] is that loop as an
+//! explicit state machine with a stepping API, and it has three drivers,
+//! each owning the mailbox and the routing of its nodes: the in-process
+//! cluster gives every loop a thread that blocks on a channel; a
+//! [`TcpNode`](crate::TcpNode)'s reactor thread steps it between `poll(2)`
+//! calls, feeding it the frames it just decoded and framing its sends for
+//! the peers; and the [`DeterministicRuntime`](crate::DeterministicRuntime)
 //! steps it one scheduler decision at a time under a
-//! [`VirtualClock`](crate::VirtualClock).
+//! [`VirtualClock`](crate::VirtualClock), over plain in-memory mailboxes.
 //! A protocol therefore behaves identically under every deployment, and
 //! every deployed-code interleaving is replayable.
 //!
 //! All time flows through the [`Clock`] abstraction: the loop never reads
-//! `Instant::now()` and never calls `recv_timeout` directly, which is what
-//! makes the virtual-clock execution a pure function of scheduler decisions.
+//! `Instant::now()`, which is what makes the virtual-clock execution a pure
+//! function of scheduler decisions.
 //!
 //! **Round time.** A batch of envelopes is one round, and the loop reads its
 //! clock at most twice for it: once before the round's events, which gives
@@ -31,15 +34,14 @@
 use std::collections::{BinaryHeap, HashMap};
 use std::time::Duration;
 
-use crossbeam_channel::Receiver;
 use wbam_types::{Action, AppMessage, Event, Node, ProcessId, TimerId, WbamError};
 
-use crate::clock::{Clock, WaitError};
-use crate::transport::Transport;
+use crate::clock::Clock;
 use crate::{BoxedNode, DeliverySink, RuntimeDelivery};
 
 /// A unit of input for a node loop: either a protocol message from a peer
-/// or a control event injected by the embedding application.
+/// or a control event injected by the embedding application. Drivers keep
+/// their nodes' mailboxes of these.
 pub(crate) enum Envelope<M> {
     /// A protocol message from another process.
     FromPeer {
@@ -55,7 +57,8 @@ pub(crate) enum Envelope<M> {
     /// Tell the node it restarted after a crash ([`Event::Restart`]): volatile
     /// context is gone, timers must be re-armed, the protocol rejoined.
     Restart,
-    /// Stop the node loop.
+    /// Stop the node loop: [`NodeLoop::process_batch`] ends the round here
+    /// and [`NodeLoop::is_stopped`] turns true.
     Shutdown,
 }
 
@@ -104,18 +107,15 @@ struct TimerGen {
     queued: u32,
 }
 
-/// The event loop of one node, factored as an explicit state machine so it
-/// can be driven two ways: [`run`](Self::run) owns a thread and blocks
-/// through its [`Clock`] (the in-process cluster), while the TCP reactor and
-/// the deterministic runtime call the stepping methods ([`init`](Self::init),
-/// [`process_batch`](Self::process_batch) / [`step_deliver`](Self::step_deliver),
-/// [`fire_due_timers`](Self::fire_due_timers),
-/// [`next_deadline`](Self::next_deadline)) between their own waits.
-pub(crate) struct NodeLoop<M, T, C> {
+/// The event loop of one node, factored as an explicit state machine its
+/// driver steps: [`init`](Self::init), [`process_batch`](Self::process_batch),
+/// [`fire_due_timers`](Self::fire_due_timers) and
+/// [`apply_restart`](Self::apply_restart) run the node, and after each of
+/// them the driver takes what it sent from [`drain_sends`](Self::drain_sends)
+/// and waits (or schedules) up to [`next_deadline`](Self::next_deadline).
+pub(crate) struct NodeLoop<M, C> {
     node: BoxedNode<M>,
     my_id: ProcessId,
-    rx: Receiver<Envelope<M>>,
-    transport: T,
     sink: Box<dyn DeliverySink>,
     /// Deliveries handed to `sink` since the loop was created.
     delivered: u64,
@@ -125,30 +125,16 @@ pub(crate) struct NodeLoop<M, T, C> {
     stopped: bool,
     /// The node's outbox, empty between rounds and reused by every round.
     out: Vec<Action<M>>,
-    /// Envelopes taken from the mailbox for the next round, empty between
-    /// rounds and reused by every round.
-    mail: Vec<Envelope<M>>,
+    /// What the node sent since its driver last drained it, in action order.
+    sends: Vec<(ProcessId, M)>,
 }
 
-impl<M, T, C> NodeLoop<M, T, C>
-where
-    M: Send + 'static,
-    T: Transport<M>,
-    C: Clock,
-{
-    pub(crate) fn new(
-        node: BoxedNode<M>,
-        rx: Receiver<Envelope<M>>,
-        transport: T,
-        sink: Box<dyn DeliverySink>,
-        clock: C,
-    ) -> Self {
+impl<M, C: Clock> NodeLoop<M, C> {
+    pub(crate) fn new(node: BoxedNode<M>, sink: Box<dyn DeliverySink>, clock: C) -> Self {
         let my_id = node.id();
         NodeLoop {
             node,
             my_id,
-            rx,
-            transport,
             sink,
             delivered: 0,
             clock,
@@ -156,7 +142,7 @@ where
             generations: HashMap::new(),
             stopped: false,
             out: Vec::new(),
-            mail: Vec::new(),
+            sends: Vec::new(),
         }
     }
 
@@ -176,7 +162,7 @@ where
         self.out = out;
     }
 
-    /// Executes one round's node actions: sends go to the transport and
+    /// Executes one round's node actions: sends go to the send outbox and
     /// deliveries to the sink, each in order. The clock is read once, at the
     /// first delivery or timer arm, and that reading stamps every delivery
     /// and is the base of every deadline. Nothing is flushed here; see
@@ -185,7 +171,7 @@ where
         let mut at = None;
         for action in actions {
             match action {
-                Action::Send { to, msg } => self.transport.send(to, msg),
+                Action::Send { to, msg } => self.sends.push((to, msg)),
                 Action::Deliver(delivery) => {
                     self.delivered += 1;
                     let elapsed = *at.get_or_insert_with(|| self.clock.now());
@@ -292,20 +278,6 @@ where
         }
     }
 
-    /// Moves already-queued envelopes from the mailbox to the back of
-    /// `batch` (never blocking) until the batch holds `limit`; returns how
-    /// many were moved.
-    pub(crate) fn take_mail(&mut self, batch: &mut Vec<Envelope<M>>, limit: usize) -> usize {
-        let before = batch.len();
-        while batch.len() < limit {
-            match self.rx.try_recv() {
-                Ok(e) => batch.push(e),
-                Err(_) => break,
-            }
-        }
-        batch.len() - before
-    }
-
     /// Runs the node over a batch of envelopes as one round and executes
     /// everything it answered once the round's events ran, so a busy
     /// stretch pays the per-round costs (the clock reads, the delivery
@@ -340,17 +312,10 @@ where
         &*self.node
     }
 
-    /// The transport this loop sends through, for a driver that also owns
-    /// the transport's IO (the TCP reactor flushes sockets through this).
-    pub(crate) fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
-    /// The node and the transport at once, for a driver whose transport
-    /// consults the node (the TCP reactor passes each peer's sends through
-    /// [`Node::fold_sends`] before framing them).
-    pub(crate) fn node_and_transport(&mut self) -> (&dyn Node<Msg = M>, &mut T) {
-        (&*self.node, &mut self.transport)
+    /// What the node sent since the last drain, in action order: the driver
+    /// routes it after every step.
+    pub(crate) fn drain_sends(&mut self) -> std::vec::Drain<'_, (ProcessId, M)> {
+        self.sends.drain(..)
     }
 
     /// Whether an [`Envelope::Shutdown`] has been processed.
@@ -358,34 +323,13 @@ where
         self.stopped
     }
 
-    /// Consumes up to `limit` already-queued envelopes (never blocking) and
-    /// processes them as one batch; returns how many were consumed. This is
-    /// the deterministic runtime's "let this node run" step — the same batch
-    /// path [`run`](Self::run) uses, so burst coalescing behaves identically
-    /// under the scheduler and in production.
-    pub(crate) fn step_deliver(&mut self, limit: usize) -> usize {
-        let mut mail = std::mem::take(&mut self.mail);
-        let consumed = self.take_mail(&mut mail, limit.min(MAX_ENVELOPE_BATCH));
-        if consumed > 0 {
-            self.process_batch(mail.drain(..));
-        }
-        self.mail = mail;
-        consumed
-    }
-
-    /// Models a crash: every queued envelope is discarded (the process's
-    /// mailbox dies with it) and all pending timers are dropped. Returns how
-    /// many envelopes were discarded. The node's own state is left to
-    /// [`apply_restart`](Self::apply_restart), which mirrors what
+    /// Models a crash: all pending timers are dropped (the driver discards
+    /// the mailbox, which dies with the process). The node's own state is
+    /// left to [`apply_restart`](Self::apply_restart), which mirrors what
     /// [`Event::Restart`] means everywhere else in the workspace.
-    pub(crate) fn crash_discard(&mut self) -> usize {
-        let mut discarded = 0;
-        while self.rx.try_recv().is_ok() {
-            discarded += 1;
-        }
+    pub(crate) fn crash(&mut self) {
         self.timers.clear();
         self.generations.clear();
-        discarded
     }
 
     /// Delivers [`Event::Restart`] directly (without going through the
@@ -393,56 +337,6 @@ where
     pub(crate) fn apply_restart(&mut self) {
         self.handle_one(Event::Restart);
     }
-
-    /// Runs the loop until an [`Envelope::Shutdown`] arrives, every
-    /// envelope sender disconnects or the sink fails. This is the in-process
-    /// cluster's driver: it blocks in [`Clock::recv_deadline`] between
-    /// events, then processes the envelope that woke it plus everything
-    /// queued behind it, bounded by [`MAX_ENVELOPE_BATCH`], and flushes the
-    /// sink before it blocks again and once more on the way out.
-    pub(crate) fn run(mut self) {
-        self.init();
-        while !self.stopped {
-            self.fire_due_timers();
-            if self.flush_deliveries().is_err() {
-                return;
-            }
-            // Wait for the next message or the next timer deadline. With no
-            // timer pending there is nothing to wake for except an envelope,
-            // so block indefinitely — shutdown arrives as an envelope too,
-            // and an idle node must not tick a wake-up timer just to re-check
-            // state.
-            let deadline = self.next_deadline();
-            match self.clock.recv_deadline(&self.rx, deadline) {
-                Ok(envelope) => {
-                    let mut mail = std::mem::take(&mut self.mail);
-                    mail.push(envelope);
-                    self.take_mail(&mut mail, MAX_ENVELOPE_BATCH);
-                    self.process_batch(mail.drain(..));
-                    self.mail = mail;
-                }
-                Err(WaitError::Timeout) => continue,
-                Err(WaitError::Disconnected) => break,
-            }
-        }
-        let _ = self.flush_deliveries();
-    }
-}
-
-/// Runs `node` until a [`Envelope::Shutdown`] arrives or every envelope
-/// sender disconnects.
-pub(crate) fn run_node<M, T, C>(
-    node: BoxedNode<M>,
-    rx: Receiver<Envelope<M>>,
-    transport: T,
-    sink: Box<dyn DeliverySink>,
-    clock: C,
-) where
-    M: Send + 'static,
-    T: Transport<M>,
-    C: Clock,
-{
-    NodeLoop::new(node, rx, transport, sink, clock).run();
 }
 
 #[cfg(test)]
@@ -450,14 +344,7 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::{DeliveryLog, LogSink};
-    use crossbeam_channel::unbounded;
     use std::sync::Arc;
-
-    /// Discards every send; the tests below only observe deliveries/timers.
-    struct NullTransport;
-    impl<M: Send + 'static> Transport<M> for NullTransport {
-        fn send(&mut self, _to: ProcessId, _msg: M) {}
-    }
 
     /// Records the order its timers fire in; re-arms nothing.
     struct TimerProbe {
@@ -490,11 +377,9 @@ mod tests {
     }
 
     struct ProbeLoop {
-        nl: NodeLoop<(), NullTransport, VirtualClock>,
+        nl: NodeLoop<(), VirtualClock>,
         fired: Arc<std::sync::Mutex<Vec<TimerId>>>,
         clock: VirtualClock,
-        // Keeps the mailbox connected for the test body.
-        _tx: crossbeam_channel::Sender<Envelope<()>>,
     }
 
     impl ProbeLoop {
@@ -510,21 +395,13 @@ mod tests {
             arm,
             fired: Arc::clone(&fired),
         };
-        let (tx, rx) = unbounded();
         let clock = VirtualClock::new();
         let nl = NodeLoop::new(
             Box::new(node),
-            rx,
-            NullTransport,
             Box::new(LogSink::new(Arc::new(DeliveryLog::new()))),
             clock.clone(),
         );
-        ProbeLoop {
-            nl,
-            fired,
-            clock,
-            _tx: tx,
-        }
+        ProbeLoop { nl, fired, clock }
     }
 
     /// Satellite fix pin: equal-deadline timers pop in `(deadline, id,
@@ -650,14 +527,6 @@ mod tests {
             let read = self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
             Duration::from_micros(read)
         }
-
-        fn recv_deadline<T>(
-            &self,
-            rx: &Receiver<T>,
-            _deadline: Option<Duration>,
-        ) -> Result<T, WaitError> {
-            rx.try_recv().map_err(|_| WaitError::Timeout)
-        }
     }
 
     /// Answers every peer message with a delivery and a timer arm, and
@@ -707,11 +576,8 @@ mod tests {
             seen: Arc::clone(&seen),
         };
         let log = Arc::new(DeliveryLog::new());
-        let (_tx, rx) = unbounded();
         let mut nl = NodeLoop::new(
             Box::new(node),
-            rx,
-            NullTransport,
             Box::new(LogSink::new(Arc::clone(&log))),
             clock.clone(),
         );

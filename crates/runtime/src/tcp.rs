@@ -12,14 +12,15 @@
 //! socket and the node loop, and the only call it ever blocks in is
 //! `poll(2)` (the in-tree `netpoll` shim). One iteration: `recv` from the
 //! sockets the kernel marked readable and decode their frames into a batch;
-//! run the node over the batch plus whatever other threads put in the
-//! mailbox; fire due timers; flush the node's [`DeliverySink`]; frame what
-//! the round sent each peer into that peer's output buffer, and each buffer
-//! now leaves in one coalesced `send`; then `poll` again,
-//! with the earlier of the node's next timer deadline and the next re-dial
-//! deadline as the timeout. A message therefore crosses a process in three
-//! syscalls — `poll`, `recv`, `send` — with no thread hand-off, and an idle
-//! process sleeps until a socket, a timer or another thread needs it.
+//! run the node over the batch plus its mail to itself and whatever other
+//! threads put in the mailbox; fire due timers; flush the node's
+//! [`DeliverySink`]; frame what the round sent each peer into that peer's
+//! output buffer, and each buffer now leaves in one coalesced `send`; then
+//! `poll` again, with the earlier of the node's next timer deadline and the
+//! next re-dial deadline as the timeout. A message therefore crosses a
+//! process in three syscalls — `poll`, `recv`, `send` — with no thread
+//! hand-off, and an idle process sleeps until a socket, a timer or another
+//! thread needs it.
 //! Because the sink is flushed before the sockets are serviced, whatever a
 //! round delivered has reached the sink before any frame of that round — a
 //! reply to a client, say — leaves the process. DESIGN.md ("The reactor")
@@ -113,7 +114,7 @@
 //! c.shutdown();
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -122,7 +123,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use netpoll::{poll, PollFd, WakePipe, POLLIN, POLLOUT};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -134,7 +135,6 @@ use wbam_types::{AppMessage, Node, ProcessId, WbamError};
 
 use crate::clock::{Clock, WallClock};
 use crate::node_loop::{Envelope, NodeLoop, MAX_ENVELOPE_BATCH};
-use crate::transport::Transport;
 use crate::{BoxedNode, DeliveryLog, DeliverySink, LogSink, RuntimeDelivery};
 
 /// First re-dial delay after a failed or lost connection.
@@ -521,14 +521,17 @@ fn hello_bytes<M: Serialize>(from: ProcessId) -> Vec<u8> {
 }
 
 /// TCP transport: owns the outbound connection and output buffer of every
-/// peer. A send to a peer is held until the end of the round; the
-/// [`TcpNode`] reactor, which owns the node loop that owns this transport,
+/// peer. Sends are best-effort, matching the fair-lossy link model the
+/// protocols are designed for: a message to an unknown or unreachable peer
+/// is dropped (or queued for a reconnecting peer) and the protocols' retry
+/// timers recover. A send to a peer is held until the end of the round; the
+/// [`TcpNode`] reactor, which owns both this transport and the node loop,
 /// then lets the node's [`Node::fold_sends`] shrink each peer's messages,
 /// frames them into that peer's buffer, and services the transport to
 /// flush the buffers and keep the connections dialled. Messages a node
 /// sends to *itself* (a leader is a member of its own group and ACCEPTs to
-/// every member) short-circuit into the node's own mailbox instead of
-/// crossing the network stack.
+/// every member) never reach the transport: the reactor keeps them as the
+/// node's mail for its next round, so they never cross the network stack.
 ///
 /// The frame rule knows nothing of any protocol: what one round sent a peer
 /// leaves in sending order, 256 messages to a frame at most, a frame of
@@ -536,8 +539,6 @@ fn hello_bytes<M: Serialize>(from: ProcessId) -> Vec<u8> {
 /// plain `Protocol` frame, so one message in flight writes exactly what it
 /// would without the rule.
 pub struct TcpTransport<M> {
-    local: ProcessId,
-    loopback: Sender<Envelope<M>>,
     peers: BTreeMap<ProcessId, PeerOut>,
     /// Per peer, what this round sent it, not yet encoded.
     pending: BTreeMap<ProcessId, Vec<M>>,
@@ -554,7 +555,6 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
     /// `addrs`. Nothing is dialled until there is a frame to send.
     fn new(
         local: ProcessId,
-        loopback: Sender<Envelope<M>>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         dialler: Dialler,
         waker: Arc<Waker>,
@@ -567,8 +567,6 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
         let stats = Arc::new(TransportStats::for_peers(peers.keys().copied()));
         let pending = peers.keys().map(|&p| (p, Vec::new())).collect();
         TcpTransport {
-            local,
-            loopback,
             peers,
             pending,
             hello: hello_bytes::<M>(local),
@@ -576,6 +574,14 @@ impl<M: Serialize + Send + 'static> TcpTransport<M> {
             dialler,
             dialled: Arc::default(),
             waker,
+        }
+    }
+
+    /// Holds `msg` for peer `to` until the end of the round. A send to a
+    /// process that is not a peer is dropped.
+    fn send(&mut self, to: ProcessId, msg: M) {
+        if let Some(msgs) = self.pending.get_mut(&to) {
+            msgs.push(msg);
         }
     }
 
@@ -691,19 +697,6 @@ impl<M> TcpTransport<M> {
     }
 }
 
-impl<M: Serialize + Send + 'static> Transport<M> for TcpTransport<M> {
-    fn send(&mut self, to: ProcessId, msg: M) {
-        if to == self.local {
-            let _ = self.loopback.send(Envelope::FromPeer {
-                from: self.local,
-                msg,
-            });
-        } else if let Some(msgs) = self.pending.get_mut(&to) {
-            msgs.push(msg);
-        }
-    }
-}
-
 /// Inbound state for one accepted connection.
 struct InConn {
     stream: TcpStream,
@@ -805,11 +798,17 @@ impl InConn {
     }
 }
 
-/// The one thread of a [`TcpNode`]: it owns the listener, every socket and
-/// the node loop, and nothing it calls blocks except `poll(2)`. See the
-/// module docs for what one iteration does.
+/// The one thread of a [`TcpNode`]: it owns the listener, every socket, the
+/// mailbox and the node loop, and nothing it calls blocks except `poll(2)`.
+/// See the module docs for what one iteration does.
 struct Reactor<M> {
-    nl: NodeLoop<M, TcpTransport<M>, WallClock>,
+    id: ProcessId,
+    nl: NodeLoop<M, WallClock>,
+    /// Other threads' envelopes: submits, leader nudges, the stop request.
+    rx: Receiver<Envelope<M>>,
+    /// The node's messages to itself, the mail of its next round.
+    own: VecDeque<Envelope<M>>,
+    transport: TcpTransport<M>,
     listener: TcpListener,
     inbound: Vec<InConn>,
     waker: Arc<Waker>,
@@ -823,7 +822,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
     /// frame of the round whose deliveries were lost ever leaves.
     fn run(mut self, restart: bool) {
         let served = self.serve(restart);
-        self.nl.transport_mut().join_dials();
+        self.transport.join_dials();
         if let Err(e) = served {
             eprintln!("wbam-runtime: delivery sink failed, stopping the node: {e}");
             *self
@@ -843,6 +842,35 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
         Ok(())
     }
 
+    /// Routes what the node sent in the step it just took: its mail to
+    /// itself joins the next round's, and the transport holds everything
+    /// else for the end of the round.
+    fn route(&mut self) {
+        for (to, msg) in self.nl.drain_sends() {
+            if to == self.id {
+                self.own
+                    .push_back(Envelope::FromPeer { from: self.id, msg });
+            } else {
+                self.transport.send(to, msg);
+            }
+        }
+    }
+
+    /// Moves the node's mail to itself, then other threads' envelopes,
+    /// behind `batch` (never blocking) until it holds
+    /// [`MAX_ENVELOPE_BATCH`]; returns how many were moved.
+    fn take_mail(&mut self, batch: &mut Vec<Envelope<M>>) -> usize {
+        let before = batch.len();
+        let own = self
+            .own
+            .len()
+            .min(MAX_ENVELOPE_BATCH.saturating_sub(before));
+        batch.extend(self.own.drain(..own));
+        let room = MAX_ENVELOPE_BATCH.saturating_sub(batch.len());
+        batch.extend(self.rx.try_iter().take(room));
+        batch.len() - before
+    }
+
     fn serve(&mut self, restart: bool) -> Result<(), WbamError> {
         // Init, then Restart, before the first accept: connections parked in
         // the kernel backlog are only read once the loop below starts, so a
@@ -853,11 +881,14 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
         // rejoining node, not a fresh follower of the old ballot that would
         // deliver them ahead of the history it lost.
         self.nl.init();
+        self.route();
         let mut batch: Vec<Envelope<M>> = Vec::new();
         if restart {
             self.nl.apply_restart();
-            self.nl.take_mail(&mut batch, MAX_ENVELOPE_BATCH);
+            self.route();
+            self.take_mail(&mut batch);
             self.nl.process_batch(batch.drain(..));
+            self.route();
         }
         let mut chunk = vec![0u8; READ_CHUNK];
         let mut fds: Vec<PollFd> = Vec::new();
@@ -877,25 +908,25 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
                 !conn.needs_service() || conn.service(budget, &mut batch, &mut chunk)
             });
 
-            // 2. Run the node over what was decoded plus what is in the
-            // mailbox (other threads' submits, its own messages to itself),
-            // fire due timers, flush the round's deliveries to the sink, and
-            // only then the sockets: the round's sends to each peer are
-            // framed into that peer's outbuf (after the node's
-            // `fold_sends`) and leave in one `send` per peer. The first
-            // round always runs — a timer or a writable socket may be why
-            // `poll` returned.
+            // 2. Run the node over what was decoded plus its own messages to
+            // itself and what is in the mailbox (other threads' submits),
+            // fire due timers, route the round's sends, flush the round's
+            // deliveries to the sink, and only then the sockets: the
+            // round's sends to each peer are framed into that peer's outbuf
+            // (after the node's `fold_sends`) and leave in one `send` per
+            // peer. The first round always runs — a timer or a writable
+            // socket may be why `poll` returned.
             for round in 0..MAX_ROUNDS {
-                self.nl.take_mail(&mut batch, MAX_ENVELOPE_BATCH);
+                self.take_mail(&mut batch);
                 if batch.is_empty() && round > 0 {
                     break;
                 }
                 self.nl.process_batch(batch.drain(..));
                 self.nl.fire_due_timers();
+                self.route();
                 self.flush_deliveries()?;
-                let (node, transport) = self.nl.node_and_transport();
-                transport.encode_pending(node);
-                transport.service(self.clock.now());
+                self.transport.encode_pending(self.nl.node());
+                self.transport.service(self.clock.now());
             }
             if self.nl.is_stopped() {
                 return self.flush_deliveries();
@@ -910,23 +941,24 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
                 fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
             }
             let peer_base = fds.len();
-            self.nl.transport_mut().poll_set(&mut fds);
+            self.transport.poll_set(&mut fds);
 
             // 4. Sleep until the next live timer or re-dial deadline — not
-            // at all while decoded-but-unprocessed frames or mail are
-            // waiting. `Waker` explains why the last look at the mailbox
-            // sits between `prepare_sleep` and `poll`.
-            let deadline = match (self.nl.next_deadline(), self.nl.transport_mut().next_dial()) {
+            // at all while decoded-but-unprocessed frames, the node's mail
+            // to itself or other threads' mail are waiting. `Waker`
+            // explains why the last look at the mailbox sits between
+            // `prepare_sleep` and `poll`.
+            let deadline = match (self.nl.next_deadline(), self.transport.next_dial()) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
             let mut timeout = deadline.map(|d| d.saturating_sub(self.clock.now()));
-            if self.inbound.iter().any(|c| c.backlog) {
+            if !self.own.is_empty() || self.inbound.iter().any(|c| c.backlog) {
                 timeout = Some(Duration::ZERO);
             }
             if timeout != Some(Duration::ZERO) {
                 self.waker.prepare_sleep();
-                if self.nl.take_mail(&mut batch, MAX_ENVELOPE_BATCH) > 0 {
+                if self.take_mail(&mut batch) > 0 {
                     timeout = Some(Duration::ZERO);
                 }
             }
@@ -954,7 +986,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
                 conn.readable = fd.readable();
             }
             let now = self.clock.now();
-            self.nl.transport_mut().note_hangups(&fds[peer_base..], now);
+            self.transport.note_hangups(&fds[peer_base..], now);
         }
     }
 
@@ -1130,10 +1162,14 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         let waker = Arc::new(waker);
         let status = Arc::new(SinkStatus::default());
         let (mailbox, rx) = unbounded();
-        let transport = TcpTransport::new(id, mailbox.clone(), addrs, dialler, Arc::clone(&waker));
+        let transport = TcpTransport::new(id, addrs, dialler, Arc::clone(&waker));
         let stats = Arc::clone(&transport.stats);
         let reactor = Reactor {
-            nl: NodeLoop::new(node, rx, transport, Box::new(sink), clock),
+            id,
+            nl: NodeLoop::new(node, Box::new(sink), clock),
+            rx,
+            own: VecDeque::new(),
+            transport,
             listener,
             inbound: Vec::new(),
             waker: Arc::clone(&waker),
@@ -2208,10 +2244,8 @@ mod tests {
     fn undialled_transport(peer: ProcessId) -> TcpTransport<Vec<u8>> {
         let nowhere: SocketAddr = "127.0.0.1:9".parse().unwrap();
         let addrs = BTreeMap::from([(ProcessId(0), nowhere), (peer, nowhere)]);
-        let (loopback, _) = unbounded();
         TcpTransport::new(
             ProcessId(0),
-            loopback,
             &addrs,
             Arc::new(|_| Err(io::Error::other("never dialled"))),
             Arc::new(Waker::new().expect("wake pipe")),

@@ -141,11 +141,6 @@ impl MetricsView {
         self.gauges.get(name).copied()
     }
 
-    /// All attached gauges, by name.
-    pub fn gauges(&self) -> &BTreeMap<String, f64> {
-        &self.gauges
-    }
-
     /// All delivery records, in delivery order.
     pub fn deliveries(&self) -> &[DeliveryRecord] {
         &self.deliveries
@@ -159,14 +154,6 @@ impl MetricsView {
     /// The earliest delivery of `m` by any process of group `g`.
     pub fn first_delivery_in_group(&self, m: MsgId, g: GroupId) -> Option<Duration> {
         self.first_delivery.get(&(m, g)).copied()
-    }
-
-    /// The delivery latency of `m` with respect to group `g`
-    /// (first delivery in `g` minus multicast time), if both are known.
-    pub fn latency_in_group(&self, m: MsgId, g: GroupId) -> Option<Duration> {
-        let start = self.multicast_time(m)?;
-        let first = self.first_delivery_in_group(m, g)?;
-        first.checked_sub(start)
     }
 
     /// The worst delivery latency of `m` over all its destination groups:
@@ -257,14 +244,6 @@ impl MetricsView {
             .map(|d| d.msg_id)
             .collect()
     }
-
-    /// All processes that delivered at least one message.
-    pub fn delivering_processes(&self) -> Vec<ProcessId> {
-        let mut v: Vec<ProcessId> = self.deliveries.iter().map(|d| d.process).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -309,10 +288,6 @@ mod tests {
         assert_eq!(
             v.first_delivery_in_group(mid(1), GroupId(0)),
             Some(Duration::from_millis(10))
-        );
-        assert_eq!(
-            v.latency_in_group(mid(1), GroupId(0)),
-            Some(Duration::from_millis(6))
         );
         // Worst over both groups: group 1 delivered at 12, multicast at 4 → 8 ms.
         assert_eq!(v.latency(mid(1)), Some(Duration::from_millis(8)));
@@ -365,10 +340,6 @@ mod tests {
         let v = sample_view();
         assert_eq!(v.delivery_order_at(ProcessId(0)), vec![mid(1), mid(2)]);
         assert_eq!(v.delivery_order_at(ProcessId(3)), vec![mid(1)]);
-        assert_eq!(
-            v.delivering_processes(),
-            vec![ProcessId(0), ProcessId(1), ProcessId(3)]
-        );
     }
 
     #[test]

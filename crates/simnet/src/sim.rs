@@ -202,7 +202,6 @@ pub struct Simulation<M> {
     destinations: BTreeMap<MsgId, Vec<GroupId>>,
     stats: NetStats,
     trace: Vec<TraceEntry<M>>,
-    sends_by_process: BTreeMap<ProcessId, u64>,
     /// The outbox every dispatch hands its node, empty between dispatches:
     /// the simulation runs one event of one node at a time, so one buffer
     /// serves every node.
@@ -232,7 +231,6 @@ impl<M: Clone + 'static> Simulation<M> {
             destinations: BTreeMap::new(),
             stats: NetStats::default(),
             trace: Vec::new(),
-            sends_by_process: BTreeMap::new(),
             outbox: Vec::new(),
         };
         for crash in sim.config.nemesis.crashes.clone() {
@@ -323,11 +321,6 @@ impl<M: Clone + 'static> Simulation<M> {
     /// Aggregate network statistics.
     pub fn stats(&self) -> NetStats {
         self.stats
-    }
-
-    /// Number of protocol messages sent by each process.
-    pub fn sends_by_process(&self) -> &BTreeMap<ProcessId, u64> {
-        &self.sends_by_process
     }
 
     /// The recorded protocol-message trace (empty unless
@@ -580,7 +573,6 @@ impl<M: Clone + 'static> Simulation<M> {
         sent_at: Duration,
     ) {
         self.stats.messages_sent += 1;
-        *self.sends_by_process.entry(from).or_insert(0) += 1;
         if self.config.record_trace {
             self.trace.push(TraceEntry {
                 time: sent_at,
@@ -1019,7 +1011,6 @@ mod tests {
         assert_eq!(sim.trace().len(), 2);
         assert_eq!(sim.trace()[0].from, ProcessId(0));
         assert_eq!(sim.trace()[0].to, ProcessId(1));
-        assert!(sim.sends_by_process()[&ProcessId(0)] >= 1);
     }
 
     #[test]
