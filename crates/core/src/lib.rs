@@ -69,6 +69,7 @@
 
 pub mod client;
 pub mod config;
+mod inline;
 pub mod invariants;
 pub mod messages;
 pub mod record;

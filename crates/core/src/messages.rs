@@ -10,9 +10,14 @@
 //! assumes when measuring client-perceived latency).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
+use serde::de::{DeError, Source};
+use serde::ser::Sink;
 use serde::{Deserialize, Serialize};
 use wbam_types::{AppMessage, Ballot, Checkpoint, GroupId, MsgId, Phase, Timestamp};
+
+use crate::inline::InlineVec;
 
 /// A per-message vector of the ballots in which each destination group's
 /// leader issued its local timestamp proposal (`Bal` in Figure 4).
@@ -20,7 +25,117 @@ use wbam_types::{AppMessage, Ballot, Checkpoint, GroupId, MsgId, Phase, Timestam
 /// `ACCEPT_ACK` messages are tagged with this vector; a leader only counts
 /// acknowledgements whose vectors match, which guarantees that they refer to
 /// the same set of local timestamp proposals (Invariant 1).
-pub type BallotVector = BTreeMap<GroupId, Ballot>;
+///
+/// One entry per destination group, sorted by group and unique per group,
+/// held in place for up to two groups: building, decoding, comparing and
+/// dropping the vector of a one- or two-group message allocates nothing.
+/// The serde form is the sequence of `[group, ballot]` pairs in group order,
+/// the form a `BTreeMap<GroupId, Ballot>` has. Decoding refuses pairs whose
+/// groups are not strictly increasing, which no encoder writes, so it reads
+/// a vector in one pass.
+///
+/// ```
+/// use wbam_core::BallotVector;
+/// use wbam_types::{Ballot, GroupId, ProcessId};
+///
+/// let b = Ballot::new(1, ProcessId(3));
+/// let v = BallotVector::from([(GroupId(1), b), (GroupId(0), Ballot::BOTTOM)]);
+/// assert_eq!(v.get(GroupId(1)), Some(b));
+/// assert_eq!(v.get(GroupId(2)), None);
+/// assert_eq!(v.iter().map(|(g, _)| g.0).collect::<Vec<_>>(), [0, 1]);
+/// ```
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct BallotVector(InlineVec<(GroupId, Ballot), 2>);
+
+impl BallotVector {
+    /// An empty vector.
+    pub fn new() -> Self {
+        BallotVector::default()
+    }
+
+    /// The ballot recorded for `group`.
+    pub fn get(&self, group: GroupId) -> Option<Ballot> {
+        self.0
+            .binary_search_by_key(&group, |e| e.0)
+            .ok()
+            .map(|at| self.0[at].1)
+    }
+
+    /// Records `ballot` for `group`, replacing the group's earlier ballot.
+    pub fn insert(&mut self, group: GroupId, ballot: Ballot) {
+        match self.0.binary_search_by_key(&group, |e| e.0) {
+            Ok(at) => self.0[at].1 = ballot,
+            Err(at) => self.0.insert(at, (group, ballot)),
+        }
+    }
+
+    /// Number of groups in the vector.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the vector names no group.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entries in group order.
+    pub fn iter(&self) -> impl Iterator<Item = (GroupId, Ballot)> + '_ {
+        self.0.iter().copied()
+    }
+}
+
+impl FromIterator<(GroupId, Ballot)> for BallotVector {
+    fn from_iter<I: IntoIterator<Item = (GroupId, Ballot)>>(entries: I) -> Self {
+        let mut vector = BallotVector::new();
+        for (group, ballot) in entries {
+            vector.insert(group, ballot);
+        }
+        vector
+    }
+}
+
+impl<const N: usize> From<[(GroupId, Ballot); N]> for BallotVector {
+    fn from(entries: [(GroupId, Ballot); N]) -> Self {
+        entries.into_iter().collect()
+    }
+}
+
+impl fmt::Debug for BallotVector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for BallotVector {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_seq(self.len());
+        for (group, ballot) in self.iter() {
+            sink.begin_seq(2);
+            group.serialize(sink);
+            ballot.serialize(sink);
+            sink.end_seq();
+        }
+        sink.end_seq();
+    }
+}
+
+impl Deserialize for BallotVector {
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
+        let mut vector = BallotVector::new();
+        for _ in 0..src.begin_seq()? {
+            let (group, ballot) = <(GroupId, Ballot)>::deserialize(src)?;
+            if let Some(&(previous, _)) = vector.0.last().filter(|e| e.0 >= group) {
+                return Err(DeError::new(format!(
+                    "ballot vector groups must be sorted and distinct: {group} after {previous}"
+                )));
+            }
+            vector.0.push((group, ballot));
+        }
+        src.end_seq();
+        Ok(vector)
+    }
+}
 
 /// Snapshot of one message's state, exchanged during leader recovery inside
 /// [`StateSnapshot`].
@@ -160,8 +275,11 @@ pub enum WhiteBoxMsg {
         /// The last ballot whose leader this process synchronised with.
         cballot: Ballot,
         /// The member's ordering-layer checkpoint (clock, watermarks,
-        /// `max_delivered_gts`, delivered filter).
-        checkpoint: Checkpoint,
+        /// `max_delivered_gts`, delivered filter). Boxed, like `NEW_STATE`'s:
+        /// leader recovery is rare, and the box keeps every message of the
+        /// ordering path, which moves by value through the outbox and the
+        /// send lists, at the size of the largest ordering message.
+        checkpoint: Box<Checkpoint>,
         /// The member's resident per-message state (the suffix above its
         /// watermark; the whole history when compaction is disabled).
         snapshot: StateSnapshot,
@@ -178,7 +296,7 @@ pub enum WhiteBoxMsg {
         ballot: Ballot,
         /// The recovered ordering-layer checkpoint (clock, watermarks,
         /// delivered filter, delivery progress of the new leader).
-        checkpoint: Checkpoint,
+        checkpoint: Box<Checkpoint>,
         /// The recovered per-message state above the watermark.
         snapshot: StateSnapshot,
     },
@@ -349,6 +467,41 @@ mod tests {
             },
         );
         assert_eq!(s.len(), 1);
+    }
+
+    /// A ballot vector encodes exactly as the `BTreeMap` it replaced, with
+    /// both codecs, and decodes back; pairs out of group order or with a
+    /// repeated group, which no encoder writes, are refused.
+    #[test]
+    fn ballot_vectors_keep_the_map_form_and_refuse_disorder() {
+        use wbam_types::wire::{decode_frame_slice, encode_frame_with, WireCodec};
+        let decode = |frame: &[u8]| {
+            decode_frame_slice::<BallotVector>(WireCodec::Binary, frame)
+                .map(|decoded| decoded.expect("a whole frame").0)
+        };
+        let (b1, b2) = (Ballot::new(1, ProcessId(0)), Ballot::new(2, ProcessId(3)));
+        let map = BTreeMap::from([(GroupId(1), b2), (GroupId(0), b1)]);
+        let vector = BallotVector::from([(GroupId(1), b2), (GroupId(0), b1)]);
+        let frame = encode_frame_with(WireCodec::Binary, &map).unwrap();
+        let json = serde_json::to_string(&map).unwrap();
+        assert_eq!(
+            encode_frame_with(WireCodec::Binary, &vector).unwrap(),
+            frame
+        );
+        assert_eq!(serde_json::to_string(&vector).unwrap(), json);
+        assert_eq!(decode(&frame).unwrap(), vector);
+        for pairs in [
+            vec![(GroupId(1), b2), (GroupId(0), b1)],
+            vec![(GroupId(0), b1); 2],
+        ] {
+            let frame = encode_frame_with(WireCodec::Binary, &pairs).unwrap();
+            assert!(decode(&frame).is_err(), "{pairs:?}");
+            let json = serde_json::to_string(&pairs).unwrap();
+            assert!(
+                serde_json::from_str::<BallotVector>(&json).is_err(),
+                "{pairs:?}"
+            );
+        }
     }
 
     #[test]

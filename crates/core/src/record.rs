@@ -8,28 +8,56 @@
 //!
 //! A replica keeps one record per message for as long as the message is
 //! resident, so the record is flat: a message has one to a handful of
-//! destination groups, and the accept and ack bookkeeping are short vectors
-//! searched in place rather than maps. What only the commit decision reads
-//! (the acks) is released at commit.
+//! destination groups, and the accepts, the ballot vectors and the ack
+//! tallies are short vectors held in place and searched in place, so a
+//! one- or two-group message's record allocates nothing past its own box.
+//! Acks are counted as bitmasks over each group's members in configuration
+//! order. What only the commit decision reads (the acks) is released at
+//! commit.
 
 use std::collections::BTreeMap;
 
 use wbam_types::{AppMessage, Ballot, GroupId, MsgId, Phase, ProcessId, Timestamp};
 
+use crate::inline::InlineVec;
 use crate::messages::{BallotVector, RecordSnapshot};
 
 /// The `ACCEPT_ACK`s gathered under one ballot vector.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct AckCandidate {
     vector: BallotVector,
-    /// The distinct acknowledging processes, each with its group.
-    ackers: Vec<(GroupId, ProcessId)>,
+    /// The distinct acknowledging processes as bitmasks, sorted by key: the
+    /// member at position `i` of group `g`'s configuration is bit `i % 64`
+    /// of the mask keyed `(g, i / 64)`.
+    ackers: InlineVec<((GroupId, u32), u64), 2>,
 }
 
 impl AckCandidate {
+    /// Notes the member at `index` of `group`.
+    fn add(&mut self, group: GroupId, index: usize) {
+        let key = (group, (index / 64) as u32);
+        let bit = 1u64 << (index % 64);
+        match self.ackers.binary_search_by_key(&key, |a| a.0) {
+            Ok(at) => self.ackers[at].1 |= bit,
+            Err(at) => self.ackers.insert(at, (key, bit)),
+        }
+    }
+
+    /// Whether the member at `index` of `group` acknowledged.
+    fn has(&self, group: GroupId, index: usize) -> bool {
+        let key = (group, (index / 64) as u32);
+        self.ackers
+            .binary_search_by_key(&key, |a| a.0)
+            .is_ok_and(|at| self.ackers[at].1 & (1u64 << (index % 64)) != 0)
+    }
+
     /// Number of distinct acknowledging processes of `group`.
     fn acked_in(&self, group: GroupId) -> usize {
-        self.ackers.iter().filter(|(g, _)| *g == group).count()
+        self.ackers
+            .iter()
+            .filter(|a| a.0 .0 == group)
+            .map(|a| a.1.count_ones() as usize)
+            .sum()
     }
 }
 
@@ -50,11 +78,11 @@ pub struct MessageRecord {
     /// — proposing group, ballot of the proposal, proposed local timestamp —
     /// sorted by group. Kept for as long as the record lives: a re-sent
     /// `ACCEPT` (message recovery) is re-acknowledged from it.
-    accepts: Vec<(GroupId, Ballot, Timestamp)>,
+    accepts: InlineVec<(GroupId, Ballot, Timestamp), 2>,
     /// `ACCEPT_ACK`s received so far, one candidate per distinct ballot vector
-    /// in order of first arrival. Only the commit decision reads them, so
-    /// [`commit`](Self::commit) releases them.
-    acks: Vec<AckCandidate>,
+    /// in order of first arrival; the first in place. Only the commit
+    /// decision reads them, so [`commit`](Self::commit) releases them.
+    acks: InlineVec<AckCandidate, 1>,
     /// At a leader, the members of its own group whose `ACCEPT_ACK` for this
     /// message it counted in its current ballot, as a bitmask over the
     /// group's members in configuration order: the members known to hold
@@ -72,8 +100,8 @@ impl MessageRecord {
             local_ts: Timestamp::BOTTOM,
             global_ts: Timestamp::BOTTOM,
             delivered: false,
-            accepts: Vec::new(),
-            acks: Vec::new(),
+            accepts: InlineVec::new(),
+            acks: InlineVec::new(),
             holders: 0,
         }
     }
@@ -93,13 +121,7 @@ impl MessageRecord {
                     self.accepts[at] = (group, ballot, local_ts);
                 }
             }
-            Err(at) => {
-                if self.accepts.is_empty() {
-                    // One proposal per destination group is all there will be.
-                    self.accepts.reserve_exact(self.msg.dest.len());
-                }
-                self.accepts.insert(at, (group, ballot, local_ts));
-            }
+            Err(at) => self.accepts.insert(at, (group, ballot, local_ts)),
         }
     }
 
@@ -137,38 +159,32 @@ impl MessageRecord {
         self.accepts.iter().filter_map(|a| a.1.leader())
     }
 
-    /// Records an `ACCEPT_ACK` from `process` (a member of `group`) carrying
-    /// the given ballot vector. Returns the number of distinct acknowledging
-    /// processes in `group` for that vector after the update.
-    pub fn record_ack(
-        &mut self,
-        vector: BallotVector,
-        group: GroupId,
-        process: ProcessId,
-    ) -> usize {
+    /// Records an `ACCEPT_ACK` from the member at position `index` of
+    /// `group`'s configuration, carrying the given ballot vector. Returns the
+    /// number of distinct acknowledging members of `group` for that vector
+    /// after the update.
+    pub fn record_ack(&mut self, vector: BallotVector, group: GroupId, index: usize) -> usize {
         let at = match self.acks.iter().position(|c| c.vector == vector) {
             Some(at) => at,
             None => {
                 self.acks.push(AckCandidate {
                     vector,
-                    ackers: Vec::new(),
+                    ackers: InlineVec::new(),
                 });
                 self.acks.len() - 1
             }
         };
         let candidate = &mut self.acks[at];
-        if !candidate.ackers.contains(&(group, process)) {
-            candidate.ackers.push((group, process));
-        }
+        candidate.add(group, index);
         candidate.acked_in(group)
     }
 
     /// Whether, for some ballot vector, a quorum of acknowledgements has been
     /// received from every destination group (and the vector matches the
     /// `ACCEPT`s currently recorded). `quorum_size` maps each group to its
-    /// quorum size; `must_include` is a process that must be among the
-    /// acknowledgers of its own group (the leader itself, per Figure 4
-    /// line 17 "including myself").
+    /// quorum size; `must_include` is a member (group and position in its
+    /// configuration) that must be among the acknowledgers of its own group
+    /// (the leader itself, per Figure 4 line 17 "including myself").
     ///
     /// The accept-match is checked *per candidate vector*, not on the winner:
     /// acks gathered under a since-superseded ballot (a destination group
@@ -181,7 +197,7 @@ impl MessageRecord {
     pub fn quorum_acked(
         &self,
         quorum_size: &BTreeMap<GroupId, usize>,
-        must_include: Option<(GroupId, ProcessId)>,
+        must_include: Option<(GroupId, usize)>,
     ) -> Option<&BallotVector> {
         self.acks
             .iter()
@@ -190,15 +206,15 @@ impl MessageRecord {
                 // the ACCEPT currently recorded for each of them (Figure 4
                 // line 17: the acks and the accepts name the same ballots).
                 self.msg.dest.iter().all(|g| {
-                    let same_ballot = match (self.accept_of(g), candidate.vector.get(&g)) {
-                        (Some((accepted, _)), Some(acked)) => accepted == *acked,
+                    let same_ballot = match (self.accept_of(g), candidate.vector.get(g)) {
+                        (Some((accepted, _)), Some(acked)) => accepted == acked,
                         _ => false,
                     };
                     same_ballot
                         && quorum_size
                             .get(&g)
                             .is_some_and(|q| candidate.acked_in(g) >= *q)
-                }) && must_include.map_or(true, |acker| candidate.ackers.contains(&acker))
+                }) && must_include.map_or(true, |(g, index)| candidate.has(g, index))
             })
             .map(|candidate| &candidate.vector)
     }
@@ -227,7 +243,7 @@ impl MessageRecord {
     pub fn commit(&mut self, global_ts: Timestamp) {
         self.phase = Phase::Committed;
         self.global_ts = global_ts;
-        self.acks = Vec::new();
+        self.acks = InlineVec::new();
     }
 
     /// Whether the message is pending in the sense of the delivery condition
@@ -353,22 +369,19 @@ mod tests {
             Timestamp::new(5, GroupId(1)),
         );
 
-        r.record_ack(vector.clone(), GroupId(0), ProcessId(0));
-        r.record_ack(vector.clone(), GroupId(0), ProcessId(1));
+        r.record_ack(vector.clone(), GroupId(0), 0);
+        r.record_ack(vector.clone(), GroupId(0), 1);
         assert_eq!(r.quorum_acked(&quorums(), None), None);
 
-        r.record_ack(vector.clone(), GroupId(1), ProcessId(3));
+        r.record_ack(vector.clone(), GroupId(1), 3);
         assert_eq!(r.quorum_acked(&quorums(), None), None);
-        r.record_ack(vector.clone(), GroupId(1), ProcessId(4));
+        r.record_ack(vector.clone(), GroupId(1), 4);
         assert_eq!(r.quorum_acked(&quorums(), None), Some(&vector));
 
         // Requiring a specific acker filters vectors that lack it.
+        assert_eq!(r.quorum_acked(&quorums(), Some((GroupId(0), 2))), None);
         assert_eq!(
-            r.quorum_acked(&quorums(), Some((GroupId(0), ProcessId(2)))),
-            None
-        );
-        assert_eq!(
-            r.quorum_acked(&quorums(), Some((GroupId(0), ProcessId(0)))),
+            r.quorum_acked(&quorums(), Some((GroupId(0), 0))),
             Some(&vector)
         );
     }
@@ -392,10 +405,10 @@ mod tests {
         let mut v2 = v1.clone();
         v2.insert(GroupId(1), Ballot::new(2, ProcessId(4)));
 
-        r.record_ack(v1.clone(), GroupId(0), ProcessId(0));
-        r.record_ack(v1.clone(), GroupId(0), ProcessId(1));
-        r.record_ack(v2.clone(), GroupId(1), ProcessId(3));
-        r.record_ack(v2.clone(), GroupId(1), ProcessId(4));
+        r.record_ack(v1.clone(), GroupId(0), 0);
+        r.record_ack(v1.clone(), GroupId(0), 1);
+        r.record_ack(v2.clone(), GroupId(1), 3);
+        r.record_ack(v2.clone(), GroupId(1), 4);
         // Neither vector alone has quorums in both groups.
         assert_eq!(r.quorum_acked(&quorums(), None), None);
     }
@@ -429,14 +442,14 @@ mod tests {
         );
 
         // Complete quorums under both vectors.
-        r.record_ack(stale.clone(), GroupId(0), ProcessId(0));
-        r.record_ack(stale.clone(), GroupId(0), ProcessId(2));
-        r.record_ack(stale.clone(), GroupId(1), ProcessId(3));
-        r.record_ack(stale.clone(), GroupId(1), ProcessId(4));
-        r.record_ack(live.clone(), GroupId(0), ProcessId(0));
-        r.record_ack(live.clone(), GroupId(0), ProcessId(1));
-        r.record_ack(live.clone(), GroupId(1), ProcessId(3));
-        r.record_ack(live.clone(), GroupId(1), ProcessId(4));
+        r.record_ack(stale.clone(), GroupId(0), 0);
+        r.record_ack(stale.clone(), GroupId(0), 2);
+        r.record_ack(stale.clone(), GroupId(1), 3);
+        r.record_ack(stale.clone(), GroupId(1), 4);
+        r.record_ack(live.clone(), GroupId(0), 0);
+        r.record_ack(live.clone(), GroupId(0), 1);
+        r.record_ack(live.clone(), GroupId(1), 3);
+        r.record_ack(live.clone(), GroupId(1), 4);
 
         assert_eq!(
             r.acks[0].vector, stale,
@@ -458,13 +471,13 @@ mod tests {
             Timestamp::new(8, GroupId(1)),
         );
         for (g, p) in [(0, 0), (0, 2), (1, 3), (1, 4)] {
-            short.record_ack(stale.clone(), GroupId(g), ProcessId(p));
+            short.record_ack(stale.clone(), GroupId(g), p);
         }
         for (g, p) in [(0, 0), (0, 1), (1, 3)] {
-            short.record_ack(live.clone(), GroupId(g), ProcessId(p));
+            short.record_ack(live.clone(), GroupId(g), p);
         }
         assert_eq!(short.quorum_acked(&quorums(), None), None);
-        short.record_ack(live.clone(), GroupId(1), ProcessId(4));
+        short.record_ack(live.clone(), GroupId(1), 4);
         assert_eq!(short.quorum_acked(&quorums(), None), Some(&live));
     }
 
@@ -485,7 +498,7 @@ mod tests {
             Timestamp::new(5, GroupId(1)),
         );
         for (g, p) in [(0, 0), (0, 1), (1, 3), (1, 4)] {
-            r.record_ack(v.clone(), GroupId(g), ProcessId(p));
+            r.record_ack(v.clone(), GroupId(g), p);
         }
         assert!(r.quorum_acked(&quorums(), None).is_some());
         let gts = r.implied_global_ts().unwrap();
@@ -494,7 +507,7 @@ mod tests {
         assert_eq!(r.phase, Phase::Committed);
         assert_eq!(r.global_ts, Timestamp::new(5, GroupId(1)));
         assert!(r.acks.is_empty());
-        assert_eq!(r.acks.capacity(), 0, "the ack storage is released");
+        assert!(!r.acks.spilled(), "the ack storage is released");
         // The accepts stay: a re-sent ACCEPT is re-acknowledged from them.
         assert!(r.has_all_accepts());
         assert_eq!(r.ballot_vector(), v);
@@ -508,7 +521,7 @@ mod tests {
             Ballot::new(3, ProcessId(4)),
             Timestamp::new(2, GroupId(1)),
         );
-        assert_eq!(r.accepts.capacity(), 2, "sized for the destination set");
+        assert!(!r.accepts.spilled(), "held in place for two groups");
         r.record_accept(
             GroupId(0),
             Ballot::new(1, ProcessId(0)),
@@ -516,8 +529,8 @@ mod tests {
         );
         let v = r.ballot_vector();
         assert_eq!(v.len(), 2);
-        assert_eq!(v[&GroupId(0)], Ballot::new(1, ProcessId(0)));
-        assert_eq!(v[&GroupId(1)], Ballot::new(3, ProcessId(4)));
+        assert_eq!(v.get(GroupId(0)), Some(Ballot::new(1, ProcessId(0))));
+        assert_eq!(v.get(GroupId(1)), Some(Ballot::new(3, ProcessId(4))));
         assert_eq!(
             r.accept_leaders().collect::<Vec<_>>(),
             [ProcessId(0), ProcessId(4)]
@@ -531,9 +544,9 @@ mod tests {
         let mut v = BallotVector::new();
         v.insert(GroupId(0), Ballot::new(1, ProcessId(0)));
         v.insert(GroupId(1), Ballot::new(1, ProcessId(3)));
-        assert_eq!(r.record_ack(v.clone(), GroupId(0), ProcessId(0)), 1);
-        assert_eq!(r.record_ack(v.clone(), GroupId(0), ProcessId(0)), 1);
-        assert_eq!(r.record_ack(v, GroupId(0), ProcessId(1)), 2);
+        assert_eq!(r.record_ack(v.clone(), GroupId(0), 0), 1);
+        assert_eq!(r.record_ack(v.clone(), GroupId(0), 0), 1);
+        assert_eq!(r.record_ack(v, GroupId(0), 1), 2);
     }
 
     #[test]

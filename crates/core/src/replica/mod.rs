@@ -34,7 +34,7 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use wbam_types::{
     AppMessage, Ballot, Checkpoint, ConfigError, DeliveryProgress, DeliveryQueue, Event, GroupId,
-    MsgId, Node, Phase, ProcessId, RecordMap, TimerId, Timestamp,
+    MsgId, Node, Phase, ProcessId, RecordMap, TimerId, TimerMap, Timestamp,
 };
 
 use crate::config::ReplicaConfig;
@@ -81,7 +81,7 @@ pub struct WhiteBoxReplica {
     /// In-progress recovery, if this replica is establishing a ballot.
     recovery: Option<Recovery>,
     /// Retry timers: timer id → message, and message → timer id.
-    retry_timer_msgs: BTreeMap<TimerId, MsgId>,
+    retry_timer_msgs: TimerMap<MsgId>,
     retry_timer_of: RecordMap<TimerId>,
     next_retry_timer: u64,
     /// Last time we heard from our group's leader (heartbeat or any message).
@@ -167,7 +167,7 @@ impl WhiteBoxReplica {
             group_members,
             quorum_sizes,
             recovery: None,
-            retry_timer_msgs: BTreeMap::new(),
+            retry_timer_msgs: TimerMap::default(),
             retry_timer_of: RecordMap::new(),
             next_retry_timer: 0,
             last_leader_activity: Duration::ZERO,
@@ -339,12 +339,12 @@ impl Node for WhiteBoxReplica {
                     cballot,
                     checkpoint,
                     snapshot,
-                } => self.handle_new_leader_ack(from, ballot, cballot, checkpoint, snapshot, out),
+                } => self.handle_new_leader_ack(from, ballot, cballot, *checkpoint, snapshot, out),
                 WhiteBoxMsg::NewState {
                     ballot,
                     checkpoint,
                     snapshot,
-                } => self.handle_new_state(now, from, ballot, checkpoint, snapshot, out),
+                } => self.handle_new_state(now, from, ballot, *checkpoint, snapshot, out),
                 WhiteBoxMsg::NewStateAck { ballot } => self.handle_new_state_ack(from, ballot, out),
                 WhiteBoxMsg::Heartbeat { ballot } => self.handle_heartbeat(now, ballot, out),
                 WhiteBoxMsg::StableReport {
@@ -582,7 +582,7 @@ mod tests {
             ProcessId(2),
             WhiteBoxMsg::NewState {
                 ballot: Ballot::new(2, ProcessId(2)),
-                checkpoint: Checkpoint::default(),
+                checkpoint: Box::default(),
                 snapshot: StateSnapshot::new(),
             },
         );
@@ -1249,7 +1249,7 @@ mod tests {
         ][usize::from(round)];
         let m = app_msg(seq, if seq % 2 == 0 { &[0] } else { &[0, 1] });
         let at = Timestamp::new(time, GroupId(0));
-        let ballots: BallotVector = BTreeMap::from([(GroupId(0), ballot)]);
+        let ballots = BallotVector::from([(GroupId(0), ballot)]);
         let watermarks = BTreeMap::from([(GroupId(0), at)]);
         let from = ballot.leader().expect("ballot has a leader");
         let msg = match kind {

@@ -204,12 +204,13 @@ impl WhiteBoxReplica {
         if self.status != Status::Leader {
             return;
         }
-        if ballots.get(&self.own_group()) != Some(&self.cballot) {
+        if ballots.get(self.own_group()) != Some(self.cballot) {
             return;
         }
         let own_group = self.own_group();
-        let own_id = self.config.id;
-        let member = self.member_index(from).filter(|_| group == own_group);
+        let own_index = self.member_index(self.config.id);
+        let acker = self.acker_index(group, from);
+        let member = acker.filter(|_| group == own_group);
         let Some(record) = self.records.get_mut(&msg_id) else {
             // We have not proposed this message yet; the ack will be re-sent
             // when the proposal eventually reaches the sender again.
@@ -224,13 +225,19 @@ impl WhiteBoxReplica {
         if record.phase == Phase::Committed {
             return;
         }
-        record.record_ack(ballots, group, from);
+        // An ack from a process outside the group it names counts for
+        // nothing: only members make a quorum.
+        let Some(index) = acker else {
+            return;
+        };
+        record.record_ack(ballots, group, index);
         // Line 17: a quorum in every destination group, acknowledging exactly
         // the ballots of the ACCEPTs we hold (`quorum_acked` checks the match
         // per candidate vector, so stale pre-leader-change ack quorums cannot
         // shadow the live one).
+        let must_include = own_index.map(|index| (own_group, index));
         if record
-            .quorum_acked(&self.quorum_sizes, Some((own_group, own_id)))
+            .quorum_acked(&self.quorum_sizes, must_include)
             .is_none()
         {
             return;
@@ -304,6 +311,16 @@ impl WhiteBoxReplica {
     /// member.
     fn member_index(&self, member: ProcessId) -> Option<usize> {
         self.group_members.iter().position(|&p| p == member)
+    }
+
+    /// `acker`'s position in `group`'s configuration order, if it is a
+    /// member of `group`.
+    fn acker_index(&self, group: GroupId, acker: ProcessId) -> Option<usize> {
+        if group == self.own_group() {
+            return self.member_index(acker);
+        }
+        let members = self.config.cluster.group(group)?.members();
+        members.iter().position(|&p| p == acker)
     }
 
     /// The send fold's half of the holder rule: a full `DELIVER` this round

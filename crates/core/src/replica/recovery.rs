@@ -173,7 +173,7 @@ impl WhiteBoxReplica {
             WhiteBoxMsg::NewLeaderAck {
                 ballot,
                 cballot: self.cballot,
-                checkpoint: self.checkpoint(),
+                checkpoint: Box::new(self.checkpoint()),
                 snapshot: self.snapshot(),
             },
         ));
@@ -323,7 +323,7 @@ impl WhiteBoxReplica {
     pub(super) fn send_state(&self, to: impl IntoIterator<Item = ProcessId>, out: &mut Outbox) {
         let state = WhiteBoxMsg::NewState {
             ballot: self.cballot,
-            checkpoint: self.checkpoint(),
+            checkpoint: Box::new(self.checkpoint()),
             snapshot: self.snapshot(),
         };
         Action::send_to_all(out, to, state);

@@ -185,6 +185,9 @@ pub struct DeterministicRuntime<M: Clone + Send + 'static> {
     deliveries: Arc<DeliveryLog>,
     sent: Vec<SentRecord<M>>,
     script: Vec<ScriptEvent>,
+    /// How many of `script`'s events have been applied: they stay in front,
+    /// in the order they were applied, across `run` calls.
+    next_script: usize,
     trace: Vec<TraceEvent>,
     rng: u64,
     initialized: bool,
@@ -217,6 +220,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
             deliveries,
             sent: Vec::new(),
             script: Vec::new(),
+            next_script: 0,
             trace: Vec::new(),
             rng: seed,
             initialized: false,
@@ -257,8 +261,8 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
 
     /// The earliest future wake-up: the next scripted event or the next live
     /// timer deadline on an up node.
-    fn next_wake(&mut self, script_idx: usize) -> Option<Duration> {
-        let mut next = self.script.get(script_idx).map(|e| e.at());
+    fn next_wake(&mut self) -> Option<Duration> {
+        let mut next = self.script.get(self.next_script).map(|e| e.at());
         for i in 0..self.loops.len() {
             if !self.up[i] {
                 continue;
@@ -319,7 +323,10 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
     /// Runs the scheduler until virtual time reaches `horizon` or the system
     /// quiesces (no pending mail, no scripted events, no live timers).
     /// Callable repeatedly with growing horizons; `Event::Init` is delivered
-    /// to every node (in node order) on the first call.
+    /// to every node (in node order) on the first call. A scripted event a
+    /// call did not apply is applied by the next one, even when the first
+    /// call's last step overshot its horizon past the event's time; one
+    /// scheduled between calls at a time already passed is applied at once.
     pub fn run(&mut self, horizon: Duration) {
         if !self.initialized {
             self.initialized = true;
@@ -328,13 +335,9 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                 self.finish_step(i);
             }
         }
-        // Stable sort: equal-time events keep their scheduled order.
-        self.script.sort_by_key(ScriptEvent::at);
-        let mut script_idx = 0usize;
-        // Skip events already applied by a previous `run` call.
-        while script_idx < self.script.len() && self.script[script_idx].at() < self.clock.now() {
-            script_idx += 1;
-        }
+        // Stable sort of what is still to apply: equal-time events keep
+        // their scheduled order.
+        self.script[self.next_script..].sort_by_key(ScriptEvent::at);
 
         for _step in 0..MAX_STEPS {
             let now = self.clock.now();
@@ -342,9 +345,13 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                 break;
             }
             // 1. Scripted external events due now.
-            while script_idx < self.script.len() && self.script[script_idx].at() <= now {
-                let event = self.script[script_idx].clone();
-                script_idx += 1;
+            while self
+                .script
+                .get(self.next_script)
+                .is_some_and(|event| event.at() <= now)
+            {
+                let event = self.script[self.next_script].clone();
+                self.next_script += 1;
                 self.apply_script_event(event);
             }
             // 2. Due timers fire on every up node, in node order.
@@ -360,7 +367,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                 .collect();
             if enabled.is_empty() {
                 // Idle: jump straight to the next wake-up, or quiesce.
-                match self.next_wake(script_idx) {
+                match self.next_wake() {
                     Some(t) if t < horizon => {
                         let t = t.max(now + Duration::from_nanos(1));
                         self.clock.advance_to(t);
@@ -374,7 +381,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
             // firings race with queued mail instead of always waiting for
             // queues to drain.
             if self.next_u64() % 100 < ADVANCE_BIAS_PCT {
-                if let Some(t) = self.next_wake(script_idx) {
+                if let Some(t) = self.next_wake() {
                     if t > now && t < horizon {
                         self.clock.advance_to(t);
                         self.trace.push(TraceEvent::AdvanceTo(t));
@@ -689,5 +696,47 @@ mod tests {
         for p in [2, 3, 4, 5] {
             assert_eq!(order_of(ProcessId(p)), reference, "replica p{p} differs");
         }
+    }
+
+    /// A scripted event left behind by one `run` call is applied by the
+    /// next, even though the first call's last step took the clock past the
+    /// event's time. A submission at 4 ms keeps the cluster busy across the
+    /// crash at 5 ms, so the run to 4.97 ms ends with a micro-advance beyond
+    /// 5 ms (5.037 ms at seed 1); the run to 5 s must still apply the crash.
+    #[test]
+    fn a_later_run_applies_what_an_earlier_run_overshot() {
+        let (down, client) = (ProcessId(1), ProcessId(6));
+        let mut rt = scripted_runtime(1);
+        let early = AppMessage::new(
+            MsgId::new(client, 99),
+            Destination::new(vec![GroupId(0), GroupId(1)]).unwrap(),
+            Payload::from("early"),
+        );
+        rt.schedule_submit(Duration::from_millis(4), client, early);
+        rt.schedule_crash(Duration::from_millis(5), down, Duration::from_secs(60));
+        let crashes = |rt: &DeterministicRuntime<WhiteBoxMsg>| {
+            rt.trace()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Crash { node, .. } if *node == down))
+                .count()
+        };
+        rt.run(Duration::from_micros(4_970));
+        assert!(
+            rt.now() > Duration::from_millis(5),
+            "the first run stops past the crash's time ({:?})",
+            rt.now()
+        );
+        assert_eq!(crashes(&rt), 0, "the crash is not due within the first run");
+        let delivered_by_down = |rt: &DeterministicRuntime<WhiteBoxMsg>| {
+            rt.deliveries().iter().filter(|d| d.process == down).count()
+        };
+        let before = delivered_by_down(&rt);
+        rt.run(Duration::from_secs(5));
+        assert_eq!(crashes(&rt), 1, "the second run applies the crash");
+        assert_eq!(
+            delivered_by_down(&rt),
+            before,
+            "the crashed replica delivers nothing more"
+        );
     }
 }

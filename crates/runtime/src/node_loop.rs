@@ -31,10 +31,10 @@
 //! The node appends every event's actions to one outbox the loop keeps and
 //! reuses, and the loop executes them in order once the round's events ran.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::time::Duration;
 
-use wbam_types::{Action, AppMessage, Event, Node, ProcessId, TimerId, WbamError};
+use wbam_types::{Action, AppMessage, Event, Node, ProcessId, TimerId, TimerMap, WbamError};
 
 use crate::clock::Clock;
 use crate::{BoxedNode, DeliverySink, RuntimeDelivery};
@@ -121,7 +121,7 @@ pub(crate) struct NodeLoop<M, C> {
     delivered: u64,
     clock: C,
     timers: BinaryHeap<PendingTimer>,
-    generations: HashMap<TimerId, TimerGen>,
+    generations: TimerMap<TimerGen>,
     stopped: bool,
     /// The node's outbox, empty between rounds and reused by every round.
     out: Vec<Action<M>>,
@@ -139,7 +139,7 @@ impl<M, C: Clock> NodeLoop<M, C> {
             delivered: 0,
             clock,
             timers: BinaryHeap::new(),
-            generations: HashMap::new(),
+            generations: TimerMap::default(),
             stopped: false,
             out: Vec::new(),
             sends: Vec::new(),

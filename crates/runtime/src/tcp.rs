@@ -43,7 +43,9 @@
 //! [`TcpNode::become_leader`] and [`TcpNode::shutdown`]: an envelope in the
 //! mailbox, then a byte down the reactor's self-pipe *only if* the reactor
 //! announced it was going to sleep, so a caller of a busy reactor pays no
-//! syscall and no wake is lost. Dialling a peer is the one
+//! syscall and no wake is lost. A reactor that such a byte woke yields the
+//! CPU once before it reads its mailbox, so a caller submitting a burst
+//! finishes it and the burst leaves in one frame. Dialling a peer is the one
 //! operation that can block for long (an unreachable host on a real LAN), so
 //! each attempt runs on a short-lived thread of its own and hands the reactor
 //! the connected stream or the failure.
@@ -980,6 +982,15 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> Reactor<M> {
             // 5. Record readiness for the next iteration.
             if fds[0].readable() {
                 self.waker.pipe.drain();
+                if timeout != Some(Duration::ZERO) {
+                    // Woken from sleep by another thread's mail: let that
+                    // thread run on before reading it. A thread that submits
+                    // a burst (a closed-loop client refilling its window)
+                    // otherwise loses the CPU to this reactor at its first
+                    // envelope on a shared core, and every multicast of the
+                    // burst leaves in a frame of its own.
+                    std::thread::yield_now();
+                }
             }
             listener_ready = fds[1].readable();
             for (conn, fd) in self.inbound.iter_mut().zip(&fds[2..peer_base]) {
@@ -1422,7 +1433,8 @@ mod tests {
         let ballot = Ballot::new(1, ProcessId(0));
         let lts = Timestamp::new(77, GroupId(0));
         let gts = Timestamp::new(300, GroupId(1));
-        let ballots = BTreeMap::from([(GroupId(0), ballot), (GroupId(1), Ballot::BOTTOM)]);
+        let ballots =
+            wbam_core::BallotVector::from([(GroupId(0), ballot), (GroupId(1), Ballot::BOTTOM)]);
         let watermarks = BTreeMap::from([(GroupId(1), gts)]);
         let mut checkpoint = Checkpoint {
             group: GroupId(0),
@@ -1469,12 +1481,12 @@ mod tests {
             WhiteBoxMsg::NewLeaderAck {
                 ballot,
                 cballot: Ballot::BOTTOM,
-                checkpoint: checkpoint.clone(),
+                checkpoint: Box::new(checkpoint.clone()),
                 snapshot: snapshot.clone(),
             },
             WhiteBoxMsg::NewState {
                 ballot,
-                checkpoint,
+                checkpoint: Box::new(checkpoint),
                 snapshot,
             },
             WhiteBoxMsg::NewStateAck { ballot },

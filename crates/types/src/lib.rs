@@ -70,7 +70,7 @@ pub use event::Event;
 pub use ids::{ClientId, GroupId, MsgId, ProcessId};
 pub use message::{AppMessage, Destination, Payload};
 pub use nemesis::{CrashSpec, LinkFaults, NemesisPlan, PartitionSpec};
-pub use node::{Node, TimerId};
+pub use node::{Node, TimerId, TimerIdHasher, TimerMap};
 pub use phase::Phase;
 pub use record_map::RecordMap;
 pub use timestamp::Timestamp;

@@ -1,6 +1,7 @@
 //! Application messages and destination sets.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -98,26 +99,73 @@ impl AsRef<[u8]> for Payload {
 /// assert!(d.conflicts_with(&e));
 /// ```
 ///
-/// The groups sit behind an [`Arc`], so cloning a destination (and with it an
-/// [`AppMessage`]) is a reference-count bump, not an allocation: an `ACCEPT`
-/// fan-out clones the message once per recipient. The serde form is the
-/// sorted group list, as it was when the set was a `Vec`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Destination(Arc<[GroupId]>);
+/// A set of up to five groups is held in place, as many as fit in the space
+/// of a shared slice, so building, decoding or cloning one allocates
+/// nothing; a longer set sits behind an [`Arc`], so cloning it is a
+/// reference-count bump. Either way cloning a destination (and with it an
+/// [`AppMessage`]) never allocates: an `ACCEPT` fan-out clones the message
+/// once per recipient. The serde form is the sorted group list, and decoding
+/// refuses a list that [`Destination::new`] would not have built (empty,
+/// unsorted or with a repeated group), since a frame from the network can
+/// carry anything.
+#[derive(Clone)]
+pub struct Destination(Groups);
+
+/// The representation behind [`Destination`].
+#[derive(Clone)]
+enum Groups {
+    /// The first `len` of `groups` are the set.
+    Inline {
+        len: u8,
+        groups: [GroupId; Destination::INLINE],
+    },
+    /// A set longer than `Destination::INLINE`.
+    Shared(Arc<[GroupId]>),
+}
 
 impl Serialize for Destination {
     fn serialize<S: Sink>(&self, sink: &mut S) {
-        self.0.serialize(sink);
+        self.groups().serialize(sink);
     }
 }
 
 impl Deserialize for Destination {
     fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Self, DeError> {
-        Vec::<GroupId>::deserialize(src).map(|groups| Destination(groups.into()))
+        let len = src.begin_seq()?;
+        let mut previous = None;
+        let mut next = |src: &mut S| {
+            let group = GroupId::deserialize(src)?;
+            if let Some(previous) = previous.filter(|&p| p >= group) {
+                return Err(DeError::new(format!(
+                    "destination groups must be sorted and distinct: {group} after {previous}"
+                )));
+            }
+            previous = Some(group);
+            Ok(group)
+        };
+        let destination = match len {
+            0 => return Err(DeError::new(WbamError::EmptyDestination.to_string())),
+            len if len <= Destination::INLINE => {
+                let mut groups = [GroupId(0); Destination::INLINE];
+                for slot in &mut groups[..len] {
+                    *slot = next(src)?;
+                }
+                Destination::from_sorted(&groups[..len])
+            }
+            len => {
+                let groups = (0..len).map(|_| next(src)).collect::<Result<Vec<_>, _>>()?;
+                Destination::from_sorted(&groups)
+            }
+        };
+        src.end_seq();
+        Ok(destination)
     }
 }
 
 impl Destination {
+    /// Most groups a destination holds in place.
+    const INLINE: usize = 5;
+
     /// Creates a destination set from a list of groups.
     ///
     /// Duplicates are removed and the set is stored sorted.
@@ -132,50 +180,102 @@ impl Destination {
         if v.is_empty() {
             return Err(WbamError::EmptyDestination);
         }
-        Ok(Destination(v.into()))
+        Ok(Destination::from_sorted(&v))
     }
 
     /// Creates a destination set addressed to a single group.
     pub fn single(group: GroupId) -> Self {
-        Destination(Arc::new([group]))
+        Destination::from_sorted(&[group])
+    }
+
+    /// The set of `groups`, which are sorted, distinct and not empty.
+    fn from_sorted(groups: &[GroupId]) -> Self {
+        if groups.len() > Destination::INLINE {
+            return Destination(Groups::Shared(groups.into()));
+        }
+        let mut inline = [GroupId(0); Destination::INLINE];
+        inline[..groups.len()].copy_from_slice(groups);
+        Destination(Groups::Inline {
+            len: groups.len() as u8,
+            groups: inline,
+        })
     }
 
     /// The groups in the destination set, sorted ascending.
     pub fn groups(&self) -> &[GroupId] {
-        &self.0
+        match &self.0 {
+            Groups::Inline { len, groups } => &groups[..usize::from(*len)],
+            Groups::Shared(groups) => groups,
+        }
     }
 
     /// Number of destination groups.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.groups().len()
     }
 
     /// Whether the destination set is empty (never true for a constructed value).
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.groups().is_empty()
     }
 
     /// Whether the set contains a given group.
     pub fn contains(&self, g: GroupId) -> bool {
-        self.0.binary_search(&g).is_ok()
+        self.groups().binary_search(&g).is_ok()
     }
 
     /// Whether two destination sets intersect, i.e. whether messages addressed
     /// to them are *conflicting* in the sense of §II.
     pub fn conflicts_with(&self, other: &Destination) -> bool {
-        self.0.iter().any(|g| other.contains(*g))
+        self.iter().any(|g| other.contains(g))
     }
 
     /// Iterates over the destination groups.
     pub fn iter(&self) -> impl Iterator<Item = GroupId> + '_ {
-        self.0.iter().copied()
+        self.groups().iter().copied()
+    }
+}
+
+// Equality, order, hashing and debug output are the group list's, whichever
+// form holds it: two equal sets compare, sort and hash alike, and a trace
+// prints a set the same way in both forms.
+
+impl PartialEq for Destination {
+    fn eq(&self, other: &Self) -> bool {
+        self.groups() == other.groups()
+    }
+}
+
+impl Eq for Destination {}
+
+impl PartialOrd for Destination {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Destination {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.groups().cmp(other.groups())
+    }
+}
+
+impl Hash for Destination {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.groups().hash(state);
+    }
+}
+
+impl fmt::Debug for Destination {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Destination").field(&self.groups()).finish()
     }
 }
 
 impl fmt::Display for Destination {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, g) in self.0.iter().enumerate() {
+        for (i, g) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -267,6 +367,29 @@ mod tests {
     fn single_destination() {
         let d = Destination::single(GroupId(4));
         assert_eq!(d.groups(), &[GroupId(4)]);
+    }
+
+    /// A short set is held in place in no more room than a shared slice
+    /// takes, and a long one is shared; both compare, order, hash and print
+    /// by their groups alone.
+    #[test]
+    fn short_sets_are_inline_and_both_forms_behave_as_the_group_list() {
+        assert_eq!(std::mem::size_of::<Destination>(), 24);
+        let inline = Destination::new((0..5).map(GroupId)).unwrap();
+        let shared = Destination::new((0..6).map(GroupId)).unwrap();
+        assert!(matches!(inline.0, Groups::Inline { len: 5, .. }));
+        assert!(matches!(shared.0, Groups::Shared(_)));
+        assert!(inline < shared, "ordered as slices: a prefix comes first");
+        let arc: Arc<[GroupId]> = shared.groups().into();
+        assert_eq!(format!("{shared:?}"), format!("Destination({arc:?})"));
+        fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            value.hash(&mut hasher);
+            hasher.finish()
+        }
+        assert_eq!(hash_of(&inline), hash_of(inline.groups()));
+        assert_eq!(hash_of(&shared), hash_of(shared.groups()));
+        assert_eq!(shared.clone(), shared);
     }
 
     #[test]

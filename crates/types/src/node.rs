@@ -1,6 +1,8 @@
 //! The sans-IO protocol node interface shared by the simulator and the runtime.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -21,6 +23,37 @@ pub struct TimerId(pub u64);
 impl fmt::Display for TimerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)
+    }
+}
+
+/// A hash map keyed by [`TimerId`], for a node's or a runtime's timer
+/// bookkeeping that is read by key and never iterated.
+///
+/// A node picks its own timer ids (small integers, often consecutive), so
+/// SipHash's resistance to chosen keys buys nothing here: the key is hashed
+/// with one folded multiply ([`TimerIdHasher`]). Since nothing iterates the
+/// map, its hasher cannot change what a node or a runtime does.
+pub type TimerMap<V> = HashMap<TimerId, V, BuildHasherDefault<TimerIdHasher>>;
+
+/// The hasher of a [`TimerMap`]: one multiply by a 64-bit odd constant,
+/// folding the high half of the 128-bit product onto the low half.
+#[derive(Debug, Default)]
+pub struct TimerIdHasher(u64);
+
+impl Hasher for TimerIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 }
 

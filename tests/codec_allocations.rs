@@ -9,7 +9,7 @@
 mod common;
 
 use common::{measure, CountingAlloc};
-use wbam_core::WhiteBoxMsg;
+use wbam_core::{BallotVector, WhiteBoxMsg};
 use wbam_types::wire::{decode_frame_slice, encode_frame_with, WireCodec};
 use wbam_types::{AppMessage, Ballot, Destination, GroupId, MsgId, Payload, ProcessId, Timestamp};
 
@@ -66,4 +66,46 @@ fn binary_frames_encode_and_decode_within_an_allocation_budget() {
             );
         }
     }
+}
+
+/// Decoding an `ACCEPT_ACK` allocates nothing: its ballot vector (one entry
+/// per destination group) is read in place, for one group and for two. A
+/// ballot vector decoded into a `BTreeMap` allocates a node per ack.
+#[test]
+fn decoding_an_accept_ack_does_not_allocate() {
+    for groups in [1, 2] {
+        let ballots: BallotVector = (0..groups)
+            .map(|g| (GroupId(g), Ballot::new(3, ProcessId(3 * g))))
+            .collect();
+        let ack = WhiteBoxMsg::AcceptAck {
+            msg_id: MsgId::new(ProcessId(6), 41),
+            group: GroupId(0),
+            ballots,
+        };
+        let frame = encode_frame_with(WireCodec::Binary, &ack).expect("encode");
+        let (decoded, made) =
+            measure(|| decode_frame_slice::<WhiteBoxMsg>(WireCodec::Binary, &frame));
+        let (back, _) = decoded.expect("decode").expect("full frame");
+        assert_eq!(back, ack);
+        assert_eq!(
+            made.calls, 0,
+            "decoding a {groups}-group ACCEPT_ACK made {} allocator calls for {} bytes",
+            made.calls, made.bytes
+        );
+    }
+}
+
+/// Decoding an `ACCEPT` makes one allocator call, for the payload: its
+/// two-group destination set is read in place. A destination decoded into a
+/// `Vec` and then copied into an `Arc` made two more.
+#[test]
+fn decoding_an_accept_allocates_only_its_payload() {
+    let frame = encode_frame_with(WireCodec::Binary, &accept(20)).expect("encode");
+    let (decoded, made) = measure(|| decode_frame_slice::<WhiteBoxMsg>(WireCodec::Binary, &frame));
+    assert_eq!(decoded.expect("decode").expect("full frame").0, accept(20));
+    assert_eq!(
+        made.calls, 1,
+        "decoding a two-group ACCEPT made {} allocator calls for {} bytes",
+        made.calls, made.bytes
+    );
 }

@@ -28,7 +28,7 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use wbam_baselines::{BaselineMsg, Command};
 use wbam_consensus::{PaxosMsg, Slot};
-use wbam_core::{DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg};
+use wbam_core::{BallotVector, DeliverMsg, RecordSnapshot, StateSnapshot, WhiteBoxMsg};
 use wbam_harness::{DeliveryLine, DeploySpec};
 use wbam_types::wire::{
     check_preamble, decode_frame_with, encode_frame_with, encode_preamble, from_json, to_json,
@@ -92,7 +92,7 @@ fn arb_app_message(rng: &mut StdRng) -> AppMessage {
     )
 }
 
-fn arb_ballot_vector(rng: &mut StdRng) -> BTreeMap<GroupId, Ballot> {
+fn arb_ballot_vector(rng: &mut StdRng) -> BallotVector {
     (0..rng.gen_range(1..4))
         .map(|_| (GroupId(rng.gen_range(0..8)), arb_ballot(rng)))
         .collect()
@@ -193,12 +193,12 @@ fn arb_whitebox(rng: &mut StdRng, variant: usize) -> WhiteBoxMsg {
         5 => WhiteBoxMsg::NewLeaderAck {
             ballot: arb_ballot(rng),
             cballot: arb_ballot(rng),
-            checkpoint: arb_checkpoint(rng),
+            checkpoint: Box::new(arb_checkpoint(rng)),
             snapshot: arb_snapshot(rng),
         },
         6 => WhiteBoxMsg::NewState {
             ballot: arb_ballot(rng),
-            checkpoint: arb_checkpoint(rng),
+            checkpoint: Box::new(arb_checkpoint(rng)),
             snapshot: arb_snapshot(rng),
         },
         7 => WhiteBoxMsg::NewStateAck {
@@ -717,6 +717,58 @@ fn variants_are_bounded_in_depth_and_range() {
     // A data variant sent bare, and a unit variant sent with data.
     assert!(serde_binary::from_slice::<WhiteBoxMsg>(&[0x87]).is_err());
     assert!(serde_binary::from_slice::<Chain>(&[0x40, 0x00]).is_err());
+}
+
+/// A destination read off the wire holds to `Destination::new`'s invariant:
+/// an empty, unsorted or repeated group list is refused by both codecs, as a
+/// bare destination and inside an application message, and a sorted one
+/// (past the decoder's stack buffer too) still decodes.
+#[test]
+fn decoded_destinations_are_non_empty_sorted_and_distinct() {
+    #[derive(Serialize)]
+    struct RawAppMessage {
+        id: MsgId,
+        dest: Vec<GroupId>,
+        payload: Payload,
+    }
+    let groups = |ids: &[u32]| ids.iter().map(|&g| GroupId(g)).collect::<Vec<_>>();
+    for bad in [
+        &[][..],
+        &[1, 0],
+        &[0, 0],
+        &[0, 2, 2],
+        &[0, 1, 2, 3, 4, 5, 6, 7, 8, 8],
+    ] {
+        let dest = groups(bad);
+        let raw = RawAppMessage {
+            id: MsgId::new(ProcessId(6), 1),
+            dest: dest.clone(),
+            payload: Payload::from("x"),
+        };
+        let binary = serde_binary::to_vec(&dest).unwrap();
+        assert!(
+            serde_binary::from_slice::<Destination>(&binary).is_err(),
+            "{bad:?}"
+        );
+        assert!(
+            from_json::<Destination>(&to_json(&dest).unwrap()).is_err(),
+            "{bad:?}"
+        );
+        let binary = serde_binary::to_vec(&raw).unwrap();
+        assert!(
+            serde_binary::from_slice::<AppMessage>(&binary).is_err(),
+            "{bad:?}"
+        );
+        assert!(
+            from_json::<AppMessage>(&to_json(&raw).unwrap()).is_err(),
+            "{bad:?}"
+        );
+    }
+    for good in [&[3][..], &[0, 200], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]] {
+        let dest = Destination::new(groups(good)).unwrap();
+        assert_codecs_agree(&dest);
+        assert_eq!(dest.groups(), groups(good));
+    }
 }
 
 /// JSON goes through the `Value` tree as before; its text is pinned to what
